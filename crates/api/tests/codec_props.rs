@@ -5,8 +5,7 @@
 //!
 //! These run everywhere (no external crates): a vendored SplitMix64
 //! drives deterministic generation, so a failure reproduces from the
-//! printed seed. The `proptest`-powered twin of this suite lives in
-//! `tests/proptests.rs` behind the non-default `proptests` feature.
+//! printed seed.
 
 use scalesim_api::json::Json;
 use scalesim_api::{

@@ -13,39 +13,23 @@
 //! ```
 //!
 //! Every command is a thin client of the same typed facade
-//! ([`scalesim::service::SimService`]): argument vectors become
-//! [`SimRequest`]s, failures are categorized [`SimError`]s mapped to
-//! stable exit codes (config=2, topology=3, io=4, internal=70; CLI
-//! usage errors stay 1). Argument parsing lives in [`scalesim::cli`]
-//! (unit-tested there); the full reference is `docs/CLI.md`, the
-//! request protocol is `docs/API.md`.
+//! ([`scalesim::service::SimService`]): argument vectors parse straight
+//! into [`SimRequest`]s ([`scalesim::cli`], unit-tested there), the
+//! simulation commands execute them through the entry point `serve`
+//! uses and write the response's reports to disk, and failures are
+//! categorized [`SimError`]s mapped to stable exit codes (config=2,
+//! topology=3, io=4, internal=70; CLI usage errors stay 1). The full
+//! reference is `docs/CLI.md`, the request protocol is `docs/API.md`.
 
-use scalesim::api::{
-    ConfigSource, Features, LlmRequest, RunSpec, ScaleoutRequest, SimError, SweepRequest,
-    TopologyFormat, TopologySource,
-};
-use scalesim::cli::{
-    parse_cli, version_string, Command, LlmArgs, RunArgs, ScaleoutArgs, ServeArgs, SweepArgs,
-};
-use scalesim::scaleout::{scaleout_rows, ScaleoutCsvSink, ScaleoutLayerRecord};
+use scalesim::api::{AreaSpec, Report, SimError, SimRequest, SimResponse};
+use scalesim::cli::{parse_cli, version_string, Command, Output, ServeArgs};
+use scalesim::scaleout::scaleout_rows;
 use scalesim::serve::{ServeOptions, Server};
-use scalesim::service::{area_body, SimService};
-use scalesim::{CsvReportSink, LayerResult, ReportSections, ResultSink, RunSummary, ScaleoutSink};
+use scalesim::service::{Progress, SimService};
+use scalesim::{CancelToken, ScaleSim};
 use scalesim_obs as obs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
-
-/// The `--trace` output path of whichever subcommand was parsed.
-fn trace_path(command: &Command) -> Option<PathBuf> {
-    match command {
-        Command::Run(a) => a.trace.clone(),
-        Command::Llm(a) => a.trace.clone(),
-        Command::Sweep(a) => a.trace.clone(),
-        Command::Scaleout(a) => a.trace.clone(),
-        Command::Serve(a) => a.trace.clone(),
-        Command::Version => None,
-    }
-}
 
 /// Writes the recorded span rings as Chrome trace-event JSON. Runs
 /// after the command finishes (even a failed run's partial timeline is
@@ -63,368 +47,244 @@ fn write_trace(path: &Path) {
     }
 }
 
-fn config_source(path: Option<&Path>) -> ConfigSource {
-    match path {
-        Some(p) => ConfigSource::Path(p.display().to_string()),
-        None => ConfigSource::Default,
-    }
-}
-
-fn topology_source(path: &Path, format: TopologyFormat) -> TopologySource {
-    TopologySource::from_path(path.display().to_string()).with_format(format)
-}
-
-/// Builds the topology source from the parsed `-t`/`-w` pair (the CLI
-/// layer guarantees exactly one is set).
-fn workload_source(
-    path: Option<&Path>,
-    workload: Option<&str>,
-    format: TopologyFormat,
-) -> TopologySource {
-    match (path, workload) {
-        (Some(p), _) => topology_source(p, format),
-        (None, Some(w)) => TopologySource::from_workload(w),
-        (None, None) => unreachable!("cli enforces one of -t/-w"),
-    }
-}
-
-/// The run command's streaming sink: tees every finished layer into the
-/// incremental CSV writers and the O(1) run summary, printing verbose
-/// progress along the way. Layer results are dropped as soon as they
-/// are consumed — the run never materializes the whole topology.
-struct RunCliSink {
-    csv: CsvReportSink,
-    summary: RunSummary,
-    verbose: bool,
-}
-
-impl ResultSink for RunCliSink {
-    fn layer(&mut self, r: LayerResult) {
-        if self.verbose {
+/// Renders one progress event of the service as the stderr header or
+/// `-v` line of the four simulation commands. Under `--profile-stages`
+/// the run's engine is swapped for a profiling one before it executes,
+/// and a handle to it left in `profiled` to read the profile back from.
+fn print_progress(event: Progress<'_>, output: &Output, profiled: &mut Option<ScaleSim>) {
+    match event {
+        Progress::Run {
+            sim,
+            topology,
+            llm: None,
+        } => {
+            if output.profile_stages {
+                *sim = sim.clone().with_stage_profiling();
+                *profiled = Some(sim.clone());
+            }
+            let config = sim.config();
             eprintln!(
-                "  {:<16} {:>12} cycles ({:>3.0}% util, {} stalls)",
-                r.name,
-                r.total_cycles(),
-                r.report.compute.utilization * 100.0,
-                r.stall_cycles()
-            );
-        }
-        self.summary.add(&r);
-        self.csv.layer(r);
-    }
-}
-
-fn run(service: &SimService, args: RunArgs) -> Result<(), SimError> {
-    let spec = RunSpec {
-        config: config_source(args.config.as_deref()),
-        topology: workload_source(
-            args.topology.as_deref(),
-            args.workload.as_deref(),
-            if args.gemm {
-                TopologyFormat::Gemm
-            } else {
-                TopologyFormat::Conv
-            },
-        ),
-        features: Features {
-            dram: args.dram,
-            energy: args.energy,
-            layout: args.layout,
-            cores: None,
-        },
-    };
-    let prepared = service.prepare_run(&spec)?;
-    let sim = if args.profile_stages {
-        prepared.sim.clone().with_stage_profiling()
-    } else {
-        prepared.sim.clone()
-    };
-    let topo = &prepared.topology;
-    let config = sim.config();
-
-    eprintln!(
-        "scalesim: {} layers of '{}' on a {} {} core{}",
-        topo.len(),
-        topo.name(),
-        config.core.array,
-        config.core.dataflow,
-        if config.sparsity.is_some() {
-            " (sparse)"
-        } else {
-            ""
-        },
-    );
-
-    std::fs::create_dir_all(&args.out_dir)
-        .map_err(|e| SimError::Io(format!("cannot create {}: {e}", args.out_dir.display())))?;
-    let mut sink = RunCliSink {
-        csv: CsvReportSink::new(&args.out_dir, ReportSections::for_config(sim.config())),
-        summary: RunSummary::new(),
-        verbose: args.verbose,
-    };
-    sim.run_topology_with(topo, &mut sink);
-    let RunCliSink { csv, summary, .. } = sink;
-    let mut written = csv.finish().map_err(SimError::Io)?;
-
-    if args.area {
-        let area = area_body(&sim.area_report());
-        eprintln!(
-            "area: {:.1} mm2 total ({:.1} PE array, {:.1} SRAM, {:.1} NoC, {:.1} DRAM ctrl)",
-            area.total_mm2, area.pe_array_mm2, area.sram_mm2, area.noc_mm2, area.dram_ctrl_mm2,
-        );
-        for report in &area.reports {
-            let path = args.out_dir.join(&report.name);
-            std::fs::write(&path, &report.content)
-                .map_err(|e| SimError::Io(format!("write {}: {e}", path.display())))?;
-            written.push(path);
-        }
-    }
-
-    eprintln!(
-        "total: {} cycles ({} compute + {} stalls){}",
-        summary.total_cycles,
-        summary.compute_cycles,
-        summary.stall_cycles,
-        if args.energy {
-            format!(", {:.3} mJ", summary.energy_mj())
-        } else {
-            String::new()
-        }
-    );
-    if let Some(profile) = sim.stage_profile() {
-        let total_ms: f64 = profile.iter().map(|t| t.millis()).sum();
-        eprintln!("stage profile ({total_ms:.1} ms total):");
-        for t in &profile {
-            eprintln!(
-                "  {:<10} {:>6} calls {:>10.3} ms ({:>5.1}%)",
-                t.stage,
-                t.calls,
-                t.millis(),
-                if total_ms > 0.0 {
-                    t.millis() / total_ms * 100.0
+                "scalesim: {} layers of '{}' on a {} {} core{}",
+                topology.len(),
+                topology.name(),
+                config.core.array,
+                config.core.dataflow,
+                if config.sparsity.is_some() {
+                    " (sparse)"
                 } else {
-                    0.0
+                    ""
                 },
             );
         }
-        // Machine-readable twin of the table above, from the same span
-        // measurements.
-        let mut json = String::from("{\"stages\":[");
-        for (i, t) in profile.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            json.push_str(&format!(
-                "{{\"stage\":\"{}\",\"calls\":{},\"nanos\":{}}}",
-                t.stage, t.calls, t.nanos
-            ));
-        }
-        json.push_str("]}\n");
-        let path = args.out_dir.join("STAGE_PROFILE.json");
-        std::fs::write(&path, json)
-            .map_err(|e| SimError::Io(format!("write {}: {e}", path.display())))?;
-        written.push(path);
-    }
-    for p in written {
-        eprintln!("wrote {}", p.display());
-    }
-    Ok(())
-}
-
-fn llm(service: &SimService, args: LlmArgs) -> Result<(), SimError> {
-    let request = LlmRequest {
-        config: config_source(args.config.as_deref()),
-        workload: args.workload.clone(),
-        phase: args.phase.clone(),
-        seq: args.seq,
-        batch: args.batch,
-        context: args.context,
-        features: Features {
-            dram: args.dram,
-            energy: args.energy,
-            layout: args.layout,
-            cores: None,
-        },
-    };
-    let prepared = service.prepare_llm(&request)?;
-    let sim = &prepared.run.sim;
-    let topo = &prepared.run.topology;
-    let config = sim.config();
-    let spec = &prepared.llm.spec;
-    let context = prepared.llm.effective_context();
-
-    eprintln!(
-        "scalesim llm: {} {} ({} GEMMs, {:.2}B params, {:.1} MiB KV cache @ ctx {}) \
-         on a {} {} core",
-        spec.name,
-        prepared.llm.phase,
-        topo.len(),
-        spec.param_count() as f64 / 1e9,
-        spec.kv_cache_bytes(context) as f64 / (1024.0 * 1024.0),
-        context,
-        config.core.array,
-        config.core.dataflow,
-    );
-
-    std::fs::create_dir_all(&args.out_dir)
-        .map_err(|e| SimError::Io(format!("cannot create {}: {e}", args.out_dir.display())))?;
-    let mut sink = RunCliSink {
-        csv: CsvReportSink::new(&args.out_dir, ReportSections::for_config(sim.config())),
-        summary: RunSummary::new(),
-        verbose: args.verbose,
-    };
-    prepared.run.run_into(&mut sink);
-    let RunCliSink { csv, summary, .. } = sink;
-    let written = csv.finish().map_err(SimError::Io)?;
-
-    eprintln!(
-        "total: {} cycles ({} compute + {} stalls), utilization {:.1}%{}",
-        summary.total_cycles,
-        summary.compute_cycles,
-        summary.stall_cycles,
-        summary.utilization() * 100.0,
-        if args.energy {
-            format!(", {:.3} mJ", summary.energy_mj())
-        } else {
-            String::new()
-        }
-    );
-    for p in written {
-        eprintln!("wrote {}", p.display());
-    }
-    Ok(())
-}
-
-fn sweep(service: &SimService, args: SweepArgs) -> Result<(), SimError> {
-    let request = SweepRequest {
-        spec: ConfigSource::Path(args.spec.display().to_string()),
-        base_config: config_source(args.config.as_deref()),
-        topologies: args
-            .topologies
-            .iter()
-            .map(|p| topology_source(p, TopologyFormat::Auto))
-            .collect(),
-        shards: args.shards,
-    };
-    let prepared = service.prepare_sweep(&request)?;
-
-    let grid_size = prepared.spec.grid_size();
-    eprintln!(
-        "scalesim sweep '{}': {} grid points x {} topologies = {} runs ({} shards)",
-        prepared.spec.name,
-        grid_size,
-        prepared.topologies.len(),
-        grid_size * prepared.topologies.len(),
-        prepared.shards,
-    );
-    if args.verbose {
-        for point in prepared.spec.expand() {
-            eprintln!("  point {:>3}: {}", point.index, point.label());
-        }
-    }
-
-    let started = std::time::Instant::now();
-    // Stream per-run records to stderr as shards complete (the report
-    // itself stays deterministic: it sorts by run index).
-    let (report, cache) = prepared.run_with(|r| {
-        if args.verbose {
+        Progress::Run {
+            sim,
+            topology,
+            llm: Some(llm),
+        } => {
+            let context = llm.effective_context();
             eprintln!(
-                "  run {:>3} {:<28} {:<12} {:>12} cycles {:>10.4} mJ",
-                r.run, r.point_label, r.topology, r.total_cycles, r.energy_mj,
+                "scalesim llm: {} {} ({} GEMMs, {:.2}B params, {:.1} MiB KV cache @ ctx {}) \
+                 on a {} {} core",
+                llm.spec.name,
+                llm.phase,
+                topology.len(),
+                llm.spec.param_count() as f64 / 1e9,
+                llm.spec.kv_cache_bytes(context) as f64 / (1024.0 * 1024.0),
+                context,
+                sim.config().core.array,
+                sim.config().core.dataflow,
             );
         }
-    })?;
-    let elapsed = started.elapsed();
+        Progress::Layer(r) if output.verbose => eprintln!(
+            "  {:<16} {:>12} cycles ({:>3.0}% util, {} stalls)",
+            r.name,
+            r.total_cycles(),
+            r.report.compute.utilization * 100.0,
+            r.stall_cycles()
+        ),
+        Progress::Sweep {
+            spec,
+            topologies,
+            shards,
+        } => {
+            let grid_size = spec.grid_size();
+            eprintln!(
+                "scalesim sweep '{}': {} grid points x {} topologies = {} runs ({} shards)",
+                spec.name,
+                grid_size,
+                topologies,
+                grid_size * topologies,
+                shards,
+            );
+            if output.verbose {
+                for point in spec.expand() {
+                    eprintln!("  point {:>3}: {}", point.index, point.label());
+                }
+            }
+        }
+        // Per-run records arrive as shards complete (the report itself
+        // stays deterministic: it sorts by run index).
+        Progress::SweepRun(r) if output.verbose => eprintln!(
+            "  run {:>3} {:<28} {:<12} {:>12} cycles {:>10.4} mJ",
+            r.run, r.point_label, r.topology, r.total_cycles, r.energy_mj,
+        ),
+        Progress::Scaleout { topology, spec } => eprintln!(
+            "scalesim scaleout: {} layers of '{}' on {} chips ({} parallel, {} fabric)",
+            topology.len(),
+            topology.name(),
+            spec.chips,
+            spec.strategy.name(),
+            spec.fabric.tag(),
+        ),
+        Progress::ScaleoutLayer(r) if output.verbose => {
+            eprint!("  {}", scaleout_rows::scaleout(r))
+        }
+        _ => {}
+    }
+}
 
-    std::fs::create_dir_all(&args.out_dir)
-        .map_err(|e| SimError::Io(format!("cannot create {}: {e}", args.out_dir.display())))?;
-    for (file, content) in [
-        ("SWEEP_REPORT.csv", report.to_csv()),
-        ("SWEEP_REPORT.json", report.to_json()),
-    ] {
-        let path = args.out_dir.join(file);
-        std::fs::write(&path, content)
+/// `, <energy> mJ` when the request enabled energy estimation.
+fn energy_suffix(enabled: bool, energy_mj: f64) -> String {
+    if enabled {
+        format!(", {energy_mj:.3} mJ")
+    } else {
+        String::new()
+    }
+}
+
+/// Prints the `--profile-stages` table and returns its machine-readable
+/// twin (`STAGE_PROFILE.json`), both from the same span measurements.
+fn stage_profile(sim: &ScaleSim) -> Option<Report> {
+    let profile = sim.stage_profile()?;
+    let total_ms: f64 = profile.iter().map(|t| t.millis()).sum();
+    eprintln!("stage profile ({total_ms:.1} ms total):");
+    let mut rows = Vec::new();
+    for t in &profile {
+        eprintln!(
+            "  {:<10} {:>6} calls {:>10.3} ms ({:>5.1}%)",
+            t.stage,
+            t.calls,
+            t.millis(),
+            if total_ms > 0.0 {
+                t.millis() / total_ms * 100.0
+            } else {
+                0.0
+            },
+        );
+        rows.push(format!(
+            "{{\"stage\":\"{}\",\"calls\":{},\"nanos\":{}}}",
+            t.stage, t.calls, t.nanos
+        ));
+    }
+    Some(Report {
+        name: "STAGE_PROFILE.json".into(),
+        content: format!("{{\"stages\":[{}]}}\n", rows.join(",")),
+    })
+}
+
+/// Runs one simulation command: executes `request` exactly as `serve`
+/// would (same service entry point, never-expiring token), renders its
+/// progress on stderr, then writes the response's reports into `-p`.
+fn simulate(service: &SimService, request: &SimRequest, output: &Output) -> Result<(), SimError> {
+    let started = std::time::Instant::now();
+    let mut profiled = None;
+    let mut cache = None;
+    let response = service.execute(request, &CancelToken::never(), &mut |event| match event {
+        Progress::SweepCache(stats) => cache = Some((stats, started.elapsed())),
+        event => print_progress(event, output, &mut profiled),
+    })?;
+
+    // Summary lines first, then the files; a sweep closes with its
+    // timing line instead.
+    let mut closing = None;
+    let reports = match (request, response) {
+        (SimRequest::Run(spec), SimResponse::Run(body)) => {
+            let mut reports = body.reports;
+            if output.area {
+                let area = service.handle(&SimRequest::AreaReport(AreaSpec {
+                    config: spec.config.clone(),
+                    features: spec.features.clone(),
+                }))?;
+                let SimResponse::Area(area) = area else {
+                    unreachable!("an area request answers with an area body")
+                };
+                eprintln!(
+                    "area: {:.1} mm2 total ({:.1} PE array, {:.1} SRAM, {:.1} NoC, \
+                     {:.1} DRAM ctrl)",
+                    area.total_mm2,
+                    area.pe_array_mm2,
+                    area.sram_mm2,
+                    area.noc_mm2,
+                    area.dram_ctrl_mm2,
+                );
+                reports.extend(area.reports);
+            }
+            let s = &body.summary;
+            eprintln!(
+                "total: {} cycles ({} compute + {} stalls){}",
+                s.total_cycles,
+                s.compute_cycles,
+                s.stall_cycles,
+                energy_suffix(spec.features.energy, s.energy_mj),
+            );
+            reports.extend(profiled.as_ref().and_then(stage_profile));
+            reports
+        }
+        (SimRequest::Llm(spec), SimResponse::Llm(body)) => {
+            let s = &body.summary;
+            eprintln!(
+                "total: {} cycles ({} compute + {} stalls), utilization {:.1}%{}",
+                s.total_cycles,
+                s.compute_cycles,
+                s.stall_cycles,
+                s.utilization * 100.0,
+                energy_suffix(spec.features.energy, s.energy_mj),
+            );
+            body.reports
+        }
+        (_, SimResponse::Sweep(body)) => {
+            let (stats, elapsed) = cache.expect("a finished sweep reports its cache");
+            closing = Some(format!(
+                "sweep done in {:.2}s: plan cache {} — pareto frontier: {}",
+                elapsed.as_secs_f64(),
+                stats,
+                body.pareto_frontier.join(", "),
+            ));
+            body.reports
+        }
+        (_, SimResponse::Scaleout(body)) => {
+            eprintln!(
+                "total: {} cycles on {} ({} compute + {} exposed comm{}); \
+                 {} of {} comm cycles hidden, utilization {:.1}%",
+                body.total_cycles,
+                body.fabric,
+                body.compute_cycles,
+                body.exposed_cycles,
+                if body.bubble_cycles > 0 {
+                    format!(" + {} pipeline bubble", body.bubble_cycles)
+                } else {
+                    String::new()
+                },
+                body.overlapped_cycles,
+                body.comm_cycles,
+                body.utilization * 100.0,
+            );
+            body.reports
+        }
+        (request, _) => unreachable!("'{}' is not a simulation command", request.tag()),
+    };
+
+    std::fs::create_dir_all(&output.out_dir)
+        .map_err(|e| SimError::Io(format!("cannot create {}: {e}", output.out_dir.display())))?;
+    for report in reports {
+        let path = output.out_dir.join(&report.name);
+        std::fs::write(&path, &report.content)
             .map_err(|e| SimError::Io(format!("write {}: {e}", path.display())))?;
         eprintln!("wrote {}", path.display());
     }
-
-    eprintln!(
-        "sweep done in {:.2}s: plan cache {} — pareto frontier: {}",
-        elapsed.as_secs_f64(),
-        cache,
-        report.pareto_labels().join(", "),
-    );
-    Ok(())
-}
-
-/// The scaleout command's streaming sink: tees resolved layers into
-/// the incremental CSV writer, printing verbose progress along the way.
-struct ScaleoutCliSink {
-    csv: ScaleoutCsvSink,
-    verbose: bool,
-}
-
-impl ScaleoutSink for ScaleoutCliSink {
-    fn layer(&mut self, r: ScaleoutLayerRecord) {
-        if self.verbose {
-            eprint!("  {}", scaleout_rows::scaleout(&r));
-        }
-        self.csv.layer(r);
+    if let Some(line) = closing {
+        eprintln!("{line}");
     }
-}
-
-fn scaleout(service: &SimService, args: ScaleoutArgs) -> Result<(), SimError> {
-    let mut request = ScaleoutRequest::for_topology(workload_source(
-        args.topology.as_deref(),
-        args.workload.as_deref(),
-        if args.gemm {
-            TopologyFormat::Gemm
-        } else {
-            TopologyFormat::Auto
-        },
-    ));
-    request.config = config_source(args.config.as_deref());
-    request.chips = args.chips;
-    request.strategy = args.strategy.clone();
-    request.fabric = args.fabric.clone();
-    request.link_gbps = args.link_gbps;
-    let prepared = service.prepare_scaleout(&request)?;
-
-    eprintln!(
-        "scalesim scaleout: {} layers of '{}' on {} chips ({} parallel, {} fabric)",
-        prepared.topology.len(),
-        prepared.topology.name(),
-        prepared.spec.chips,
-        prepared.spec.strategy.name(),
-        prepared.spec.fabric.tag(),
-    );
-
-    std::fs::create_dir_all(&args.out_dir)
-        .map_err(|e| SimError::Io(format!("cannot create {}: {e}", args.out_dir.display())))?;
-    let mut sink = ScaleoutCliSink {
-        csv: ScaleoutCsvSink::new(&args.out_dir),
-        verbose: args.verbose,
-    };
-    let summary = prepared.run_into(&mut sink)?;
-    let written = sink.csv.finish().map_err(SimError::Io)?;
-
-    eprintln!(
-        "total: {} cycles on {} ({} compute + {} exposed comm{}); \
-         {} of {} comm cycles hidden, utilization {:.1}%",
-        summary.total_cycles,
-        summary.fabric,
-        summary.compute_cycles,
-        summary.exposed_cycles,
-        if summary.bubble_cycles > 0 {
-            format!(" + {} pipeline bubble", summary.bubble_cycles)
-        } else {
-            String::new()
-        },
-        summary.overlapped_cycles,
-        summary.comm_cycles,
-        summary.utilization() * 100.0,
-    );
-    eprintln!("wrote {}", written.display());
     Ok(())
 }
 
@@ -509,7 +369,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let trace = trace_path(&command);
+    let trace = match &command {
+        Command::Simulate(_, output) => output.trace.clone(),
+        Command::Serve(args) => args.trace.clone(),
+        Command::Version => None,
+    };
     if trace.is_some() {
         obs::set_tracing(true);
     }
@@ -518,10 +382,7 @@ fn main() -> ExitCode {
             println!("{}", version_string());
             return ExitCode::SUCCESS;
         }
-        Command::Run(args) => run(&service, args),
-        Command::Llm(args) => llm(&service, args),
-        Command::Sweep(args) => sweep(&service, args),
-        Command::Scaleout(args) => scaleout(&service, args),
+        Command::Simulate(request, output) => simulate(&service, &request, &output),
         Command::Serve(args) => serve(&service, args),
     };
     if let Some(path) = &trace {

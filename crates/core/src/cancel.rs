@@ -3,6 +3,10 @@
 //!
 //! A [`CancelToken`] carries the wall-clock instant a request must be
 //! abandoned at, derived from the wire envelope's `deadline_ms` field.
+//! Every execution path takes one: a request without a deadline runs
+//! under [`CancelToken::never`], whose checks cost one branch and never
+//! read the clock — so there is one code path, not a cancellable twin
+//! beside a plain one.
 //! Cancellation is **cooperative**: the pipeline and the service check
 //! [`CancelToken::expired`] between stages (and between layers), never
 //! preempting a stage mid-flight — so a cancelled request costs at most
@@ -10,7 +14,7 @@
 //! stays coherent.
 //!
 //! Expiry latches: once a token observes its deadline passed, every
-//! later check reports expired, and [`CancelToken::to_error`] renders
+//! later check reports expired, and [`CancelToken::check`] renders
 //! the deterministic [`SimError::Deadline`] message — the budget, not
 //! the (nondeterministic) elapsed time, so serve responses stay
 //! byte-reproducible.
@@ -30,10 +34,17 @@ struct TokenInner {
 /// A cheaply clonable deadline token (see the module docs).
 #[derive(Debug, Clone)]
 pub struct CancelToken {
-    inner: Arc<TokenInner>,
+    /// `None` = no deadline: the token can never expire.
+    inner: Option<Arc<TokenInner>>,
 }
 
 impl CancelToken {
+    /// A token that never expires — what requests without a deadline
+    /// (and every one-shot CLI command) run under.
+    pub fn never() -> Self {
+        Self { inner: None }
+    }
+
     /// A token that expires `budget_ms` milliseconds from now.
     pub fn after_ms(budget_ms: u64) -> Self {
         let deadline = Instant::now()
@@ -42,11 +53,11 @@ impl CancelToken {
             // panicking; the request then simply cannot expire.
             .unwrap_or_else(|| Instant::now() + Duration::from_secs(u32::MAX as u64));
         Self {
-            inner: Arc::new(TokenInner {
+            inner: Some(Arc::new(TokenInner {
                 deadline,
                 budget_ms,
                 expired: AtomicBool::new(false),
-            }),
+            })),
         }
     }
 
@@ -54,25 +65,34 @@ impl CancelToken {
     /// (even if the clock were to misbehave), so every stage after the
     /// first expired check agrees the request is dead.
     pub fn expired(&self) -> bool {
-        if self.inner.expired.load(Ordering::Relaxed) {
+        let Some(inner) = &self.inner else {
+            return false;
+        };
+        if inner.expired.load(Ordering::Relaxed) {
             return true;
         }
-        if Instant::now() >= self.inner.deadline {
-            self.inner.expired.store(true, Ordering::Relaxed);
+        if Instant::now() >= inner.deadline {
+            inner.expired.store(true, Ordering::Relaxed);
             return true;
         }
         false
     }
 
-    /// The budget this token was created with, in milliseconds.
-    pub fn budget_ms(&self) -> u64 {
-        self.inner.budget_ms
-    }
-
-    /// The typed error a request abandoned on this token reports. The
-    /// message names the budget (deterministic), never the elapsed time.
-    pub fn to_error(&self) -> SimError {
-        SimError::Deadline(format!("deadline of {} ms exceeded", self.inner.budget_ms))
+    /// `Err` with the typed `deadline` error once the token has expired.
+    /// The message names the budget (deterministic), never the elapsed
+    /// time.
+    ///
+    /// # Errors
+    ///
+    /// `Deadline` when [`expired`](Self::expired).
+    pub fn check(&self) -> Result<(), SimError> {
+        match &self.inner {
+            Some(inner) if self.expired() => Err(SimError::Deadline(format!(
+                "deadline of {} ms exceeded",
+                inner.budget_ms
+            ))),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -85,8 +105,7 @@ mod tests {
         let t = CancelToken::after_ms(0);
         assert!(t.expired());
         assert!(t.expired(), "expiry must latch");
-        assert_eq!(t.budget_ms(), 0);
-        let e = t.to_error();
+        let e = t.check().unwrap_err();
         assert_eq!(e.kind(), "deadline");
         assert_eq!(e.exit_code(), 124);
         assert_eq!(e.message(), "deadline of 0 ms exceeded");
@@ -104,6 +123,25 @@ mod tests {
     fn absurd_budget_saturates_instead_of_panicking() {
         let t = CancelToken::after_ms(u64::MAX);
         assert!(!t.expired());
+    }
+
+    #[test]
+    fn a_never_token_never_expires_and_its_scope_visits_every_item() {
+        let never = CancelToken::never();
+        assert!(!never.expired());
+        assert!(never.check().is_ok());
+        assert!(!never.clone().expired());
+        let items: Vec<u64> = (0..300).collect();
+        let mut seen = Vec::new();
+        scalesim_systolic::parallel_map_streamed(
+            &items,
+            64,
+            &|| never.expired(),
+            |_, &x| x,
+            |i, x| seen.push((i, x)),
+        );
+        let expect: Vec<(usize, u64)> = items.iter().map(|&x| (x as usize, x)).collect();
+        assert_eq!(seen, expect, "every item, in order");
     }
 
     #[test]

@@ -5,19 +5,28 @@
 //! produce an error (never be silently ignored), which the binary turns
 //! into the usage string and a non-zero exit. See [`parse_cli`].
 //!
-//! Five commands:
+//! Five commands, one parser: each subcommand is a row of
+//! `SUBCOMMANDS` — its usage string, its flag table (names and value
+//! kind) and the function turning the parsed flags into a [`Command`].
+//! The four simulation commands parse straight into the
+//! [`SimRequest`] the service executes plus the CLI-only [`Output`]
+//! options, so the binary and `scalesim serve` run the same request the
+//! same way:
 //!
-//! * `scalesim …` — one simulation of one topology ([`RunArgs`]).
+//! * `scalesim …` — one simulation of one topology.
 //! * `scalesim llm …` — simulate an LLM preset or `[llm]` model spec,
-//!   expanded to its per-block GEMMs ([`LlmArgs`]); model reference in
-//!   `docs/LLM.md`.
-//! * `scalesim sweep …` — a design-space sweep over a spec-file grid
-//!   ([`SweepArgs`]); full formats in `docs/CLI.md`.
-//! * `scalesim scaleout …` — a multi-chip scale-out simulation
-//!   ([`ScaleoutArgs`]); model reference in `docs/SCALEOUT.md`.
+//!   expanded to its per-block GEMMs; model reference in `docs/LLM.md`.
+//! * `scalesim sweep …` — a design-space sweep over a spec-file grid;
+//!   full formats in `docs/CLI.md`.
+//! * `scalesim scaleout …` — a multi-chip scale-out simulation; model
+//!   reference in `docs/SCALEOUT.md`.
 //! * `scalesim serve …` — a persistent JSON-lines batch service over
 //!   stdio or a TCP socket ([`ServeArgs`]); protocol in `docs/API.md`.
 
+use scalesim_api::{
+    ConfigSource, Features, LlmRequest, RunSpec, ScaleoutRequest, SimRequest, SweepRequest,
+    TopologyFormat, TopologySource,
+};
 use std::path::PathBuf;
 
 /// Usage string for the single-run command (also the `-h` output).
@@ -142,7 +151,7 @@ pub const SERVE_USAGE: &str = "usage: scalesim serve [--stdio | --listen <addr>]
   --listen <addr>  accept TCP connections on <addr> (e.g. 127.0.0.1:7878
                    or 127.0.0.1:0 for an ephemeral port), each speaking
                    the same JSON-lines protocol; concurrent connections
-                   are capped at SCALESIM_THREADS
+                   are capped at SCALESIM_SERVE_SESSIONS
   --metrics-addr <addr>  expose Prometheus text metrics over HTTP at
                    <addr> (GET any path; docs/OBSERVABILITY.md)
   --trace <file>   enable span recording and write a Chrome trace-event
@@ -153,110 +162,22 @@ One process keeps one plan cache: repeated workloads across requests
 and connections skip re-planning. Responses are byte-identical to the
 one-shot CLI's report files. Protocol reference: docs/API.md.";
 
-/// Arguments of the single-run command.
+/// The CLI-only options of the four simulation commands: where the
+/// response's reports go and what stderr shows meanwhile. None of them
+/// can change a report byte.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunArgs {
-    /// Architecture `.cfg` path (None = built-in default core).
-    pub config: Option<PathBuf>,
-    /// Topology CSV path (exactly one of this and `workload`).
-    pub topology: Option<PathBuf>,
-    /// Built-in workload name (exactly one of this and `topology`).
-    pub workload: Option<String>,
-    /// Report output directory.
+pub struct Output {
+    /// Report output directory (`-p`, default `.`).
     pub out_dir: PathBuf,
-    /// Parse the topology as GEMM rows.
-    pub gemm: bool,
-    /// Enable the cycle-accurate DRAM flow.
-    pub dram: bool,
-    /// Enable energy estimation.
-    pub energy: bool,
-    /// Enable layout analysis.
-    pub layout: bool,
-    /// Emit the area report.
+    /// Per-layer / per-run progress on stderr (`-v`).
+    pub verbose: bool,
+    /// Also emit the area report (`--area`, plain runs only).
     pub area: bool,
-    /// Print per-stage call/time accounting after the run.
+    /// Print per-stage call/time accounting after the run and write
+    /// `STAGE_PROFILE.json` (`--profile-stages`, plain runs only).
     pub profile_stages: bool,
     /// Chrome trace-event output path (`None` = tracing disabled).
     pub trace: Option<PathBuf>,
-    /// Per-layer progress on stderr.
-    pub verbose: bool,
-}
-
-/// Arguments of the `sweep` subcommand.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepArgs {
-    /// Sweep spec path.
-    pub spec: PathBuf,
-    /// Base architecture `.cfg` path (None = built-in default core).
-    pub config: Option<PathBuf>,
-    /// Topology CSVs appended to the spec's workload list.
-    pub topologies: Vec<PathBuf>,
-    /// Report output directory.
-    pub out_dir: PathBuf,
-    /// Shard count for the executor.
-    pub shards: usize,
-    /// Chrome trace-event output path (`None` = tracing disabled).
-    pub trace: Option<PathBuf>,
-    /// Per-run progress on stderr.
-    pub verbose: bool,
-}
-
-/// Arguments of the `scaleout` subcommand.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScaleoutArgs {
-    /// Architecture `.cfg` path (None = built-in default core).
-    pub config: Option<PathBuf>,
-    /// Topology CSV path (exactly one of this and `workload`).
-    pub topology: Option<PathBuf>,
-    /// Built-in workload name (exactly one of this and `topology`).
-    pub workload: Option<String>,
-    /// Report output directory.
-    pub out_dir: PathBuf,
-    /// Parse the topology as GEMM rows.
-    pub gemm: bool,
-    /// Chip-count override.
-    pub chips: Option<usize>,
-    /// Strategy override (validated by the service).
-    pub strategy: Option<String>,
-    /// Fabric override (validated by the service).
-    pub fabric: Option<String>,
-    /// Per-link bandwidth override, GB/s.
-    pub link_gbps: Option<f64>,
-    /// Chrome trace-event output path (`None` = tracing disabled).
-    pub trace: Option<PathBuf>,
-    /// Per-layer progress on stderr.
-    pub verbose: bool,
-}
-
-/// Arguments of the `llm` subcommand.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LlmArgs {
-    /// Architecture `.cfg` path (None = built-in default core).
-    pub config: Option<PathBuf>,
-    /// Model preset name (overrides the cfg's `[llm]` model; one of
-    /// this or an `[llm]` section is required, enforced at prepare
-    /// time).
-    pub workload: Option<String>,
-    /// Phase override (validated by the service).
-    pub phase: Option<String>,
-    /// Sequence-length override.
-    pub seq: Option<usize>,
-    /// Batch-size override.
-    pub batch: Option<usize>,
-    /// Decode context-length override.
-    pub context: Option<usize>,
-    /// Report output directory.
-    pub out_dir: PathBuf,
-    /// Enable the cycle-accurate DRAM flow.
-    pub dram: bool,
-    /// Enable energy estimation.
-    pub energy: bool,
-    /// Enable layout analysis.
-    pub layout: bool,
-    /// Chrome trace-event output path (`None` = tracing disabled).
-    pub trace: Option<PathBuf>,
-    /// Per-layer progress on stderr.
-    pub verbose: bool,
 }
 
 /// Arguments of the `serve` subcommand.
@@ -271,17 +192,13 @@ pub struct ServeArgs {
     pub trace: Option<PathBuf>,
 }
 
-/// A parsed command line.
+/// A parsed command line (one per process, so variant size is moot).
 #[derive(Debug, Clone, PartialEq)]
+#[allow(clippy::large_enum_variant)]
 pub enum Command {
-    /// Simulate one topology.
-    Run(RunArgs),
-    /// Simulate an LLM model spec.
-    Llm(LlmArgs),
-    /// Run a design-space sweep.
-    Sweep(SweepArgs),
-    /// Simulate a multi-chip scale-out execution.
-    Scaleout(ScaleoutArgs),
+    /// Execute one `run` / `llm` / `sweep` / `scaleout` request through
+    /// the service and write its reports per the output options.
+    Simulate(SimRequest, Output),
     /// Serve JSON-lines simulation requests persistently.
     Serve(ServeArgs),
     /// Print the version and exit (`--version` / `-V`).
@@ -310,12 +227,278 @@ pub struct CliError {
     pub usage: &'static str,
 }
 
-impl CliError {
-    fn new(message: impl Into<String>, usage: &'static str) -> Self {
-        Self {
-            message: message.into(),
-            usage,
+/// What follows a flag on the command line.
+#[derive(Clone, Copy)]
+enum Value {
+    /// Nothing: the flag is a switch.
+    Switch,
+    /// Free text; the payload completes "`<flag>` requires …".
+    Text(&'static str),
+    /// A positive integer.
+    Count,
+    /// A positive, finite GB/s figure.
+    Gbps,
+}
+
+impl Value {
+    /// What the flag needs after it, completing "`<flag>` requires …";
+    /// `None` for a switch.
+    fn noun(self) -> Option<&'static str> {
+        match self {
+            Value::Switch => None,
+            Value::Text(noun) => Some(noun),
+            Value::Count => Some("a count"),
+            Value::Gbps => Some("a value"),
         }
+    }
+
+    /// What a well-formed value would have been, when `value` is not one.
+    fn rejects(self, value: &str) -> Option<&'static str> {
+        match self {
+            Value::Count if !value.parse().is_ok_and(|n: usize| n >= 1) => Some("positive integer"),
+            Value::Gbps if !value.parse().is_ok_and(|g: f64| g.is_finite() && g > 0.0) => {
+                Some("positive GB/s")
+            }
+            _ => None,
+        }
+    }
+}
+
+/// One row of a subcommand's flag table: every spelling (the first is
+/// the canonical one error messages and lookups use) and the value kind.
+struct Flag(&'static [&'static str], Value);
+
+const CONFIG: Flag = Flag(&["-c", "--config"], Value::Text("a file argument"));
+const TOPOLOGY: Flag = Flag(&["-t", "--topology"], Value::Text("a file argument"));
+const WORKLOAD: Flag = Flag(&["-w", "--workload"], Value::Text("a workload name"));
+const OUT_DIR: Flag = Flag(&["-p", "--path"], Value::Text("a directory"));
+const TRACE: Flag = Flag(&["--trace"], Value::Text("a file argument"));
+const VERBOSE: Flag = Flag(&["-v", "--verbose"], Value::Switch);
+const GEMM: Flag = Flag(&["--gemm"], Value::Switch);
+const DRAM: Flag = Flag(&["--dram"], Value::Switch);
+const ENERGY: Flag = Flag(&["--energy"], Value::Switch);
+const LAYOUT: Flag = Flag(&["--layout"], Value::Switch);
+
+/// One subcommand: its name on the command line (`""` for the plain
+/// run), usage string, flag table, and the builder from parsed flags.
+struct Subcommand {
+    name: &'static str,
+    usage: &'static str,
+    flags: &'static [Flag],
+    build: fn(&Args) -> Result<Command, CliError>,
+}
+
+const SUBCOMMANDS: [Subcommand; 5] = [
+    Subcommand {
+        name: "",
+        usage: USAGE,
+        flags: &[
+            CONFIG,
+            TOPOLOGY,
+            WORKLOAD,
+            OUT_DIR,
+            GEMM,
+            DRAM,
+            ENERGY,
+            LAYOUT,
+            Flag(&["--area"], Value::Switch),
+            Flag(&["--profile-stages"], Value::Switch),
+            TRACE,
+            VERBOSE,
+        ],
+        build: |a| {
+            let format = if a.has("--gemm") {
+                TopologyFormat::Gemm
+            } else {
+                TopologyFormat::Conv
+            };
+            Ok(a.simulate(SimRequest::Run(RunSpec {
+                config: a.config(),
+                topology: a.workload(format)?,
+                features: a.features(),
+            })))
+        },
+    },
+    Subcommand {
+        name: "llm",
+        usage: LLM_USAGE,
+        flags: &[
+            CONFIG,
+            Flag(&["-w", "--workload"], Value::Text("a preset name")),
+            Flag(&["--phase"], Value::Text("a value")),
+            Flag(&["--seq"], Value::Count),
+            Flag(&["--batch"], Value::Count),
+            Flag(&["--context"], Value::Count),
+            OUT_DIR,
+            DRAM,
+            ENERGY,
+            LAYOUT,
+            TRACE,
+            VERBOSE,
+        ],
+        // Model resolution is deferred to the service, so a cfg [llm]
+        // section alone (no -w) also works.
+        build: |a| {
+            Ok(a.simulate(SimRequest::Llm(LlmRequest {
+                config: a.config(),
+                workload: a.get("-w"),
+                phase: a.get("--phase"),
+                seq: a.get("--seq"),
+                batch: a.get("--batch"),
+                context: a.get("--context"),
+                features: a.features(),
+            })))
+        },
+    },
+    Subcommand {
+        name: "sweep",
+        usage: SWEEP_USAGE,
+        flags: &[
+            Flag(&["-s", "--spec"], Value::Text("a file argument")),
+            CONFIG,
+            TOPOLOGY,
+            OUT_DIR,
+            Flag(&["--shards"], Value::Count),
+            TRACE,
+            VERBOSE,
+        ],
+        build: |a| {
+            let spec = a
+                .get("-s")
+                .ok_or_else(|| a.error("missing required -s <spec>"))?;
+            Ok(a.simulate(SimRequest::Sweep(SweepRequest {
+                spec: ConfigSource::Path(spec),
+                base_config: a.config(),
+                topologies: a.all("-t").map(TopologySource::from_path).collect(),
+                shards: a.get("--shards").unwrap_or(1),
+            })))
+        },
+    },
+    Subcommand {
+        name: "scaleout",
+        usage: SCALEOUT_USAGE,
+        flags: &[
+            CONFIG,
+            TOPOLOGY,
+            WORKLOAD,
+            OUT_DIR,
+            GEMM,
+            Flag(&["--chips"], Value::Count),
+            Flag(&["--strategy"], Value::Text("a value")),
+            Flag(&["--fabric"], Value::Text("a value")),
+            Flag(&["--link-gbps"], Value::Gbps),
+            TRACE,
+            VERBOSE,
+        ],
+        // Strategy and fabric names are validated by the service.
+        build: |a| {
+            let format = if a.has("--gemm") {
+                TopologyFormat::Gemm
+            } else {
+                TopologyFormat::Auto
+            };
+            let mut request = ScaleoutRequest::for_topology(a.workload(format)?);
+            request.config = a.config();
+            request.chips = a.get("--chips");
+            request.strategy = a.get("--strategy");
+            request.fabric = a.get("--fabric");
+            request.link_gbps = a.get("--link-gbps");
+            Ok(a.simulate(SimRequest::Scaleout(request)))
+        },
+    },
+    Subcommand {
+        name: "serve",
+        usage: SERVE_USAGE,
+        flags: &[
+            Flag(&["--stdio"], Value::Switch),
+            Flag(&["--listen"], Value::Text("an address")),
+            Flag(&["--metrics-addr"], Value::Text("an address")),
+            TRACE,
+        ],
+        build: |a| {
+            if a.has("--stdio") && a.has("--listen") {
+                return Err(a.error("--stdio and --listen are mutually exclusive"));
+            }
+            Ok(Command::Serve(ServeArgs {
+                listen: a.get("--listen"),
+                metrics_addr: a.get("--metrics-addr"),
+                trace: a.get("--trace"),
+            }))
+        },
+    },
+];
+
+/// The flags one command line set, keyed by canonical flag name in
+/// argv order (switches carry an empty value), plus the usage string
+/// its errors print.
+struct Args {
+    usage: &'static str,
+    values: Vec<(&'static str, String)>,
+}
+
+impl Args {
+    fn error(&self, message: impl Into<String>) -> CliError {
+        CliError {
+            message: message.into(),
+            usage: self.usage,
+        }
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.all(name).next().is_some()
+    }
+
+    /// Every value given for `name`, in argv order.
+    fn all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a String> + 'a {
+        self.values
+            .iter()
+            .filter(move |(n, _)| *n == name)
+            .map(|(_, v)| v)
+    }
+
+    /// The last value given for `name` (a repeated flag overrides).
+    /// Numeric values were validated against the flag table already.
+    fn get<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.all(name).last().and_then(|v| v.parse().ok())
+    }
+
+    fn config(&self) -> ConfigSource {
+        self.get("-c")
+            .map_or(ConfigSource::Default, ConfigSource::Path)
+    }
+
+    fn features(&self) -> Features {
+        Features {
+            dram: self.has("--dram"),
+            energy: self.has("--energy"),
+            layout: self.has("--layout"),
+            cores: None,
+        }
+    }
+
+    /// The workload of a run or scale-out: exactly one of `-t` and `-w`.
+    fn workload(&self, format: TopologyFormat) -> Result<TopologySource, CliError> {
+        match (self.get::<String>("-t"), self.get::<String>("-w")) {
+            (None, None) => Err(self.error("missing required -t <topology.csv> or -w <workload>")),
+            (Some(_), Some(_)) => {
+                Err(self.error("-t and -w are mutually exclusive (one workload per run)"))
+            }
+            (Some(path), None) => Ok(TopologySource::from_path(path).with_format(format)),
+            (None, Some(workload)) => Ok(TopologySource::from_workload(workload)),
+        }
+    }
+
+    fn simulate(&self, request: SimRequest) -> Command {
+        Command::Simulate(
+            request,
+            Output {
+                out_dir: self.get("-p").unwrap_or_else(|| PathBuf::from(".")),
+                verbose: self.has("-v"),
+                area: self.has("--area"),
+                profile_stages: self.has("--profile-stages"),
+                trace: self.get("--trace"),
+            },
+        )
     }
 }
 
@@ -333,410 +516,41 @@ pub fn parse_cli<I>(argv: I) -> Result<Command, CliError>
 where
     I: IntoIterator<Item = String>,
 {
-    let mut argv = argv.into_iter();
-    let _bin = argv.next();
-    let args: Vec<String> = argv.collect();
+    let argv: Vec<String> = argv.into_iter().skip(1).collect();
     // Like -h, --version anywhere aborts normal parsing and wins.
-    if args.iter().any(|a| a == "--version" || a == "-V") {
+    if argv.iter().any(|a| a == "--version" || a == "-V") {
         return Ok(Command::Version);
     }
-    if args.first().map(String::as_str) == Some("llm") {
-        return parse_llm(args.into_iter().skip(1)).map(Command::Llm);
-    }
-    if args.first().map(String::as_str) == Some("sweep") {
-        return parse_sweep(args.into_iter().skip(1)).map(Command::Sweep);
-    }
-    if args.first().map(String::as_str) == Some("scaleout") {
-        return parse_scaleout(args.into_iter().skip(1)).map(Command::Scaleout);
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        return parse_serve(args.into_iter().skip(1)).map(Command::Serve);
-    }
-    parse_run(args.into_iter()).map(Command::Run)
-}
-
-fn parse_serve<I>(mut argv: I) -> Result<ServeArgs, CliError>
-where
-    I: Iterator<Item = String>,
-{
-    let mut stdio = false;
-    let mut listen = None;
-    let mut metrics_addr = None;
-    let mut trace = None;
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--stdio" => stdio = true,
-            "--listen" => {
-                listen =
-                    Some(argv.next().ok_or_else(|| {
-                        CliError::new("--listen requires an address", SERVE_USAGE)
-                    })?)
-            }
-            "--metrics-addr" => {
-                metrics_addr = Some(argv.next().ok_or_else(|| {
-                    CliError::new("--metrics-addr requires an address", SERVE_USAGE)
-                })?)
-            }
-            "--trace" => {
-                trace = Some(PathBuf::from(argv.next().ok_or_else(|| {
-                    CliError::new("--trace requires a file argument", SERVE_USAGE)
-                })?))
-            }
-            "-h" | "--help" => return Err(CliError::new("", SERVE_USAGE)),
-            other => {
-                return Err(CliError::new(
-                    format!("unknown argument '{other}'"),
-                    SERVE_USAGE,
-                ))
-            }
-        }
-    }
-    if stdio && listen.is_some() {
-        return Err(CliError::new(
-            "--stdio and --listen are mutually exclusive",
-            SERVE_USAGE,
-        ));
-    }
-    Ok(ServeArgs {
-        listen,
-        metrics_addr,
-        trace,
-    })
-}
-
-/// Enforces that exactly one of `-t` and `-w` was given.
-fn require_one_source(
-    topology: Option<PathBuf>,
-    workload: Option<String>,
-    usage: &'static str,
-) -> Result<(Option<PathBuf>, Option<String>), CliError> {
-    match (&topology, &workload) {
-        (None, None) => Err(CliError::new(
-            "missing required -t <topology.csv> or -w <workload>",
-            usage,
-        )),
-        (Some(_), Some(_)) => Err(CliError::new(
-            "-t and -w are mutually exclusive (one workload per run)",
-            usage,
-        )),
-        _ => Ok((topology, workload)),
-    }
-}
-
-fn parse_llm<I>(mut argv: I) -> Result<LlmArgs, CliError>
-where
-    I: Iterator<Item = String>,
-{
-    let mut args = LlmArgs {
-        out_dir: PathBuf::from("."),
-        ..LlmArgs::default()
+    // A first argument naming a subcommand selects it; anything else is
+    // a flag of the plain run (row 0).
+    let named = SUBCOMMANDS[1..]
+        .iter()
+        .find(|sub| argv.first().is_some_and(|a| a == sub.name));
+    let sub = named.unwrap_or(&SUBCOMMANDS[0]);
+    let mut args = Args {
+        usage: sub.usage,
+        values: Vec::new(),
     };
-    let positive = |flag: &str, v: Option<String>| -> Result<usize, CliError> {
-        let v = v.ok_or_else(|| CliError::new(format!("{flag} requires a count"), LLM_USAGE))?;
-        v.parse()
-            .ok()
-            .filter(|&n: &usize| n >= 1)
-            .ok_or_else(|| CliError::new(format!("bad {flag} '{v}' (positive integer)"), LLM_USAGE))
-    };
+    let mut argv = argv.into_iter().skip(named.is_some() as usize);
     while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "-c" | "--config" => {
-                args.config =
-                    Some(PathBuf::from(argv.next().ok_or_else(|| {
-                        CliError::new("-c requires a file argument", LLM_USAGE)
-                    })?))
-            }
-            "-w" | "--workload" => {
-                args.workload = Some(
-                    argv.next()
-                        .ok_or_else(|| CliError::new("-w requires a preset name", LLM_USAGE))?,
-                )
-            }
-            "--phase" => {
-                args.phase = Some(
-                    argv.next()
-                        .ok_or_else(|| CliError::new("--phase requires a value", LLM_USAGE))?,
-                )
-            }
-            "--seq" => args.seq = Some(positive("--seq", argv.next())?),
-            "--batch" => args.batch = Some(positive("--batch", argv.next())?),
-            "--context" => args.context = Some(positive("--context", argv.next())?),
-            "-p" | "--path" => {
-                args.out_dir = PathBuf::from(
-                    argv.next()
-                        .ok_or_else(|| CliError::new("-p requires a directory", LLM_USAGE))?,
-                )
-            }
-            "--dram" => args.dram = true,
-            "--energy" => args.energy = true,
-            "--layout" => args.layout = true,
-            "--trace" => {
-                args.trace = Some(PathBuf::from(argv.next().ok_or_else(|| {
-                    CliError::new("--trace requires a file argument", LLM_USAGE)
-                })?))
-            }
-            "-v" | "--verbose" => args.verbose = true,
-            "-h" | "--help" => return Err(CliError::new("", LLM_USAGE)),
-            other => {
-                return Err(CliError::new(
-                    format!("unknown argument '{other}'"),
-                    LLM_USAGE,
-                ))
+        if arg == "-h" || arg == "--help" {
+            return Err(args.error(""));
+        }
+        let Some(Flag(names, kind)) = sub.flags.iter().find(|f| f.0.contains(&arg.as_str())) else {
+            return Err(args.error(format!("unknown argument '{arg}'")));
+        };
+        let (name, mut value) = (names[0], String::new());
+        if let Some(noun) = kind.noun() {
+            value = argv
+                .next()
+                .ok_or_else(|| args.error(format!("{name} requires {noun}")))?;
+            if let Some(expected) = kind.rejects(&value) {
+                return Err(args.error(format!("bad {name} '{value}' ({expected})")));
             }
         }
+        args.values.push((name, value));
     }
-    Ok(args)
-}
-
-fn parse_scaleout<I>(mut argv: I) -> Result<ScaleoutArgs, CliError>
-where
-    I: Iterator<Item = String>,
-{
-    let mut config = None;
-    let mut topology = None;
-    let mut workload = None;
-    let mut out_dir = PathBuf::from(".");
-    let mut gemm = false;
-    let mut chips = None;
-    let mut strategy = None;
-    let mut fabric = None;
-    let mut link_gbps = None;
-    let mut trace = None;
-    let mut verbose = false;
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "-c" | "--config" => {
-                config = Some(PathBuf::from(argv.next().ok_or_else(|| {
-                    CliError::new("-c requires a file argument", SCALEOUT_USAGE)
-                })?))
-            }
-            "-t" | "--topology" => {
-                topology = Some(PathBuf::from(argv.next().ok_or_else(|| {
-                    CliError::new("-t requires a file argument", SCALEOUT_USAGE)
-                })?))
-            }
-            "-w" | "--workload" => {
-                workload =
-                    Some(argv.next().ok_or_else(|| {
-                        CliError::new("-w requires a workload name", SCALEOUT_USAGE)
-                    })?)
-            }
-            "-p" | "--path" => {
-                out_dir = PathBuf::from(
-                    argv.next()
-                        .ok_or_else(|| CliError::new("-p requires a directory", SCALEOUT_USAGE))?,
-                )
-            }
-            "--gemm" => gemm = true,
-            "--chips" => {
-                let v = argv
-                    .next()
-                    .ok_or_else(|| CliError::new("--chips requires a count", SCALEOUT_USAGE))?;
-                chips = Some(v.parse().ok().filter(|&n: &usize| n >= 1).ok_or_else(|| {
-                    CliError::new(
-                        format!("bad --chips '{v}' (positive integer)"),
-                        SCALEOUT_USAGE,
-                    )
-                })?);
-            }
-            "--strategy" => {
-                strategy =
-                    Some(argv.next().ok_or_else(|| {
-                        CliError::new("--strategy requires a value", SCALEOUT_USAGE)
-                    })?)
-            }
-            "--fabric" => {
-                fabric =
-                    Some(argv.next().ok_or_else(|| {
-                        CliError::new("--fabric requires a value", SCALEOUT_USAGE)
-                    })?)
-            }
-            "--link-gbps" => {
-                let v = argv
-                    .next()
-                    .ok_or_else(|| CliError::new("--link-gbps requires a value", SCALEOUT_USAGE))?;
-                link_gbps = Some(
-                    v.parse::<f64>()
-                        .ok()
-                        .filter(|g| g.is_finite() && *g > 0.0)
-                        .ok_or_else(|| {
-                            CliError::new(
-                                format!("bad --link-gbps '{v}' (positive GB/s)"),
-                                SCALEOUT_USAGE,
-                            )
-                        })?,
-                );
-            }
-            "--trace" => {
-                trace = Some(PathBuf::from(argv.next().ok_or_else(|| {
-                    CliError::new("--trace requires a file argument", SCALEOUT_USAGE)
-                })?))
-            }
-            "-v" | "--verbose" => verbose = true,
-            "-h" | "--help" => return Err(CliError::new("", SCALEOUT_USAGE)),
-            other => {
-                return Err(CliError::new(
-                    format!("unknown argument '{other}'"),
-                    SCALEOUT_USAGE,
-                ))
-            }
-        }
-    }
-    let (topology, workload) = require_one_source(topology, workload, SCALEOUT_USAGE)?;
-    Ok(ScaleoutArgs {
-        config,
-        topology,
-        workload,
-        out_dir,
-        gemm,
-        chips,
-        strategy,
-        fabric,
-        link_gbps,
-        trace,
-        verbose,
-    })
-}
-
-fn parse_run<I>(mut argv: I) -> Result<RunArgs, CliError>
-where
-    I: Iterator<Item = String>,
-{
-    let mut config = None;
-    let mut topology = None;
-    let mut workload = None;
-    let mut out_dir = PathBuf::from(".");
-    let (mut gemm, mut dram, mut energy, mut layout, mut area, mut verbose) =
-        (false, false, false, false, false, false);
-    let mut profile_stages = false;
-    let mut trace = None;
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "-c" | "--config" => {
-                config =
-                    Some(PathBuf::from(argv.next().ok_or_else(|| {
-                        CliError::new("-c requires a file argument", USAGE)
-                    })?))
-            }
-            "-t" | "--topology" => {
-                topology =
-                    Some(PathBuf::from(argv.next().ok_or_else(|| {
-                        CliError::new("-t requires a file argument", USAGE)
-                    })?))
-            }
-            "-w" | "--workload" => {
-                workload = Some(
-                    argv.next()
-                        .ok_or_else(|| CliError::new("-w requires a workload name", USAGE))?,
-                )
-            }
-            "-p" | "--path" => {
-                out_dir = PathBuf::from(
-                    argv.next()
-                        .ok_or_else(|| CliError::new("-p requires a directory", USAGE))?,
-                )
-            }
-            "--gemm" => gemm = true,
-            "--dram" => dram = true,
-            "--energy" => energy = true,
-            "--layout" => layout = true,
-            "--area" => area = true,
-            "--profile-stages" => profile_stages = true,
-            "--trace" => {
-                trace = Some(PathBuf::from(argv.next().ok_or_else(|| {
-                    CliError::new("--trace requires a file argument", USAGE)
-                })?))
-            }
-            "-v" | "--verbose" => verbose = true,
-            "-h" | "--help" => return Err(CliError::new("", USAGE)),
-            other => return Err(CliError::new(format!("unknown argument '{other}'"), USAGE)),
-        }
-    }
-    let (topology, workload) = require_one_source(topology, workload, USAGE)?;
-    Ok(RunArgs {
-        config,
-        topology,
-        workload,
-        out_dir,
-        gemm,
-        dram,
-        energy,
-        layout,
-        area,
-        profile_stages,
-        trace,
-        verbose,
-    })
-}
-
-fn parse_sweep<I>(mut argv: I) -> Result<SweepArgs, CliError>
-where
-    I: Iterator<Item = String>,
-{
-    let mut spec = None;
-    let mut config = None;
-    let mut topologies = Vec::new();
-    let mut out_dir = PathBuf::from(".");
-    let mut shards = 1usize;
-    let mut trace = None;
-    let mut verbose = false;
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "-s" | "--spec" => {
-                spec = Some(PathBuf::from(argv.next().ok_or_else(|| {
-                    CliError::new("-s requires a file argument", SWEEP_USAGE)
-                })?))
-            }
-            "-c" | "--config" => {
-                config = Some(PathBuf::from(argv.next().ok_or_else(|| {
-                    CliError::new("-c requires a file argument", SWEEP_USAGE)
-                })?))
-            }
-            "-t" | "--topology" => topologies
-                .push(PathBuf::from(argv.next().ok_or_else(|| {
-                    CliError::new("-t requires a file argument", SWEEP_USAGE)
-                })?)),
-            "-p" | "--path" => {
-                out_dir = PathBuf::from(
-                    argv.next()
-                        .ok_or_else(|| CliError::new("-p requires a directory", SWEEP_USAGE))?,
-                )
-            }
-            "--shards" => {
-                let v = argv
-                    .next()
-                    .ok_or_else(|| CliError::new("--shards requires a count", SWEEP_USAGE))?;
-                shards = v.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                    CliError::new(
-                        format!("bad --shards '{v}' (positive integer)"),
-                        SWEEP_USAGE,
-                    )
-                })?;
-            }
-            "--trace" => {
-                trace = Some(PathBuf::from(argv.next().ok_or_else(|| {
-                    CliError::new("--trace requires a file argument", SWEEP_USAGE)
-                })?))
-            }
-            "-v" | "--verbose" => verbose = true,
-            "-h" | "--help" => return Err(CliError::new("", SWEEP_USAGE)),
-            other => {
-                return Err(CliError::new(
-                    format!("unknown argument '{other}'"),
-                    SWEEP_USAGE,
-                ))
-            }
-        }
-    }
-    Ok(SweepArgs {
-        spec: spec.ok_or_else(|| CliError::new("missing required -s <spec>", SWEEP_USAGE))?,
-        config,
-        topologies,
-        out_dir,
-        shards,
-        trace,
-        verbose,
-    })
+    (sub.build)(&args)
 }
 
 #[cfg(test)]
@@ -749,41 +563,68 @@ mod tests {
             .collect()
     }
 
+    fn simulate(args: &[&str]) -> (SimRequest, Output) {
+        match parse_cli(argv(args)).unwrap() {
+            Command::Simulate(request, output) => (request, output),
+            other => panic!("expected a simulation command, got {other:?}"),
+        }
+    }
+
     #[test]
     fn run_command_round_trip() {
-        let cmd = parse_cli(argv(&["-t", "net.csv", "--gemm", "--energy", "-p", "out"])).unwrap();
-        let Command::Run(args) = cmd else {
-            panic!("expected run command")
+        let (request, output) = simulate(&["-t", "net.csv", "--gemm", "--energy", "-p", "out"]);
+        let SimRequest::Run(spec) = request else {
+            panic!("expected run request")
         };
-        assert_eq!(args.topology, Some(PathBuf::from("net.csv")));
-        assert_eq!(args.out_dir, PathBuf::from("out"));
-        assert!(args.gemm && args.energy && !args.dram && !args.verbose);
+        assert_eq!(
+            spec.topology,
+            TopologySource::from_path("net.csv").with_format(TopologyFormat::Gemm)
+        );
+        assert_eq!(spec.config, ConfigSource::Default);
+        assert!(spec.features.energy && !spec.features.dram && !spec.features.layout);
+        assert_eq!(output.out_dir, PathBuf::from("out"));
+        assert!(!output.verbose && !output.area);
+        // Without --gemm the topology parses as conv rows; long spellings
+        // and a cfg path work too.
+        let (request, output) = simulate(&["--topology", "n.csv", "--config", "a.cfg", "-v"]);
+        let SimRequest::Run(spec) = request else {
+            panic!("expected run request")
+        };
+        assert_eq!(spec.topology.format, TopologyFormat::Conv);
+        assert_eq!(spec.config, ConfigSource::Path("a.cfg".into()));
+        assert_eq!(output.out_dir, PathBuf::from("."));
+        assert!(output.verbose);
     }
 
     #[test]
     fn workload_flag_round_trips_and_excludes_topology() {
-        let cmd = parse_cli(argv(&["-w", "llama-7b:decode"])).unwrap();
-        let Command::Run(args) = cmd else {
-            panic!("expected run command")
+        let (request, _) = simulate(&["-w", "llama-7b:decode"]);
+        let SimRequest::Run(spec) = request else {
+            panic!("expected run request")
         };
-        assert_eq!(args.workload.as_deref(), Some("llama-7b:decode"));
-        assert_eq!(args.topology, None);
+        assert_eq!(
+            spec.topology,
+            TopologySource::from_workload("llama-7b:decode")
+        );
         let err = parse_cli(argv(&["-t", "net.csv", "-w", "resnet18"])).unwrap_err();
         assert!(
             err.message.contains("mutually exclusive"),
             "{}",
             err.message
         );
-        let cmd = parse_cli(argv(&["scaleout", "-w", "llama-7b:decode"])).unwrap();
-        let Command::Scaleout(args) = cmd else {
-            panic!("expected scaleout command")
+        let (request, _) = simulate(&["scaleout", "-w", "llama-7b:decode"]);
+        let SimRequest::Scaleout(request) = request else {
+            panic!("expected scaleout request")
         };
-        assert_eq!(args.workload.as_deref(), Some("llama-7b:decode"));
+        assert_eq!(
+            request.topology.workload.as_deref(),
+            Some("llama-7b:decode")
+        );
     }
 
     #[test]
     fn llm_command_round_trips() {
-        let cmd = parse_cli(argv(&[
+        let (request, output) = simulate(&[
             "llm",
             "-w",
             "llama-7b",
@@ -799,25 +640,22 @@ mod tests {
             "out",
             "--energy",
             "-v",
-        ]))
-        .unwrap();
-        let Command::Llm(args) = cmd else {
-            panic!("expected llm command")
+        ]);
+        let SimRequest::Llm(request) = request else {
+            panic!("expected llm request")
         };
-        assert_eq!(args.workload.as_deref(), Some("llama-7b"));
-        assert_eq!(args.phase.as_deref(), Some("decode"));
-        assert_eq!(args.seq, Some(128));
-        assert_eq!(args.batch, Some(4));
-        assert_eq!(args.context, Some(2048));
-        assert_eq!(args.out_dir, PathBuf::from("out"));
-        assert!(args.energy && args.verbose && !args.dram);
+        assert_eq!(request.workload.as_deref(), Some("llama-7b"));
+        assert_eq!(request.phase.as_deref(), Some("decode"));
+        assert_eq!(request.seq, Some(128));
+        assert_eq!(request.batch, Some(4));
+        assert_eq!(request.context, Some(2048));
+        assert!(request.features.energy && !request.features.dram);
+        assert_eq!(output.out_dir, PathBuf::from("out"));
+        assert!(output.verbose);
         // Minimal form: model resolution is deferred to the service so a
         // cfg [llm] section alone also works.
-        let cmd = parse_cli(argv(&["llm"])).unwrap();
-        let Command::Llm(args) = cmd else {
-            panic!("expected llm command")
-        };
-        assert!(args.workload.is_none() && args.phase.is_none());
+        let (request, _) = simulate(&["llm"]);
+        assert_eq!(request, SimRequest::Llm(LlmRequest::default()));
     }
 
     #[test]
@@ -827,8 +665,13 @@ mod tests {
         assert_eq!(err.usage, LLM_USAGE);
         for bad in [["--seq", "0"], ["--batch", "none"], ["--context", "-1"]] {
             let err = parse_cli(argv(&["llm", bad[0], bad[1]])).unwrap_err();
-            assert!(err.message.contains(bad[0]), "{}", err.message);
+            assert_eq!(
+                err.message,
+                format!("bad {} '{}' (positive integer)", bad[0], bad[1])
+            );
         }
+        let err = parse_cli(argv(&["llm", "-w"])).unwrap_err();
+        assert_eq!(err.message, "-w requires a preset name");
         let err = parse_cli(argv(&["llm", "-h"])).unwrap_err();
         assert!(err.message.is_empty());
         assert_eq!(err.usage, LLM_USAGE);
@@ -836,16 +679,28 @@ mod tests {
 
     #[test]
     fn sweep_command_round_trip() {
-        let cmd = parse_cli(argv(&[
+        let (request, _) = simulate(&[
             "sweep", "-s", "grid.cfg", "-t", "a.csv", "-t", "b.csv", "--shards", "4",
-        ]))
-        .unwrap();
-        let Command::Sweep(args) = cmd else {
-            panic!("expected sweep command")
+        ]);
+        let SimRequest::Sweep(request) = request else {
+            panic!("expected sweep request")
         };
-        assert_eq!(args.spec, PathBuf::from("grid.cfg"));
-        assert_eq!(args.topologies.len(), 2);
-        assert_eq!(args.shards, 4);
+        assert_eq!(request.spec, ConfigSource::Path("grid.cfg".into()));
+        assert_eq!(
+            request.topologies,
+            [
+                TopologySource::from_path("a.csv"),
+                TopologySource::from_path("b.csv")
+            ],
+            "repeatable, format auto-detected"
+        );
+        assert_eq!(request.shards, 4);
+        let (request, _) = simulate(&["sweep", "-s", "grid.cfg"]);
+        let SimRequest::Sweep(request) = request else {
+            panic!("expected sweep request")
+        };
+        assert_eq!(request.shards, 1);
+        assert!(request.topologies.is_empty());
     }
 
     #[test]
@@ -853,6 +708,11 @@ mod tests {
         let err = parse_cli(argv(&["-t", "net.csv", "--frobnicate"])).unwrap_err();
         assert!(err.message.contains("unknown argument '--frobnicate'"));
         assert_eq!(err.usage, USAGE);
+        // One subcommand's flags are unknown to another.
+        let err = parse_cli(argv(&["llm", "--gemm"])).unwrap_err();
+        assert_eq!(err.message, "unknown argument '--gemm'");
+        let err = parse_cli(argv(&["-t", "net.csv", ""])).unwrap_err();
+        assert_eq!(err.message, "unknown argument ''");
     }
 
     #[test]
@@ -861,6 +721,10 @@ mod tests {
         // silently succeeding.
         let err = parse_cli(argv(&["swep", "-s", "grid.cfg"])).unwrap_err();
         assert!(err.message.contains("unknown argument 'swep'"));
+        // A subcommand name is only a subcommand in first position.
+        let err = parse_cli(argv(&["-v", "sweep"])).unwrap_err();
+        assert!(err.message.contains("unknown argument 'sweep'"));
+        assert_eq!(err.usage, USAGE);
     }
 
     #[test]
@@ -872,7 +736,15 @@ mod tests {
 
     #[test]
     fn missing_value_and_missing_required() {
-        assert!(parse_cli(argv(&["-t"])).unwrap_err().message.contains("-t"));
+        assert_eq!(
+            parse_cli(argv(&["-t"])).unwrap_err().message,
+            "-t requires a file argument"
+        );
+        // The canonical spelling names the flag whichever was typed.
+        assert_eq!(
+            parse_cli(argv(&["--path"])).unwrap_err().message,
+            "-p requires a directory"
+        );
         assert!(parse_cli(argv(&[]))
             .unwrap_err()
             .message
@@ -889,6 +761,8 @@ mod tests {
             let err = parse_cli(argv(&["sweep", "-s", "g", "--shards", bad])).unwrap_err();
             assert!(err.message.contains("--shards"), "{bad}: {}", err.message);
         }
+        let err = parse_cli(argv(&["sweep", "-s", "g", "--shards"])).unwrap_err();
+        assert_eq!(err.message, "--shards requires a count");
     }
 
     #[test]
@@ -915,34 +789,34 @@ mod tests {
     }
 
     #[test]
-    fn profile_stages_flag_round_trips() {
-        let cmd = parse_cli(argv(&["-t", "net.csv", "--profile-stages"])).unwrap();
-        let Command::Run(args) = cmd else {
-            panic!("expected run command")
-        };
-        assert!(args.profile_stages);
-        let cmd = parse_cli(argv(&["-t", "net.csv"])).unwrap();
-        let Command::Run(args) = cmd else {
-            panic!("expected run command")
-        };
-        assert!(!args.profile_stages);
+    fn run_only_output_flags_round_trip() {
+        let (_, output) = simulate(&["-t", "net.csv", "--profile-stages", "--area"]);
+        assert!(output.profile_stages && output.area);
+        let (_, output) = simulate(&["-t", "net.csv"]);
+        assert!(!output.profile_stages && !output.area);
+        let err = parse_cli(argv(&["llm", "--profile-stages"])).unwrap_err();
+        assert!(err.message.contains("unknown argument"), "{}", err.message);
     }
 
     #[test]
     fn help_has_empty_message() {
         let err = parse_cli(argv(&["-h"])).unwrap_err();
         assert!(err.message.is_empty());
+        assert_eq!(err.usage, USAGE);
         let err = parse_cli(argv(&["sweep", "-h"])).unwrap_err();
         assert!(err.message.is_empty());
         assert_eq!(err.usage, SWEEP_USAGE);
         let err = parse_cli(argv(&["serve", "-h"])).unwrap_err();
         assert!(err.message.is_empty());
         assert_eq!(err.usage, SERVE_USAGE);
+        // Arguments are read in order: an earlier error beats a later -h.
+        let err = parse_cli(argv(&["--wat", "-h"])).unwrap_err();
+        assert!(err.message.contains("--wat"), "{}", err.message);
     }
 
     #[test]
     fn scaleout_command_round_trips() {
-        let cmd = parse_cli(argv(&[
+        let (request, output) = simulate(&[
             "scaleout",
             "-t",
             "net.csv",
@@ -956,24 +830,24 @@ mod tests {
             "37.5",
             "-p",
             "out",
-        ]))
-        .unwrap();
-        let Command::Scaleout(args) = cmd else {
-            panic!("expected scaleout command")
+        ]);
+        let SimRequest::Scaleout(request) = request else {
+            panic!("expected scaleout request")
         };
-        assert_eq!(args.topology, Some(PathBuf::from("net.csv")));
-        assert_eq!(args.out_dir, PathBuf::from("out"));
-        assert_eq!(args.chips, Some(64));
-        assert_eq!(args.strategy.as_deref(), Some("tensor"));
-        assert_eq!(args.fabric.as_deref(), Some("mesh"));
-        assert_eq!(args.link_gbps, Some(37.5));
+        assert_eq!(request.topology, TopologySource::from_path("net.csv"));
+        assert_eq!(output.out_dir, PathBuf::from("out"));
+        assert_eq!(request.chips, Some(64));
+        assert_eq!(request.strategy.as_deref(), Some("tensor"));
+        assert_eq!(request.fabric.as_deref(), Some("mesh"));
+        assert_eq!(request.link_gbps, Some(37.5));
         // Minimal form: everything from the cfg.
-        let cmd = parse_cli(argv(&["scaleout", "-t", "net.csv"])).unwrap();
-        let Command::Scaleout(args) = cmd else {
-            panic!("expected scaleout command")
-        };
-        assert_eq!(args.chips, None);
-        assert!(args.strategy.is_none() && args.fabric.is_none());
+        let (minimal, _) = simulate(&["scaleout", "-t", "net.csv", "--gemm"]);
+        assert_eq!(
+            minimal,
+            SimRequest::Scaleout(ScaleoutRequest::for_topology(
+                TopologySource::from_path("net.csv").with_format(TopologyFormat::Gemm)
+            ))
+        );
     }
 
     #[test]
@@ -982,9 +856,17 @@ mod tests {
         assert!(err.message.contains("unknown argument '--wat'"));
         assert_eq!(err.usage, SCALEOUT_USAGE);
         let err = parse_cli(argv(&["scaleout", "-t", "n.csv", "--chips", "0"])).unwrap_err();
-        assert!(err.message.contains("--chips"), "{}", err.message);
-        let err = parse_cli(argv(&["scaleout", "-t", "n.csv", "--link-gbps", "-2"])).unwrap_err();
-        assert!(err.message.contains("--link-gbps"), "{}", err.message);
+        assert_eq!(err.message, "bad --chips '0' (positive integer)");
+        for bad in ["-2", "inf", "fast"] {
+            let err =
+                parse_cli(argv(&["scaleout", "-t", "n.csv", "--link-gbps", bad])).unwrap_err();
+            assert_eq!(
+                err.message,
+                format!("bad --link-gbps '{bad}' (positive GB/s)")
+            );
+        }
+        let err = parse_cli(argv(&["scaleout", "--link-gbps"])).unwrap_err();
+        assert_eq!(err.message, "--link-gbps requires a value");
         let err = parse_cli(argv(&["scaleout"])).unwrap_err();
         assert!(
             err.message.contains("missing required -t"),
@@ -1032,26 +914,18 @@ mod tests {
 
     #[test]
     fn trace_flag_round_trips_on_every_subcommand() {
-        let cmd = parse_cli(argv(&["-t", "net.csv", "--trace", "run.json"])).unwrap();
-        let Command::Run(args) = cmd else {
-            panic!("expected run command")
-        };
-        assert_eq!(args.trace, Some(PathBuf::from("run.json")));
-        let cmd = parse_cli(argv(&["llm", "-w", "llama-7b", "--trace", "l.json"])).unwrap();
-        let Command::Llm(args) = cmd else {
-            panic!("expected llm command")
-        };
-        assert_eq!(args.trace, Some(PathBuf::from("l.json")));
-        let cmd = parse_cli(argv(&["sweep", "-s", "g.cfg", "--trace", "s.json"])).unwrap();
-        let Command::Sweep(args) = cmd else {
-            panic!("expected sweep command")
-        };
-        assert_eq!(args.trace, Some(PathBuf::from("s.json")));
-        let cmd = parse_cli(argv(&["scaleout", "-t", "n.csv", "--trace", "o.json"])).unwrap();
-        let Command::Scaleout(args) = cmd else {
-            panic!("expected scaleout command")
-        };
-        assert_eq!(args.trace, Some(PathBuf::from("o.json")));
+        for (cmdline, file) in [
+            (vec!["-t", "net.csv", "--trace", "run.json"], "run.json"),
+            (vec!["llm", "-w", "llama-7b", "--trace", "l.json"], "l.json"),
+            (vec!["sweep", "-s", "g.cfg", "--trace", "s.json"], "s.json"),
+            (
+                vec!["scaleout", "-t", "n.csv", "--trace", "o.json"],
+                "o.json",
+            ),
+        ] {
+            let (_, output) = simulate(&cmdline);
+            assert_eq!(output.trace, Some(PathBuf::from(file)));
+        }
         // A dangling --trace is an error on every parser.
         for cmdline in [
             vec!["-t", "n.csv", "--trace"],

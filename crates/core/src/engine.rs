@@ -7,14 +7,13 @@
 //! memory ([`run_topology_with`](ScaleSim::run_topology_with)) or
 //! collect into a [`RunResult`] ([`run_topology`](ScaleSim::run_topology)).
 
+use crate::cancel::CancelToken;
 use crate::config::ScaleSimConfig;
 use crate::pipeline::{LayerPipeline, PipelineBuilder, StageTiming};
 use crate::result::{LayerResult, RunResult};
 use crate::sink::{CollectSink, ResultSink};
 use scalesim_energy::{ArchSpec, AreaBreakdown, AreaConfig, AreaTable};
-use scalesim_systolic::{
-    parallel_map_streamed, parallel_map_streamed_cancellable, GemmShape, PlanCache, Topology,
-};
+use scalesim_systolic::{parallel_map_streamed, GemmShape, PlanCache, Topology};
 use std::sync::Arc;
 
 /// Block size of the streaming topology runner: at most this many layer
@@ -111,14 +110,7 @@ impl ScaleSim {
     /// so far restart from zero (profiling stays enabled).
     pub fn with_plan_cache(self, cache: Arc<PlanCache>) -> Self {
         let profiled = self.pipeline.profile().is_some();
-        Self {
-            pipeline: Arc::new(
-                PipelineBuilder::new(self.config().clone())
-                    .plan_cache(cache)
-                    .profile_stages(profiled)
-                    .build(),
-            ),
-        }
+        self.rebuilt(cache, profiled)
     }
 
     /// Enables per-stage call/time accounting; read it back with
@@ -127,11 +119,16 @@ impl ScaleSim {
     /// before running layers.
     pub fn with_stage_profiling(self) -> Self {
         let cache = Arc::clone(self.plan_cache());
+        self.rebuilt(cache, true)
+    }
+
+    /// The same configuration on a fresh pipeline.
+    fn rebuilt(&self, cache: Arc<PlanCache>, profile: bool) -> Self {
         Self {
             pipeline: Arc::new(
                 PipelineBuilder::new(self.config().clone())
                     .plan_cache(cache)
-                    .profile_stages(true)
+                    .profile_stages(profile)
                     .build(),
             ),
         }
@@ -182,13 +179,21 @@ impl ScaleSim {
 
     /// Runs one GEMM layer through the enabled pipeline.
     pub fn run_gemm(&self, name: &str, dense_gemm: GemmShape) -> LayerResult {
-        self.pipeline.run_layer(name, dense_gemm)
+        self.pipeline
+            .run_layer(name, dense_gemm, &CancelToken::never())
+            .expect("a never-token cannot expire")
     }
 
-    /// Streams a whole topology through `sink` like
-    /// [`run_topology_with`](Self::run_topology_with), but abandons the
-    /// run with the token's typed [`SimError`](scalesim_api::SimError)
-    /// once `cancel` expires. Cancellation is checked at two levels:
+    /// Streams a whole topology through `sink` with **bounded result
+    /// memory**: layers execute concurrently on the shared scheduler
+    /// (control the size with `SCALESIM_THREADS`) in blocks of
+    /// [`STREAM_BLOCK`], and each block is pushed into the sink in layer
+    /// order before the next begins. The sink observes exactly the
+    /// sequence a serial run would produce.
+    ///
+    /// The run is abandoned with the typed `deadline` error once
+    /// `cancel` expires (callers without a deadline pass
+    /// [`CancelToken::never`]). Cancellation is checked at two levels:
     /// the scheduler polls the token before *claiming* each layer (an
     /// expired request stops taking work off the shared pool
     /// immediately), and the pipeline checks it before every stage of
@@ -199,54 +204,29 @@ impl ScaleSim {
     ///
     /// # Errors
     ///
-    /// Returns `cancel.to_error()` when the deadline expired mid-run.
-    pub fn run_topology_cancellable(
+    /// `Deadline` when the token expired mid-run.
+    pub fn run_topology_with(
         &self,
         topology: &Topology,
         sink: &mut dyn ResultSink,
-        cancel: &crate::cancel::CancelToken,
+        cancel: &CancelToken,
     ) -> Result<StreamStats, scalesim_api::SimError> {
-        let expired = || cancel.expired();
-        let peak = parallel_map_streamed_cancellable(
+        let peak = parallel_map_streamed(
             topology.layers(),
             STREAM_BLOCK,
-            &expired,
-            |_, layer| {
-                self.pipeline
-                    .run_layer_cancellable(layer.name(), layer.gemm(), Some(cancel))
-            },
+            &|| cancel.expired(),
+            |_, layer| self.pipeline.run_layer(layer.name(), layer.gemm(), cancel),
             |_, result| {
                 if let Some(result) = result {
                     sink.layer(result);
                 }
             },
         );
-        if cancel.expired() {
-            return Err(cancel.to_error());
-        }
+        cancel.check()?;
         Ok(StreamStats {
             layers: topology.len(),
             peak_buffered: peak,
         })
-    }
-
-    /// Streams a whole topology through `sink` with **bounded result
-    /// memory**: layers execute concurrently on the shared scheduler
-    /// (control the size with `SCALESIM_THREADS`) in blocks of
-    /// [`STREAM_BLOCK`], and each block is pushed into the sink in layer
-    /// order before the next begins. The sink observes exactly the
-    /// sequence a serial run would produce.
-    pub fn run_topology_with(&self, topology: &Topology, sink: &mut dyn ResultSink) -> StreamStats {
-        let peak = parallel_map_streamed(
-            topology.layers(),
-            STREAM_BLOCK,
-            |_, layer| self.run_gemm(layer.name(), layer.gemm()),
-            |_, result| sink.layer(result),
-        );
-        StreamStats {
-            layers: topology.len(),
-            peak_buffered: peak,
-        }
     }
 
     /// Runs a whole topology, collecting every layer.
@@ -256,7 +236,8 @@ impl ScaleSim {
     /// results come back in layer order, identical to serial execution.
     pub fn run_topology(&self, topology: &Topology) -> RunResult {
         let mut sink = CollectSink::new();
-        self.run_topology_with(topology, &mut sink);
+        self.run_topology_with(topology, &mut sink, &CancelToken::never())
+            .expect("a never-token cannot expire");
         sink.into_run()
     }
 }
@@ -392,7 +373,9 @@ mod tests {
         let sim = ScaleSim::new(config);
         let collected = sim.run_topology(&topo);
         let mut summary = RunSummary::new();
-        let stats = sim.run_topology_with(&topo, &mut summary);
+        let stats = sim
+            .run_topology_with(&topo, &mut summary, &CancelToken::never())
+            .unwrap();
         assert_eq!(stats.layers, 150);
         assert!(
             stats.peak_buffered <= STREAM_BLOCK,
@@ -419,24 +402,20 @@ mod tests {
         // An already-expired token abandons the run before any stage.
         let mut sink = CollectSink::new();
         let err = sim
-            .run_topology_cancellable(&topo, &mut sink, &crate::cancel::CancelToken::after_ms(0))
+            .run_topology_with(&topo, &mut sink, &CancelToken::after_ms(0))
             .unwrap_err();
         assert_eq!((err.kind(), err.exit_code()), ("deadline", 124));
         assert!(sink.into_run().layers.is_empty(), "no layer completes");
 
         // A generous token changes nothing: identical results to the
-        // plain runner (the byte-determinism invariant for deadline'd
+        // never-token runner (the byte-determinism invariant for deadline'd
         // requests that finish in time).
         let mut sink = CollectSink::new();
         let stats = sim
-            .run_topology_cancellable(
-                &topo,
-                &mut sink,
-                &crate::cancel::CancelToken::after_ms(600_000),
-            )
+            .run_topology_with(&topo, &mut sink, &CancelToken::after_ms(600_000))
             .unwrap();
         assert_eq!(stats.layers, 2);
-        let cancellable = sink.into_run();
+        let with_deadline = sink.into_run();
         let plain = sim.run_topology(&topo);
         let digest = |run: &crate::result::RunResult| {
             run.layers
@@ -444,7 +423,7 @@ mod tests {
                 .map(|l| (l.name.clone(), l.total_cycles()))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(digest(&cancellable), digest(&plain));
+        assert_eq!(digest(&with_deadline), digest(&plain));
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod sweep_run;
 
 pub use cancel::CancelToken;
 pub use cfg::parse_cfg;
-pub use cli::{parse_cli, version_string, Command, RunArgs, ServeArgs, SweepArgs};
+pub use cli::{parse_cli, version_string, Command};
 pub use config::{
     DramIntegration, LayoutIntegration, MultiCoreIntegration, ScaleSimConfig, SparsityMode,
 };
@@ -76,18 +76,11 @@ pub use layout_analysis::{layout_slowdown_for_gemm, LayoutAnalysis};
 pub use metrics::{LatencyHistogram, ServeMetrics};
 pub use pipeline::{LayerCtx, LayerPipeline, LayerStage, PipelineBuilder, StageEnv, StageTiming};
 pub use result::{LayerResult, RunResult};
-pub use scaleout::{
-    run_scaleout, CollectScaleoutSink, DiscardScaleoutSink, MemoryScaleoutSink, ScaleoutCsvSink,
-    ScaleoutLayerRecord, ScaleoutSink, ScaleoutSummary,
-};
+pub use scaleout::{run_scaleout, ScaleoutLayerRecord, ScaleoutSummary};
 pub use serve::{ServeOptions, Server, MAX_REQUEST_BYTES};
-pub use service::{
-    PreparedRun, PreparedScaleout, PreparedSweep, SimService, SERVICE_CACHE_CAPACITY,
-};
-pub use sink::{
-    CollectSink, CsvReportSink, MemoryReportSink, ReportSections, ResultSink, RunSummary,
-};
-pub use sweep_run::{apply_point, run_sweep, run_sweep_cached, run_sweep_with};
+pub use service::{Progress, SimService, SERVICE_CACHE_CAPACITY};
+pub use sink::{CollectSink, MemoryReportSink, ReportSections, ResultSink, RunSummary};
+pub use sweep_run::{apply_point, run_sweep};
 
 /// Re-export: the stable typed request/response API and wire protocol.
 pub use scalesim_api as api;

@@ -36,6 +36,7 @@
 //! parallel topology path aggregates for free); `scalesim
 //! --profile-stages` prints the table.
 
+use crate::cancel::CancelToken;
 use crate::config::{ScaleSimConfig, SparsityMode};
 use crate::dram::{dram_analysis, DramAnalysis};
 use crate::layout_analysis::{layout_slowdown_for_gemm, LayoutAnalysis};
@@ -445,43 +446,28 @@ impl LayerPipeline {
         self.stages.iter().map(|s| s.name()).collect()
     }
 
-    /// Runs one layer through every stage, in order.
-    pub fn run_layer(&self, name: &str, dense_gemm: GemmShape) -> LayerResult {
-        self.run_layer_cancellable(name, dense_gemm, None)
-            .expect("no cancel token, so the layer always completes")
-    }
-
-    /// Runs one layer through every stage, checking `cancel` **before**
-    /// each stage. Returns `None` if the token expired — the layer is
-    /// abandoned whole (a partially-staged context is never surfaced,
-    /// because downstream stages and [`LayerCtx::into_result`] assume
-    /// the compute product exists).
-    pub fn run_layer_cancellable(
+    /// Runs one layer through every stage, in order, checking `cancel`
+    /// **before** each stage. Returns `None` if the token expired — the
+    /// layer is abandoned whole (a partially-staged context is never
+    /// surfaced, because downstream stages and [`LayerCtx::into_result`]
+    /// assume the compute product exists). Under
+    /// [`CancelToken::never`] the layer always completes.
+    pub fn run_layer(
         &self,
         name: &str,
         dense_gemm: GemmShape,
-        cancel: Option<&crate::cancel::CancelToken>,
+        cancel: &CancelToken,
     ) -> Option<LayerResult> {
         let mut ctx = LayerCtx::new(name, dense_gemm);
-        match &self.profiler {
-            None => {
-                for stage in &self.stages {
-                    if cancel.is_some_and(|c| c.expired()) {
-                        return None;
-                    }
-                    let _span = obs::span(obs::Category::Pipeline, stage.name());
-                    stage.run(&self.env, &mut ctx);
-                }
+        for (index, stage) in self.stages.iter().enumerate() {
+            if cancel.expired() {
+                return None;
             }
-            Some(totals) => {
-                for (index, stage) in self.stages.iter().enumerate() {
-                    if cancel.is_some_and(|c| c.expired()) {
-                        return None;
-                    }
-                    let _span = obs::span_for(obs::Category::Pipeline, stage.name(), totals, index);
-                    stage.run(&self.env, &mut ctx);
-                }
-            }
+            let _span = match &self.profiler {
+                None => obs::span(obs::Category::Pipeline, stage.name()),
+                Some(totals) => obs::span_for(obs::Category::Pipeline, stage.name(), totals, index),
+            };
+            stage.run(&self.env, &mut ctx);
         }
         Some(ctx.into_result())
     }
@@ -619,7 +605,9 @@ mod tests {
         let mut config = small_config();
         config.enable_energy = true;
         let pipeline = PipelineBuilder::new(config).build();
-        let r = pipeline.run_layer("l", GemmShape::new(32, 32, 32));
+        let r = pipeline
+            .run_layer("l", GemmShape::new(32, 32, 32), &CancelToken::never())
+            .unwrap();
         assert!(r.total_cycles() > 0);
         assert!(r.energy.is_some() && r.dram.is_none() && r.layout.is_none());
     }
@@ -630,7 +618,11 @@ mod tests {
         config.enable_dram = true;
         let pipeline = PipelineBuilder::new(config).profile_stages(true).build();
         for i in 0..3 {
-            pipeline.run_layer(&format!("l{i}"), GemmShape::new(16, 16, 16));
+            pipeline.run_layer(
+                &format!("l{i}"),
+                GemmShape::new(16, 16, 16),
+                &CancelToken::never(),
+            );
         }
         let profile = pipeline.profile().expect("profiling enabled");
         assert_eq!(profile.len(), 2);
@@ -656,6 +648,6 @@ mod tests {
             .with_stage(Box::new(AssertStage))
             .build();
         assert_eq!(pipeline.stage_names(), ["compute", "assert"]);
-        pipeline.run_layer("l", GemmShape::new(8, 8, 8));
+        pipeline.run_layer("l", GemmShape::new(8, 8, 8), &CancelToken::never());
     }
 }

@@ -54,7 +54,7 @@ impl LayerResult {
 }
 
 /// Per-layer CSV row formatters shared by the batch emitters on
-/// [`RunResult`] and the streaming [`CsvReportSink`](crate::sink::CsvReportSink).
+/// [`RunResult`] and the streaming [`MemoryReportSink`](crate::sink::MemoryReportSink).
 ///
 /// Keeping one source of truth for every row format is what makes
 /// streamed reports byte-identical to batch reports by construction.

@@ -17,12 +17,13 @@
 //! work-stealing scheduler, not a second pool (deterministic for any
 //! `SCALESIM_THREADS`) — each finished layer is joined with its
 //! collective cost in the [`OverlapTimeline`] (one-layer lookahead, so
-//! O(1) buffered state), and every resolved row is pushed into a
-//! [`ScaleoutSink`] — the CSV file writer, the in-memory twin the serve
-//! mode uses, or a collector.
+//! O(1) buffered state), and every resolved row is handed to the
+//! caller's closure — the service renders `SCALEOUT_REPORT.csv` from it,
+//! the sweep executor ignores it.
 //!
 //! [`PlanCache`]: scalesim_systolic::PlanCache
 
+use crate::cancel::CancelToken;
 use crate::engine::ScaleSim;
 use crate::result::LayerResult;
 use crate::sink::ResultSink;
@@ -31,9 +32,6 @@ use scalesim_collective::{
     OverlapTimeline, ScaleoutSpec, Strategy,
 };
 use scalesim_systolic::{GemmShape, Layer, Topology};
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::PathBuf;
 
 /// One layer of a scale-out run: the shard every chip executed, its
 /// compute cost, and the overlap-split collective that closed it.
@@ -69,8 +67,7 @@ impl ScaleoutLayerRecord {
 }
 
 /// Per-layer CSV row formatting of `SCALEOUT_REPORT.csv` — one source
-/// of truth shared by the file sink and the in-memory sink, which is
-/// what makes serve-mode report bytes identical to the CLI's file.
+/// of truth shared by the report and the CLI's `-v` progress lines.
 pub mod scaleout_rows {
     use super::ScaleoutLayerRecord;
 
@@ -97,126 +94,6 @@ pub mod scaleout_rows {
             r.utilization,
         )
     }
-}
-
-/// Consumes scale-out layer records as they resolve, in layer order.
-pub trait ScaleoutSink {
-    /// Accepts the next resolved layer.
-    fn layer(&mut self, record: ScaleoutLayerRecord);
-}
-
-/// Collects every record (tests and small tools).
-#[derive(Debug, Clone, Default)]
-pub struct CollectScaleoutSink {
-    /// The records, in layer order.
-    pub records: Vec<ScaleoutLayerRecord>,
-}
-
-impl ScaleoutSink for CollectScaleoutSink {
-    fn layer(&mut self, record: ScaleoutLayerRecord) {
-        self.records.push(record);
-    }
-}
-
-/// Streams `SCALEOUT_REPORT.csv` to a directory row by row (the
-/// scale-out twin of [`crate::sink::CsvReportSink`]): header on
-/// creation, O(1) buffering, I/O errors latched and surfaced by
-/// [`finish`](Self::finish).
-pub struct ScaleoutCsvSink {
-    path: PathBuf,
-    writer: Option<BufWriter<File>>,
-    error: Option<String>,
-}
-
-impl ScaleoutCsvSink {
-    /// Creates `SCALEOUT_REPORT.csv` in `out_dir` (which must exist)
-    /// and writes the header.
-    pub fn new(out_dir: impl Into<PathBuf>) -> Self {
-        let path = out_dir.into().join("SCALEOUT_REPORT.csv");
-        let (writer, error) = match File::create(&path) {
-            Ok(f) => {
-                let mut w = BufWriter::new(f);
-                match w.write_all(scaleout_rows::SCALEOUT_HEADER.as_bytes()) {
-                    Ok(()) => (Some(w), None),
-                    Err(e) => (None, Some(format!("write {}: {e}", path.display()))),
-                }
-            }
-            Err(e) => (None, Some(format!("create {}: {e}", path.display()))),
-        };
-        Self {
-            path,
-            writer,
-            error,
-        }
-    }
-
-    /// Flushes, returning the written path or the first I/O error.
-    pub fn finish(mut self) -> Result<PathBuf, String> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        if let Some(w) = self.writer.as_mut() {
-            w.flush()
-                .map_err(|e| format!("flush {}: {e}", self.path.display()))?;
-        }
-        Ok(self.path)
-    }
-}
-
-impl ScaleoutSink for ScaleoutCsvSink {
-    fn layer(&mut self, record: ScaleoutLayerRecord) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Some(w) = self.writer.as_mut() {
-            if let Err(e) = w.write_all(scaleout_rows::scaleout(&record).as_bytes()) {
-                self.error = Some(format!("write {}: {e}", self.path.display()));
-            }
-        }
-    }
-}
-
-/// Collects `SCALEOUT_REPORT.csv` into a string — what the
-/// request/response facade embeds in a
-/// [`SimResponse`](scalesim_api::SimResponse). Byte-identical to the
-/// file [`ScaleoutCsvSink`] writes for the same run.
-#[derive(Debug, Clone)]
-pub struct MemoryScaleoutSink {
-    content: String,
-}
-
-impl Default for MemoryScaleoutSink {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MemoryScaleoutSink {
-    /// An empty report (header only until rows arrive).
-    pub fn new() -> Self {
-        Self {
-            content: scaleout_rows::SCALEOUT_HEADER.to_string(),
-        }
-    }
-
-    /// The collected report bytes.
-    pub fn finish(self) -> String {
-        self.content
-    }
-}
-
-impl ScaleoutSink for MemoryScaleoutSink {
-    fn layer(&mut self, record: ScaleoutLayerRecord) {
-        self.content.push_str(&scaleout_rows::scaleout(&record));
-    }
-}
-
-/// Discards records (the sweep executor only needs the summary).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DiscardScaleoutSink;
-
-impl ScaleoutSink for DiscardScaleoutSink {
-    fn layer(&mut self, _record: ScaleoutLayerRecord) {}
 }
 
 /// Run-level aggregates of a scale-out execution.
@@ -366,7 +243,7 @@ struct JoinSink<'a> {
     timeline: OverlapTimeline,
     pending: Option<ScaleoutLayerRecord>,
     next: usize,
-    out: &'a mut dyn ScaleoutSink,
+    out: &'a mut dyn FnMut(ScaleoutLayerRecord),
     stage_cycles: Vec<u64>,
     macs: u64,
     energy_mj: f64,
@@ -391,7 +268,7 @@ impl JoinSink<'_> {
         if let Some(slot) = self.stage_cycles.get_mut(record.stage) {
             *slot += record.total_cycles();
         }
-        self.out.layer(record);
+        (self.out)(record);
     }
 }
 
@@ -426,8 +303,8 @@ impl ResultSink for JoinSink<'_> {
 }
 
 /// Executes `topology` across the multi-chip system `spec` describes,
-/// streaming per-layer records into `sink` and returning the run-level
-/// summary.
+/// handing each resolved per-layer record to `sink` in layer order and
+/// returning the run-level summary.
 ///
 /// Per-shard compute runs through `sim` — and therefore through its
 /// (possibly shared) plan cache — with the usual determinism guarantee:
@@ -441,7 +318,7 @@ pub fn run_scaleout(
     sim: &ScaleSim,
     topology: &Topology,
     spec: &ScaleoutSpec,
-    sink: &mut dyn ScaleoutSink,
+    sink: &mut dyn FnMut(ScaleoutLayerRecord),
 ) -> Result<ScaleoutSummary, String> {
     let fabric = spec.fabric()?;
     let bytes_per_word = sim.config().core.memory.bytes_per_word;
@@ -473,7 +350,8 @@ pub fn run_scaleout(
         util_weighted: 0.0,
         util_cycles: 0,
     };
-    sim.run_topology_with(&shard_topology, &mut join);
+    sim.run_topology_with(&shard_topology, &mut join, &CancelToken::never())
+        .expect("a never-token cannot expire");
     if let Some(split) = join.timeline.finish() {
         join.resolve(split);
     }
@@ -534,6 +412,13 @@ mod tests {
         )
     }
 
+    /// Runs `topo()` on `sim` under `spec`, collecting every record.
+    fn collect(sim: &ScaleSim, spec: &ScaleoutSpec) -> (ScaleoutSummary, Vec<ScaleoutLayerRecord>) {
+        let mut records = Vec::new();
+        let summary = run_scaleout(sim, &topo(), spec, &mut |r| records.push(r)).unwrap();
+        (summary, records)
+    }
+
     fn spec(strategy: Strategy, chips: usize) -> ScaleoutSpec {
         ScaleoutSpec {
             chips,
@@ -544,20 +429,18 @@ mod tests {
 
     #[test]
     fn data_parallel_shards_m_and_exposes_the_last_allreduce() {
-        let mut sink = CollectScaleoutSink::default();
-        let summary =
-            run_scaleout(&sim(), &topo(), &spec(Strategy::DataParallel, 8), &mut sink).unwrap();
+        let (summary, records) = collect(&sim(), &spec(Strategy::DataParallel, 8));
         assert_eq!(summary.chips, 8);
         assert_eq!(summary.layers, 4);
-        assert_eq!(sink.records.len(), 4);
-        for r in &sink.records {
+        assert_eq!(records.len(), 4);
+        for r in &records {
             assert_eq!(r.comm_kind, "allreduce");
             assert!(r.comm_cycles > 0);
         }
         // M shards to ceil(M / 8); N and K stay whole.
-        assert_eq!(sink.records[0].shard, GemmShape::new(8, 48, 32));
+        assert_eq!(records[0].shard, GemmShape::new(8, 48, 32));
         // The final layer has no window to hide its all-reduce.
-        let last = sink.records.last().unwrap();
+        let last = records.last().unwrap();
         assert_eq!(last.overlapped_cycles, 0);
         assert_eq!(last.exposed_cycles, last.comm_cycles);
         assert_eq!(
@@ -572,51 +455,35 @@ mod tests {
 
     #[test]
     fn tensor_parallel_alternates_collectives() {
-        let mut sink = CollectScaleoutSink::default();
-        run_scaleout(
-            &sim(),
-            &topo(),
-            &spec(Strategy::TensorParallel, 4),
-            &mut sink,
-        )
-        .unwrap();
-        let kinds: Vec<_> = sink.records.iter().map(|r| r.comm_kind).collect();
+        let (_, records) = collect(&sim(), &spec(Strategy::TensorParallel, 4));
+        let kinds: Vec<_> = records.iter().map(|r| r.comm_kind).collect();
         assert_eq!(
             kinds,
             ["allgather", "reducescatter", "allgather", "reducescatter"]
         );
-        assert_eq!(sink.records[0].shard, GemmShape::new(64, 12, 32));
-        assert_eq!(sink.records[1].shard, GemmShape::new(64, 64, 12));
+        assert_eq!(records[0].shard, GemmShape::new(64, 12, 32));
+        assert_eq!(records[1].shard, GemmShape::new(64, 64, 12));
     }
 
     #[test]
     fn pipeline_parallel_partitions_stages_and_adds_a_bubble() {
-        let mut sink = CollectScaleoutSink::default();
-        let summary = run_scaleout(
-            &sim(),
-            &topo(),
-            &spec(Strategy::PipelineParallel, 4),
-            &mut sink,
-        )
-        .unwrap();
+        let (summary, records) = collect(&sim(), &spec(Strategy::PipelineParallel, 4));
         assert_eq!(summary.stages, 4);
-        let stages: Vec<_> = sink.records.iter().map(|r| r.stage).collect();
+        let stages: Vec<_> = records.iter().map(|r| r.stage).collect();
         assert_eq!(stages, [0, 1, 2, 3]);
         // Every boundary layer ships activations; the final stage keeps
         // its outputs.
-        let kinds: Vec<_> = sink.records.iter().map(|r| r.comm_kind).collect();
+        let kinds: Vec<_> = records.iter().map(|r| r.comm_kind).collect();
         assert_eq!(kinds, ["p2p", "p2p", "p2p", "none"]);
         assert!(summary.bubble_cycles > 0);
         // Full layers run unsharded.
-        assert_eq!(sink.records[0].shard, GemmShape::new(64, 48, 32));
+        assert_eq!(records[0].shard, GemmShape::new(64, 48, 32));
     }
 
     #[test]
     fn single_chip_degenerates_to_a_plain_run() {
         let s = sim();
-        let mut sink = CollectScaleoutSink::default();
-        let summary =
-            run_scaleout(&s, &topo(), &spec(Strategy::DataParallel, 1), &mut sink).unwrap();
+        let (summary, _) = collect(&s, &spec(Strategy::DataParallel, 1));
         assert_eq!(summary.comm_cycles, 0);
         assert_eq!(summary.exposed_cycles, 0);
         let plain = s.run_topology(&topo());
@@ -627,19 +494,17 @@ mod tests {
     #[test]
     fn more_chips_shrink_compute_but_grow_comm() {
         let s = sim();
-        let mut a = DiscardScaleoutSink;
-        let two = run_scaleout(&s, &topo(), &spec(Strategy::DataParallel, 2), &mut a).unwrap();
-        let sixteen = run_scaleout(&s, &topo(), &spec(Strategy::DataParallel, 16), &mut a).unwrap();
+        let (two, _) = collect(&s, &spec(Strategy::DataParallel, 2));
+        let (sixteen, _) = collect(&s, &spec(Strategy::DataParallel, 16));
         assert!(sixteen.compute_cycles < two.compute_cycles);
         assert!(sixteen.comm_cycles > two.comm_cycles);
     }
 
     #[test]
     fn mesh_fabric_runs_and_labels_itself() {
-        let mut sink = CollectScaleoutSink::default();
         let mut sp = spec(Strategy::TensorParallel, 8);
         sp.fabric = FabricTag::Mesh;
-        let summary = run_scaleout(&sim(), &topo(), &sp, &mut sink).unwrap();
+        let (summary, _) = collect(&sim(), &sp);
         assert!(summary.fabric.starts_with("mesh2x4"), "{}", summary.fabric);
     }
 
@@ -647,28 +512,7 @@ mod tests {
     fn bad_fabric_is_a_named_error() {
         let mut sp = spec(Strategy::DataParallel, 6);
         sp.fabric = FabricTag::Switch;
-        let err = run_scaleout(&sim(), &topo(), &sp, &mut DiscardScaleoutSink).unwrap_err();
+        let err = run_scaleout(&sim(), &topo(), &sp, &mut |_| {}).unwrap_err();
         assert!(err.contains("power-of-two"), "{err}");
-    }
-
-    #[test]
-    fn memory_sink_matches_csv_sink_bytes() {
-        let dir = std::env::temp_dir().join(format!("scalesim-so-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let s = sim();
-        let mut file_sink = ScaleoutCsvSink::new(&dir);
-        run_scaleout(
-            &s,
-            &topo(),
-            &spec(Strategy::DataParallel, 8),
-            &mut file_sink,
-        )
-        .unwrap();
-        let path = file_sink.finish().unwrap();
-        let mut mem_sink = MemoryScaleoutSink::new();
-        run_scaleout(&s, &topo(), &spec(Strategy::DataParallel, 8), &mut mem_sink).unwrap();
-        assert_eq!(std::fs::read_to_string(path).unwrap(), mem_sink.finish());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -104,15 +104,21 @@ pub fn handle_line(service: &SimService, line: &str) -> String {
     m.inc(&m.in_flight);
     let decoded = wire::decode_request_full(line);
     obs::instant(obs::Category::Serve, "decode", &[("req", seq)]);
-    let cancel = decoded.deadline_ms.map(CancelToken::after_ms);
+    let cancel = deadline_token(decoded.deadline_ms);
     execute(
         service,
         decoded.id.as_deref(),
         decoded.request,
-        cancel.as_ref(),
+        &cancel,
         started,
         seq,
     )
+}
+
+/// The token a request runs under: its envelope's `deadline_ms` budget
+/// starting now, or [`CancelToken::never`] without one.
+fn deadline_token(deadline_ms: Option<u64>) -> CancelToken {
+    deadline_ms.map_or_else(CancelToken::never, CancelToken::after_ms)
 }
 
 /// Runs one decoded request to a response line, with panic isolation
@@ -123,7 +129,7 @@ fn execute(
     service: &SimService,
     id: Option<&str>,
     request: Result<SimRequest, SimError>,
-    cancel: Option<&CancelToken>,
+    cancel: &CancelToken,
     started: Instant,
     seq: u64,
 ) -> String {
@@ -133,7 +139,7 @@ fn execute(
     let _span = obs::span(obs::Category::Serve, "execute").arg("req", seq);
     let result = match request {
         Ok(request) => catch_unwind(AssertUnwindSafe(|| {
-            service.handle_cancellable(&request, cancel)
+            service.execute(&request, cancel, &mut |_| {})
         }))
         .unwrap_or_else(|payload| Err(SimError::from_panic(payload))),
         Err(e) => Err(e),
@@ -216,7 +222,7 @@ struct Job {
     id: Option<String>,
     request: SimRequest,
     priority: Priority,
-    cancel: Option<CancelToken>,
+    cancel: CancelToken,
     started: Instant,
     seq: u64,
     reply: mpsc::SyncSender<String>,
@@ -421,14 +427,7 @@ impl Server {
                     // The request's nested layer/sweep tasks inherit
                     // its class via the ambient priority.
                     let line = scalesim_sched::with_priority(priority, || {
-                        execute(
-                            &service,
-                            id.as_deref(),
-                            Ok(request),
-                            cancel.as_ref(),
-                            started,
-                            seq,
-                        )
+                        execute(&service, id.as_deref(), Ok(request), &cancel, started, seq)
                     });
                     // A send only fails if the session vanished; the
                     // work is already accounted.
@@ -539,7 +538,7 @@ impl Server {
         obs::instant(obs::Category::Serve, "decode", &[("req", seq)]);
         let m = self.service.metrics();
         m.inc(&m.requests_total);
-        let cancel = decoded.deadline_ms.map(CancelToken::after_ms);
+        let cancel = deadline_token(decoded.deadline_ms);
         let response = match decoded.request {
             Err(_) | Ok(SimRequest::Version) | Ok(SimRequest::Stats) | Ok(SimRequest::Trace) => {
                 m.inc(&m.in_flight);
@@ -547,7 +546,7 @@ impl Server {
                     &self.service,
                     decoded.id.as_deref(),
                     decoded.request,
-                    cancel.as_ref(),
+                    &cancel,
                     started,
                     seq,
                 )
@@ -675,37 +674,6 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.queue.shutdown_and_drain();
     }
-}
-
-/// Serves one JSON-lines session with a pool sized from the
-/// environment (see [`Server::serve_session`] for semantics).
-///
-/// # Errors
-///
-/// Returns the first transport-level I/O failure.
-pub fn serve_session(
-    service: &SimService,
-    input: impl BufRead,
-    output: impl Write,
-) -> std::io::Result<()> {
-    Server::new(service.clone(), ServeOptions::from_env()).serve_session(input, output)
-}
-
-/// Accepts connections forever with a pool sized from the environment
-/// and the given session cap (see [`Server::serve_listener`] for
-/// semantics).
-///
-/// # Errors
-///
-/// Returns the first fatal `accept` failure.
-pub fn serve_listener(
-    service: &SimService,
-    listener: TcpListener,
-    max_connections: usize,
-) -> std::io::Result<()> {
-    let mut options = ServeOptions::from_env();
-    options.max_sessions = max_connections.max(1);
-    Server::new(service.clone(), options).serve_listener(listener)
 }
 
 /// Discards input up to and including the next `\n`, in buffer-sized
@@ -930,7 +898,7 @@ mod tests {
                 id: None,
                 request: SimRequest::Version,
                 priority,
-                cancel: None,
+                cancel: CancelToken::never(),
                 started: Instant::now(),
                 seq: 0,
                 reply: tx,
@@ -998,31 +966,45 @@ mod tests {
     #[test]
     fn deadline_zero_answers_a_typed_deadline_and_counts_it() {
         let server = small_server();
-        let input = "{\"api\": 1, \"id\": \"late\", \"deadline_ms\": 0, \"run\": {\"topology\": \
-             {\"name\": \"t\", \"inline\": \"a, 16, 16, 16,\\n\"}}}\n\
-             {\"api\": 1, \"id\": \"s\", \"stats\": {}}\n"
-            .to_string();
+        let topology = "{\"name\": \"t\", \"inline\": \"a, 16, 16, 16,\\n\"}";
+        // Every simulation command runs under the same token.
+        let bodies = [
+            format!("\"run\": {{\"topology\": {topology}}}"),
+            "\"llm\": {\"workload\": \"gpt2-xl\"}".to_string(),
+            format!(
+                "\"sweep\": {{\"spec\": {{\"inline\": \"array = 8x8\\n\"}}, \
+                 \"topologies\": [{topology}]}}"
+            ),
+            format!("\"scaleout\": {{\"topology\": {topology}}}"),
+        ];
+        let mut input: String = bodies
+            .iter()
+            .map(|body| format!("{{\"api\": 1, \"id\": \"late\", \"deadline_ms\": 0, {body}}}\n"))
+            .collect();
+        input.push_str("{\"api\": 1, \"id\": \"s\", \"stats\": {}}\n");
         let mut out = Vec::new();
         server.serve_session(Cursor::new(input), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "{text}");
-        let (id, first) = wire::decode_response(lines[0]);
-        assert_eq!(id.as_deref(), Some("late"));
-        let err = first.unwrap_err();
-        assert_eq!(err.kind(), "deadline");
-        assert_eq!(err.exit_code(), 124);
-        assert_eq!(err.message(), "deadline of 0 ms exceeded");
-        let (_, second) = wire::decode_response(lines[1]);
-        let SimResponse::Stats(stats) = second.unwrap() else {
+        assert_eq!(lines.len(), 5, "{text}");
+        for line in &lines[..4] {
+            let (id, response) = wire::decode_response(line);
+            assert_eq!(id.as_deref(), Some("late"));
+            let err = response.unwrap_err();
+            assert_eq!(err.kind(), "deadline", "{line}");
+            assert_eq!(err.exit_code(), 124);
+            assert_eq!(err.message(), "deadline of 0 ms exceeded");
+        }
+        let (_, last) = wire::decode_response(lines[4]);
+        let SimResponse::Stats(stats) = last.unwrap() else {
             panic!("expected stats body")
         };
-        assert_eq!(stats.deadline_expired, 1);
-        assert_eq!(stats.requests_total, 2);
-        assert_eq!(stats.completed, 1, "the stats request itself is mid-flight");
+        assert_eq!(stats.deadline_expired, 4);
+        assert_eq!(stats.requests_total, 5);
+        assert_eq!(stats.completed, 4, "the stats request itself is mid-flight");
         assert_eq!(stats.in_flight, 1, "the stats request counts itself");
         assert_eq!(stats.shed, 0);
-        assert_eq!(stats.latency_count, 1);
+        assert_eq!(stats.latency_count, 4);
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //!
 //! This is the **single choke point** for every scenario the simulator
 //! supports: the CLI binary, the persistent `scalesim serve` mode and
-//! embedding tools all build a [`SimRequest`] and go through here, so
-//! input loading, validation and the [`SimError`] taxonomy behave
-//! identically everywhere. Nothing on this path panics on user input —
-//! every failure surfaces as a typed error.
+//! embedding tools all build a [`SimRequest`] and go through
+//! [`SimService::execute`], so input loading, validation, execution and
+//! the [`SimError`] taxonomy behave identically everywhere. Nothing on
+//! this path panics on user input — every failure surfaces as a typed
+//! error.
 //!
 //! The service owns one [`PlanCache`] shared by **all** requests it
 //! handles: a persistent server re-planning nothing for repeated
@@ -36,21 +37,22 @@
 use crate::cancel::CancelToken;
 use crate::cfg::parse_cfg;
 use crate::config::{MultiCoreIntegration, ScaleSimConfig};
-use crate::engine::{ScaleSim, StreamStats};
+use crate::engine::ScaleSim;
 use crate::metrics::ServeMetrics;
-use crate::scaleout::{run_scaleout, MemoryScaleoutSink, ScaleoutSink, ScaleoutSummary};
+use crate::result::LayerResult;
+use crate::scaleout::{run_scaleout, scaleout_rows, ScaleoutLayerRecord, ScaleoutSummary};
 use crate::sink::{MemoryReportSink, ReportSections, ResultSink, RunSummary};
-use crate::sweep_run::run_sweep_cached;
+use crate::sweep_run::run_sweep;
 use scalesim_api::{
-    AreaBody, AreaSpec, ConfigSource, Features, LlmBody, LlmRequest, Report, RunBody, RunSpec,
-    RunSummaryBody, ScaleoutBody, ScaleoutRequest, SimError, SimRequest, SimResponse, StatsBody,
-    SweepBody, SweepRequest, TopologyFormat, TopologySource, TraceBody, VersionBody, API_VERSION,
+    AreaBody, ConfigSource, Features, LlmBody, LlmRequest, Report, RunBody, RunSummaryBody,
+    ScaleoutBody, ScaleoutRequest, SimError, SimRequest, SimResponse, StatsBody, SweepBody,
+    SweepRequest, TopologyFormat, TopologySource, TraceBody, VersionBody, API_VERSION,
 };
 use scalesim_collective::{FabricTag, ScaleoutSpec, Strategy};
 use scalesim_energy::AreaBreakdown;
 use scalesim_llm::{LlmRunSpec, LlmSpec, Phase};
 use scalesim_multicore::{L2Config, PartitionGrid, PartitionScheme};
-use scalesim_sweep::{SweepReport, SweepSpec};
+use scalesim_sweep::{RunRecord, SweepReport, SweepSpec};
 use scalesim_systolic::{PlanCache, PlanCacheStats, Topology};
 use std::path::Path;
 use std::sync::Arc;
@@ -97,10 +99,7 @@ impl SimService {
     /// `SCALESIM_CACHE_BUDGET_MB` is set, else count-capped at
     /// [`SERVICE_CACHE_CAPACITY`].
     pub fn new() -> Self {
-        Self {
-            cache: cache_from_env(),
-            metrics: Arc::new(ServeMetrics::new()),
-        }
+        Self::with_plan_cache(cache_from_env())
     }
 
     /// A service sharing an existing plan cache (metrics start fresh).
@@ -122,64 +121,141 @@ impl SimService {
         &self.metrics
     }
 
-    /// Executes one request, producing the matching response variant.
+    /// Executes one request with no deadline and nobody watching:
+    /// [`execute`](Self::execute) under [`CancelToken::never`].
     ///
     /// # Errors
     ///
-    /// Every failure is a categorized [`SimError`]; no input can panic
-    /// this path (the serve loop additionally catches panics as a last
-    /// line of defense and reports them as `internal`).
+    /// As [`execute`](Self::execute), minus `Deadline`.
     pub fn handle(&self, request: &SimRequest) -> Result<SimResponse, SimError> {
-        self.handle_cancellable(request, None)
+        self.execute(request, &CancelToken::never(), &mut |_| {})
     }
 
-    /// Executes one request under an optional deadline token.
+    /// Executes one request, producing the matching response variant —
+    /// the one entry point behind `scalesim serve`, the one-shot CLI
+    /// commands and [`handle`](Self::handle).
     ///
-    /// Cancellation is cooperative and checked at stage boundaries:
-    /// a `run` checks between every pipeline stage of every layer; a
-    /// `sweep` or `scaleout` checks between its phases (load/validate,
-    /// execute, package) but not inside the grid or collective
-    /// execution, so those overshoot by at most one phase. An expired
-    /// token never yields a partial body — the request answers the
-    /// typed `deadline` error and nothing else.
+    /// Cancellation is cooperative and checked at stage boundaries: a
+    /// `run` or `llm` checks between every pipeline stage of every
+    /// layer; a `sweep` or `scaleout` checks between its phases
+    /// (load/validate, execute, package) but not inside the grid or
+    /// collective execution, so those overshoot by at most one phase.
+    /// An expired token never yields a partial body — the request
+    /// answers the typed `deadline` error and nothing else.
+    ///
+    /// `progress` observes the request as it executes (see
+    /// [`Progress`]); it never changes a response byte.
     ///
     /// # Errors
     ///
-    /// As [`handle`](Self::handle), plus `Deadline` when `cancel`
-    /// expires before the response is assembled.
-    pub fn handle_cancellable(
+    /// Every failure is a categorized [`SimError`]: `Io` for unreadable
+    /// inputs, `Config` for bad configurations, specs or parameters,
+    /// `Topology` for bad workloads, `Deadline` when `cancel` expires
+    /// before the response is assembled. No input can panic this path
+    /// (the serve loop additionally catches panics as a last line of
+    /// defense and reports them as `internal`).
+    pub fn execute(
         &self,
         request: &SimRequest,
-        cancel: Option<&CancelToken>,
+        cancel: &CancelToken,
+        progress: &mut dyn FnMut(Progress<'_>),
     ) -> Result<SimResponse, SimError> {
-        check_cancel(cancel)?;
+        cancel.check()?;
         match request {
             SimRequest::Run(spec) => {
-                let prepared = self.prepare_run(spec)?;
-                Ok(SimResponse::Run(prepared.into_body_cancellable(cancel)?))
+                let config = load_config(&spec.config, &spec.features)?;
+                let topology = load_topology(&spec.topology)?;
+                let sim = self.engine(config)?;
+                let body = run_body(sim, &topology, None, cancel, progress)?;
+                Ok(SimResponse::Run(body))
             }
-            SimRequest::Sweep(spec) => {
-                let prepared = self.prepare_sweep(spec)?;
-                check_cancel(cancel)?;
-                let (report, _) = prepared.run_with(|_| {})?;
-                check_cancel(cancel)?;
-                Ok(SimResponse::Sweep(sweep_body(&prepared, &report)))
+            SimRequest::Llm(request) => {
+                let (config, llm) = resolve_llm(request)?;
+                let topology = llm.topology().map_err(SimError::Config)?;
+                let sim = self.engine(config)?;
+                let body = run_body(sim, &topology, Some(&llm), cancel, progress)?;
+                let context = llm.effective_context();
+                Ok(SimResponse::Llm(LlmBody {
+                    workload: llm.spec.name.clone(),
+                    phase: llm.phase.tag().to_string(),
+                    context: context as u64,
+                    params: llm.spec.param_count(),
+                    kv_cache_bytes: llm.spec.kv_cache_bytes(context),
+                    summary: body.summary,
+                    reports: body.reports,
+                }))
             }
-            SimRequest::Scaleout(spec) => {
-                let prepared = self.prepare_scaleout(spec)?;
-                check_cancel(cancel)?;
-                let body = prepared.into_body()?;
-                check_cancel(cancel)?;
-                Ok(SimResponse::Scaleout(body))
+            SimRequest::Sweep(request) => {
+                let (spec, base, topologies) = resolve_sweep(request)?;
+                let cache = self.sweep_cache(&spec, &topologies);
+                let shards = request.shards.max(1);
+                progress(Progress::Sweep {
+                    spec: &spec,
+                    topologies: topologies.len(),
+                    shards,
+                });
+                cancel.check()?;
+                let (report, stats) = run_sweep(&spec, &base, &topologies, shards, &cache, |r| {
+                    progress(Progress::SweepRun(r))
+                })
+                .map_err(SimError::Config)?;
+                progress(Progress::SweepCache(stats));
+                cancel.check()?;
+                Ok(SimResponse::Sweep(sweep_body(spec.grid_size(), &report)))
             }
-            SimRequest::Llm(spec) => {
-                let prepared = self.prepare_llm(spec)?;
-                Ok(SimResponse::Llm(prepared.into_body_cancellable(cancel)?))
+            SimRequest::Scaleout(request) => {
+                let (config, topology, spec) = resolve_scaleout(request)?;
+                let sim = self.engine(config)?;
+                progress(Progress::Scaleout {
+                    topology: &topology,
+                    spec: &spec,
+                });
+                cancel.check()?;
+                let mut csv = scaleout_rows::SCALEOUT_HEADER.to_string();
+                let mut sink = |record: ScaleoutLayerRecord| {
+                    progress(Progress::ScaleoutLayer(&record));
+                    csv.push_str(&scaleout_rows::scaleout(&record));
+                };
+                let summary =
+                    run_scaleout(&sim, &topology, &spec, &mut sink).map_err(SimError::Config)?;
+                cancel.check()?;
+                Ok(SimResponse::Scaleout(scaleout_body(&summary, csv)))
             }
-            SimRequest::AreaReport(spec) => Ok(SimResponse::Area(self.area(spec)?)),
+            SimRequest::AreaReport(spec) => {
+                let sim = self.engine(load_config(&spec.config, &spec.features)?)?;
+                Ok(SimResponse::Area(area_body(&sim.area_report())))
+            }
             SimRequest::Version => Ok(SimResponse::Version(version_body())),
             SimRequest::Stats => Ok(SimResponse::Stats(self.stats_body())),
             SimRequest::Trace => Ok(SimResponse::Trace(trace_body())),
+        }
+    }
+
+    /// An engine for `config` sharing this service's plan cache.
+    fn engine(&self, config: ScaleSimConfig) -> Result<ScaleSim, SimError> {
+        Ok(ScaleSim::try_new_with_cache(
+            config,
+            Arc::clone(&self.cache),
+        )?)
+    }
+
+    /// The plan cache a sweep runs against. A grid whose worst-case plan
+    /// count exceeds the count-capped shared cache gets its own
+    /// right-sized cache instead: eviction is per-entry, so an oversized
+    /// sweep would churn through the shared cache, re-planning its own
+    /// shapes *and* pushing out every other request's warm plans. Small
+    /// sweeps keep sharing (and warming) the service cache — and so does
+    /// every sweep of a byte-budgeted service (`SCALESIM_CACHE_BUDGET_MB`),
+    /// because a private cache would escape the memory bound the budget
+    /// promises. Either way results are identical — only planning time
+    /// differs.
+    fn sweep_cache(&self, spec: &SweepSpec, topologies: &[Topology]) -> Arc<PlanCache> {
+        let distinct_shapes: usize = topologies.iter().map(|t| t.len()).sum::<usize>().max(1);
+        let worst_case_plans = spec.grid_size().saturating_mul(distinct_shapes);
+        if worst_case_plans > SERVICE_CACHE_CAPACITY && self.cache.budget_bytes().is_none() {
+            Arc::new(PlanCache::with_capacity(worst_case_plans))
+        } else {
+            Arc::clone(&self.cache)
         }
     }
 
@@ -328,391 +404,241 @@ impl SimService {
         }
         out
     }
+}
 
-    /// Loads and validates everything a run request needs, returning
-    /// the ready-to-execute pair. The CLI uses this directly so it can
-    /// stream results into its own sinks (progress lines, incremental
-    /// CSV files); [`handle`](Self::handle) collects into a
-    /// [`RunBody`].
-    ///
-    /// # Errors
-    ///
-    /// `Io` for unreadable inputs, `Config` for bad configurations,
-    /// `Topology` for bad workloads.
-    pub fn prepare_run(&self, spec: &RunSpec) -> Result<PreparedRun, SimError> {
-        let config = load_config(&spec.config, &spec.features)?;
-        let topology = load_topology(&spec.topology)?;
-        let sim = ScaleSim::try_new_with_cache(config, Arc::clone(&self.cache))?;
-        Ok(PreparedRun { sim, topology })
-    }
+/// What [`SimService::execute`] is doing, as it does it. The one-shot
+/// CLI renders these as its stderr header and `-v` lines; `serve`
+/// ignores them. Observing never changes a response byte.
+#[derive(Debug)]
+pub enum Progress<'a> {
+    /// A `run` request (or, with `llm` set, an `llm` request) validated
+    /// and is about to execute `topology` on `sim`. The observer may
+    /// swap in a reconfigured engine first — the CLI's
+    /// `--profile-stages` enables stage profiling here and keeps a
+    /// clone to read the profile back from.
+    Run {
+        /// The engine about to run.
+        sim: &'a mut ScaleSim,
+        /// The parsed (or generated) workload.
+        topology: &'a Topology,
+        /// The resolved model of an `llm` request.
+        llm: Option<&'a LlmRunSpec>,
+    },
+    /// One finished layer of a `run` / `llm`, in topology order.
+    Layer(&'a LayerResult),
+    /// A `sweep` request validated and is about to execute.
+    Sweep {
+        /// The parsed grid spec.
+        spec: &'a SweepSpec,
+        /// Workload count.
+        topologies: usize,
+        /// Executor shard count.
+        shards: usize,
+    },
+    /// One finished sweep run, in shard emission order.
+    SweepRun(&'a RunRecord),
+    /// The finished sweep's plan-cache counters (timing-dependent, so
+    /// not part of the response).
+    SweepCache(PlanCacheStats),
+    /// A `scaleout` request validated and is about to execute.
+    Scaleout {
+        /// The parsed workload.
+        topology: &'a Topology,
+        /// The resolved scale-out parameters (cfg section plus request
+        /// overrides).
+        spec: &'a ScaleoutSpec,
+    },
+    /// One resolved scale-out layer, in layer order.
+    ScaleoutLayer(&'a ScaleoutLayerRecord),
+}
 
-    /// Resolves an llm request into a ready-to-execute run: the model
-    /// spec comes from the configuration's `[llm]` section and/or the
-    /// `workload` preset name, with the request's phase/seq/batch/
-    /// context overrides applied on top, then expands into its GEMM
-    /// topology. The CLI drives the prepared run itself for progress
-    /// streaming; [`handle`](Self::handle) collects an
-    /// [`scalesim_api::LlmBody`].
-    ///
-    /// # Errors
-    ///
-    /// `Config` for unknown presets/phases, inconsistent model
-    /// dimensions, or a request that names no model at all.
-    pub fn prepare_llm(&self, request: &LlmRequest) -> Result<PreparedLlm, SimError> {
-        let config = load_config(&request.config, &request.features)?;
-        let mut llm = match (config.llm.clone(), &request.workload) {
-            (Some(run), None) => run,
-            (base, Some(name)) => {
-                let spec = LlmSpec::preset(name).ok_or_else(|| {
-                    SimError::Config(format!(
-                        "unknown llm workload '{name}' (presets: {})",
-                        LlmSpec::preset_names().join(", ")
-                    ))
-                })?;
-                let mut run = base.unwrap_or_default();
-                run.spec = spec;
-                run
-            }
-            (None, None) => {
-                return Err(SimError::Config(
-                    "llm: no model named — pass a preset (--workload / \"workload\") \
-                     or an [llm] cfg section"
-                        .into(),
+/// Streams `topology` through `sim`, collecting the response body: the
+/// O(1) summary plus every report the configuration produces.
+fn run_body(
+    mut sim: ScaleSim,
+    topology: &Topology,
+    llm: Option<&LlmRunSpec>,
+    cancel: &CancelToken,
+    progress: &mut dyn FnMut(Progress<'_>),
+) -> Result<RunBody, SimError> {
+    progress(Progress::Run {
+        sim: &mut sim,
+        topology,
+        llm,
+    });
+    let mut csv = MemoryReportSink::new(ReportSections::for_config(sim.config()));
+    let mut summary = RunSummary::new();
+    let mut sink = |result: LayerResult| {
+        progress(Progress::Layer(&result));
+        summary.add(&result);
+        csv.layer(result);
+    };
+    sim.run_topology_with(topology, &mut sink, cancel)?;
+    Ok(RunBody {
+        summary: RunSummaryBody {
+            layers: summary.layers,
+            total_cycles: summary.total_cycles,
+            compute_cycles: summary.compute_cycles,
+            stall_cycles: summary.stall_cycles,
+            macs: summary.macs,
+            utilization: summary.utilization(),
+            energy_mj: summary.energy_mj(),
+            noc_words: summary.noc_words,
+        },
+        reports: csv
+            .finish()
+            .into_iter()
+            .map(|(name, content)| Report {
+                name: name.to_string(),
+                content,
+            })
+            .collect(),
+    })
+}
+
+/// Resolves an llm request into its configuration and model: the model
+/// spec comes from the configuration's `[llm]` section and/or the
+/// `workload` preset name, with the request's phase/seq/batch/context
+/// overrides applied on top. `Config` errors for unknown
+/// presets/phases or a request that names no model at all.
+fn resolve_llm(request: &LlmRequest) -> Result<(ScaleSimConfig, LlmRunSpec), SimError> {
+    let config = load_config(&request.config, &request.features)?;
+    let mut llm = match (config.llm.clone(), &request.workload) {
+        (Some(run), None) => run,
+        (base, Some(name)) => {
+            let spec = LlmSpec::preset(name).ok_or_else(|| {
+                SimError::Config(format!(
+                    "unknown llm workload '{name}' (presets: {})",
+                    LlmSpec::preset_names().join(", ")
                 ))
-            }
-        };
-        if let Some(phase) = &request.phase {
-            llm.phase = Phase::parse(phase).map_err(SimError::Config)?;
+            })?;
+            let mut run = base.unwrap_or_default();
+            run.spec = spec;
+            run
         }
-        if let Some(seq) = request.seq {
-            llm.spec.seq = seq;
-        }
-        if let Some(batch) = request.batch {
-            llm.spec.batch = batch;
-        }
-        if let Some(context) = request.context {
-            llm.context = Some(context);
-        }
-        let topology = llm.topology().map_err(SimError::Config)?;
-        let sim = ScaleSim::try_new_with_cache(config, Arc::clone(&self.cache))?;
-        Ok(PreparedLlm {
-            run: PreparedRun { sim, topology },
-            llm,
-        })
-    }
-
-    /// Loads and validates everything a sweep request needs. As with
-    /// [`prepare_run`](Self::prepare_run), the CLI drives the prepared
-    /// sweep itself for progress streaming.
-    ///
-    /// # Errors
-    ///
-    /// `Io` for unreadable inputs, `Config` for bad specs or
-    /// configurations, `Topology` for bad workloads.
-    pub fn prepare_sweep(&self, request: &SweepRequest) -> Result<PreparedSweep, SimError> {
-        let (text, spec_dir) = match &request.spec {
-            ConfigSource::Default => {
-                return Err(SimError::Config(
-                    "a sweep needs a grid spec (inline or path)".into(),
-                ))
-            }
-            ConfigSource::Inline(text) => (text.clone(), None),
-            ConfigSource::Path(path) => (
-                read_input(Path::new(path))?,
-                Path::new(path).parent().map(Path::to_path_buf),
-            ),
-        };
-        let mut spec = SweepSpec::parse(&text).map_err(|e| SimError::Config(e.to_string()))?;
-        let base = load_config(&request.base_config, &Features::default())?;
-
-        // Topology paths from the spec resolve against the spec's own
-        // directory first (so a spec can sit next to its topologies and
-        // a same-named file in the CWD cannot shadow them), then fall
-        // back to the CWD. Request topologies resolve as given.
-        let spec_dir = spec_dir.unwrap_or_else(|| Path::new(".").to_path_buf());
-        let mut topologies = Vec::new();
-        for rel in spec.topologies.drain(..) {
-            let p = Path::new(&rel);
-            let spec_relative = spec_dir.join(p);
-            let path = if !p.is_absolute() && spec_relative.exists() {
-                spec_relative
-            } else {
-                p.to_path_buf()
-            };
-            topologies.push(load_topology(&TopologySource::from_path(
-                path.display().to_string(),
-            ))?);
-        }
-        for source in &request.topologies {
-            topologies.push(load_topology(source)?);
-        }
-        // An [llm] model in the base config IS the sweep's workload: the
-        // seq/batch/phase axes reshape its GEMMs per point, so a fixed
-        // topology list cannot coexist with it.
-        if let Some(llm) = &base.llm {
-            if !topologies.is_empty() {
-                return Err(SimError::Config(
-                    "sweep: an [llm] model and explicit topologies are mutually \
-                     exclusive (the llm model is the workload)"
-                        .into(),
-                ));
-            }
-            topologies.push(llm.topology().map_err(SimError::Config)?);
-        }
-        if topologies.is_empty() {
+        (None, None) => {
             return Err(SimError::Config(
-                "sweep has no topologies (add a [workloads] section or -t)".into(),
+                "llm: no model named — pass a preset (--workload / \"workload\") \
+                 or an [llm] cfg section"
+                    .into(),
+            ))
+        }
+    };
+    if let Some(phase) = &request.phase {
+        llm.phase = Phase::parse(phase).map_err(SimError::Config)?;
+    }
+    if let Some(seq) = request.seq {
+        llm.spec.seq = seq;
+    }
+    if let Some(batch) = request.batch {
+        llm.spec.batch = batch;
+    }
+    if let Some(context) = request.context {
+        llm.context = Some(context);
+    }
+    Ok((config, llm))
+}
+
+/// Loads and validates everything a sweep request needs: the grid spec
+/// (topology paths resolved out), the base configuration and the
+/// workloads.
+fn resolve_sweep(
+    request: &SweepRequest,
+) -> Result<(SweepSpec, ScaleSimConfig, Vec<Topology>), SimError> {
+    let (text, spec_dir) = match &request.spec {
+        ConfigSource::Default => {
+            return Err(SimError::Config(
+                "a sweep needs a grid spec (inline or path)".into(),
+            ))
+        }
+        ConfigSource::Inline(text) => (text.clone(), None),
+        ConfigSource::Path(path) => (
+            read_input(Path::new(path))?,
+            Path::new(path).parent().map(Path::to_path_buf),
+        ),
+    };
+    let mut spec = SweepSpec::parse(&text).map_err(|e| SimError::Config(e.to_string()))?;
+    let base = load_config(&request.base_config, &Features::default())?;
+
+    // Topology paths from the spec resolve against the spec's own
+    // directory first (so a spec can sit next to its topologies and
+    // a same-named file in the CWD cannot shadow them), then fall
+    // back to the CWD. Request topologies resolve as given.
+    let spec_dir = spec_dir.unwrap_or_else(|| Path::new(".").to_path_buf());
+    let mut topologies = Vec::new();
+    for rel in spec.topologies.drain(..) {
+        let p = Path::new(&rel);
+        let spec_relative = spec_dir.join(p);
+        let path = if !p.is_absolute() && spec_relative.exists() {
+            spec_relative
+        } else {
+            p.to_path_buf()
+        };
+        topologies.push(load_topology(&TopologySource::from_path(
+            path.display().to_string(),
+        ))?);
+    }
+    for source in &request.topologies {
+        topologies.push(load_topology(source)?);
+    }
+    // An [llm] model in the base config IS the sweep's workload: the
+    // seq/batch/phase axes reshape its GEMMs per point, so a fixed
+    // topology list cannot coexist with it.
+    if let Some(llm) = &base.llm {
+        if !topologies.is_empty() {
+            return Err(SimError::Config(
+                "sweep: an [llm] model and explicit topologies are mutually \
+                 exclusive (the llm model is the workload)"
+                    .into(),
             ));
         }
-        // A grid whose worst-case plan count exceeds the shared cache's
-        // capacity gets its own right-sized cache instead: the shared
-        // cache evicts by clearing wholesale, so an oversized sweep
-        // would thrash itself *and* wipe every other request's warm
-        // plans. Small sweeps keep sharing (and warming) the service
-        // cache. Either way results are identical — only planning time
-        // differs.
-        let distinct_shapes: usize = topologies.iter().map(|t| t.len()).sum::<usize>().max(1);
-        let worst_case_plans = spec.grid_size().saturating_mul(distinct_shapes);
-        let cache = if worst_case_plans > SERVICE_CACHE_CAPACITY {
-            Arc::new(PlanCache::with_capacity(worst_case_plans))
-        } else {
-            Arc::clone(&self.cache)
-        };
-        Ok(PreparedSweep {
-            spec,
-            base,
-            topologies,
-            shards: request.shards.max(1),
-            cache,
-        })
+        topologies.push(llm.topology().map_err(SimError::Config)?);
     }
-
-    /// Loads and validates everything a scale-out request needs: the
-    /// per-chip architecture (whose `[scaleout]` section seeds the
-    /// scale-out parameters), the workload, and the request's
-    /// overrides. The CLI drives the prepared run itself so it can
-    /// stream `SCALEOUT_REPORT.csv` rows to disk.
-    ///
-    /// # Errors
-    ///
-    /// `Io` for unreadable inputs, `Config` for bad configurations or
-    /// inconsistent scale-out parameters, `Topology` for bad workloads.
-    pub fn prepare_scaleout(
-        &self,
-        request: &ScaleoutRequest,
-    ) -> Result<PreparedScaleout, SimError> {
-        let config = load_config(&request.config, &request.features)?;
-        let topology = load_topology(&request.topology)?;
-        let mut spec = config.scaleout.clone().unwrap_or_default();
-        if let Some(chips) = request.chips {
-            spec.chips = chips;
-            // An explicit chip count invalidates cfg-pinned mesh dims;
-            // fall back to the near-square factorization.
-            spec.mesh = None;
-        }
-        if let Some(fabric) = &request.fabric {
-            spec.fabric = FabricTag::parse(fabric).map_err(SimError::Config)?;
-        }
-        if let Some(gbps) = request.link_gbps {
-            spec.link_gbps = gbps;
-        }
-        if let Some(latency) = request.link_latency {
-            spec.link_latency = latency;
-        }
-        if let Some(strategy) = &request.strategy {
-            spec.strategy = Strategy::parse(strategy).map_err(SimError::Config)?;
-        }
-        if let Some(microbatches) = request.microbatches {
-            spec.microbatches = microbatches;
-        }
-        // Fail on inconsistent fabrics before any simulation.
-        spec.fabric().map_err(SimError::Config)?;
-        let sim = ScaleSim::try_new_with_cache(config, Arc::clone(&self.cache))?;
-        Ok(PreparedScaleout {
-            sim,
-            topology,
-            spec,
-        })
+    if topologies.is_empty() {
+        return Err(SimError::Config(
+            "sweep has no topologies (add a [workloads] section or -t)".into(),
+        ));
     }
-
-    /// Estimates the configured accelerator's silicon area.
-    ///
-    /// # Errors
-    ///
-    /// `Io` for unreadable inputs, `Config` for bad configurations.
-    pub fn area(&self, spec: &AreaSpec) -> Result<AreaBody, SimError> {
-        let config = load_config(&spec.config, &spec.features)?;
-        let sim = ScaleSim::try_new_with_cache(config, Arc::clone(&self.cache))?;
-        Ok(area_body(&sim.area_report()))
-    }
+    Ok((spec, base, topologies))
 }
 
-/// Errors with the token's typed `deadline` error if it has expired.
-fn check_cancel(cancel: Option<&CancelToken>) -> Result<(), SimError> {
-    match cancel {
-        Some(token) if token.expired() => Err(token.to_error()),
-        _ => Ok(()),
+/// Loads and validates everything a scale-out request needs: the
+/// per-chip architecture (whose `[scaleout]` section seeds the
+/// scale-out parameters), the workload, and the request's overrides.
+fn resolve_scaleout(
+    request: &ScaleoutRequest,
+) -> Result<(ScaleSimConfig, Topology, ScaleoutSpec), SimError> {
+    let config = load_config(&request.config, &request.features)?;
+    let topology = load_topology(&request.topology)?;
+    let mut spec = config.scaleout.clone().unwrap_or_default();
+    if let Some(chips) = request.chips {
+        spec.chips = chips;
+        // An explicit chip count invalidates cfg-pinned mesh dims;
+        // fall back to the near-square factorization.
+        spec.mesh = None;
     }
-}
-
-/// A validated run, ready to execute: the engine (sharing the service's
-/// plan cache) and the parsed workload.
-#[derive(Debug, Clone)]
-pub struct PreparedRun {
-    /// The configured engine.
-    pub sim: ScaleSim,
-    /// The parsed workload.
-    pub topology: Topology,
-}
-
-impl PreparedRun {
-    /// Streams the run into `sink` with bounded result memory (see
-    /// [`ScaleSim::run_topology_with`]).
-    pub fn run_into(&self, sink: &mut dyn ResultSink) -> StreamStats {
-        self.sim.run_topology_with(&self.topology, sink)
+    if let Some(fabric) = &request.fabric {
+        spec.fabric = FabricTag::parse(fabric).map_err(SimError::Config)?;
     }
-
-    /// Executes the run, collecting the response body: the O(1) summary
-    /// plus every report the configuration produces, byte-identical to
-    /// the files the CLI writes.
-    pub fn into_body(self) -> RunBody {
-        self.into_body_cancellable(None)
-            .expect("no cancel token, so the run always completes")
+    if let Some(gbps) = request.link_gbps {
+        spec.link_gbps = gbps;
     }
-
-    /// As [`into_body`](Self::into_body), but abandons the run at the
-    /// next pipeline-stage boundary once `cancel` expires. The body is
-    /// identical to the uncancelled one whenever the token survives —
-    /// the token costs checks, never results.
-    ///
-    /// # Errors
-    ///
-    /// `Deadline` when the token expires mid-run; partial results are
-    /// discarded (a deadline response never carries a body).
-    pub fn into_body_cancellable(self, cancel: Option<&CancelToken>) -> Result<RunBody, SimError> {
-        let mut csv = MemoryReportSink::new(ReportSections::for_config(self.sim.config()));
-        let mut summary = RunSummary::new();
-        struct Tee<'a> {
-            csv: &'a mut MemoryReportSink,
-            summary: &'a mut RunSummary,
-        }
-        impl ResultSink for Tee<'_> {
-            fn layer(&mut self, result: crate::result::LayerResult) {
-                self.summary.add(&result);
-                self.csv.layer(result);
-            }
-        }
-        let mut tee = Tee {
-            csv: &mut csv,
-            summary: &mut summary,
-        };
-        match cancel {
-            Some(token) => {
-                self.sim
-                    .run_topology_cancellable(&self.topology, &mut tee, token)?;
-            }
-            None => {
-                self.sim.run_topology_with(&self.topology, &mut tee);
-            }
-        }
-        Ok(RunBody {
-            summary: summary_body(&summary),
-            reports: csv
-                .finish()
-                .into_iter()
-                .map(|(name, content)| Report {
-                    name: name.to_string(),
-                    content,
-                })
-                .collect(),
-        })
+    if let Some(latency) = request.link_latency {
+        spec.link_latency = latency;
     }
-}
-
-/// A validated llm run, ready to execute: the engine plus the
-/// generated per-block GEMM topology, alongside the resolved model
-/// spec (cfg section and/or preset, with request overrides applied).
-#[derive(Debug, Clone)]
-pub struct PreparedLlm {
-    /// The underlying run (engine + generated topology).
-    pub run: PreparedRun,
-    /// The resolved model spec, phase, and context.
-    pub llm: LlmRunSpec,
-}
-
-impl PreparedLlm {
-    /// Executes the run, collecting the response body: model identity
-    /// and analytical figures (parameter count, KV-cache footprint at
-    /// the effective context) wrapped around the same summary and
-    /// reports a plain run yields, byte-identical to the CLI's files.
-    pub fn into_body(self) -> LlmBody {
-        self.into_body_cancellable(None)
-            .expect("no cancel token, so the run always completes")
+    if let Some(strategy) = &request.strategy {
+        spec.strategy = Strategy::parse(strategy).map_err(SimError::Config)?;
     }
-
-    /// As [`into_body`](Self::into_body), but abandons the run at the
-    /// next pipeline-stage boundary once `cancel` expires.
-    ///
-    /// # Errors
-    ///
-    /// `Deadline` when the token expires mid-run.
-    pub fn into_body_cancellable(self, cancel: Option<&CancelToken>) -> Result<LlmBody, SimError> {
-        let context = self.llm.effective_context();
-        let body = self.run.into_body_cancellable(cancel)?;
-        Ok(LlmBody {
-            workload: self.llm.spec.name.clone(),
-            phase: self.llm.phase.tag().to_string(),
-            context: context as u64,
-            params: self.llm.spec.param_count(),
-            kv_cache_bytes: self.llm.spec.kv_cache_bytes(context),
-            summary: body.summary,
-            reports: body.reports,
-        })
+    if let Some(microbatches) = request.microbatches {
+        spec.microbatches = microbatches;
     }
-}
-
-/// A validated scale-out run, ready to execute: the per-chip engine
-/// (sharing the service's plan cache), the workload, and the resolved
-/// scale-out parameters.
-#[derive(Debug, Clone)]
-pub struct PreparedScaleout {
-    /// The configured per-chip engine.
-    pub sim: ScaleSim,
-    /// The parsed workload.
-    pub topology: Topology,
-    /// The resolved scale-out parameters (cfg section plus request
-    /// overrides).
-    pub spec: ScaleoutSpec,
-}
-
-impl PreparedScaleout {
-    /// Streams the run's per-layer records into `sink`, returning the
-    /// run-level summary.
-    ///
-    /// # Errors
-    ///
-    /// `Config` when the scale-out parameters are inconsistent
-    /// (normally caught at prepare time).
-    pub fn run_into(&self, sink: &mut dyn ScaleoutSink) -> Result<ScaleoutSummary, SimError> {
-        run_scaleout(&self.sim, &self.topology, &self.spec, sink).map_err(SimError::Config)
-    }
-
-    /// Executes the run, collecting the response body: the summary plus
-    /// a `SCALEOUT_REPORT.csv` byte-identical to the file the CLI
-    /// writes.
-    ///
-    /// # Errors
-    ///
-    /// `Config` when the scale-out parameters are inconsistent.
-    pub fn into_body(self) -> Result<ScaleoutBody, SimError> {
-        let mut csv = MemoryScaleoutSink::new();
-        let summary = self.run_into(&mut csv)?;
-        Ok(scaleout_body(&summary, csv.finish()))
-    }
+    // Fail on inconsistent fabrics before any simulation.
+    spec.fabric().map_err(SimError::Config)?;
+    Ok((config, topology, spec))
 }
 
 /// Packages a finished scale-out run as the response body.
-pub fn scaleout_body(summary: &ScaleoutSummary, report_csv: String) -> ScaleoutBody {
+fn scaleout_body(summary: &ScaleoutSummary, report_csv: String) -> ScaleoutBody {
     ScaleoutBody {
         chips: summary.chips as u64,
         strategy: summary.strategy.tag().to_string(),
@@ -732,62 +658,8 @@ pub fn scaleout_body(summary: &ScaleoutSummary, report_csv: String) -> ScaleoutB
     }
 }
 
-/// A validated sweep, ready to execute against the service's shared
-/// plan cache.
-#[derive(Debug, Clone)]
-pub struct PreparedSweep {
-    /// The parsed grid spec (topology paths already resolved out).
-    pub spec: SweepSpec,
-    /// The base configuration the grid overrides.
-    pub base: ScaleSimConfig,
-    /// The parsed workloads.
-    pub topologies: Vec<Topology>,
-    /// Executor shard count.
-    pub shards: usize,
-    cache: Arc<PlanCache>,
-}
-
-impl PreparedSweep {
-    /// Executes the sweep; `on_record` observes every run record as its
-    /// shard completes (see [`crate::sweep_run::run_sweep_with`]).
-    ///
-    /// # Errors
-    ///
-    /// `Config` naming the offending grid point when any expanded
-    /// configuration fails validation.
-    pub fn run_with(
-        &self,
-        on_record: impl FnMut(&scalesim_sweep::RunRecord),
-    ) -> Result<(SweepReport, PlanCacheStats), SimError> {
-        run_sweep_cached(
-            &self.spec,
-            &self.base,
-            &self.topologies,
-            self.shards,
-            &self.cache,
-            on_record,
-        )
-        .map_err(SimError::Config)
-    }
-}
-
-/// Reduces a streamed [`RunSummary`] into the response summary.
-pub fn summary_body(summary: &RunSummary) -> RunSummaryBody {
-    RunSummaryBody {
-        layers: summary.layers,
-        total_cycles: summary.total_cycles,
-        compute_cycles: summary.compute_cycles,
-        stall_cycles: summary.stall_cycles,
-        macs: summary.macs,
-        utilization: summary.utilization(),
-        energy_mj: summary.energy_mj(),
-        noc_words: summary.noc_words,
-    }
-}
-
-/// Packages an area estimate as the response body (the CSV matches the
-/// `AREA_REPORT.csv` the CLI writes).
-pub fn area_body(area: &AreaBreakdown) -> AreaBody {
+/// Packages an area estimate as the response body.
+fn area_body(area: &AreaBreakdown) -> AreaBody {
     AreaBody {
         total_mm2: area.total_mm2(),
         pe_array_mm2: area.pe_array_mm2,
@@ -802,9 +674,9 @@ pub fn area_body(area: &AreaBreakdown) -> AreaBody {
 }
 
 /// Packages a finished sweep as the response body.
-pub fn sweep_body(prepared: &PreparedSweep, report: &SweepReport) -> SweepBody {
+fn sweep_body(grid_points: usize, report: &SweepReport) -> SweepBody {
     SweepBody {
-        grid_points: prepared.spec.grid_size(),
+        grid_points,
         runs: report.records().len(),
         pareto_frontier: report
             .pareto_labels()
@@ -825,7 +697,7 @@ pub fn sweep_body(prepared: &PreparedSweep, report: &SweepReport) -> SweepBody {
 }
 
 /// The version response body.
-pub fn version_body() -> VersionBody {
+fn version_body() -> VersionBody {
     VersionBody {
         version: crate::cli::version_string(),
         api: API_VERSION,
@@ -836,7 +708,7 @@ pub fn version_body() -> VersionBody {
 /// body. The trace string is empty-but-valid Chrome JSON when tracing
 /// was never enabled; `events` counts span/instant records across all
 /// categories since process start.
-pub fn trace_body() -> TraceBody {
+fn trace_body() -> TraceBody {
     TraceBody {
         enabled: scalesim_obs::tracing_enabled(),
         events: scalesim_obs::recorded_events(),
@@ -851,7 +723,7 @@ fn read_input(path: &Path) -> Result<String, SimError> {
 
 /// Loads a configuration source and applies the request's feature
 /// toggles.
-pub fn load_config(source: &ConfigSource, features: &Features) -> Result<ScaleSimConfig, SimError> {
+fn load_config(source: &ConfigSource, features: &Features) -> Result<ScaleSimConfig, SimError> {
     let mut config = match source {
         ConfigSource::Default => ScaleSimConfig::default(),
         ConfigSource::Inline(text) => parse_cfg(text)?,
@@ -881,7 +753,7 @@ pub fn load_config(source: &ConfigSource, features: &Features) -> Result<ScaleSi
 /// names and llm presets, optionally `:prefill`/`:decode`-suffixed)
 /// resolve through [`scalesim_workloads::by_name_or_err`], whose error
 /// spells out the full supported vocabulary.
-pub fn load_topology(source: &TopologySource) -> Result<Topology, SimError> {
+fn load_topology(source: &TopologySource) -> Result<Topology, SimError> {
     if let Some(workload) = &source.workload {
         return scalesim_workloads::by_name_or_err(workload).map_err(SimError::Topology);
     }
@@ -918,6 +790,7 @@ pub fn load_topology(source: &TopologySource) -> Result<Topology, SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scalesim_api::{AreaSpec, RunSpec};
 
     fn gemm_topology() -> TopologySource {
         TopologySource::inline("t", "a, 16, 16, 16,\nb, 24, 24, 24,\n")
@@ -1022,41 +895,44 @@ mod tests {
 
     #[test]
     fn oversized_sweeps_get_their_own_cache_small_ones_share() {
-        let service = SimService::new();
-        let small = service
-            .prepare_sweep(&SweepRequest {
-                spec: ConfigSource::Inline("array = 8x8, 16x16\n".into()),
-                base_config: ConfigSource::Default,
-                topologies: vec![gemm_topology()],
-                shards: 1,
-            })
-            .unwrap();
-        assert!(
-            Arc::ptr_eq(&small.cache, service.plan_cache()),
-            "small grids warm the shared cache"
-        );
+        let topologies = [load_topology(&gemm_topology()).unwrap()];
+        let small = SweepSpec::parse("array = 8x8, 16x16\n").unwrap();
         // 72 bandwidths x 64 arrays x 2 layers = 9216 worst-case plans
-        // > SERVICE_CACHE_CAPACITY: a right-sized private cache instead
-        // of thrashing (and wiping) the shared one.
+        // > SERVICE_CACHE_CAPACITY.
         let bandwidths: Vec<String> = (1..=72).map(|b| b.to_string()).collect();
         let arrays: Vec<String> = (1..=64).map(|n| format!("{n}x{n}")).collect();
-        let big_spec = format!(
+        let big = SweepSpec::parse(&format!(
             "bandwidth = {}\narray = {}\n",
             bandwidths.join(", "),
             arrays.join(", ")
-        );
-        let big = service
-            .prepare_sweep(&SweepRequest {
-                spec: ConfigSource::Inline(big_spec),
-                base_config: ConfigSource::Default,
-                topologies: vec![gemm_topology()],
-                shards: 1,
-            })
-            .unwrap();
+        ))
+        .unwrap();
+
+        let service = SimService::new();
         assert!(
-            !Arc::ptr_eq(&big.cache, service.plan_cache()),
-            "oversized grids must not evict the shared cache"
+            Arc::ptr_eq(
+                &service.sweep_cache(&small, &topologies),
+                service.plan_cache()
+            ),
+            "small grids warm the shared cache"
         );
+        assert!(
+            !Arc::ptr_eq(
+                &service.sweep_cache(&big, &topologies),
+                service.plan_cache()
+            ),
+            "oversized grids get a right-sized private cache instead of \
+             churning the count-capped shared one"
+        );
+
+        // A byte-budgeted service keeps even an oversized sweep inside
+        // its budget: a private cache would escape the memory bound.
+        let budgeted = SimService::with_plan_cache(Arc::new(PlanCache::with_budget(1 << 20)));
+        for spec in [&small, &big] {
+            let cache = budgeted.sweep_cache(spec, &topologies);
+            assert!(Arc::ptr_eq(&cache, budgeted.plan_cache()));
+            assert_eq!(cache.budget_bytes(), Some(1 << 20));
+        }
     }
 
     #[test]
@@ -1106,7 +982,6 @@ mod tests {
 
     #[test]
     fn llm_workload_preset_keeps_cfg_phase_and_context() {
-        let service = SimService::new();
         // The cfg names one model, the request swaps in a preset: the
         // section's phase/context survive the swap.
         let req = LlmRequest {
@@ -1116,30 +991,24 @@ mod tests {
             batch: Some(2),
             ..Default::default()
         };
-        let prepared = service.prepare_llm(&req).unwrap();
-        assert_eq!(
-            prepared.llm.spec.layers, 48,
-            "preset replaced the tiny model"
-        );
-        assert_eq!(prepared.llm.phase, Phase::Decode);
-        assert_eq!(prepared.llm.effective_context(), 32);
-        assert_eq!(prepared.llm.spec.seq, 16);
-        assert_eq!(prepared.llm.spec.batch, 2);
+        let (_, llm) = resolve_llm(&req).unwrap();
+        assert_eq!(llm.spec.layers, 48, "preset replaced the tiny model");
+        assert_eq!(llm.phase, Phase::Decode);
+        assert_eq!(llm.effective_context(), 32);
+        assert_eq!(llm.spec.seq, 16);
+        assert_eq!(llm.spec.batch, 2);
         // Decode topologies put batch rows through every block GEMM.
-        assert!(prepared.run.topology.name().ends_with("decode"));
+        assert!(llm.topology().unwrap().name().ends_with("decode"));
     }
 
     #[test]
     fn llm_bad_inputs_are_config_errors() {
-        let service = SimService::new();
         // No model named anywhere.
-        let err = service.prepare_llm(&LlmRequest::default()).unwrap_err();
+        let err = resolve_llm(&LlmRequest::default()).unwrap_err();
         assert_eq!(err.kind(), "config");
         assert!(err.message().contains("[llm]"), "{err}");
         // Unknown preset names the vocabulary.
-        let err = service
-            .prepare_llm(&LlmRequest::for_workload("llama-13b"))
-            .unwrap_err();
+        let err = resolve_llm(&LlmRequest::for_workload("llama-13b")).unwrap_err();
         assert_eq!(err.kind(), "config");
         assert!(err.message().contains("llama-7b"), "{err}");
         // Bad phase.
@@ -1147,7 +1016,7 @@ mod tests {
             phase: Some("training".into()),
             ..LlmRequest::for_workload("gpt2-xl")
         };
-        let err = service.prepare_llm(&req).unwrap_err();
+        let err = resolve_llm(&req).unwrap_err();
         assert_eq!(err.kind(), "config");
         assert!(err.message().contains("unknown phase"), "{err}");
     }
@@ -1190,21 +1059,20 @@ mod tests {
 
     #[test]
     fn scaleout_overrides_and_cfg_section_compose() {
-        let service = SimService::new();
         let mut req = ScaleoutRequest::for_topology(gemm_topology());
         req.config = ConfigSource::Inline(
             "[scaleout]\nChips : 4\nStrategy : tensor\nLinkGbps : 25\n".into(),
         );
-        let prepared = service.prepare_scaleout(&req).unwrap();
-        assert_eq!(prepared.spec.chips, 4);
-        assert_eq!(prepared.spec.strategy, Strategy::TensorParallel);
+        let (_, _, spec) = resolve_scaleout(&req).unwrap();
+        assert_eq!(spec.chips, 4);
+        assert_eq!(spec.strategy, Strategy::TensorParallel);
         // The request override wins over the cfg section.
         req.chips = Some(16);
         req.strategy = Some("pipeline".into());
-        let prepared = service.prepare_scaleout(&req).unwrap();
-        assert_eq!(prepared.spec.chips, 16);
-        assert_eq!(prepared.spec.strategy, Strategy::PipelineParallel);
-        assert_eq!(prepared.spec.link_gbps, 25.0, "untouched knobs survive");
+        let (_, _, spec) = resolve_scaleout(&req).unwrap();
+        assert_eq!(spec.chips, 16);
+        assert_eq!(spec.strategy, Strategy::PipelineParallel);
+        assert_eq!(spec.link_gbps, 25.0, "untouched knobs survive");
     }
 
     #[test]
@@ -1287,21 +1155,53 @@ mod tests {
                 shards: 1,
             }),
             SimRequest::Scaleout(ScaleoutRequest::for_topology(gemm_topology())),
+            SimRequest::Llm(LlmRequest {
+                config: ConfigSource::Inline(TINY_LLM_CFG.into()),
+                ..Default::default()
+            }),
         ] {
             let dead = CancelToken::after_ms(0);
-            let err = service.handle_cancellable(&req, Some(&dead)).unwrap_err();
+            let err = service.execute(&req, &dead, &mut |_| {}).unwrap_err();
             assert_eq!(err.kind(), "deadline");
             assert_eq!(err.exit_code(), 124);
             assert_eq!(err.message(), "deadline of 0 ms exceeded");
             // A token that never fires must not perturb the response.
             let live = CancelToken::after_ms(600_000);
-            let with_token = service.handle_cancellable(&req, Some(&live)).unwrap();
+            let with_token = service.execute(&req, &live, &mut |_| {}).unwrap();
             let without = service.handle(&req).unwrap();
             assert_eq!(
                 with_token, without,
                 "cancel tokens cost checks, not results"
             );
         }
+    }
+
+    #[test]
+    fn progress_events_announce_the_run_then_stream_its_layers() {
+        let service = SimService::new();
+        let req = SimRequest::Run(RunSpec {
+            config: ConfigSource::Default,
+            topology: gemm_topology(),
+            features: Features::default(),
+        });
+        let mut events = Vec::new();
+        let observed = service
+            .execute(&req, &CancelToken::never(), &mut |event| {
+                events.push(match event {
+                    Progress::Run { topology, llm, .. } => {
+                        format!("run {} llm={}", topology.name(), llm.is_some())
+                    }
+                    Progress::Layer(layer) => format!("layer {}", layer.name),
+                    other => format!("{other:?}"),
+                })
+            })
+            .unwrap();
+        assert_eq!(events, ["run t llm=false", "layer a", "layer b"]);
+        assert_eq!(
+            observed,
+            service.handle(&req).unwrap(),
+            "observing changes no response byte"
+        );
     }
 
     /// Golden test for the Prometheus text exposition: the exact line

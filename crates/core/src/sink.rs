@@ -10,28 +10,33 @@
 //!   (the classic API; memory grows with layer count).
 //! * [`RunSummary`] — O(1) accumulator of the run-level aggregates
 //!   (cycles, utilization, energy, …); what the sweep executor uses.
-//! * [`CsvReportSink`] — incremental report writer emitting the
-//!   standard `*_REPORT.csv` files row by row, byte-identical to the
-//!   batch emitters on [`RunResult`].
+//! * [`MemoryReportSink`] — incremental report writer building the
+//!   standard `*_REPORT.csv` contents row by row, byte-identical to the
+//!   batch emitters on [`RunResult`]; the one report writer behind both
+//!   serve responses and the files the CLI writes.
 //!
 //! ## Writing a new sink
 //!
 //! Implement [`ResultSink::layer`]; it receives each layer **in
-//! topology order** and owns the result. Compose sinks by forwarding
-//! (see the CLI's run sink, which tees into a [`RunSummary`] and a
-//! [`CsvReportSink`]).
+//! topology order** and owns the result. Any `FnMut(LayerResult)`
+//! closure is a sink too, which is how sinks compose (see the service's
+//! run path, which tees into a [`RunSummary`] and a
+//! [`MemoryReportSink`]).
 
 use crate::config::ScaleSimConfig;
 use crate::result::{rows, LayerResult, RunResult};
 use scalesim_energy::EnergyReport;
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::PathBuf;
 
 /// Consumes finished layers as they stream out of the engine.
 pub trait ResultSink {
     /// Accepts the next layer, in topology order.
     fn layer(&mut self, result: LayerResult);
+}
+
+impl<F: FnMut(LayerResult)> ResultSink for F {
+    fn layer(&mut self, result: LayerResult) {
+        self(result)
+    }
 }
 
 /// Collects every layer into a [`RunResult`] (the non-streaming API).
@@ -148,9 +153,9 @@ impl ResultSink for RunSummary {
     }
 }
 
-/// Which report files a [`CsvReportSink`] emits; derived from the
-/// configuration so streaming runs create exactly the files the batch
-/// path would (a feature that is off contributes no file).
+/// Which reports a [`MemoryReportSink`] emits; derived from the
+/// configuration so streaming runs produce exactly the reports the batch
+/// path would (a feature that is off contributes no report).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReportSections {
     /// `COMPUTE_REPORT.csv` (always on).
@@ -178,163 +183,40 @@ impl ReportSections {
     }
 }
 
-/// One lazily-opened report file.
-struct SectionFile {
-    file_name: &'static str,
-    header: &'static str,
-    writer: Option<BufWriter<File>>,
-}
-
-impl SectionFile {
-    fn new(file_name: &'static str, header: &'static str) -> Self {
-        Self {
-            file_name,
-            header,
-            writer: None,
-        }
-    }
-}
-
-/// Streams the standard report CSVs to `out_dir` as layers arrive.
+/// Streams the standard report CSVs into in-memory strings as layers
+/// arrive. Reports travel inside a
+/// [`SimResponse`](scalesim_api::SimResponse); the CLI writes those same
+/// strings to disk, so files and serve responses cannot differ.
 ///
-/// Rows are produced by the same formatters ([`rows`]) the batch
-/// emitters on [`RunResult`] use, so for a given run the files are
-/// byte-identical to `RunResult::*_report_csv()` — just written
-/// incrementally with O(1) buffering. Feature-gated sections are
-/// created lazily on their first row (matching the batch path, which
-/// skips empty reports); the always-on compute/bandwidth files are
-/// guaranteed by [`finish`](Self::finish) even for a zero-layer run
-/// (header only, as the batch emitters produce). I/O errors are
-/// latched and surfaced by `finish`.
-pub struct CsvReportSink {
-    out_dir: PathBuf,
-    sections: Vec<SectionFile>,
-    emit: ReportSections,
-    error: Option<String>,
-}
-
-impl CsvReportSink {
-    /// A sink writing the sections enabled by `sections` into `out_dir`
-    /// (which must already exist).
-    pub fn new(out_dir: impl Into<PathBuf>, sections: ReportSections) -> Self {
-        // Emission order mirrors the CLI's historical order.
-        let files = vec![
-            SectionFile::new("COMPUTE_REPORT.csv", rows::COMPUTE_HEADER),
-            SectionFile::new("BANDWIDTH_REPORT.csv", rows::BANDWIDTH_HEADER),
-            SectionFile::new("SPARSE_REPORT.csv", rows::SPARSE_HEADER),
-            SectionFile::new("ENERGY_REPORT.csv", rows::ENERGY_HEADER),
-            SectionFile::new("DRAM_REPORT.csv", rows::DRAM_HEADER),
-        ];
-        Self {
-            out_dir: out_dir.into(),
-            sections: files,
-            emit: sections,
-            error: None,
-        }
-    }
-
-    /// Opens the section's file and writes its header, once.
-    fn ensure_open(&mut self, index: usize) {
-        if self.error.is_some() || self.sections[index].writer.is_some() {
-            return;
-        }
-        let section = &mut self.sections[index];
-        let path = self.out_dir.join(section.file_name);
-        match File::create(&path) {
-            Ok(f) => {
-                let mut w = BufWriter::new(f);
-                if let Err(e) = w.write_all(section.header.as_bytes()) {
-                    self.error = Some(format!("write {}: {e}", path.display()));
-                    return;
-                }
-                section.writer = Some(w);
-            }
-            Err(e) => {
-                self.error = Some(format!("create {}: {e}", path.display()));
-            }
-        }
-    }
-
-    fn write_row(&mut self, index: usize, row: &str) {
-        self.ensure_open(index);
-        if self.error.is_some() {
-            return;
-        }
-        let section = &mut self.sections[index];
-        let file_name = section.file_name;
-        if let Err(e) = section
-            .writer
-            .as_mut()
-            .expect("writer opened above")
-            .write_all(row.as_bytes())
-        {
-            self.error = Some(format!("write {file_name}: {e}"));
-        }
-    }
-
-    /// Flushes all writers, returning the paths written (in emission
-    /// order) or the first I/O error.
-    pub fn finish(mut self) -> Result<Vec<PathBuf>, String> {
-        // The batch emitters always produce the compute and bandwidth
-        // reports (header-only for a zero-layer run); match them even if
-        // no layer ever arrived.
-        if self.emit.compute {
-            self.ensure_open(0);
-        }
-        if self.emit.bandwidth {
-            self.ensure_open(1);
-        }
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        let mut written = Vec::new();
-        for section in &mut self.sections {
-            if let Some(w) = section.writer.as_mut() {
-                let path = self.out_dir.join(section.file_name);
-                w.flush()
-                    .map_err(|e| format!("flush {}: {e}", path.display()))?;
-                written.push(path);
-            }
-        }
-        Ok(written)
-    }
-}
-
-/// Streams the standard report CSVs into in-memory strings — the
-/// [`CsvReportSink`] twin used by the request/response facade, where
-/// reports travel inside a [`SimResponse`](scalesim_api::SimResponse)
-/// instead of landing on disk.
-///
-/// Rows come from the same formatters ([`rows`]) as every other
-/// emitter, and the same lazy-section policy applies: an enabled
-/// feature that never produced a row contributes no report, while the
-/// always-on compute/bandwidth reports are emitted even for a
-/// zero-layer run (header only). The produced strings are therefore
-/// **byte-identical** to the files the CLI writes for the same run —
-/// the property the serve-mode golden tests pin.
+/// Rows come from the same formatters ([`rows`]) the batch emitters on
+/// [`RunResult`] use, so for a given run the contents are byte-identical
+/// to `RunResult::*_report_csv()`. Feature-gated sections appear lazily
+/// on their first row (matching the batch path, which skips empty
+/// reports), while the always-on compute/bandwidth reports are emitted
+/// even for a zero-layer run (header only).
 pub struct MemoryReportSink {
-    /// `(file name, content)` per section; optional sections stay empty
-    /// until their first row.
-    sections: Vec<(&'static str, &'static str, String)>,
+    /// `(file name, header, content)` per section, in the CLI's
+    /// historical emission order; content stays empty until the first
+    /// row.
+    sections: [(&'static str, &'static str, String); 5],
     emit: ReportSections,
 }
 
 impl MemoryReportSink {
     /// A sink collecting the sections enabled by `sections`.
     pub fn new(sections: ReportSections) -> Self {
-        let files = vec![
-            ("COMPUTE_REPORT.csv", rows::COMPUTE_HEADER, String::new()),
-            (
-                "BANDWIDTH_REPORT.csv",
-                rows::BANDWIDTH_HEADER,
-                String::new(),
-            ),
-            ("SPARSE_REPORT.csv", rows::SPARSE_HEADER, String::new()),
-            ("ENERGY_REPORT.csv", rows::ENERGY_HEADER, String::new()),
-            ("DRAM_REPORT.csv", rows::DRAM_HEADER, String::new()),
-        ];
         Self {
-            sections: files,
+            sections: [
+                ("COMPUTE_REPORT.csv", rows::COMPUTE_HEADER, String::new()),
+                (
+                    "BANDWIDTH_REPORT.csv",
+                    rows::BANDWIDTH_HEADER,
+                    String::new(),
+                ),
+                ("SPARSE_REPORT.csv", rows::SPARSE_HEADER, String::new()),
+                ("ENERGY_REPORT.csv", rows::ENERGY_HEADER, String::new()),
+                ("DRAM_REPORT.csv", rows::DRAM_HEADER, String::new()),
+            ],
             emit: sections,
         }
     }
@@ -347,20 +229,13 @@ impl MemoryReportSink {
         content.push_str(row);
     }
 
-    /// The collected reports as `(file name, content)` pairs, in the
-    /// CLI's emission order — exactly the files a [`CsvReportSink`]
-    /// would have created for the same run.
+    /// The collected reports as `(file name, content)` pairs, in
+    /// emission order.
     pub fn finish(mut self) -> Vec<(&'static str, String)> {
         // The always-on sections exist even with zero rows.
-        for index in [0, 1] {
-            let enabled = if index == 0 {
-                self.emit.compute
-            } else {
-                self.emit.bandwidth
-            };
-            if enabled && self.sections[index].2.is_empty() {
-                let header = self.sections[index].1;
-                self.sections[index].2.push_str(header);
+        for (index, enabled) in [(0, self.emit.compute), (1, self.emit.bandwidth)] {
+            if enabled {
+                self.push_row(index, "");
             }
         }
         self.sections
@@ -392,32 +267,6 @@ impl ResultSink for MemoryReportSink {
         if self.emit.dram {
             if let Some(row) = rows::dram(&result) {
                 self.push_row(4, &row);
-            }
-        }
-    }
-}
-
-impl ResultSink for CsvReportSink {
-    fn layer(&mut self, result: LayerResult) {
-        if self.emit.compute {
-            self.write_row(0, &rows::compute(&result));
-        }
-        if self.emit.bandwidth {
-            self.write_row(1, &rows::bandwidth(&result));
-        }
-        if self.emit.sparse {
-            if let Some(row) = rows::sparse(&result) {
-                self.write_row(2, &row);
-            }
-        }
-        if self.emit.energy {
-            if let Some(row) = rows::energy(&result) {
-                self.write_row(3, &row);
-            }
-        }
-        if self.emit.dram {
-            if let Some(row) = rows::dram(&result) {
-                self.write_row(4, &row);
             }
         }
     }
@@ -464,41 +313,52 @@ mod tests {
         assert!(summary.energy_mj() > 0.0);
     }
 
-    #[test]
-    fn csv_sink_matches_batch_emitters_for_zero_layers() {
-        let dir = std::env::temp_dir().join(format!("scalesim-sink0-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let sink = CsvReportSink::new(&dir, ReportSections::for_config(&config()));
-        let written = sink.finish().unwrap();
-        assert_eq!(written.len(), 2, "header-only compute + bandwidth");
-        let empty = RunResult::default();
-        let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
-        assert_eq!(read("COMPUTE_REPORT.csv"), empty.compute_report_csv());
-        assert_eq!(read("BANDWIDTH_REPORT.csv"), empty.bandwidth_report_csv());
-        assert!(!dir.join("ENERGY_REPORT.csv").exists(), "no rows, no file");
-        let _ = std::fs::remove_dir_all(&dir);
+    fn report<'a>(reports: &'a [(&'static str, String)], name: &str) -> Option<&'a str> {
+        reports
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, content)| content.as_str())
     }
 
     #[test]
-    fn csv_sink_matches_batch_emitters() {
-        let dir = std::env::temp_dir().join(format!("scalesim-sink-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+    fn memory_sink_matches_batch_emitters_for_zero_layers() {
+        let reports = MemoryReportSink::new(ReportSections::for_config(&config())).finish();
+        assert_eq!(reports.len(), 2, "header-only compute + bandwidth");
+        let empty = RunResult::default();
+        assert_eq!(
+            report(&reports, "COMPUTE_REPORT.csv"),
+            Some(empty.compute_report_csv().as_str())
+        );
+        assert_eq!(
+            report(&reports, "BANDWIDTH_REPORT.csv"),
+            Some(empty.bandwidth_report_csv().as_str())
+        );
+        assert_eq!(report(&reports, "ENERGY_REPORT.csv"), None, "no rows");
+    }
+
+    #[test]
+    fn memory_sink_matches_batch_emitters() {
         let sim = ScaleSim::new(config());
         let run = sim.run_topology(&topo());
-        let mut sink = CsvReportSink::new(&dir, ReportSections::for_config(sim.config()));
+        let mut sink = MemoryReportSink::new(ReportSections::for_config(sim.config()));
         for l in &run.layers {
             sink.layer(l.clone());
         }
-        let written = sink.finish().unwrap();
-        assert_eq!(written.len(), 3, "compute + bandwidth + energy");
-        let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
-        assert_eq!(read("COMPUTE_REPORT.csv"), run.compute_report_csv());
-        assert_eq!(read("BANDWIDTH_REPORT.csv"), run.bandwidth_report_csv());
-        assert_eq!(read("ENERGY_REPORT.csv"), run.energy_report_csv());
-        assert!(!dir.join("SPARSE_REPORT.csv").exists(), "dense run");
-        assert!(!dir.join("DRAM_REPORT.csv").exists(), "no dram flow");
-        let _ = std::fs::remove_dir_all(&dir);
+        let reports = sink.finish();
+        assert_eq!(reports.len(), 3, "compute + bandwidth + energy");
+        assert_eq!(
+            report(&reports, "COMPUTE_REPORT.csv"),
+            Some(run.compute_report_csv().as_str())
+        );
+        assert_eq!(
+            report(&reports, "BANDWIDTH_REPORT.csv"),
+            Some(run.bandwidth_report_csv().as_str())
+        );
+        assert_eq!(
+            report(&reports, "ENERGY_REPORT.csv"),
+            Some(run.energy_report_csv().as_str())
+        );
+        assert_eq!(report(&reports, "SPARSE_REPORT.csv"), None, "dense run");
+        assert_eq!(report(&reports, "DRAM_REPORT.csv"), None, "no dram flow");
     }
 }

@@ -13,9 +13,10 @@
 //! the report emitters sort by it, so `SWEEP_REPORT.{csv,json}` are
 //! byte-identical regardless of `SCALESIM_THREADS` and the shard count.
 
+use crate::cancel::CancelToken;
 use crate::config::{MultiCoreIntegration, ScaleSimConfig};
 use crate::engine::ScaleSim;
-use crate::scaleout::{run_scaleout, DiscardScaleoutSink, ScaleoutSummary};
+use crate::scaleout::{run_scaleout, ScaleoutSummary};
 use crate::sink::RunSummary;
 use scalesim_multicore::{L2Config, PartitionScheme};
 use scalesim_sweep::{run_sharded_with, RunRecord, SweepPoint, SweepReport, SweepSpec};
@@ -92,7 +93,7 @@ pub fn apply_point(base: &ScaleSimConfig, point: &SweepPoint) -> ScaleSimConfig 
     }
     // LLM axes: reshape the base [llm] model (the runner regenerates
     // the topology per point). Points sweeping these without an [llm]
-    // model are rejected up front in `run_sweep_cached`.
+    // model are rejected up front in `run_sweep`.
     if let Some(llm) = cfg.llm.as_mut() {
         if let Some(seq) = point.seq {
             llm.spec.seq = seq;
@@ -215,13 +216,26 @@ fn record_for_scaleout(
 }
 
 /// Executes the whole sweep: expands the grid, validates every point,
-/// runs each `(point, topology)` pair on the sharded worker pool with a
-/// single [`PlanCache`] shared across all configurations, and aggregates
-/// everything into a [`SweepReport`].
+/// runs each `(point, topology)` pair on the sharded worker pool with
+/// the caller's [`PlanCache`] shared across all configurations, and
+/// aggregates everything into a [`SweepReport`]. A persistent
+/// `scalesim serve` process passes its long-lived cache so successive
+/// sweep (and run) requests share warm plans; results never depend on
+/// the cache's contents or capacity, only planning time does.
 ///
-/// Returns the report plus the shared cache's counters (how much
-/// planning the grid shared; the counters are timing-dependent under
-/// parallel execution and are *not* part of the deterministic report).
+/// `on_record` sees every [`RunRecord`] as its shard completes (shard
+/// emission order — not globally sorted by run index; the final report
+/// sorts). Use it for progress reporting or incremental accumulators
+/// (e.g. [`scalesim_sweep::ParetoAccumulator`]) without waiting for the
+/// grid; pass `|_| {}` to ignore it.
+///
+/// Each run streams its layers through an O(1) [`RunSummary`] sink, so
+/// peak memory is bounded by the worker block — not the topology length
+/// — times the thread count, plus one record per run.
+///
+/// Returns the report plus the cache's counters (how much planning the
+/// grid shared; the counters are timing-dependent under parallel
+/// execution and are *not* part of the deterministic report).
 ///
 /// # Errors
 ///
@@ -229,55 +243,6 @@ fn record_for_scaleout(
 /// configuration fails validation (e.g. an SRAM too small to
 /// double-buffer the array), before any simulation runs.
 pub fn run_sweep(
-    spec: &SweepSpec,
-    base: &ScaleSimConfig,
-    topologies: &[Topology],
-    shards: usize,
-) -> Result<(SweepReport, PlanCacheStats), String> {
-    run_sweep_with(spec, base, topologies, shards, |_| {})
-}
-
-/// [`run_sweep`] with a streaming observer: `on_record` sees every
-/// [`RunRecord`] as its shard completes (shard emission order — not
-/// globally sorted by run index; the final report sorts). Use it for
-/// progress reporting or incremental accumulators (e.g.
-/// [`scalesim_sweep::ParetoAccumulator`]) without waiting for the grid.
-///
-/// Each run streams its layers through an O(1) [`RunSummary`] sink, so
-/// peak memory is bounded by the worker block — not the topology length
-/// — times the thread count, plus one record per run.
-///
-/// # Errors
-///
-/// Returns an error naming the offending grid point when any expanded
-/// configuration fails validation, before any simulation runs.
-pub fn run_sweep_with(
-    spec: &SweepSpec,
-    base: &ScaleSimConfig,
-    topologies: &[Topology],
-    shards: usize,
-    on_record: impl FnMut(&RunRecord),
-) -> Result<(SweepReport, PlanCacheStats), String> {
-    // One cache for every configuration in the grid. Sized to hold the
-    // worst case — each point's distinct layer shapes — so sweeping never
-    // thrashes a generation-evicting cache.
-    let distinct_shapes: usize = topologies.iter().map(|t| t.len()).sum::<usize>().max(1);
-    let cache = Arc::new(PlanCache::with_capacity(
-        (spec.grid_size() * distinct_shapes).max(PlanCache::DEFAULT_CAPACITY),
-    ));
-    run_sweep_cached(spec, base, topologies, shards, &cache, on_record)
-}
-
-/// [`run_sweep_with`] against a **caller-owned** [`PlanCache`] — what a
-/// persistent `scalesim serve` process uses so successive sweep (and
-/// run) requests share warm plans. Results never depend on the cache's
-/// contents or capacity; only planning time does.
-///
-/// # Errors
-///
-/// Returns an error naming the offending grid point when any expanded
-/// configuration fails validation, before any simulation runs.
-pub fn run_sweep_cached(
     spec: &SweepSpec,
     base: &ScaleSimConfig,
     topologies: &[Topology],
@@ -327,12 +292,13 @@ pub fn run_sweep_cached(
             let topology = llm_topology.as_ref().unwrap_or(topology);
             let sim = ScaleSim::new_with_cache(cfg.clone(), Arc::clone(cache));
             if let Some(so) = &cfg.scaleout {
-                let summary = run_scaleout(&sim, topology, so, &mut DiscardScaleoutSink)
+                let summary = run_scaleout(&sim, topology, so, &mut |_| {})
                     .expect("scale-out points are validated before the grid runs");
                 record_for_scaleout(run, point, &cfg, topology, &summary)
             } else {
                 let mut summary = RunSummary::new();
-                sim.run_topology_with(topology, &mut summary);
+                sim.run_topology_with(topology, &mut summary, &CancelToken::never())
+                    .expect("a never-token cannot expire");
                 record_for(run, point, &cfg, topology, &summary)
             }
         },
@@ -351,6 +317,23 @@ mod tests {
 
     fn spec(text: &str) -> SweepSpec {
         SweepSpec::parse(text).unwrap()
+    }
+
+    /// The sweep against a fresh cache, ignoring the record stream.
+    fn sweep(
+        spec: &SweepSpec,
+        base: &ScaleSimConfig,
+        topologies: &[Topology],
+        shards: usize,
+    ) -> Result<(SweepReport, PlanCacheStats), String> {
+        run_sweep(
+            spec,
+            base,
+            topologies,
+            shards,
+            &Arc::new(PlanCache::new()),
+            |_| {},
+        )
     }
 
     fn small_topos() -> Vec<Topology> {
@@ -406,7 +389,7 @@ mod tests {
         let base = ScaleSimConfig::default();
         // 1 kB SRAM cannot double-buffer a 512-wide array.
         let s = spec("array = 512x512\nsram_kb = 1/1/1\n");
-        let err = run_sweep(&s, &base, &small_topos(), 1).unwrap_err();
+        let err = sweep(&s, &base, &small_topos(), 1).unwrap_err();
         assert!(err.contains("512x512"), "{err}");
     }
 
@@ -417,7 +400,7 @@ mod tests {
         // shards = total runs serializes across runs, making the cache
         // counters deterministic (concurrent misses on one key may
         // otherwise both plan and both count).
-        let (report, stats) = run_sweep(&s, &base, &small_topos(), 8).unwrap();
+        let (report, stats) = sweep(&s, &base, &small_topos(), 8).unwrap();
         assert_eq!(report.records().len(), 4 * 2);
         assert_eq!(report.points().len(), 4);
         assert!(!report.pareto_labels().is_empty());
@@ -432,8 +415,9 @@ mod tests {
         let base = ScaleSimConfig::default();
         let s = spec("array = 8x8\nbandwidth = 4, 10\n");
         let mut seen = Vec::new();
+        let cache = Arc::new(PlanCache::new());
         let (report, _) =
-            run_sweep_with(&s, &base, &small_topos(), 2, |r| seen.push(r.run)).unwrap();
+            run_sweep(&s, &base, &small_topos(), 2, &cache, |r| seen.push(r.run)).unwrap();
         assert_eq!(seen.len(), report.records().len());
         let mut sorted = seen.clone();
         sorted.sort_unstable();
@@ -445,8 +429,8 @@ mod tests {
         let base = ScaleSimConfig::default();
         let s = spec("array = 8x8, 16x16\nbandwidth = 4, 10\nenergy = true\n");
         let topos = small_topos();
-        let (r1, _) = run_sweep(&s, &base, &topos, 1).unwrap();
-        let (r3, _) = run_sweep(&s, &base, &topos, 3).unwrap();
+        let (r1, _) = sweep(&s, &base, &topos, 1).unwrap();
+        let (r3, _) = sweep(&s, &base, &topos, 3).unwrap();
         assert_eq!(r1.to_csv(), r3.to_csv());
         assert_eq!(r1.to_json(), r3.to_json());
     }
@@ -464,7 +448,7 @@ mod tests {
                 Layer::gemm_layer("b", 512, 96, 64),
             ],
         )];
-        let (report, _) = run_sweep(&s, &base, &topos, 1).unwrap();
+        let (report, _) = sweep(&s, &base, &topos, 1).unwrap();
         assert_eq!(report.records().len(), 2);
         let records = report.records();
         // chips = 1 is the plain single-chip baseline (no comm), so for
@@ -488,7 +472,7 @@ mod tests {
             ..Default::default()
         });
         let s = spec("chips = 6\n");
-        let err = run_sweep(&s, &cfg, &small_topos(), 1).unwrap_err();
+        let err = sweep(&s, &cfg, &small_topos(), 1).unwrap_err();
         assert!(err.contains("p6"), "{err}");
         assert!(err.contains("power-of-two"), "{err}");
     }
@@ -513,7 +497,7 @@ mod tests {
         });
         let workload = vec![base.llm.as_ref().unwrap().topology().unwrap()];
         let s = spec("phase = prefill, decode\nseq = 8, 16\n");
-        let (report, _) = run_sweep(&s, &base, &workload, 1).unwrap();
+        let (report, _) = sweep(&s, &base, &workload, 1).unwrap();
         let records = report.records();
         assert_eq!(records.len(), 4);
         // Odometer order: seq varies slower than phase (seq listed first
@@ -533,7 +517,7 @@ mod tests {
     fn llm_axes_without_a_model_are_rejected() {
         let base = ScaleSimConfig::default();
         let s = spec("seq = 8, 16\n");
-        let err = run_sweep(&s, &base, &small_topos(), 1).unwrap_err();
+        let err = sweep(&s, &base, &small_topos(), 1).unwrap_err();
         assert!(err.contains("[llm]"), "{err}");
         assert!(err.contains("s8"), "{err}");
     }
@@ -545,7 +529,7 @@ mod tests {
         let s = spec("bandwidth = 4, 10\n");
         let topos = small_topos();
         // shards = total runs serializes across runs (see above).
-        let (_, stats) = run_sweep(&s, &base, &topos, 4).unwrap();
+        let (_, stats) = sweep(&s, &base, &topos, 4).unwrap();
         assert_eq!(stats.misses, 3, "plans must be shared across the grid");
         assert!(stats.hits >= 3);
     }

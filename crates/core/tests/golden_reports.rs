@@ -21,7 +21,7 @@ use scalesim::config::MultiCoreIntegration;
 use scalesim::multicore::{L2Config, PartitionGrid, PartitionScheme};
 use scalesim::sparse::NmRatio;
 use scalesim::sweep::SweepSpec;
-use scalesim::systolic::{ArrayShape, Dataflow, Layer, MemoryConfig, Topology};
+use scalesim::systolic::{ArrayShape, Dataflow, Layer, MemoryConfig, PlanCache, Topology};
 use scalesim::{run_sweep, ScaleSim, ScaleSimConfig, SparsityMode};
 use std::path::PathBuf;
 
@@ -244,7 +244,8 @@ fn sweep_reports_match_golden() {
         topology(),
         Topology::from_layers("tiny", vec![Layer::gemm_layer("only", 16, 16, 16)]),
     ];
-    let (report, _) = run_sweep(&spec, &base_config(), &topos, 1).unwrap();
+    let cache = std::sync::Arc::new(PlanCache::new());
+    let (report, _) = run_sweep(&spec, &base_config(), &topos, 1, &cache, |_| {}).unwrap();
     check("sweep.SWEEP_REPORT.csv", &report.to_csv());
     check("sweep.SWEEP_REPORT.json", &report.to_json());
 }

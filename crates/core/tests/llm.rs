@@ -118,6 +118,34 @@ fn decode_utilization_sits_below_prefill() {
     );
 }
 
+/// Decode attends over the whole KV cache, so a longer context costs a
+/// decode step more cycles on the same model.
+#[test]
+fn a_longer_context_costs_decode_more_cycles() {
+    let service = SimService::new();
+    let mut cycles = Vec::new();
+    for context in [32, 256] {
+        let req = LlmRequest {
+            context: Some(context),
+            ..golden_request("decode")
+        };
+        let SimResponse::Llm(body) = service
+            .handle(&SimRequest::Llm(req))
+            .expect("valid request")
+        else {
+            panic!("expected llm body")
+        };
+        assert_eq!(body.context, context as u64);
+        cycles.push(body.summary.total_cycles);
+    }
+    assert!(
+        cycles[1] > cycles[0],
+        "ctx 256 ({}) must cost more than ctx 32 ({})",
+        cycles[1],
+        cycles[0]
+    );
+}
+
 #[test]
 fn report_bytes_are_identical_across_thread_counts_via_the_binary() {
     let dir = std::env::temp_dir().join(format!("scalesim-llm-det-{}", std::process::id()));

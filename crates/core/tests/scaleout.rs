@@ -14,7 +14,6 @@
 use scalesim::api::{ScaleoutRequest, SimRequest, SimResponse, TopologySource};
 use scalesim::serve::handle_line;
 use scalesim::service::SimService;
-use scalesim::MemoryScaleoutSink;
 use scalesim_api::wire;
 use std::path::PathBuf;
 use std::process::Command;
@@ -64,11 +63,11 @@ fn golden_request(scaleout_section: &str) -> ScaleoutRequest {
 }
 
 fn report_of(req: ScaleoutRequest) -> String {
-    let service = SimService::new();
-    let prepared = service.prepare_scaleout(&req).expect("valid request");
-    let mut sink = MemoryScaleoutSink::new();
-    prepared.run_into(&mut sink).expect("run succeeds");
-    sink.finish()
+    let response = SimService::new().handle(&SimRequest::Scaleout(req));
+    let SimResponse::Scaleout(mut body) = response.expect("run succeeds") else {
+        panic!("a scaleout request answers with a scaleout body")
+    };
+    body.reports.remove(0).content
 }
 
 #[test]
@@ -99,6 +98,58 @@ fn pipeline_parallel_schedules_stages() {
     assert!(body.bubble_cycles > 0, "a pipeline has a fill/drain bubble");
     // The pipeline wall clock beats running all stages serially.
     assert!(body.total_cycles < body.compute_cycles + body.exposed_cycles);
+}
+
+/// Weak scaling 1 -> 16 chips (M grows with the fleet, as the retired
+/// `scaleout_microbench` did): every chip's shard is the same GEMM, so
+/// per-chip compute is constant while the all-reduce share grows — and
+/// because symmetric shards plan once per fleet, repeating a request on
+/// the same service plans nothing.
+#[test]
+fn weak_scaling_keeps_per_chip_compute_and_a_warm_repeat_plans_nothing() {
+    let mut previous: Option<(u64, f64)> = None;
+    for chips in [1usize, 4, 16] {
+        let m = 128 * chips;
+        let csv = format!(
+            "Layer, M, K, N,\nembed, {m}, 64, 96,\nattn, {m}, 96, 96,\n\
+             mlp_up, {m}, 96, 192,\nmlp_down, {m}, 192, 96,\n"
+        );
+        let mut req = ScaleoutRequest::for_topology(TopologySource::inline("weakscale", csv));
+        req.config = scalesim::api::ConfigSource::Inline(GOLDEN_CFG.into());
+        req.chips = Some(chips);
+        req.strategy = Some("data".into());
+        let req = SimRequest::Scaleout(req);
+
+        let service = SimService::new();
+        let SimResponse::Scaleout(cold) = service.handle(&req).unwrap() else {
+            panic!("expected scaleout body")
+        };
+        let after_cold = service.plan_cache().stats();
+        assert!(after_cold.misses > 0, "a cold run must plan");
+        let SimResponse::Scaleout(warm) = service.handle(&req).unwrap() else {
+            panic!("expected scaleout body")
+        };
+        assert_eq!(
+            service.plan_cache().stats().misses,
+            after_cold.misses,
+            "{chips} chips: a warm repeat must plan nothing"
+        );
+        assert_eq!(cold, warm, "results identical");
+
+        let comm_fraction =
+            (cold.exposed_cycles + cold.bubble_cycles) as f64 / cold.total_cycles as f64;
+        if let Some((compute, fraction)) = previous {
+            assert_eq!(
+                cold.compute_cycles, compute,
+                "per-chip shards are identical"
+            );
+            assert!(
+                comm_fraction >= fraction,
+                "{chips} chips: comm fraction must not shrink as the fleet grows"
+            );
+        }
+        previous = Some((cold.compute_cycles, comm_fraction));
+    }
 }
 
 /// The report schema is part of the public interface: pin the column

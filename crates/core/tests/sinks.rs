@@ -1,18 +1,18 @@
 //! Behavioral coverage for the [`ResultSink`] implementations beyond
 //! the byte-equivalence tests in `src/sink.rs`:
 //!
-//! * `CsvReportSink` writes each section header exactly once, flushes
-//!   on drop (via its buffered writers) even without `finish`, and
-//!   latches the first I/O error without corrupting co-sinks.
-//! * `CollectSink` and `RunSummary` keep their O(1)/ordering invariants
-//!   when a teed CSV sink errors mid-stream.
+//! * `MemoryReportSink` writes each section header exactly once, in
+//!   emission order, and creates feature-gated sections lazily on their
+//!   first row (zero-layer header-only compute/bandwidth is pinned next
+//!   to the byte-equivalence tests).
+//! * `CollectSink`, `RunSummary` and closure sinks keep their
+//!   O(1)/ordering invariants when teed together.
 
 use scalesim::{
-    CollectSink, CsvReportSink, LayerResult, MemoryReportSink, ReportSections, ResultSink,
-    RunSummary, ScaleSim, ScaleSimConfig,
+    CollectSink, LayerResult, MemoryReportSink, ReportSections, ResultSink, RunSummary, ScaleSim,
+    ScaleSimConfig,
 };
 use scalesim_systolic::{ArrayShape, Layer, MemoryConfig, Topology};
-use std::path::PathBuf;
 
 fn config() -> ScaleSimConfig {
     let mut config = ScaleSimConfig::default();
@@ -33,91 +33,91 @@ fn layers(n: usize) -> Vec<LayerResult> {
     sim.run_topology(&topo).layers
 }
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("scalesim-sinks-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
+fn report<'a>(reports: &'a [(&'static str, String)], name: &str) -> Option<&'a str> {
+    reports
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, content)| content.as_str())
 }
 
 #[test]
-fn csv_sink_writes_each_header_exactly_once() {
-    let dir = tmp_dir("header");
-    let mut sink = CsvReportSink::new(&dir, ReportSections::for_config(&config()));
+fn memory_sink_writes_each_header_exactly_once() {
+    let mut sink = MemoryReportSink::new(ReportSections::for_config(&config()));
     for l in layers(7) {
         sink.layer(l);
     }
-    sink.finish().unwrap();
-    for file in [
-        "COMPUTE_REPORT.csv",
-        "BANDWIDTH_REPORT.csv",
-        "ENERGY_REPORT.csv",
-    ] {
-        let text = std::fs::read_to_string(dir.join(file)).unwrap();
-        let header = text.lines().next().unwrap().to_string();
+    let reports = sink.finish();
+    let names: Vec<_> = reports.iter().map(|(name, _)| *name).collect();
+    assert_eq!(
+        names,
+        [
+            "COMPUTE_REPORT.csv",
+            "BANDWIDTH_REPORT.csv",
+            "ENERGY_REPORT.csv"
+        ],
+        "emission order"
+    );
+    for (file, text) in &reports {
+        let header = text.lines().next().unwrap();
         assert_eq!(
-            text.lines().filter(|l| **l == header).count(),
+            text.lines().filter(|l| *l == header).count(),
             1,
             "{file}: header must appear exactly once"
         );
         assert_eq!(text.lines().count(), 8, "{file}: 1 header + 7 rows");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Feature-gated sections appear on their first row, not up front: a
+/// section that is enabled but never produces a row contributes no
+/// report, and a disabled one stays absent even when rows exist.
 #[test]
-fn csv_sink_flushes_on_drop_without_finish() {
-    let dir = tmp_dir("drop");
-    {
-        let mut sink = CsvReportSink::new(&dir, ReportSections::for_config(&config()));
-        for l in layers(3) {
-            sink.layer(l);
-        }
-        // No finish(): dropping the sink drops its BufWriters, which
-        // flush buffered rows on the way out.
+fn optional_sections_are_created_lazily() {
+    let cfg = config();
+    // DRAM enabled in the section list, but these layers ran without
+    // the DRAM flow, so no DRAM row ever arrives.
+    let mut sections = ReportSections::for_config(&cfg);
+    sections.dram = true;
+    let mut sink = MemoryReportSink::new(sections);
+    for l in layers(2) {
+        sink.layer(l);
     }
-    let text = std::fs::read_to_string(dir.join("COMPUTE_REPORT.csv")).unwrap();
-    assert_eq!(text.lines().count(), 4, "rows must survive an early drop");
-    let _ = std::fs::remove_dir_all(&dir);
-}
+    let reports = sink.finish();
+    assert!(report(&reports, "ENERGY_REPORT.csv").is_some());
+    assert_eq!(
+        report(&reports, "DRAM_REPORT.csv"),
+        None,
+        "no rows, no report"
+    );
 
-/// An out_dir that never exists makes the very first row fail to open
-/// its file: the sink latches the error, every later row is a quiet
-/// no-op (no panic), and `finish` surfaces the original failure.
-#[test]
-fn csv_sink_latches_io_errors_mid_stream() {
-    let missing = std::env::temp_dir()
-        .join(format!("scalesim-sinks-missing-{}", std::process::id()))
-        .join("definitely/not/created");
-    let mut csv = CsvReportSink::new(&missing, ReportSections::for_config(&config()));
-    let all = layers(5);
-    for l in &all {
-        csv.layer(l.clone()); // must not panic after the first failure
+    // Energy rows exist but the section is off: still no report.
+    sections.energy = false;
+    let mut sink = MemoryReportSink::new(sections);
+    for l in layers(2) {
+        sink.layer(l);
     }
-    let err = csv.finish().expect_err("finish must report the I/O error");
-    assert!(err.contains("COMPUTE_REPORT.csv"), "{err}");
+    assert_eq!(report(&sink.finish(), "ENERGY_REPORT.csv"), None);
 }
 
-/// The error-latched CSV sink must not disturb sinks it is teed with:
-/// the collector sees every layer in order and the O(1) summary matches
-/// the collected reductions exactly.
+/// Sinks compose by forwarding from a closure sink: the collector sees
+/// every layer in order and the O(1) summary matches the collected
+/// reductions exactly, whatever else the tee feeds.
 #[test]
-fn teed_collect_and_summary_survive_a_failing_csv_sink() {
-    let missing = std::env::temp_dir()
-        .join(format!("scalesim-sinks-missing2-{}", std::process::id()))
-        .join("nope");
-    let mut csv = CsvReportSink::new(&missing, ReportSections::for_config(&config()));
+fn teed_collect_and_summary_agree() {
+    let mut csv = MemoryReportSink::new(ReportSections::for_config(&config()));
     let mut collect = CollectSink::new();
     let mut summary = RunSummary::new();
-
-    let all = layers(6);
-    for l in &all {
-        csv.layer(l.clone());
-        summary.add(l);
-        collect.layer(l.clone());
+    {
+        let mut tee = |l: LayerResult| {
+            summary.add(&l);
+            collect.layer(l.clone());
+            csv.layer(l);
+        };
+        let tee: &mut dyn ResultSink = &mut tee;
+        for l in layers(6) {
+            tee.layer(l);
+        }
     }
-    assert!(csv.finish().is_err(), "csv sink saw the error");
-
     let run = collect.into_run();
     assert_eq!(run.layers.len(), 6, "collector kept every layer");
     let names: Vec<_> = run.layers.iter().map(|l| l.name.as_str()).collect();
@@ -128,51 +128,8 @@ fn teed_collect_and_summary_survive_a_failing_csv_sink() {
     assert_eq!(summary.stall_cycles, run.total_stall_cycles());
     assert_eq!(summary.macs, run.total_macs());
     assert!((summary.energy_mj() - run.total_energy_mj()).abs() < 1e-12);
-}
-
-/// The in-memory report sink (what serve-mode responses are built from)
-/// matches the batch emitters byte for byte, including the lazy-section
-/// policy.
-#[test]
-fn memory_sink_matches_batch_emitters() {
-    let cfg = config();
-    let sim = ScaleSim::new(cfg.clone());
-    let topo = Topology::from_layers(
-        "t",
-        vec![
-            Layer::gemm_layer("a", 16, 16, 16),
-            Layer::gemm_layer("b", 24, 24, 24),
-        ],
-    );
-    let run = sim.run_topology(&topo);
-    let mut sink = MemoryReportSink::new(ReportSections::for_config(&cfg));
-    for l in &run.layers {
-        sink.layer(l.clone());
-    }
-    let reports = sink.finish();
-    let by_name = |name: &str| {
-        reports
-            .iter()
-            .find(|(n, _)| *n == name)
-            .unwrap_or_else(|| panic!("missing {name}"))
-            .1
-            .clone()
-    };
-    assert_eq!(by_name("COMPUTE_REPORT.csv"), run.compute_report_csv());
-    assert_eq!(by_name("BANDWIDTH_REPORT.csv"), run.bandwidth_report_csv());
-    assert_eq!(by_name("ENERGY_REPORT.csv"), run.energy_report_csv());
-    assert!(
-        !reports.iter().any(|(n, _)| *n == "SPARSE_REPORT.csv"),
-        "dense run contributes no sparse report"
-    );
-
-    // Zero layers: always-on sections are header-only, optional ones
-    // absent — exactly what CsvReportSink creates on disk.
-    let empty = MemoryReportSink::new(ReportSections::for_config(&cfg)).finish();
-    assert_eq!(empty.len(), 2);
-    assert_eq!(empty[0].0, "COMPUTE_REPORT.csv");
     assert_eq!(
-        empty[0].1,
-        scalesim::RunResult::default().compute_report_csv()
+        report(&csv.finish(), "COMPUTE_REPORT.csv"),
+        Some(run.compute_report_csv().as_str())
     );
 }

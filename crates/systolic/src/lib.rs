@@ -68,10 +68,7 @@ pub use dataflow::{DemandGenerator, Fold, FoldGeometry};
 pub use demand::{CycleDemand, DemandSink, DemandSummary};
 pub use error::SimError;
 pub use operand::{Addr, OperandKind, OperandMap, FILTER_BASE, IFMAP_BASE, OFMAP_BASE};
-pub use parallel::{
-    num_threads, parallel_map, parallel_map_streamed, parallel_map_streamed_cancellable,
-    THREADS_ENV,
-};
+pub use parallel::{num_threads, parallel_map, parallel_map_streamed, THREADS_ENV};
 pub use report::{ComputeSummary, LayerReport, MemorySummary, OperandMemoryStats, SramSummary};
 pub use sim::{CoreSim, PlanCache, PlanCacheStats, PlanKey, PlannedLayer, RepeatLookup};
 pub use topology::{ConvLayer, GemmShape, Layer, Topology};

@@ -82,41 +82,16 @@ where
 /// iteration — but at most `block` results are ever resident, however
 /// long `items` is.
 ///
+/// `cancelled` is polled by the scheduler before every claimed item (and
+/// between blocks), so an expired deadline stops the batch claiming work
+/// immediately; a caller without a deadline passes a hook that is always
+/// false. Items skipped after cancellation never reach `consume`; items
+/// that did execute reach it in item order — so as long as `cancelled`
+/// never returns true, the hook changes no byte of downstream output.
+///
 /// Returns the peak number of simultaneously buffered results (at most
 /// `min(block, items.len())`), so callers can assert the bound.
-pub fn parallel_map_streamed<T, R, F, C>(items: &[T], block: usize, f: F, mut consume: C) -> usize
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-    C: FnMut(usize, R),
-{
-    let block = block.max(1);
-    let mut peak = 0usize;
-    let mut start = 0usize;
-    while start < items.len() {
-        let end = (start + block).min(items.len());
-        let results = parallel_map(&items[start..end], |i, item| f(start + i, item));
-        peak = peak.max(results.len());
-        for (offset, r) in results.into_iter().enumerate() {
-            consume(start + offset, r);
-        }
-        start = end;
-    }
-    peak
-}
-
-/// [`parallel_map_streamed`] with a cancellation hook: `cancelled` is
-/// polled by the scheduler before every claimed item (and between
-/// blocks), so an expired deadline stops the batch claiming work
-/// immediately. Items skipped after cancellation never reach `consume`;
-/// items that did execute reach it in item order exactly as in the
-/// uncancelled case — so as long as `cancelled` never returns true, the
-/// observable behaviour (and every byte of downstream output) is
-/// identical to [`parallel_map_streamed`].
-///
-/// Returns the peak number of simultaneously buffered results.
-pub fn parallel_map_streamed_cancellable<T, R, F, C>(
+pub fn parallel_map_streamed<T, R, F, C>(
     items: &[T],
     block: usize,
     cancelled: &(dyn Fn() -> bool + Sync),
@@ -212,8 +187,13 @@ mod tests {
         let expect: Vec<(usize, u64)> = items.iter().map(|&x| (x as usize, x * 3)).collect();
         for block in [1, 7, 64, 300] {
             let mut seen = Vec::new();
-            let peak =
-                parallel_map_streamed(&items, block, |_, &x| x * 3, |i, r| seen.push((i, r)));
+            let peak = parallel_map_streamed(
+                &items,
+                block,
+                &|| false,
+                |_, &x| x * 3,
+                |i, r| seen.push((i, r)),
+            );
             assert_eq!(seen, expect, "block={block}");
             assert!(peak <= block.min(items.len()), "block={block}, peak={peak}");
             assert!(peak >= 1);
@@ -221,9 +201,20 @@ mod tests {
     }
 
     #[test]
+    fn peak_buffering_does_not_grow_with_item_count() {
+        let peak_of = |len: u64| {
+            let items: Vec<u64> = (0..len).collect();
+            parallel_map_streamed(&items, 64, &|| false, |_, &x| x, |_, _| {})
+        };
+        let (short, long) = (peak_of(500), peak_of(5_000));
+        assert!(long <= 64, "peak {long} exceeds the block bound");
+        assert_eq!(short, long, "O(1) in the item count");
+    }
+
+    #[test]
     fn streamed_empty_is_a_no_op() {
         let none: Vec<u8> = Vec::new();
-        let peak = parallel_map_streamed(&none, 8, |_, &x| x, |_, _| panic!("no items"));
+        let peak = parallel_map_streamed(&none, 8, &|| false, |_, &x| x, |_, _| panic!("no items"));
         assert_eq!(peak, 0);
     }
 
@@ -242,29 +233,12 @@ mod tests {
     }
 
     #[test]
-    fn a_live_cancellation_hook_changes_nothing() {
-        let items: Vec<u64> = (0..150).collect();
-        let expect: Vec<(usize, u64)> = items.iter().map(|&x| (x as usize, x + 7)).collect();
-        let mut seen = Vec::new();
-        let never = || false;
-        let peak = parallel_map_streamed_cancellable(
-            &items,
-            64,
-            &never,
-            |_, &x| x + 7,
-            |i, r| seen.push((i, r)),
-        );
-        assert_eq!(seen, expect);
-        assert!(peak <= 64);
-    }
-
-    #[test]
     fn cancellation_skips_the_tail_and_consumes_in_order() {
         let items: Vec<u64> = (0..500).collect();
         let executed = AtomicUsize::new(0);
         let tripped = || executed.load(Ordering::Relaxed) >= 10;
         let mut seen: Vec<usize> = Vec::new();
-        parallel_map_streamed_cancellable(
+        parallel_map_streamed(
             &items,
             64,
             &tripped,
@@ -284,7 +258,7 @@ mod tests {
     fn an_expired_hook_consumes_nothing() {
         let items: Vec<u64> = (0..64).collect();
         let always = || true;
-        let peak = parallel_map_streamed_cancellable(
+        let peak = parallel_map_streamed(
             &items,
             16,
             &always,

@@ -20,6 +20,7 @@
 //! server keeps one plan cache alive across requests, so repeated
 //! workloads skip planning entirely. Protocol reference: docs/API.md.
 
+use scalesim::serve::{ServeOptions, Server};
 use scalesim::service::SimService;
 use scalesim_api::{
     wire, ConfigSource, Features, RunSpec, SimRequest, SimResponse, SweepRequest, TopologySource,
@@ -116,8 +117,11 @@ fn main() -> std::io::Result<()> {
             let addr = listener.local_addr()?.to_string();
             eprintln!("no address given; serving in-process on {addr}");
             std::thread::spawn(move || {
-                let service = SimService::new();
-                let _ = scalesim::serve::serve_listener(&service, listener, 2);
+                let options = ServeOptions {
+                    max_sessions: 2,
+                    ..ServeOptions::from_env()
+                };
+                let _ = Server::new(SimService::new(), options).serve_listener(listener);
             });
             addr
         }
