@@ -22,8 +22,10 @@
 //! BlockSize : 4
 //! ```
 //!
-//! Both `:` and `=` separators are accepted, keys are case-insensitive,
-//! and the `[sparsity]` section implements the v3 knobs of §IV-B. The
+//! The text is lexed by [`scalesim_systolic::dialect`] (shared with
+//! sweep specs: `:` or `=`, `#`/`;` comments, case-insensitive keys)
+//! and every accepted key is one row of the `KEYS` table below. The
+//! `[sparsity]` section implements the v3 knobs of §IV-B. The
 //! `[scaleout]` section configures multi-chip execution (chip count,
 //! fabric, link bandwidth/latency, parallelization strategy — see
 //! `docs/SCALEOUT.md`):
@@ -38,22 +40,252 @@
 //! Microbatches : 4
 //! ```
 
-use crate::config::{ScaleSimConfig, SparsityMode};
+use crate::config::{DramIntegration, ScaleSimConfig, SparsityMode};
 use scalesim_collective::{FabricTag, ScaleoutSpec, Strategy};
 use scalesim_llm::{LlmRunSpec, LlmSpec, MoeSpec, Phase};
 use scalesim_mem::DramSpec;
 use scalesim_sparse::{NmRatio, SparseFormat};
+use scalesim_systolic::dialect;
 use scalesim_systolic::{ArrayShape, Dataflow, MemoryConfig, SimError};
 
-fn parse_kv(line: &str) -> Option<(String, String)> {
-    let sep = line.find([':', '='])?;
-    let key = line[..sep].trim().to_ascii_lowercase();
-    let val = line[sep + 1..].trim().to_string();
-    if key.is_empty() || val.is_empty() {
-        None
-    } else {
-        Some((key, val))
+/// The configuration being assembled, plus the knobs that only resolve
+/// into it once every line has been read.
+struct Draft {
+    config: ScaleSimConfig,
+    array: (usize, usize),
+    sram_kb: (usize, usize, usize),
+    // Sparsity knobs (§IV-B step 1).
+    sparsity_support: bool,
+    optimized_mapping: bool,
+    block_size: usize,
+    sparse_ratio: NmRatio,
+}
+
+impl Draft {
+    /// Any `[scaleout]` key materializes the section with its defaults,
+    /// then overrides the named field.
+    fn scaleout(&mut self) -> &mut ScaleoutSpec {
+        self.config.scaleout.get_or_insert_with(Default::default)
     }
+
+    /// Any `[llm]` key materializes the section (the llama-7b prefill
+    /// defaults), then overrides the named field. `Preset` replaces the
+    /// whole model spec, so it should come first.
+    fn llm(&mut self) -> &mut LlmRunSpec {
+        self.config.llm.get_or_insert_with(Default::default)
+    }
+}
+
+/// How a key's value is parsed and where it is stored.
+enum Slot {
+    /// A non-negative integer.
+    Int(fn(&mut Draft) -> &mut usize),
+    /// An integer of at least 1.
+    Count(fn(&mut Draft) -> &mut usize),
+    /// `true/false`, `1/0`, `on/off`, `yes/no`.
+    Bool(fn(&mut Draft) -> &mut bool),
+    /// A positive finite number of the named unit.
+    Positive(fn(&mut Draft) -> &mut f64, &'static str),
+    /// Anything else: `(draft, key as typed (lowercased), value)`.
+    Custom(fn(&mut Draft, &str, &str) -> Result<(), String>),
+    /// An upstream SCALE-Sim knob this reproduction does not model:
+    /// accepted (so stock Python-tool .cfg files keep working) but
+    /// ignored. Everything else is a hard error — the point is catching
+    /// *misspellings* of supported keys.
+    Ignored,
+}
+use Slot::{Bool, Count, Custom, Ignored, Int, Positive};
+
+fn set<T>(slot: &mut T, value: Result<T, String>) -> Result<(), String> {
+    *slot = value?;
+    Ok(())
+}
+
+fn num(key: &str, v: &str) -> Result<usize, String> {
+    v.parse()
+        .map_err(|_| format!("'{key}' is not an integer: {v}"))
+}
+
+fn positive(key: &str, v: &str, unit: &str) -> Result<f64, String> {
+    dialect::positive(key, v).map_err(|_| format!("'{key}' must be a positive {unit}: {v}"))
+}
+
+/// Every key `parse_cfg` accepts: `(section, spelling, slot)`. An empty
+/// section means "in any section" (stock SCALE-Sim files spread the
+/// architecture keys over `[general]`, `[architecture_presets]` and
+/// `[run_presets]`). Keys match case-insensitively; the unknown-key
+/// error lists this table, so a new key is one row here.
+const KEYS: &[(&str, &str, Slot)] = &[
+    ("", "ArrayHeight", Count(|d| &mut d.array.0)),
+    ("", "ArrayWidth", Count(|d| &mut d.array.1)),
+    ("", "IfmapSramSzkB", Int(|d| &mut d.sram_kb.0)),
+    ("", "FilterSramSzkB", Int(|d| &mut d.sram_kb.1)),
+    ("", "OfmapSramSzkB", Int(|d| &mut d.sram_kb.2)),
+    (
+        "",
+        "Dataflow",
+        Custom(|d, _, v| set(&mut d.config.core.dataflow, Dataflow::parse(v))),
+    ),
+    ("", "Bandwidth", Custom(bandwidth)),
+    ("", "InterfaceBandwidth", Custom(bandwidth)),
+    ("", "run_name", Ignored),
+    ("", "IfmapOffset", Ignored),
+    ("", "FilterOffset", Ignored),
+    ("", "OfmapOffset", Ignored),
+    ("", "MemoryBanks", Ignored),
+    (
+        "sparsity",
+        "SparsitySupport",
+        Bool(|d| &mut d.sparsity_support),
+    ),
+    ("sparsity", "SparseRep", Custom(sparse_rep)),
+    (
+        "sparsity",
+        "OptimizedMapping",
+        Bool(|d| &mut d.optimized_mapping),
+    ),
+    ("sparsity", "BlockSize", Int(|d| &mut d.block_size)),
+    ("sparsity", "SparseRatio", Custom(sparse_ratio)),
+    ("scaleout", "Chips", Count(|d| &mut d.scaleout().chips)),
+    (
+        "scaleout",
+        "Fabric",
+        Custom(|d, _, v| set(&mut d.scaleout().fabric, FabricTag::parse(v))),
+    ),
+    (
+        "scaleout",
+        "Mesh",
+        Custom(|d, _, v| set(&mut d.scaleout().mesh, dialect::rxc("Mesh", v).map(Some))),
+    ),
+    (
+        "scaleout",
+        "LinkGbps",
+        Positive(|d| &mut d.scaleout().link_gbps, "number of GB/s"),
+    ),
+    (
+        "scaleout",
+        "LinkLatency",
+        Custom(|d, k, v| set(&mut d.scaleout().link_latency, num(k, v).map(|n| n as u64))),
+    ),
+    (
+        "scaleout",
+        "Strategy",
+        Custom(|d, _, v| set(&mut d.scaleout().strategy, Strategy::parse(v))),
+    ),
+    (
+        "scaleout",
+        "Microbatches",
+        Count(|d| &mut d.scaleout().microbatches),
+    ),
+    (
+        "scaleout",
+        "ClockGhz",
+        Positive(|d| &mut d.scaleout().clock_ghz, "clock in GHz"),
+    ),
+    ("dram", "Model", Custom(dram_model)),
+    ("llm", "Preset", Custom(llm_preset)),
+    (
+        "llm",
+        "Phase",
+        Custom(|d, _, v| set(&mut d.llm().phase, Phase::parse(v))),
+    ),
+    ("llm", "Context", Int(|d| d.llm().context.get_or_insert(0))),
+    ("llm", "Layers", Int(|d| &mut d.llm().spec.layers)),
+    ("llm", "DModel", Int(|d| &mut d.llm().spec.d_model)),
+    ("llm", "Heads", Int(|d| &mut d.llm().spec.heads)),
+    ("llm", "KvHeads", Int(|d| &mut d.llm().spec.kv_heads)),
+    ("llm", "DFf", Int(|d| &mut d.llm().spec.d_ff)),
+    ("llm", "Vocab", Int(|d| &mut d.llm().spec.vocab)),
+    ("llm", "Seq", Int(|d| &mut d.llm().spec.seq)),
+    ("llm", "Batch", Int(|d| &mut d.llm().spec.batch)),
+    ("llm", "DtypeBytes", Int(|d| &mut d.llm().spec.dtype_bytes)),
+    ("llm", "GatedFfn", Bool(|d| &mut d.llm().spec.gated_ffn)),
+    (
+        "llm",
+        "TiedEmbeddings",
+        Bool(|d| &mut d.llm().spec.tied_embeddings),
+    ),
+    ("llm", "Experts", Custom(experts)),
+    ("llm", "TopK", Custom(top_k)),
+];
+
+fn bandwidth(d: &mut Draft, key: &str, v: &str) -> Result<(), String> {
+    // Upstream SCALE-Sim writes `InterfaceBandwidth : CALC` in USER
+    // mode ("derive it"); keep the default then.
+    if v.eq_ignore_ascii_case("calc") {
+        return Ok(());
+    }
+    let bw = positive(key, v, "number of words/cycle (or CALC)");
+    set(&mut d.config.core.memory.dram_bandwidth, bw)
+}
+
+fn sparse_rep(d: &mut Draft, _: &str, v: &str) -> Result<(), String> {
+    d.config.sparse_format = match v.to_ascii_lowercase().as_str() {
+        "csr" => SparseFormat::Csr,
+        "csc" => SparseFormat::Csc,
+        "ellpack_block" | "blocked_ellpack" | "ellpack" => SparseFormat::BlockedEllpack,
+        other => return Err(format!("unknown SparseRep '{other}'")),
+    };
+    Ok(())
+}
+
+fn sparse_ratio(d: &mut Draft, _: &str, v: &str) -> Result<(), String> {
+    let expected = "expected N:M with power-of-two M";
+    let ratio = NmRatio::parse(v).ok_or_else(|| format!("bad SparseRatio '{v}' ({expected})"));
+    set(&mut d.sparse_ratio, ratio)
+}
+
+fn dram_model(d: &mut Draft, _: &str, v: &str) -> Result<(), String> {
+    let spec = DramSpec::by_name(&v.to_ascii_lowercase()).ok_or_else(|| {
+        let names = DramSpec::preset_names().join(", ");
+        format!("unknown dram Model '{v}' (supported: {names})")
+    })?;
+    // Keep the default channel count and the paper's 1 GHz core clock;
+    // the preset only swaps the device timing.
+    d.config.dram = DramIntegration::for_spec(spec, d.config.dram.channels, 1.0e9);
+    Ok(())
+}
+
+fn llm_preset(d: &mut Draft, _: &str, v: &str) -> Result<(), String> {
+    let spec = LlmSpec::preset(v).ok_or_else(|| {
+        let names = LlmSpec::preset_names().join(", ");
+        format!("unknown llm Preset '{v}' (supported: {names})")
+    });
+    set(&mut d.llm().spec, spec)
+}
+
+fn experts(d: &mut Draft, key: &str, v: &str) -> Result<(), String> {
+    let num_experts = num(key, v)?;
+    let moe = &mut d.llm().spec.moe;
+    // 0 turns MoE off; the first non-zero count defaults to top-2 routing.
+    let top_k = moe.map_or(2.min(num_experts), |moe| moe.top_k);
+    *moe = (num_experts > 0).then_some(MoeSpec { num_experts, top_k });
+    Ok(())
+}
+
+fn top_k(d: &mut Draft, key: &str, v: &str) -> Result<(), String> {
+    let moe = d.llm().spec.moe.as_mut();
+    let moe = moe.ok_or("TopK requires Experts to be set first")?;
+    set(&mut moe.top_k, num(key, v))
+}
+
+/// The unknown-key error: names the key and its section, then lists
+/// every accepted key by reading [`KEYS`].
+fn unknown_key(section: &str, key: &str) -> String {
+    let place = match section {
+        "" => "at top level".to_string(),
+        _ => format!("in section [{section}]"),
+    };
+    let mut known = String::new();
+    for (i, (section, name, _)) in KEYS.iter().enumerate() {
+        match i.checked_sub(1).map(|prev| KEYS[prev].0) {
+            None => {}
+            Some(prev) if prev == *section => known += ", ",
+            Some(_) => known += &format!("; [{section}]: "),
+        }
+        known += name;
+    }
+    format!("unknown key '{key}' {place} (known keys: {known})")
 }
 
 /// Parses a SCALE-Sim `.cfg` string into a [`ScaleSimConfig`].
@@ -61,322 +293,75 @@ fn parse_kv(line: &str) -> Option<(String, String)> {
 /// Unknown or misspelled keys are **rejected** with an error naming the
 /// key and its section — a typo like `ArrayHieght` silently inheriting
 /// the default would invalidate a whole study (the sweep-spec parser
-/// applies the same policy). Malformed numeric values are errors too.
+/// applies the same policy). Malformed values are errors too, booleans
+/// included.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::InvalidConfig`] naming the offending key.
 pub fn parse_cfg(text: &str) -> Result<ScaleSimConfig, SimError> {
-    let mut config = ScaleSimConfig::default();
-    let mut section = String::new();
-    let mut array_h = config.core.array.rows();
-    let mut array_w = config.core.array.cols();
-    let mut ifmap_kb = 1024usize;
-    let mut filter_kb = 1024usize;
-    let mut ofmap_kb = 256usize;
-    let mut bandwidth = config.core.memory.dram_bandwidth;
-    let mut dataflow = config.core.dataflow;
-    // Sparsity knobs (§IV-B step 1).
-    let mut sparsity_support = false;
-    let mut optimized_mapping = false;
-    let mut block_size = 4usize;
-    let mut sparse_ratio: Option<NmRatio> = None;
-    // Scale-out knobs: any [scaleout] key materializes the section with
-    // its defaults, then overrides the named field.
-    let mut scaleout: Option<ScaleoutSpec> = None;
-    // LLM workload knobs: any [llm] key materializes the section (the
-    // llama-7b prefill defaults), then overrides the named field.
-    // `Preset` replaces the whole model spec, so it should come first.
-    let mut llm: Option<LlmRunSpec> = None;
+    parse(text).map_err(SimError::InvalidConfig)
+}
 
-    for raw in text.lines() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with(';') {
-            continue;
-        }
-        if line.starts_with('[') && line.ends_with(']') {
-            section = line[1..line.len() - 1].trim().to_ascii_lowercase();
-            continue;
-        }
-        let Some((key, val)) = parse_kv(line) else {
-            return Err(SimError::InvalidConfig(format!(
-                "malformed line '{line}' (expected 'key : value')"
-            )));
+fn parse(text: &str) -> Result<ScaleSimConfig, String> {
+    let config = ScaleSimConfig::default();
+    let mut d = Draft {
+        array: (config.core.array.rows(), config.core.array.cols()),
+        sram_kb: (1024, 1024, 256),
+        sparsity_support: false,
+        optimized_mapping: false,
+        block_size: 4,
+        sparse_ratio: NmRatio::new(2, 4).expect("2:4 is valid"),
+        config,
+    };
+    for entry in dialect::entries(text) {
+        let e = entry?;
+        let row = KEYS.iter().find(|(section, name, _)| {
+            (section.is_empty() || *section == e.section) && name.eq_ignore_ascii_case(&e.key)
+        });
+        let Some((_, name, slot)) = row else {
+            return Err(unknown_key(&e.section, &e.key));
         };
-        let num = |v: &str| -> Result<usize, SimError> {
-            v.parse()
-                .map_err(|_| SimError::InvalidConfig(format!("'{key}' is not an integer: {v}")))
-        };
-        let boolean = |v: &str| v.eq_ignore_ascii_case("true") || v == "1";
-        match (section.as_str(), key.as_str()) {
-            (_, "arrayheight") => array_h = num(&val)?,
-            (_, "arraywidth") => array_w = num(&val)?,
-            (_, "ifmapsramszkb") => ifmap_kb = num(&val)?,
-            (_, "filtersramszkb") => filter_kb = num(&val)?,
-            (_, "ofmapsramszkb") => ofmap_kb = num(&val)?,
-            (_, "bandwidth" | "interfacebandwidth") => {
-                // Upstream SCALE-Sim writes `InterfaceBandwidth : CALC`
-                // in USER mode ("derive it"); keep the default then.
-                if !val.eq_ignore_ascii_case("calc") {
-                    bandwidth = val
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|b| b.is_finite() && *b > 0.0)
-                        .ok_or_else(|| {
-                            SimError::InvalidConfig(format!(
-                                "'{key}' must be a positive number of words/cycle (or CALC): {val}"
-                            ))
-                        })?;
-                }
-            }
-            (_, "dataflow") => {
-                dataflow = match val.to_ascii_lowercase().as_str() {
-                    "os" => Dataflow::OutputStationary,
-                    "ws" => Dataflow::WeightStationary,
-                    "is" => Dataflow::InputStationary,
-                    other => {
-                        return Err(SimError::InvalidConfig(format!(
-                            "unknown dataflow '{other}' (expected os/ws/is)"
-                        )))
-                    }
-                };
-            }
-            ("sparsity", "sparsitysupport") => sparsity_support = boolean(&val),
-            ("sparsity", "optimizedmapping") => optimized_mapping = boolean(&val),
-            ("sparsity", "blocksize") => block_size = num(&val)?,
-            ("sparsity", "sparseratio") => {
-                sparse_ratio = NmRatio::parse(&val);
-                if sparse_ratio.is_none() {
-                    return Err(SimError::InvalidConfig(format!(
-                        "bad SparseRatio '{val}' (expected N:M with power-of-two M)"
-                    )));
-                }
-            }
-            ("scaleout", "chips") => {
-                let n = num(&val)?;
-                if n == 0 {
-                    return Err(SimError::InvalidConfig("Chips must be at least 1".into()));
-                }
-                scaleout.get_or_insert_with(ScaleoutSpec::default).chips = n;
-            }
-            ("scaleout", "fabric") => {
-                scaleout.get_or_insert_with(ScaleoutSpec::default).fabric =
-                    FabricTag::parse(&val).map_err(SimError::InvalidConfig)?;
-            }
-            ("scaleout", "mesh") => {
-                let dims = val
-                    .split_once(['x', 'X'])
-                    .and_then(|(r, c)| {
-                        let r = r.trim().parse::<usize>().ok().filter(|&n| n > 0)?;
-                        let c = c.trim().parse::<usize>().ok().filter(|&n| n > 0)?;
-                        Some((r, c))
-                    })
-                    .ok_or_else(|| {
-                        SimError::InvalidConfig(format!(
-                            "bad Mesh '{val}' (expected RxC, e.g. 2x4)"
-                        ))
-                    })?;
-                scaleout.get_or_insert_with(ScaleoutSpec::default).mesh = Some(dims);
-            }
-            ("scaleout", "linkgbps") => {
-                let gbps = val
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|b| b.is_finite() && *b > 0.0)
-                    .ok_or_else(|| {
-                        SimError::InvalidConfig(format!(
-                            "'{key}' must be a positive number of GB/s: {val}"
-                        ))
-                    })?;
-                scaleout.get_or_insert_with(ScaleoutSpec::default).link_gbps = gbps;
-            }
-            ("scaleout", "linklatency") => {
-                scaleout
-                    .get_or_insert_with(ScaleoutSpec::default)
-                    .link_latency = num(&val)? as u64;
-            }
-            ("scaleout", "strategy") => {
-                scaleout.get_or_insert_with(ScaleoutSpec::default).strategy =
-                    Strategy::parse(&val).map_err(SimError::InvalidConfig)?;
-            }
-            ("scaleout", "microbatches") => {
-                let n = num(&val)?;
-                if n == 0 {
-                    return Err(SimError::InvalidConfig(
-                        "Microbatches must be at least 1".into(),
-                    ));
-                }
-                scaleout
-                    .get_or_insert_with(ScaleoutSpec::default)
-                    .microbatches = n;
-            }
-            ("scaleout", "clockghz") => {
-                let ghz = val
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|c| c.is_finite() && *c > 0.0)
-                    .ok_or_else(|| {
-                        SimError::InvalidConfig(format!(
-                            "'{key}' must be a positive clock in GHz: {val}"
-                        ))
-                    })?;
-                scaleout.get_or_insert_with(ScaleoutSpec::default).clock_ghz = ghz;
-            }
-            ("llm", "preset") => {
-                let spec = LlmSpec::preset(&val).ok_or_else(|| {
-                    SimError::InvalidConfig(format!(
-                        "unknown llm Preset '{val}' (supported: {})",
-                        LlmSpec::preset_names().join(", ")
-                    ))
-                })?;
-                llm.get_or_insert_with(LlmRunSpec::default).spec = spec;
-            }
-            ("llm", "phase") => {
-                llm.get_or_insert_with(LlmRunSpec::default).phase =
-                    Phase::parse(&val).map_err(SimError::InvalidConfig)?;
-            }
-            ("llm", "context") => {
-                llm.get_or_insert_with(LlmRunSpec::default).context = Some(num(&val)?);
-            }
-            ("llm", "layers") => {
-                llm.get_or_insert_with(LlmRunSpec::default).spec.layers = num(&val)?
-            }
-            ("llm", "dmodel") => {
-                llm.get_or_insert_with(LlmRunSpec::default).spec.d_model = num(&val)?
-            }
-            ("llm", "heads") => llm.get_or_insert_with(LlmRunSpec::default).spec.heads = num(&val)?,
-            ("llm", "kvheads") => {
-                llm.get_or_insert_with(LlmRunSpec::default).spec.kv_heads = num(&val)?
-            }
-            ("llm", "dff") => llm.get_or_insert_with(LlmRunSpec::default).spec.d_ff = num(&val)?,
-            ("llm", "vocab") => llm.get_or_insert_with(LlmRunSpec::default).spec.vocab = num(&val)?,
-            ("llm", "seq") => llm.get_or_insert_with(LlmRunSpec::default).spec.seq = num(&val)?,
-            ("llm", "batch") => llm.get_or_insert_with(LlmRunSpec::default).spec.batch = num(&val)?,
-            ("llm", "dtypebytes") => {
-                llm.get_or_insert_with(LlmRunSpec::default).spec.dtype_bytes = num(&val)?
-            }
-            ("llm", "gatedffn") => {
-                llm.get_or_insert_with(LlmRunSpec::default).spec.gated_ffn = boolean(&val)
-            }
-            ("llm", "tiedembeddings") => {
-                llm.get_or_insert_with(LlmRunSpec::default)
-                    .spec
-                    .tied_embeddings = boolean(&val)
-            }
-            ("llm", "experts") => {
-                let spec = &mut llm.get_or_insert_with(LlmRunSpec::default).spec;
-                let n = num(&val)?;
-                match (&mut spec.moe, n) {
-                    (moe, 0) => *moe = None,
-                    (Some(moe), n) => moe.num_experts = n,
-                    (moe @ None, n) => {
-                        *moe = Some(MoeSpec {
-                            num_experts: n,
-                            top_k: 2.min(n),
-                        })
-                    }
-                }
-            }
-            ("llm", "topk") => {
-                let spec = &mut llm.get_or_insert_with(LlmRunSpec::default).spec;
-                let n = num(&val)?;
-                match &mut spec.moe {
-                    Some(moe) => moe.top_k = n,
-                    None => {
-                        return Err(SimError::InvalidConfig(
-                            "TopK requires Experts to be set first".into(),
-                        ))
-                    }
-                }
-            }
-            ("dram", "model") => {
-                let name = val.to_ascii_lowercase();
-                let spec = DramSpec::by_name(&name).ok_or_else(|| {
-                    SimError::InvalidConfig(format!(
-                        "unknown dram Model '{val}' (supported: {})",
-                        DramSpec::preset_names().join(", ")
-                    ))
-                })?;
-                // Keep the default channel count and the paper's 1 GHz
-                // core clock; the preset only swaps the device timing.
-                config.dram =
-                    crate::config::DramIntegration::for_spec(spec, config.dram.channels, 1.0e9);
-            }
-            ("sparsity", "sparserep") => {
-                config.sparse_format = match val.to_ascii_lowercase().as_str() {
-                    "csr" => SparseFormat::Csr,
-                    "csc" => SparseFormat::Csc,
-                    "ellpack_block" | "blocked_ellpack" | "ellpack" => SparseFormat::BlockedEllpack,
-                    other => {
-                        return Err(SimError::InvalidConfig(format!(
-                            "unknown SparseRep '{other}'"
-                        )))
-                    }
-                };
-            }
-            // Known upstream SCALE-Sim knobs this reproduction does not
-            // model: accepted (so stock Python-tool .cfg files keep
-            // working) but ignored. Everything else is a hard error —
-            // the point is catching *misspellings* of supported keys.
-            (_, "run_name" | "ifmapoffset" | "filteroffset" | "ofmapoffset" | "memorybanks") => {}
-            (_, other) => {
-                let place = if section.is_empty() {
-                    "at top level".to_string()
-                } else {
-                    format!("in section [{section}]")
-                };
-                return Err(SimError::InvalidConfig(format!(
-                    "unknown key '{other}' {place} (known keys: ArrayHeight, ArrayWidth, \
-                     IfmapSramSzkB, FilterSramSzkB, OfmapSramSzkB, Dataflow, Bandwidth, \
-                     run_name, IfmapOffset, FilterOffset, OfmapOffset, MemoryBanks; \
-                     [sparsity]: SparsitySupport, SparseRep, OptimizedMapping, \
-                     BlockSize, SparseRatio; \
-                     [scaleout]: Chips, Fabric, Mesh, LinkGbps, LinkLatency, Strategy, \
-                     Microbatches, ClockGhz; \
-                     [dram]: Model; \
-                     [llm]: Preset, Phase, Context, Layers, DModel, Heads, KvHeads, DFf, \
-                     Vocab, Seq, Batch, DtypeBytes, GatedFfn, TiedEmbeddings, Experts, TopK)"
-                )));
-            }
+        match slot {
+            Int(at) => *at(&mut d) = num(&e.key, e.value)?,
+            Count(at) => *at(&mut d) = dialect::count(name, e.value)?,
+            Bool(at) => *at(&mut d) = dialect::boolean(name, e.value)?,
+            Positive(at, unit) => *at(&mut d) = positive(&e.key, e.value, unit)?,
+            Custom(store) => store(&mut d, &e.key, e.value)?,
+            Ignored => {}
         }
     }
 
-    if array_h == 0 || array_w == 0 {
-        return Err(SimError::InvalidConfig(
-            "array dimensions must be non-zero".into(),
-        ));
-    }
-    config.core.array = ArrayShape::new(array_h, array_w);
-    config.core.dataflow = dataflow;
-    config.core.memory = MemoryConfig::from_kilobytes(ifmap_kb, filter_kb, ofmap_kb, 2);
-    config.core.memory.dram_bandwidth = bandwidth;
-    if sparsity_support {
+    let mut config = d.config;
+    config.core.array = ArrayShape::new(d.array.0, d.array.1);
+    let (ifmap_kb, filter_kb, ofmap_kb) = d.sram_kb;
+    config.core.memory = MemoryConfig {
+        dram_bandwidth: config.core.memory.dram_bandwidth,
+        ..MemoryConfig::from_kilobytes(ifmap_kb, filter_kb, ofmap_kb, 2)
+    };
+    if d.sparsity_support {
         // §IV-B: layer-wise uses SparsitySupport=true + OptimizedMapping=
         // false; row-wise sets OptimizedMapping=true with BlockSize = M.
-        config.sparsity = Some(if optimized_mapping {
+        config.sparsity = Some(if d.optimized_mapping {
             SparsityMode::RowWise {
-                block: block_size,
+                block: d.block_size,
                 seed: 0xC0FFEE,
             }
         } else {
-            SparsityMode::LayerWise(
-                sparse_ratio.unwrap_or_else(|| NmRatio::new(2, 4).expect("2:4 is valid")),
-            )
+            SparsityMode::LayerWise(d.sparse_ratio)
         });
     }
-    if let Some(spec) = &scaleout {
+    if let Some(spec) = &config.scaleout {
         // Fabric consistency (mesh dims vs chips, power-of-two switch)
         // is a parse-time failure: a bad [scaleout] section should fail
         // before any simulation, like every other config error.
-        spec.fabric().map_err(SimError::InvalidConfig)?;
+        spec.fabric()?;
     }
-    config.scaleout = scaleout;
-    if let Some(run) = &llm {
+    if let Some(run) = &config.llm {
         // Dimensional consistency (divisibility, MoE bounds) fails at
         // parse time too, mirroring the [scaleout] policy.
-        run.spec.validate().map_err(SimError::InvalidConfig)?;
+        run.spec.validate()?;
     }
-    config.llm = llm;
     Ok(config)
 }
 
@@ -660,6 +645,90 @@ SparseRatio : 2:4
         // The unknown-key error lists the [llm] vocabulary too.
         assert!(err.contains("[llm]"), "{err}");
         assert!(err.contains("KvHeads"), "{err}");
+    }
+
+    #[test]
+    fn garbage_booleans_are_errors_not_false() {
+        // `SparsitySupport : yes` used to read as false and run dense.
+        for yes in ["true", "1", "yes", "On"] {
+            let c = parse_cfg(&format!("[sparsity]\nSparsitySupport : {yes}\n")).unwrap();
+            assert!(c.sparsity.is_some(), "'{yes}' must enable sparsity");
+        }
+        for no in ["false", "0", "no", "OFF"] {
+            let c = parse_cfg(&format!("[sparsity]\nSparsitySupport : {no}\n")).unwrap();
+            assert!(c.sparsity.is_none(), "'{no}' must leave the run dense");
+        }
+        for (section, key) in [
+            ("sparsity", "SparsitySupport"),
+            ("sparsity", "OptimizedMapping"),
+            ("llm", "GatedFfn"),
+            ("llm", "TiedEmbeddings"),
+        ] {
+            let err = parse_cfg(&format!("[{section}]\n{key} : ture\n")).unwrap_err();
+            assert!(matches!(err, SimError::InvalidConfig(_)), "{err:?}");
+            let err = err.to_string();
+            assert!(err.contains(key) && err.contains("'ture'"), "{err}");
+        }
+    }
+
+    #[test]
+    fn cfg_and_sweep_spec_share_one_dialect() {
+        // Both front ends lex through `dialect::entries`, so the same
+        // commented text — whole-line and trailing `#`/`;` comments,
+        // both separators, any key case — parses in both.
+        let text = "# whole-line comment\n\
+                    [scaleout]        ; a header with a trailing comment\n\
+                    Dataflow : ws     # trailing comment\n\
+                    bandwidth = 20    ; the other comment character\n\
+                    CHIPS : 8  # chips\n\
+                    Strategy = tensor\n";
+        let c = parse_cfg(text).unwrap();
+        assert_eq!(c.core.dataflow, Dataflow::WeightStationary);
+        assert_eq!(c.core.memory.dram_bandwidth, 20.0);
+        let so = c.scaleout.unwrap();
+        assert_eq!((so.chips, so.strategy), (8, Strategy::TensorParallel));
+
+        use scalesim_sweep::spec::AxisValue;
+        let spec = scalesim_sweep::SweepSpec::parse(text).unwrap();
+        let swept: Vec<AxisValue> = spec.expand()[0].values().collect();
+        let want = [
+            AxisValue::Dataflow(Dataflow::WeightStationary),
+            AxisValue::Bandwidth(20.0),
+            AxisValue::Chips(8),
+            AxisValue::Strategy(Strategy::TensorParallel),
+        ];
+        assert_eq!(swept, want);
+
+        // The case from the bug report: a trailing comment on a number.
+        let c = parse_cfg("ArrayHeight : 8  # rows\n").unwrap();
+        assert_eq!(c.core.array.rows(), 8);
+    }
+
+    #[test]
+    fn every_key_is_documented_in_the_cli_reference() {
+        let doc = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/CLI.md");
+        let doc = std::fs::read_to_string(doc).unwrap();
+        for (section, name, _) in KEYS {
+            assert!(doc.contains(&format!("`{name}`")), "[{section}] {name}");
+        }
+    }
+
+    #[test]
+    fn unknown_key_error_lists_the_whole_table() {
+        let err = parse_cfg("[llm]\nWat : 1\n").unwrap_err().to_string();
+        assert!(err.contains("unknown key 'wat' in section [llm]"), "{err}");
+        assert!(
+            err.contains("(known keys: ArrayHeight, ArrayWidth, "),
+            "{err}"
+        );
+        assert!(
+            err.contains("MemoryBanks; [sparsity]: SparsitySupport, "),
+            "{err}"
+        );
+        assert!(err.ends_with("Experts, TopK)"), "{err}");
+        for (_, name, _) in KEYS {
+            assert!(err.contains(name), "{name} missing from: {err}");
+        }
     }
 
     #[test]

@@ -330,13 +330,16 @@ mod tests {
                 scalesim_systolic::Layer::gemm_layer("b", 24, 24, 24),
             ],
         );
-        let run = ScaleSim::new(config).run_topology(&topo);
+        let sim = ScaleSim::new(config);
+        let run = sim.run_topology(&topo);
         assert_eq!(run.layers.len(), 2);
         assert_eq!(
             run.total_cycles(),
             run.layers.iter().map(|l| l.total_cycles()).sum::<u64>()
         );
-        assert!(run.compute_report_csv().contains("a,"));
+        let (name, compute) = &run.reports(sim.config())[0];
+        assert_eq!(*name, "COMPUTE_REPORT.csv");
+        assert!(compute.contains("a,"));
     }
 
     #[test]

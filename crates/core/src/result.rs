@@ -1,9 +1,12 @@
-//! Unified per-layer and per-run results with CSV report emitters
-//! (SCALE-Sim's `COMPUTE_REPORT.csv` / `BANDWIDTH_REPORT.csv` /
-//! `SPARSE_REPORT.csv` plus the v3 energy report).
+//! Unified per-layer and per-run results, and the row formats of the
+//! CSV reports (SCALE-Sim's `COMPUTE_REPORT.csv` /
+//! `BANDWIDTH_REPORT.csv` / `SPARSE_REPORT.csv` plus the v3 energy and
+//! DRAM reports).
 
+use crate::config::ScaleSimConfig;
 use crate::dram::DramAnalysis;
 use crate::layout_analysis::LayoutAnalysis;
+use crate::sink::{MemoryReportSink, ReportSections};
 use scalesim_energy::EnergyReport;
 use scalesim_sparse::SparseReportRow;
 use scalesim_systolic::{GemmShape, LayerReport};
@@ -53,11 +56,8 @@ impl LayerResult {
     }
 }
 
-/// Per-layer CSV row formatters shared by the batch emitters on
-/// [`RunResult`] and the streaming [`MemoryReportSink`](crate::sink::MemoryReportSink).
-///
-/// Keeping one source of truth for every row format is what makes
-/// streamed reports byte-identical to batch reports by construction.
+/// Per-layer CSV row formatters: the one source of truth for every
+/// report's row format, written out by [`MemoryReportSink`].
 pub mod rows {
     use super::LayerResult;
 
@@ -196,39 +196,6 @@ impl RunResult {
         self.layers.iter().map(|l| l.report.compute.macs).sum()
     }
 
-    /// The `COMPUTE_REPORT.csv` equivalent.
-    pub fn compute_report_csv(&self) -> String {
-        let mut out = String::from(rows::COMPUTE_HEADER);
-        for l in &self.layers {
-            out.push_str(&rows::compute(l));
-        }
-        out
-    }
-
-    /// The `BANDWIDTH_REPORT.csv` equivalent (average words/cycle per
-    /// interface over each layer).
-    pub fn bandwidth_report_csv(&self) -> String {
-        let mut out = String::from(rows::BANDWIDTH_HEADER);
-        for l in &self.layers {
-            out.push_str(&rows::bandwidth(l));
-        }
-        out
-    }
-
-    /// The `SPARSE_REPORT.csv` equivalent (empty string when dense).
-    pub fn sparse_report_csv(&self) -> String {
-        if self.layers.iter().all(|l| l.sparse.is_none()) {
-            return String::new();
-        }
-        let mut out = String::from(rows::SPARSE_HEADER);
-        for l in &self.layers {
-            if let Some(row) = rows::sparse(l) {
-                out.push_str(&row);
-            }
-        }
-        out
-    }
-
     /// Total DRAM energy over the run in mJ (0.0 when DRAM is disabled).
     pub fn total_dram_energy_mj(&self) -> f64 {
         self.layers
@@ -237,33 +204,14 @@ impl RunResult {
             .sum()
     }
 
-    /// Per-layer DRAM CSV — replay statistics plus the IDD power model
-    /// (empty when the DRAM flow is disabled).
-    pub fn dram_report_csv(&self) -> String {
-        if self.layers.iter().all(|l| l.dram.is_none()) {
-            return String::new();
-        }
-        let mut out = String::from(rows::DRAM_HEADER);
-        for l in &self.layers {
-            if let Some(row) = rows::dram(l) {
-                out.push_str(&row);
-            }
-        }
-        out
-    }
-
-    /// Per-layer energy CSV (empty when energy is disabled).
-    pub fn energy_report_csv(&self) -> String {
-        if self.layers.iter().all(|l| l.energy.is_none()) {
-            return String::new();
-        }
-        let mut out = String::from(rows::ENERGY_HEADER);
-        for l in &self.layers {
-            if let Some(row) = rows::energy(l) {
-                out.push_str(&row);
-            }
-        }
-        out
+    /// The run's `*_REPORT.csv` files as `(file name, content)` pairs:
+    /// the layers fed through the same [`MemoryReportSink`] that
+    /// produces the CLI's files and serve's responses, with the sections
+    /// `config` enables.
+    pub fn reports(&self, config: &ScaleSimConfig) -> Vec<(&'static str, String)> {
+        let mut sink = MemoryReportSink::new(ReportSections::for_config(config));
+        self.layers.iter().for_each(|layer| sink.add(layer));
+        sink.finish()
     }
 }
 
@@ -318,13 +266,17 @@ mod tests {
     }
 
     #[test]
-    fn csv_reports_have_rows_per_layer() {
+    fn reports_have_rows_per_layer() {
         let run = RunResult {
             layers: vec![layer("a", 100), layer("b", 200)],
         };
-        assert_eq!(run.compute_report_csv().lines().count(), 3);
-        assert_eq!(run.bandwidth_report_csv().lines().count(), 3);
-        assert!(run.sparse_report_csv().is_empty());
-        assert!(run.energy_report_csv().is_empty());
+        let reports = run.reports(&ScaleSimConfig::full());
+        let names: Vec<_> = reports.iter().map(|(name, _)| *name).collect();
+        // The layers carry no sparse/energy/DRAM data, so even the full
+        // configuration emits only the always-on reports.
+        assert_eq!(names, ["COMPUTE_REPORT.csv", "BANDWIDTH_REPORT.csv"]);
+        for (name, content) in &reports {
+            assert_eq!(content.lines().count(), 3, "{name}");
+        }
     }
 }

@@ -11,9 +11,9 @@
 //! * [`RunSummary`] — O(1) accumulator of the run-level aggregates
 //!   (cycles, utilization, energy, …); what the sweep executor uses.
 //! * [`MemoryReportSink`] — incremental report writer building the
-//!   standard `*_REPORT.csv` contents row by row, byte-identical to the
-//!   batch emitters on [`RunResult`]; the one report writer behind both
-//!   serve responses and the files the CLI writes.
+//!   standard `*_REPORT.csv` contents row by row; the one report writer
+//!   behind serve responses, the files the CLI writes and
+//!   [`RunResult::reports`].
 //!
 //! ## Writing a new sink
 //!
@@ -154,8 +154,7 @@ impl ResultSink for RunSummary {
 }
 
 /// Which reports a [`MemoryReportSink`] emits; derived from the
-/// configuration so streaming runs produce exactly the reports the batch
-/// path would (a feature that is off contributes no report).
+/// configuration (a feature that is off contributes no report).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReportSections {
     /// `COMPUTE_REPORT.csv` (always on).
@@ -188,11 +187,9 @@ impl ReportSections {
 /// [`SimResponse`](scalesim_api::SimResponse); the CLI writes those same
 /// strings to disk, so files and serve responses cannot differ.
 ///
-/// Rows come from the same formatters ([`rows`]) the batch emitters on
-/// [`RunResult`] use, so for a given run the contents are byte-identical
-/// to `RunResult::*_report_csv()`. Feature-gated sections appear lazily
-/// on their first row (matching the batch path, which skips empty
-/// reports), while the always-on compute/bandwidth reports are emitted
+/// Rows come from the [`rows`] formatters. Feature-gated sections
+/// appear lazily on their first row (a report with no rows is not
+/// emitted), while the always-on compute/bandwidth reports are emitted
 /// even for a zero-layer run (header only).
 pub struct MemoryReportSink {
     /// `(file name, header, content)` per section, in the CLI's
@@ -229,6 +226,31 @@ impl MemoryReportSink {
         content.push_str(row);
     }
 
+    /// Appends one layer's row to every enabled section.
+    pub(crate) fn add(&mut self, result: &LayerResult) {
+        if self.emit.compute {
+            self.push_row(0, &rows::compute(result));
+        }
+        if self.emit.bandwidth {
+            self.push_row(1, &rows::bandwidth(result));
+        }
+        if self.emit.sparse {
+            if let Some(row) = rows::sparse(result) {
+                self.push_row(2, &row);
+            }
+        }
+        if self.emit.energy {
+            if let Some(row) = rows::energy(result) {
+                self.push_row(3, &row);
+            }
+        }
+        if self.emit.dram {
+            if let Some(row) = rows::dram(result) {
+                self.push_row(4, &row);
+            }
+        }
+    }
+
     /// The collected reports as `(file name, content)` pairs, in
     /// emission order.
     pub fn finish(mut self) -> Vec<(&'static str, String)> {
@@ -248,27 +270,7 @@ impl MemoryReportSink {
 
 impl ResultSink for MemoryReportSink {
     fn layer(&mut self, result: LayerResult) {
-        if self.emit.compute {
-            self.push_row(0, &rows::compute(&result));
-        }
-        if self.emit.bandwidth {
-            self.push_row(1, &rows::bandwidth(&result));
-        }
-        if self.emit.sparse {
-            if let Some(row) = rows::sparse(&result) {
-                self.push_row(2, &row);
-            }
-        }
-        if self.emit.energy {
-            if let Some(row) = rows::energy(&result) {
-                self.push_row(3, &row);
-            }
-        }
-        if self.emit.dram {
-            if let Some(row) = rows::dram(&result) {
-                self.push_row(4, &row);
-            }
-        }
+        self.add(&result);
     }
 }
 
@@ -313,52 +315,30 @@ mod tests {
         assert!(summary.energy_mj() > 0.0);
     }
 
-    fn report<'a>(reports: &'a [(&'static str, String)], name: &str) -> Option<&'a str> {
-        reports
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, content)| content.as_str())
-    }
-
     #[test]
-    fn memory_sink_matches_batch_emitters_for_zero_layers() {
+    fn memory_sink_emits_header_only_reports_for_zero_layers() {
         let reports = MemoryReportSink::new(ReportSections::for_config(&config())).finish();
-        assert_eq!(reports.len(), 2, "header-only compute + bandwidth");
-        let empty = RunResult::default();
-        assert_eq!(
-            report(&reports, "COMPUTE_REPORT.csv"),
-            Some(empty.compute_report_csv().as_str())
-        );
-        assert_eq!(
-            report(&reports, "BANDWIDTH_REPORT.csv"),
-            Some(empty.bandwidth_report_csv().as_str())
-        );
-        assert_eq!(report(&reports, "ENERGY_REPORT.csv"), None, "no rows");
+        let want = [
+            ("COMPUTE_REPORT.csv", rows::COMPUTE_HEADER.to_string()),
+            ("BANDWIDTH_REPORT.csv", rows::BANDWIDTH_HEADER.to_string()),
+        ];
+        assert_eq!(reports, want, "energy is on but has no rows");
     }
 
     #[test]
-    fn memory_sink_matches_batch_emitters() {
+    fn memory_sink_emits_the_sections_the_config_enables() {
         let sim = ScaleSim::new(config());
-        let run = sim.run_topology(&topo());
-        let mut sink = MemoryReportSink::new(ReportSections::for_config(sim.config()));
-        for l in &run.layers {
-            sink.layer(l.clone());
+        let reports = sim.run_topology(&topo()).reports(sim.config());
+        let names: Vec<_> = reports.iter().map(|(name, _)| *name).collect();
+        // A dense run without the DRAM flow: no sparse or DRAM report.
+        let want = [
+            "COMPUTE_REPORT.csv",
+            "BANDWIDTH_REPORT.csv",
+            "ENERGY_REPORT.csv",
+        ];
+        assert_eq!(names, want);
+        for (name, content) in &reports {
+            assert_eq!(content.lines().count(), 1 + topo().len(), "{name}");
         }
-        let reports = sink.finish();
-        assert_eq!(reports.len(), 3, "compute + bandwidth + energy");
-        assert_eq!(
-            report(&reports, "COMPUTE_REPORT.csv"),
-            Some(run.compute_report_csv().as_str())
-        );
-        assert_eq!(
-            report(&reports, "BANDWIDTH_REPORT.csv"),
-            Some(run.bandwidth_report_csv().as_str())
-        );
-        assert_eq!(
-            report(&reports, "ENERGY_REPORT.csv"),
-            Some(run.energy_report_csv().as_str())
-        );
-        assert_eq!(report(&reports, "SPARSE_REPORT.csv"), None, "dense run");
-        assert_eq!(report(&reports, "DRAM_REPORT.csv"), None, "no dram flow");
     }
 }

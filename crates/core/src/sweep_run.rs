@@ -14,106 +14,87 @@
 //! byte-identical regardless of `SCALESIM_THREADS` and the shard count.
 
 use crate::cancel::CancelToken;
-use crate::config::{MultiCoreIntegration, ScaleSimConfig};
+use crate::config::{DramIntegration, MultiCoreIntegration, ScaleSimConfig};
 use crate::engine::ScaleSim;
 use crate::scaleout::{run_scaleout, ScaleoutSummary};
 use crate::sink::RunSummary;
+use scalesim_collective::ScaleoutSpec;
 use scalesim_multicore::{L2Config, PartitionScheme};
+use scalesim_sweep::spec::AxisValue;
 use scalesim_sweep::{run_sharded_with, RunRecord, SweepPoint, SweepReport, SweepSpec};
-use scalesim_systolic::{Dataflow, MemoryConfig, PlanCache, PlanCacheStats, Topology};
+use scalesim_systolic::{MemoryConfig, PlanCache, PlanCacheStats, Topology};
 use std::sync::Arc;
 
-/// Applies a grid point's overrides to a base configuration; `None`
-/// axes inherit the base value.
+/// Applies a grid point's overrides to a base configuration; axes the
+/// point does not sweep inherit the base value.
 pub fn apply_point(base: &ScaleSimConfig, point: &SweepPoint) -> ScaleSimConfig {
     let mut cfg = base.clone();
-    if let Some(array) = point.array {
-        cfg.core.array = array;
-    }
-    if let Some(dataflow) = point.dataflow {
-        cfg.core.dataflow = dataflow;
-    }
-    if let Some((ifmap_kb, filter_kb, ofmap_kb)) = point.sram_kb {
-        let old = cfg.core.memory;
-        let mut mem =
-            MemoryConfig::from_kilobytes(ifmap_kb, filter_kb, ofmap_kb, old.bytes_per_word);
-        mem.dram_bandwidth = old.dram_bandwidth;
-        mem.sram_row_words = old.sram_row_words;
-        mem.sram_row_buffers = old.sram_row_buffers;
-        cfg.core.memory = mem;
-    }
-    if let Some(bandwidth) = point.bandwidth {
-        cfg.core.memory.dram_bandwidth = bandwidth;
-    }
-    if let Some(grid) = point.cores {
-        cfg.multicore = if grid.cores() == 1 {
-            None
-        } else {
-            // Preserve the base scheme/L2 choice when the base is already
-            // multi-core; default to spatial partitioning with a shared L2.
-            let (scheme, l2) = match &base.multicore {
-                Some(mc) => (mc.scheme, mc.l2),
-                None => (PartitionScheme::Spatial, Some(L2Config::default())),
-            };
-            Some(MultiCoreIntegration { grid, scheme, l2 })
-        };
-    }
-    if let Some(dram) = point.dram {
-        cfg.enable_dram = dram;
-    }
-    if let Some(model) = point.dram_model {
-        // The spec parser only admits `DramSpec::preset_names` entries.
-        let spec = scalesim_mem::DramSpec::by_name(model)
-            .unwrap_or_else(|| unreachable!("sweep spec admitted unknown dram model {model}"));
-        cfg.dram = crate::config::DramIntegration::for_spec(spec, cfg.dram.channels, 1.0e9);
-    }
-    if let Some(energy) = point.energy {
-        cfg.enable_energy = energy;
-    }
-    if let Some(layout) = point.layout {
-        cfg.enable_layout = layout;
-    }
     // Scale-out axes: any of them materializes the [scaleout] section
     // (seeded from the base config or the defaults) and overrides the
-    // named knob; a resolved chip count of 1 stays a plain
-    // single-chip run — the natural weak-scaling baseline.
-    if point.chips.is_some() || point.link_gbps.is_some() || point.strategy.is_some() {
-        let mut so = base.scaleout.clone().unwrap_or_default();
-        if let Some(chips) = point.chips {
-            so.chips = chips;
-            so.mesh = None;
+    // named knob.
+    let mut scaleout: Option<ScaleoutSpec> = None;
+    let seed = || base.scaleout.clone().unwrap_or_default();
+    for value in point.values() {
+        match value {
+            AxisValue::Array(array) => cfg.core.array = array,
+            AxisValue::Dataflow(dataflow) => cfg.core.dataflow = dataflow,
+            AxisValue::SramKb(ifmap_kb, filter_kb, ofmap_kb) => {
+                let old = cfg.core.memory;
+                cfg.core.memory = MemoryConfig {
+                    dram_bandwidth: old.dram_bandwidth,
+                    sram_row_words: old.sram_row_words,
+                    sram_row_buffers: old.sram_row_buffers,
+                    ..MemoryConfig::from_kilobytes(
+                        ifmap_kb,
+                        filter_kb,
+                        ofmap_kb,
+                        old.bytes_per_word,
+                    )
+                };
+            }
+            AxisValue::Bandwidth(bandwidth) => cfg.core.memory.dram_bandwidth = bandwidth,
+            AxisValue::Cores(grid) if grid.cores() == 1 => cfg.multicore = None,
+            AxisValue::Cores(grid) => {
+                // Preserve the base scheme/L2 choice when the base is
+                // already multi-core; default to spatial partitioning
+                // with a shared L2.
+                let (scheme, l2) = match &base.multicore {
+                    Some(mc) => (mc.scheme, mc.l2),
+                    None => (PartitionScheme::Spatial, Some(L2Config::default())),
+                };
+                cfg.multicore = Some(MultiCoreIntegration { grid, scheme, l2 });
+            }
+            AxisValue::Dram(dram) => cfg.enable_dram = dram,
+            AxisValue::DramModel(model) => {
+                // The spec parser only admits `DramSpec::preset_names` entries.
+                let spec = scalesim_mem::DramSpec::by_name(model).unwrap_or_else(|| {
+                    unreachable!("sweep spec admitted unknown dram model {model}")
+                });
+                cfg.dram = DramIntegration::for_spec(spec, cfg.dram.channels, 1.0e9);
+            }
+            AxisValue::Energy(energy) => cfg.enable_energy = energy,
+            AxisValue::Layout(layout) => cfg.enable_layout = layout,
+            AxisValue::Chips(chips) => {
+                let so = scaleout.get_or_insert_with(seed);
+                so.chips = chips;
+                so.mesh = None;
+            }
+            AxisValue::LinkGbps(gbps) => scaleout.get_or_insert_with(seed).link_gbps = gbps,
+            AxisValue::Strategy(strategy) => scaleout.get_or_insert_with(seed).strategy = strategy,
+            // LLM axes: reshape the base [llm] model (the runner
+            // regenerates the topology per point). Points sweeping these
+            // without an [llm] model are rejected up front in `run_sweep`.
+            AxisValue::Seq(seq) => cfg.llm.iter_mut().for_each(|llm| llm.spec.seq = seq),
+            AxisValue::Batch(batch) => cfg.llm.iter_mut().for_each(|llm| llm.spec.batch = batch),
+            AxisValue::Phase(phase) => cfg.llm.iter_mut().for_each(|llm| llm.phase = phase),
         }
-        if let Some(gbps) = point.link_gbps {
-            so.link_gbps = gbps;
-        }
-        if let Some(strategy) = point.strategy {
-            so.strategy = strategy;
-        }
-        cfg.scaleout = if so.chips <= 1 { None } else { Some(so) };
     }
-    // LLM axes: reshape the base [llm] model (the runner regenerates
-    // the topology per point). Points sweeping these without an [llm]
-    // model are rejected up front in `run_sweep`.
-    if let Some(llm) = cfg.llm.as_mut() {
-        if let Some(seq) = point.seq {
-            llm.spec.seq = seq;
-        }
-        if let Some(batch) = point.batch {
-            llm.spec.batch = batch;
-        }
-        if let Some(phase) = point.phase {
-            llm.phase = phase;
-        }
+    if let Some(so) = scaleout {
+        // A resolved chip count of 1 stays a plain single-chip run —
+        // the natural weak-scaling baseline.
+        cfg.scaleout = (so.chips > 1).then_some(so);
     }
     cfg
-}
-
-fn dataflow_tag(d: Dataflow) -> &'static str {
-    match d {
-        Dataflow::OutputStationary => "os",
-        Dataflow::WeightStationary => "ws",
-        Dataflow::InputStationary => "is",
-    }
 }
 
 /// The cfg-derived columns shared by every record kind (the run's
@@ -135,7 +116,7 @@ fn base_record(
         topology: topology.name().to_string(),
         array_rows: cfg.core.array.rows(),
         array_cols: cfg.core.array.cols(),
-        dataflow: dataflow_tag(cfg.core.dataflow).to_string(),
+        dataflow: cfg.core.dataflow.short_name().to_string(),
         sram_kb: (
             kb(mem.ifmap_words),
             kb(mem.filter_words),
@@ -251,10 +232,14 @@ pub fn run_sweep(
     mut on_record: impl FnMut(&RunRecord),
 ) -> Result<(SweepReport, PlanCacheStats), String> {
     let grid = spec.expand();
+    let llm_axis = |v| {
+        matches!(
+            v,
+            AxisValue::Seq(_) | AxisValue::Batch(_) | AxisValue::Phase(_)
+        )
+    };
     for point in &grid {
-        if (point.seq.is_some() || point.batch.is_some() || point.phase.is_some())
-            && base.llm.is_none()
-        {
+        if base.llm.is_none() && point.values().any(llm_axis) {
             return Err(format!(
                 "grid point '{}': the seq/batch/phase axes need an [llm] model in the \
                  base config",
@@ -358,6 +343,92 @@ mod tests {
         assert_eq!(cfg.core.memory.dram_bandwidth, 4.0);
         assert_eq!(cfg.core.dataflow, base.core.dataflow);
         assert_eq!(cfg.core.memory.ifmap_words, base.core.memory.ifmap_words);
+    }
+
+    #[test]
+    fn apply_point_changes_only_the_knobs_the_point_sweeps() {
+        use scalesim_llm::LlmRunSpec;
+        // A base where every section exists, so every axis has a knob to
+        // turn and a neighbour it could wrongly disturb.
+        let base = ScaleSimConfig {
+            scaleout: Some(ScaleoutSpec {
+                chips: 4,
+                mesh: Some((2, 2)),
+                ..Default::default()
+            }),
+            llm: Some(LlmRunSpec::default()),
+            ..ScaleSimConfig::default()
+        };
+        // Puts the knob `value` turned back to its base setting.
+        let restore = |cfg: &mut ScaleSimConfig, value: AxisValue| {
+            let (mem, base_mem) = (&mut cfg.core.memory, &base.core.memory);
+            let so = cfg.scaleout.as_mut().zip(base.scaleout.as_ref());
+            let llm = cfg.llm.as_mut().zip(base.llm.as_ref());
+            match value {
+                AxisValue::Array(_) => cfg.core.array = base.core.array,
+                AxisValue::Dataflow(_) => cfg.core.dataflow = base.core.dataflow,
+                AxisValue::SramKb(..) => {
+                    mem.ifmap_words = base_mem.ifmap_words;
+                    mem.filter_words = base_mem.filter_words;
+                    mem.ofmap_words = base_mem.ofmap_words;
+                }
+                AxisValue::Bandwidth(_) => mem.dram_bandwidth = base_mem.dram_bandwidth,
+                AxisValue::Cores(_) => cfg.multicore = base.multicore.clone(),
+                AxisValue::Dram(_) => cfg.enable_dram = base.enable_dram,
+                AxisValue::DramModel(_) => cfg.dram = base.dram,
+                AxisValue::Energy(_) => cfg.enable_energy = base.enable_energy,
+                AxisValue::Layout(_) => cfg.enable_layout = base.enable_layout,
+                AxisValue::Chips(_) => so
+                    .into_iter()
+                    .for_each(|(so, b)| (so.chips, so.mesh) = (b.chips, b.mesh)),
+                AxisValue::LinkGbps(_) => so
+                    .into_iter()
+                    .for_each(|(so, b)| so.link_gbps = b.link_gbps),
+                AxisValue::Strategy(_) => {
+                    so.into_iter().for_each(|(so, b)| so.strategy = b.strategy)
+                }
+                AxisValue::Seq(_) => llm
+                    .into_iter()
+                    .for_each(|(llm, b)| llm.spec.seq = b.spec.seq),
+                AxisValue::Batch(_) => llm
+                    .into_iter()
+                    .for_each(|(llm, b)| llm.spec.batch = b.spec.batch),
+                AxisValue::Phase(_) => llm.into_iter().for_each(|(llm, b)| llm.phase = b.phase),
+            }
+        };
+        let lines = [
+            "array = 16x64",
+            "dataflow = ws",
+            "sram_kb = 256/256/128",
+            "bandwidth = 20",
+            "cores = 2x2",
+            "dram = true",
+            "dram_model = hbm2",
+            "energy = true",
+            "layout = true",
+            "chips = 8",
+            "link_gbps = 25",
+            "strategy = tensor",
+            "seq = 64",
+            "batch = 8",
+            "phase = decode",
+        ];
+        // Each axis alone, then every axis at once.
+        for text in lines
+            .iter()
+            .map(|l| l.to_string())
+            .chain([lines.join("\n")])
+        {
+            let point = spec(&text).expand()[0];
+            let mut cfg = apply_point(&base, &point);
+            for value in point.values() {
+                let before = cfg.clone();
+                restore(&mut cfg, value);
+                assert_ne!(cfg, before, "{value:?} must change its own knob");
+            }
+            assert_eq!(cfg, base, "'{text}' touched a knob it does not sweep");
+        }
+        assert_eq!(apply_point(&base, &spec("").expand()[0]), base);
     }
 
     #[test]

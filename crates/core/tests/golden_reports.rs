@@ -22,7 +22,7 @@ use scalesim::multicore::{L2Config, PartitionGrid, PartitionScheme};
 use scalesim::sparse::NmRatio;
 use scalesim::sweep::SweepSpec;
 use scalesim::systolic::{ArrayShape, Dataflow, Layer, MemoryConfig, PlanCache, Topology};
-use scalesim::{run_sweep, ScaleSim, ScaleSimConfig, SparsityMode};
+use scalesim::{run_sweep, RunResult, ScaleSim, ScaleSimConfig, SparsityMode};
 use std::path::PathBuf;
 
 fn golden_dir() -> PathBuf {
@@ -49,6 +49,21 @@ fn check(name: &str, content: &str) {
     );
 }
 
+/// Runs the golden topology on `config` and compares the named reports
+/// — as [`RunResult::reports`] emits them, i.e. through the report sink
+/// the CLI and serve use — against the `<scenario>.<file>` goldens.
+fn check_reports(scenario: &str, config: ScaleSimConfig, files: &[&str]) -> RunResult {
+    let sim = ScaleSim::new(config);
+    let run = sim.run_topology(&topology());
+    let reports = run.reports(sim.config());
+    for file in files {
+        let report = reports.iter().find(|(name, _)| name == file);
+        let (_, content) = report.unwrap_or_else(|| panic!("{scenario}: no {file} emitted"));
+        check(&format!("{scenario}.{file}"), content);
+    }
+    run
+}
+
 /// The fixed core every scenario runs on: 16x16 WS, 64/64/32 kB SRAM.
 fn base_config() -> ScaleSimConfig {
     let mut config = ScaleSimConfig::default();
@@ -72,28 +87,28 @@ fn topology() -> Topology {
 
 #[test]
 fn dense_reports_match_golden() {
-    let run = ScaleSim::new(base_config()).run_topology(&topology());
-    check("dense.COMPUTE_REPORT.csv", &run.compute_report_csv());
-    check("dense.BANDWIDTH_REPORT.csv", &run.bandwidth_report_csv());
+    let files = ["COMPUTE_REPORT.csv", "BANDWIDTH_REPORT.csv"];
+    check_reports("dense", base_config(), &files);
 }
 
 #[test]
 fn sparse_reports_match_golden() {
     let mut config = base_config();
     config.sparsity = Some(SparsityMode::LayerWise(NmRatio::new(1, 4).unwrap()));
-    let run = ScaleSim::new(config).run_topology(&topology());
-    check("sparse.COMPUTE_REPORT.csv", &run.compute_report_csv());
-    check("sparse.SPARSE_REPORT.csv", &run.sparse_report_csv());
+    let files = ["COMPUTE_REPORT.csv", "SPARSE_REPORT.csv"];
+    check_reports("sparse", config, &files);
 }
 
 #[test]
 fn dram_reports_match_golden() {
     let mut config = base_config();
     config.enable_dram = true;
-    let run = ScaleSim::new(config).run_topology(&topology());
-    check("dram.COMPUTE_REPORT.csv", &run.compute_report_csv());
-    check("dram.BANDWIDTH_REPORT.csv", &run.bandwidth_report_csv());
-    check("dram.DRAM_REPORT.csv", &run.dram_report_csv());
+    let files = [
+        "COMPUTE_REPORT.csv",
+        "BANDWIDTH_REPORT.csv",
+        "DRAM_REPORT.csv",
+    ];
+    check_reports("dram", config, &files);
 }
 
 #[test]
@@ -123,9 +138,8 @@ fn multicore_reports_match_golden() {
         l2: Some(L2Config::default()),
     });
     config.enable_energy = true;
-    let run = ScaleSim::new(config).run_topology(&topology());
-    check("multicore.COMPUTE_REPORT.csv", &run.compute_report_csv());
-    check("multicore.ENERGY_REPORT.csv", &run.energy_report_csv());
+    let files = ["COMPUTE_REPORT.csv", "ENERGY_REPORT.csv"];
+    let run = check_reports("multicore", config, &files);
     // Cores and NoC words aren't in the stock CSVs; pin them too.
     let mut out = String::from("LayerName, Cores, NocWords\n");
     for l in &run.layers {
@@ -138,8 +152,7 @@ fn multicore_reports_match_golden() {
 fn energy_reports_match_golden() {
     let mut config = base_config();
     config.enable_energy = true;
-    let run = ScaleSim::new(config).run_topology(&topology());
-    check("energy.ENERGY_REPORT.csv", &run.energy_report_csv());
+    check_reports("energy", config, &["ENERGY_REPORT.csv"]);
 }
 
 #[test]
@@ -150,12 +163,14 @@ fn full_pipeline_reports_match_golden() {
     config.enable_dram = true;
     config.enable_layout = true;
     config.enable_energy = true;
-    let run = ScaleSim::new(config).run_topology(&topology());
-    check("full.COMPUTE_REPORT.csv", &run.compute_report_csv());
-    check("full.BANDWIDTH_REPORT.csv", &run.bandwidth_report_csv());
-    check("full.SPARSE_REPORT.csv", &run.sparse_report_csv());
-    check("full.DRAM_REPORT.csv", &run.dram_report_csv());
-    check("full.ENERGY_REPORT.csv", &run.energy_report_csv());
+    let files = [
+        "COMPUTE_REPORT.csv",
+        "BANDWIDTH_REPORT.csv",
+        "SPARSE_REPORT.csv",
+        "DRAM_REPORT.csv",
+        "ENERGY_REPORT.csv",
+    ];
+    check_reports("full", config, &files);
 }
 
 /// Satellite: schema stability. Every report's column set is pinned by

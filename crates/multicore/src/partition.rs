@@ -115,11 +115,7 @@ impl PartitionGrid {
     /// Parses a `PRxPC` grid string (e.g. `"2x2"`, `"1x4"`); both
     /// dimensions must be positive integers.
     pub fn parse(text: &str) -> Option<Self> {
-        let (pr, pc) = text.trim().split_once(['x', 'X'])?;
-        let (pr, pc) = (pr.trim().parse().ok()?, pc.trim().parse().ok()?);
-        if pr == 0 || pc == 0 {
-            return None;
-        }
+        let (pr, pc) = scalesim_systolic::dialect::rxc("cores", text.trim()).ok()?;
         Some(Self { pr, pc })
     }
 }

@@ -14,9 +14,10 @@
 //!   to Chrome trace-event JSON (loadable in Perfetto or
 //!   `chrome://tracing`), one track per recording thread, streamed to
 //!   the writer so peak memory stays bounded by the ring capacity.
-//! * **Metrics** ([`Counter`], [`Gauge`], [`Histogram`], [`Registry`]):
-//!   named process- or service-scoped metrics with Prometheus text
-//!   exposition ([`Registry::render_prometheus`]).
+//! * **Metrics** ([`Histogram`], [`render_counter`], [`render_gauge`],
+//!   [`render_histogram`]): a lock-free latency histogram and the
+//!   Prometheus text-exposition renderers; callers keep their counters
+//!   as plain atomics and render what they read.
 //!
 //! ## Determinism
 //!
@@ -41,9 +42,7 @@ mod ring;
 mod span;
 
 pub use chrome::{chrome_trace_string, write_chrome_trace};
-pub use metrics::{
-    render_counter, render_gauge, render_histogram, Counter, Gauge, Histogram, Registry,
-};
+pub use metrics::{render_counter, render_gauge, render_histogram, Histogram};
 pub use ring::{label_thread, snapshot_all, Event, EventKind, TrackSnapshot};
 pub use span::{complete_since, instant, span, span_for, SpanGuard, Totals};
 

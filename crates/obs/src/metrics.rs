@@ -1,84 +1,9 @@
-//! Named metrics: counters, gauges, power-of-two latency histograms,
-//! and a [`Registry`] that renders Prometheus text exposition.
+//! Metrics: a lock-free power-of-two latency [`Histogram`] and the
+//! Prometheus text-exposition renderers for counters, gauges and
+//! histograms. Callers own their counters as plain atomics and render
+//! the values they read.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// A monotonically increasing counter.
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.value.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: a value that can go up and down.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the value.
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `delta` (may be negative).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Subtracts one, saturating at zero (a late decrement must not
-    /// wrap an in-flight gauge negative).
-    #[inline]
-    pub fn dec_saturating(&self) {
-        let _ = self
-            .value
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1).max(0))
-            });
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lock-free latency histogram over 64 power-of-two microsecond
 /// buckets: bucket 0 holds `0 µs`, bucket `i ≥ 1` holds
@@ -180,109 +105,6 @@ impl Histogram {
     }
 }
 
-enum Metric {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-struct Entry {
-    name: String,
-    help: String,
-    metric: Metric,
-}
-
-/// A set of named metrics rendered together as Prometheus text. Each
-/// registry is independent (a serve process registers its service
-/// metrics in one; unit tests build their own), so counters never leak
-/// across instances.
-#[derive(Default)]
-pub struct Registry {
-    entries: Mutex<Vec<Entry>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The counter named `name`, created (with `help`) on first use.
-    pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        for entry in entries.iter() {
-            if entry.name == name {
-                if let Metric::Counter(c) = &entry.metric {
-                    return Arc::clone(c);
-                }
-            }
-        }
-        let counter = Arc::new(Counter::new());
-        entries.push(Entry {
-            name: name.to_string(),
-            help: help.to_string(),
-            metric: Metric::Counter(Arc::clone(&counter)),
-        });
-        counter
-    }
-
-    /// The gauge named `name`, created (with `help`) on first use.
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        for entry in entries.iter() {
-            if entry.name == name {
-                if let Metric::Gauge(g) = &entry.metric {
-                    return Arc::clone(g);
-                }
-            }
-        }
-        let gauge = Arc::new(Gauge::new());
-        entries.push(Entry {
-            name: name.to_string(),
-            help: help.to_string(),
-            metric: Metric::Gauge(Arc::clone(&gauge)),
-        });
-        gauge
-    }
-
-    /// The histogram named `name`, created (with `help`) on first use.
-    pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        for entry in entries.iter() {
-            if entry.name == name {
-                if let Metric::Histogram(h) = &entry.metric {
-                    return Arc::clone(h);
-                }
-            }
-        }
-        let histogram = Arc::new(Histogram::new());
-        entries.push(Entry {
-            name: name.to_string(),
-            help: help.to_string(),
-            metric: Metric::Histogram(Arc::clone(&histogram)),
-        });
-        histogram
-    }
-
-    /// Renders every metric as Prometheus text exposition (format
-    /// 0.0.4), in registration order. Histogram `le` labels are the
-    /// *exclusive* power-of-two bucket upper bounds in microseconds
-    /// (see `docs/OBSERVABILITY.md`); buckets above the highest
-    /// non-empty one are elided, `+Inf` always closes the series.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        for entry in entries.iter() {
-            match &entry.metric {
-                Metric::Counter(c) => render_counter(&mut out, &entry.name, &entry.help, c.get()),
-                Metric::Gauge(g) => render_gauge(&mut out, &entry.name, &entry.help, g.get()),
-                Metric::Histogram(h) => render_histogram(&mut out, &entry.name, &entry.help, h),
-            }
-        }
-        out
-    }
-}
-
 /// Appends one counter in exposition format.
 pub fn render_counter(out: &mut String, name: &str, help: &str, value: u64) {
     use std::fmt::Write;
@@ -300,7 +122,10 @@ pub fn render_gauge(out: &mut String, name: &str, help: &str, value: i64) {
 }
 
 /// Appends one histogram in exposition format (cumulative buckets,
-/// `_sum`, `_count`).
+/// `_sum`, `_count`). `le` labels are the *exclusive* power-of-two
+/// bucket upper bounds in microseconds (see `docs/OBSERVABILITY.md`);
+/// buckets above the highest non-empty one are elided, `+Inf` always
+/// closes the series.
 pub fn render_histogram(out: &mut String, name: &str, help: &str, histogram: &Histogram) {
     use std::fmt::Write;
     let _ = writeln!(out, "# HELP {name} {help}");
@@ -327,24 +152,6 @@ pub fn render_histogram(out: &mut String, name: &str, help: &str, histogram: &Hi
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_and_gauges_do_arithmetic() {
-        let c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        g.inc();
-        g.inc();
-        g.dec_saturating();
-        assert_eq!(g.get(), 1);
-        g.dec_saturating();
-        g.dec_saturating();
-        assert_eq!(g.get(), 0, "gauge saturates at zero");
-        g.set(-3);
-        assert_eq!(g.get(), -3, "set still allows negatives");
-    }
 
     #[test]
     fn histogram_bucket_boundaries_are_powers_of_two() {
@@ -413,25 +220,25 @@ mod tests {
     }
 
     #[test]
-    fn registry_returns_the_same_metric_for_the_same_name() {
-        let registry = Registry::new();
-        let a = registry.counter("x_total", "help");
-        let b = registry.counter("x_total", "help");
-        a.inc();
-        assert_eq!(b.get(), 1);
-    }
-
-    #[test]
     fn prometheus_exposition_format_is_pinned() {
-        let registry = Registry::new();
-        let requests = registry.counter("scalesim_requests_total", "Requests received.");
-        requests.add(42);
-        let in_flight = registry.gauge("scalesim_in_flight", "Requests in flight.");
-        in_flight.set(3);
-        let latency = registry.histogram("scalesim_latency_us", "Request latency, µs.");
+        let latency = Histogram::new();
         latency.record_us(0);
         latency.record_us(3);
         latency.record_us(100);
+        let mut text = String::new();
+        render_counter(
+            &mut text,
+            "scalesim_requests_total",
+            "Requests received.",
+            42,
+        );
+        render_gauge(&mut text, "scalesim_in_flight", "Requests in flight.", 3);
+        render_histogram(
+            &mut text,
+            "scalesim_latency_us",
+            "Request latency, µs.",
+            &latency,
+        );
         // The exact text is the contract: scrapers and the golden CI
         // check both parse it.
         let expect = "\
@@ -455,14 +262,13 @@ scalesim_latency_us_bucket{le=\"+Inf\"} 3
 scalesim_latency_us_sum 103
 scalesim_latency_us_count 3
 ";
-        assert_eq!(registry.render_prometheus(), expect);
+        assert_eq!(text, expect);
     }
 
     #[test]
     fn empty_histogram_renders_inf_only() {
-        let registry = Registry::new();
-        let _ = registry.histogram("h_us", "Empty.");
-        let text = registry.render_prometheus();
+        let mut text = String::new();
+        render_histogram(&mut text, "h_us", "Empty.", &Histogram::new());
         assert!(text.contains("h_us_bucket{le=\"+Inf\"} 0"), "{text}");
         assert!(text.contains("h_us_count 0"), "{text}");
         assert!(!text.contains("le=\"1\""), "{text}");

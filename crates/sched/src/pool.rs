@@ -544,7 +544,10 @@ mod tests {
             }
             std::thread::sleep(std::time::Duration::from_millis(5));
             let (tx, rx) = mpsc::channel::<()>();
-            pool.spawn_detached(Priority::Interactive, Box::new(move || tx.send(()).unwrap()));
+            pool.spawn_detached(
+                Priority::Interactive,
+                Box::new(move || tx.send(()).unwrap()),
+            );
             rx.recv().unwrap();
             woke = pool.stats().park_wakeups >= 1;
         }

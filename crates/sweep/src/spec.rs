@@ -1,11 +1,15 @@
 //! Sweep specification: which axes to sweep and over which values.
 //!
-//! A spec is a small INI/cfg-style text file (the same dialect as
-//! SCALE-Sim `.cfg` files: `key = value` or `key : value`, `#`/`;`
-//! comments, case-insensitive keys). Every *grid* key lists one or more
-//! comma-separated values; the sweep is the Cartesian product of all
-//! listed axes. Omitted axes inherit the base configuration the sweep is
-//! run against (`scalesim sweep -c base.cfg` or the built-in default).
+//! A spec is a small text file in the dialect SCALE-Sim `.cfg` files
+//! use, lexed by the same [`scalesim_systolic::dialect`]. Every *grid*
+//! key lists one or more comma-separated values; the sweep is the
+//! Cartesian product of all listed axes. Omitted axes inherit the base
+//! configuration the sweep is run against (`scalesim sweep -c base.cfg`
+//! or the built-in default).
+//!
+//! The axes are data: one [`AxisValue`] variant and one row of the
+//! `AXES` table each. Parsing, grid size, expansion and labelling walk
+//! the table; nothing else names an axis.
 //!
 //! ```text
 //! [sweep]
@@ -27,7 +31,9 @@
 
 use scalesim_collective::Strategy;
 use scalesim_llm::Phase;
+use scalesim_mem::DramSpec;
 use scalesim_multicore::PartitionGrid;
+use scalesim_systolic::dialect::{self, Entry};
 use scalesim_systolic::{ArrayShape, Dataflow};
 
 /// A parse failure, naming the offending key/value.
@@ -42,129 +48,146 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// A parsed sweep specification: the value lists of every swept axis.
+/// One swept value; the variant names the axis. An axis is declared in
+/// four places: a variant here, a row of `AXES`, an arm of the label
+/// `match` below, and an arm of `scalesim::apply_point`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum AxisValue {
+    /// PE array shape (`array = 8x8, 16x64`).
+    Array(ArrayShape),
+    /// Dataflow (`dataflow = os, ws, is`).
+    Dataflow(Dataflow),
+    /// Ifmap, filter, ofmap SRAM kilobytes (`sram_kb = 256/256/128`).
+    SramKb(usize, usize, usize),
+    /// DRAM interface bandwidth, words/cycle (`bandwidth = 10, 20`).
+    Bandwidth(f64),
+    /// Tensor-core grid (`cores = 1x1, 2x2`); `1x1` is single-core.
+    Cores(PartitionGrid),
+    /// Cycle-accurate DRAM flow on/off (`dram = false, true`).
+    Dram(bool),
+    /// DRAM device preset, a `DramSpec::preset_names` entry
+    /// (`dram_model = ddr4_2400, hbm2`); only matters with `dram` on.
+    DramModel(&'static str),
+    /// Energy estimation on/off (`energy = true`).
+    Energy(bool),
+    /// Layout bank-conflict analysis on/off (`layout = false`).
+    Layout(bool),
+    /// Scale-out chip count (`chips = 1, 8, 64`); `1` is single-chip.
+    Chips(usize),
+    /// Scale-out per-link bandwidth, GB/s (`link_gbps = 25, 100`).
+    LinkGbps(f64),
+    /// Scale-out strategy (`strategy = data, tensor, pipeline`).
+    Strategy(Strategy),
+    /// LLM sequence length (`seq = 128, 1024`); this and the next two
+    /// need an `[llm]` model in the base config (the runner checks).
+    Seq(usize),
+    /// LLM batch size (`batch = 1, 8`).
+    Batch(usize),
+    /// LLM phase (`phase = prefill, decode`).
+    Phase(Phase),
+}
+
+/// One row of the axis table: the accepted key spellings (the first
+/// names the axis in errors); where the axis's fragment sits in a point
+/// label — not the row order: `dram_model` expands right after `dram`
+/// but labels after `layout`, and the report goldens pin both —; and
+/// the parser for one list item, given the axis name to blame.
+type Axis = (
+    &'static [&'static str],
+    usize,
+    fn(&str, &str) -> Result<AxisValue, String>,
+);
+
+/// Every sweep axis, in odometer order (the last row varies fastest).
+const AXES: [Axis; 15] = [
+    (&["array", "arrays"], 0, |k, v| {
+        dialect::rxc(k, v).map(|(r, c)| AxisValue::Array(ArrayShape::new(r, c)))
+    }),
+    (&["dataflow", "dataflows"], 1, |_, v| {
+        Dataflow::parse(v).map(AxisValue::Dataflow)
+    }),
+    (&["sram_kb", "sram"], 2, sram_kb),
+    (&["bandwidth", "bandwidths"], 3, |k, v| {
+        dialect::positive(k, v).map(AxisValue::Bandwidth)
+    }),
+    (&["cores", "core_grid"], 4, |k, v| {
+        let grid = PartitionGrid::parse(v).map(AxisValue::Cores);
+        grid.ok_or_else(|| format!("bad {k} '{v}' (expected PRxPC, e.g. 2x2)"))
+    }),
+    (&["dram"], 5, |k, v| {
+        dialect::boolean(k, v).map(AxisValue::Dram)
+    }),
+    (&["dram_model", "dram_models"], 8, dram_model),
+    (&["energy"], 6, |k, v| {
+        dialect::boolean(k, v).map(AxisValue::Energy)
+    }),
+    (&["layout"], 7, |k, v| {
+        dialect::boolean(k, v).map(AxisValue::Layout)
+    }),
+    (&["chips"], 9, |k, v| {
+        dialect::count(k, v).map(AxisValue::Chips)
+    }),
+    (&["link_gbps", "linkgbps"], 10, |k, v| {
+        dialect::positive(k, v).map(AxisValue::LinkGbps)
+    }),
+    (&["strategy", "strategies"], 11, |_, v| {
+        Strategy::parse(v).map(AxisValue::Strategy)
+    }),
+    (&["seq", "seqs"], 12, |k, v| {
+        dialect::count(k, v).map(AxisValue::Seq)
+    }),
+    (&["batch", "batches"], 13, |k, v| {
+        dialect::count(k, v).map(AxisValue::Batch)
+    }),
+    (&["phase", "phases"], 14, |_, v| {
+        Phase::parse(v).map(AxisValue::Phase)
+    }),
+];
+
+/// The row of the axis spelled `name`.
+fn axis_row(name: &str) -> Option<usize> {
+    AXES.iter().position(|(names, ..)| names.contains(&name))
+}
+
+fn sram_kb(what: &str, v: &str) -> Result<AxisValue, String> {
+    let parts: Vec<&str> = v.split('/').map(str::trim).collect();
+    let [ifmap, filter, ofmap] = parts[..] else {
+        return Err(format!(
+            "bad {what} '{v}' (expected ifmap/filter/ofmap, e.g. 512/512/256)"
+        ));
+    };
+    let kb = |s| dialect::count("SRAM size", s);
+    Ok(AxisValue::SramKb(kb(ifmap)?, kb(filter)?, kb(ofmap)?))
+}
+
+fn dram_model(what: &str, v: &str) -> Result<AxisValue, String> {
+    let names = DramSpec::preset_names();
+    let name = names.into_iter().find(|n| n.eq_ignore_ascii_case(v));
+    name.map(AxisValue::DramModel)
+        .ok_or_else(|| format!("unknown {what} '{v}' (supported: {})", names.join(", ")))
+}
+
+/// A parsed sweep specification: the value list of every swept axis.
 ///
-/// Empty axis vectors mean "not swept" — the point inherits the base
-/// configuration for that knob (see [`SweepPoint`]).
+/// An axis with no values is "not swept" — every point inherits the
+/// base configuration for that knob (see [`SweepPoint`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepSpec {
     /// Sweep name (used in report headers); defaults to `"sweep"`.
     pub name: String,
-    /// PE array shapes (`array = 8x8, 16x64`).
-    pub arrays: Vec<ArrayShape>,
-    /// Dataflows (`dataflow = os, ws, is`).
-    pub dataflows: Vec<Dataflow>,
-    /// SRAM sizes as (ifmap, filter, ofmap) kilobytes
-    /// (`sram_kb = 256/256/128, 512/512/256`).
-    pub srams_kb: Vec<(usize, usize, usize)>,
-    /// DRAM interface bandwidths in words/cycle (`bandwidth = 10, 20`).
-    pub bandwidths: Vec<f64>,
-    /// Tensor-core grids (`cores = 1x1, 2x2`); `1x1` is single-core.
-    pub core_grids: Vec<PartitionGrid>,
-    /// Cycle-accurate DRAM flow on/off (`dram = false, true`).
-    pub dram: Vec<bool>,
-    /// DRAM device presets (`dram_model = ddr4_2400, hbm2`); names are
-    /// the `scalesim_mem::DramSpec` preset vocabulary and only matter
-    /// for points where the DRAM flow is enabled.
-    pub dram_models: Vec<&'static str>,
-    /// Energy estimation on/off (`energy = true`).
-    pub energy: Vec<bool>,
-    /// Layout bank-conflict analysis on/off (`layout = false`).
-    pub layout: Vec<bool>,
-    /// Scale-out chip counts (`chips = 1, 8, 64`); `1` is a plain
-    /// single-chip run.
-    pub chips: Vec<usize>,
-    /// Scale-out per-link bandwidths in GB/s (`link_gbps = 25, 100`).
-    pub link_gbps: Vec<f64>,
-    /// Scale-out parallelization strategies
-    /// (`strategy = data, tensor, pipeline`).
-    pub strategies: Vec<Strategy>,
-    /// LLM sequence lengths (`seq = 128, 1024`); requires an `[llm]`
-    /// model in the base config (enforced by the runner).
-    pub seqs: Vec<usize>,
-    /// LLM batch sizes (`batch = 1, 8`); requires an `[llm]` model.
-    pub batches: Vec<usize>,
-    /// LLM phases (`phase = prefill, decode`); requires an `[llm]`
-    /// model.
-    pub phases: Vec<Phase>,
+    /// Listed values, one list per `AXES` row.
+    axes: [Vec<AxisValue>; AXES.len()],
     /// Workload topology CSV paths (`topology = a.csv, b.csv`;
     /// repeatable). The CLI may append more with `-t`.
     pub topologies: Vec<String>,
-}
-
-fn parse_kv(line: &str) -> Option<(String, String)> {
-    let sep = line.find([':', '='])?;
-    let key = line[..sep].trim().to_ascii_lowercase();
-    let val = line[sep + 1..].trim().to_string();
-    if key.is_empty() || val.is_empty() {
-        None
-    } else {
-        Some((key, val))
-    }
-}
-
-fn strip_comment(line: &str) -> &str {
-    match line.find(['#', ';']) {
-        Some(i) => &line[..i],
-        None => line,
-    }
-}
-
-fn parse_array(v: &str) -> Result<ArrayShape, SpecError> {
-    let (r, c) = v
-        .split_once(['x', 'X'])
-        .ok_or_else(|| SpecError(format!("bad array '{v}' (expected RxC, e.g. 16x64)")))?;
-    let parse = |s: &str| -> Result<usize, SpecError> {
-        s.trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| SpecError(format!("bad array dimension '{s}' in '{v}'")))
-    };
-    Ok(ArrayShape::new(parse(r)?, parse(c)?))
-}
-
-fn parse_dataflow(v: &str) -> Result<Dataflow, SpecError> {
-    match v.to_ascii_lowercase().as_str() {
-        "os" => Ok(Dataflow::OutputStationary),
-        "ws" => Ok(Dataflow::WeightStationary),
-        "is" => Ok(Dataflow::InputStationary),
-        other => Err(SpecError(format!(
-            "unknown dataflow '{other}' (expected os/ws/is)"
-        ))),
-    }
-}
-
-fn parse_sram(v: &str) -> Result<(usize, usize, usize), SpecError> {
-    let parts: Vec<&str> = v.split('/').map(str::trim).collect();
-    if parts.len() != 3 {
-        return Err(SpecError(format!(
-            "bad sram_kb '{v}' (expected ifmap/filter/ofmap, e.g. 512/512/256)"
-        )));
-    }
-    let parse = |s: &str| -> Result<usize, SpecError> {
-        s.parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| SpecError(format!("bad SRAM size '{s}' in '{v}'")))
-    };
-    Ok((parse(parts[0])?, parse(parts[1])?, parse(parts[2])?))
-}
-
-fn parse_bool(v: &str) -> Result<bool, SpecError> {
-    match v.to_ascii_lowercase().as_str() {
-        "true" | "1" | "on" | "yes" => Ok(true),
-        "false" | "0" | "off" | "no" => Ok(false),
-        other => Err(SpecError(format!("bad boolean '{other}'"))),
-    }
 }
 
 impl SweepSpec {
     /// Parses a sweep spec from its text form.
     ///
     /// Unknown keys are errors (a typo'd axis silently inheriting the
-    /// base config would invalidate a whole sweep); unknown *sections*
-    /// are ignored for forward compatibility.
+    /// base config would invalidate a whole sweep); section headers
+    /// only group keys for the reader.
     ///
     /// ```
     /// use scalesim_sweep::SweepSpec;
@@ -180,7 +203,7 @@ impl SweepSpec {
     /// )
     /// .unwrap();
     /// assert_eq!(spec.name, "demo");
-    /// assert_eq!(spec.arrays.len(), 2);
+    /// assert_eq!(spec.axis("array").len(), 2);
     /// assert_eq!(spec.topologies, ["topologies/alexnet.csv"]);
     /// ```
     ///
@@ -192,165 +215,46 @@ impl SweepSpec {
             name: "sweep".into(),
             ..SweepSpec::default()
         };
-        for raw in text.lines() {
-            let line = strip_comment(raw).trim();
-            if line.is_empty() || line.starts_with('[') {
-                continue;
-            }
-            let Some((key, val)) = parse_kv(line) else {
-                return Err(SpecError(format!("malformed line '{line}'")));
-            };
-            let values = || val.split(',').map(str::trim).filter(|v| !v.is_empty());
+        for entry in dialect::entries(text) {
+            let Entry { key, value, .. } = entry.map_err(SpecError)?;
             match key.as_str() {
-                "name" => spec.name = val.clone(),
-                "array" | "arrays" => {
-                    for v in values() {
-                        spec.arrays.push(parse_array(v)?);
-                    }
-                }
-                "dataflow" | "dataflows" => {
-                    for v in values() {
-                        spec.dataflows.push(parse_dataflow(v)?);
-                    }
-                }
-                "sram_kb" | "sram" => {
-                    for v in values() {
-                        spec.srams_kb.push(parse_sram(v)?);
-                    }
-                }
-                "bandwidth" | "bandwidths" => {
-                    for v in values() {
-                        let bw: f64 = v
-                            .parse()
-                            .map_err(|_| SpecError(format!("bad bandwidth '{v}'")))?;
-                        if !bw.is_finite() || bw <= 0.0 {
-                            return Err(SpecError(format!("bandwidth must be positive: '{v}'")));
-                        }
-                        spec.bandwidths.push(bw);
-                    }
-                }
-                "cores" | "core_grid" => {
-                    for v in values() {
-                        spec.core_grids.push(PartitionGrid::parse(v).ok_or_else(|| {
-                            SpecError(format!("bad cores '{v}' (expected PRxPC, e.g. 2x2)"))
-                        })?);
-                    }
-                }
-                "dram" => {
-                    for v in values() {
-                        spec.dram.push(parse_bool(v)?);
-                    }
-                }
-                "dram_model" | "dram_models" => {
-                    for v in values() {
-                        let lower = v.to_ascii_lowercase();
-                        let name = scalesim_mem::DramSpec::preset_names()
-                            .into_iter()
-                            .find(|n| *n == lower)
-                            .ok_or_else(|| {
-                                SpecError(format!(
-                                    "unknown dram_model '{v}' (supported: {})",
-                                    scalesim_mem::DramSpec::preset_names().join(", ")
-                                ))
-                            })?;
-                        spec.dram_models.push(name);
-                    }
-                }
-                "energy" => {
-                    for v in values() {
-                        spec.energy.push(parse_bool(v)?);
-                    }
-                }
-                "layout" => {
-                    for v in values() {
-                        spec.layout.push(parse_bool(v)?);
-                    }
-                }
-                "chips" => {
-                    for v in values() {
-                        let n = v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                            SpecError(format!("bad chips '{v}' (positive integer)"))
-                        })?;
-                        spec.chips.push(n);
-                    }
-                }
-                "link_gbps" | "linkgbps" => {
-                    for v in values() {
-                        let gbps: f64 = v
-                            .parse()
-                            .map_err(|_| SpecError(format!("bad link_gbps '{v}'")))?;
-                        if !gbps.is_finite() || gbps <= 0.0 {
-                            return Err(SpecError(format!("link_gbps must be positive: '{v}'")));
-                        }
-                        spec.link_gbps.push(gbps);
-                    }
-                }
-                "strategy" | "strategies" => {
-                    for v in values() {
-                        spec.strategies.push(Strategy::parse(v).map_err(SpecError)?);
-                    }
-                }
-                "seq" | "seqs" => {
-                    for v in values() {
-                        let n = v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                            SpecError(format!("bad seq '{v}' (positive integer)"))
-                        })?;
-                        spec.seqs.push(n);
-                    }
-                }
-                "batch" | "batches" => {
-                    for v in values() {
-                        let n = v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                            SpecError(format!("bad batch '{v}' (positive integer)"))
-                        })?;
-                        spec.batches.push(n);
-                    }
-                }
-                "phase" | "phases" => {
-                    for v in values() {
-                        spec.phases.push(Phase::parse(v).map_err(SpecError)?);
-                    }
-                }
+                "name" => spec.name = value.to_string(),
                 "topology" | "topologies" => {
-                    spec.topologies.extend(values().map(String::from));
+                    spec.topologies
+                        .extend(dialect::list(value).map(String::from));
                 }
-                other => {
-                    return Err(SpecError(format!("unknown key '{other}'")));
-                }
+                _ => spec.push_axis(&key, value).map_err(SpecError)?,
             }
         }
         Ok(spec)
     }
 
+    fn push_axis(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let row = axis_row(key).ok_or_else(|| format!("unknown key '{key}'"))?;
+        let (names, _, parse) = AXES[row];
+        for v in dialect::list(value) {
+            self.axes[row].push(parse(names[0], v)?);
+        }
+        Ok(())
+    }
+
+    /// The values listed for the axis spelled `name` (empty when the
+    /// axis is not swept or no axis has that spelling).
+    pub fn axis(&self, name: &str) -> &[AxisValue] {
+        axis_row(name).map_or(&[], |row| &self.axes[row])
+    }
+
     /// Number of grid points the spec expands to (the product of all
     /// non-empty axis lengths).
     pub fn grid_size(&self) -> usize {
-        [
-            self.arrays.len(),
-            self.dataflows.len(),
-            self.srams_kb.len(),
-            self.bandwidths.len(),
-            self.core_grids.len(),
-            self.dram.len(),
-            self.dram_models.len(),
-            self.energy.len(),
-            self.layout.len(),
-            self.chips.len(),
-            self.link_gbps.len(),
-            self.strategies.len(),
-            self.seqs.len(),
-            self.batches.len(),
-            self.phases.len(),
-        ]
-        .iter()
-        .map(|&n| n.max(1))
-        .product()
+        self.axes.iter().map(|axis| axis.len().max(1)).product()
     }
 
     /// Expands the spec into the full Cartesian product of its axes, in
     /// a stable odometer order (the last listed axis varies fastest).
     ///
     /// ```
+    /// use scalesim_sweep::spec::AxisValue;
     /// use scalesim_sweep::SweepSpec;
     ///
     /// let spec = SweepSpec::parse(
@@ -359,180 +263,87 @@ impl SweepSpec {
     /// .unwrap();
     /// let grid = spec.expand();
     /// assert_eq!(grid.len(), 6); // 2 arrays x 3 bandwidths
-    /// // The first point holds the first value of every axis...
-    /// assert_eq!(grid[0].bandwidth, Some(10.0));
-    /// // ...and un-swept axes stay None (inherit the base config).
-    /// assert!(grid[0].dataflow.is_none());
+    /// // The first point holds the first value of every swept axis;
+    /// // un-swept axes are absent (they inherit the base config).
+    /// let first: Vec<AxisValue> = grid[0].values().collect();
+    /// assert_eq!(first, [spec.axis("array")[0], AxisValue::Bandwidth(10.0)]);
     /// assert_eq!(grid[0].label(), "8x8-bw10");
     /// ```
     pub fn expand(&self) -> Vec<SweepPoint> {
-        fn axis<T: Copy>(values: &[T]) -> Vec<Option<T>> {
-            if values.is_empty() {
-                vec![None]
-            } else {
-                values.iter().copied().map(Some).collect()
-            }
-        }
-        let mut grid = Vec::with_capacity(self.grid_size());
-        for &array in &axis(&self.arrays) {
-            for &dataflow in &axis(&self.dataflows) {
-                for &sram_kb in &axis(&self.srams_kb) {
-                    for &bandwidth in &axis(&self.bandwidths) {
-                        for &cores in &axis(&self.core_grids) {
-                            for &dram in &axis(&self.dram) {
-                                for &dram_model in &axis(&self.dram_models) {
-                                    for &energy in &axis(&self.energy) {
-                                        for &layout in &axis(&self.layout) {
-                                            for &chips in &axis(&self.chips) {
-                                                for &link_gbps in &axis(&self.link_gbps) {
-                                                    for &strategy in &axis(&self.strategies) {
-                                                        for &seq in &axis(&self.seqs) {
-                                                            for &batch in &axis(&self.batches) {
-                                                                for &phase in &axis(&self.phases) {
-                                                                    grid.push(SweepPoint {
-                                                                        index: grid.len(),
-                                                                        array,
-                                                                        dataflow,
-                                                                        sram_kb,
-                                                                        bandwidth,
-                                                                        cores,
-                                                                        dram,
-                                                                        dram_model,
-                                                                        energy,
-                                                                        layout,
-                                                                        chips,
-                                                                        link_gbps,
-                                                                        strategy,
-                                                                        seq,
-                                                                        batch,
-                                                                        phase,
-                                                                    });
-                                                                }
-                                                            }
-                                                        }
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
+        (0..self.grid_size())
+            .map(|index| {
+                let mut values = [None; AXES.len()];
+                let mut rest = index;
+                for (slot, axis) in values.iter_mut().zip(&self.axes).rev() {
+                    if !axis.is_empty() {
+                        *slot = Some(axis[rest % axis.len()]);
+                        rest /= axis.len();
                     }
                 }
-            }
-        }
-        grid
+                SweepPoint { index, values }
+            })
+            .collect()
     }
 }
 
-/// One concrete grid point: the swept value of every axis, or `None`
-/// where the axis is not swept (the base configuration applies).
+/// One concrete grid point: the value of every swept axis. Axes the
+/// spec does not sweep are absent — the base configuration applies.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// Position in the expanded grid (stable across runs).
     pub index: usize,
-    /// PE array shape override.
-    pub array: Option<ArrayShape>,
-    /// Dataflow override.
-    pub dataflow: Option<Dataflow>,
-    /// (ifmap, filter, ofmap) SRAM kilobytes override.
-    pub sram_kb: Option<(usize, usize, usize)>,
-    /// DRAM bandwidth override (words/cycle).
-    pub bandwidth: Option<f64>,
-    /// Tensor-core grid override (`1x1` forces single-core).
-    pub cores: Option<PartitionGrid>,
-    /// Cycle-accurate DRAM flow toggle override.
-    pub dram: Option<bool>,
-    /// DRAM device preset override (a `DramSpec::preset_names` entry).
-    pub dram_model: Option<&'static str>,
-    /// Energy estimation toggle override.
-    pub energy: Option<bool>,
-    /// Layout analysis toggle override.
-    pub layout: Option<bool>,
-    /// Scale-out chip-count override (`1` forces a single-chip run).
-    pub chips: Option<usize>,
-    /// Scale-out per-link bandwidth override, GB/s.
-    pub link_gbps: Option<f64>,
-    /// Scale-out strategy override.
-    pub strategy: Option<Strategy>,
-    /// LLM sequence-length override.
-    pub seq: Option<usize>,
-    /// LLM batch-size override.
-    pub batch: Option<usize>,
-    /// LLM phase override.
-    pub phase: Option<Phase>,
+    /// The point's value per `AXES` row; `None` where not swept.
+    values: [Option<AxisValue>; AXES.len()],
 }
 
 impl SweepPoint {
+    /// The swept values, in odometer (axis-table) order.
+    pub fn values(&self) -> impl Iterator<Item = AxisValue> + '_ {
+        self.values.iter().flatten().copied()
+    }
+
     /// A compact, stable, human-readable label naming the swept values
     /// (`"16x64-ws-s256/256/128-bw20"`); `"base"` when nothing is swept.
     pub fn label(&self) -> String {
-        let mut parts: Vec<String> = Vec::new();
-        if let Some(a) = self.array {
-            parts.push(format!("{}x{}", a.rows(), a.cols()));
-        }
-        if let Some(d) = self.dataflow {
-            parts.push(
-                match d {
-                    Dataflow::OutputStationary => "os",
-                    Dataflow::WeightStationary => "ws",
-                    Dataflow::InputStationary => "is",
-                }
-                .into(),
-            );
-        }
-        if let Some((i, f, o)) = self.sram_kb {
-            parts.push(format!("s{i}/{f}/{o}"));
-        }
-        if let Some(bw) = self.bandwidth {
-            if bw.fract() == 0.0 {
-                parts.push(format!("bw{}", bw as u64));
-            } else {
-                parts.push(format!("bw{bw}"));
-            }
-        }
-        if let Some(g) = self.cores {
-            parts.push(format!("c{}x{}", g.pr, g.pc));
-        }
-        for (flag, tag) in [
-            (self.dram, "dram"),
-            (self.energy, "e"),
-            (self.layout, "lay"),
-        ] {
-            if let Some(on) = flag {
-                parts.push(format!("{tag}{}", u8::from(on)));
-            }
-        }
-        if let Some(m) = self.dram_model {
-            parts.push(m.into());
-        }
-        if let Some(p) = self.chips {
-            parts.push(format!("p{p}"));
-        }
-        if let Some(g) = self.link_gbps {
-            if g.fract() == 0.0 {
-                parts.push(format!("g{}", g as u64));
-            } else {
-                parts.push(format!("g{g}"));
-            }
-        }
-        if let Some(s) = self.strategy {
-            parts.push(s.tag().into());
-        }
-        if let Some(n) = self.seq {
-            parts.push(format!("s{n}"));
-        }
-        if let Some(n) = self.batch {
-            parts.push(format!("b{n}"));
-        }
-        if let Some(p) = self.phase {
-            parts.push(p.label().into());
-        }
+        let ranked = self.values.iter().zip(&AXES);
+        let mut parts: Vec<(usize, String)> = ranked
+            .filter_map(|(value, (_, rank, _))| Some((*rank, value.as_ref()?.fragment())))
+            .collect();
         if parts.is_empty() {
-            "base".into()
-        } else {
-            parts.join("-")
+            return "base".into();
+        }
+        parts.sort_by_key(|&(rank, _)| rank);
+        let parts: Vec<String> = parts.into_iter().map(|(_, text)| text).collect();
+        parts.join("-")
+    }
+}
+
+impl AxisValue {
+    /// This value's piece of a point label.
+    fn fragment(&self) -> String {
+        let number = |tag: &str, x: f64| {
+            if x.fract() == 0.0 {
+                format!("{tag}{}", x as u64)
+            } else {
+                format!("{tag}{x}")
+            }
+        };
+        match *self {
+            AxisValue::Array(a) => format!("{}x{}", a.rows(), a.cols()),
+            AxisValue::Dataflow(d) => d.short_name().into(),
+            AxisValue::SramKb(i, f, o) => format!("s{i}/{f}/{o}"),
+            AxisValue::Bandwidth(bw) => number("bw", bw),
+            AxisValue::Cores(g) => format!("c{}x{}", g.pr, g.pc),
+            AxisValue::Dram(on) => format!("dram{}", u8::from(on)),
+            AxisValue::DramModel(name) => name.into(),
+            AxisValue::Energy(on) => format!("e{}", u8::from(on)),
+            AxisValue::Layout(on) => format!("lay{}", u8::from(on)),
+            AxisValue::Chips(p) => format!("p{p}"),
+            AxisValue::LinkGbps(g) => number("g", g),
+            AxisValue::Strategy(s) => s.tag().into(),
+            AxisValue::Seq(n) => format!("s{n}"),
+            AxisValue::Batch(n) => format!("b{n}"),
+            AxisValue::Phase(p) => p.label().into(),
         }
     }
 }
@@ -541,34 +352,177 @@ impl SweepPoint {
 mod tests {
     use super::*;
 
+    /// Per `AXES` row: one value's spec text and its label fragment.
+    const EVERY_AXIS: [(&str, &str); AXES.len()] = [
+        ("16x64", "16x64"),
+        ("ws", "ws"),
+        ("256/256/128", "s256/256/128"),
+        ("20", "bw20"),
+        ("2x2", "c2x2"),
+        ("true", "dram1"),
+        ("HBM2", "hbm2"),
+        ("on", "e1"),
+        ("false", "lay0"),
+        ("8", "p8"),
+        ("100", "g100"),
+        ("data", "dp"),
+        ("1024", "s1024"),
+        ("8", "b8"),
+        ("decode", "dec"),
+    ];
+
     #[test]
-    fn parses_all_axes() {
-        let spec = SweepSpec::parse(
-            "[sweep]\nname = full\n[grid]\n\
-             array = 8x8, 16x64\ndataflow = os, ws, is\n\
-             sram_kb = 256/256/128\nbandwidth = 10, 20\n\
-             cores = 1x1, 2x2\ndram = false, true\nenergy = true\nlayout = false\n\
-             [workloads]\ntopology = a.csv, b.csv\n",
-        )
-        .unwrap();
-        assert_eq!(spec.name, "full");
-        assert_eq!(spec.arrays.len(), 2);
-        assert_eq!(spec.dataflows.len(), 3);
-        assert_eq!(spec.srams_kb, [(256, 256, 128)]);
-        assert_eq!(spec.bandwidths, [10.0, 20.0]);
-        assert_eq!(spec.core_grids.len(), 2);
-        assert_eq!(spec.dram, [false, true]);
-        assert_eq!(spec.topologies, ["a.csv", "b.csv"]);
-        assert_eq!(spec.grid_size(), 2 * 3 * 2 * 2 * 2);
-        assert_eq!(spec.expand().len(), spec.grid_size());
+    fn every_axis_parses_under_every_spelling_and_labels_its_fragment() {
+        for ((names, ..), (text, fragment)) in AXES.iter().zip(EVERY_AXIS) {
+            for name in *names {
+                let spec = SweepSpec::parse(&format!("{name} = {text}\n")).unwrap();
+                assert_eq!(spec.axis(names[0]).len(), 1, "{name}");
+                let grid = spec.expand();
+                assert_eq!(grid.len(), 1);
+                assert_eq!(grid[0].label(), fragment, "{name} = {text}");
+            }
+        }
+        // Fractional numbers keep their fraction.
+        let spec = SweepSpec::parse("bandwidth = 2.5\nlink_gbps = 12.5\n").unwrap();
+        assert_eq!(spec.expand()[0].label(), "bw2.5-g12.5");
+    }
+
+    #[test]
+    fn label_order_puts_dram_model_after_layout() {
+        // Odometer order is the AXES row order, but the label order is
+        // pinned by the report goldens: `dram_model` expands right after
+        // `dram` yet labels after `layout`.
+        let text: String = (AXES.iter().zip(EVERY_AXIS))
+            .map(|((names, ..), (text, _))| format!("{} = {text}\n", names[0]))
+            .collect();
+        let grid = SweepSpec::parse(&text).unwrap().expand();
+        assert_eq!(grid.len(), 1);
+        assert_eq!(
+            grid[0].label(),
+            "16x64-ws-s256/256/128-bw20-c2x2-dram1-e1-lay0-hbm2-p8-g100-dp-s1024-b8-dec"
+        );
+        let mut ranks: Vec<usize> = AXES.iter().map(|(_, rank, _)| *rank).collect();
+        ranks.sort_unstable();
+        assert_eq!(ranks, (0..AXES.len()).collect::<Vec<_>>(), "a permutation");
+    }
+
+    #[test]
+    fn every_axis_is_documented_in_the_cli_reference() {
+        let doc = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/CLI.md");
+        let doc = std::fs::read_to_string(doc).unwrap();
+        for ((names, ..), (_, fragment)) in AXES.iter().zip(EVERY_AXIS) {
+            for documented in names.iter().chain([&fragment]) {
+                assert!(doc.contains(&format!("`{documented}`")), "{documented}");
+            }
+        }
+    }
+
+    /// SplitMix64: tiny, seedable, good-enough mixing for test generation.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// `len` distinct values of AXES row `row`, as spec text.
+    fn axis_values(row: usize, len: usize) -> Vec<String> {
+        const MODELS: [&str; 3] = ["ddr4_2400", "hbm2", "wio2"];
+        (0..len)
+            .map(|i| match AXES[row].0[0] {
+                "array" | "cores" => format!("{}x2", i + 1),
+                "dataflow" => Dataflow::ALL[i].short_name().into(),
+                "sram_kb" => format!("{}/64/64", 64 * (i + 1)),
+                "dram" | "energy" | "layout" => (i == 1).to_string(),
+                "dram_model" => MODELS[i].into(),
+                "strategy" => ["data", "tensor", "pipeline"][i].into(),
+                "phase" => ["prefill", "decode"][i].into(),
+                _ => (i + 1).to_string(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn expansion_is_an_odometer_over_the_listed_axes() {
+        for seed in 0..200u64 {
+            let mut rng = SplitMix64(seed);
+            // A random subset of axes with random lengths (booleans and
+            // phases have two distinct values, the rest at least three).
+            let mut text = String::new();
+            let mut lens = Vec::new();
+            for (row, (names, ..)) in AXES.iter().enumerate() {
+                if rng.below(3) == 0 {
+                    let most = match names[0] {
+                        "dram" | "energy" | "layout" | "phase" => 2,
+                        _ => 3,
+                    };
+                    let len = 1 + rng.below(most) as usize;
+                    text += &format!("{} = {}\n", names[0], axis_values(row, len).join(", "));
+                    lens.push(len);
+                }
+            }
+            let spec = SweepSpec::parse(&text).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let grid = spec.expand();
+            let size: usize = lens.iter().product();
+            assert_eq!(spec.grid_size(), size, "seed {seed}:\n{text}");
+            assert_eq!(grid.len(), size, "seed {seed}:\n{text}");
+            let mut labels = std::collections::HashSet::new();
+            for (position, point) in grid.iter().enumerate() {
+                assert_eq!(point.index, position, "seed {seed}:\n{text}");
+                assert_eq!(point.values().count(), lens.len(), "seed {seed}:\n{text}");
+                assert!(labels.insert(point.label()), "seed {seed}: duplicate label");
+                // Mixed-radix digits of the position, last axis fastest.
+                let mut rest = position;
+                let listed = spec.axes.iter().filter(|axis| !axis.is_empty()).rev();
+                let values: Vec<AxisValue> = point.values().collect();
+                for (value, axis) in values.iter().rev().zip(listed) {
+                    assert_eq!(*value, axis[rest % axis.len()], "seed {seed}:\n{text}");
+                    rest /= axis.len();
+                }
+            }
+        }
     }
 
     #[test]
     fn comments_and_separators() {
         let spec =
             SweepSpec::parse("# c\narray : 4x4  # inline\n; other\nbandwidth = 2.5\n").unwrap();
-        assert_eq!(spec.arrays, [ArrayShape::new(4, 4)]);
-        assert_eq!(spec.bandwidths, [2.5]);
+        assert_eq!(
+            spec.axis("array"),
+            [AxisValue::Array(ArrayShape::new(4, 4))]
+        );
+        assert_eq!(spec.axis("bandwidth"), [AxisValue::Bandwidth(2.5)]);
+    }
+
+    #[test]
+    fn lists_names_and_topologies() {
+        let spec = SweepSpec::parse(
+            "[sweep]\nname = full\n[grid]\narray = 8x8, 16x64\ndram = false, true\n\
+             dram_model = ddr4_2400, HBM2\n[workloads]\ntopology = a.csv, b.csv\ntopology = c.csv\n",
+        )
+        .unwrap();
+        assert_eq!(spec.name, "full");
+        assert_eq!(spec.axis("arrays").len(), 2);
+        assert_eq!(
+            spec.axis("dram"),
+            [AxisValue::Dram(false), AxisValue::Dram(true)]
+        );
+        assert_eq!(
+            spec.axis("dram_model"),
+            [
+                AxisValue::DramModel("ddr4_2400"),
+                AxisValue::DramModel("hbm2")
+            ]
+        );
+        assert_eq!(spec.topologies, ["a.csv", "b.csv", "c.csv"]);
+        assert_eq!(spec.grid_size(), 2 * 2 * 2);
+        assert!(spec.axis("no_such_axis").is_empty());
+        assert_eq!(SweepSpec::parse("").unwrap().name, "sweep");
     }
 
     #[test]
@@ -585,59 +539,10 @@ mod tests {
         let spec = SweepSpec::parse("array = 1x1, 2x2\nbandwidth = 1, 2\n").unwrap();
         let labels: Vec<String> = spec.expand().iter().map(|p| p.label()).collect();
         assert_eq!(labels, ["1x1-bw1", "1x1-bw2", "2x2-bw1", "2x2-bw2"]);
-    }
-
-    #[test]
-    fn indices_match_positions() {
-        let spec = SweepSpec::parse("dataflow = os, ws, is\n").unwrap();
-        for (i, p) in spec.expand().iter().enumerate() {
-            assert_eq!(p.index, i);
-        }
-    }
-
-    #[test]
-    fn scaleout_axes_parse_and_label() {
-        let spec = SweepSpec::parse(
-            "chips = 1, 8, 64\nlink_gbps = 25, 100\nstrategy = data, tensor, pipeline\n",
-        )
-        .unwrap();
-        assert_eq!(spec.chips, [1, 8, 64]);
-        assert_eq!(spec.link_gbps, [25.0, 100.0]);
-        assert_eq!(
-            spec.strategies,
-            [
-                Strategy::DataParallel,
-                Strategy::TensorParallel,
-                Strategy::PipelineParallel
-            ]
-        );
-        assert_eq!(spec.grid_size(), 3 * 2 * 3);
-        let grid = spec.expand();
-        assert_eq!(grid[0].label(), "p1-g25-dp");
-        assert_eq!(grid.last().unwrap().label(), "p64-g100-pp");
-    }
-
-    #[test]
-    fn llm_axes_parse_and_label() {
-        let spec =
-            SweepSpec::parse("seq = 128, 1024\nbatch = 1, 8\nphase = prefill, decode\n").unwrap();
-        assert_eq!(spec.seqs, [128, 1024]);
-        assert_eq!(spec.batches, [1, 8]);
-        assert_eq!(spec.phases, [Phase::Prefill, Phase::Decode]);
-        assert_eq!(spec.grid_size(), 2 * 2 * 2);
-        let grid = spec.expand();
-        assert_eq!(grid[0].label(), "s128-b1-pf");
-        assert_eq!(grid.last().unwrap().label(), "s1024-b8-dec");
-    }
-
-    #[test]
-    fn dram_model_axis_parses_and_labels() {
-        let spec = SweepSpec::parse("dram = true\ndram_model = ddr4_2400, HBM2\n").unwrap();
-        assert_eq!(spec.dram_models, ["ddr4_2400", "hbm2"]);
-        assert_eq!(spec.grid_size(), 2);
-        let grid = spec.expand();
-        assert_eq!(grid[0].label(), "dram1-ddr4_2400");
-        assert_eq!(grid[1].label(), "dram1-hbm2");
+        // Row order, not the order the spec lists the keys in.
+        let spec = SweepSpec::parse("phase = prefill, decode\nseq = 8, 16\n").unwrap();
+        let labels: Vec<String> = spec.expand().iter().map(|p| p.label()).collect();
+        assert_eq!(labels, ["s8-pf", "s8-dec", "s16-pf", "s16-dec"]);
     }
 
     #[test]
@@ -646,7 +551,7 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("unknown dram_model 'ddr9'"), "{err}");
-        for name in scalesim_mem::DramSpec::preset_names() {
+        for name in DramSpec::preset_names() {
             assert!(err.contains(name), "vocabulary misses {name}: {err}");
         }
     }
@@ -658,6 +563,7 @@ mod tests {
             ("array = 0x8\n", "bad array dimension"),
             ("dataflow = zz\n", "unknown dataflow"),
             ("sram_kb = 1/2\n", "bad sram_kb"),
+            ("sram_kb = 1/0/2\n", "bad SRAM size"),
             ("bandwidth = fast\n", "bad bandwidth"),
             ("bandwidth = -1\n", "positive"),
             ("cores = 0x2\n", "bad cores"),
@@ -669,9 +575,11 @@ mod tests {
             ("batch = none\n", "bad batch"),
             ("phase = zz\n", "unknown phase"),
             ("wat = 1\n", "unknown key"),
+            ("just words\n", "malformed line"),
         ] {
             let err = SweepSpec::parse(text).unwrap_err().to_string();
             assert!(err.contains(needle), "'{text}' -> '{err}'");
+            assert!(err.starts_with("sweep spec: "), "{err}");
         }
     }
 }

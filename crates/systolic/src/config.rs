@@ -94,6 +94,19 @@ impl Dataflow {
             Dataflow::InputStationary => "is",
         }
     }
+
+    /// Parses a [`short_name`](Self::short_name), case-insensitively.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the value and the accepted spellings.
+    pub fn parse(value: &str) -> Result<Dataflow, String> {
+        let tag = value.to_ascii_lowercase();
+        Dataflow::ALL
+            .into_iter()
+            .find(|d| d.short_name() == tag)
+            .ok_or_else(|| format!("unknown dataflow '{tag}' (expected os/ws/is)"))
+    }
 }
 
 impl fmt::Display for Dataflow {
@@ -317,5 +330,10 @@ mod tests {
         assert_eq!(Dataflow::OutputStationary.short_name(), "os");
         assert_eq!(Dataflow::WeightStationary.to_string(), "weight-stationary");
         assert_eq!(Dataflow::ALL.len(), 3);
+        for d in Dataflow::ALL {
+            assert_eq!(Dataflow::parse(&d.short_name().to_uppercase()), Ok(d));
+        }
+        let err = Dataflow::parse("zz").unwrap_err();
+        assert_eq!(err, "unknown dataflow 'zz' (expected os/ws/is)");
     }
 }

@@ -47,6 +47,7 @@ pub mod buffer;
 pub mod config;
 pub mod dataflow;
 pub mod demand;
+pub mod dialect;
 pub mod error;
 pub(crate) mod fasthash;
 pub mod operand;

@@ -71,8 +71,12 @@ fn main() {
     println!("\nSPARSE_REPORT.csv (first layers, 2:4):");
     let mut cfg = base_config();
     cfg.sparsity = Some(SparsityMode::LayerWise(NmRatio::new(2, 4).unwrap()));
-    let run = ScaleSim::new(cfg).run_topology(&net);
-    for line in run.sparse_report_csv().lines().take(6) {
+    let sim = ScaleSim::new(cfg);
+    let reports = sim.run_topology(&net).reports(sim.config());
+    let sparse = reports
+        .iter()
+        .find(|(name, _)| *name == "SPARSE_REPORT.csv");
+    for line in sparse.map_or("", |(_, csv)| csv).lines().take(6) {
         println!("  {line}");
     }
 }

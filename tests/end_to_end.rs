@@ -177,8 +177,9 @@ fn run_reports_are_well_formed_csv() {
     let sim = ScaleSim::new(small_config());
     let net = workloads::alexnet();
     let topo = scale_sim::systolic::Topology::from_layers("head", net.layers()[..2].to_vec());
-    let run = sim.run_topology(&topo);
-    let csv = run.compute_report_csv();
+    let reports = sim.run_topology(&topo).reports(sim.config());
+    let (name, csv) = &reports[0];
+    assert_eq!(*name, "COMPUTE_REPORT.csv");
     let lines: Vec<&str> = csv.lines().collect();
     assert_eq!(lines.len(), 3);
     let header_cols = lines[0].split(',').count();
@@ -208,7 +209,11 @@ fn dram_power_flows_through_the_engine() {
         run.layers.push(r);
     }
     assert!(run.total_dram_energy_mj() > 0.0);
-    let csv = run.dram_report_csv();
+    let reports = run.reports(sim.config());
+    let (_, csv) = reports
+        .iter()
+        .find(|(name, _)| *name == "DRAM_REPORT.csv")
+        .expect("the DRAM flow emits its report");
     let lines: Vec<&str> = csv.lines().collect();
     assert_eq!(lines.len(), 3, "header + one row per layer");
     let cols = lines[0].split(',').count();
