@@ -165,22 +165,27 @@ impl fmt::Display for Json {
 
 /// Appends `s` to `out` with JSON string escaping applied (quotes,
 /// backslashes, and all control characters; `\n`/`\r`/`\t` use their
-/// short forms). Used by the hand-built response emitters so embedded
-/// report CSVs stay single-line.
+/// short forms). Used by the wire encoder, so embedded report CSVs stay
+/// single-line.
 pub fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Everything escaped is one ASCII byte, so the runs between them
+    // are whole UTF-8 and are copied as they are.
+    let mut rest = s;
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| matches!(b, b'"' | b'\\' | 0..=0x1f))
+    {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b @ (b'"' | b'\\') => out.extend(['\\', char::from(b)]),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => out.push_str(&format!("\\u{b:04x}")),
         }
+        rest = &rest[at + 1..];
     }
+    out.push_str(rest);
 }
 
 /// [`escape_into`] returning a fresh string.

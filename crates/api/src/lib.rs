@@ -48,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod codec;
 pub mod error;
 pub mod json;
 pub mod request;
@@ -59,10 +60,11 @@ pub const API_VERSION: u32 = 1;
 
 pub use error::SimError;
 pub use request::{
-    AreaSpec, ConfigSource, Features, LlmRequest, RunSpec, ScaleoutRequest, SimRequest,
-    SweepRequest, TopologyFormat, TopologySource,
+    AreaSpec, ConfigSource, Features, LlmRequest, RunSpec, ScaleoutRequest, SweepRequest,
+    TopologyFormat, TopologySource,
 };
 pub use response::{
-    AreaBody, LlmBody, Report, RunBody, RunSummaryBody, ScaleoutBody, SimResponse, StatsBody,
-    SweepBody, TraceBody, VersionBody, SPAN_CATEGORIES,
+    AreaBody, LlmBody, Report, RunBody, RunSummaryBody, ScaleoutBody, StatsBody, SweepBody,
+    TraceBody, VersionBody, SPAN_CATEGORIES,
 };
+pub use wire::{SimRequest, SimResponse};

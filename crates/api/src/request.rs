@@ -1,4 +1,5 @@
-//! The typed request surface: [`SimRequest`] and its per-command specs.
+//! The typed request surface: the per-command specs a
+//! [`SimRequest`](crate::SimRequest) carries.
 //!
 //! Requests are plain data — no file is read and nothing is validated
 //! beyond the JSON shape until a service executes them. Inputs
@@ -7,9 +8,16 @@
 //! the same request type drives both an embedded library call and a
 //! remote `scalesim serve` instance.
 //!
-//! See `docs/API.md` for the full JSON schema; the JSON mapping
-//! implemented here is `to_json`/`from_json` on each type.
+//! Every body is declared once — Rust field, wire key, kind — and the
+//! struct, its encoder and its strict decoder all derive from that list
+//! (see `codec.rs`): a key the declaration does not name, or a value of
+//! the wrong type, is a `config` error, never a silently ignored
+//! override. See `docs/API.md` for the full JSON schema.
 
+use crate::codec::{
+    quote, wire, Codec, Elide, Flag, List, Member, Nested, ObjectWriter, Opt, Positive, Side,
+    COUNT, TEXT, UINT,
+};
 use crate::error::SimError;
 use crate::json::Json;
 
@@ -25,32 +33,51 @@ pub enum ConfigSource {
     Inline(String),
 }
 
-impl ConfigSource {
-    fn to_json(&self) -> Json {
-        match self {
-            ConfigSource::Default => Json::Str("default".into()),
-            ConfigSource::Path(p) => Json::Obj(vec![("path".into(), Json::Str(p.clone()))]),
-            ConfigSource::Inline(t) => Json::Obj(vec![("inline".into(), Json::Str(t.clone()))]),
-        }
+/// The wire spelling of [`ConfigSource::Default`] and the keys of the
+/// one-member objects the other two sources travel as.
+const DEFAULT: &str = "default";
+const PATH: &str = "path";
+const INLINE: &str = "inline";
+
+/// A config source: `"default"`, `{"path": …}` or `{"inline": …}`.
+/// [`GRID`] is the sweep spec, where `"default"` is not an answer.
+struct Config {
+    grid: bool,
+}
+const CONFIG: Elide<Config, ConfigSource> = Elide(Config { grid: false }, ConfigSource::Default);
+const GRID: Config = Config { grid: true };
+
+impl Codec<ConfigSource> for Config {
+    fn write(&self, value: &ConfigSource, out: &mut String) {
+        let (key, text) = match value {
+            ConfigSource::Default => return quote(DEFAULT, out),
+            ConfigSource::Path(path) => (PATH, path),
+            ConfigSource::Inline(text) => (INLINE, text),
+        };
+        let mut object = ObjectWriter::open(out);
+        object.member(key, text, &TEXT);
+        object.close();
     }
 
-    fn from_json(v: &Json, what: &str) -> Result<ConfigSource, SimError> {
-        match v {
-            Json::Str(s) if s == "default" => Ok(ConfigSource::Default),
-            Json::Obj(_) => {
-                if let Some(p) = v.get("path").and_then(Json::as_str) {
-                    Ok(ConfigSource::Path(p.to_string()))
-                } else if let Some(t) = v.get("inline").and_then(Json::as_str) {
-                    Ok(ConfigSource::Inline(t.to_string()))
-                } else {
-                    Err(bad(format!(
-                        "{what}: expected \"default\", {{\"path\": …}} or {{\"inline\": …}}"
-                    )))
-                }
+    fn read(&self, member: Member) -> Result<ConfigSource, SimError> {
+        let side = member.cx.side;
+        let what = if self.grid { "sweep spec" } else { member.key };
+        let shape = || {
+            side.err(format!(
+                "{what}: expected \"{DEFAULT}\", {{\"{PATH}\": …}} or {{\"{INLINE}\": …}}"
+            ))
+        };
+        match member.required()? {
+            Json::Str(s) if s == DEFAULT && self.grid => {
+                Err(side.err(format!("{what}: \"{DEFAULT}\" is not a grid")))
             }
-            _ => Err(bad(format!(
-                "{what}: expected \"default\", {{\"path\": …}} or {{\"inline\": …}}"
-            ))),
+            Json::Str(s) if s == DEFAULT => Ok(ConfigSource::Default),
+            Json::Obj(fields) => match fields.as_slice() {
+                [(k, Json::Str(path))] if k == PATH => Ok(ConfigSource::Path(path.clone())),
+                [(k, Json::Str(text))] if k == INLINE => Ok(ConfigSource::Inline(text.clone())),
+                _ => Err(shape()),
+            },
+            _ => Err(shape()),
         }
     }
 }
@@ -67,55 +94,202 @@ pub enum TopologyFormat {
     Gemm,
 }
 
-impl TopologyFormat {
-    fn tag(self) -> &'static str {
-        match self {
-            TopologyFormat::Auto => "auto",
-            TopologyFormat::Conv => "conv",
-            TopologyFormat::Gemm => "gemm",
-        }
+const FORMATS: [(&str, TopologyFormat); 3] = [
+    ("auto", TopologyFormat::Auto),
+    ("conv", TopologyFormat::Conv),
+    ("gemm", TopologyFormat::Gemm),
+];
+
+/// A [`TopologyFormat`] tag; `auto` is the elided default.
+struct Format;
+const FORMAT: Elide<Format, TopologyFormat> = Elide(Format, TopologyFormat::Auto);
+
+impl Codec<TopologyFormat> for Format {
+    fn write(&self, value: &TopologyFormat, out: &mut String) {
+        let tag = FORMATS.iter().find(|(_, format)| format == value);
+        quote(tag.expect("every format has a tag").0, out);
     }
 
-    fn parse(tag: &str) -> Result<TopologyFormat, SimError> {
-        match tag {
-            "auto" => Ok(TopologyFormat::Auto),
-            "conv" => Ok(TopologyFormat::Conv),
-            "gemm" => Ok(TopologyFormat::Gemm),
-            other => Err(bad(format!(
-                "topology format '{other}' (expected auto/conv/gemm)"
-            ))),
+    fn read(&self, member: Member) -> Result<TopologyFormat, SimError> {
+        let Member { cx, key, found } = member;
+        let label = cx.label;
+        let tag = found
+            .and_then(Json::as_str)
+            .ok_or_else(|| cx.side.err(format!("{label} {key} must be a string")))?;
+        match FORMATS.iter().find(|(name, _)| *name == tag) {
+            Some((_, format)) => Ok(*format),
+            None => {
+                let expected = FORMATS.map(|(name, _)| name).join("/");
+                Err(cx
+                    .side
+                    .err(format!("{label} {key} '{tag}' (expected {expected})")))
+            }
         }
     }
 }
 
-/// A workload topology: CSV rows plus how to parse and name them, or a
-/// named workload from the built-in registry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopologySource {
-    /// Name used in reports (defaults to the path's file stem, or
-    /// `workload` for inline CSV with no name).
-    pub name: Option<String>,
-    /// CSV from a path (resolved by the serving process)…
-    pub path: Option<String>,
-    /// …or carried inline…
-    pub inline: Option<String>,
-    /// …or a built-in registry workload (`resnet18`, `vit-base`, an
-    /// llm preset like `llama-7b[:decode]`, …). Exactly one of
-    /// `path`/`inline`/`workload` is set.
-    pub workload: Option<String>,
-    /// Row interpretation (ignored for registry workloads).
-    pub format: TopologyFormat,
+/// Optional [`Features`]; all-off is the elided default.
+fn features() -> Elide<Nested, Features> {
+    Elide(Nested, Features::default())
 }
+
+/// A [`TopologySource`] names exactly one source.
+fn one_source(topology: &TopologySource) -> Result<(), SimError> {
+    let sources = [&topology.path, &topology.inline, &topology.workload];
+    match sources.iter().filter(|source| source.is_some()).count() {
+        1 => Ok(()),
+        _ => Err(Side::Request
+            .err("topology: exactly one of \"path\", \"inline\" and \"workload\" is required")),
+    }
+}
+
+wire! {
+    /// A workload topology: CSV rows plus how to parse and name them, or a
+    /// named workload from the built-in registry.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    Request "topology" check one_source => pub struct TopologySource {
+        /// Name used in reports (defaults to the path's file stem, or
+        /// `workload` for inline CSV with no name).
+        pub name: Option<String> = "name": Opt(TEXT),
+        /// CSV from a path (resolved by the serving process)…
+        pub path: Option<String> = "path": Opt(TEXT),
+        /// …or carried inline…
+        pub inline: Option<String> = "inline": Opt(TEXT),
+        /// …or a built-in registry workload (`resnet18`, `vit-base`, an
+        /// llm preset like `llama-7b[:decode]`, …). Exactly one of
+        /// `path`/`inline`/`workload` is set.
+        pub workload: Option<String> = "workload": Opt(TEXT),
+        /// Row interpretation (ignored for registry workloads).
+        pub format: TopologyFormat = "format": FORMAT,
+    }
+
+    /// The per-run feature toggles (the CLI's `--dram`/`--energy`/`--layout`
+    /// flags plus the multi-core grid).
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    Request "features" => pub struct Features {
+        /// Run the cycle-accurate DRAM flow (§V).
+        pub dram: bool = "dram": Elide(Flag, false),
+        /// Run energy/power estimation (§VII).
+        pub energy: bool = "energy": Elide(Flag, false),
+        /// Run bank-conflict layout analysis (§VI).
+        pub layout: bool = "layout": Elide(Flag, false),
+        /// Partition across a tensor-core grid, `"RxC"` (§III); None or
+        /// `"1x1"` = single core.
+        pub cores: Option<String> = "cores": Opt(TEXT),
+    }
+
+    /// One simulation of one topology (the CLI's default command).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    Request "run" => pub struct RunSpec {
+        /// Architecture configuration.
+        pub config: ConfigSource = "config": CONFIG,
+        /// The workload.
+        pub topology: TopologySource = "topology": Nested,
+        /// Feature toggles.
+        pub features: Features = "features": features(),
+    }
+
+    /// A design-space sweep (the CLI's `sweep` subcommand).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    Request "sweep" => pub struct SweepRequest {
+        /// The sweep grid spec (`[grid]`/`[workloads]` cfg text); Default is
+        /// rejected — a sweep needs a grid.
+        pub spec: ConfigSource = "spec": GRID,
+        /// Base architecture the grid overrides.
+        pub base_config: ConfigSource = "base_config": CONFIG,
+        /// Topologies appended to the spec's `[workloads]` list.
+        pub topologies: Vec<TopologySource> = "topologies": Elide(List(Nested), Vec::new()),
+        /// Executor shard count (≥ 1; reports are byte-identical for any
+        /// value).
+        pub shards: usize = "shards": Elide(COUNT, 1),
+    }
+
+    /// A multi-chip scale-out simulation (the CLI's `scaleout`
+    /// subcommand).
+    ///
+    /// The scale-out parameters (chip count, fabric, link characteristics,
+    /// strategy) come from the configuration's `[scaleout]` section; every
+    /// field here is an **override** applied on top of it (or on top of
+    /// the built-in defaults when the section is absent). Fabric and
+    /// strategy travel as strings and are validated by the serving process
+    /// with a typed `config` error.
+    #[derive(Debug, Clone, PartialEq)]
+    Request "scaleout" => pub struct ScaleoutRequest {
+        /// Architecture configuration (its `[scaleout]` section seeds the
+        /// scale-out parameters).
+        pub config: ConfigSource = "config": CONFIG,
+        /// The workload.
+        pub topology: TopologySource = "topology": Nested,
+        /// Feature toggles for the per-chip simulations.
+        pub features: Features = "features": features(),
+        /// Chip-count override.
+        pub chips: Option<usize> = "chips": Opt(COUNT),
+        /// Fabric override (`ring` / `mesh` / `switch`).
+        pub fabric: Option<String> = "fabric": Opt(TEXT),
+        /// Per-link bandwidth override, GB/s.
+        pub link_gbps: Option<f64> = "link_gbps": Opt(Positive),
+        /// Per-hop latency override, core cycles.
+        pub link_latency: Option<u64> = "link_latency": Opt(UINT),
+        /// Strategy override (`data` / `tensor` / `pipeline`).
+        pub strategy: Option<String> = "strategy": Opt(TEXT),
+        /// Pipeline microbatch override.
+        pub microbatches: Option<usize> = "microbatches": Opt(COUNT),
+    }
+
+    /// An LLM workload simulation (the CLI's `llm` subcommand).
+    ///
+    /// The model comes from the configuration's `[llm]` section and/or the
+    /// `workload` preset name; every other field is an **override** applied
+    /// on top. At least one of the two must name a model — a request with
+    /// neither is rejected by the serving process with a typed `config`
+    /// error.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    Request "llm" => pub struct LlmRequest {
+        /// Architecture configuration (its `[llm]` section seeds the model
+        /// spec).
+        pub config: ConfigSource = "config": CONFIG,
+        /// Preset name override (`gpt2-xl`, `llama-7b`, `llama-70b`,
+        /// `mixtral-8x7b`).
+        pub workload: Option<String> = "workload": Opt(TEXT),
+        /// Phase override (`prefill` / `decode`), validated by the serving
+        /// process.
+        pub phase: Option<String> = "phase": Opt(TEXT),
+        /// Prompt sequence-length override.
+        pub seq: Option<usize> = "seq": Opt(COUNT),
+        /// Batch-size override.
+        pub batch: Option<usize> = "batch": Opt(COUNT),
+        /// KV-cache context-length override (defaults to the sequence
+        /// length).
+        pub context: Option<usize> = "context": Opt(COUNT),
+        /// Feature toggles.
+        pub features: Features = "features": features(),
+    }
+
+    /// A silicon-area estimate for a configured core.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    Request "area" => pub struct AreaSpec {
+        /// Architecture configuration.
+        pub config: ConfigSource = "config": CONFIG,
+        /// Feature toggles (layout banks and DRAM channels contribute area).
+        pub features: Features = "features": features(),
+    }
+}
+
+/// A topology with no source yet: what the constructors fill in.
+const NO_SOURCE: TopologySource = TopologySource {
+    name: None,
+    path: None,
+    inline: None,
+    workload: None,
+    format: TopologyFormat::Auto,
+};
 
 impl TopologySource {
     /// A topology read from a file path.
     pub fn from_path(path: impl Into<String>) -> Self {
         Self {
-            name: None,
             path: Some(path.into()),
-            inline: None,
-            workload: None,
-            format: TopologyFormat::Auto,
+            ..NO_SOURCE
         }
     }
 
@@ -123,21 +297,16 @@ impl TopologySource {
     pub fn inline(name: impl Into<String>, csv: impl Into<String>) -> Self {
         Self {
             name: Some(name.into()),
-            path: None,
             inline: Some(csv.into()),
-            workload: None,
-            format: TopologyFormat::Auto,
+            ..NO_SOURCE
         }
     }
 
     /// A named workload resolved from the serving process's registry.
     pub fn from_workload(workload: impl Into<String>) -> Self {
         Self {
-            name: None,
-            path: None,
-            inline: None,
             workload: Some(workload.into()),
-            format: TopologyFormat::Auto,
+            ..NO_SOURCE
         }
     }
 
@@ -146,172 +315,6 @@ impl TopologySource {
         self.format = format;
         self
     }
-
-    fn to_json(&self) -> Json {
-        let mut fields = Vec::new();
-        if let Some(n) = &self.name {
-            fields.push(("name".into(), Json::Str(n.clone())));
-        }
-        if let Some(p) = &self.path {
-            fields.push(("path".into(), Json::Str(p.clone())));
-        }
-        if let Some(t) = &self.inline {
-            fields.push(("inline".into(), Json::Str(t.clone())));
-        }
-        if let Some(w) = &self.workload {
-            fields.push(("workload".into(), Json::Str(w.clone())));
-        }
-        if self.format != TopologyFormat::Auto {
-            fields.push(("format".into(), Json::Str(self.format.tag().into())));
-        }
-        Json::Obj(fields)
-    }
-
-    fn from_json(v: &Json) -> Result<TopologySource, SimError> {
-        if v.as_object().is_none() {
-            return Err(bad("topology: expected an object"));
-        }
-        let name = v.get("name").and_then(Json::as_str).map(str::to_string);
-        let path = v.get("path").and_then(Json::as_str).map(str::to_string);
-        let inline = v.get("inline").and_then(Json::as_str).map(str::to_string);
-        let workload = v.get("workload").and_then(Json::as_str).map(str::to_string);
-        let sources = path.iter().count() + inline.iter().count() + workload.iter().count();
-        if sources != 1 {
-            return Err(bad(
-                "topology: exactly one of \"path\", \"inline\" and \"workload\" is required",
-            ));
-        }
-        let format = match v.get("format") {
-            Some(f) => TopologyFormat::parse(
-                f.as_str()
-                    .ok_or_else(|| bad("topology format must be a string"))?,
-            )?,
-            None => TopologyFormat::Auto,
-        };
-        Ok(TopologySource {
-            name,
-            path,
-            inline,
-            workload,
-            format,
-        })
-    }
-}
-
-/// The per-run feature toggles (the CLI's `--dram`/`--energy`/`--layout`
-/// flags plus the multi-core grid).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Features {
-    /// Run the cycle-accurate DRAM flow (§V).
-    pub dram: bool,
-    /// Run energy/power estimation (§VII).
-    pub energy: bool,
-    /// Run bank-conflict layout analysis (§VI).
-    pub layout: bool,
-    /// Partition across a tensor-core grid, `"RxC"` (§III); None or
-    /// `"1x1"` = single core.
-    pub cores: Option<String>,
-}
-
-impl Features {
-    fn is_default(&self) -> bool {
-        self == &Features::default()
-    }
-
-    fn to_json(&self) -> Json {
-        let mut fields = Vec::new();
-        if self.dram {
-            fields.push(("dram".into(), Json::Bool(true)));
-        }
-        if self.energy {
-            fields.push(("energy".into(), Json::Bool(true)));
-        }
-        if self.layout {
-            fields.push(("layout".into(), Json::Bool(true)));
-        }
-        if let Some(c) = &self.cores {
-            fields.push(("cores".into(), Json::Str(c.clone())));
-        }
-        Json::Obj(fields)
-    }
-
-    fn from_json(v: &Json) -> Result<Features, SimError> {
-        if v.as_object().is_none() {
-            return Err(bad("features: expected an object"));
-        }
-        let flag = |key: &str| -> Result<bool, SimError> {
-            match v.get(key) {
-                None => Ok(false),
-                Some(b) => b
-                    .as_bool()
-                    .ok_or_else(|| bad(format!("features.{key} must be a boolean"))),
-            }
-        };
-        Ok(Features {
-            dram: flag("dram")?,
-            energy: flag("energy")?,
-            layout: flag("layout")?,
-            cores: v.get("cores").and_then(Json::as_str).map(str::to_string),
-        })
-    }
-}
-
-/// One simulation of one topology (the CLI's default command).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunSpec {
-    /// Architecture configuration.
-    pub config: ConfigSource,
-    /// The workload.
-    pub topology: TopologySource,
-    /// Feature toggles.
-    pub features: Features,
-}
-
-/// A design-space sweep (the CLI's `sweep` subcommand).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepRequest {
-    /// The sweep grid spec (`[grid]`/`[workloads]` cfg text); Default is
-    /// rejected at execution time — a sweep needs a grid.
-    pub spec: ConfigSource,
-    /// Base architecture the grid overrides.
-    pub base_config: ConfigSource,
-    /// Topologies appended to the spec's `[workloads]` list.
-    pub topologies: Vec<TopologySource>,
-    /// Executor shard count (≥ 1; reports are byte-identical for any
-    /// value).
-    pub shards: usize,
-}
-
-/// A multi-chip scale-out simulation (the CLI's `scaleout`
-/// subcommand).
-///
-/// The scale-out parameters (chip count, fabric, link characteristics,
-/// strategy) come from the configuration's `[scaleout]` section; every
-/// field here is an **override** applied on top of it (or on top of
-/// the built-in defaults when the section is absent). Fabric and
-/// strategy travel as strings and are validated by the serving process
-/// with a typed `config` error.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScaleoutRequest {
-    /// Architecture configuration (its `[scaleout]` section seeds the
-    /// scale-out parameters).
-    pub config: ConfigSource,
-    /// The workload.
-    pub topology: TopologySource,
-    /// Feature toggles for the per-chip simulations.
-    pub features: Features,
-    /// Chip-count override.
-    pub chips: Option<usize>,
-    /// Fabric override (`ring` / `mesh` / `switch`).
-    pub fabric: Option<String>,
-    /// Per-link bandwidth override, GB/s.
-    pub link_gbps: Option<f64>,
-    /// Per-hop latency override, core cycles.
-    pub link_latency: Option<u64>,
-    /// Strategy override (`data` / `tensor` / `pipeline`).
-    pub strategy: Option<String>,
-    /// Pipeline microbatch override.
-    pub microbatches: Option<usize>,
 }
 
 impl ScaleoutRequest {
@@ -332,35 +335,6 @@ impl ScaleoutRequest {
     }
 }
 
-/// An LLM workload simulation (the CLI's `llm` subcommand).
-///
-/// The model comes from the configuration's `[llm]` section and/or the
-/// `workload` preset name; every other field is an **override** applied
-/// on top. At least one of the two must name a model — a request with
-/// neither is rejected by the serving process with a typed `config`
-/// error.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LlmRequest {
-    /// Architecture configuration (its `[llm]` section seeds the model
-    /// spec).
-    pub config: ConfigSource,
-    /// Preset name override (`gpt2-xl`, `llama-7b`, `llama-70b`,
-    /// `mixtral-8x7b`).
-    pub workload: Option<String>,
-    /// Phase override (`prefill` / `decode`), validated by the serving
-    /// process.
-    pub phase: Option<String>,
-    /// Prompt sequence-length override.
-    pub seq: Option<usize>,
-    /// Batch-size override.
-    pub batch: Option<usize>,
-    /// KV-cache context-length override (defaults to the sequence
-    /// length).
-    pub context: Option<usize>,
-    /// Feature toggles.
-    pub features: Features,
-}
-
 impl LlmRequest {
     /// A request for a named preset with no other overrides.
     pub fn for_workload(workload: impl Into<String>) -> Self {
@@ -370,336 +344,19 @@ impl LlmRequest {
         }
     }
 }
-
-/// A silicon-area estimate for a configured core.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct AreaSpec {
-    /// Architecture configuration.
-    pub config: ConfigSource,
-    /// Feature toggles (layout banks and DRAM channels contribute area).
-    pub features: Features,
-}
-
-/// A versioned simulation request — the single entry point every
-/// front end (CLI, `scalesim serve`, embedding tools) goes through.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SimRequest {
-    /// Simulate one topology.
-    Run(RunSpec),
-    /// Run a design-space sweep.
-    Sweep(SweepRequest),
-    /// Simulate a multi-chip scale-out execution.
-    Scaleout(ScaleoutRequest),
-    /// Generate and simulate an LLM workload (prefill or decode).
-    Llm(LlmRequest),
-    /// Report the configured accelerator's silicon area.
-    AreaReport(AreaSpec),
-    /// Report the server's version and API level.
-    Version,
-    /// Report the server's runtime metrics: plan-cache stats, requests
-    /// in flight/shed, and handle-latency percentiles. Answered inline
-    /// (never queued), so it stays observable under saturation.
-    Stats,
-    /// Export the process's recorded span rings as Chrome trace-event
-    /// JSON. Answered inline (never queued); the body is empty when
-    /// tracing was never enabled.
-    Trace,
-}
-
-impl SimRequest {
-    /// The wire tag this request is keyed by in the envelope
-    /// (`run` / `sweep` / `scaleout` / `llm` / `area` / `version` /
-    /// `stats` / `trace`).
-    pub fn tag(&self) -> &'static str {
-        match self {
-            SimRequest::Run(_) => "run",
-            SimRequest::Sweep(_) => "sweep",
-            SimRequest::Scaleout(_) => "scaleout",
-            SimRequest::Llm(_) => "llm",
-            SimRequest::AreaReport(_) => "area",
-            SimRequest::Version => "version",
-            SimRequest::Stats => "stats",
-            SimRequest::Trace => "trace",
-        }
-    }
-
-    /// The request body as a JSON value (the envelope adds `api`/`id`;
-    /// see [`crate::wire`]).
-    pub fn to_json(&self) -> Json {
-        match self {
-            SimRequest::Run(r) => {
-                let mut fields = Vec::new();
-                if r.config != ConfigSource::Default {
-                    fields.push(("config".into(), r.config.to_json()));
-                }
-                fields.push(("topology".into(), r.topology.to_json()));
-                if !r.features.is_default() {
-                    fields.push(("features".into(), r.features.to_json()));
-                }
-                Json::Obj(fields)
-            }
-            SimRequest::Sweep(s) => {
-                let mut fields = vec![("spec".into(), s.spec.to_json())];
-                if s.base_config != ConfigSource::Default {
-                    fields.push(("base_config".into(), s.base_config.to_json()));
-                }
-                if !s.topologies.is_empty() {
-                    fields.push((
-                        "topologies".into(),
-                        Json::Arr(s.topologies.iter().map(|t| t.to_json()).collect()),
-                    ));
-                }
-                if s.shards != 1 {
-                    fields.push(("shards".into(), Json::Num(s.shards as f64)));
-                }
-                Json::Obj(fields)
-            }
-            SimRequest::Scaleout(s) => {
-                let mut fields = Vec::new();
-                if s.config != ConfigSource::Default {
-                    fields.push(("config".into(), s.config.to_json()));
-                }
-                fields.push(("topology".into(), s.topology.to_json()));
-                if !s.features.is_default() {
-                    fields.push(("features".into(), s.features.to_json()));
-                }
-                if let Some(chips) = s.chips {
-                    fields.push(("chips".into(), Json::Num(chips as f64)));
-                }
-                if let Some(f) = &s.fabric {
-                    fields.push(("fabric".into(), Json::Str(f.clone())));
-                }
-                if let Some(g) = s.link_gbps {
-                    fields.push(("link_gbps".into(), Json::Num(g)));
-                }
-                if let Some(l) = s.link_latency {
-                    fields.push(("link_latency".into(), Json::Num(l as f64)));
-                }
-                if let Some(st) = &s.strategy {
-                    fields.push(("strategy".into(), Json::Str(st.clone())));
-                }
-                if let Some(m) = s.microbatches {
-                    fields.push(("microbatches".into(), Json::Num(m as f64)));
-                }
-                Json::Obj(fields)
-            }
-            SimRequest::Llm(l) => {
-                let mut fields = Vec::new();
-                if l.config != ConfigSource::Default {
-                    fields.push(("config".into(), l.config.to_json()));
-                }
-                if let Some(w) = &l.workload {
-                    fields.push(("workload".into(), Json::Str(w.clone())));
-                }
-                if let Some(p) = &l.phase {
-                    fields.push(("phase".into(), Json::Str(p.clone())));
-                }
-                if let Some(s) = l.seq {
-                    fields.push(("seq".into(), Json::Num(s as f64)));
-                }
-                if let Some(b) = l.batch {
-                    fields.push(("batch".into(), Json::Num(b as f64)));
-                }
-                if let Some(c) = l.context {
-                    fields.push(("context".into(), Json::Num(c as f64)));
-                }
-                if !l.features.is_default() {
-                    fields.push(("features".into(), l.features.to_json()));
-                }
-                Json::Obj(fields)
-            }
-            SimRequest::AreaReport(a) => {
-                let mut fields = Vec::new();
-                if a.config != ConfigSource::Default {
-                    fields.push(("config".into(), a.config.to_json()));
-                }
-                if !a.features.is_default() {
-                    fields.push(("features".into(), a.features.to_json()));
-                }
-                Json::Obj(fields)
-            }
-            SimRequest::Version => Json::Obj(Vec::new()),
-            SimRequest::Stats => Json::Obj(Vec::new()),
-            SimRequest::Trace => Json::Obj(Vec::new()),
-        }
-    }
-
-    /// Decodes a request body for the given wire tag.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] describing the first shape problem.
-    pub fn from_json(tag: &str, body: &Json) -> Result<SimRequest, SimError> {
-        match tag {
-            "run" => {
-                let topology = TopologySource::from_json(
-                    body.get("topology")
-                        .ok_or_else(|| bad("run: missing required \"topology\""))?,
-                )?;
-                Ok(SimRequest::Run(RunSpec {
-                    config: opt_config(body, "config")?,
-                    topology,
-                    features: opt_features(body)?,
-                }))
-            }
-            "sweep" => {
-                let spec = ConfigSource::from_json(
-                    body.get("spec")
-                        .ok_or_else(|| bad("sweep: missing required \"spec\""))?,
-                    "sweep spec",
-                )?;
-                if spec == ConfigSource::Default {
-                    return Err(bad("sweep spec: \"default\" is not a grid"));
-                }
-                let topologies = match body.get("topologies") {
-                    None => Vec::new(),
-                    Some(v) => v
-                        .as_array()
-                        .ok_or_else(|| bad("sweep: \"topologies\" must be an array"))?
-                        .iter()
-                        .map(TopologySource::from_json)
-                        .collect::<Result<Vec<_>, _>>()?,
-                };
-                let shards = match body.get("shards") {
-                    None => 1,
-                    Some(v) => v
-                        .as_u64()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| bad("sweep: \"shards\" must be a positive integer"))?
-                        as usize,
-                };
-                Ok(SimRequest::Sweep(SweepRequest {
-                    spec,
-                    base_config: opt_config(body, "base_config")?,
-                    topologies,
-                    shards,
-                }))
-            }
-            "scaleout" => {
-                let topology = TopologySource::from_json(
-                    body.get("topology")
-                        .ok_or_else(|| bad("scaleout: missing required \"topology\""))?,
-                )?;
-                let positive_int = |key: &str| -> Result<Option<u64>, SimError> {
-                    match body.get(key) {
-                        None => Ok(None),
-                        Some(v) => v.as_u64().filter(|&n| n >= 1).map(Some).ok_or_else(|| {
-                            bad(format!("scaleout: \"{key}\" must be a positive integer"))
-                        }),
-                    }
-                };
-                let link_gbps =
-                    match body.get("link_gbps") {
-                        None => None,
-                        Some(v) => Some(v.as_f64().filter(|g| *g > 0.0).ok_or_else(|| {
-                            bad("scaleout: \"link_gbps\" must be a positive number")
-                        })?),
-                    };
-                let link_latency = match body.get("link_latency") {
-                    None => None,
-                    Some(v) => Some(v.as_u64().ok_or_else(|| {
-                        bad("scaleout: \"link_latency\" must be a non-negative integer")
-                    })?),
-                };
-                // A present-but-mistyped override must error, never be
-                // silently ignored (the run would proceed with the
-                // cfg/default value and return plausible wrong results).
-                let string = |key: &str| -> Result<Option<String>, SimError> {
-                    match body.get(key) {
-                        None => Ok(None),
-                        Some(v) => v
-                            .as_str()
-                            .map(|s| Some(s.to_string()))
-                            .ok_or_else(|| bad(format!("scaleout: \"{key}\" must be a string"))),
-                    }
-                };
-                Ok(SimRequest::Scaleout(ScaleoutRequest {
-                    config: opt_config(body, "config")?,
-                    topology,
-                    features: opt_features(body)?,
-                    chips: positive_int("chips")?.map(|n| n as usize),
-                    fabric: string("fabric")?,
-                    link_gbps,
-                    link_latency,
-                    strategy: string("strategy")?,
-                    microbatches: positive_int("microbatches")?.map(|n| n as usize),
-                }))
-            }
-            "llm" => {
-                // Like scaleout overrides: present-but-mistyped fields
-                // must error, never be silently dropped.
-                let string = |key: &str| -> Result<Option<String>, SimError> {
-                    match body.get(key) {
-                        None => Ok(None),
-                        Some(v) => v
-                            .as_str()
-                            .map(|s| Some(s.to_string()))
-                            .ok_or_else(|| bad(format!("llm: \"{key}\" must be a string"))),
-                    }
-                };
-                let positive_int = |key: &str| -> Result<Option<usize>, SimError> {
-                    match body.get(key) {
-                        None => Ok(None),
-                        Some(v) => v
-                            .as_u64()
-                            .filter(|&n| n >= 1)
-                            .map(|n| Some(n as usize))
-                            .ok_or_else(|| {
-                                bad(format!("llm: \"{key}\" must be a positive integer"))
-                            }),
-                    }
-                };
-                Ok(SimRequest::Llm(LlmRequest {
-                    config: opt_config(body, "config")?,
-                    workload: string("workload")?,
-                    phase: string("phase")?,
-                    seq: positive_int("seq")?,
-                    batch: positive_int("batch")?,
-                    context: positive_int("context")?,
-                    features: opt_features(body)?,
-                }))
-            }
-            "area" => Ok(SimRequest::AreaReport(AreaSpec {
-                config: opt_config(body, "config")?,
-                features: opt_features(body)?,
-            })),
-            "version" => Ok(SimRequest::Version),
-            "stats" => Ok(SimRequest::Stats),
-            "trace" => Ok(SimRequest::Trace),
-            other => Err(bad(format!(
-                "unknown request '{other}' (supported: run, sweep, scaleout, llm, area, \
-                 version, stats, trace)"
-            ))),
-        }
-    }
-}
-
-fn opt_config(body: &Json, key: &str) -> Result<ConfigSource, SimError> {
-    match body.get(key) {
-        None => Ok(ConfigSource::Default),
-        Some(v) => ConfigSource::from_json(v, key),
-    }
-}
-
-fn opt_features(body: &Json) -> Result<Features, SimError> {
-    match body.get("features") {
-        None => Ok(Features::default()),
-        Some(v) => Features::from_json(v),
-    }
-}
-
-fn bad(msg: impl Into<String>) -> SimError {
-    SimError::Config(format!("request: {}", msg.into()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{self, SimRequest};
+
+    /// Decodes `body` as the body of a `tag` request, through the wire.
+    fn decode(tag: &str, body: &str) -> Result<SimRequest, SimError> {
+        wire::decode_request(&format!("{{\"api\": 1, \"{tag}\": {body}}}")).1
+    }
 
     fn round_trip(req: SimRequest) {
-        let body = req.to_json();
-        let back = SimRequest::from_json(req.tag(), &body).unwrap();
-        assert_eq!(back, req);
+        let line = wire::encode_request(None, &req);
+        assert_eq!(wire::decode_request(&line).1.unwrap(), req, "{line}");
     }
 
     #[test]
@@ -751,10 +408,9 @@ mod tests {
             r#"{"topology": {"inline": "a, 8, 8, 8,\n"}, "strategy": 5}"#,
             r#"{"topology": {"inline": "a, 8, 8, 8,\n"}, "fabric": ["mesh"]}"#,
         ] {
-            let v = Json::parse(body).unwrap();
-            assert!(SimRequest::from_json("scaleout", &v).is_err(), "{body}");
+            assert!(decode("scaleout", body).is_err(), "{body}");
         }
-        let err = SimRequest::from_json("scaleout", &Json::Obj(vec![])).unwrap_err();
+        let err = decode("scaleout", "{}").unwrap_err();
         assert!(err.message().contains("topology"), "{err}");
     }
 
@@ -786,8 +442,122 @@ mod tests {
             r#"{"workload": "llama-7b", "batch": -1}"#,
             r#"{"workload": "llama-7b", "context": "long"}"#,
         ] {
-            let v = Json::parse(body).unwrap();
-            assert!(SimRequest::from_json("llm", &v).is_err(), "{body}");
+            assert!(decode("llm", body).is_err(), "{body}");
+        }
+        let err = decode("llm", r#"{"workload": "llama-7b", "seq": 0}"#).unwrap_err();
+        assert_eq!(
+            err.message(),
+            "request: llm: \"seq\" must be a positive integer"
+        );
+    }
+
+    /// The silent-drop bug: a key the body does not declare used to be
+    /// ignored (a misspelled override ran with the default and answered
+    /// plausible numbers). Every object now names the key and lists the
+    /// accepted ones.
+    #[test]
+    fn unknown_keys_are_config_errors_naming_the_key_and_the_accepted_set() {
+        let err = decode("llm", r#"{"workload": "llama-7b", "bacth": 8}"#).unwrap_err();
+        assert_eq!(err.kind(), "config");
+        assert_eq!(
+            err.message(),
+            "request: llm: unknown key \"bacth\" (accepted: config, workload, phase, seq, \
+             batch, context, features)"
+        );
+        for (tag, body, needle) in [
+            (
+                "run",
+                r#"{"topology": {"path": "a"}, "feature": {}}"#,
+                "run: unknown key \"feature\" (accepted: config, topology, features)",
+            ),
+            (
+                "run",
+                r#"{"topology": {"path": "a", "fromat": "gemm"}}"#,
+                "topology: unknown key \"fromat\" (accepted: name, path, inline, workload, format)",
+            ),
+            (
+                "run",
+                r#"{"topology": {"path": "a"}, "features": {"drma": true}}"#,
+                "features: unknown key \"drma\" (accepted: dram, energy, layout, cores)",
+            ),
+            (
+                "sweep",
+                r#"{"spec": {"inline": "array = 8x8\n"}, "shard": 2}"#,
+                "sweep: unknown key \"shard\"",
+            ),
+            (
+                "scaleout",
+                r#"{"topology": {"path": "a"}, "chip": 2}"#,
+                "scaleout: unknown key \"chip\"",
+            ),
+            (
+                "area",
+                r#"{"topology": {"path": "a"}}"#,
+                "area: unknown key \"topology\" (accepted: config, features)",
+            ),
+            (
+                "stats",
+                r#"{"verbose": true}"#,
+                "stats: unknown key \"verbose\" (accepted: none)",
+            ),
+            // A config source is exactly one of its three shapes.
+            (
+                "run",
+                r#"{"config": {"path": "a", "inline": "b"}, "topology": {"path": "a"}}"#,
+                "config: expected \"default\"",
+            ),
+            // A body that is not an object is not an empty body.
+            ("llm", "5", "llm: expected an object"),
+            ("version", "null", "version: expected an object"),
+        ] {
+            let err = decode(tag, body).unwrap_err();
+            assert_eq!(err.kind(), "config", "{body}");
+            assert!(err.message().contains(needle), "{body}: {err}");
+        }
+    }
+
+    /// The other half of the bug: `features.cores` and the topology's
+    /// text members were dropped when present with the wrong type
+    /// (`"cores": 4` ran single-core).
+    #[test]
+    fn mistyped_cores_and_topology_members_are_config_errors() {
+        for (body, needle) in [
+            (
+                r#"{"topology": {"path": "a"}, "features": {"cores": 4}}"#,
+                "features: \"cores\" must be a string",
+            ),
+            (
+                r#"{"topology": {"path": "a"}, "features": {"dram": "yes"}}"#,
+                "features.dram must be a boolean",
+            ),
+            (
+                r#"{"topology": {"path": "a", "name": 7}}"#,
+                "topology: \"name\" must be a string",
+            ),
+            (
+                r#"{"topology": {"path": ["a"]}}"#,
+                "topology: \"path\" must be a string",
+            ),
+            (
+                r#"{"topology": {"inline": null}}"#,
+                "topology: \"inline\" must be a string",
+            ),
+            (
+                r#"{"topology": {"workload": 18}}"#,
+                "topology: \"workload\" must be a string",
+            ),
+            (
+                r#"{"topology": {"path": "a", "format": 3}}"#,
+                "topology format must be a string",
+            ),
+            (
+                r#"{"topology": {"path": "a", "format": "csv"}}"#,
+                "topology format 'csv' (expected auto/conv/gemm)",
+            ),
+        ] {
+            let err = decode("run", body).unwrap_err();
+            assert_eq!(err.kind(), "config", "{body}");
+            assert!(err.message().contains(needle), "{body}: {err}");
         }
     }
 
@@ -807,19 +577,24 @@ mod tests {
 
     #[test]
     fn missing_topology_is_a_config_error() {
-        let err = SimRequest::from_json("run", &Json::Obj(vec![])).unwrap_err();
+        let err = decode("run", "{}").unwrap_err();
         assert_eq!(err.kind(), "config");
-        assert!(err.message().contains("topology"), "{err}");
+        assert_eq!(err.message(), "request: run: missing required \"topology\"");
     }
 
     #[test]
     fn topology_requires_exactly_one_source() {
-        let both = Json::parse(r#"{"topology": {"path": "a", "inline": "b"}}"#).unwrap();
-        assert!(SimRequest::from_json("run", &both).is_err());
-        let neither = Json::parse(r#"{"topology": {"name": "x"}}"#).unwrap();
-        assert!(SimRequest::from_json("run", &neither).is_err());
-        let mixed = Json::parse(r#"{"topology": {"path": "a", "workload": "resnet18"}}"#).unwrap();
-        assert!(SimRequest::from_json("run", &mixed).is_err());
+        for topology in [
+            r#"{"path": "a", "inline": "b"}"#,
+            r#"{"name": "x"}"#,
+            r#"{"path": "a", "workload": "resnet18"}"#,
+        ] {
+            let err = decode("run", &format!("{{\"topology\": {topology}}}")).unwrap_err();
+            assert!(
+                err.message().contains("exactly one of"),
+                "{topology}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -835,16 +610,22 @@ mod tests {
     }
 
     #[test]
-    fn unknown_tag_is_rejected() {
-        let err = SimRequest::from_json("frobnicate", &Json::Obj(vec![])).unwrap_err();
-        assert!(err.message().contains("unknown request"), "{err}");
-    }
-
-    #[test]
     fn sweep_rejects_default_spec_and_zero_shards() {
-        let v = Json::parse(r#"{"spec": "default"}"#).unwrap();
-        assert!(SimRequest::from_json("sweep", &v).is_err());
-        let v = Json::parse(r#"{"spec": {"inline": "array = 8x8\n"}, "shards": 0}"#).unwrap();
-        assert!(SimRequest::from_json("sweep", &v).is_err());
+        let err = decode("sweep", r#"{"spec": "default"}"#).unwrap_err();
+        assert_eq!(
+            err.message(),
+            "request: sweep spec: \"default\" is not a grid"
+        );
+        let err = decode(
+            "sweep",
+            r#"{"spec": {"inline": "array = 8x8\n"}, "shards": 0}"#,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.message(),
+            "request: sweep: \"shards\" must be a positive integer"
+        );
+        let err = decode("sweep", "{}").unwrap_err();
+        assert_eq!(err.message(), "request: sweep: missing required \"spec\"");
     }
 }

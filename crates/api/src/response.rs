@@ -1,5 +1,5 @@
-//! The typed response surface: [`SimResponse`] and its per-command
-//! bodies.
+//! The typed response surface: the per-command bodies a
+//! [`SimResponse`](crate::SimResponse) carries.
 //!
 //! Report **contents** travel as strings (the exact bytes the one-shot
 //! CLI writes to `*_REPORT.csv` files), so a response is verifiable
@@ -7,197 +7,39 @@
 //! persist reports identical to a local run. Scalar summaries use
 //! fixed-precision formatting, making response lines deterministic for
 //! a given build.
+//!
+//! Every body is declared once — Rust field, wire key, kind — and the
+//! struct, its encoder and its decoder all derive from that list (see
+//! `codec.rs`); members are written in declaration order. Decoding (the
+//! client half) ignores keys it does not know: response fields are
+//! additive within an API version.
 
+use crate::codec::{
+    wire, Codec, Fixed, Flag, List, Member, Nested, ObjectWriter, PAYLOAD, TEXT, UINT,
+};
 use crate::error::SimError;
-use crate::json::{escape_into, Json};
+use crate::json::Json;
 
-/// One emitted report: the file name the CLI would write and its exact
-/// contents.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Report {
-    /// Standard file name (`COMPUTE_REPORT.csv`, `SWEEP_REPORT.json`, …).
-    pub name: String,
-    /// The full file contents, byte-identical to the CLI's output.
-    pub content: String,
-}
+/// The `reports` member every simulation body ends with.
+const REPORTS: List<Nested> = List(Nested);
 
-/// Aggregate metrics of one run (the O(1) reduction every layer streams
-/// through).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RunSummaryBody {
-    /// Layers simulated.
-    pub layers: usize,
-    /// End-to-end cycles (DRAM-aware when the DRAM flow ran).
-    pub total_cycles: u64,
-    /// Stall-free compute cycles.
-    pub compute_cycles: u64,
-    /// Stall cycles.
-    pub stall_cycles: u64,
-    /// MACs executed.
-    pub macs: u64,
-    /// Compute-cycle-weighted mean PE utilization in `[0, 1]`.
-    pub utilization: f64,
-    /// Total energy in mJ (0.0 when energy estimation is off).
-    pub energy_mj: f64,
-    /// L2→L1 NoC words (0 for single-core runs).
-    pub noc_words: u64,
-}
+/// The Pareto-frontier point labels of a sweep.
+struct Labels;
 
-/// Response body of a `run` request.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RunBody {
-    /// Run-level aggregates.
-    pub summary: RunSummaryBody,
-    /// Every report the configuration produces, in the CLI's emission
-    /// order.
-    pub reports: Vec<Report>,
-}
+impl Codec<Vec<String>> for Labels {
+    fn write(&self, value: &Vec<String>, out: &mut String) {
+        List(TEXT).write(value, out);
+    }
 
-/// Response body of a `sweep` request.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SweepBody {
-    /// Grid points expanded from the spec.
-    pub grid_points: usize,
-    /// Total `(point, topology)` runs executed.
-    pub runs: usize,
-    /// Labels of the runtime-vs-energy Pareto frontier, in point order.
-    pub pareto_frontier: Vec<String>,
-    /// `SWEEP_REPORT.csv` and `SWEEP_REPORT.json`.
-    pub reports: Vec<Report>,
-}
-
-/// Response body of a `scaleout` request: the multi-chip run's
-/// aggregate timeline plus `SCALEOUT_REPORT.csv`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ScaleoutBody {
-    /// Chips simulated.
-    pub chips: u64,
-    /// Strategy tag that ran (`dp` / `tp` / `pp`).
-    pub strategy: String,
-    /// Human-readable fabric description.
-    pub fabric: String,
-    /// Layers executed.
-    pub layers: usize,
-    /// End-to-end critical-path cycles.
-    pub total_cycles: u64,
-    /// Per-chip compute cycles.
-    pub compute_cycles: u64,
-    /// Collective cycles obligated.
-    pub comm_cycles: u64,
-    /// Communication hidden under compute.
-    pub overlapped_cycles: u64,
-    /// Communication on the critical path.
-    pub exposed_cycles: u64,
-    /// Pipeline fill/drain overhead (0 for data/tensor parallelism).
-    pub bubble_cycles: u64,
-    /// Compute-cycle-weighted mean PE utilization in `[0, 1]`.
-    pub utilization: f64,
-    /// `SCALEOUT_REPORT.csv`.
-    pub reports: Vec<Report>,
-}
-
-/// Response body of an `llm` request: the generated workload's
-/// identity plus the same aggregates and reports a `run` produces.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LlmBody {
-    /// Model name (preset or custom `[llm]` spec name).
-    pub workload: String,
-    /// Phase simulated (`prefill` / `decode`).
-    pub phase: String,
-    /// Context length attended over (KV-cache depth for decode).
-    pub context: u64,
-    /// Closed-form parameter count of the model.
-    pub params: u64,
-    /// KV-cache footprint in bytes at this context length.
-    pub kv_cache_bytes: u64,
-    /// Run-level aggregates.
-    pub summary: RunSummaryBody,
-    /// Every report the configuration produces, in the CLI's emission
-    /// order.
-    pub reports: Vec<Report>,
-}
-
-/// Response body of an `area` request (Accelergy-style silicon area).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct AreaBody {
-    /// Total die area, mm².
-    pub total_mm2: f64,
-    /// PE array contribution, mm².
-    pub pe_array_mm2: f64,
-    /// SRAM contribution, mm².
-    pub sram_mm2: f64,
-    /// NoC contribution, mm².
-    pub noc_mm2: f64,
-    /// DRAM controller contribution, mm².
-    pub dram_ctrl_mm2: f64,
-    /// `AREA_REPORT.csv`.
-    pub reports: Vec<Report>,
-}
-
-/// Response body of a `version` request.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct VersionBody {
-    /// Human-readable version line (`scalesim 0.3.0 (git …)`).
-    pub version: String,
-    /// The wire-protocol version the server speaks (see
-    /// [`crate::API_VERSION`]).
-    pub api: u32,
-}
-
-/// Response body of a `stats` request: a snapshot of the serving
-/// process's runtime metrics.
-///
-/// All counters are cumulative since process start except `in_flight`
-/// and the cache residency gauges. Latency percentiles come from a
-/// power-of-two-bucket histogram with linear interpolation *within*
-/// the winning bucket, clamped to the observed maximum — a value inside
-/// the bucket, not its upper bound.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct StatsBody {
-    /// Plan-cache hits.
-    pub cache_hits: u64,
-    /// Plan-cache misses (each one planned a layer).
-    pub cache_misses: u64,
-    /// Plans currently resident.
-    pub cache_plans: u64,
-    /// Entries evicted by the cost-aware policy.
-    pub cache_evictions: u64,
-    /// Estimated bytes currently held by cached plans.
-    pub cache_resident_bytes: u64,
-    /// Configured byte budget (0 = count-capped only).
-    pub cache_budget_bytes: u64,
-    /// hits / (hits + misses), 0.0 when no lookups happened.
-    pub cache_hit_rate: f64,
-    /// Requests received (queued + inline; includes shed ones).
-    pub requests_total: u64,
-    /// Requests fully handled (ok or typed error).
-    pub completed: u64,
-    /// Requests shed with `busy` (queue full or session cap).
-    pub shed: u64,
-    /// Requests that died with `deadline`.
-    pub deadline_expired: u64,
-    /// Requests currently executing or queued.
-    pub in_flight: u64,
-    /// Handle latencies recorded.
-    pub latency_count: u64,
-    /// Median handle latency, µs (bucket-interpolated).
-    pub latency_p50_us: u64,
-    /// 99th-percentile handle latency, µs (bucket-interpolated).
-    pub latency_p99_us: u64,
-    /// Maximum handle latency observed, µs.
-    pub latency_max_us: u64,
-    /// Scheduler worker threads in the shared pool.
-    pub sched_workers: u64,
-    /// Successful work steals between scheduler workers.
-    pub sched_steals: u64,
-    /// Detached tasks submitted to the scheduler.
-    pub sched_spawns: u64,
-    /// Times a parked scheduler worker was woken.
-    pub sched_park_wakeups: u64,
-    /// Trace events recorded per span category, in
-    /// `sched, pipeline, cache, dram, collective, serve, sweep` order
-    /// (all zero unless tracing was enabled at some point).
-    pub span_totals: [u64; 7],
+    fn read(&self, member: Member) -> Result<Vec<String>, SimError> {
+        let labels = member.found.and_then(Json::as_array);
+        labels
+            .ok_or_else(|| member.bad("an array", None))?
+            .iter()
+            .map(|label| label.as_str().map(str::to_string))
+            .collect::<Option<_>>()
+            .ok_or_else(|| member.cx.side.err("pareto labels must be strings"))
+    }
 }
 
 /// The span-category names `StatsBody::span_totals` is indexed by, in
@@ -212,451 +54,256 @@ pub const SPAN_CATEGORIES: [&str; 7] = [
     "sweep",
 ];
 
-/// Response body of a `trace` request: the process's recorded span
-/// rings exported as Chrome trace-event JSON (Perfetto-loadable),
-/// carried as a string like report contents are.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TraceBody {
-    /// Whether span recording is currently on.
-    pub enabled: bool,
-    /// Total events recorded so far (monotonic; overwritten ring
-    /// entries stay counted).
-    pub events: u64,
-    /// The Chrome trace JSON (`{"displayTimeUnit":…,"traceEvents":[…]}`).
-    pub trace: String,
-}
+/// The per-category event totals: an object keyed by
+/// [`SPAN_CATEGORIES`], in that order.
+struct Spans;
 
-/// A successful response to a [`crate::SimRequest`]; failures travel as
-/// [`SimError`] (see [`crate::wire::encode_response`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SimResponse {
-    /// Result of a `run` request.
-    Run(RunBody),
-    /// Result of a `sweep` request.
-    Sweep(SweepBody),
-    /// Result of a `scaleout` request.
-    Scaleout(ScaleoutBody),
-    /// Result of an `llm` request.
-    Llm(LlmBody),
-    /// Result of an `area` request.
-    Area(AreaBody),
-    /// Result of a `version` request.
-    Version(VersionBody),
-    /// Result of a `stats` request.
-    Stats(StatsBody),
-    /// Result of a `trace` request.
-    Trace(TraceBody),
-}
-
-fn reports_json(out: &mut String, reports: &[Report]) {
-    out.push_str("\"reports\":[");
-    for (i, r) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+impl Codec<[u64; 7]> for Spans {
+    fn write(&self, value: &[u64; 7], out: &mut String) {
+        let mut object = ObjectWriter::open(out);
+        for (category, total) in SPAN_CATEGORIES.iter().zip(value) {
+            object.member(category, total, &UINT);
         }
-        out.push_str("{\"name\":\"");
-        escape_into(&r.name, out);
-        out.push_str("\",\"content\":\"");
-        escape_into(&r.content, out);
-        out.push_str("\"}");
-    }
-    out.push(']');
-}
-
-impl SimResponse {
-    /// The wire tag the body is keyed by (`run`/`sweep`/`area`/`version`).
-    pub fn tag(&self) -> &'static str {
-        match self {
-            SimResponse::Run(_) => "run",
-            SimResponse::Sweep(_) => "sweep",
-            SimResponse::Scaleout(_) => "scaleout",
-            SimResponse::Llm(_) => "llm",
-            SimResponse::Area(_) => "area",
-            SimResponse::Version(_) => "version",
-            SimResponse::Stats(_) => "stats",
-            SimResponse::Trace(_) => "trace",
-        }
+        object.close();
     }
 
-    /// Serializes the body as a single-line JSON object with fixed key
-    /// order and fixed numeric precision — deterministic for a given
-    /// build, so serve-mode output can be pinned by golden files.
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::new();
-        match self {
-            SimResponse::Run(r) => {
-                let s = &r.summary;
-                out.push_str(&format!(
-                    "{{\"summary\":{{\"layers\":{},\"total_cycles\":{},\
-                     \"compute_cycles\":{},\"stall_cycles\":{},\"macs\":{},\
-                     \"utilization\":{:.4},\"energy_mj\":{:.6},\"noc_words\":{}}},",
-                    s.layers,
-                    s.total_cycles,
-                    s.compute_cycles,
-                    s.stall_cycles,
-                    s.macs,
-                    s.utilization,
-                    s.energy_mj,
-                    s.noc_words,
-                ));
-                reports_json(&mut out, &r.reports);
-                out.push('}');
-            }
-            SimResponse::Sweep(s) => {
-                out.push_str(&format!(
-                    "{{\"grid_points\":{},\"runs\":{},\"pareto_frontier\":[",
-                    s.grid_points, s.runs
-                ));
-                for (i, label) in s.pareto_frontier.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    escape_into(label, &mut out);
-                    out.push('"');
-                }
-                out.push_str("],");
-                reports_json(&mut out, &s.reports);
-                out.push('}');
-            }
-            SimResponse::Scaleout(s) => {
-                out.push_str(&format!(
-                    "{{\"summary\":{{\"chips\":{},\"strategy\":\"",
-                    s.chips
-                ));
-                escape_into(&s.strategy, &mut out);
-                out.push_str("\",\"fabric\":\"");
-                escape_into(&s.fabric, &mut out);
-                out.push_str(&format!(
-                    "\",\"layers\":{},\"total_cycles\":{},\"compute_cycles\":{},\
-                     \"comm_cycles\":{},\"overlapped_cycles\":{},\"exposed_cycles\":{},\
-                     \"bubble_cycles\":{},\"utilization\":{:.4}}},",
-                    s.layers,
-                    s.total_cycles,
-                    s.compute_cycles,
-                    s.comm_cycles,
-                    s.overlapped_cycles,
-                    s.exposed_cycles,
-                    s.bubble_cycles,
-                    s.utilization,
-                ));
-                reports_json(&mut out, &s.reports);
-                out.push('}');
-            }
-            SimResponse::Llm(l) => {
-                out.push_str("{\"workload\":\"");
-                escape_into(&l.workload, &mut out);
-                out.push_str("\",\"phase\":\"");
-                escape_into(&l.phase, &mut out);
-                let s = &l.summary;
-                out.push_str(&format!(
-                    "\",\"context\":{},\"params\":{},\"kv_cache_bytes\":{},\
-                     \"summary\":{{\"layers\":{},\"total_cycles\":{},\
-                     \"compute_cycles\":{},\"stall_cycles\":{},\"macs\":{},\
-                     \"utilization\":{:.4},\"energy_mj\":{:.6},\"noc_words\":{}}},",
-                    l.context,
-                    l.params,
-                    l.kv_cache_bytes,
-                    s.layers,
-                    s.total_cycles,
-                    s.compute_cycles,
-                    s.stall_cycles,
-                    s.macs,
-                    s.utilization,
-                    s.energy_mj,
-                    s.noc_words,
-                ));
-                reports_json(&mut out, &l.reports);
-                out.push('}');
-            }
-            SimResponse::Area(a) => {
-                out.push_str(&format!(
-                    "{{\"total_mm2\":{:.4},\"pe_array_mm2\":{:.4},\"sram_mm2\":{:.4},\
-                     \"noc_mm2\":{:.4},\"dram_ctrl_mm2\":{:.4},",
-                    a.total_mm2, a.pe_array_mm2, a.sram_mm2, a.noc_mm2, a.dram_ctrl_mm2
-                ));
-                reports_json(&mut out, &a.reports);
-                out.push('}');
-            }
-            SimResponse::Version(v) => {
-                out.push_str("{\"version\":\"");
-                escape_into(&v.version, &mut out);
-                out.push_str(&format!("\",\"api\":{}}}", v.api));
-            }
-            SimResponse::Stats(s) => {
-                out.push_str(&format!(
-                    "{{\"cache\":{{\"hits\":{},\"misses\":{},\"plans\":{},\
-                     \"evictions\":{},\"resident_bytes\":{},\"budget_bytes\":{},\
-                     \"hit_rate\":{:.4}}},\
-                     \"serve\":{{\"requests_total\":{},\"completed\":{},\"shed\":{},\
-                     \"deadline_expired\":{},\"in_flight\":{}}},\
-                     \"latency_us\":{{\"count\":{},\"p50\":{},\"p99\":{},\"max\":{}}},",
-                    s.cache_hits,
-                    s.cache_misses,
-                    s.cache_plans,
-                    s.cache_evictions,
-                    s.cache_resident_bytes,
-                    s.cache_budget_bytes,
-                    s.cache_hit_rate,
-                    s.requests_total,
-                    s.completed,
-                    s.shed,
-                    s.deadline_expired,
-                    s.in_flight,
-                    s.latency_count,
-                    s.latency_p50_us,
-                    s.latency_p99_us,
-                    s.latency_max_us,
-                ));
-                out.push_str(&format!(
-                    "\"sched\":{{\"workers\":{},\"steals\":{},\"spawns\":{},\
-                     \"park_wakeups\":{}}},\"spans\":{{",
-                    s.sched_workers, s.sched_steals, s.sched_spawns, s.sched_park_wakeups,
-                ));
-                for (i, (name, total)) in SPAN_CATEGORIES.iter().zip(s.span_totals).enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("\"{name}\":{total}"));
-                }
-                out.push_str("}}");
-            }
-            SimResponse::Trace(t) => {
-                out.push_str(&format!(
-                    "{{\"enabled\":{},\"events\":{},\"trace\":\"",
-                    t.enabled, t.events
-                ));
-                escape_into(&t.trace, &mut out);
-                out.push_str("\"}");
-            }
+    fn read(&self, member: Member) -> Result<[u64; 7], SimError> {
+        let spans = member.required()?;
+        let mut totals = [0; 7];
+        for (total, category) in totals.iter_mut().zip(SPAN_CATEGORIES) {
+            *total = UINT.read(member.cx.member(spans, category))?;
         }
-        out
+        Ok(totals)
+    }
+}
+
+wire! {
+    /// One emitted report: the file name the CLI would write and its exact
+    /// contents.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    Response "report missing" => pub struct Report {
+        /// Standard file name (`COMPUTE_REPORT.csv`, `SWEEP_REPORT.json`, …).
+        pub name: String = "name": PAYLOAD,
+        /// The full file contents, byte-identical to the CLI's output.
+        pub content: String = "content": PAYLOAD,
     }
 
-    /// Decodes a response body for the given wire tag (the client half
-    /// of the codec; servers emit via
-    /// [`to_json_string`](Self::to_json_string)).
+    /// Aggregate metrics of one run (the O(1) reduction every layer streams
+    /// through).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    Response "run summary: missing" => pub struct RunSummaryBody {
+        /// Layers simulated.
+        pub layers: usize = "layers": UINT,
+        /// End-to-end cycles (DRAM-aware when the DRAM flow ran).
+        pub total_cycles: u64 = "total_cycles": UINT,
+        /// Stall-free compute cycles.
+        pub compute_cycles: u64 = "compute_cycles": UINT,
+        /// Stall cycles.
+        pub stall_cycles: u64 = "stall_cycles": UINT,
+        /// MACs executed.
+        pub macs: u64 = "macs": UINT,
+        /// Compute-cycle-weighted mean PE utilization in `[0, 1]`.
+        pub utilization: f64 = "utilization": Fixed(4),
+        /// Total energy in mJ (0.0 when energy estimation is off).
+        pub energy_mj: f64 = "energy_mj": Fixed(6),
+        /// L2→L1 NoC words (0 for single-core runs).
+        pub noc_words: u64 = "noc_words": UINT,
+    }
+
+    /// Response body of a `run` request.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    Response "run response: missing" => pub struct RunBody {
+        /// Run-level aggregates.
+        pub summary: RunSummaryBody = "summary": Nested,
+        /// Every report the configuration produces, in the CLI's emission
+        /// order.
+        pub reports: Vec<Report> = "reports": REPORTS,
+    }
+
+    /// Response body of a `sweep` request.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    Response "sweep response: missing" => pub struct SweepBody {
+        /// Grid points expanded from the spec.
+        pub grid_points: usize = "grid_points": UINT,
+        /// Total `(point, topology)` runs executed.
+        pub runs: usize = "runs": UINT,
+        /// Labels of the runtime-vs-energy Pareto frontier, in point order.
+        pub pareto_frontier: Vec<String> = "pareto_frontier": Labels,
+        /// `SWEEP_REPORT.csv` and `SWEEP_REPORT.json`.
+        pub reports: Vec<Report> = "reports": REPORTS,
+    }
+
+    /// Response body of a `scaleout` request: the multi-chip run's
+    /// aggregate timeline plus `SCALEOUT_REPORT.csv`.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    Response "scaleout response: missing" => pub struct ScaleoutBody {
+        in "summary" {
+            /// Chips simulated.
+            pub chips: u64 = "chips": UINT,
+            /// Strategy tag that ran (`dp` / `tp` / `pp`).
+            pub strategy: String = "strategy": TEXT,
+            /// Human-readable fabric description.
+            pub fabric: String = "fabric": TEXT,
+            /// Layers executed.
+            pub layers: usize = "layers": UINT,
+            /// End-to-end critical-path cycles.
+            pub total_cycles: u64 = "total_cycles": UINT,
+            /// Per-chip compute cycles.
+            pub compute_cycles: u64 = "compute_cycles": UINT,
+            /// Collective cycles obligated.
+            pub comm_cycles: u64 = "comm_cycles": UINT,
+            /// Communication hidden under compute.
+            pub overlapped_cycles: u64 = "overlapped_cycles": UINT,
+            /// Communication on the critical path.
+            pub exposed_cycles: u64 = "exposed_cycles": UINT,
+            /// Pipeline fill/drain overhead (0 for data/tensor parallelism).
+            pub bubble_cycles: u64 = "bubble_cycles": UINT,
+            /// Compute-cycle-weighted mean PE utilization in `[0, 1]`.
+            pub utilization: f64 = "utilization": Fixed(4),
+        }
+        /// `SCALEOUT_REPORT.csv`.
+        pub reports: Vec<Report> = "reports": REPORTS,
+    }
+
+    /// Response body of an `llm` request: the generated workload's
+    /// identity plus the same aggregates and reports a `run` produces.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    Response "llm response: missing" => pub struct LlmBody {
+        /// Model name (preset or custom `[llm]` spec name).
+        pub workload: String = "workload": TEXT,
+        /// Phase simulated (`prefill` / `decode`).
+        pub phase: String = "phase": TEXT,
+        /// Context length attended over (KV-cache depth for decode).
+        pub context: u64 = "context": UINT,
+        /// Closed-form parameter count of the model.
+        pub params: u64 = "params": UINT,
+        /// KV-cache footprint in bytes at this context length.
+        pub kv_cache_bytes: u64 = "kv_cache_bytes": UINT,
+        /// Run-level aggregates.
+        pub summary: RunSummaryBody = "summary": Nested,
+        /// Every report the configuration produces, in the CLI's emission
+        /// order.
+        pub reports: Vec<Report> = "reports": REPORTS,
+    }
+
+    /// Response body of an `area` request (Accelergy-style silicon area).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    Response "area response: missing" => pub struct AreaBody {
+        /// Total die area, mm².
+        pub total_mm2: f64 = "total_mm2": Fixed(4),
+        /// PE array contribution, mm².
+        pub pe_array_mm2: f64 = "pe_array_mm2": Fixed(4),
+        /// SRAM contribution, mm².
+        pub sram_mm2: f64 = "sram_mm2": Fixed(4),
+        /// NoC contribution, mm².
+        pub noc_mm2: f64 = "noc_mm2": Fixed(4),
+        /// DRAM controller contribution, mm².
+        pub dram_ctrl_mm2: f64 = "dram_ctrl_mm2": Fixed(4),
+        /// `AREA_REPORT.csv`.
+        pub reports: Vec<Report> = "reports": REPORTS,
+    }
+
+    /// Response body of a `version` request.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    Response "version response: missing" => pub struct VersionBody {
+        /// Human-readable version line (`scalesim 0.3.0 (git …)`).
+        pub version: String = "version": PAYLOAD,
+        /// The wire-protocol version the server speaks (see
+        /// [`crate::API_VERSION`]).
+        pub api: u32 = "api": UINT,
+    }
+
+    /// Response body of a `stats` request: a snapshot of the serving
+    /// process's runtime metrics.
     ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] describing the first shape problem.
-    pub fn from_json(tag: &str, body: &Json) -> Result<SimResponse, SimError> {
-        match tag {
-            "run" => {
-                let s = body
-                    .get("summary")
-                    .ok_or_else(|| bad("run response: missing \"summary\""))?;
-                Ok(SimResponse::Run(RunBody {
-                    summary: RunSummaryBody {
-                        layers: u(s, "layers")? as usize,
-                        total_cycles: u(s, "total_cycles")?,
-                        compute_cycles: u(s, "compute_cycles")?,
-                        stall_cycles: u(s, "stall_cycles")?,
-                        macs: u(s, "macs")?,
-                        utilization: f(s, "utilization")?,
-                        energy_mj: f(s, "energy_mj")?,
-                        noc_words: u(s, "noc_words")?,
-                    },
-                    reports: reports(body)?,
-                }))
-            }
-            "sweep" => Ok(SimResponse::Sweep(SweepBody {
-                grid_points: u(body, "grid_points")? as usize,
-                runs: u(body, "runs")? as usize,
-                pareto_frontier: body
-                    .get("pareto_frontier")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| bad("sweep response: missing \"pareto_frontier\""))?
-                    .iter()
-                    .map(|v| {
-                        v.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| bad("pareto labels must be strings"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                reports: reports(body)?,
-            })),
-            "scaleout" => {
-                let s = body
-                    .get("summary")
-                    .ok_or_else(|| bad("scaleout response: missing \"summary\""))?;
-                let string = |key: &str| -> Result<String, SimError> {
-                    s.get(key)
-                        .and_then(Json::as_str)
-                        .map(str::to_string)
-                        .ok_or_else(|| bad(format!("missing or non-string \"{key}\"")))
-                };
-                Ok(SimResponse::Scaleout(ScaleoutBody {
-                    chips: u(s, "chips")?,
-                    strategy: string("strategy")?,
-                    fabric: string("fabric")?,
-                    layers: u(s, "layers")? as usize,
-                    total_cycles: u(s, "total_cycles")?,
-                    compute_cycles: u(s, "compute_cycles")?,
-                    comm_cycles: u(s, "comm_cycles")?,
-                    overlapped_cycles: u(s, "overlapped_cycles")?,
-                    exposed_cycles: u(s, "exposed_cycles")?,
-                    bubble_cycles: u(s, "bubble_cycles")?,
-                    utilization: f(s, "utilization")?,
-                    reports: reports(body)?,
-                }))
-            }
-            "llm" => {
-                let s = body
-                    .get("summary")
-                    .ok_or_else(|| bad("llm response: missing \"summary\""))?;
-                let string = |key: &str| -> Result<String, SimError> {
-                    body.get(key)
-                        .and_then(Json::as_str)
-                        .map(str::to_string)
-                        .ok_or_else(|| bad(format!("missing or non-string \"{key}\"")))
-                };
-                Ok(SimResponse::Llm(LlmBody {
-                    workload: string("workload")?,
-                    phase: string("phase")?,
-                    context: u(body, "context")?,
-                    params: u(body, "params")?,
-                    kv_cache_bytes: u(body, "kv_cache_bytes")?,
-                    summary: RunSummaryBody {
-                        layers: u(s, "layers")? as usize,
-                        total_cycles: u(s, "total_cycles")?,
-                        compute_cycles: u(s, "compute_cycles")?,
-                        stall_cycles: u(s, "stall_cycles")?,
-                        macs: u(s, "macs")?,
-                        utilization: f(s, "utilization")?,
-                        energy_mj: f(s, "energy_mj")?,
-                        noc_words: u(s, "noc_words")?,
-                    },
-                    reports: reports(body)?,
-                }))
-            }
-            "area" => Ok(SimResponse::Area(AreaBody {
-                total_mm2: f(body, "total_mm2")?,
-                pe_array_mm2: f(body, "pe_array_mm2")?,
-                sram_mm2: f(body, "sram_mm2")?,
-                noc_mm2: f(body, "noc_mm2")?,
-                dram_ctrl_mm2: f(body, "dram_ctrl_mm2")?,
-                reports: reports(body)?,
-            })),
-            "version" => Ok(SimResponse::Version(VersionBody {
-                version: body
-                    .get("version")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("version response: missing \"version\""))?
-                    .to_string(),
-                api: u(body, "api")? as u32,
-            })),
-            "stats" => {
-                let cache = body
-                    .get("cache")
-                    .ok_or_else(|| bad("stats response: missing \"cache\""))?;
-                let serve = body
-                    .get("serve")
-                    .ok_or_else(|| bad("stats response: missing \"serve\""))?;
-                let latency = body
-                    .get("latency_us")
-                    .ok_or_else(|| bad("stats response: missing \"latency_us\""))?;
-                let sched = body
-                    .get("sched")
-                    .ok_or_else(|| bad("stats response: missing \"sched\""))?;
-                let spans = body
-                    .get("spans")
-                    .ok_or_else(|| bad("stats response: missing \"spans\""))?;
-                let mut span_totals = [0u64; 7];
-                for (slot, name) in span_totals.iter_mut().zip(SPAN_CATEGORIES) {
-                    *slot = u(spans, name)?;
-                }
-                Ok(SimResponse::Stats(StatsBody {
-                    cache_hits: u(cache, "hits")?,
-                    cache_misses: u(cache, "misses")?,
-                    cache_plans: u(cache, "plans")?,
-                    cache_evictions: u(cache, "evictions")?,
-                    cache_resident_bytes: u(cache, "resident_bytes")?,
-                    cache_budget_bytes: u(cache, "budget_bytes")?,
-                    cache_hit_rate: f(cache, "hit_rate")?,
-                    requests_total: u(serve, "requests_total")?,
-                    completed: u(serve, "completed")?,
-                    shed: u(serve, "shed")?,
-                    deadline_expired: u(serve, "deadline_expired")?,
-                    in_flight: u(serve, "in_flight")?,
-                    latency_count: u(latency, "count")?,
-                    latency_p50_us: u(latency, "p50")?,
-                    latency_p99_us: u(latency, "p99")?,
-                    latency_max_us: u(latency, "max")?,
-                    sched_workers: u(sched, "workers")?,
-                    sched_steals: u(sched, "steals")?,
-                    sched_spawns: u(sched, "spawns")?,
-                    sched_park_wakeups: u(sched, "park_wakeups")?,
-                    span_totals,
-                }))
-            }
-            "trace" => Ok(SimResponse::Trace(TraceBody {
-                enabled: body
-                    .get("enabled")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| bad("trace response: missing \"enabled\""))?,
-                events: u(body, "events")?,
-                trace: body
-                    .get("trace")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("trace response: missing \"trace\""))?
-                    .to_string(),
-            })),
-            other => Err(bad(format!("unknown response '{other}'"))),
+    /// All counters are cumulative since process start except `in_flight`
+    /// and the cache residency gauges. Latency percentiles come from a
+    /// power-of-two-bucket histogram with linear interpolation *within*
+    /// the winning bucket, clamped to the observed maximum — a value inside
+    /// the bucket, not its upper bound.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    Response "stats response: missing" => pub struct StatsBody {
+        in "cache" {
+            /// Plan-cache hits.
+            pub cache_hits: u64 = "hits": UINT,
+            /// Plan-cache misses (each one planned a layer).
+            pub cache_misses: u64 = "misses": UINT,
+            /// Plans currently resident.
+            pub cache_plans: u64 = "plans": UINT,
+            /// Entries evicted by the cost-aware policy.
+            pub cache_evictions: u64 = "evictions": UINT,
+            /// Estimated bytes currently held by cached plans.
+            pub cache_resident_bytes: u64 = "resident_bytes": UINT,
+            /// Configured byte budget (0 = count-capped only).
+            pub cache_budget_bytes: u64 = "budget_bytes": UINT,
+            /// hits / (hits + misses), 0.0 when no lookups happened.
+            pub cache_hit_rate: f64 = "hit_rate": Fixed(4),
         }
+        in "serve" {
+            /// Requests received (queued + inline; includes shed ones).
+            pub requests_total: u64 = "requests_total": UINT,
+            /// Requests fully handled (ok or typed error).
+            pub completed: u64 = "completed": UINT,
+            /// Requests shed with `busy` (queue full or session cap).
+            pub shed: u64 = "shed": UINT,
+            /// Requests that died with `deadline`.
+            pub deadline_expired: u64 = "deadline_expired": UINT,
+            /// Requests currently executing or queued.
+            pub in_flight: u64 = "in_flight": UINT,
+        }
+        in "latency_us" {
+            /// Handle latencies recorded.
+            pub latency_count: u64 = "count": UINT,
+            /// Median handle latency, µs (bucket-interpolated).
+            pub latency_p50_us: u64 = "p50": UINT,
+            /// 99th-percentile handle latency, µs (bucket-interpolated).
+            pub latency_p99_us: u64 = "p99": UINT,
+            /// Maximum handle latency observed, µs.
+            pub latency_max_us: u64 = "max": UINT,
+        }
+        in "sched" {
+            /// Scheduler worker threads in the shared pool.
+            pub sched_workers: u64 = "workers": UINT,
+            /// Successful work steals between scheduler workers.
+            pub sched_steals: u64 = "steals": UINT,
+            /// Detached tasks submitted to the scheduler.
+            pub sched_spawns: u64 = "spawns": UINT,
+            /// Times a parked scheduler worker was woken.
+            pub sched_park_wakeups: u64 = "park_wakeups": UINT,
+        }
+        /// Trace events recorded per span category, in
+        /// `sched, pipeline, cache, dram, collective, serve, sweep` order
+        /// (all zero unless tracing was enabled at some point).
+        pub span_totals: [u64; 7] = "spans": Spans,
     }
-}
 
-fn u(v: &Json, key: &str) -> Result<u64, SimError> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| bad(format!("missing or non-integer \"{key}\"")))
-}
-
-fn f(v: &Json, key: &str) -> Result<f64, SimError> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| bad(format!("missing or non-numeric \"{key}\"")))
-}
-
-fn reports(body: &Json) -> Result<Vec<Report>, SimError> {
-    body.get("reports")
-        .and_then(Json::as_array)
-        .ok_or_else(|| bad("missing \"reports\" array"))?
-        .iter()
-        .map(|r| {
-            Ok(Report {
-                name: r
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("report missing \"name\""))?
-                    .to_string(),
-                content: r
-                    .get("content")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("report missing \"content\""))?
-                    .to_string(),
-            })
-        })
-        .collect()
-}
-
-fn bad(msg: impl Into<String>) -> SimError {
-    SimError::Config(format!("response: {}", msg.into()))
+    /// Response body of a `trace` request: the process's recorded span
+    /// rings exported as Chrome trace-event JSON (Perfetto-loadable),
+    /// carried as a string like report contents are.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    Response "trace response: missing" => pub struct TraceBody {
+        /// Whether span recording is currently on.
+        pub enabled: bool = "enabled": Flag,
+        /// Total events recorded so far (monotonic; overwritten ring
+        /// entries stay counted).
+        pub events: u64 = "events": UINT,
+        /// The Chrome trace JSON (`{"displayTimeUnit":…,"traceEvents":[…]}`).
+        pub trace: String = "trace": PAYLOAD,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{self, SimResponse};
 
     fn round_trip(resp: SimResponse) {
-        let line = resp.to_json_string();
+        let line = wire::encode_response(None, &Ok(resp));
         assert!(!line.contains('\n'), "bodies must be single-line: {line}");
-        let parsed = Json::parse(&line).expect("body is valid JSON");
-        let back = SimResponse::from_json(resp.tag(), &parsed).unwrap();
+        let back = wire::decode_response(&line).1.unwrap();
         // Fixed-precision floats survive one round trip exactly because
         // the emitter formats them; re-encode to compare canonically.
-        assert_eq!(back.to_json_string(), line);
+        assert_eq!(wire::encode_response(None, &Ok(back)), line);
     }
 
     #[test]
@@ -793,9 +440,8 @@ mod tests {
                 content: tricky.into(),
             }],
         });
-        let parsed = Json::parse(&resp.to_json_string()).unwrap();
-        let back = SimResponse::from_json("run", &parsed).unwrap();
-        let SimResponse::Run(body) = back else {
+        let back = wire::decode_response(&wire::encode_response(None, &Ok(resp))).1;
+        let Ok(SimResponse::Run(body)) = back else {
             panic!("expected run");
         };
         assert_eq!(body.reports[0].content, tricky);

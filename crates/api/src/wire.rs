@@ -18,6 +18,10 @@
 //! emitted with fixed key order and fixed numeric precision, so serve
 //! output is byte-deterministic for a given build.
 //!
+//! The command vocabulary is one table in this file: each row binds a
+//! wire tag to its request and response variants, and the tag lookup,
+//! both decoders and the "supported commands" sentence all read it.
+//!
 //! ```
 //! use scalesim_api::{wire, SimRequest};
 //! let line = r#"{"api": 1, "id": "v1", "version": {}}"#;
@@ -26,21 +30,130 @@
 //! assert_eq!(req.unwrap(), SimRequest::Version);
 //! ```
 
+use crate::codec::{quote, Ctx, ObjectWriter, Opt, Side, Wire, UINT};
 use crate::error::SimError;
-use crate::json::{escape_into, Json};
-use crate::request::SimRequest;
-use crate::response::SimResponse;
+use crate::json::Json;
+use crate::request::{AreaSpec, LlmRequest, RunSpec, ScaleoutRequest, SweepRequest};
+use crate::response::{
+    AreaBody, LlmBody, RunBody, ScaleoutBody, StatsBody, SweepBody, TraceBody, VersionBody,
+};
 use crate::API_VERSION;
 
-/// The command keys an envelope may carry.
-const COMMANDS: [&str; 8] = [
-    "run", "sweep", "scaleout", "llm", "area", "version", "stats", "trace",
-];
+/// One command of the protocol: its wire tag and the decoder of each
+/// direction's body.
+struct Command {
+    tag: &'static str,
+    request: fn(&Json) -> Result<SimRequest, SimError>,
+    response: fn(&Json) -> Result<SimResponse, SimError>,
+}
+
+/// Declares the command vocabulary, one row per command: `tag =>
+/// request variant / response variant`. From the rows come both enums,
+/// the [`COMMANDS`] table and the encoders' tag-and-body writers.
+/// Commands before the `;` carry a request body; the probes after it
+/// send `{}`.
+macro_rules! commands {
+    (
+        $( $(#[$doc:meta])* $tag:literal => $req:ident($spec:ty) / $resp:ident($body:ty), )*
+        ;
+        $( $(#[$pdoc:meta])* $ptag:literal => $preq:ident / $presp:ident($pbody:ty), )*
+    ) => {
+        /// A versioned simulation request — the single entry point every
+        /// front end (CLI, `scalesim serve`, embedding tools) goes through.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum SimRequest {
+            $( $(#[$doc])* $req($spec), )*
+            $( $(#[$pdoc])* $preq, )*
+        }
+
+        /// A successful response to a [`SimRequest`]; failures travel as
+        /// [`SimError`] (see [`encode_response`]).
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum SimResponse {
+            $( #[doc = concat!("Result of a `", $tag, "` request.")] $resp($body), )*
+            $( #[doc = concat!("Result of a `", $ptag, "` request.")] $presp($pbody), )*
+        }
+
+        const COMMANDS: &[Command] = &[
+            $( Command {
+                tag: $tag,
+                request: |body| <$spec>::read(body).map(SimRequest::$req),
+                response: |body| <$body>::read(body).map(SimResponse::$resp),
+            }, )*
+            $( Command {
+                tag: $ptag,
+                request: |body| {
+                    let probe = Ctx { side: Side::Request, label: $ptag };
+                    probe.object(body, &[]).map(|()| SimRequest::$preq)
+                },
+                response: |body| <$pbody>::read(body).map(SimResponse::$presp),
+            }, )*
+        ];
+
+        impl SimRequest {
+            /// Writes `"tag":{body}` as the next member of `envelope`.
+            fn write_into(&self, envelope: &mut ObjectWriter) {
+                match self {
+                    $( SimRequest::$req(spec) => spec.write(envelope.key($tag)), )*
+                    $( SimRequest::$preq => envelope.section($ptag).close(), )*
+                }
+            }
+        }
+
+        impl SimResponse {
+            /// Writes `"tag":{body}` as the next member of `ok`.
+            fn write_into(&self, ok: &mut ObjectWriter) {
+                match self {
+                    $( SimResponse::$resp(body) => body.write(ok.key($tag)), )*
+                    $( SimResponse::$presp(body) => body.write(ok.key($ptag)), )*
+                }
+            }
+        }
+    };
+}
+
+commands! {
+    /// Simulate one topology.
+    "run" => Run(RunSpec) / Run(RunBody),
+    /// Run a design-space sweep.
+    "sweep" => Sweep(SweepRequest) / Sweep(SweepBody),
+    /// Simulate a multi-chip scale-out execution.
+    "scaleout" => Scaleout(ScaleoutRequest) / Scaleout(ScaleoutBody),
+    /// Generate and simulate an LLM workload (prefill or decode).
+    "llm" => Llm(LlmRequest) / Llm(LlmBody),
+    /// Report the configured accelerator's silicon area.
+    "area" => AreaReport(AreaSpec) / Area(AreaBody),
+    ;
+    /// Report the server's version and API level.
+    "version" => Version / Version(VersionBody),
+    /// Report the server's runtime metrics: plan-cache stats, requests
+    /// in flight/shed, and handle-latency percentiles. Answered inline
+    /// (never queued), so it stays observable under saturation.
+    "stats" => Stats / Stats(StatsBody),
+    /// Export the process's recorded span rings as Chrome trace-event
+    /// JSON. Answered inline (never queued); the body is empty when
+    /// tracing was never enabled.
+    "trace" => Trace / Trace(TraceBody),
+}
+
+fn command(tag: &str) -> Option<&'static Command> {
+    COMMANDS.iter().find(|command| command.tag == tag)
+}
 
 /// The supported command set, rendered for error messages.
 fn supported_commands() -> String {
-    COMMANDS.join(", ")
+    let tags: Vec<&str> = COMMANDS.iter().map(|command| command.tag).collect();
+    tags.join(", ")
 }
+
+/// The envelope's own keys.
+const API: &str = "api";
+const ID: &str = "id";
+const DEADLINE_MS: &str = "deadline_ms";
+const OK: &str = "ok";
+const ERROR: &str = "error";
+const KIND: &str = "kind";
+const MESSAGE: &str = "message";
 
 /// A fully decoded request envelope: the id and deadline recovered
 /// (even from envelopes whose command failed to decode, so servers can
@@ -73,32 +186,17 @@ pub fn decode_request(line: &str) -> (Option<String>, Result<SimRequest, SimErro
 /// (the server half; clients without deadlines can keep using
 /// [`decode_request`]).
 pub fn decode_request_full(line: &str) -> DecodedRequest {
-    let value = match Json::parse(line) {
-        Ok(v) => v,
-        Err(e) => {
-            return DecodedRequest {
-                id: None,
-                deadline_ms: None,
-                request: Err(SimError::Config(format!("request is not valid JSON: {e}"))),
+    let (id, deadline_ms, request) = match parse_line("request", line) {
+        Err(e) => (None, None, Err(e)),
+        Ok((value, id)) => match value.get(DEADLINE_MS) {
+            Some(v) if v.as_u64().is_none() => {
+                let e = SimError::Config(format!(
+                    "request: \"{DEADLINE_MS}\" must be a non-negative integer, got {v}"
+                ));
+                (id, None, Err(e))
             }
-        }
-    };
-    let id = value.get("id").and_then(Json::as_str).map(str::to_string);
-    let (deadline_ms, deadline_err) = match value.get("deadline_ms") {
-        None => (None, None),
-        Some(v) => match v.as_u64() {
-            Some(ms) => (Some(ms), None),
-            None => (
-                None,
-                Some(SimError::Config(format!(
-                    "request: \"deadline_ms\" must be a non-negative integer, got {v}"
-                ))),
-            ),
+            deadline => (id, deadline.and_then(Json::as_u64), decode_envelope(&value)),
         },
-    };
-    let request = match deadline_err {
-        Some(e) => Err(e),
-        None => decode_envelope(&value),
     };
     DecodedRequest {
         id,
@@ -107,59 +205,68 @@ pub fn decode_request_full(line: &str) -> DecodedRequest {
     }
 }
 
+/// Parses one line of either direction and recovers its `"id"`.
+fn parse_line(direction: &str, line: &str) -> Result<(Json, Option<String>), SimError> {
+    let value = Json::parse(line)
+        .map_err(|e| SimError::Config(format!("{direction} is not valid JSON: {e}")))?;
+    let id = value.get(ID).and_then(Json::as_str).map(str::to_string);
+    Ok((value, id))
+}
+
 fn decode_envelope(value: &Json) -> Result<SimRequest, SimError> {
-    let Some(fields) = value.as_object() else {
-        return Err(SimError::Config("request must be a JSON object".into()));
-    };
-    match value.get("api") {
-        Some(api) => match api.as_u64() {
-            Some(v) if v == u64::from(API_VERSION) => {}
-            Some(v) => {
-                return Err(SimError::Config(format!(
-                    "unsupported api version {v} (supported versions: {API_VERSION})"
-                )))
-            }
-            // Present but not a non-negative integer (a string, a
-            // fraction…) — say so, rather than claiming it is missing.
-            None => {
-                return Err(SimError::Config(format!(
-                    "request: \"api\" must be the integer {API_VERSION}, got {api}"
-                )))
-            }
-        },
+    let (command, body) = envelope_command(value).map_err(SimError::Config)?;
+    (command.request)(body)
+}
+
+/// Checks the envelope and finds its one command key; a failure is the
+/// message of the `config` error to answer.
+fn envelope_command(value: &Json) -> Result<(&'static Command, &Json), String> {
+    let fields = value.as_object().ok_or("request must be a JSON object")?;
+    let api = value
+        .get(API)
+        .ok_or_else(|| format!("request: missing required \"{API}\": {API_VERSION}"))?;
+    match api.as_u64() {
+        Some(v) if v == u64::from(API_VERSION) => {}
+        Some(v) => {
+            return Err(format!(
+                "unsupported api version {v} (supported versions: {API_VERSION})"
+            ))
+        }
+        // Present but not a non-negative integer (a string, a
+        // fraction…) — say so, rather than claiming it is missing.
         None => {
-            return Err(SimError::Config(format!(
-                "request: missing required \"api\": {API_VERSION}"
-            )))
+            return Err(format!(
+                "request: \"{API}\" must be the integer {API_VERSION}, got {api}"
+            ))
         }
     }
-    let mut command = None;
+    let mut found = None;
     for (key, body) in fields {
-        match key.as_str() {
-            "api" | "id" | "deadline_ms" => {}
-            k if COMMANDS.contains(&k) => {
-                if command.is_some() {
-                    return Err(SimError::Config(
-                        "request: more than one command key".into(),
-                    ));
-                }
-                command = Some((k, body));
-            }
-            other => {
-                return Err(SimError::Config(format!(
-                    "request: unknown key \"{other}\" (supported commands: {})",
-                    supported_commands()
-                )))
-            }
+        if [API, ID, DEADLINE_MS].contains(&key.as_str()) {
+            continue;
+        }
+        let command = command(key).ok_or_else(|| {
+            let supported = supported_commands();
+            format!("request: unknown key \"{key}\" (supported commands: {supported})")
+        })?;
+        if found.replace((command, body)).is_some() {
+            return Err("request: more than one command key".into());
         }
     }
-    let Some((tag, body)) = command else {
-        return Err(SimError::Config(format!(
-            "request: missing command key (one of {})",
-            supported_commands()
-        )));
-    };
-    SimRequest::from_json(tag, body)
+    found.ok_or_else(|| {
+        let supported = supported_commands();
+        format!("request: missing command key (one of {supported})")
+    })
+}
+
+/// Opens an envelope: `{"api":1[,"id":…]`.
+fn open_envelope<'a>(out: &'a mut String, id: Option<&str>) -> ObjectWriter<'a> {
+    let mut envelope = ObjectWriter::open(out);
+    envelope.member(API, &API_VERSION, &UINT);
+    if let Some(id) = id {
+        quote(id, envelope.key(ID));
+    }
+    envelope
 }
 
 /// Encodes one request line (the client half).
@@ -173,46 +280,35 @@ pub fn encode_request_with_deadline(
     deadline_ms: Option<u64>,
     request: &SimRequest,
 ) -> String {
-    let mut fields = vec![("api".to_string(), Json::Num(f64::from(API_VERSION)))];
-    if let Some(id) = id {
-        fields.push(("id".into(), Json::Str(id.to_string())));
-    }
-    if let Some(ms) = deadline_ms {
-        fields.push(("deadline_ms".into(), Json::Num(ms as f64)));
-    }
-    fields.push((request.tag().to_string(), request.to_json()));
-    Json::Obj(fields).to_string()
+    let mut out = String::new();
+    let mut envelope = open_envelope(&mut out, id);
+    envelope.member(DEADLINE_MS, &deadline_ms, &Opt(UINT));
+    request.write_into(&mut envelope);
+    envelope.close();
+    out
 }
 
 /// Encodes one response line: `{"api":1[,"id":…],"ok":{…}}` on success,
 /// `{"api":1[,"id":…],"error":{…}}` on failure. Single line, fixed key
 /// order.
 pub fn encode_response(id: Option<&str>, result: &Result<SimResponse, SimError>) -> String {
-    let mut out = format!("{{\"api\":{API_VERSION}");
-    if let Some(id) = id {
-        out.push_str(",\"id\":\"");
-        escape_into(id, &mut out);
-        out.push('"');
-    }
+    let mut out = String::new();
+    let mut envelope = open_envelope(&mut out, id);
     match result {
-        Ok(resp) => {
-            out.push_str(",\"ok\":{\"");
-            out.push_str(resp.tag());
-            out.push_str("\":");
-            out.push_str(&resp.to_json_string());
-            out.push('}');
+        Ok(response) => {
+            let mut ok = envelope.section(OK);
+            response.write_into(&mut ok);
+            ok.close();
         }
         Err(e) => {
-            out.push_str(&format!(
-                ",\"error\":{{\"kind\":\"{}\",\"exit_code\":{},\"message\":\"",
-                e.kind(),
-                e.exit_code()
-            ));
-            escape_into(e.message(), &mut out);
-            out.push_str("\"}");
+            let mut error = envelope.section(ERROR);
+            quote(e.kind(), error.key(KIND));
+            error.member("exit_code", &e.exit_code(), &UINT);
+            quote(e.message(), error.key(MESSAGE));
+            error.close();
         }
     }
-    out.push('}');
+    envelope.close();
     out
 }
 
@@ -221,30 +317,25 @@ pub fn encode_response(id: Option<&str>, result: &Result<SimResponse, SimError>)
 /// Returns the echoed id and either the decoded response or the
 /// server-reported (or local decode) failure.
 pub fn decode_response(line: &str) -> (Option<String>, Result<SimResponse, SimError>) {
-    let value = match Json::parse(line) {
-        Ok(v) => v,
-        Err(e) => {
-            return (
-                None,
-                Err(SimError::Config(format!("response is not valid JSON: {e}"))),
-            )
-        }
+    let (value, id) = match parse_line("response", line) {
+        Ok(parsed) => parsed,
+        Err(e) => return (None, Err(e)),
     };
-    let id = value.get("id").and_then(Json::as_str).map(str::to_string);
-    if let Some(err) = value.get("error") {
-        let kind = err.get("kind").and_then(Json::as_str).unwrap_or("internal");
+    if let Some(err) = value.get(ERROR) {
+        let kind = err.get(KIND).and_then(Json::as_str).unwrap_or("internal");
         let message = err
-            .get("message")
+            .get(MESSAGE)
             .and_then(Json::as_str)
             .unwrap_or("missing error message")
             .to_string();
         return (id, Err(SimError::from_kind(kind, message)));
     }
-    let result = match value.get("ok").and_then(Json::as_object) {
-        Some([(tag, body)]) => SimResponse::from_json(tag, body),
-        _ => Err(SimError::Config(
-            "response: expected exactly one body under \"ok\"".into(),
-        )),
+    let result = match value.get(OK).and_then(Json::as_object) {
+        Some([(tag, body)]) => match command(tag) {
+            Some(command) => (command.response)(body),
+            None => Err(Side::Response.err(format!("unknown response '{tag}'"))),
+        },
+        _ => Err(Side::Response.err(format!("expected exactly one body under \"{OK}\""))),
     };
     (id, result)
 }
@@ -253,7 +344,7 @@ pub fn decode_response(line: &str) -> (Option<String>, Result<SimResponse, SimEr
 mod tests {
     use super::*;
     use crate::request::{ConfigSource, RunSpec, TopologyFormat, TopologySource};
-    use crate::response::{SimResponse, VersionBody};
+    use crate::response::VersionBody;
 
     fn run_request() -> SimRequest {
         SimRequest::Run(RunSpec {
@@ -262,6 +353,47 @@ mod tests {
                 .with_format(TopologyFormat::Gemm),
             features: Default::default(),
         })
+    }
+
+    /// Every key a declaration puts on the wire — envelope, command
+    /// tags, body members, sections and span categories — must appear
+    /// backticked in `docs/API.md`: a field added in one line here
+    /// fails until the reference names it.
+    #[test]
+    fn every_declared_wire_key_is_documented_in_the_api_reference() {
+        use crate::request::{Features, TopologySource};
+        use crate::response::{Report, RunSummaryBody, SPAN_CATEGORIES};
+        let doc = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/API.md");
+        let doc = std::fs::read_to_string(doc).unwrap();
+        let mut keys = vec![API, ID, DEADLINE_MS, OK, ERROR, KIND, "exit_code", MESSAGE];
+        keys.extend(COMMANDS.iter().map(|command| command.tag));
+        keys.extend(SPAN_CATEGORIES);
+        for declared in [
+            TopologySource::KEYS,
+            Features::KEYS,
+            RunSpec::KEYS,
+            SweepRequest::KEYS,
+            ScaleoutRequest::KEYS,
+            LlmRequest::KEYS,
+            AreaSpec::KEYS,
+            Report::KEYS,
+            RunSummaryBody::KEYS,
+            RunBody::KEYS,
+            SweepBody::KEYS,
+            ScaleoutBody::KEYS,
+            LlmBody::KEYS,
+            AreaBody::KEYS,
+            VersionBody::KEYS,
+            StatsBody::KEYS,
+            TraceBody::KEYS,
+        ] {
+            keys.extend(declared);
+        }
+        let missing: Vec<&str> = keys
+            .into_iter()
+            .filter(|key| !doc.contains(&format!("`{key}`")))
+            .collect();
+        assert!(missing.is_empty(), "undocumented wire keys: {missing:?}");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Seeded property tests of the JSON codec and the wire protocol:
 //! round-trip identity for every request/response variant under random
 //! payloads, object-key-order preservation, and decoder robustness
-//! against arbitrary bytes.
+//! against arbitrary bytes and against valid bodies with one member
+//! renamed or retyped.
 //!
 //! These run everywhere (no external crates): a vendored SplitMix64
 //! drives deterministic generation, so a failure reproduces from the
@@ -9,9 +10,9 @@
 
 use scalesim_api::json::Json;
 use scalesim_api::{
-    wire, AreaBody, AreaSpec, ConfigSource, Features, Report, RunBody, RunSpec, RunSummaryBody,
-    ScaleoutBody, ScaleoutRequest, SimError, SimRequest, SimResponse, StatsBody, SweepBody,
-    SweepRequest, TopologyFormat, TopologySource, VersionBody,
+    wire, AreaBody, AreaSpec, ConfigSource, Features, LlmBody, LlmRequest, Report, RunBody,
+    RunSpec, RunSummaryBody, ScaleoutBody, ScaleoutRequest, SimError, SimRequest, SimResponse,
+    StatsBody, SweepBody, SweepRequest, TopologyFormat, TopologySource, TraceBody, VersionBody,
 };
 
 /// SplitMix64: tiny, seedable, good-enough mixing for test generation.
@@ -167,7 +168,7 @@ fn arb_features(rng: &mut SplitMix64) -> Features {
 }
 
 fn arb_request(rng: &mut SplitMix64) -> SimRequest {
-    match rng.below(6) {
+    match rng.below(8) {
         0 => SimRequest::Run(RunSpec {
             config: arb_config(rng),
             topology: arb_topology(rng),
@@ -201,8 +202,18 @@ fn arb_request(rng: &mut SplitMix64) -> SimRequest {
             config: arb_config(rng),
             features: arb_features(rng),
         }),
-        4 => SimRequest::Version,
-        _ => SimRequest::Stats,
+        4 => SimRequest::Llm(LlmRequest {
+            config: arb_config(rng),
+            workload: rng.chance(2).then(|| "llama-7b".to_string()),
+            phase: rng.chance(2).then(|| "decode".to_string()),
+            seq: rng.chance(2).then(|| 1 + rng.below(4096) as usize),
+            batch: rng.chance(2).then(|| 1 + rng.below(64) as usize),
+            context: rng.chance(2).then(|| 1 + rng.below(8192) as usize),
+            features: arb_features(rng),
+        }),
+        5 => SimRequest::Version,
+        6 => SimRequest::Stats,
+        _ => SimRequest::Trace,
     }
 }
 
@@ -240,20 +251,38 @@ fn arb_reports(rng: &mut SplitMix64) -> Vec<Report> {
         .collect()
 }
 
+fn arb_summary(rng: &mut SplitMix64) -> RunSummaryBody {
+    RunSummaryBody {
+        layers: rng.below(100) as usize,
+        total_cycles: rng.next() >> 12,
+        compute_cycles: rng.next() >> 12,
+        stall_cycles: rng.next() >> 12,
+        macs: rng.next() >> 12,
+        utilization: quantized(rng, 10_000, 4),
+        energy_mj: quantized(rng, 1 << 30, 6),
+        noc_words: rng.next() >> 12,
+    }
+}
+
 fn arb_response(rng: &mut SplitMix64) -> SimResponse {
-    match rng.below(6) {
+    match rng.below(8) {
         0 => SimResponse::Run(RunBody {
-            summary: RunSummaryBody {
-                layers: rng.below(100) as usize,
-                total_cycles: rng.next() >> 12,
-                compute_cycles: rng.next() >> 12,
-                stall_cycles: rng.next() >> 12,
-                macs: rng.next() >> 12,
-                utilization: quantized(rng, 10_000, 4),
-                energy_mj: quantized(rng, 1 << 30, 6),
-                noc_words: rng.next() >> 12,
-            },
+            summary: arb_summary(rng),
             reports: arb_reports(rng),
+        }),
+        6 => SimResponse::Llm(LlmBody {
+            workload: arb_string(rng),
+            phase: "decode".into(),
+            context: rng.below(1 << 20),
+            params: rng.next() >> 12,
+            kv_cache_bytes: rng.next() >> 12,
+            summary: arb_summary(rng),
+            reports: arb_reports(rng),
+        }),
+        7 => SimResponse::Trace(TraceBody {
+            enabled: rng.chance(2),
+            events: rng.next() >> 12,
+            trace: arb_string(rng),
         }),
         1 => SimResponse::Sweep(SweepBody {
             grid_points: rng.below(1000) as usize,
@@ -388,6 +417,133 @@ fn arbitrary_bytes_never_panic_the_decoder() {
         }
         let text = String::from_utf8_lossy(&bytes);
         let _ = wire::decode_request_full(&text);
+    }
+}
+
+/// Every object nested anywhere in `value`, outermost first, as the
+/// path of member keys / array indices leading to it.
+fn object_paths(value: &Json, here: &mut Vec<String>, out: &mut Vec<Vec<String>>) {
+    match value {
+        Json::Obj(fields) => {
+            out.push(here.clone());
+            for (key, member) in fields {
+                here.push(key.clone());
+                object_paths(member, here, out);
+                here.pop();
+            }
+        }
+        Json::Arr(items) => {
+            for (i, item) in items.iter().enumerate() {
+                here.push(i.to_string());
+                object_paths(item, here, out);
+                here.pop();
+            }
+        }
+        _ => {}
+    }
+}
+
+fn at_path<'a>(value: &'a mut Json, path: &[String]) -> &'a mut Json {
+    path.iter().fold(value, |v, step| match v {
+        Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == step).unwrap().1,
+        Json::Arr(items) => &mut items[step.parse::<usize>().unwrap()],
+        _ => unreachable!("paths only descend through containers"),
+    })
+}
+
+/// A JSON value of a different type than `value`, so whatever kind the
+/// member was declared as, the replacement is mistyped. (`null` is a
+/// wrong type for every declared kind.)
+fn wrong_type(value: &Json) -> Json {
+    match value {
+        Json::Null => Json::Num(1.0),
+        _ => Json::Null,
+    }
+}
+
+/// The silent-drop bug class: a member the body does not declare, or a
+/// declared member carrying the wrong JSON type, anywhere inside a
+/// valid request body, is a typed `config` error — never `Ok` (the
+/// request would run on defaults), never a panic.
+#[test]
+fn unknown_keys_and_wrong_types_in_valid_bodies_are_config_errors() {
+    let mut rng = SplitMix64::new(0xC0DE_C007);
+    for case in 0..600 {
+        let request = arb_request(&mut rng);
+        let line = wire::encode_request(Some("m"), &request);
+        let pristine = Json::parse(&line).expect("encoded requests parse");
+        // Objects at depth >= 1 are the command body and what it nests
+        // (depth 0 is the envelope, which has its own unknown-key rule).
+        let mut paths = Vec::new();
+        object_paths(&pristine, &mut Vec::new(), &mut paths);
+        let bodies: Vec<&Vec<String>> = paths.iter().filter(|p| !p.is_empty()).collect();
+        let target = bodies[rng.below(bodies.len() as u64) as usize];
+        let mut value = pristine.clone();
+        let Json::Obj(fields) = at_path(&mut value, target) else {
+            unreachable!("object_paths yields objects")
+        };
+        let what = if fields.is_empty() || rng.chance(2) {
+            let at = rng.below(fields.len() as u64 + 1) as usize;
+            fields.insert(
+                at,
+                (format!("zz_{}", rng.below(100)), arb_json(&mut rng, 1)),
+            );
+            "unknown key"
+        } else {
+            let at = rng.below(fields.len() as u64) as usize;
+            fields[at].1 = wrong_type(&fields[at].1);
+            "wrong type"
+        };
+        let text = value.to_string();
+        let decoded = wire::decode_request_full(&text);
+        assert_eq!(decoded.id.as_deref(), Some("m"), "case {case}: id survives");
+        match decoded.request {
+            Err(e) => assert_eq!(e.kind(), "config", "case {case} ({what}): {e}\n{text}"),
+            Ok(r) => panic!("case {case}: {what} was silently accepted as {r:?}\n{text}"),
+        }
+    }
+}
+
+/// The client half is lenient where the server half is strict:
+/// response fields are additive within an API version, so a body with
+/// members this build does not know decodes to the same value — while a
+/// declared member of the wrong type is still a typed `config` error.
+#[test]
+fn responses_tolerate_unknown_keys_but_not_wrong_types() {
+    let mut rng = SplitMix64::new(0xC0DE_C008);
+    for case in 0..400 {
+        let response = arb_response(&mut rng);
+        let line = wire::encode_response(None, &Ok(response.clone()));
+        let pristine = Json::parse(&line).expect("encoded responses parse");
+        let mut paths = Vec::new();
+        object_paths(&pristine, &mut Vec::new(), &mut paths);
+        // Depth >= 2: inside the body keyed under "ok".
+        let bodies: Vec<&Vec<String>> = paths.iter().filter(|p| p.len() >= 2).collect();
+        let target = bodies[rng.below(bodies.len() as u64) as usize];
+
+        let mut grown = pristine.clone();
+        let Json::Obj(fields) = at_path(&mut grown, target) else {
+            unreachable!("object_paths yields objects")
+        };
+        let at = rng.below(fields.len() as u64 + 1) as usize;
+        fields.insert(at, ("zz_future".to_string(), arb_json(&mut rng, 1)));
+        let (_, decoded) = wire::decode_response(&grown.to_string());
+        assert_eq!(decoded.unwrap(), response, "case {case}: {grown}");
+
+        let mut retyped = pristine.clone();
+        let Json::Obj(fields) = at_path(&mut retyped, target) else {
+            unreachable!("object_paths yields objects")
+        };
+        if fields.is_empty() {
+            continue;
+        }
+        let at = rng.below(fields.len() as u64) as usize;
+        fields[at].1 = wrong_type(&fields[at].1);
+        let (_, decoded) = wire::decode_response(&retyped.to_string());
+        match decoded {
+            Err(e) => assert_eq!(e.kind(), "config", "case {case}: {e}\n{retyped}"),
+            Ok(r) => panic!("case {case}: a mistyped member decoded as {r:?}\n{retyped}"),
+        }
     }
 }
 

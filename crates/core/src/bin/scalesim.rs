@@ -271,7 +271,7 @@ fn simulate(service: &SimService, request: &SimRequest, output: &Output) -> Resu
             );
             body.reports
         }
-        (request, _) => unreachable!("'{}' is not a simulation command", request.tag()),
+        (request, _) => unreachable!("{request:?} is not a simulation command"),
     };
 
     std::fs::create_dir_all(&output.out_dir)

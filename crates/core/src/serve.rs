@@ -93,25 +93,53 @@ fn next_request_seq() -> u64 {
     SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Handles one request line inline (no worker pool), producing exactly
-/// one response line (without the trailing newline). Honors the
+/// Handles one request line inline (no admission queue), producing
+/// exactly one response line (without the trailing newline). Honors the
 /// envelope's `deadline_ms` and records metrics. Never panics.
 pub fn handle_line(service: &SimService, line: &str) -> String {
+    dispatch(service, None, line)
+}
+
+/// Routes one request line — the one way a line becomes a response, so
+/// every route numbers, counts and times its requests alike. Decode
+/// errors, `version`, `stats` and `trace` answer inline on the calling
+/// thread (they never need a worker slot), as does everything when
+/// there is no `server`; otherwise simulation requests go through the
+/// server's admission queue and are shed with `busy` when it is full.
+/// The deadline clock starts here, so queue wait counts against
+/// `deadline_ms`.
+fn dispatch(service: &SimService, server: Option<&Server>, line: &str) -> String {
     let started = Instant::now();
     let seq = next_request_seq();
+    let decoded = wire::decode_request_full(line);
+    obs::instant(obs::Category::Serve, "decode", &[("req", seq)]);
     let m = service.metrics();
     m.inc(&m.requests_total);
     m.inc(&m.in_flight);
-    let decoded = wire::decode_request_full(line);
-    obs::instant(obs::Category::Serve, "decode", &[("req", seq)]);
     let cancel = deadline_token(decoded.deadline_ms);
-    execute(
-        service,
-        decoded.id.as_deref(),
-        decoded.request,
-        &cancel,
-        started,
-        seq,
+    let response = match (decoded.request, server) {
+        (Ok(request), Some(server)) if !is_probe(&request) => {
+            server.enqueue(decoded.id, request, cancel, started, seq)
+        }
+        (request, _) => execute(
+            service,
+            decoded.id.as_deref(),
+            request,
+            &cancel,
+            started,
+            seq,
+        ),
+    };
+    obs::instant(obs::Category::Serve, "respond", &[("req", seq)]);
+    response
+}
+
+/// The probes (`version`, `stats`, `trace`) are answered inline: they
+/// cost microseconds and must stay observable on a saturated server.
+fn is_probe(request: &SimRequest) -> bool {
+    matches!(
+        request,
+        SimRequest::Version | SimRequest::Stats | SimRequest::Trace
     )
 }
 
@@ -123,8 +151,8 @@ fn deadline_token(deadline_ms: Option<u64>) -> CancelToken {
 
 /// Runs one decoded request to a response line, with panic isolation
 /// and metrics accounting (deadline count, completion, latency,
-/// in-flight decrement). The single execution path for workers, the
-/// inline fast path and [`handle_line`], so every route counts alike.
+/// in-flight decrement). The single execution path for runners and the
+/// inline routes of [`dispatch`], so every route counts alike.
 fn execute(
     service: &SimService,
     id: Option<&str>,
@@ -498,9 +526,7 @@ impl Server {
                         "request line exceeds {MAX_REQUEST_BYTES} bytes"
                     ))),
                 );
-                output.write_all(response.as_bytes())?;
-                output.write_all(b"\n")?;
-                output.flush()?;
+                write_reply(&mut output, response)?;
                 if newline_found {
                     continue;
                 }
@@ -508,7 +534,7 @@ impl Server {
             }
             let response = match std::str::from_utf8(&buf) {
                 Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => self.dispatch_line(line),
+                Ok(line) => dispatch(&self.service, Some(self), line),
                 Err(e) => {
                     m.inc(&m.requests_total);
                     m.inc(&m.completed);
@@ -520,78 +546,49 @@ impl Server {
                     )
                 }
             };
-            output.write_all(response.as_bytes())?;
-            output.write_all(b"\n")?;
-            output.flush()?;
+            write_reply(&mut output, response)?;
         }
     }
 
-    /// Routes one decoded line: decode errors, `version` and `stats`
-    /// answer inline on the session thread (they never need a worker
-    /// slot); simulation requests go through the admission queue and
-    /// are shed with `busy` when it is full. The deadline clock starts
-    /// here, so queue wait counts against `deadline_ms`.
-    fn dispatch_line(&self, line: &str) -> String {
-        let started = Instant::now();
-        let seq = next_request_seq();
-        let decoded = wire::decode_request_full(line);
-        obs::instant(obs::Category::Serve, "decode", &[("req", seq)]);
-        let m = self.service.metrics();
-        m.inc(&m.requests_total);
-        let cancel = deadline_token(decoded.deadline_ms);
-        let response = match decoded.request {
-            Err(_) | Ok(SimRequest::Version) | Ok(SimRequest::Stats) | Ok(SimRequest::Trace) => {
-                m.inc(&m.in_flight);
-                execute(
-                    &self.service,
-                    decoded.id.as_deref(),
-                    decoded.request,
-                    &cancel,
-                    started,
-                    seq,
-                )
-            }
-            Ok(request) => {
-                m.inc(&m.in_flight);
-                let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-                let id = decoded.id.clone();
-                let priority = priority_of(&request);
-                let job = Box::new(Job {
-                    id: decoded.id,
-                    request,
-                    priority,
-                    cancel,
-                    started,
-                    seq,
-                    reply: reply_tx,
-                });
-                match self.queue.try_push(job) {
-                    Ok(launch) => {
-                        if launch {
-                            self.launch_runner(priority);
-                        }
-                        reply_rx.recv().unwrap_or_else(|_| {
-                            wire::encode_response(
-                                id.as_deref(),
-                                &Err(SimError::Internal(
-                                    "worker pool shut down mid-request".into(),
-                                )),
-                            )
-                        })
-                    }
-                    Err(job) => {
-                        m.dec_in_flight();
-                        m.inc(&m.shed);
-                        wire::encode_response(
-                            job.id.as_deref(),
-                            &Err(SimError::Busy("admission queue full; retry later".into())),
-                        )
-                    }
+    /// Parks one simulation request in the admission queue and blocks
+    /// for its reply, or sheds it with `busy` when the queue is full.
+    fn enqueue(
+        &self,
+        id: Option<String>,
+        request: SimRequest,
+        cancel: CancelToken,
+        started: Instant,
+        seq: u64,
+    ) -> String {
+        let (reply, reply_rx) = mpsc::sync_channel(1);
+        let priority = priority_of(&request);
+        let job = Box::new(Job {
+            id: id.clone(),
+            request,
+            priority,
+            cancel,
+            started,
+            seq,
+            reply,
+        });
+        let failure = match self.queue.try_push(job) {
+            Ok(launch) => {
+                if launch {
+                    self.launch_runner(priority);
+                }
+                match reply_rx.recv() {
+                    Ok(response) => return response,
+                    Err(_) => SimError::Internal("worker pool shut down mid-request".into()),
                 }
             }
+            Err(_) => {
+                let m = self.service.metrics();
+                m.dec_in_flight();
+                m.inc(&m.shed);
+                SimError::Busy("admission queue full; retry later".into())
+            }
         };
-        obs::instant(obs::Category::Serve, "respond", &[("req", seq)]);
-        response
+        wire::encode_response(id.as_deref(), &Err(failure))
     }
 
     /// Accepts connections forever, serving each as a JSON-lines
@@ -648,9 +645,7 @@ impl Server {
                     None,
                     &Err(SimError::Busy("session limit reached; retry later".into())),
                 );
-                let _ = stream
-                    .write_all(line.as_bytes())
-                    .and_then(|_| stream.write_all(b"\n"));
+                let _ = write_reply(&mut stream, line);
                 continue; // dropping the stream closes the connection
             }
             let gate = &gate;
@@ -674,6 +669,17 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.queue.shutdown_and_drain();
     }
+}
+
+/// Writes one reply line, its newline and a flush — the one place the
+/// reply framing lives. The newline is still a write of its own: on TCP
+/// that second small segment waits on Nagle's algorithm and the client's
+/// delayed ACK (~40 ms a reply). Coalescing the two writes here removes
+/// the wait; it is held back for a PR of its own (see `CHANGES.md`).
+fn write_reply(output: &mut impl Write, line: String) -> std::io::Result<()> {
+    output.write_all(line.as_bytes())?;
+    output.write_all(b"\n")?;
+    output.flush()
 }
 
 /// Discards input up to and including the next `\n`, in buffer-sized
@@ -1025,6 +1031,54 @@ mod tests {
         );
     }
 
+    /// A `Write` that records its bytes and where each flush fell.
+    #[derive(Default)]
+    struct Recording {
+        bytes: Vec<u8>,
+        flushed_at: Vec<usize>,
+    }
+
+    impl Write for Recording {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushed_at.push(self.bytes.len());
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_reply_is_one_line_flushed_at_its_newline() {
+        // One reply of each origin: a queued run, an inline probe, a
+        // decode error, a line that is not UTF-8 and an oversized line.
+        let server = small_server();
+        let mut input = format!(
+            "{}\n{{\"api\": 1, \"version\": {{}}}}\nnot json\n",
+            run_line("r1")
+        )
+        .into_bytes();
+        input.extend_from_slice(&[0xFF, 0xFE, b'\n']);
+        input.extend_from_slice(&vec![b'['; MAX_REQUEST_BYTES + 1]);
+        input.push(b'\n');
+        let mut out = Recording::default();
+        server.serve_session(Cursor::new(input), &mut out).unwrap();
+        let line_ends: Vec<usize> = (0..out.bytes.len())
+            .filter(|&i| out.bytes[i] == b'\n')
+            .map(|i| i + 1)
+            .collect();
+        assert_eq!(line_ends.len(), 5, "one line per request");
+        assert_eq!(out.flushed_at, line_ends, "flushed once, at its newline");
+        let ok = std::str::from_utf8(&out.bytes)
+            .unwrap()
+            .lines()
+            .filter(|line| wire::decode_response(line).1.is_ok())
+            .count();
+        assert_eq!(ok, 2, "the run and the probe; the rest are errors");
+    }
+
     #[test]
     fn sessions_past_the_cap_get_one_busy_line_and_a_close() {
         let server = Arc::new(Server::new(
@@ -1095,14 +1149,8 @@ mod tests {
                     let _ = server.serve_connection(stream);
                 }
             });
-            let request = SimRequest::from_json(
-                "run",
-                &scalesim_api::json::Json::parse(
-                    "{\"topology\": {\"name\": \"t\", \"inline\": \"a, 16, 16, 16,\\n\"}}",
-                )
-                .unwrap(),
-            )
-            .unwrap();
+            let (_, request) = wire::decode_request(&run_line("shared"));
+            let request = request.unwrap();
             let mut bodies = Vec::new();
             for _ in 0..2 {
                 let mut stream = TcpStream::connect(addr).unwrap();

@@ -5,8 +5,6 @@
 //! (paper §IV). Layer-wise sparsity fixes one ratio per layer; row-wise
 //! sparsity randomizes `N` per block with the paper's constraint `N ≤ M/2`.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::fmt;
 
 /// A validated `N:M` sparsity ratio.
@@ -96,11 +94,11 @@ impl SparsityPattern {
             block.is_power_of_two() && block >= 2,
             "block must be 2^i ≥ 2"
         );
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut state = seed;
         let group_nnz = (0..k.div_ceil(block))
             .map(|g| {
                 let rows = (k - g * block).min(block);
-                rng.random_range(1..=(block / 2)).min(rows)
+                (1 + below(&mut state, block / 2)).min(rows)
             })
             .collect();
         Self {
@@ -164,6 +162,20 @@ impl SparsityPattern {
         }
         rows
     }
+}
+
+/// The next draw from a SplitMix64 stream, mapped uniformly onto
+/// `0..span` by multiply-shift (unbiased enough for block-sized spans
+/// without a rejection loop). Deterministic per seed; the row-wise
+/// patterns — and the goldens computed from them — depend on this
+/// exact stream.
+fn below(state: &mut u64, span: usize) -> usize {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    ((z as u128 * span as u128) >> 64) as usize
 }
 
 #[cfg(test)]
