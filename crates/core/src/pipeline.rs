@@ -46,7 +46,7 @@ use scalesim_multicore::{partition_layer, L2Report};
 use scalesim_obs as obs;
 use scalesim_sparse::{SparseReport, SparseReportRow, SparsityPattern};
 use scalesim_systolic::{
-    timing, CoreSim, Dataflow, GemmShape, IdealBandwidthStore, LayerReport, PlanCache, PlannedLayer,
+    CoreSim, Dataflow, GemmShape, IdealBandwidthStore, LayerReport, PlanCache, PlannedLayer,
 };
 use std::sync::Arc;
 
@@ -227,7 +227,6 @@ impl LayerStage for ComputeStage {
                     mc.grid,
                     mc.l2,
                     core_cfg.memory.dram_bandwidth,
-                    true,
                 );
                 (
                     part.sub_gemm,
@@ -242,14 +241,7 @@ impl LayerStage for ComputeStage {
         let sim = CoreSim::new(core_cfg).with_plan_cache(Arc::clone(&env.plan_cache));
         let planned = sim.plan_gemm_shared(sub_gemm);
         let mut store = IdealBandwidthStore::new(bandwidth);
-        let memory = timing(&planned.inputs, &mut store);
-        ctx.report = Some(LayerReport {
-            name: ctx.name.clone(),
-            gemm: sub_gemm,
-            compute: planned.compute,
-            memory,
-            sram: planned.sram,
-        });
+        ctx.report = Some(planned.report(&ctx.name, sub_gemm, &mut store));
         ctx.planned = Some(planned);
         ctx.l2 = l2;
         ctx.cores = cores;

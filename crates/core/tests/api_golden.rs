@@ -183,6 +183,23 @@ fn sweep_request_matches_golden_bytes() {
     );
 }
 
+/// With energy estimation off the summary's total is `+0.0`: the wire
+/// line must read `0.000000`, never `-0.000000`.
+#[test]
+fn energy_off_summary_line_is_pinned() {
+    let request = SimRequest::Run(RunSpec {
+        config: base_cfg(""),
+        topology: golden_topology(),
+        features: Features::default(),
+    });
+    let line = scalesim::api::wire::encode_response(None, &SimService::new().handle(&request));
+    let summary = &line[..line.find(",\"reports\"").expect("run body carries reports")];
+    assert_eq!(
+        summary,
+        r#"{"api":1,"ok":{"run":{"summary":{"layers":3,"total_cycles":3247,"compute_cycles":2048,"stall_cycles":0,"macs":223232,"utilization":0.4258,"energy_mj":0.000000,"noc_words":0}"#
+    );
+}
+
 /// The same request handled twice by one service — exercising the
 /// shared plan cache — must return identical bytes: caching can never
 /// leak into results.

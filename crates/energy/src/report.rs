@@ -28,9 +28,10 @@ impl EnergyReport {
         &self.components
     }
 
-    /// Total energy in picojoules.
+    /// Total energy in picojoules. Folds from `+0.0` (an empty `f64`
+    /// `sum()` is `-0.0`) so a report with no components prints `0.000000`.
     pub fn total_pj(&self) -> f64 {
-        self.components.iter().map(|c| c.energy_pj).sum()
+        self.components.iter().fold(0.0, |pj, c| pj + c.energy_pj)
     }
 
     /// Total energy in millijoules (the unit of the paper's Fig. 15).
@@ -283,7 +284,8 @@ mod tests {
         let mut merged = a.clone();
         merged.merge(&EnergyReport::empty());
         assert_eq!(merged, a);
-        assert_eq!(EnergyReport::empty().total_pj(), 0.0);
+        let empty = EnergyReport::empty().total_pj();
+        assert!(empty == 0.0 && empty.is_sign_positive(), "{empty:?}");
     }
 
     #[test]

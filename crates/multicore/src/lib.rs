@@ -21,9 +21,10 @@
 //!    2D-mesh package topology model (XY routing, memory-port placement,
 //!    link serialization) that derives those profiles.
 //!
-//! The [`sim`] module runs the partitioned sub-GEMMs through the
-//! cycle-accurate single-core simulator and aggregates makespan, traffic
-//! and per-core reports.
+//! The [`sim`] module resolves one layer's grid wiring (per-core sub-GEMM,
+//! L2 analysis, NoC words, per-core DRAM bandwidth) for the integration
+//! crate's compute stage, which runs the representative core through the
+//! cycle-accurate single-core planner.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,5 +47,5 @@ pub use partition::{
     MappingDims, PartitionChoice, PartitionGrid, PartitionObjective, PartitionScheme,
 };
 pub use pipeline::{Op, OpKind, PipelineReport, PipelineSchedule, TransformerBlock, Unit};
-pub use sim::{partition_layer, MultiCoreConfig, MultiCoreReport, MultiCoreSim, PartitionedLayer};
+pub use sim::{partition_layer, PartitionedLayer};
 pub use simd::{SimdOp, SimdUnit};

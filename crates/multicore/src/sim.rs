@@ -1,27 +1,20 @@
-//! Multi-core cycle-accurate simulation.
+//! Per-layer multi-core wiring.
 //!
 //! Under uniform partitioning every core executes the same-shaped
-//! sub-GEMM, so one representative core is simulated cycle-accurately and
-//! the grid aggregates: makespan = the representative core's total cycles,
-//! traffic and energy activity scale by the core count, and the shared-L2
-//! report quantifies the deduplication and NoC fill traffic.
+//! sub-GEMM, so the integration crate's compute stage simulates one
+//! representative core cycle-accurately and aggregates over the grid:
+//! makespan = the representative core's total cycles, traffic and energy
+//! activity scale by the core count, and the shared-L2 report quantifies
+//! the deduplication and NoC fill traffic. [`partition_layer`] resolves
+//! what that stage needs for one layer.
 
 use crate::l2::{L2Config, L2Report};
 use crate::partition::{core_subgemm, MappingDims, PartitionGrid, PartitionScheme};
-use scalesim_systolic::{
-    parallel_map, CoreSim, GemmShape, IdealBandwidthStore, LayerReport, PlanCache, SimConfig,
-    Topology,
-};
-use std::sync::Arc;
+use scalesim_systolic::GemmShape;
 
 /// One layer's resolved multi-core partitioning: the sub-GEMM each core
 /// executes, the shared-L2 analysis, the NoC fill traffic and the DRAM
 /// bandwidth each core sees.
-///
-/// This is the single source of truth for the per-layer grid wiring —
-/// [`MultiCoreSim`] and the integrated engine's compute stage both call
-/// [`partition_layer`] instead of re-deriving the split, so the two
-/// paths cannot drift.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionedLayer {
     /// The sub-GEMM every (symmetric) core executes.
@@ -38,8 +31,8 @@ pub struct PartitionedLayer {
 
 /// Resolves one layer's multi-core partitioning: splits the GEMM across
 /// the grid under `scheme`, evaluates the shared L2 when configured, and
-/// divides the DRAM interface bandwidth across cores when it is shared
-/// (floored at 1/8 word per cycle so a huge grid still makes progress).
+/// divides the shared DRAM interface bandwidth across cores (floored at
+/// 1/8 word per cycle so a huge grid still makes progress).
 pub fn partition_layer(
     dataflow: scalesim_systolic::Dataflow,
     scheme: PartitionScheme,
@@ -47,213 +40,65 @@ pub fn partition_layer(
     grid: PartitionGrid,
     l2_config: Option<L2Config>,
     dram_bandwidth: f64,
-    share_dram_bandwidth: bool,
 ) -> PartitionedLayer {
     let sub_gemm = core_subgemm(dataflow, scheme, gemm, grid);
     let l2 = l2_config.map(|_| L2Report::evaluate(scheme, MappingDims::new(dataflow, gemm), grid));
     let noc_words = l2.map_or(0, |r| r.l1_fill_words);
-    let per_core_bandwidth = if share_dram_bandwidth {
-        (dram_bandwidth / grid.cores() as f64).max(0.125)
-    } else {
-        dram_bandwidth
-    };
     PartitionedLayer {
         sub_gemm,
         cores: grid.cores(),
         l2,
         noc_words,
-        per_core_bandwidth,
-    }
-}
-
-/// Multi-core configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiCoreConfig {
-    /// Per-core simulator configuration (array, dataflow, L1 sizes,
-    /// per-interface DRAM bandwidth).
-    pub core: SimConfig,
-    /// Core grid.
-    pub grid: PartitionGrid,
-    /// Partitioning scheme.
-    pub scheme: PartitionScheme,
-    /// Shared L2 (None = private L1s only).
-    pub l2: Option<L2Config>,
-    /// Whether the cores share the DRAM interface bandwidth (each core
-    /// then sees `bandwidth / cores`); off when each core/chiplet has its
-    /// own memory channel.
-    pub share_dram_bandwidth: bool,
-}
-
-impl MultiCoreConfig {
-    /// A uniform spatial-partitioned configuration with shared L2.
-    pub fn new(core: SimConfig, grid: PartitionGrid) -> Self {
-        Self {
-            core,
-            grid,
-            scheme: PartitionScheme::Spatial,
-            l2: Some(L2Config::default()),
-            share_dram_bandwidth: true,
-        }
-    }
-
-    /// Selects the partitioning scheme.
-    pub fn with_scheme(mut self, scheme: PartitionScheme) -> Self {
-        self.scheme = scheme;
-        self
-    }
-}
-
-/// Results of a multi-core layer simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiCoreReport {
-    /// Representative per-core report (all cores are symmetric).
-    pub per_core: LayerReport,
-    /// End-to-end cycles for the whole layer.
-    pub makespan_cycles: u64,
-    /// Cores used.
-    pub cores: usize,
-    /// The sub-GEMM each core executed.
-    pub sub_gemm: GemmShape,
-    /// Shared-L2 analysis (present when configured).
-    pub l2: Option<L2Report>,
-    /// Words moved L2→L1 over the on-chip network (0 without L2).
-    pub noc_words: u64,
-}
-
-impl MultiCoreReport {
-    /// Total MACs across cores (≥ the original GEMM's MACs; ceil splits
-    /// over-provision).
-    pub fn total_macs(&self) -> u64 {
-        self.per_core.compute.macs * self.cores as u64
-    }
-
-    /// Aggregate utilization across the grid.
-    pub fn utilization(&self) -> f64 {
-        self.per_core.compute.utilization
-    }
-}
-
-/// Multi-core simulator.
-#[derive(Debug, Clone)]
-pub struct MultiCoreSim {
-    config: MultiCoreConfig,
-    /// Shared plan cache: under uniform partitioning the same sub-GEMM
-    /// shape recurs across layers of a topology, so the representative
-    /// core's plans are memoized exactly like the single-core path.
-    plan_cache: Arc<PlanCache>,
-}
-
-impl MultiCoreSim {
-    /// Creates the simulator.
-    pub fn new(config: MultiCoreConfig) -> Self {
-        Self {
-            config,
-            plan_cache: Arc::new(PlanCache::new()),
-        }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &MultiCoreConfig {
-        &self.config
-    }
-
-    /// Simulates one GEMM layer across the grid.
-    pub fn simulate_gemm(&self, name: &str, gemm: GemmShape) -> MultiCoreReport {
-        let cfg = &self.config;
-        let part = partition_layer(
-            cfg.core.dataflow,
-            cfg.scheme,
-            gemm,
-            cfg.grid,
-            cfg.l2,
-            cfg.core.memory.dram_bandwidth,
-            cfg.share_dram_bandwidth,
-        );
-        let mut core_cfg = cfg.core.clone();
-        core_cfg.memory.dram_bandwidth = part.per_core_bandwidth;
-        let sim = CoreSim::new(core_cfg).with_plan_cache(Arc::clone(&self.plan_cache));
-        let mut store = IdealBandwidthStore::new(part.per_core_bandwidth);
-        let per_core = sim.simulate_gemm_with_store(name, part.sub_gemm, &mut store);
-        MultiCoreReport {
-            makespan_cycles: per_core.memory.total_cycles,
-            cores: part.cores,
-            sub_gemm: part.sub_gemm,
-            per_core,
-            l2: part.l2,
-            noc_words: part.noc_words,
-        }
-    }
-
-    /// Simulates every layer of a topology across the grid.
-    ///
-    /// Layers run concurrently on the shared work-stealing scheduler,
-    /// sharing the plan cache (control the size with `SCALESIM_THREADS`);
-    /// reports come back in layer order, identical to serial execution.
-    pub fn simulate_topology(&self, topology: &Topology) -> Vec<MultiCoreReport> {
-        parallel_map(topology.layers(), |_, layer| {
-            self.simulate_gemm(layer.name(), layer.gemm())
-        })
+        per_core_bandwidth: (dram_bandwidth / grid.cores() as f64).max(0.125),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalesim_systolic::{ArrayShape, Dataflow};
+    use scalesim_systolic::Dataflow;
 
-    fn base_config(grid: PartitionGrid) -> MultiCoreConfig {
-        let core = SimConfig::builder()
-            .array(ArrayShape::new(8, 8))
-            .dataflow(Dataflow::WeightStationary)
-            .build();
-        MultiCoreConfig::new(core, grid)
-    }
-
-    #[test]
-    fn four_cores_cut_compute_cycles() {
-        let gemm = GemmShape::new(256, 256, 256);
-        let one = MultiCoreSim::new(base_config(PartitionGrid::new(1, 1))).simulate_gemm("g", gemm);
-        let four =
-            MultiCoreSim::new(base_config(PartitionGrid::new(2, 2))).simulate_gemm("g", gemm);
-        assert!(
-            four.per_core.compute.total_compute_cycles < one.per_core.compute.total_compute_cycles
-        );
-        assert_eq!(four.cores, 4);
-        assert!(four.total_macs() >= gemm.macs());
+    /// A spatially partitioned WS cube at 10 words/cycle of DRAM
+    /// bandwidth, with or without a shared L2.
+    fn part((pr, pc): (usize, usize), side: usize, l2: bool) -> PartitionedLayer {
+        partition_layer(
+            Dataflow::WeightStationary,
+            PartitionScheme::Spatial,
+            GemmShape::new(side, side, side),
+            PartitionGrid::new(pr, pc),
+            l2.then(L2Config::default),
+            10.0,
+        )
     }
 
     #[test]
     fn work_conservation_across_grid() {
         let gemm = GemmShape::new(200, 120, 96);
+        let grid = PartitionGrid::new(2, 4);
         for scheme in PartitionScheme::ALL {
-            let cfg = base_config(PartitionGrid::new(2, 4)).with_scheme(scheme);
-            let r = MultiCoreSim::new(cfg).simulate_gemm("g", gemm);
+            let p = partition_layer(Dataflow::WeightStationary, scheme, gemm, grid, None, 10.0);
+            assert_eq!(p.cores, 8);
             assert!(
-                r.total_macs() >= gemm.macs(),
-                "{scheme}: {} < {}",
-                r.total_macs(),
-                gemm.macs()
+                p.sub_gemm.macs() * 8 >= gemm.macs(),
+                "{scheme}: ceil splits may over-provision, never lose work"
             );
         }
     }
 
     #[test]
     fn l2_report_present_and_noc_positive() {
-        let r = MultiCoreSim::new(base_config(PartitionGrid::new(2, 2)))
-            .simulate_gemm("g", GemmShape::new(128, 128, 128));
-        assert!(r.l2.is_some());
-        assert!(r.noc_words > 0);
+        let shared = part((2, 2), 128, true);
+        assert!(shared.l2.is_some());
+        assert!(shared.noc_words > 0);
+        let private = part((2, 2), 128, false);
+        assert_eq!((private.l2, private.noc_words), (None, 0));
     }
 
     #[test]
-    fn shared_bandwidth_hurts_vs_private() {
-        let gemm = GemmShape::new(256, 256, 256);
-        let mut shared = base_config(PartitionGrid::new(4, 4));
-        shared.share_dram_bandwidth = true;
-        let mut private = shared.clone();
-        private.share_dram_bandwidth = false;
-        let rs = MultiCoreSim::new(shared).simulate_gemm("g", gemm);
-        let rp = MultiCoreSim::new(private).simulate_gemm("g", gemm);
-        assert!(rs.makespan_cycles >= rp.makespan_cycles);
+    fn cores_share_the_dram_interface() {
+        let four = part((2, 2), 64, true);
+        assert_eq!(four.per_core_bandwidth, 2.5);
+        let huge = part((16, 16), 64, true);
+        assert_eq!(huge.per_core_bandwidth, 0.125, "floored at 1/8 word/cycle");
     }
 }

@@ -222,25 +222,14 @@ pub struct ReadPlanner {
 
 impl ReadPlanner {
     /// Creates a planner for `op` with a scratchpad of `capacity_words`.
+    /// When the operand occupies the dense address range
+    /// `[domain.0, domain.0 + domain.1)`, passing it enables direct-mapped
+    /// lookups.
     ///
     /// # Panics
     ///
     /// Panics if `capacity_words < 2` (cannot double-buffer).
-    pub fn new(op: OperandKind, capacity_words: usize) -> Self {
-        Self::with_domain(op, capacity_words, None)
-    }
-
-    /// Creates a planner whose operand occupies the dense address range
-    /// `[domain.0, domain.0 + domain.1)`, enabling direct-mapped lookups.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity_words < 2` (cannot double-buffer).
-    pub fn with_domain(
-        op: OperandKind,
-        capacity_words: usize,
-        domain: Option<(Addr, u64)>,
-    ) -> Self {
+    pub fn new(op: OperandKind, capacity_words: usize, domain: Option<(Addr, u64)>) -> Self {
         assert!(capacity_words >= 2, "buffer must hold at least two words");
         Self {
             op,
@@ -256,17 +245,12 @@ impl ReadPlanner {
         }
     }
 
-    /// Observes the SRAM reads of one cycle.
-    pub fn observe(&mut self, cycle: u64, addrs: &[Addr]) {
-        self.observe_with(cycle, addrs, |_| {});
-    }
-
-    /// [`observe`](Self::observe), additionally calling `per_addr` for each
-    /// address inside the planning loop. Lets a fused pass piggyback other
-    /// per-address work (the SRAM repeat lookup) on the single traversal of
-    /// the batch instead of scanning it twice.
+    /// Observes the SRAM reads of one cycle, calling `per_addr` for each
+    /// address inside the planning loop so the fused pass can piggyback
+    /// other per-address work (the SRAM repeat lookup) on the single
+    /// traversal of the batch instead of scanning it twice.
     #[inline]
-    pub fn observe_with(&mut self, cycle: u64, addrs: &[Addr], mut per_addr: impl FnMut(Addr)) {
+    pub fn observe(&mut self, cycle: u64, addrs: &[Addr], mut per_addr: impl FnMut(Addr)) {
         if addrs.is_empty() {
             return;
         }
@@ -376,21 +360,13 @@ pub struct WritePlanner {
 }
 
 impl WritePlanner {
-    /// Creates a planner with an ofmap SRAM of `capacity_words`.
+    /// Creates a planner with an ofmap SRAM of `capacity_words` and,
+    /// when known, the ofmap's dense address range.
     ///
     /// # Panics
     ///
     /// Panics if `capacity_words < 2`.
-    pub fn new(capacity_words: usize) -> Self {
-        Self::with_domain(capacity_words, None)
-    }
-
-    /// Creates a planner with a known dense ofmap address range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity_words < 2`.
-    pub fn with_domain(capacity_words: usize, domain: Option<(Addr, u64)>) -> Self {
+    pub fn new(capacity_words: usize, domain: Option<(Addr, u64)>) -> Self {
         assert!(capacity_words >= 2, "buffer must hold at least two words");
         Self {
             capacity_words,
@@ -437,15 +413,10 @@ impl WritePlanner {
         }
     }
 
-    /// Observes one cycle of ofmap activity (RMW reads then writes).
-    pub fn observe(&mut self, cycle: u64, reads: &[Addr], writes: &[Addr]) {
-        self.observe_with(cycle, reads, writes, |_| {});
-    }
-
-    /// [`observe`](Self::observe) with a per-address hook, the write-side
-    /// counterpart of [`ReadPlanner::observe_with`].
+    /// Observes one cycle of ofmap activity (RMW reads then writes), with
+    /// the same per-address hook as [`ReadPlanner::observe`].
     #[inline]
-    pub fn observe_with(
+    pub fn observe(
         &mut self,
         cycle: u64,
         reads: &[Addr],
@@ -762,11 +733,11 @@ mod tests {
     fn read_planner_unique_then_refetch() {
         // Capacity 4 words → half = 2. Touch 6 addrs then re-touch the first:
         // it was evicted, so it must be refetched.
-        let mut p = ReadPlanner::new(OperandKind::Ifmap, 4);
-        p.observe(0, &[10, 11]);
-        p.observe(1, &[12, 13]);
-        p.observe(2, &[14, 15]);
-        p.observe(3, &[10]);
+        let mut p = ReadPlanner::new(OperandKind::Ifmap, 4, None);
+        p.observe(0, &[10, 11], |_| {});
+        p.observe(1, &[12, 13], |_| {});
+        p.observe(2, &[14, 15], |_| {});
+        p.observe(3, &[10], |_| {});
         let plan = p.finish();
         assert_eq!(plan.unique_words, 6);
         assert_eq!(plan.refetch_words, 1);
@@ -776,10 +747,10 @@ mod tests {
 
     #[test]
     fn read_planner_reuse_within_window_is_free() {
-        let mut p = ReadPlanner::new(OperandKind::Filter, 8);
-        p.observe(0, &[1, 2, 3]);
-        p.observe(1, &[1, 2, 3]);
-        p.observe(2, &[1, 2, 3]);
+        let mut p = ReadPlanner::new(OperandKind::Filter, 8, None);
+        p.observe(0, &[1, 2, 3], |_| {});
+        p.observe(1, &[1, 2, 3], |_| {});
+        p.observe(2, &[1, 2, 3], |_| {});
         let plan = p.finish();
         assert_eq!(plan.unique_words, 3);
         assert_eq!(plan.refetch_words, 0);
@@ -790,9 +761,9 @@ mod tests {
 
     #[test]
     fn write_planner_coalesces_overwrites() {
-        let mut w = WritePlanner::new(8);
-        w.observe(0, &[], &[100, 101]);
-        w.observe(1, &[100], &[100]); // RMW hit + overwrite hit
+        let mut w = WritePlanner::new(8, None);
+        w.observe(0, &[], &[100, 101], |_| {});
+        w.observe(1, &[100], &[100], |_| {}); // RMW hit + overwrite hit
         let plan = w.finish();
         assert_eq!(plan.write_misses, 2);
         assert_eq!(plan.write_hits, 1);
@@ -804,10 +775,10 @@ mod tests {
 
     #[test]
     fn write_planner_evicts_fifo_when_full() {
-        let mut w = WritePlanner::new(2);
-        w.observe(0, &[], &[1]);
-        w.observe(1, &[], &[2]);
-        w.observe(2, &[], &[3]); // evicts 1
+        let mut w = WritePlanner::new(2, None);
+        w.observe(0, &[], &[1], |_| {});
+        w.observe(1, &[], &[2], |_| {});
+        w.observe(2, &[], &[3], |_| {}); // evicts 1
         let plan = w.finish();
         assert_eq!(plan.drain_addrs, vec![1]);
         assert_eq!(plan.flush_words, 2);
@@ -816,13 +787,13 @@ mod tests {
     #[test]
     fn timing_no_stalls_with_fat_bandwidth() {
         // Demand fits easily: bandwidth far above need.
-        let mut p = ReadPlanner::new(OperandKind::Ifmap, 1024);
+        let mut p = ReadPlanner::new(OperandKind::Ifmap, 1024, None);
         for c in 0..100u64 {
-            p.observe(c, &[c, c + 1000]);
+            p.observe(c, &[c, c + 1000], |_| {});
         }
         let ifmap = p.finish();
-        let filter = ReadPlanner::new(OperandKind::Filter, 1024).finish();
-        let ofmap = WritePlanner::new(1024).finish();
+        let filter = ReadPlanner::new(OperandKind::Filter, 1024, None).finish();
+        let ofmap = WritePlanner::new(1024, None).finish();
         let inputs = TimingInputs {
             ifmap,
             filter,
@@ -839,13 +810,13 @@ mod tests {
     #[test]
     fn timing_stalls_with_starved_bandwidth() {
         // 2 new words per cycle demanded, bandwidth 1 word/cycle → stalls.
-        let mut p = ReadPlanner::new(OperandKind::Ifmap, 64);
+        let mut p = ReadPlanner::new(OperandKind::Ifmap, 64, None);
         for c in 0..200u64 {
-            p.observe(c, &[2 * c, 2 * c + 1]);
+            p.observe(c, &[2 * c, 2 * c + 1], |_| {});
         }
         let ifmap = p.finish();
-        let filter = ReadPlanner::new(OperandKind::Filter, 64).finish();
-        let ofmap = WritePlanner::new(64).finish();
+        let filter = ReadPlanner::new(OperandKind::Filter, 64, None).finish();
+        let ofmap = WritePlanner::new(64, None).finish();
         let inputs = TimingInputs {
             ifmap,
             filter,
@@ -867,11 +838,11 @@ mod tests {
 
     #[test]
     fn timing_drains_outputs_at_the_end() {
-        let ifmap = ReadPlanner::new(OperandKind::Ifmap, 64).finish();
-        let filter = ReadPlanner::new(OperandKind::Filter, 64).finish();
-        let mut w = WritePlanner::new(8);
+        let ifmap = ReadPlanner::new(OperandKind::Ifmap, 64, None).finish();
+        let filter = ReadPlanner::new(OperandKind::Filter, 64, None).finish();
+        let mut w = WritePlanner::new(8, None);
         for c in 0..20u64 {
-            w.observe(c, &[], &[c + 500]);
+            w.observe(c, &[], &[c + 500], |_| {});
         }
         let ofmap = w.finish();
         let inputs = TimingInputs {

@@ -21,7 +21,6 @@ use crate::demand::{DemandSink, DemandSummary};
 use crate::operand::OperandMap;
 use crate::topology::GemmShape;
 use crate::util::ceil_div;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Geometry of one fold: the clipped array extent it occupies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,7 +171,6 @@ impl DemandGenerator {
 
     /// Streams the full cycle-accurate demand into `sink`.
     pub fn run(&self, sink: &mut dyn DemandSink) {
-        RUN_COUNT.fetch_add(1, Ordering::Relaxed);
         match &self.inner {
             GeneratorKind::Os(g) => g.run(sink),
             GeneratorKind::Ws(g) => g.run(sink),
@@ -191,10 +189,8 @@ impl DemandGenerator {
     /// contributes `R'·T` reads on the streamed-operand edge, `R'·C'` loads
     /// of the stationary operand, `T·C'` output events, and `R'·C'·T`
     /// MACs), so the whole-stream summary costs O(1) instead of a full
-    /// cycle-accurate traversal. Verified against [`streamed_summary`]
-    /// (see `crates/systolic/tests/fused_equivalence.rs`).
-    ///
-    /// [`streamed_summary`]: Self::streamed_summary
+    /// cycle-accurate traversal. `tests/invariants.rs` checks it against a
+    /// [`DemandSummary`] streamed through [`run`](Self::run).
     pub fn summary(&self) -> DemandSummary {
         let g = self.geometry();
         let (sr, sc, t) = (g.sr as u64, g.sc as u64, g.t as u64);
@@ -233,26 +229,7 @@ impl DemandGenerator {
             },
         }
     }
-
-    /// Aggregate totals obtained by actually streaming the demand — the
-    /// reference implementation [`summary`](Self::summary) is checked
-    /// against. Prefer `summary()`; this costs a full traversal.
-    pub fn streamed_summary(&self) -> DemandSummary {
-        let mut s = DemandSummary::default();
-        self.run(&mut s);
-        s
-    }
-
-    /// Total [`run`](Self::run) invocations process-wide — a diagnostics
-    /// counter used to assert that planning performs exactly one
-    /// cycle-accurate traversal per layer.
-    pub fn total_runs() -> u64 {
-        RUN_COUNT.load(Ordering::Relaxed)
-    }
 }
-
-/// Process-wide count of full demand-stream traversals.
-static RUN_COUNT: AtomicU64 = AtomicU64::new(0);
 
 #[cfg(test)]
 mod tests {

@@ -67,43 +67,6 @@ impl<S: DemandSink + ?Sized> DemandSink for &mut S {
     }
 }
 
-/// A sink that ignores everything (useful to drive a generator for its
-/// summary side effects only).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl DemandSink for NullSink {
-    fn on_cycle(&mut self, _demand: &CycleDemand) {}
-}
-
-/// Fan-out sink: forwards each cycle to every inner sink in order.
-pub struct FanoutSink<'a> {
-    sinks: Vec<&'a mut dyn DemandSink>,
-}
-
-impl<'a> FanoutSink<'a> {
-    /// Creates a fan-out over the given sinks.
-    pub fn new(sinks: Vec<&'a mut dyn DemandSink>) -> Self {
-        Self { sinks }
-    }
-}
-
-impl DemandSink for FanoutSink<'_> {
-    fn on_cycle(&mut self, demand: &CycleDemand) {
-        for sink in &mut self.sinks {
-            sink.on_cycle(demand);
-        }
-    }
-}
-
-impl std::fmt::Debug for FanoutSink<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FanoutSink")
-            .field("sinks", &self.sinks.len())
-            .finish()
-    }
-}
-
 /// Aggregate totals accumulated while streaming demands.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DemandSummary {
@@ -169,20 +132,5 @@ mod tests {
         assert_eq!(s.ifmap_reads, 3);
         assert_eq!(s.filter_reads, 1);
         assert_eq!(s.macs, 5);
-    }
-
-    #[test]
-    fn fanout_forwards_to_all() {
-        let mut a = DemandSummary::default();
-        let mut b = DemandSummary::default();
-        {
-            let mut fan = FanoutSink::new(vec![&mut a, &mut b]);
-            let mut d = CycleDemand::default();
-            d.reset(0);
-            d.active_macs = 3;
-            fan.on_cycle(&d);
-        }
-        assert_eq!(a.macs, 3);
-        assert_eq!(b.macs, 3);
     }
 }

@@ -1,25 +1,21 @@
-//! Single-core simulation orchestration.
+//! Single-core planning and single-GEMM simulation.
 //!
-//! [`CoreSim`] ties the pieces together: it runs a dataflow demand generator
-//! once, feeding the double-buffer planners and the SRAM repeat-access
-//! lookup, then replays the plans against a [`BackingStore`] to obtain stall
-//! timing, and assembles the [`LayerReport`].
+//! [`CoreSim`] is a planner: it runs a dataflow demand generator once,
+//! feeding the double-buffer planners and the SRAM repeat-access lookup,
+//! and returns a [`PlannedLayer`] that can be timed against any
+//! [`BackingStore`] ([`PlannedLayer::report`]). Topologies are run by the
+//! integration crate's `LayerPipeline`, which plans through here.
 //!
-//! Planning is the simulator's hot path, so it is organized around three
-//! stacked optimizations (all bit-identical to the naive scheme):
+//! Planning is the simulator's hot path, so it is organized around two
+//! stacked optimizations:
 //!
 //! 1. **Fused single-pass planning** — `FusedPlanPass` (internal) drives both read
 //!    planners, the write planner and all three repeat lookups from *one*
-//!    [`DemandGenerator::run`], where the original scheme traversed the
-//!    cycle-accurate stream once per operand.
+//!    [`DemandGenerator::run`].
 //! 2. **Plan caching** — a [`PlanCache`] memoizes [`PlannedLayer`]s by
 //!    `(array, dataflow, GEMM, scratchpad geometry)`, so topologies that
 //!    repeat a layer shape (every CNN/ViT) plan it once and re-time it
 //!    cheaply against any backing store.
-//! 3. **Parallel topology execution** — independent layers simulate as
-//!    tasks of the persistent work-stealing scheduler (see
-//!    [`crate::parallel`]) with results returned in layer order,
-//!    identical to serial execution.
 
 use crate::buffer::{
     timing, BackingStore, IdealBandwidthStore, ReadPlanner, TimingInputs, WritePlanner,
@@ -29,9 +25,8 @@ use crate::dataflow::DemandGenerator;
 use crate::demand::{CycleDemand, DemandSink, DemandSummary};
 use crate::fasthash::FastHasher;
 use crate::operand::{Addr, OperandKind};
-use crate::parallel::parallel_map;
 use crate::report::{ComputeSummary, LayerReport, SramSummary};
-use crate::topology::{GemmShape, Layer, Topology};
+use crate::topology::GemmShape;
 use scalesim_obs as obs;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -91,13 +86,6 @@ impl RepeatLookup {
             self.open_rows[slot] = row;
         }
     }
-
-    /// Observes a batch of accesses.
-    pub fn access_all(&mut self, addrs: &[Addr]) {
-        for &a in addrs {
-            self.access(a);
-        }
-    }
 }
 
 /// Fused planning sink: one pass over the cycle-accurate demand stream
@@ -105,10 +93,8 @@ impl RepeatLookup {
 /// three per-SRAM repeat lookups and the whole-stream summary.
 ///
 /// The per-operand working sets (direct-mapped address indices) stay
-/// disjoint inside their planners exactly as in the per-operand passes, so
-/// fusing trades a little extra cache footprint per cycle for two entire
-/// stream traversals — the stream generation itself, not the planner
-/// lookups, dominates at that point.
+/// disjoint inside their planners; the stream generation itself, not the
+/// planner lookups, dominates planning time.
 struct FusedPlanPass {
     summary: DemandSummary,
     ifmap: ReadPlanner,
@@ -125,63 +111,20 @@ impl DemandSink for FusedPlanPass {
         if !d.ifmap_reads.is_empty() {
             let repeat = &mut self.ifmap_repeat;
             self.ifmap
-                .observe_with(d.cycle, &d.ifmap_reads, |a| repeat.access(a));
+                .observe(d.cycle, &d.ifmap_reads, |a| repeat.access(a));
         }
         if !d.filter_reads.is_empty() {
             let repeat = &mut self.filter_repeat;
             self.filter
-                .observe_with(d.cycle, &d.filter_reads, |a| repeat.access(a));
+                .observe(d.cycle, &d.filter_reads, |a| repeat.access(a));
         }
         if !d.ofmap_reads.is_empty() || !d.ofmap_writes.is_empty() {
             let repeat = &mut self.ofmap_repeat;
             self.ofmap
-                .observe_with(d.cycle, &d.ofmap_reads, &d.ofmap_writes, |a| {
+                .observe(d.cycle, &d.ofmap_reads, &d.ofmap_writes, |a| {
                     repeat.access(a)
                 });
         }
-    }
-}
-
-/// Legacy pass 1: ifmap-side planning (plus the whole-stream summary).
-struct IfmapPass {
-    planner: ReadPlanner,
-    repeat: RepeatLookup,
-    summary: DemandSummary,
-}
-
-impl DemandSink for IfmapPass {
-    fn on_cycle(&mut self, d: &CycleDemand) {
-        self.summary.absorb(d);
-        self.planner.observe(d.cycle, &d.ifmap_reads);
-        self.repeat.access_all(&d.ifmap_reads);
-    }
-}
-
-/// Legacy pass 2: filter-side planning.
-struct FilterPass {
-    planner: ReadPlanner,
-    repeat: RepeatLookup,
-}
-
-impl DemandSink for FilterPass {
-    fn on_cycle(&mut self, d: &CycleDemand) {
-        self.planner.observe(d.cycle, &d.filter_reads);
-        self.repeat.access_all(&d.filter_reads);
-    }
-}
-
-/// Legacy pass 3: ofmap-side planning.
-struct OfmapPass {
-    planner: WritePlanner,
-    repeat: RepeatLookup,
-}
-
-impl DemandSink for OfmapPass {
-    fn on_cycle(&mut self, d: &CycleDemand) {
-        self.planner
-            .observe(d.cycle, &d.ofmap_reads, &d.ofmap_writes);
-        self.repeat.access_all(&d.ofmap_reads);
-        self.repeat.access_all(&d.ofmap_writes);
     }
 }
 
@@ -219,6 +162,17 @@ impl PlannedLayer {
             + read(&self.inputs.ifmap)
             + read(&self.inputs.filter)
             + write(&self.inputs.ofmap)
+    }
+
+    /// Times this plan against `store` and assembles the layer's report.
+    pub fn report(&self, name: &str, gemm: GemmShape, store: &mut dyn BackingStore) -> LayerReport {
+        LayerReport {
+            name: name.to_string(),
+            gemm,
+            compute: self.compute,
+            memory: timing(&self.inputs, store),
+            sram: self.sram,
+        }
     }
 }
 
@@ -645,19 +599,11 @@ impl CoreSim {
         let [ifmap_domain, filter_domain, ofmap_domain] = Self::operand_domains(gemm);
         let mut pass = FusedPlanPass {
             summary: DemandSummary::default(),
-            ifmap: ReadPlanner::with_domain(
-                OperandKind::Ifmap,
-                mem.ifmap_words,
-                Some(ifmap_domain),
-            ),
+            ifmap: ReadPlanner::new(OperandKind::Ifmap, mem.ifmap_words, Some(ifmap_domain)),
             ifmap_repeat: RepeatLookup::new(mem.sram_row_words, mem.sram_row_buffers),
-            filter: ReadPlanner::with_domain(
-                OperandKind::Filter,
-                mem.filter_words,
-                Some(filter_domain),
-            ),
+            filter: ReadPlanner::new(OperandKind::Filter, mem.filter_words, Some(filter_domain)),
             filter_repeat: RepeatLookup::new(mem.sram_row_words, mem.sram_row_buffers),
-            ofmap: WritePlanner::with_domain(mem.ofmap_words, Some(ofmap_domain)),
+            ofmap: WritePlanner::new(mem.ofmap_words, Some(ofmap_domain)),
             ofmap_repeat: RepeatLookup::new(mem.sram_row_words, mem.sram_row_buffers),
         };
         gen.run(&mut pass);
@@ -676,55 +622,6 @@ impl CoreSim {
         }
     }
 
-    /// The original per-operand planning scheme: three full demand-stream
-    /// traversals, one per operand. Kept (not wired into any simulation
-    /// path) as the reference the fused pass is verified against and as
-    /// the perf-regression baseline.
-    #[doc(hidden)]
-    pub fn plan_gemm_unfused(&self, gemm: GemmShape) -> PlannedLayer {
-        let gen = self.demand_generator(gemm);
-        let mem = &self.config.memory;
-        let [ifmap_domain, filter_domain, ofmap_domain] = Self::operand_domains(gemm);
-
-        let mut pass1 = IfmapPass {
-            planner: ReadPlanner::with_domain(
-                OperandKind::Ifmap,
-                mem.ifmap_words,
-                Some(ifmap_domain),
-            ),
-            repeat: RepeatLookup::new(mem.sram_row_words, mem.sram_row_buffers),
-            summary: DemandSummary::default(),
-        };
-        gen.run(&mut pass1);
-        let mut pass2 = FilterPass {
-            planner: ReadPlanner::with_domain(
-                OperandKind::Filter,
-                mem.filter_words,
-                Some(filter_domain),
-            ),
-            repeat: RepeatLookup::new(mem.sram_row_words, mem.sram_row_buffers),
-        };
-        gen.run(&mut pass2);
-        let mut pass3 = OfmapPass {
-            planner: WritePlanner::with_domain(mem.ofmap_words, Some(ofmap_domain)),
-            repeat: RepeatLookup::new(mem.sram_row_words, mem.sram_row_buffers),
-        };
-        gen.run(&mut pass3);
-
-        self.assemble(
-            gemm,
-            FusedPlanPass {
-                summary: pass1.summary,
-                ifmap: pass1.planner,
-                ifmap_repeat: pass1.repeat,
-                filter: pass2.planner,
-                filter_repeat: pass2.repeat,
-                ofmap: pass3.planner,
-                ofmap_repeat: pass3.repeat,
-            },
-        )
-    }
-
     /// Simulates a GEMM against an explicit backing store.
     pub fn simulate_gemm_with_store(
         &self,
@@ -732,82 +629,13 @@ impl CoreSim {
         gemm: GemmShape,
         store: &mut dyn BackingStore,
     ) -> LayerReport {
-        let planned = self.plan_gemm_shared(gemm);
-        let memory = timing(&planned.inputs, store);
-        LayerReport {
-            name: name.to_string(),
-            gemm,
-            compute: planned.compute,
-            memory,
-            sram: planned.sram,
-        }
+        self.plan_gemm_shared(gemm).report(name, gemm, store)
     }
 
     /// Simulates a GEMM with SCALE-Sim v2's ideal fixed-bandwidth memory.
     pub fn simulate_gemm(&self, gemm: GemmShape) -> LayerReport {
         let mut store = IdealBandwidthStore::new(self.config.memory.dram_bandwidth);
         self.simulate_gemm_with_store("gemm", gemm, &mut store)
-    }
-
-    /// Simulates one layer (convs are lowered to GEMM first).
-    pub fn simulate_layer(&self, layer: &Layer) -> LayerReport {
-        let mut store = IdealBandwidthStore::new(self.config.memory.dram_bandwidth);
-        self.simulate_gemm_with_store(layer.name(), layer.gemm(), &mut store)
-    }
-
-    /// Simulates every layer of a topology with ideal memory.
-    ///
-    /// Layers execute concurrently on the shared scheduler (control the
-    /// size with `SCALESIM_THREADS`, see [`crate::parallel`]); reports come
-    /// back in layer order with values identical to serial execution. A
-    /// temporary plan cache dedupes repeated shapes for the duration of the
-    /// call when the simulator has none attached, and — because every layer
-    /// here replays against a fresh fixed-bandwidth store — the timing
-    /// result is memoized alongside the plan, so a repeated shape costs
-    /// only a lookup.
-    pub fn simulate_topology(&self, topology: &Topology) -> Vec<LayerReport> {
-        let sim = match &self.cache {
-            Some(_) => self.clone(),
-            None => self.clone().with_plan_cache(Arc::new(PlanCache::new())),
-        };
-        // Timing against `IdealBandwidthStore::new(bandwidth)` is a pure
-        // function of (plan, bandwidth), and bandwidth is constant for the
-        // whole call — memoize per plan key.
-        let timed: Mutex<
-            HashMap<PlanKey, crate::report::MemorySummary, BuildHasherDefault<FastHasher>>,
-        > = Mutex::new(HashMap::default());
-        parallel_map(topology.layers(), |_, layer| {
-            let gemm = layer.gemm();
-            let key = PlanKey::new(&sim.config, gemm);
-            // Like the plan cache, the memo holds only whole finished
-            // values — recover a poisoned lock rather than cascading
-            // panics to sibling workers.
-            let memo = timed
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .get(&key)
-                .copied();
-            match memo {
-                Some(memory) => {
-                    let planned = sim.plan_gemm_shared(gemm); // plan-cache hit
-                    LayerReport {
-                        name: layer.name().to_string(),
-                        gemm,
-                        compute: planned.compute,
-                        memory,
-                        sram: planned.sram,
-                    }
-                }
-                None => {
-                    let report = sim.simulate_layer(layer);
-                    timed
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .insert(key, report.memory);
-                    report
-                }
-            }
-        })
     }
 }
 
@@ -920,7 +748,9 @@ mod tests {
     #[test]
     fn repeat_lookup_counts_row_hits() {
         let mut rl = RepeatLookup::new(4, 2);
-        rl.access_all(&[0, 1, 2, 3]); // row 0: first access opens, 3 repeat
+        for a in 0..4 {
+            rl.access(a); // row 0: first access opens, 3 repeat
+        }
         assert_eq!(rl.accesses, 4);
         assert_eq!(rl.repeats, 3);
         rl.access(4); // row 1, different slot
@@ -1118,24 +948,5 @@ mod tests {
             assert_eq!(plain, warm, "{df}");
             assert_eq!(plain, hot, "{df}");
         }
-    }
-
-    #[test]
-    fn topology_runs_in_layer_order_and_matches_serial() {
-        let topo = Topology::from_layers(
-            "t",
-            vec![
-                Layer::gemm_layer("a", 16, 16, 16),
-                Layer::gemm_layer("b", 24, 24, 24),
-                Layer::gemm_layer("a2", 16, 16, 16), // repeated shape
-                Layer::gemm_layer("c", 8, 40, 12),
-            ],
-        );
-        let s = sim(Dataflow::OutputStationary);
-        let serial: Vec<LayerReport> = topo.iter().map(|l| s.simulate_layer(l)).collect();
-        let parallel = s.simulate_topology(&topo);
-        assert_eq!(serial, parallel);
-        let names: Vec<&str> = parallel.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, ["a", "b", "a2", "c"]);
     }
 }
