@@ -125,7 +125,7 @@ impl BackingStore for LatencyReplayStore {
 
 /// Converts a word-granular trace into burst-aligned line requests,
 /// returning `(requests_sorted_by_cycle, entry_of_each_request)`.
-fn linearize(
+pub fn linearize(
     trace: &TraceRecorder,
     cfg: &DramIntegration,
     bytes_per_word: usize,
@@ -238,98 +238,6 @@ pub fn dram_analysis(
     }
 }
 
-/// §III × §V interaction: what happens when `cores` identical tensor
-/// cores share one DRAM system.
-///
-/// The engine's multi-core mode splits ideal bandwidth statically
-/// (`BW / cores`); this analysis replays the *interleaved* line traffic of
-/// all cores (each core's addresses offset to a disjoint region, as under
-/// a shared L2 with partitioned operands) through the cycle-accurate
-/// controller, exposing the queueing and bank-conflict contention a
-/// static split cannot see.
-#[derive(Debug, Clone)]
-pub struct SharedDramContention {
-    /// Cores sharing the memory system.
-    pub cores: usize,
-    /// Mean round-trip latency when one core runs alone (memory cycles).
-    pub solo_avg_latency: f64,
-    /// Mean round-trip latency with all cores interleaved.
-    pub shared_avg_latency: f64,
-    /// Aggregate achieved throughput of the shared run in MB/s.
-    pub shared_throughput_mbps: f64,
-    /// DRAM statistics of the shared run.
-    pub stats: MemStats,
-}
-
-impl SharedDramContention {
-    /// Latency inflation factor caused by sharing (≥ ~1).
-    pub fn latency_inflation(&self) -> f64 {
-        if self.solo_avg_latency == 0.0 {
-            1.0
-        } else {
-            self.shared_avg_latency / self.solo_avg_latency
-        }
-    }
-}
-
-/// Replays `cores` interleaved copies of one core's §V-B demand trace
-/// through a shared DRAM system.
-///
-/// # Panics
-///
-/// Panics if `cores == 0`.
-pub fn shared_dram_contention(
-    inputs: &TimingInputs,
-    bandwidth: f64,
-    bytes_per_word: usize,
-    cfg: &DramIntegration,
-    cores: usize,
-) -> SharedDramContention {
-    assert!(cores > 0, "need at least one core");
-    let mut recorder = RecordingStore::new(IdealBandwidthStore::new(bandwidth));
-    let _ = timing(inputs, &mut recorder);
-    let trace = recorder.into_trace();
-    let (requests, _) = linearize(&trace, cfg, bytes_per_word);
-
-    let dram_cfg = DramConfig {
-        spec: cfg.spec,
-        channels: cfg.channels,
-        mapping: cfg.mapping,
-        read_queue: cfg.read_queue,
-        write_queue: cfg.write_queue,
-        ..DramConfig::default()
-    };
-    let solo = replay_trace(dram_cfg, &requests);
-
-    // Offset each core's copy into a disjoint address region so the
-    // interleaved streams contend on channels/banks, not on rows.
-    let region = requests
-        .iter()
-        .map(|r| r.byte_addr)
-        .max()
-        .unwrap_or(0)
-        .next_power_of_two()
-        .max(1 << 20);
-    let mut shared: Vec<TraceRequest> = Vec::with_capacity(requests.len() * cores);
-    for core in 0..cores as u64 {
-        shared.extend(requests.iter().map(|r| TraceRequest {
-            cycle: r.cycle,
-            byte_addr: r.byte_addr + core * region,
-            kind: r.kind,
-        }));
-    }
-    shared.sort_by_key(|r| r.cycle);
-    let shared_replay = replay_trace(dram_cfg, &shared);
-
-    SharedDramContention {
-        cores,
-        solo_avg_latency: solo.avg_latency(),
-        shared_avg_latency: shared_replay.avg_latency(),
-        shared_throughput_mbps: shared_replay.stats.throughput_mbps(cfg.spec.timing.tCK_ps),
-        stats: shared_replay.stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,48 +337,6 @@ mod tests {
             },
         );
         assert!(large.summary.total_cycles <= small.summary.total_cycles);
-    }
-
-    #[test]
-    fn sharing_a_channel_inflates_latency() {
-        let inputs = planned(GemmShape::new(96, 96, 96));
-        let cfg = DramIntegration::default();
-        let one = shared_dram_contention(&inputs, 10.0, 2, &cfg, 1);
-        let eight = shared_dram_contention(&inputs, 10.0, 2, &cfg, 8);
-        // A single "shared" core is exactly the solo replay.
-        assert!((one.latency_inflation() - 1.0).abs() < 1e-9);
-        assert!(
-            eight.latency_inflation() > 1.2,
-            "8 cores on one DDR4 channel must contend: {}",
-            eight.latency_inflation()
-        );
-        assert!(eight.stats.reads >= 8 * one.stats.reads / 2);
-    }
-
-    #[test]
-    fn more_channels_relieve_contention() {
-        let inputs = planned(GemmShape::new(96, 96, 96));
-        let narrow = shared_dram_contention(&inputs, 10.0, 2, &DramIntegration::default(), 8);
-        let wide = shared_dram_contention(
-            &inputs,
-            10.0,
-            2,
-            &DramIntegration {
-                channels: 8,
-                ..Default::default()
-            },
-            8,
-        );
-        // The inflation *ratio* is against a channel-dependent solo
-        // baseline (8 solo channels are already fast), so compare the
-        // absolute shared service quality: latency down, throughput up.
-        assert!(
-            wide.shared_avg_latency < narrow.shared_avg_latency,
-            "8-channel shared latency ({}) should beat 1-channel ({})",
-            wide.shared_avg_latency,
-            narrow.shared_avg_latency
-        );
-        assert!(wide.shared_throughput_mbps > narrow.shared_throughput_mbps);
     }
 
     #[test]

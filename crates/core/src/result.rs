@@ -177,12 +177,11 @@ impl RunResult {
         self.layers.iter().map(|l| l.stall_cycles()).sum()
     }
 
-    /// Total energy in mJ (0.0 when energy is disabled).
+    /// Total energy in mJ (0.0 when energy is disabled — folded from
+    /// `+0.0`, because `sum()` of no terms is `-0.0`).
     pub fn total_energy_mj(&self) -> f64 {
-        self.layers
-            .iter()
-            .filter_map(|l| l.energy.as_ref().map(|e| e.total_mj()))
-            .sum()
+        let layers = self.layers.iter().filter_map(|l| l.energy.as_ref());
+        layers.fold(0.0, |total, e| total + e.total_mj())
     }
 
     /// Energy-delay product in `cycles × mJ` (Table V's unit), computed
@@ -196,12 +195,10 @@ impl RunResult {
         self.layers.iter().map(|l| l.report.compute.macs).sum()
     }
 
-    /// Total DRAM energy over the run in mJ (0.0 when DRAM is disabled).
+    /// Total DRAM energy over the run in mJ (`+0.0` when DRAM is disabled).
     pub fn total_dram_energy_mj(&self) -> f64 {
-        self.layers
-            .iter()
-            .filter_map(|l| l.dram.as_ref().map(|d| d.energy.total_mj()))
-            .sum()
+        let layers = self.layers.iter().filter_map(|l| l.dram.as_ref());
+        layers.fold(0.0, |total, d| total + d.energy.total_mj())
     }
 
     /// The run's `*_REPORT.csv` files as `(file name, content)` pairs:
@@ -262,7 +259,12 @@ mod tests {
         assert_eq!(run.total_compute_cycles(), 300);
         assert_eq!(run.total_stall_cycles(), 20);
         assert_eq!(run.total_macs(), 128);
-        assert_eq!(run.total_energy_mj(), 0.0);
+        // A feature-off run totals to +0.0, not the -0.0 an empty `sum()`
+        // yields (`-0.0 == 0.0`, so compare the sign bit).
+        for off in [run.total_energy_mj(), run.total_dram_energy_mj()] {
+            assert!(off == 0.0 && off.is_sign_positive(), "{off:?}");
+        }
+        assert!(run.edp_cycles_mj().is_sign_positive());
     }
 
     #[test]
