@@ -18,7 +18,7 @@ use scalesim_mem::{
     replay_trace, AccessKind as MemAccess, DramConfig, DramEnergyBreakdown, MemStats, TraceRequest,
 };
 use scalesim_systolic::{
-    timing, AccessKind, Addr, BackingStore, IdealBandwidthStore, MemorySummary, OperandKind,
+    timing, AccessKind, BackingStore, Batch, IdealBandwidthStore, MemorySummary, OperandKind,
     RecordingStore, TimingInputs, TraceRecorder,
 };
 
@@ -104,18 +104,18 @@ impl LatencyReplayStore {
 }
 
 impl BackingStore for LatencyReplayStore {
-    fn fetch(&mut self, _op: OperandKind, earliest: u64, addrs: &[Addr]) -> u64 {
+    fn fetch(&mut self, _op: OperandKind, earliest: u64, batch: Batch<'_>) -> u64 {
         let done = self.next(earliest, self.read_queue);
-        if addrs.is_empty() {
+        if batch.is_empty() {
             earliest
         } else {
             done
         }
     }
 
-    fn drain(&mut self, _op: OperandKind, earliest: u64, addrs: &[Addr]) -> u64 {
+    fn drain(&mut self, _op: OperandKind, earliest: u64, batch: Batch<'_>) -> u64 {
         let done = self.next(earliest, self.write_queue);
-        if addrs.is_empty() {
+        if batch.is_empty() {
             earliest
         } else {
             done
@@ -124,7 +124,9 @@ impl BackingStore for LatencyReplayStore {
 }
 
 /// Converts a word-granular trace into burst-aligned line requests,
-/// returning `(requests_sorted_by_cycle, entry_of_each_request)`.
+/// returning `(requests_sorted_by_cycle, entry_of_each_request)`. This is
+/// the one place a transaction's segments become addresses: each is
+/// expanded into a scratch buffer, coalesced to lines and forgotten.
 pub fn linearize(
     trace: &TraceRecorder,
     cfg: &DramIntegration,
@@ -143,13 +145,10 @@ pub fn linearize(
         // One DRAM burst per *distinct* line touched by the transaction
         // (the word order within a prefetch chunk interleaves operand
         // rows, so dedup must be set-based, not run-based).
-        lines.clear();
-        lines.extend(
-            trace
-                .addrs_of(e)
-                .iter()
-                .map(|&a| a * bytes_per_word as u64 / line_bytes),
-        );
+        trace.batch_of(e).expand_into(&mut lines);
+        for word in &mut lines {
+            *word = *word * bytes_per_word as u64 / line_bytes;
+        }
         lines.sort_unstable();
         lines.dedup();
         for &line in &lines {
@@ -241,7 +240,9 @@ pub fn dram_analysis(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalesim_systolic::{ArrayShape, CoreSim, Dataflow, GemmShape, MemoryConfig, SimConfig};
+    use scalesim_systolic::{
+        ArrayShape, CoreSim, Dataflow, GemmShape, MemoryConfig, Segment, SimConfig, Stream,
+    };
 
     fn planned(gemm: GemmShape) -> TimingInputs {
         let mut cfg = SimConfig::builder()
@@ -349,11 +350,13 @@ mod tests {
         };
         let mut s = LatencyReplayStore::new(vec![t(15), t(18)], 128, 128);
         // Data already arrived at 15 ≥ earliest 10.
-        assert_eq!(s.fetch(OperandKind::Ifmap, 10, &[1]), 15);
+        let word = [Segment::whole(Stream::contiguous(1, 1))];
+        let word = Batch::new(&word);
+        assert_eq!(s.fetch(OperandKind::Ifmap, 10, word), 15);
         // Arrival 18 is in the past relative to earliest 20: floor of 1.
-        assert_eq!(s.drain(OperandKind::Ofmap, 20, &[2]), 21);
+        assert_eq!(s.drain(OperandKind::Ofmap, 20, word), 21);
         // Exhausted → floor of 1 cycle.
-        assert_eq!(s.fetch(OperandKind::Ifmap, 30, &[3]), 31);
+        assert_eq!(s.fetch(OperandKind::Ifmap, 30, word), 31);
     }
 
     #[test]
@@ -369,9 +372,9 @@ mod tests {
         };
         let mut small = LatencyReplayStore::new(vec![t], 32, 32);
         let mut large = LatencyReplayStore::new(vec![t], 512, 512);
-        let addrs = [1u64];
-        let d_small = small.fetch(OperandKind::Ifmap, 0, &addrs);
-        let d_large = large.fetch(OperandKind::Ifmap, 0, &addrs);
+        let word = [Segment::whole(Stream::contiguous(1, 1))];
+        let d_small = small.fetch(OperandKind::Ifmap, 0, Batch::new(&word));
+        let d_large = large.fetch(OperandKind::Ifmap, 0, Batch::new(&word));
         assert_eq!(d_small, 2048);
         assert_eq!(d_large, 128);
     }

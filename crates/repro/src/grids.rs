@@ -265,13 +265,17 @@ pub fn tab04_overhead(run: &mut Run) {
     // TPU-v2-like: one big WS core, 128x128, 12 MB of SRAM. Every point
     // is timed cold, on an empty cache of its own: Table IV compares
     // whole simulations, and a feature point shares every compute plan
-    // with its baseline.
+    // with its baseline. A baseline is ~10 ms, where one timing on a
+    // shared box is off by half, so each point keeps its best of three.
     let cold = |feature: &str, n: usize, w: &Topology| {
         let grid = format!("array = 128x128\ndataflow = ws\nsram_kb = 4096/4096/4096\n{feature}");
-        let (cache, started) = (Arc::new(PlanCache::new()), Instant::now());
-        let report = sweep_on(&cache, &base(n, 128), &grid, std::slice::from_ref(w));
-        std::hint::black_box(report);
-        started.elapsed().as_secs_f64()
+        let once = || {
+            let (cache, started) = (Arc::new(PlanCache::new()), Instant::now());
+            let report = sweep_on(&cache, &base(n, 128), &grid, std::slice::from_ref(w));
+            std::hint::black_box(report);
+            started.elapsed().as_secs_f64()
+        };
+        (0..3).map(|_| once()).fold(f64::INFINITY, f64::min)
     };
     run.row("workload,feature,seconds,overhead_x");
     let mut means = [0.0; FEATURES.len()];

@@ -94,13 +94,18 @@ impl BandwidthReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::demand::{Batch, Segment, Stream};
 
     #[test]
     fn report_from_trace() {
         let mut tr = TraceRecorder::new();
-        tr.record(0, 2, OperandKind::Ifmap, AccessKind::Read, &[1, 2, 3, 4]);
-        tr.record(2, 4, OperandKind::Filter, AccessKind::Read, &[5, 6]);
-        tr.record(4, 5, OperandKind::Ofmap, AccessKind::Write, &[7]);
+        let mut record = |issue, completion, operand, kind, base, words| {
+            let segment = [Segment::whole(Stream::contiguous(base, words))];
+            tr.record(issue, completion, operand, kind, Batch::new(&segment));
+        };
+        record(0, 2, OperandKind::Ifmap, AccessKind::Read, 1, 4);
+        record(2, 4, OperandKind::Filter, AccessKind::Read, 5, 2);
+        record(4, 5, OperandKind::Ofmap, AccessKind::Write, 7, 1);
         let r = BandwidthReport::from_trace(&tr, 10);
         assert_eq!(r.ifmap_read.words, 4);
         assert!((r.ifmap_read.avg - 0.4).abs() < 1e-12);

@@ -16,101 +16,83 @@
 //! fold length             : 2R' + C' + N − 2
 //! ```
 
-use super::FoldGeometry;
-use crate::demand::{CycleDemand, DemandSink};
+use super::{Fold, FoldGeometry};
+use crate::demand::{EdgeStream, FoldDemand, Stream};
 use crate::operand::OperandMap;
-use crate::util::antidiagonal_prefix;
 
-/// Input-stationary generator.
-#[derive(Debug, Clone)]
-pub struct IsGenerator {
-    geom: FoldGeometry,
-    map: OperandMap,
-}
-
-impl IsGenerator {
-    /// Creates the generator from a precomputed geometry and address map.
-    pub(crate) fn new(geom: FoldGeometry, map: OperandMap) -> Self {
-        Self { geom, map }
-    }
-
-    /// Fold geometry in use.
-    pub fn geometry(&self) -> &FoldGeometry {
-        &self.geom
-    }
-
-    /// Streams all folds into `sink`.
-    pub fn run(&self, sink: &mut dyn DemandSink) {
-        let g = &self.geom;
-        let n_dim = g.t; // streamed dimension is N
-        let mut demand = CycleDemand::default();
-        let mut base_cycle: u64 = 0;
-        for fold in g.folds() {
-            let (rp, cp) = (fold.rows, fold.cols);
-            let k0 = fold.fr * g.array_rows;
-            let m0 = fold.fc * g.array_cols;
-            let accumulate = fold.fr > 0;
-            let fold_len = fold.cycles;
-            let prefetch = rp as u64;
-            for t in 0..fold_len {
-                demand.reset(base_cycle + t);
-                if t < prefetch {
-                    // Input prefetch: one k-row per cycle, bottom-first.
-                    let kk = k0 + (rp - 1 - t as usize);
-                    for c in 0..cp {
-                        demand.ifmap_reads.push(self.map.ifmap(m0 + c, kk));
-                    }
-                } else {
-                    let tp = (t - prefetch) as i64;
-                    // Weight stream on the left edge, skewed by row.
-                    let r_lo = (tp - (n_dim as i64 - 1)).max(0) as usize;
-                    let r_hi = (tp as usize).min(rp - 1);
-                    if r_lo <= r_hi && (tp as usize) < n_dim + rp - 1 {
-                        for r in r_lo..=r_hi {
-                            demand
-                                .filter_reads
-                                .push(self.map.filter(k0 + r, tp as usize - r));
-                        }
-                    }
-                    demand.active_macs = antidiagonal_prefix(rp, cp, tp)
-                        - antidiagonal_prefix(rp, cp, tp - n_dim as i64);
-                    // Outputs exiting the bottom edge: column c delivers
-                    // output column n = t' − (R'−1) − c for pinned m.
-                    let base = tp - (rp as i64 - 1);
-                    let c_lo = (base - (n_dim as i64 - 1)).max(0);
-                    let c_hi = base.min(cp as i64 - 1);
-                    if base >= 0 && c_lo <= c_hi {
-                        for c in c_lo as usize..=c_hi as usize {
-                            let n = (base as usize) - c;
-                            let addr = self.map.ofmap(m0 + c, n);
-                            if accumulate {
-                                demand.ofmap_reads.push(addr);
-                            }
-                            demand.ofmap_writes.push(addr);
-                        }
-                    }
-                }
-                sink.on_cycle(&demand);
-            }
-            base_cycle += fold_len;
-        }
+/// The closed-form demand of one input-stationary fold starting at
+/// cycle `start`.
+pub(super) fn fold_demand(
+    g: &FoldGeometry,
+    map: &OperandMap,
+    fold: &Fold,
+    start: u64,
+) -> FoldDemand {
+    let (rp, cp, n) = (fold.rows, fold.cols, g.t);
+    let (k0, m0) = (fold.fr * g.array_rows, fold.fc * g.array_cols);
+    let k = map.gemm().k as u64;
+    FoldDemand {
+        start,
+        cycles: fold.cycles,
+        rows: rp,
+        cols: cp,
+        t: n,
+        mac_start: rp as u64,
+        // Input prefetch: one k-row of the R'×C' tile of Aᵀ per cycle,
+        // bottom row first; each input is loaded by exactly one fold.
+        ifmap: EdgeStream {
+            tile: fold.fr * g.col_folds() + fold.fc,
+            start: 0,
+            stream: Stream {
+                base: map.ifmap(m0, k0 + rp - 1),
+                lanes: cp,
+                len: rp,
+                lane_stride: k,
+                step_stride: 1u64.wrapping_neg(),
+                skewed: false,
+            },
+        },
+        // Row r streams B[k0+r][·] once the inputs are pinned.
+        filter: EdgeStream {
+            tile: fold.fr,
+            start: rp as u64,
+            stream: Stream {
+                base: map.filter(k0, 0),
+                lanes: rp,
+                len: n,
+                lane_stride: n as u64,
+                step_stride: 1,
+                skewed: true,
+            },
+        },
+        // Column c delivers C[m0+c][·] from stream time R'−1+c on.
+        ofmap: EdgeStream {
+            tile: fold.fc,
+            start: (2 * rp - 1) as u64,
+            stream: Stream {
+                base: map.ofmap(m0, 0),
+                lanes: cp,
+                len: n,
+                lane_stride: n as u64,
+                step_stride: 1,
+                skewed: true,
+            },
+        },
+        accumulate: fold.fr > 0,
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::{ArrayShape, Dataflow};
-    use crate::demand::DemandSummary;
+    use crate::dataflow::DemandGenerator;
+    use crate::demand::{CycleDemand, DemandSummary};
     use crate::topology::GemmShape;
     use std::collections::HashMap;
 
-    fn make(r: usize, c: usize, m: usize, n: usize, k: usize) -> IsGenerator {
+    fn make(r: usize, c: usize, m: usize, n: usize, k: usize) -> DemandGenerator {
         let gemm = GemmShape::new(m, n, k);
-        IsGenerator::new(
-            FoldGeometry::new(ArrayShape::new(r, c), Dataflow::InputStationary, gemm),
-            OperandMap::new(gemm),
-        )
+        DemandGenerator::new(ArrayShape::new(r, c), Dataflow::InputStationary, gemm)
     }
 
     #[test]
@@ -131,18 +113,11 @@ mod tests {
     fn mirror_symmetry_with_ws() {
         // IS on (M, N, K) should take exactly as many cycles as WS on
         // (N, M, K): the two dataflows are transposes of each other.
-        use super::super::ws::WsGenerator;
         let gemm_is = GemmShape::new(5, 9, 7);
         let gemm_ws = GemmShape::new(9, 5, 7);
         let arr = ArrayShape::new(3, 4);
-        let gis = IsGenerator::new(
-            FoldGeometry::new(arr, Dataflow::InputStationary, gemm_is),
-            OperandMap::new(gemm_is),
-        );
-        let gws = WsGenerator::new(
-            FoldGeometry::new(arr, Dataflow::WeightStationary, gemm_ws),
-            OperandMap::new(gemm_ws),
-        );
+        let gis = DemandGenerator::new(arr, Dataflow::InputStationary, gemm_is);
+        let gws = DemandGenerator::new(arr, Dataflow::WeightStationary, gemm_ws);
         let mut si = DemandSummary::default();
         let mut sw = DemandSummary::default();
         gis.run(&mut si);

@@ -7,17 +7,19 @@
 //! `2R + C + T − 2` cycles (Eq. 1 of the paper); edge folds use the clipped
 //! `R'`, `C'` instead, which is where the cycle-accurate result differs from
 //! the closed-form estimate.
+//!
+//! The per-dataflow modules only *describe* a fold — which tile each edge
+//! stream walks, with what strides and skew, from which cycle
+//! ([`FoldDemand`]). Planning consumes those descriptors as they are;
+//! [`DemandGenerator::run`] expands them cycle by cycle for the consumers
+//! that need addresses.
 
 mod is;
 mod os;
 mod ws;
 
-pub use is::IsGenerator;
-pub use os::OsGenerator;
-pub use ws::WsGenerator;
-
 use crate::config::{ArrayShape, Dataflow};
-use crate::demand::{DemandSink, DemandSummary};
+use crate::demand::{CycleDemand, DemandSink, DemandSummary, FoldDemand};
 use crate::operand::OperandMap;
 use crate::topology::GemmShape;
 use crate::util::ceil_div;
@@ -137,44 +139,45 @@ impl FoldGeometry {
 /// A dataflow-dispatched demand generator.
 #[derive(Debug, Clone)]
 pub struct DemandGenerator {
-    inner: GeneratorKind,
-}
-
-#[derive(Debug, Clone)]
-enum GeneratorKind {
-    Os(OsGenerator),
-    Ws(WsGenerator),
-    Is(IsGenerator),
+    dataflow: Dataflow,
+    geom: FoldGeometry,
+    map: OperandMap,
 }
 
 impl DemandGenerator {
     /// Creates a generator for `gemm` on `array` under `dataflow`.
     pub fn new(array: ArrayShape, dataflow: Dataflow, gemm: GemmShape) -> Self {
-        let map = OperandMap::new(gemm);
-        let geom = FoldGeometry::new(array, dataflow, gemm);
-        let inner = match dataflow {
-            Dataflow::OutputStationary => GeneratorKind::Os(OsGenerator::new(geom, map)),
-            Dataflow::WeightStationary => GeneratorKind::Ws(WsGenerator::new(geom, map)),
-            Dataflow::InputStationary => GeneratorKind::Is(IsGenerator::new(geom, map)),
-        };
-        Self { inner }
+        Self {
+            dataflow,
+            geom: FoldGeometry::new(array, dataflow, gemm),
+            map: OperandMap::new(gemm),
+        }
     }
 
     /// The fold geometry backing this generator.
     pub fn geometry(&self) -> &FoldGeometry {
-        match &self.inner {
-            GeneratorKind::Os(g) => g.geometry(),
-            GeneratorKind::Ws(g) => g.geometry(),
-            GeneratorKind::Is(g) => g.geometry(),
-        }
+        &self.geom
+    }
+
+    /// The demand of every fold, in execution order, in closed form.
+    pub fn folds(&self) -> impl Iterator<Item = FoldDemand> + '_ {
+        let describe = match self.dataflow {
+            Dataflow::OutputStationary => os::fold_demand,
+            Dataflow::WeightStationary => ws::fold_demand,
+            Dataflow::InputStationary => is::fold_demand,
+        };
+        self.geom.folds().scan(0, move |start, fold| {
+            let demand = describe(&self.geom, &self.map, &fold, *start);
+            *start += fold.cycles;
+            Some(demand)
+        })
     }
 
     /// Streams the full cycle-accurate demand into `sink`.
     pub fn run(&self, sink: &mut dyn DemandSink) {
-        match &self.inner {
-            GeneratorKind::Os(g) => g.run(sink),
-            GeneratorKind::Ws(g) => g.run(sink),
-            GeneratorKind::Is(g) => g.run(sink),
+        let mut demand = CycleDemand::default();
+        for fold in self.folds() {
+            fold.run(&mut demand, sink);
         }
     }
 
@@ -197,10 +200,10 @@ impl DemandGenerator {
         let (rf, cf) = (g.row_folds() as u64, g.col_folds() as u64);
         let cycles = g.total_cycles();
         let macs = sr * sc * t;
-        match &self.inner {
+        match self.dataflow {
             // OS: each fold reads R'·K ifmap and C'·K filter words and
             // drains its R'·C' outputs exactly once.
-            GeneratorKind::Os(_) => DemandSummary {
+            Dataflow::OutputStationary => DemandSummary {
                 cycles,
                 ifmap_reads: sr * cf * t,
                 filter_reads: sc * rf * t,
@@ -210,7 +213,7 @@ impl DemandGenerator {
             },
             // WS: each fold pins R'·C' weights, streams R'·M inputs and
             // emits M·C' outputs; folds past the first K-tile re-read them.
-            GeneratorKind::Ws(_) => DemandSummary {
+            Dataflow::WeightStationary => DemandSummary {
                 cycles,
                 ifmap_reads: sr * cf * t,
                 filter_reads: sr * sc,
@@ -219,7 +222,7 @@ impl DemandGenerator {
                 macs,
             },
             // IS: the WS mirror image with inputs pinned, weights streamed.
-            GeneratorKind::Is(_) => DemandSummary {
+            Dataflow::InputStationary => DemandSummary {
                 cycles,
                 ifmap_reads: sr * sc,
                 filter_reads: sr * cf * t,

@@ -16,97 +16,84 @@
 //! fold length             : 2R' + C' + K − 2
 //! ```
 
-use super::FoldGeometry;
-use crate::demand::{CycleDemand, DemandSink};
+use super::{Fold, FoldGeometry};
+use crate::demand::{EdgeStream, FoldDemand, Stream};
 use crate::operand::OperandMap;
-use crate::util::antidiagonal_prefix;
 
-/// Output-stationary generator.
-#[derive(Debug, Clone)]
-pub struct OsGenerator {
-    geom: FoldGeometry,
-    map: OperandMap,
-}
-
-impl OsGenerator {
-    /// Creates the generator from a precomputed geometry and address map.
-    pub(crate) fn new(geom: FoldGeometry, map: OperandMap) -> Self {
-        Self { geom, map }
-    }
-
-    /// Fold geometry in use.
-    pub fn geometry(&self) -> &FoldGeometry {
-        &self.geom
-    }
-
-    /// Streams all folds into `sink`.
-    pub fn run(&self, sink: &mut dyn DemandSink) {
-        let g = &self.geom;
-        let k = g.t;
-        let mut demand = CycleDemand::default();
-        let mut base_cycle: u64 = 0;
-        for fold in g.folds() {
-            let (rp, cp) = (fold.rows, fold.cols);
-            let m0 = fold.fr * g.array_rows;
-            let n0 = fold.fc * g.array_cols;
-            let drain_start = (rp + cp + k - 2) as u64;
-            let fold_len = fold.cycles;
-            for t in 0..fold_len {
-                demand.reset(base_cycle + t);
-                let ti = t as i64;
-                // Ifmap reads on the left edge (skewed by row index).
-                if t < (k + rp - 1) as u64 {
-                    let r_lo = (ti - (k as i64 - 1)).max(0) as usize;
-                    let r_hi = (t as usize).min(rp - 1);
-                    for r in r_lo..=r_hi {
-                        demand
-                            .ifmap_reads
-                            .push(self.map.ifmap(m0 + r, t as usize - r));
-                    }
-                }
-                // Filter reads on the top edge (skewed by column index).
-                if t < (k + cp - 1) as u64 {
-                    let c_lo = (ti - (k as i64 - 1)).max(0) as usize;
-                    let c_hi = (t as usize).min(cp - 1);
-                    for c in c_lo..=c_hi {
-                        demand
-                            .filter_reads
-                            .push(self.map.filter(t as usize - c, n0 + c));
-                    }
-                }
-                // Active MACs this cycle.
-                demand.active_macs =
-                    antidiagonal_prefix(rp, cp, ti) - antidiagonal_prefix(rp, cp, ti - k as i64);
-                // Output drain: one row of outputs per cycle, bottom-up.
-                if t >= drain_start {
-                    let d = (t - drain_start) as usize;
-                    let row = rp - 1 - d;
-                    for c in 0..cp {
-                        demand.ofmap_writes.push(self.map.ofmap(m0 + row, n0 + c));
-                    }
-                }
-                sink.on_cycle(&demand);
-            }
-            base_cycle += fold_len;
-        }
+/// The closed-form demand of one output-stationary fold starting at
+/// cycle `start`.
+pub(super) fn fold_demand(
+    g: &FoldGeometry,
+    map: &OperandMap,
+    fold: &Fold,
+    start: u64,
+) -> FoldDemand {
+    let (rp, cp, k) = (fold.rows, fold.cols, g.t);
+    let (m0, n0) = (fold.fr * g.array_rows, fold.fc * g.array_cols);
+    let n = map.gemm().n as u64;
+    FoldDemand {
+        start,
+        cycles: fold.cycles,
+        rows: rp,
+        cols: cp,
+        t: k,
+        mac_start: 0,
+        // Row r streams A[m0+r][·], one element per cycle, r cycles late.
+        ifmap: EdgeStream {
+            tile: fold.fr,
+            start: 0,
+            stream: Stream {
+                base: map.ifmap(m0, 0),
+                lanes: rp,
+                len: k,
+                lane_stride: k as u64,
+                step_stride: 1,
+                skewed: true,
+            },
+        },
+        // Column c streams B[·][n0+c] the same way.
+        filter: EdgeStream {
+            tile: fold.fc,
+            start: 0,
+            stream: Stream {
+                base: map.filter(0, n0),
+                lanes: cp,
+                len: k,
+                lane_stride: 1,
+                step_stride: n,
+                skewed: true,
+            },
+        },
+        // The R'×C' outputs drain one row per cycle, bottom row first;
+        // no other fold touches them.
+        ofmap: EdgeStream {
+            tile: fold.fr * g.col_folds() + fold.fc,
+            start: (rp + cp + k - 2) as u64,
+            stream: Stream {
+                base: map.ofmap(m0 + rp - 1, n0),
+                lanes: cp,
+                len: rp,
+                lane_stride: 1,
+                step_stride: n.wrapping_neg(),
+                skewed: false,
+            },
+        },
+        accumulate: false,
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::{ArrayShape, Dataflow};
-    use crate::demand::DemandSummary;
+    use crate::dataflow::DemandGenerator;
+    use crate::demand::{CycleDemand, DemandSummary};
     use crate::operand::OperandKind;
     use crate::topology::GemmShape;
     use std::collections::HashSet;
 
-    fn make(r: usize, c: usize, m: usize, n: usize, k: usize) -> OsGenerator {
+    fn make(r: usize, c: usize, m: usize, n: usize, k: usize) -> DemandGenerator {
         let gemm = GemmShape::new(m, n, k);
-        OsGenerator::new(
-            FoldGeometry::new(ArrayShape::new(r, c), Dataflow::OutputStationary, gemm),
-            OperandMap::new(gemm),
-        )
+        DemandGenerator::new(ArrayShape::new(r, c), Dataflow::OutputStationary, gemm)
     }
 
     #[test]

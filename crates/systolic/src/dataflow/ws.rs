@@ -17,102 +17,83 @@
 //! fold length             : R' + (M + R' + C' − 2) = 2R' + C' + M − 2
 //! ```
 
-use super::FoldGeometry;
-use crate::demand::{CycleDemand, DemandSink};
+use super::{Fold, FoldGeometry};
+use crate::demand::{EdgeStream, FoldDemand, Stream};
 use crate::operand::OperandMap;
-use crate::util::antidiagonal_prefix;
 
-/// Weight-stationary generator.
-#[derive(Debug, Clone)]
-pub struct WsGenerator {
-    geom: FoldGeometry,
-    map: OperandMap,
-}
-
-impl WsGenerator {
-    /// Creates the generator from a precomputed geometry and address map.
-    pub(crate) fn new(geom: FoldGeometry, map: OperandMap) -> Self {
-        Self { geom, map }
-    }
-
-    /// Fold geometry in use.
-    pub fn geometry(&self) -> &FoldGeometry {
-        &self.geom
-    }
-
-    /// Streams all folds into `sink`.
-    pub fn run(&self, sink: &mut dyn DemandSink) {
-        let g = &self.geom;
-        let m_dim = g.t; // streamed dimension is M
-        let mut demand = CycleDemand::default();
-        let mut base_cycle: u64 = 0;
-        for fold in g.folds() {
-            let (rp, cp) = (fold.rows, fold.cols);
-            let k0 = fold.fr * g.array_rows;
-            let n0 = fold.fc * g.array_cols;
-            let accumulate = fold.fr > 0;
-            let fold_len = fold.cycles;
-            let prefetch = rp as u64;
-            for t in 0..fold_len {
-                demand.reset(base_cycle + t);
-                if t < prefetch {
-                    // Weight prefetch: one weight row per cycle, bottom-first.
-                    let kk = k0 + (rp - 1 - t as usize);
-                    for c in 0..cp {
-                        demand.filter_reads.push(self.map.filter(kk, n0 + c));
-                    }
-                } else {
-                    let tp = (t - prefetch) as i64; // stream-phase time t'
-                                                    // Ifmap stream on the left edge, skewed by row.
-                    let r_lo = (tp - (m_dim as i64 - 1)).max(0) as usize;
-                    let r_hi = (tp as usize).min(rp - 1);
-                    if r_lo <= r_hi && (tp as usize) < m_dim + rp - 1 {
-                        for r in r_lo..=r_hi {
-                            demand
-                                .ifmap_reads
-                                .push(self.map.ifmap(tp as usize - r, k0 + r));
-                        }
-                    }
-                    // Active MACs.
-                    demand.active_macs = antidiagonal_prefix(rp, cp, tp)
-                        - antidiagonal_prefix(rp, cp, tp - m_dim as i64);
-                    // Outputs exiting the bottom edge: column c delivers
-                    // output row m = t' − (R'−1) − c.
-                    let base = tp - (rp as i64 - 1);
-                    let c_lo = (base - (m_dim as i64 - 1)).max(0);
-                    let c_hi = base.min(cp as i64 - 1);
-                    if base >= 0 && c_lo <= c_hi {
-                        for c in c_lo as usize..=c_hi as usize {
-                            let m = (base as usize) - c;
-                            let addr = self.map.ofmap(m, n0 + c);
-                            if accumulate {
-                                demand.ofmap_reads.push(addr);
-                            }
-                            demand.ofmap_writes.push(addr);
-                        }
-                    }
-                }
-                sink.on_cycle(&demand);
-            }
-            base_cycle += fold_len;
-        }
+/// The closed-form demand of one weight-stationary fold starting at
+/// cycle `start`.
+pub(super) fn fold_demand(
+    g: &FoldGeometry,
+    map: &OperandMap,
+    fold: &Fold,
+    start: u64,
+) -> FoldDemand {
+    let (rp, cp, m) = (fold.rows, fold.cols, g.t);
+    let (k0, n0) = (fold.fr * g.array_rows, fold.fc * g.array_cols);
+    let (k, n) = (map.gemm().k as u64, map.gemm().n as u64);
+    FoldDemand {
+        start,
+        cycles: fold.cycles,
+        rows: rp,
+        cols: cp,
+        t: m,
+        mac_start: rp as u64,
+        // Row r streams A[·][k0+r] once the weights are pinned.
+        ifmap: EdgeStream {
+            tile: fold.fr,
+            start: rp as u64,
+            stream: Stream {
+                base: map.ifmap(0, k0),
+                lanes: rp,
+                len: m,
+                lane_stride: 1,
+                step_stride: k,
+                skewed: true,
+            },
+        },
+        // Weight prefetch: one row of the R'×C' tile per cycle, bottom
+        // row first; each weight is loaded by exactly one fold.
+        filter: EdgeStream {
+            tile: fold.fr * g.col_folds() + fold.fc,
+            start: 0,
+            stream: Stream {
+                base: map.filter(k0 + rp - 1, n0),
+                lanes: cp,
+                len: rp,
+                lane_stride: 1,
+                step_stride: n.wrapping_neg(),
+                skewed: false,
+            },
+        },
+        // Column c delivers C[·][n0+c] from stream time R'−1+c on.
+        ofmap: EdgeStream {
+            tile: fold.fc,
+            start: (2 * rp - 1) as u64,
+            stream: Stream {
+                base: map.ofmap(0, n0),
+                lanes: cp,
+                len: m,
+                lane_stride: 1,
+                step_stride: n,
+                skewed: true,
+            },
+        },
+        accumulate: fold.fr > 0,
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::{ArrayShape, Dataflow};
-    use crate::demand::DemandSummary;
+    use crate::dataflow::DemandGenerator;
+    use crate::demand::{CycleDemand, DemandSummary};
     use crate::topology::GemmShape;
     use std::collections::HashMap;
 
-    fn make(r: usize, c: usize, m: usize, n: usize, k: usize) -> WsGenerator {
+    fn make(r: usize, c: usize, m: usize, n: usize, k: usize) -> DemandGenerator {
         let gemm = GemmShape::new(m, n, k);
-        WsGenerator::new(
-            FoldGeometry::new(ArrayShape::new(r, c), Dataflow::WeightStationary, gemm),
-            OperandMap::new(gemm),
-        )
+        DemandGenerator::new(ArrayShape::new(r, c), Dataflow::WeightStationary, gemm)
     }
 
     #[test]

@@ -1,13 +1,11 @@
-//! A fast non-cryptographic hasher for the planner hot paths.
+//! A fast non-cryptographic hasher for the plan cache.
 //!
-//! The double-buffer planners hash one address per array-edge event —
-//! hundreds of millions of lookups for large workloads — so the default
-//! SipHash is the dominant cost. Addresses are word indices with plenty of
-//! entropy in the low bits; a Fibonacci-multiply mix is sufficient and
-//! ~5× faster.
+//! Every layer of every run looks its [`PlanKey`](crate::sim::PlanKey) up —
+//! a handful of small integers the program built itself, never outside
+//! input — so a Fibonacci-multiply mix is sufficient and several times
+//! cheaper than the default SipHash.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 
 /// Multiply-mix hasher specialized for integer keys.
 #[derive(Debug, Default, Clone)]
@@ -42,24 +40,9 @@ impl Hasher for FastHasher {
     }
 }
 
-/// A `HashMap` keyed with the fast hasher.
-pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn map_roundtrip() {
-        let mut m: FastMap<u64, u32> = FastMap::default();
-        for i in 0..10_000u64 {
-            m.insert(i * 1_000_003, i as u32);
-        }
-        for i in 0..10_000u64 {
-            assert_eq!(m.get(&(i * 1_000_003)), Some(&(i as u32)));
-        }
-        assert_eq!(m.len(), 10_000);
-    }
 
     #[test]
     fn sequential_keys_spread() {

@@ -13,7 +13,8 @@
 //!
 //! * **Cycle-accurate demand streams** — for each simulated cycle, the exact
 //!   set of SRAM addresses read at the array edges and written at the output
-//!   edge, for the three classic dataflows (output/weight/input stationary).
+//!   edge, for the three classic dataflows (output/weight/input stationary),
+//!   described per fold in closed form and expanded only on demand.
 //! * **Compute reports** — runtime in cycles, PE utilization, mapping
 //!   efficiency and MAC counts per layer.
 //! * **Memory behaviour** — double-buffered prefetch scheduling against a
@@ -61,12 +62,14 @@ pub(crate) mod util;
 pub use analytical::{analytical_runtime, AnalyticalModel};
 pub use bandwidth::{BandwidthReport, InterfaceBandwidth};
 pub use buffer::{
-    timing, BackingStore, IdealBandwidthStore, ReadPlan, ReadPlanner, RecordingStore, TimingInputs,
-    WritePlan, WritePlanner,
+    timing, BackingStore, IdealBandwidthStore, ReadPlan, ReadPlanner, RecordingStore, TimedStream,
+    TimingInputs, WritePlan, WritePlanner,
 };
 pub use config::{ArrayShape, Dataflow, MemoryConfig, SimConfig, SimConfigBuilder};
 pub use dataflow::{DemandGenerator, Fold, FoldGeometry};
-pub use demand::{CycleDemand, DemandSink, DemandSummary};
+pub use demand::{
+    Batch, CycleDemand, DemandSink, DemandSummary, EdgeStream, FoldDemand, Segment, Stream,
+};
 pub use error::SimError;
 pub use operand::{Addr, OperandKind, OperandMap, FILTER_BASE, IFMAP_BASE, OFMAP_BASE};
 pub use parallel::{num_threads, parallel_map, parallel_map_streamed, THREADS_ENV};

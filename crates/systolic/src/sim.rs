@@ -1,28 +1,26 @@
 //! Single-core planning and single-GEMM simulation.
 //!
-//! [`CoreSim`] is a planner: it runs a dataflow demand generator once,
-//! feeding the double-buffer planners and the SRAM repeat-access lookup,
+//! [`CoreSim`] is a planner: it walks a dataflow's fold descriptors once,
+//! feeding the double-buffer planners and the SRAM repeat-access lookups,
 //! and returns a [`PlannedLayer`] that can be timed against any
 //! [`BackingStore`] ([`PlannedLayer::report`]). Topologies are run by the
 //! integration crate's `LayerPipeline`, which plans through here.
 //!
-//! Planning is the simulator's hot path, so it is organized around two
-//! stacked optimizations:
-//!
-//! 1. **Fused single-pass planning** — `FusedPlanPass` (internal) drives both read
-//!    planners, the write planner and all three repeat lookups from *one*
-//!    [`DemandGenerator::run`].
-//! 2. **Plan caching** — a [`PlanCache`] memoizes [`PlannedLayer`]s by
-//!    `(array, dataflow, GEMM, scratchpad geometry)`, so topologies that
-//!    repeat a layer shape (every CNN/ViT) plan it once and re-time it
-//!    cheaply against any backing store.
+//! Planning costs `O(folds)` for the fetch and drain plans (see
+//! [`crate::buffer`]) plus one table probe per array-edge word for the
+//! three [`RepeatLookup`]s, the only per-word work left: which open row
+//! an access displaces has no cheap closed form, so they walk the fold's
+//! streams — without materialising an address. On top of that a
+//! [`PlanCache`] memoizes [`PlannedLayer`]s by `(array, dataflow, GEMM,
+//! scratchpad geometry)`, so topologies that repeat a layer shape (every
+//! CNN/ViT) plan it once and re-time it cheaply against any backing store.
 
 use crate::buffer::{
     timing, BackingStore, IdealBandwidthStore, ReadPlanner, TimingInputs, WritePlanner,
 };
 use crate::config::{ArrayShape, Dataflow, SimConfig};
 use crate::dataflow::DemandGenerator;
-use crate::demand::{CycleDemand, DemandSink, DemandSummary};
+use crate::demand::{DemandSummary, EdgeStream, Stream};
 use crate::fasthash::FastHasher;
 use crate::operand::{Addr, OperandKind};
 use crate::report::{ComputeSummary, LayerReport, SramSummary};
@@ -86,44 +84,15 @@ impl RepeatLookup {
             self.open_rows[slot] = row;
         }
     }
-}
 
-/// Fused planning sink: one pass over the cycle-accurate demand stream
-/// drives the ifmap/filter read planners, the ofmap write planner, the
-/// three per-SRAM repeat lookups and the whole-stream summary.
-///
-/// The per-operand working sets (direct-mapped address indices) stay
-/// disjoint inside their planners; the stream generation itself, not the
-/// planner lookups, dominates planning time.
-struct FusedPlanPass {
-    summary: DemandSummary,
-    ifmap: ReadPlanner,
-    ifmap_repeat: RepeatLookup,
-    filter: ReadPlanner,
-    filter_repeat: RepeatLookup,
-    ofmap: WritePlanner,
-    ofmap_repeat: RepeatLookup,
-}
-
-impl DemandSink for FusedPlanPass {
-    fn on_cycle(&mut self, d: &CycleDemand) {
-        self.summary.absorb(d);
-        if !d.ifmap_reads.is_empty() {
-            let repeat = &mut self.ifmap_repeat;
-            self.ifmap
-                .observe(d.cycle, &d.ifmap_reads, |a| repeat.access(a));
-        }
-        if !d.filter_reads.is_empty() {
-            let repeat = &mut self.filter_repeat;
-            self.filter
-                .observe(d.cycle, &d.filter_reads, |a| repeat.access(a));
-        }
-        if !d.ofmap_reads.is_empty() || !d.ofmap_writes.is_empty() {
-            let repeat = &mut self.ofmap_repeat;
-            self.ofmap
-                .observe(d.cycle, &d.ofmap_reads, &d.ofmap_writes, |a| {
-                    repeat.access(a)
-                });
+    /// Observes every word of `stream` in access order, each step's words
+    /// `passes` times over (2 for a read-modify-write stream: the step's
+    /// reads, then its writes).
+    pub fn walk(&mut self, stream: &Stream, passes: usize) {
+        for step in 0..stream.steps() {
+            for _ in 0..passes {
+                stream.step_addrs(step).for_each(|addr| self.access(addr));
+            }
         }
     }
 }
@@ -142,26 +111,15 @@ pub struct PlannedLayer {
 }
 
 impl PlannedLayer {
-    /// Estimated bytes this plan keeps resident while cached: the
-    /// struct itself plus every heap-allocated event/address vector.
-    /// The fetch sequences dominate (they scale with unique words), so
-    /// this tracks the true footprint closely enough to budget by.
+    /// Bytes this plan keeps resident while cached: the struct itself
+    /// plus every heap vector of its three plans (segments, chunk and
+    /// burst tables, needs, miss runs) — `O(folds + chunks)`, whatever
+    /// the layer's word count.
     pub fn resident_bytes(&self) -> usize {
-        let read = |p: &crate::buffer::ReadPlan| {
-            std::mem::size_of_val(p.fetch_seq.as_slice())
-                + std::mem::size_of_val(p.needs.as_slice())
-        };
-        let write = |p: &crate::buffer::WritePlan| {
-            std::mem::size_of_val(p.drain_events.as_slice())
-                + std::mem::size_of_val(p.drain_addrs.as_slice())
-                + std::mem::size_of_val(p.miss_events.as_slice())
-                + std::mem::size_of_val(p.miss_addrs.as_slice())
-                + std::mem::size_of_val(p.flush_addrs.as_slice())
-        };
         std::mem::size_of::<Self>()
-            + read(&self.inputs.ifmap)
-            + read(&self.inputs.filter)
-            + write(&self.inputs.ofmap)
+            + self.inputs.ifmap.heap_bytes()
+            + self.inputs.filter.heap_bytes()
+            + self.inputs.ofmap.heap_bytes()
     }
 
     /// Times this plan against `store` and assembles the layer's report.
@@ -538,76 +496,61 @@ impl CoreSim {
         DemandGenerator::new(self.config.array, self.config.dataflow, gemm)
     }
 
-    fn operand_domains(gemm: GemmShape) -> [(Addr, u64); 3] {
-        [
-            (crate::operand::IFMAP_BASE, (gemm.m * gemm.k) as u64),
-            (crate::operand::FILTER_BASE, (gemm.k * gemm.n) as u64),
-            (crate::operand::OFMAP_BASE, (gemm.m * gemm.n) as u64),
-        ]
-    }
-
-    fn assemble(&self, gemm: GemmShape, pass: FusedPlanPass) -> PlannedLayer {
-        let geom =
-            crate::dataflow::FoldGeometry::new(self.config.array, self.config.dataflow, gemm);
-        let summary = pass.summary;
-        let cycles = summary.cycles;
-        let pes = self.config.array.num_pes() as u64;
-        let compute = ComputeSummary {
-            total_compute_cycles: cycles,
-            folds: geom.num_folds() as u64,
-            macs: summary.macs,
-            utilization: if cycles == 0 {
-                0.0
-            } else {
-                summary.macs as f64 / (pes * cycles) as f64
-            },
-            mapping_efficiency: if cycles == 0 {
-                0.0
-            } else {
-                geom.total_active_pe_cycles() as f64 / (pes * cycles) as f64
-            },
-        };
-        let sram = SramSummary {
-            ifmap_reads: summary.ifmap_reads,
-            filter_reads: summary.filter_reads,
-            ofmap_reads: summary.ofmap_reads,
-            ofmap_writes: summary.ofmap_writes,
-            ifmap_repeat_reads: pass.ifmap_repeat.repeats,
-            filter_repeat_reads: pass.filter_repeat.repeats,
-            ofmap_repeat_accesses: pass.ofmap_repeat.repeats,
-        };
-        let inputs = TimingInputs {
-            ifmap: pass.ifmap.finish(),
-            filter: pass.filter.finish(),
-            ofmap: pass.ofmap.finish(),
-            compute_cycles: cycles,
-        };
-        PlannedLayer {
-            inputs,
-            summary,
-            compute,
-            sram,
-        }
-    }
-
-    /// Runs the planning pass: one fused demand-stream traversal producing
-    /// the fetch plans, demand totals and SRAM profiles for all three
-    /// operands at once.
+    /// Runs the planning pass: one walk over the fold descriptors
+    /// producing the fetch plans, demand totals and SRAM profiles for all
+    /// three operands at once.
     pub fn plan_gemm(&self, gemm: GemmShape) -> PlannedLayer {
         let gen = self.demand_generator(gemm);
         let mem = &self.config.memory;
-        let [ifmap_domain, filter_domain, ofmap_domain] = Self::operand_domains(gemm);
-        let mut pass = FusedPlanPass {
-            summary: DemandSummary::default(),
-            ifmap: ReadPlanner::new(OperandKind::Ifmap, mem.ifmap_words, Some(ifmap_domain)),
-            ifmap_repeat: RepeatLookup::new(mem.sram_row_words, mem.sram_row_buffers),
-            filter: ReadPlanner::new(OperandKind::Filter, mem.filter_words, Some(filter_domain)),
-            filter_repeat: RepeatLookup::new(mem.sram_row_words, mem.sram_row_buffers),
-            ofmap: WritePlanner::new(mem.ofmap_words, Some(ofmap_domain)),
-            ofmap_repeat: RepeatLookup::new(mem.sram_row_words, mem.sram_row_buffers),
+        let mut ifmap = ReadPlanner::new(OperandKind::Ifmap, mem.ifmap_words);
+        let mut filter = ReadPlanner::new(OperandKind::Filter, mem.filter_words);
+        let mut ofmap = WritePlanner::new(mem.ofmap_words);
+        let [mut ifmap_repeat, mut filter_repeat, mut ofmap_repeat] =
+            [(); 3].map(|()| RepeatLookup::new(mem.sram_row_words, mem.sram_row_buffers));
+        for fold in gen.folds() {
+            let at = |edge: &EdgeStream| fold.start + edge.start;
+            ifmap.observe(fold.ifmap.tile, at(&fold.ifmap), &fold.ifmap.stream);
+            ifmap_repeat.walk(&fold.ifmap.stream, 1);
+            filter.observe(fold.filter.tile, at(&fold.filter), &fold.filter.stream);
+            filter_repeat.walk(&fold.filter.stream, 1);
+            let (ofmap_at, rmw) = (at(&fold.ofmap), fold.accumulate);
+            ofmap.observe(fold.ofmap.tile, ofmap_at, &fold.ofmap.stream, rmw);
+            ofmap_repeat.walk(&fold.ofmap.stream, if rmw { 2 } else { 1 });
+        }
+
+        let geom = gen.geometry();
+        let summary = gen.summary();
+        let cycles = summary.cycles;
+        let pes = self.config.array.num_pes() as u64;
+        let per_pe_cycle = |count: u64| match cycles {
+            0 => 0.0,
+            _ => count as f64 / (pes * cycles) as f64,
         };
-        gen.run(&mut pass);
-        self.assemble(gemm, pass)
+        PlannedLayer {
+            inputs: TimingInputs {
+                ifmap: ifmap.finish(),
+                filter: filter.finish(),
+                ofmap: ofmap.finish(),
+                compute_cycles: cycles,
+            },
+            summary,
+            compute: ComputeSummary {
+                total_compute_cycles: cycles,
+                folds: geom.num_folds() as u64,
+                macs: summary.macs,
+                utilization: per_pe_cycle(summary.macs),
+                mapping_efficiency: per_pe_cycle(geom.total_active_pe_cycles()),
+            },
+            sram: SramSummary {
+                ifmap_reads: summary.ifmap_reads,
+                filter_reads: summary.filter_reads,
+                ofmap_reads: summary.ofmap_reads,
+                ofmap_writes: summary.ofmap_writes,
+                ifmap_repeat_reads: ifmap_repeat.repeats,
+                filter_repeat_reads: filter_repeat.repeats,
+                ofmap_repeat_accesses: ofmap_repeat.repeats,
+            },
+        }
     }
 
     /// Plans through the attached [`PlanCache`] when one is present,
@@ -935,6 +878,27 @@ mod tests {
         cache.clear();
         assert_eq!(cache.resident_bytes(), 0);
         assert_eq!(cache.evictions(), stats.evictions, "clear is not eviction");
+    }
+
+    #[test]
+    fn resident_bytes_follow_folds_not_words() {
+        // The same 8×8 grid of folds, each streaming 16× the words.
+        for df in Dataflow::ALL {
+            let (short, long) = match df {
+                Dataflow::OutputStationary => ((64, 64, 16), (64, 64, 256)),
+                Dataflow::WeightStationary => ((16, 64, 64), (256, 64, 64)),
+                Dataflow::InputStationary => ((64, 16, 64), (64, 256, 64)),
+            };
+            let plan = |(m, n, k)| sim(df).plan_gemm(GemmShape::new(m, n, k));
+            let (short, long) = (plan(short), plan(long));
+            assert_eq!(short.compute.folds, long.compute.folds, "{df}");
+            assert_eq!(long.summary.macs, 16 * short.summary.macs, "{df}");
+            let (small, large) = (short.resident_bytes(), long.resident_bytes());
+            assert!(
+                small <= large && large <= 2 * small,
+                "{df}: {small} B for the short streams, {large} B for the long ones"
+            );
+        }
     }
 
     #[test]

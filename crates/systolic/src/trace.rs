@@ -1,12 +1,14 @@
 //! DRAM transaction traces.
 //!
 //! A trace is the sequence of backing-store transactions (reads/writes of
-//! word-address batches) issued by the scratchpad prefetch/drain machinery,
-//! with issue and completion timestamps. Traces feed the DRAM simulator
-//! (SCALE-Sim v3 §V-B step 1 → step 2) and can be exported in the
-//! `cycle, address, r/w` format the paper describes.
+//! word batches) issued by the scratchpad prefetch/drain machinery, with
+//! issue and completion timestamps. Traces feed the DRAM simulator
+//! (SCALE-Sim v3 §V-B step 1 → step 2). A transaction's words are kept as
+//! the stream segments the plan holds; [`TraceRecorder::batch_of`] hands
+//! them back for the one consumer that needs addresses to expand.
 
-use crate::operand::{Addr, OperandKind};
+use crate::demand::{Batch, Segment};
+use crate::operand::OperandKind;
 
 /// Transaction direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -17,10 +19,10 @@ pub enum AccessKind {
     Write,
 }
 
-/// One backing-store transaction covering a batch of word addresses.
+/// One backing-store transaction covering a batch of words.
 ///
-/// Addresses are stored in a shared arena inside [`TraceRecorder`]; an entry
-/// holds the `(offset, len)` range.
+/// The batch's segments are stored in a shared arena inside
+/// [`TraceRecorder`]; an entry holds their range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Cycle the transaction was issued.
@@ -31,16 +33,18 @@ pub struct TraceEntry {
     pub operand: OperandKind,
     /// Read or write.
     pub kind: AccessKind,
-    /// Offset of the first address in the recorder's arena.
-    pub offset: usize,
     /// Number of words transferred.
     pub len: usize,
+    /// Range of the batch's segments in the recorder's arena.
+    segments: (usize, usize),
+    /// Whether the batch moves in ascending address order.
+    ascending: bool,
 }
 
-/// Collects trace entries and their addresses.
+/// Collects trace entries and their word batches.
 #[derive(Debug, Clone, Default)]
 pub struct TraceRecorder {
-    addrs: Vec<Addr>,
+    segments: Vec<Segment>,
     entries: Vec<TraceEntry>,
 }
 
@@ -57,17 +61,18 @@ impl TraceRecorder {
         completion: u64,
         operand: OperandKind,
         kind: AccessKind,
-        addrs: &[Addr],
+        batch: Batch<'_>,
     ) {
-        let offset = self.addrs.len();
-        self.addrs.extend_from_slice(addrs);
+        let offset = self.segments.len();
+        self.segments.extend_from_slice(batch.segments);
         self.entries.push(TraceEntry {
             issue,
             completion,
             operand,
             kind,
-            offset,
-            len: addrs.len(),
+            len: batch.words() as usize,
+            segments: (offset, self.segments.len()),
+            ascending: batch.ascending,
         });
     }
 
@@ -76,79 +81,47 @@ impl TraceRecorder {
         &self.entries
     }
 
-    /// The addresses of one entry.
-    pub fn addrs_of(&self, entry: &TraceEntry) -> &[Addr] {
-        &self.addrs[entry.offset..entry.offset + entry.len]
-    }
-
-    /// Total words read, per all read entries.
-    pub fn words_read(&self) -> u64 {
-        self.entries
-            .iter()
-            .filter(|e| e.kind == AccessKind::Read)
-            .map(|e| e.len as u64)
-            .sum()
-    }
-
-    /// Total words written.
-    pub fn words_written(&self) -> u64 {
-        self.entries
-            .iter()
-            .filter(|e| e.kind == AccessKind::Write)
-            .map(|e| e.len as u64)
-            .sum()
-    }
-
-    /// Renders the trace in SCALE-Sim's `cycle, addr, addr, …` CSV format,
-    /// one row per transaction.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        for e in &self.entries {
-            out.push_str(&e.issue.to_string());
-            for a in self.addrs_of(e) {
-                out.push_str(&format!(", {a}"));
-            }
-            out.push('\n');
+    /// The words of one entry.
+    pub fn batch_of(&self, entry: &TraceEntry) -> Batch<'_> {
+        Batch {
+            segments: &self.segments[entry.segments.0..entry.segments.1],
+            ascending: entry.ascending,
         }
-        out
-    }
-
-    /// Flattens the trace into `(issue_cycle, addr, kind)` word-granular
-    /// requests, the form consumed by the DRAM simulator.
-    pub fn word_requests(&self) -> impl Iterator<Item = (u64, Addr, AccessKind)> + '_ {
-        self.entries
-            .iter()
-            .flat_map(|e| self.addrs_of(e).iter().map(move |&a| (e.issue, a, e.kind)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::demand::Stream;
+
+    fn run(base: u64, words: usize) -> [Segment; 1] {
+        [Segment::whole(Stream::contiguous(base, words))]
+    }
 
     #[test]
     fn record_and_read_back() {
         let mut tr = TraceRecorder::new();
-        tr.record(0, 3, OperandKind::Ifmap, AccessKind::Read, &[1, 2, 3]);
-        tr.record(5, 9, OperandKind::Ofmap, AccessKind::Write, &[10, 11]);
+        tr.record(
+            0,
+            3,
+            OperandKind::Ifmap,
+            AccessKind::Read,
+            Batch::new(&run(1, 3)),
+        );
+        tr.record(
+            5,
+            9,
+            OperandKind::Ofmap,
+            AccessKind::Write,
+            Batch::new(&run(10, 2)),
+        );
         assert_eq!(tr.entries().len(), 2);
-        assert_eq!(tr.addrs_of(&tr.entries()[0]), &[1, 2, 3]);
-        assert_eq!(tr.words_read(), 3);
-        assert_eq!(tr.words_written(), 2);
-    }
-
-    #[test]
-    fn csv_format() {
-        let mut tr = TraceRecorder::new();
-        tr.record(7, 8, OperandKind::Filter, AccessKind::Read, &[42, 43]);
-        assert_eq!(tr.to_csv(), "7, 42, 43\n");
-    }
-
-    #[test]
-    fn word_requests_flatten() {
-        let mut tr = TraceRecorder::new();
-        tr.record(1, 2, OperandKind::Ifmap, AccessKind::Read, &[5, 6]);
-        let v: Vec<_> = tr.word_requests().collect();
-        assert_eq!(v, vec![(1, 5, AccessKind::Read), (1, 6, AccessKind::Read)]);
+        let mut addrs = Vec::new();
+        tr.batch_of(&tr.entries()[0]).expand_into(&mut addrs);
+        assert_eq!(addrs, [1, 2, 3]);
+        tr.batch_of(&tr.entries()[1]).expand_into(&mut addrs);
+        assert_eq!(addrs, [10, 11]);
+        assert_eq!(tr.entries()[1].len, 2);
     }
 }

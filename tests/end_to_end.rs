@@ -105,6 +105,40 @@ fn analytical_vs_cycle_accurate_agreement() {
 }
 
 #[test]
+fn llm_decode_goldens_hold_the_closed_form_compute_cycles() {
+    use scale_sim::systolic::AnalyticalModel;
+    // The decode goldens are far too long to re-simulate in a debug test
+    // (CI's llm-smoke job diffs the real runs); their compute columns,
+    // though, must equal the closed form layer by layer.
+    let core = ScaleSimConfig::default().core;
+    for (workload, golden) in [
+        (
+            "llama-7b:decode",
+            include_str!("golden/llm_llama7b_decode.COMPUTE_REPORT.csv"),
+        ),
+        (
+            "llama-70b:decode",
+            include_str!("golden/llm_llama70b_decode.COMPUTE_REPORT.csv"),
+        ),
+    ] {
+        let topology = workloads::by_name(workload).unwrap();
+        let rows: Vec<&str> = golden.lines().skip(1).collect();
+        assert_eq!(rows.len(), topology.layers().len(), "{workload}: rows");
+        for (row, layer) in rows.iter().zip(topology.layers()) {
+            let mut cells = row.split(", ");
+            assert_eq!(cells.next(), Some(layer.name()), "{workload}");
+            let model = AnalyticalModel::new(core.array, core.dataflow, layer.gemm());
+            assert_eq!(
+                cells.next().unwrap().parse(),
+                Ok(model.exact_runtime_cycles()),
+                "{workload} {}: ComputeCycles",
+                layer.name()
+            );
+        }
+    }
+}
+
+#[test]
 fn multicore_speedup_and_work_conservation() {
     use scale_sim::multicore::{L2Config, PartitionGrid, PartitionScheme};
     let gemm = GemmShape::new(256, 256, 128);

@@ -26,8 +26,10 @@ use scale_sim::sparse::{
     SparseFormat, SparsityPattern,
 };
 use scale_sim::systolic::{
-    AnalyticalModel, ArrayShape, CoreSim, Dataflow, DemandGenerator, DemandSummary, GemmShape,
-    IdealBandwidthStore, MemoryConfig, PlanCache, SimConfig,
+    timing, AccessKind as Direction, Addr, AnalyticalModel, ArrayShape, CoreSim, CycleDemand,
+    Dataflow, DemandGenerator, DemandSink, DemandSummary, GemmShape, IdealBandwidthStore,
+    MemoryConfig, MemorySummary, OperandKind, OperandMemoryStats, PlanCache, RecordingStore,
+    SimConfig, SramSummary,
 };
 use scale_sim::{ScaleSim, ScaleSimConfig};
 use std::collections::{HashMap, HashSet};
@@ -85,14 +87,18 @@ fn check(name: &str, cases: u64, property: impl Fn(&mut SplitMix64)) {
 // ---------------------------------------------------------------------------
 
 /// One (array, dataflow, GEMM, SRAM, bandwidth) draw. The pools are
-/// weighted towards the edges: 1×1 arrays, single-element dimensions,
-/// dimensions that divide the array exactly, and scratchpads at the
-/// smallest size the configuration accepts.
+/// weighted towards the edges: 1×1 and 1×C arrays, single-element
+/// dimensions (M = 1 skinny GEMMs), dimensions that divide the array
+/// exactly and ragged ones, K spanning three or more row folds, SRAM rows
+/// that are not a power of two, and — per operand — a scratchpad drawn
+/// against that operand's own size so that it fits in half a buffer, sits
+/// between half and full, or thrashes (down to the smallest size the
+/// configuration accepts).
 fn draw_core(rng: &mut SplitMix64) -> (SimConfig, GemmShape) {
-    let (rows, cols) = if rng.chance(6) {
-        (1, 1)
-    } else {
-        (rng.range(1, 9), rng.range(1, 9))
+    let (rows, cols) = match rng.range(0, 6) {
+        0 => (1, 1),
+        1 => (1, rng.range(2, 9)),
+        _ => (rng.range(1, 9), rng.range(1, 9)),
     };
     let divides = rng.chance(3);
     let dim = |rng: &mut SplitMix64| {
@@ -104,29 +110,51 @@ fn draw_core(rng: &mut SplitMix64) -> (SimConfig, GemmShape) {
             rng.range(1, 49)
         }
     };
-    let gemm = GemmShape::new(dim(rng), dim(rng), dim(rng));
+    let (m, n, mut k) = (dim(rng), dim(rng), dim(rng));
+    if rng.chance(3) {
+        // At least three K folds under WS/IS, the last one ragged.
+        k = rows * rng.range(2, 6) + rng.range(1, rows + 1);
+    }
+    let gemm = GemmShape::new(m, n, k);
     let mut config = SimConfig::builder()
         .array(ArrayShape::new(rows, cols))
         .dataflow(rng.pick(&Dataflow::ALL))
         .build();
-    config.memory = if rng.chance(2) {
-        let min_words = 2 * rows.max(cols);
-        let words = |rng: &mut SplitMix64| min_words * rng.range(1, 5);
-        MemoryConfig {
-            ifmap_words: words(rng),
-            filter_words: words(rng),
-            ofmap_words: words(rng),
-            ..MemoryConfig::from_kilobytes(1, 1, 1, 2)
-        }
-    } else {
-        MemoryConfig::from_kilobytes(rng.range(1, 5), rng.range(1, 5), rng.range(1, 5), 2)
+    let min_words = 2 * rows.max(cols);
+    let words = |rng: &mut SplitMix64, operand: usize| {
+        let words = match rng.range(0, 4) {
+            0 => 2 * operand + rng.range(0, 64),
+            1 => operand + rng.range(0, operand),
+            2 => operand / rng.range(2, 6),
+            _ => min_words * rng.range(1, 5),
+        };
+        words.max(min_words)
+    };
+    config.memory = MemoryConfig {
+        ifmap_words: words(rng, m * k),
+        filter_words: words(rng, k * n),
+        ofmap_words: words(rng, m * n),
+        sram_row_words: rng.pick(&[16, 16, 4, 3, 5, 12]),
+        sram_row_buffers: rng.pick(&[64, 64, 1, 2, 8]),
+        ..MemoryConfig::from_kilobytes(1, 1, 1, 2)
     };
     config.memory.dram_bandwidth = rng.pick(&[1.0, 2.0, 4.0, 10.0, 64.0]);
     (config, gemm)
 }
 
 fn describe(config: &SimConfig, gemm: GemmShape) -> String {
-    format!("{} {} {gemm:?}", config.array, config.dataflow)
+    let mem = &config.memory;
+    format!(
+        "{} {} {gemm:?} sram {}/{}/{} rows {}x{} bw {}",
+        config.array,
+        config.dataflow,
+        mem.ifmap_words,
+        mem.filter_words,
+        mem.ofmap_words,
+        mem.sram_row_words,
+        mem.sram_row_buffers,
+        mem.dram_bandwidth
+    )
 }
 
 #[test]
@@ -261,6 +289,469 @@ fn more_sram_never_adds_dram_traffic() {
         assert!(big_traffic.0 <= small_traffic.0, "{what}: reads");
         assert!(big_traffic.1 <= small_traffic.1, "{what}: writes");
     });
+}
+
+// ---------------------------------------------------------------------------
+// crates/systolic: the fold-granular planner against a per-address reference
+// ---------------------------------------------------------------------------
+
+/// The per-address planner and timing pass the fold-granular ones
+/// replaced, kept as the reference: one map lookup per array-edge word,
+/// one `Vec<Addr>` entry per fetched word, one event per cycle.
+mod reference {
+    use super::*;
+
+    /// `(issue, completion, operand, direction, addresses)`.
+    pub type Transaction = (u64, u64, OperandKind, Direction, Vec<Addr>);
+
+    /// Fixed words/cycle per interface, recording every transaction.
+    pub struct Store {
+        bandwidth: f64,
+        busy_until: [u64; 4],
+        pub transactions: Vec<Transaction>,
+    }
+
+    impl Store {
+        pub fn new(bandwidth: f64) -> Self {
+            Store {
+                bandwidth,
+                busy_until: [0; 4],
+                transactions: Vec::new(),
+            }
+        }
+
+        fn transfer(
+            &mut self,
+            op: OperandKind,
+            kind: Direction,
+            earliest: u64,
+            addrs: &[Addr],
+        ) -> u64 {
+            let lane = match (op, kind) {
+                (OperandKind::Ifmap, _) => 0,
+                (OperandKind::Filter, _) => 1,
+                (OperandKind::Ofmap, Direction::Read) => 2,
+                (OperandKind::Ofmap, Direction::Write) => 3,
+            };
+            let start = earliest.max(self.busy_until[lane]);
+            let dur = (addrs.len() as f64 / self.bandwidth).ceil() as u64;
+            let done = start + dur.max(u64::from(!addrs.is_empty()));
+            self.busy_until[lane] = done;
+            self.transactions
+                .push((earliest, done, op, kind, addrs.to_vec()));
+            done
+        }
+
+        fn fetch(&mut self, op: OperandKind, earliest: u64, addrs: &[Addr]) -> u64 {
+            self.transfer(op, Direction::Read, earliest, addrs)
+        }
+
+        fn drain(&mut self, op: OperandKind, earliest: u64, addrs: &[Addr]) -> u64 {
+            self.transfer(op, Direction::Write, earliest, addrs)
+        }
+    }
+
+    pub struct ReadPlanner {
+        op: OperandKind,
+        half_words: usize,
+        last_fetch_idx: HashMap<Addr, usize>,
+        fetch_seq: Vec<Addr>,
+        needs: Vec<(u64, usize)>,
+        max_needed: Option<usize>,
+        resident_min: usize,
+        unique_words: u64,
+        refetch_words: u64,
+        total_reads: u64,
+    }
+
+    impl ReadPlanner {
+        pub fn new(op: OperandKind, capacity_words: usize) -> Self {
+            ReadPlanner {
+                op,
+                half_words: (capacity_words / 2).max(1),
+                last_fetch_idx: HashMap::new(),
+                fetch_seq: Vec::new(),
+                needs: Vec::new(),
+                max_needed: None,
+                resident_min: 0,
+                unique_words: 0,
+                refetch_words: 0,
+                total_reads: 0,
+            }
+        }
+
+        pub fn observe(&mut self, cycle: u64, addrs: &[Addr]) {
+            self.total_reads += addrs.len() as u64;
+            let mut new_max = None::<usize>;
+            for &a in addrs {
+                let idx = match self.last_fetch_idx.get(&a) {
+                    Some(&idx) if idx >= self.resident_min => idx,
+                    hit => {
+                        if hit.is_some() {
+                            self.refetch_words += 1;
+                        } else {
+                            self.unique_words += 1;
+                        }
+                        let idx = self.fetch_seq.len();
+                        self.fetch_seq.push(a);
+                        self.last_fetch_idx.insert(a, idx);
+                        idx
+                    }
+                };
+                if self.max_needed.is_none_or(|m| idx > m) {
+                    self.max_needed = Some(idx);
+                    let chunk = idx / self.half_words;
+                    self.resident_min = chunk.saturating_sub(1) * self.half_words;
+                    new_max = Some(idx);
+                }
+            }
+            if let Some(idx) = new_max {
+                self.needs.push((cycle, idx));
+            }
+        }
+
+        fn num_chunks(&self) -> usize {
+            self.fetch_seq.len().div_ceil(self.half_words)
+        }
+
+        fn chunk(&self, j: usize) -> &[Addr] {
+            let lo = j * self.half_words;
+            let hi = ((j + 1) * self.half_words).min(self.fetch_seq.len());
+            &self.fetch_seq[lo..hi]
+        }
+
+        fn stats(&self) -> OperandMemoryStats {
+            OperandMemoryStats {
+                sram_reads: self.total_reads,
+                sram_writes: self.unique_words + self.refetch_words,
+                dram_reads: self.fetch_seq.len() as u64,
+                dram_writes: 0,
+                unique_words: self.unique_words,
+                refetch_words: self.refetch_words,
+            }
+        }
+    }
+
+    /// Write-back FIFO ring: the n-th insertion lands in slot
+    /// `n % capacity`, evicting whatever the slot held.
+    pub struct WritePlanner {
+        capacity_words: usize,
+        half_words: usize,
+        resident: HashMap<Addr, usize>,
+        ring: Vec<Addr>,
+        next_slot: usize,
+        drain_events: Vec<(u64, u32)>,
+        drain_addrs: Vec<Addr>,
+        miss_events: Vec<(u64, u32)>,
+        miss_addrs: Vec<Addr>,
+        write_hits: u64,
+        write_misses: u64,
+        read_hits: u64,
+        read_misses: u64,
+    }
+
+    impl WritePlanner {
+        pub fn new(capacity_words: usize) -> Self {
+            WritePlanner {
+                capacity_words,
+                half_words: (capacity_words / 2).max(1),
+                resident: HashMap::new(),
+                ring: vec![Addr::MAX; capacity_words],
+                next_slot: 0,
+                drain_events: Vec::new(),
+                drain_addrs: Vec::new(),
+                miss_events: Vec::new(),
+                miss_addrs: Vec::new(),
+                write_hits: 0,
+                write_misses: 0,
+                read_hits: 0,
+                read_misses: 0,
+            }
+        }
+
+        fn insert(&mut self, cycle: u64, addr: Addr) {
+            let slot = self.next_slot;
+            self.next_slot = (self.next_slot + 1) % self.capacity_words;
+            let old = self.ring[slot];
+            if old != Addr::MAX {
+                self.resident.remove(&old);
+                self.drain_addrs.push(old);
+                match self.drain_events.last_mut() {
+                    Some((c, n)) if *c == cycle => *n += 1,
+                    _ => self.drain_events.push((cycle, 1)),
+                }
+            }
+            self.ring[slot] = addr;
+            self.resident.insert(addr, slot);
+        }
+
+        pub fn observe(&mut self, cycle: u64, reads: &[Addr], writes: &[Addr]) {
+            for &a in reads {
+                if self.resident.contains_key(&a) {
+                    self.read_hits += 1;
+                } else {
+                    self.read_misses += 1;
+                    self.miss_addrs.push(a);
+                    match self.miss_events.last_mut() {
+                        Some((c, n)) if *c == cycle => *n += 1,
+                        _ => self.miss_events.push((cycle, 1)),
+                    }
+                    self.insert(cycle, a);
+                }
+            }
+            for &a in writes {
+                if self.resident.contains_key(&a) {
+                    self.write_hits += 1;
+                } else {
+                    self.write_misses += 1;
+                    self.insert(cycle, a);
+                }
+            }
+        }
+
+        fn flush_addrs(&self) -> Vec<Addr> {
+            let mut flush: Vec<Addr> = (self.ring.iter().copied())
+                .filter(|&a| a != Addr::MAX)
+                .collect();
+            flush.sort_unstable();
+            flush
+        }
+    }
+
+    /// Open-row lookup: one probe per access, in access order.
+    pub struct RepeatLookup {
+        row_words: u64,
+        open_rows: Vec<u64>,
+        pub repeats: u64,
+    }
+
+    impl RepeatLookup {
+        pub fn new(row_words: usize, row_buffers: usize) -> Self {
+            RepeatLookup {
+                row_words: row_words.max(1) as u64,
+                open_rows: vec![u64::MAX; row_buffers.max(1).next_power_of_two()],
+                repeats: 0,
+            }
+        }
+
+        pub fn access(&mut self, addr: Addr) {
+            let row = addr / self.row_words;
+            let slot = (row % self.open_rows.len() as u64) as usize;
+            if self.open_rows[slot] == row {
+                self.repeats += 1;
+            } else {
+                self.open_rows[slot] = row;
+            }
+        }
+    }
+
+    /// One pass over the per-cycle demand driving all of the above.
+    pub struct Pass {
+        pub summary: DemandSummary,
+        pub ifmap: ReadPlanner,
+        pub filter: ReadPlanner,
+        pub ofmap: WritePlanner,
+        pub repeats: [RepeatLookup; 3],
+    }
+
+    impl Pass {
+        pub fn new(memory: &MemoryConfig) -> Self {
+            let lookup = || RepeatLookup::new(memory.sram_row_words, memory.sram_row_buffers);
+            Pass {
+                summary: DemandSummary::default(),
+                ifmap: ReadPlanner::new(OperandKind::Ifmap, memory.ifmap_words),
+                filter: ReadPlanner::new(OperandKind::Filter, memory.filter_words),
+                ofmap: WritePlanner::new(memory.ofmap_words),
+                repeats: [lookup(), lookup(), lookup()],
+            }
+        }
+
+        pub fn sram(&self) -> SramSummary {
+            SramSummary {
+                ifmap_reads: self.summary.ifmap_reads,
+                filter_reads: self.summary.filter_reads,
+                ofmap_reads: self.summary.ofmap_reads,
+                ofmap_writes: self.summary.ofmap_writes,
+                ifmap_repeat_reads: self.repeats[0].repeats,
+                filter_repeat_reads: self.repeats[1].repeats,
+                ofmap_repeat_accesses: self.repeats[2].repeats,
+            }
+        }
+    }
+
+    impl DemandSink for Pass {
+        fn on_cycle(&mut self, d: &CycleDemand) {
+            self.summary.absorb(d);
+            let [ifmap, filter, ofmap] = &mut self.repeats;
+            d.ifmap_reads.iter().for_each(|&a| ifmap.access(a));
+            d.filter_reads.iter().for_each(|&a| filter.access(a));
+            (d.ofmap_reads.iter().chain(&d.ofmap_writes)).for_each(|&a| ofmap.access(a));
+            self.ifmap.observe(d.cycle, &d.ifmap_reads);
+            self.filter.observe(d.cycle, &d.filter_reads);
+            self.ofmap.observe(d.cycle, &d.ofmap_reads, &d.ofmap_writes);
+        }
+    }
+
+    /// Chunks `0..=target` of `plan` scheduled, one after the other.
+    fn issue_through(
+        plan: &ReadPlanner,
+        completion: &mut Vec<u64>,
+        store: &mut Store,
+        target: usize,
+        now: u64,
+    ) {
+        while completion.len() <= target && completion.len() < plan.num_chunks() {
+            let earliest = completion.last().copied().unwrap_or(0).max(now);
+            let done = store.fetch(plan.op, earliest, plan.chunk(completion.len()));
+            completion.push(done);
+        }
+    }
+
+    /// Replays one event per (cycle, source) against `store`.
+    pub fn timing(pass: &Pass, store: &mut Store) -> MemorySummary {
+        #[derive(Clone, Copy)]
+        enum Ev {
+            NeedIf(usize),
+            NeedFil(usize),
+            Miss(u32),
+            Drain(u32),
+        }
+        let (ifmap, filter, ofmap) = (&pass.ifmap, &pass.filter, &pass.ofmap);
+        let (mut if_done, mut fil_done) = (Vec::new(), Vec::new());
+        issue_through(ifmap, &mut if_done, store, 1, 0);
+        issue_through(filter, &mut fil_done, store, 1, 0);
+        let first = |done: &Vec<u64>| done.first().copied().unwrap_or(0);
+        let t0 = first(&if_done).max(first(&fil_done));
+
+        // Misses sort before drains at the same cycle (a miss can trigger
+        // the eviction).
+        let mut events: Vec<(u64, u8, Ev)> = Vec::new();
+        events.extend(ifmap.needs.iter().map(|&(c, i)| (c, 0, Ev::NeedIf(i))));
+        events.extend(filter.needs.iter().map(|&(c, i)| (c, 1, Ev::NeedFil(i))));
+        events.extend(ofmap.miss_events.iter().map(|&(c, n)| (c, 2, Ev::Miss(n))));
+        events.extend(
+            ofmap
+                .drain_events
+                .iter()
+                .map(|&(c, n)| (c, 3, Ev::Drain(n))),
+        );
+        events.sort_by_key(|&(c, tie, _)| (c, tie));
+
+        let mut stall: u64 = 0;
+        let (mut drain_cursor, mut miss_cursor) = (0usize, 0usize);
+        let mut drain_backlog: u32 = 0;
+        let mut pending_drain_done: u64 = 0;
+        let half = ofmap.half_words;
+        for &(cycle, _, ev) in &events {
+            let now = t0 + cycle + stall;
+            match ev {
+                Ev::NeedIf(idx) => {
+                    let j = idx / ifmap.half_words;
+                    issue_through(ifmap, &mut if_done, store, j + 1, now);
+                    stall += if_done[j].saturating_sub(now);
+                }
+                Ev::NeedFil(idx) => {
+                    let j = idx / filter.half_words;
+                    issue_through(filter, &mut fil_done, store, j + 1, now);
+                    stall += fil_done[j].saturating_sub(now);
+                }
+                Ev::Miss(n) => {
+                    let lo = miss_cursor;
+                    miss_cursor += n as usize;
+                    let done =
+                        store.fetch(OperandKind::Ofmap, now, &ofmap.miss_addrs[lo..miss_cursor]);
+                    stall += done.saturating_sub(now);
+                }
+                Ev::Drain(n) => {
+                    drain_backlog += n;
+                    while drain_backlog as usize >= half {
+                        let now = t0 + cycle + stall;
+                        stall += pending_drain_done.saturating_sub(now);
+                        let start = t0 + cycle + stall;
+                        let lo = drain_cursor;
+                        drain_cursor += half;
+                        pending_drain_done = store.drain(
+                            OperandKind::Ofmap,
+                            start,
+                            &ofmap.drain_addrs[lo..drain_cursor],
+                        );
+                        drain_backlog -= half as u32;
+                    }
+                }
+            }
+        }
+
+        let compute_cycles = pass.summary.cycles;
+        let compute_end = t0 + compute_cycles + stall;
+        let mut tail_end = compute_end.max(pending_drain_done);
+        let flush = ofmap.flush_addrs();
+        for addrs in [&ofmap.drain_addrs[drain_cursor..], &flush[..]] {
+            if !addrs.is_empty() {
+                tail_end = store
+                    .drain(OperandKind::Ofmap, tail_end, addrs)
+                    .max(tail_end);
+            }
+        }
+        MemorySummary {
+            ramp_up_cycles: t0,
+            stall_cycles: stall,
+            drain_tail_cycles: tail_end - compute_end,
+            compute_cycles,
+            total_cycles: tail_end,
+            ifmap: ifmap.stats(),
+            filter: filter.stats(),
+            ofmap: OperandMemoryStats {
+                sram_reads: ofmap.read_hits + ofmap.read_misses,
+                sram_writes: ofmap.write_hits + ofmap.write_misses,
+                dram_reads: ofmap.read_misses,
+                dram_writes: (ofmap.drain_addrs.len() + flush.len()) as u64,
+                unique_words: ofmap.write_misses,
+                refetch_words: ofmap.read_misses,
+            },
+        }
+    }
+}
+
+#[test]
+fn fold_granular_plan_equals_the_per_address_reference() {
+    check(
+        "fold_granular_plan_equals_the_per_address_reference",
+        400,
+        |rng| {
+            let (config, gemm) = draw_core(rng);
+            let what = describe(&config, gemm);
+            let bandwidth = config.memory.dram_bandwidth;
+
+            let mut pass = reference::Pass::new(&config.memory);
+            DemandGenerator::new(config.array, config.dataflow, gemm).run(&mut pass);
+            let mut store = reference::Store::new(bandwidth);
+            let want = reference::timing(&pass, &mut store);
+
+            let plan = CoreSim::new(config.clone()).plan_gemm(gemm);
+            let mut recorder = RecordingStore::new(IdealBandwidthStore::new(bandwidth));
+            let got = timing(&plan.inputs, &mut recorder);
+
+            assert_eq!(got, want, "{what}: memory summary");
+            assert_eq!(plan.sram, pass.sram(), "{what}: SRAM summary");
+            let trace = recorder.trace();
+            let (entries, transactions) = (trace.entries(), &store.transactions);
+            assert_eq!(entries.len(), transactions.len(), "{what}: transactions");
+            let mut addrs = Vec::new();
+            for (i, (entry, want)) in entries.iter().zip(transactions).enumerate() {
+                trace.batch_of(entry).expand_into(&mut addrs);
+                let got = (
+                    entry.issue,
+                    entry.completion,
+                    entry.operand,
+                    entry.kind,
+                    std::mem::take(&mut addrs),
+                );
+                assert_eq!(&got, want, "{what}: transaction {i}");
+                assert_eq!(entry.len, want.4.len(), "{what}: transaction {i} words");
+                addrs = got.4;
+            }
+        },
+    );
 }
 
 // ---------------------------------------------------------------------------
