@@ -2,24 +2,28 @@
 //!
 //! * **Step 1** — the systolic timing pass runs against ideal memory with a
 //!   [`RecordingStore`], producing the demand trace (request cycle, word
-//!   addresses, direction) exactly as the paper describes.
-//! * **Step 2** — [`dram_analysis`] coalesces words into burst-aligned line
-//!   requests, converts core cycles to memory cycles and replays them
-//!   through the cycle-accurate DRAM model, yielding per-request
-//!   round-trip latencies and memory statistics (throughput, row-buffer
-//!   behaviour), with finite-queue back-pressure included.
-//! * **Step 3** — [`LatencyReplayStore`] feeds those measured latencies
-//!   back into a second systolic timing pass: the same deterministic
-//!   sequence of prefetch/drain transactions now completes after its
-//!   measured DRAM delay, producing the stall-aware end-to-end cycles.
+//!   segments, direction) exactly as the paper describes.
+//! * **Step 2** — [`replay`] streams the trace through the cycle-accurate
+//!   DRAM model: transactions in memory-cycle order, each injected as one
+//!   request per distinct burst-aligned line it touches (derived from its
+//!   segments as line *ranges*, at the moment of injection), each
+//!   completion folded into its transaction's [`MeasuredTransaction`] as
+//!   it pops. Finite-queue back-pressure is included; memory is
+//!   O(transactions), not O(line requests).
+//! * **Step 3** — [`LatencyReplayStore`] feeds those measurements back into
+//!   a second systolic timing pass: the same deterministic sequence of
+//!   prefetch/drain transactions now completes after its measured DRAM
+//!   delay, producing the stall-aware end-to-end cycles. The pass must
+//!   consume exactly the transactions step 2 measured.
 
 use crate::config::DramIntegration;
 use scalesim_mem::{
-    replay_trace, AccessKind as MemAccess, DramConfig, DramEnergyBreakdown, MemStats, TraceRequest,
+    AccessKind as MemAccess, DramConfig, DramEnergyBreakdown, MemStats, Replay, ReplaySummary,
+    Retired, RowPolicy, SchedulingPolicy,
 };
 use scalesim_systolic::{
-    timing, AccessKind, BackingStore, Batch, IdealBandwidthStore, MemorySummary, OperandKind,
-    RecordingStore, TimingInputs, TraceRecorder,
+    timing, AccessKind, Addr, BackingStore, Batch, IdealBandwidthStore, MemorySummary, OperandKind,
+    RecordingStore, Segment, TimingInputs, TraceRecorder,
 };
 
 /// Results of steps 2 and 3.
@@ -123,49 +127,214 @@ impl BackingStore for LatencyReplayStore {
     }
 }
 
-/// Converts a word-granular trace into burst-aligned line requests,
-/// returning `(requests_sorted_by_cycle, entry_of_each_request)`. This is
-/// the one place a transaction's segments become addresses: each is
-/// expanded into a scratch buffer, coalesced to lines and forgotten.
-pub fn linearize(
+/// `⌈mem_cycles / ratio⌉`: memory-clock cycles in core-clock cycles.
+/// Runs once per line request, so it avoids `f64::ceil` (a library call
+/// on baseline x86-64) and converts through `i64`, which is one
+/// instruction where `u64` is a branchy sequence; the values agree for
+/// everything below 2^63.
+fn core_cycles(mem_cycles: u64, ratio: f64) -> u64 {
+    let Ok(signed) = i64::try_from(mem_cycles) else {
+        return (mem_cycles as f64 / ratio).ceil() as u64;
+    };
+    let exact = signed as f64 / ratio;
+    if !(0.0..9.0e18).contains(&exact) {
+        return exact.ceil() as u64;
+    }
+    let floor = exact as i64;
+    (floor + i64::from((floor as f64) < exact)) as u64
+}
+
+/// Calls `f(lowest address, words)` with runs of consecutive addresses
+/// that together hold exactly the segment's words, in no particular
+/// order: one run per lane when lanes walk their tile by ±1, one per
+/// element when neighbouring lanes sit ±1 apart, and one-word runs for
+/// a stream that is unit-stride in neither direction.
+fn for_each_run(segment: &Segment, mut f: impl FnMut(Addr, u64)) {
+    if segment.len == 0 {
+        return;
+    }
+    let s = segment.stream;
+    let (lanes, len, skew) = (s.lanes as u64, s.len as u64, u64::from(s.skewed));
+    let last = segment.from + segment.len - 1;
+    let (s0, s1) = (s.step_of(segment.from), s.step_of(last));
+    // The segment takes lanes `a..` of its first step `s0`, all of the
+    // steps between, and lanes `..=b` of its last step `s1`.
+    let first_lane = |step: u64| skew * step.saturating_sub(len - 1);
+    let a = first_lane(s0) + (segment.from - s.words_before(s0));
+    let b = first_lane(s1) + (last - s.words_before(s1));
+    let addr = |lane, elem| s.addr(lane, elem);
+    let unit = |stride: u64| stride == 1 || stride == u64::MAX;
+    // `lo..=hi` along a ±1 stride, as (lowest address, words).
+    let mut emit = |stride: u64, at_lo: Addr, at_hi: Addr, words: u64| {
+        f(if stride == 1 { at_lo } else { at_hi }, words)
+    };
+    if unit(s.step_stride) {
+        // Lane by lane: the steps `lo..=hi` the lane takes part in.
+        for lane in 0..lanes {
+            let offset = skew * lane;
+            let lo = s0.max(offset) + u64::from(s0 >= offset && lane < a);
+            let hi = s1.min(offset + len - 1) + 1 - u64::from(s1 < offset + len && lane > b);
+            if lo < hi {
+                let (lo, hi) = (lo - offset, hi - 1 - offset);
+                emit(s.step_stride, addr(lane, lo), addr(lane, hi), hi - lo + 1);
+            }
+        }
+    } else if unit(s.lane_stride) {
+        // Element by element: the lanes `lo..=hi` that reach it.
+        let elems = if s.skewed {
+            s0.saturating_sub(lanes - 1)..=s1.min(len - 1)
+        } else {
+            s0..=s1
+        };
+        for elem in elems {
+            let (lo, hi) = if s.skewed {
+                let lo = s0.saturating_sub(elem);
+                let hi = (lanes - 1).min(s1 - elem) + 1;
+                let skip_first = lo + elem == s0 && lo < a;
+                let skip_last = hi - 1 + elem == s1 && hi - 1 > b;
+                (lo + u64::from(skip_first), hi - u64::from(skip_last))
+            } else {
+                let lo = if elem == s0 { a } else { 0 };
+                (lo, if elem == s1 { b + 1 } else { lanes })
+            };
+            if lo < hi {
+                emit(s.lane_stride, addr(lo, elem), addr(hi - 1, elem), hi - lo);
+            }
+        }
+    } else {
+        segment.for_each(|addr| f(addr, 1));
+    }
+}
+
+/// The distinct burst-aligned lines a transaction touches, as sorted
+/// inclusive `(first, last)` line ranges (overlaps are left to the
+/// caller). A unit-stride run of words is a line range outright; only
+/// when a word is wider than a line do words have to be visited one by one.
+fn line_ranges(batch: Batch<'_>, bytes_per_word: u64, line_bytes: u64, out: &mut Vec<(u64, u64)>) {
+    out.clear();
+    // Bursts are a power of two bytes in every preset: shift, don't divide.
+    let shift = line_bytes
+        .is_power_of_two()
+        .then(|| line_bytes.trailing_zeros());
+    let line_of = |word: u64| match shift {
+        Some(shift) => (word * bytes_per_word) >> shift,
+        None => word * bytes_per_word / line_bytes,
+    };
+    for segment in batch.segments {
+        if bytes_per_word <= line_bytes {
+            for_each_run(segment, |first, words| {
+                out.push((line_of(first), line_of(first + words - 1)))
+            });
+        } else {
+            segment.for_each(|word| out.push((line_of(word), line_of(word))));
+        }
+    }
+    out.sort_unstable();
+}
+
+/// Step 2: replays `trace` through the DRAM system `cfg` describes, its
+/// controllers under the given policies, returning each transaction's
+/// measured figures (core cycles, trace order) and the replay's totals.
+///
+/// Transactions are injected in memory-cycle order (trace order within
+/// a cycle), each as one request per distinct burst-aligned line it
+/// touches, in ascending line order. Lines are derived from the
+/// transaction's segments as it is injected and every completion is
+/// folded into its transaction as it pops, so nothing here is sized by
+/// the number of line requests.
+pub fn replay(
     trace: &TraceRecorder,
     cfg: &DramIntegration,
     bytes_per_word: usize,
-) -> (Vec<TraceRequest>, Vec<usize>) {
+    scheduling: SchedulingPolicy,
+    row_policy: RowPolicy,
+) -> (Vec<MeasuredTransaction>, ReplaySummary) {
     let line_bytes = cfg.spec.org.burst_bytes() as u64;
     let ratio = cfg.mem_cycles_per_core_cycle;
-    let mut tagged: Vec<(TraceRequest, usize)> = Vec::new();
-    let mut lines: Vec<u64> = Vec::new();
-    for (entry_idx, e) in trace.entries().iter().enumerate() {
-        let mem_cycle = (e.issue as f64 * ratio) as u64;
+    let entries = trace.entries();
+    let mem_cycle = |entry: usize| (entries[entry].issue as f64 * ratio) as u64;
+    let mut order: Vec<usize> = (0..entries.len()).collect();
+    order.sort_by_key(|&entry| mem_cycle(entry));
+
+    // Per-transaction figures for the queue model. Until the replay ends
+    // `arrival` is the last line's completion in memory cycles (the
+    // conversion is monotone, so it commutes with the maximum) and
+    // `avg_service` the sum of the lines' service times (whole numbers
+    // below 2^53, so exact in any order).
+    let mut tx = vec![MeasuredTransaction::default(); entries.len()];
+    // Under load consecutive lines are served equally fast: remember the
+    // last conversion.
+    let mut converted = (0, 0);
+    let mut retire = |done: Retired| {
+        if done.service != converted.0 {
+            converted = (done.service, core_cycles(done.service, ratio));
+        }
+        let service = converted.1;
+        let t = &mut tx[done.tag];
+        t.arrival = t.arrival.max(done.cycle);
+        t.lines += 1;
+        t.max_service = t.max_service.max(service);
+        t.avg_service += service as f64;
+    };
+    let mut replay = Replay::new(DramConfig {
+        spec: cfg.spec,
+        channels: cfg.channels,
+        mapping: cfg.mapping,
+        read_queue: cfg.read_queue,
+        write_queue: cfg.write_queue,
+        scheduling,
+        row_policy,
+    });
+    let mut ranges = Vec::new();
+    for entry in order {
+        let e = &entries[entry];
         let kind = match e.kind {
             AccessKind::Read => MemAccess::Read,
             AccessKind::Write => MemAccess::Write,
         };
-        // One DRAM burst per *distinct* line touched by the transaction
-        // (the word order within a prefetch chunk interleaves operand
-        // rows, so dedup must be set-based, not run-based).
-        trace.batch_of(e).expand_into(&mut lines);
-        for word in &mut lines {
-            *word = *word * bytes_per_word as u64 / line_bytes;
-        }
-        lines.sort_unstable();
-        lines.dedup();
-        for &line in &lines {
-            tagged.push((
-                TraceRequest {
-                    cycle: mem_cycle,
-                    byte_addr: line * line_bytes,
-                    kind,
-                },
-                entry_idx,
-            ));
+        line_ranges(
+            trace.batch_of(e),
+            bytes_per_word as u64,
+            line_bytes,
+            &mut ranges,
+        );
+        let (cycle, mut next) = (mem_cycle(entry), 0);
+        for &(first, last) in &ranges {
+            for line in first.max(next)..=last {
+                replay.push(cycle, line * line_bytes, kind, entry, &mut retire);
+            }
+            next = next.max(last + 1);
         }
     }
-    tagged.sort_by_key(|(r, _)| r.cycle);
-    let entries = tagged.iter().map(|&(_, i)| i).collect();
-    let requests = tagged.into_iter().map(|(r, _)| r).collect();
-    (requests, entries)
+    let summary = replay.finish(&mut retire);
+    for t in tx.iter_mut().filter(|t| t.lines > 0) {
+        t.arrival = core_cycles(t.arrival, ratio);
+        t.avg_service /= t.lines as f64;
+    }
+    (tx, summary)
+}
+
+/// Step 3: the stall-aware timing pass over the measured transactions
+/// and the finite request queues.
+///
+/// # Panics
+///
+/// Panics if the pass does not consume exactly the transactions step 2
+/// measured — the two passes would then be pricing different traces.
+fn retime(
+    inputs: &TimingInputs,
+    transactions: Vec<MeasuredTransaction>,
+    cfg: &DramIntegration,
+) -> MemorySummary {
+    let measured = transactions.len();
+    let mut store = LatencyReplayStore::new(transactions, cfg.read_queue, cfg.write_queue);
+    let summary = timing(inputs, &mut store);
+    assert_eq!(
+        store.cursor, measured,
+        "step 3 asked for {} transactions, step 2 measured {measured}",
+        store.cursor
+    );
+    summary
 }
 
 /// Runs steps 1–3 for one planned layer.
@@ -183,57 +352,26 @@ pub fn dram_analysis(
     let mut recorder = RecordingStore::new(IdealBandwidthStore::new(bandwidth));
     let _v2_summary = timing(inputs, &mut recorder);
     let trace = recorder.into_trace();
-    let n_entries = trace.entries().len();
 
     // Step 2: replay through the DRAM simulator.
     let _span = scalesim_obs::span(scalesim_obs::Category::Dram, "re-time")
-        .arg("entries", n_entries as u64);
-    let (requests, entry_of) = linearize(&trace, cfg, bytes_per_word);
-    let dram_cfg = DramConfig {
-        spec: cfg.spec,
-        channels: cfg.channels,
-        mapping: cfg.mapping,
-        read_queue: cfg.read_queue,
-        write_queue: cfg.write_queue,
-        ..DramConfig::default()
-    };
-    let replay = replay_trace(dram_cfg, &requests);
-
-    // Scatter per-line measurements back to per-transaction figures
-    // (arrival = max line completion; service stats for the queue model),
-    // converted to core cycles.
-    let ratio = cfg.mem_cycles_per_core_cycle;
-    let mut tx = vec![MeasuredTransaction::default(); n_entries];
-    let mut service_sum = vec![0f64; n_entries];
-    for (slot, &entry) in entry_of.iter().enumerate() {
-        let done_mem = requests[slot].cycle + replay.latencies[slot];
-        let done_core = (done_mem as f64 / ratio).ceil() as u64;
-        let service_core = (replay.service_latencies[slot] as f64 / ratio).ceil() as u64;
-        let t = &mut tx[entry];
-        t.arrival = t.arrival.max(done_core);
-        t.lines += 1;
-        t.max_service = t.max_service.max(service_core);
-        service_sum[entry] += service_core as f64;
-    }
-    for (t, sum) in tx.iter_mut().zip(&service_sum) {
-        if t.lines > 0 {
-            t.avg_service = sum / t.lines as f64;
-        }
-    }
+        .arg("entries", trace.entries().len() as u64);
+    let (scheduling, row_policy) = (SchedulingPolicy::default(), RowPolicy::default());
+    let (transactions, replayed) = replay(&trace, cfg, bytes_per_word, scheduling, row_policy);
+    drop(trace);
 
     // Step 3: stall-aware timing with measured arrivals and the finite
     // request queues.
-    let mut store = LatencyReplayStore::new(tx, cfg.read_queue, cfg.write_queue);
-    let summary = timing(inputs, &mut store);
+    let summary = retime(inputs, transactions, cfg);
 
     let clock_ps = cfg.spec.timing.tCK_ps;
     DramAnalysis {
         summary,
-        avg_latency: replay.avg_latency(),
-        line_requests: requests.len(),
-        throughput_mbps: replay.stats.throughput_mbps(clock_ps),
-        energy: DramEnergyBreakdown::from_stats(&cfg.spec, &replay.stats, cfg.channels),
-        stats: replay.stats,
+        avg_latency: replayed.avg_latency(),
+        line_requests: replayed.requests as usize,
+        throughput_mbps: replayed.stats.throughput_mbps(clock_ps),
+        energy: DramEnergyBreakdown::from_stats(&cfg.spec, &replayed.stats, cfg.channels),
+        stats: replayed.stats,
     }
 }
 
@@ -338,6 +476,117 @@ mod tests {
             },
         );
         assert!(large.summary.total_cycles <= small.summary.total_cycles);
+    }
+
+    /// Every sub-range of a stream, for every pairing of a unit (±1) or
+    /// wide stride per direction, skewed or not: the runs hold exactly the
+    /// segment's words.
+    #[test]
+    fn runs_hold_exactly_the_segments_words() {
+        let strides = [
+            (1, 100),
+            (u64::MAX, 100),
+            (100, u64::MAX),
+            (100, 1),
+            (1, 1),
+            (100, 7),
+        ];
+        let shapes = [(1, 1), (1, 5), (5, 1), (3, 4), (4, 3), (6, 6)];
+        for ((lane_stride, step_stride), (lanes, len)) in
+            strides.iter().flat_map(|&s| shapes.map(|shape| (s, shape)))
+        {
+            for skewed in [true, false] {
+                let stream = Stream {
+                    base: 5000,
+                    lanes,
+                    len,
+                    lane_stride,
+                    step_stride,
+                    skewed,
+                };
+                let words = stream.words();
+                for (from, len) in (0..words).flat_map(|f| (0..=words - f).map(move |l| (f, l))) {
+                    let segment = Segment { stream, from, len };
+                    let (mut want, mut got) = (Vec::new(), Vec::new());
+                    segment.for_each(|a| want.push(a));
+                    for_each_run(&segment, |first, n| got.extend(first..first + n));
+                    want.sort_unstable();
+                    got.sort_unstable();
+                    assert_eq!(got, want, "{segment:?}");
+                }
+            }
+        }
+        // A tile walked row by row is one run per row, not one per word.
+        let tile = Segment::whole(Stream {
+            base: 0,
+            lanes: 8,
+            len: 64,
+            lane_stride: 64,
+            step_stride: 1,
+            skewed: true,
+        });
+        let mut runs = 0;
+        for_each_run(&tile, |_, words| {
+            assert_eq!(words, 64);
+            runs += 1;
+        });
+        assert_eq!(runs, 8);
+    }
+
+    #[test]
+    fn line_ranges_cover_the_touched_lines() {
+        // 3 B words on 8 B lines, a word wider than a line, and the usual
+        // 2 B on 64 B: the ranges cover exactly the lines of the words.
+        let stream = Stream {
+            base: 1000,
+            lanes: 5,
+            len: 9,
+            lane_stride: 40,
+            step_stride: 1,
+            skewed: true,
+        };
+        let segments = [
+            Segment::whole(stream),
+            Segment::whole(Stream::contiguous(7, 3)),
+        ];
+        let batch = Batch::new(&segments);
+        for (bytes_per_word, line_bytes) in [(3, 8), (16, 8), (2, 64)] {
+            let mut want = Vec::new();
+            batch.expand_into(&mut want);
+            want.iter_mut()
+                .for_each(|w| *w = *w * bytes_per_word / line_bytes);
+            want.sort_unstable();
+            want.dedup();
+            let (mut ranges, mut got) = (Vec::new(), Vec::new());
+            line_ranges(batch, bytes_per_word, line_bytes, &mut ranges);
+            assert!(ranges.is_sorted());
+            ranges
+                .iter()
+                .for_each(|&(first, last)| got.extend(first..=last));
+            got.sort_unstable();
+            got.dedup();
+            assert_eq!(got, want, "{bytes_per_word} B words, {line_bytes} B lines");
+        }
+    }
+
+    #[test]
+    fn core_cycles_is_the_ceiling() {
+        for ratio in [0.8, 1.0, 1.2, 2.0, 1.0 / 3.0] {
+            for cycles in (0..2000).chain([u32::MAX as u64, (1 << 53) - 1, 1 << 60]) {
+                let want = (cycles as f64 / ratio).ceil() as u64;
+                assert_eq!(core_cycles(cycles, ratio), want, "{cycles} / {ratio}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "step 2 measured 1")]
+    fn a_desynchronised_step_3_is_caught() {
+        // Step 3 asks for one measurement per transaction of the plan; a
+        // list from any other trace must not be priced silently.
+        let inputs = planned(GemmShape::new(64, 64, 64));
+        let short = vec![MeasuredTransaction::default()];
+        retime(&inputs, short, &DramIntegration::default());
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub use cli::{parse_cli, version_string, Command};
 pub use config::{
     DramIntegration, LayoutIntegration, MultiCoreIntegration, ScaleSimConfig, SparsityMode,
 };
-pub use dram::{dram_analysis, linearize, DramAnalysis, LatencyReplayStore};
+pub use dram::{dram_analysis, DramAnalysis, LatencyReplayStore};
 pub use engine::{ScaleSim, StreamStats, STREAM_BLOCK};
 pub use layout_analysis::{layout_slowdown_for_gemm, LayoutAnalysis};
 pub use metrics::{LatencyHistogram, ServeMetrics};

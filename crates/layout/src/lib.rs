@@ -40,6 +40,8 @@
 
 pub mod conflict;
 pub mod spec;
+pub mod walk;
 
 pub use conflict::{BankModel, SlowdownReport, StreamEvaluator};
 pub use spec::{LayoutSpec, Placement, TensorDims};
+pub use walk::{BankedMatrix, Cursor, Heading, Touch};

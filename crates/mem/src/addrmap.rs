@@ -51,15 +51,26 @@ impl AddressMapping {
     /// stripped first; the remaining fields are extracted in the scheme's
     /// order.
     pub fn decode(&self, byte_addr: u64, org: &DramOrg, channels: usize) -> DramAddr {
-        let mut addr = byte_addr / org.burst_bytes() as u64;
+        let mut addr = byte_addr;
         let mut take = |n: usize| -> usize {
             if n <= 1 {
                 return 0;
             }
-            let v = (addr % n as u64) as usize;
-            addr /= n as u64;
-            v
+            let n = n as u64;
+            // Field widths are powers of two in every preset; spare the
+            // six divisions a decode would otherwise cost per request.
+            let v = if n.is_power_of_two() {
+                let v = addr & (n - 1);
+                addr >>= n.trailing_zeros();
+                v
+            } else {
+                let v = addr % n;
+                addr /= n;
+                v
+            };
+            v as usize
         };
+        take(org.burst_bytes());
         // Burst-aligned columns: columns / burst_length positions per row.
         let col_slots = (org.columns / org.burst_length).max(1);
         match self {

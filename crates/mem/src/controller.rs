@@ -6,9 +6,23 @@
 //! `tFAW`), CAS-to-CAS spacing (`tCCD_S/L`) and data-bus occupancy.
 //!
 //! Scheduling follows FR-FCFS by default: a ready row-hit CAS anywhere in
-//! the queue wins; otherwise the oldest request that can make progress
-//! (PRE or ACT) is advanced. Plain FCFS and a closed-page row policy are
-//! available for the ablation benches.
+//! the scan window wins; otherwise the oldest request that can make
+//! progress (PRE or ACT) is advanced. Plain FCFS and a closed-page row
+//! policy are available for the ablation benches.
+//!
+//! Cycle accuracy is kept by moving from event to event, not by looking at
+//! every queue slot every cycle. Each command is legal from a cycle that
+//! the bank, rank and bus registers fix, so after every issue the
+//! controller works out its next move — which command, at which cycle —
+//! from the state the issue just wrote, and keeps it until something it
+//! depended on changes: a refresh, a request arriving *inside* the scan
+//! window, or a tick that comes later than planned. Ticks before that
+//! cycle do nothing; the tick at it issues without another look. Requests
+//! queued back to back for one (bank, row, direction) form a run that is
+//! looked at once, so a streamed row that fills the window is decided by
+//! its first request alone and retires at its `max(tCCD, burst)` cadence.
+//! The per-tick scan this replaces is kept in `tests/invariants.rs` as the
+//! reference: same completions, same statistics, same command log.
 
 use crate::addrmap::DramAddr;
 use crate::bank::{Bank, BankState};
@@ -44,13 +58,54 @@ pub enum RowPolicy {
 /// 512-entry request queues are saturated).
 const SCAN_WINDOW: usize = 32;
 
+/// One queued request.
 #[derive(Debug, Clone)]
 struct QueuedRequest {
     id: RequestId,
-    addr: DramAddr,
-    kind: AccessKind,
     arrive: u64,
     classified: bool,
+}
+
+/// Requests queued back to back for one (bank, row, direction). At any
+/// instant they all need the same command, legal from the same cycle, so
+/// the scheduler looks at a run, never at its members.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// Rank, bank group, bank and row the run's requests share (the
+    /// column is the first request's).
+    addr: DramAddr,
+    /// Flat bank index of `addr` within the channel.
+    bank: usize,
+    kind: AccessKind,
+    /// Requests in the run, at least one.
+    len: usize,
+}
+
+impl Run {
+    fn same_target(&self, other: &Run) -> bool {
+        self.bank == other.bank && self.addr.row == other.addr.row && self.kind == other.kind
+    }
+}
+
+/// A command for the first request of a run.
+#[derive(Debug, Clone, Copy)]
+struct Issue {
+    /// Index of the run in `runs`.
+    run: usize,
+    /// Index of its first request in `queue`.
+    request: usize,
+    command: CommandKind,
+}
+
+/// The scheduler's next move, valid until the queue's window or the bank
+/// state changes.
+#[derive(Debug, Clone, Copy)]
+struct Plan {
+    /// The cycle of the move; nothing can issue before it.
+    at: u64,
+    /// The command to issue then; none when the window has to be read
+    /// (again) at that cycle, or a refresh comes first.
+    issue: Option<Issue>,
 }
 
 /// One channel's controller and bank array.
@@ -70,6 +125,10 @@ pub struct ChannelController {
     bus_data_end: u64,
     next_refresh: u64,
     queue: VecDeque<QueuedRequest>,
+    /// `queue` cut into runs of equal (bank, row, direction), in order.
+    /// While the first run covers the scan window it alone decides what
+    /// issues, so a streamed row retires at its CAS cadence.
+    runs: VecDeque<Run>,
     completions: Vec<(RequestId, u64, AccessKind)>,
     stats: MemStats,
     max_queue: usize,
@@ -80,10 +139,12 @@ pub struct ChannelController {
     any_open_since: u64,
     /// Optional command trace (see [`crate::cmdtrace`]).
     log: Option<CommandLog>,
-    /// Earliest cycle at which any command could issue — lets `tick` skip
-    /// the scheduling scan during timing-bound stretches (a pure
-    /// optimization: skipped cycles provably cannot issue anything).
-    next_try: u64,
+    /// The next move, worked out after every issue from the state it
+    /// wrote: `tick` is a no-op before `planned.at` (skipped cycles
+    /// provably cannot issue anything) and issues `planned.issue` at it.
+    planned: Plan,
+    /// CAS commands issued while the first run covered the scan window.
+    run_cas: u64,
 }
 
 impl ChannelController {
@@ -103,13 +164,15 @@ impl ChannelController {
             bus_data_end: 0,
             next_refresh: spec.timing.tREFI,
             queue: VecDeque::new(),
+            runs: VecDeque::new(),
             completions: Vec::new(),
             stats: MemStats::default(),
             max_queue,
             open_banks: 0,
             any_open_since: 0,
             log: None,
-            next_try: 0,
+            planned: Plan { at: 0, issue: None },
+            run_cas: 0,
             spec,
             policy,
             row_policy,
@@ -131,23 +194,51 @@ impl ChannelController {
         self.queue.is_empty()
     }
 
+    /// Queue entries the scheduler looks at.
+    fn window(&self) -> usize {
+        match self.policy {
+            SchedulingPolicy::FrFcfs => self.queue.len().min(SCAN_WINDOW),
+            SchedulingPolicy::Fcfs => self.queue.len().min(1),
+        }
+    }
+
     /// Accepts a request (caller must check [`can_accept`](Self::can_accept)).
     pub fn enqueue(&mut self, id: RequestId, addr: DramAddr, kind: AccessKind, now: u64) {
         debug_assert!(self.can_accept());
+        // The scheduler only sees a request that lands inside its window;
+        // behind it, nothing changes until an issue moves it up (and every
+        // issue plans anew).
+        let visible = match self.policy {
+            SchedulingPolicy::FrFcfs => self.queue.len() < SCAN_WINDOW,
+            SchedulingPolicy::Fcfs => self.queue.is_empty(),
+        };
+        if visible {
+            self.planned = Plan {
+                at: self.planned.at.min(now),
+                issue: None,
+            };
+        }
+        let run = Run {
+            addr,
+            bank: addr.flat_bank(&self.spec.org),
+            kind,
+            len: 1,
+        };
+        match self.runs.back_mut() {
+            Some(last) if last.same_target(&run) => last.len += 1,
+            _ => self.runs.push_back(run),
+        }
         self.queue.push_back(QueuedRequest {
             id,
-            addr,
-            kind,
             arrive: now,
             classified: false,
         });
-        // A new candidate may be issuable immediately.
-        self.next_try = self.next_try.min(now);
     }
 
-    /// Drains completions recorded so far.
-    pub fn take_completions(&mut self, out: &mut Vec<(RequestId, u64, AccessKind)>) {
-        out.append(&mut self.completions);
+    /// Hands out the completions recorded so far: `(request, completion
+    /// cycle, direction)`.
+    pub fn drain_completions(&mut self) -> impl Iterator<Item = (RequestId, u64, AccessKind)> + '_ {
+        self.completions.drain(..)
     }
 
     /// Channel statistics so far.
@@ -160,6 +251,13 @@ impl ChannelController {
             s.row_open_cycles += s.end_cycle - self.any_open_since;
         }
         s
+    }
+
+    /// CAS commands that issued while one (bank, row, direction) run
+    /// covered the whole scan window, i.e. without a window scan. A
+    /// simulator-cost counter, not a DRAM statistic.
+    pub fn run_cas(&self) -> u64 {
+        self.run_cas
     }
 
     /// Starts recording a command trace (see [`crate::cmdtrace`]).
@@ -182,9 +280,9 @@ impl ChannelController {
         self.log.as_ref()
     }
 
-    fn log_cmd(&mut self, cycle: u64, kind: CommandKind, addr: &DramAddr, row: usize) {
+    fn log_cmd(&mut self, cycle: u64, kind: CommandKind, addr: &DramAddr) {
         if let Some(log) = &mut self.log {
-            log.push(cycle, kind, addr.rank, addr.bank_group, addr.bank, row);
+            log.push(cycle, kind, addr.rank, addr.bank_group, addr.bank, addr.row);
         }
     }
 
@@ -200,12 +298,8 @@ impl ChannelController {
         if self.queue.is_empty() {
             self.next_refresh
         } else {
-            self.next_try.min(self.next_refresh)
+            self.planned.at.min(self.next_refresh)
         }
-    }
-
-    fn bank_index(&self, addr: &DramAddr) -> usize {
-        addr.flat_bank(&self.spec.org)
     }
 
     fn cas_latency(&self, kind: AccessKind) -> u64 {
@@ -215,71 +309,22 @@ impl ChannelController {
         }
     }
 
-    /// Whether a CAS for `req` may issue at `now` (row must already be open).
-    fn cas_ready(&self, req: &QueuedRequest, now: u64) -> bool {
-        let bank = &self.banks[self.bank_index(&req.addr)];
-        if !bank.is_open(req.addr.row) {
-            return false;
-        }
-        let t = &self.spec.timing;
-        let ready_bank = match req.kind {
-            AccessKind::Read => bank.next_read <= now,
-            AccessKind::Write => bank.next_write <= now,
-        };
-        if !ready_bank {
-            return false;
-        }
-        // CAS-to-CAS spacing.
-        if let Some((last, bg)) = self.last_cas {
-            let ccd = if bg == req.addr.bank_group {
-                t.tCCD_L
-            } else {
-                t.tCCD_S
-            };
-            if now < last + ccd {
-                return false;
-            }
-        }
-        // Data-bus occupancy: this burst's data must start after the
-        // previous transfer ends.
-        now + self.cas_latency(req.kind) >= self.bus_data_end
-    }
-
-    /// Whether an ACT for `req` may issue at `now` (bank must be closed).
-    fn act_ready(&self, req: &QueuedRequest, now: u64) -> bool {
-        let bank = &self.banks[self.bank_index(&req.addr)];
-        if bank.state != BankState::Closed || bank.next_activate > now {
-            return false;
-        }
-        let t = &self.spec.timing;
-        let rank = req.addr.rank;
-        if let Some((last, bg)) = self.last_act[rank] {
-            let rrd = if bg == req.addr.bank_group {
-                t.tRRD_L
-            } else {
-                t.tRRD_S
-            };
-            if now < last + rrd {
-                return false;
-            }
-        }
-        let window = &self.act_window[rank];
-        !(window.len() == 4 && now < window[0] + t.tFAW)
-    }
-
-    fn issue_cas(&mut self, qidx: usize, now: u64) {
-        let req = self.queue[qidx].clone();
+    /// Issues the CAS of `at.run`'s first request, which leaves the queue.
+    fn issue_cas(&mut self, at: Issue, now: u64) {
+        let req = self.queue.remove(at.request).expect("a queued request");
+        let Run {
+            addr, bank, kind, ..
+        } = self.runs[at.run];
         let t = self.spec.timing;
         let burst = self.spec.org.burst_cycles();
-        let bank = &mut self.banks[req.addr.flat_bank(&self.spec.org)];
-        match req.kind {
+        let bank = &mut self.banks[bank];
+        match kind {
             AccessKind::Read => bank.read(now, &t, burst),
             AccessKind::Write => bank.write(now, &t, burst),
         }
         if self.row_policy == RowPolicy::ClosedPage {
             // Auto-precharge once legal; model as immediate close with the
             // activate window pushed past the recovery constraints.
-            let bank = &mut self.banks[req.addr.flat_bank(&self.spec.org)];
             let pre_at = bank.next_precharge;
             bank.state = BankState::Closed;
             bank.next_activate = bank.next_activate.max(pre_at + t.tRP);
@@ -287,19 +332,15 @@ impl ChannelController {
             // until `pre_at` are attributed to precharge standby).
             self.note_bank_closed(now);
         }
-        self.last_cas = Some((now, req.addr.bank_group));
-        let lat = self.cas_latency(req.kind);
+        self.last_cas = Some((now, addr.bank_group));
+        let lat = self.cas_latency(kind);
         self.bus_data_end = now + lat + burst;
         self.stats.data_bus_busy_cycles += burst;
         self.stats.bytes_transferred += self.spec.org.burst_bytes() as u64;
-        let cas_kind = match req.kind {
-            AccessKind::Read => CommandKind::Rd,
-            AccessKind::Write => CommandKind::Wr,
-        };
-        self.log_cmd(now, cas_kind, &req.addr, req.addr.row);
         let done = now + lat + burst;
-        match req.kind {
+        match kind {
             AccessKind::Read => {
+                self.log_cmd(now, CommandKind::Rd, &addr);
                 self.stats.reads += 1;
                 let latency = done - req.arrive;
                 self.stats.total_read_latency += latency;
@@ -307,32 +348,45 @@ impl ChannelController {
                 self.completions.push((req.id, done, AccessKind::Read));
             }
             AccessKind::Write => {
+                self.log_cmd(now, CommandKind::Wr, &addr);
                 self.stats.writes += 1;
                 self.completions.push((req.id, now, AccessKind::Write));
             }
         }
-        self.queue.remove(qidx);
+        self.runs[at.run].len -= 1;
+        if self.runs[at.run].len == 0 {
+            self.runs.remove(at.run);
+            // The runs on either side may now continue one another.
+            if let (Some(before), Some(&after)) = (at.run.checked_sub(1), self.runs.get(at.run)) {
+                if self.runs[before].same_target(&after) {
+                    self.runs[before].len += after.len;
+                    self.runs.remove(at.run);
+                }
+            }
+        }
     }
 
-    fn classify(&mut self, qidx: usize) {
-        if self.queue[qidx].classified {
+    /// Counts the request as a row hit, miss or conflict, once, by the
+    /// bank state the first command issued for it finds.
+    fn classify(&mut self, at: Issue) {
+        let req = &mut self.queue[at.request];
+        if req.classified {
             return;
         }
-        let addr = self.queue[qidx].addr;
-        let bank = &self.banks[addr.flat_bank(&self.spec.org)];
-        match bank.state {
-            BankState::Open(r) if r == addr.row => self.stats.row_hits += 1,
+        req.classified = true;
+        let run = &self.runs[at.run];
+        match self.banks[run.bank].state {
+            BankState::Open(r) if r == run.addr.row => self.stats.row_hits += 1,
             BankState::Open(_) => self.stats.row_conflicts += 1,
             BankState::Closed => self.stats.row_misses += 1,
         }
-        self.queue[qidx].classified = true;
     }
 
-    fn issue_act(&mut self, qidx: usize, now: u64) {
-        let addr = self.queue[qidx].addr;
+    fn issue_act(&mut self, run: usize, now: u64) {
+        let Run { addr, bank, .. } = self.runs[run];
         let rank = addr.rank;
         let t = self.spec.timing;
-        self.banks[addr.flat_bank(&self.spec.org)].activate(now, addr.row, &t);
+        self.banks[bank].activate(now, addr.row, &t);
         self.last_act[rank] = Some((now, addr.bank_group));
         let window = &mut self.act_window[rank];
         if window.len() == 4 {
@@ -340,19 +394,19 @@ impl ChannelController {
         }
         window.push_back(now);
         self.stats.activates += 1;
-        self.log_cmd(now, CommandKind::Act, &addr, addr.row);
+        self.log_cmd(now, CommandKind::Act, &addr);
         if self.open_banks == 0 {
             self.any_open_since = now;
         }
         self.open_banks += 1;
     }
 
-    fn issue_pre(&mut self, qidx: usize, now: u64) {
-        let addr = self.queue[qidx].addr;
+    fn issue_pre(&mut self, run: usize, now: u64) {
+        let Run { addr, bank, .. } = self.runs[run];
         let t = self.spec.timing;
-        self.banks[addr.flat_bank(&self.spec.org)].precharge(now, &t);
+        self.banks[bank].precharge(now, &t);
         self.stats.precharges += 1;
-        self.log_cmd(now, CommandKind::Pre, &addr, addr.row);
+        self.log_cmd(now, CommandKind::Pre, &addr);
         self.note_bank_closed(now);
     }
 
@@ -365,36 +419,39 @@ impl ChannelController {
         }
     }
 
-    /// Earliest cycle at which the CAS for `req` could issue given current
-    /// bank/rank/bus state (only valid while that state does not change).
-    fn cas_earliest(&self, req: &QueuedRequest) -> u64 {
+    /// Earliest cycle at which a CAS of `run` could issue given current
+    /// bank/rank/bus state (its row must be open; only valid while that
+    /// state does not change).
+    fn cas_earliest(&self, run: &Run) -> u64 {
         let t = &self.spec.timing;
-        let bank = &self.banks[self.bank_index(&req.addr)];
-        let mut earliest = match req.kind {
+        let bank = &self.banks[run.bank];
+        let mut earliest = match run.kind {
             AccessKind::Read => bank.next_read,
             AccessKind::Write => bank.next_write,
         };
+        // CAS-to-CAS spacing.
         if let Some((last, bg)) = self.last_cas {
-            let ccd = if bg == req.addr.bank_group {
+            let ccd = if bg == run.addr.bank_group {
                 t.tCCD_L
             } else {
                 t.tCCD_S
             };
             earliest = earliest.max(last + ccd);
         }
-        let lat = self.cas_latency(req.kind);
-        earliest = earliest.max(self.bus_data_end.saturating_sub(lat));
-        earliest
+        // Data-bus occupancy: this burst's data must start after the
+        // previous transfer ends.
+        let lat = self.cas_latency(run.kind);
+        earliest.max(self.bus_data_end.saturating_sub(lat))
     }
 
-    /// Earliest cycle at which the ACT for `req` could issue.
-    fn act_earliest(&self, req: &QueuedRequest) -> u64 {
+    /// Earliest cycle at which the ACT for `run` could issue (its bank
+    /// must be closed).
+    fn act_earliest(&self, run: &Run) -> u64 {
         let t = &self.spec.timing;
-        let bank = &self.banks[self.bank_index(&req.addr)];
-        let mut earliest = bank.next_activate;
-        let rank = req.addr.rank;
+        let mut earliest = self.banks[run.bank].next_activate;
+        let rank = run.addr.rank;
         if let Some((last, bg)) = self.last_act[rank] {
-            let rrd = if bg == req.addr.bank_group {
+            let rrd = if bg == run.addr.bank_group {
                 t.tRRD_L
             } else {
                 t.tRRD_S
@@ -406,6 +463,74 @@ impl ChannelController {
             earliest = earliest.max(window[0] + t.tFAW);
         }
         earliest
+    }
+
+    /// The scheduler's next move with the queue and the bank state as
+    /// they are: the first cycle from `from` on at which a command can
+    /// issue, and that command — or the refresh cycle and no command when
+    /// the refresh comes first. First-ready: of the runs in the window
+    /// whose command is legal at that cycle, the oldest CAS (open row)
+    /// wins, failing that the oldest ACT (closed bank) or PRE (other row
+    /// open).
+    ///
+    /// A command is legal from a cycle that depends on its request only
+    /// through (bank, row, direction), so the requests of a run get one
+    /// answer and its first request stands for them all.
+    fn plan(&self, from: u64) -> Plan {
+        let window = self.window();
+        // Per command class, the oldest run among those legal soonest.
+        let (mut cas, mut other) = (None::<(u64, Issue)>, None::<(u64, Issue)>);
+        let mut request = 0;
+        for (index, run) in self.runs.iter().enumerate() {
+            if request >= window {
+                break;
+            }
+            let bank = &self.banks[run.bank];
+            let (command, earliest) = match bank.state {
+                BankState::Open(row) if row == run.addr.row => {
+                    let cas = match run.kind {
+                        AccessKind::Read => CommandKind::Rd,
+                        AccessKind::Write => CommandKind::Wr,
+                    };
+                    (cas, self.cas_earliest(run))
+                }
+                BankState::Closed => (CommandKind::Act, self.act_earliest(run)),
+                BankState::Open(_) => (CommandKind::Pre, bank.next_precharge),
+            };
+            let at = earliest.max(from);
+            let issue = Issue {
+                run: index,
+                request,
+                command,
+            };
+            let class = match command {
+                CommandKind::Rd | CommandKind::Wr if at == from => {
+                    cas = Some((at, issue));
+                    break;
+                }
+                CommandKind::Rd | CommandKind::Wr => &mut cas,
+                _ => &mut other,
+            };
+            if class.is_none_or(|(best, _)| at < best) {
+                *class = Some((at, issue));
+            }
+            request += run.len;
+        }
+        let first = match (cas, other) {
+            (Some(cas), Some(other)) if other.0 < cas.0 => Some(other),
+            (None, other) => other,
+            (cas, _) => cas,
+        };
+        match first {
+            Some((at, issue)) if at < self.next_refresh => Plan {
+                at,
+                issue: Some(issue),
+            },
+            _ => Plan {
+                at: self.next_refresh.max(from),
+                issue: None,
+            },
+        }
     }
 
     /// Advances the channel by one memory cycle, possibly issuing one
@@ -427,63 +552,45 @@ impl ChannelController {
             }
             self.next_refresh += t.tREFI;
             self.stats.refreshes += 1;
-            self.next_try = now + 1;
+            self.planned = Plan {
+                at: now + 1,
+                issue: None,
+            };
             return;
         }
-        if self.queue.is_empty() || now < self.next_try {
+        if self.queue.is_empty() || now < self.planned.at {
             return;
         }
-        let scan = match self.policy {
-            SchedulingPolicy::FrFcfs => self.queue.len().min(SCAN_WINDOW),
-            SchedulingPolicy::Fcfs => 1,
+        // A plan made for this very cycle stands; a tick that comes late
+        // may find more commands legal than the plan knew.
+        let plan = match self.planned {
+            plan if plan.at == now && plan.issue.is_some() => plan,
+            _ => self.plan(now),
         };
-        // Pass 1 (FR): any ready row-hit CAS.
-        for i in 0..scan {
-            let bank = &self.banks[self.bank_index(&self.queue[i].addr)];
-            if bank.is_open(self.queue[i].addr.row) && self.cas_ready(&self.queue[i], now) {
-                self.classify(i);
-                self.issue_cas(i, now);
-                self.next_try = now + 1;
+        let issue = match plan.issue {
+            Some(issue) if plan.at == now => issue,
+            _ => {
+                self.planned = Plan {
+                    at: plan.at.max(now + 1),
+                    ..plan
+                };
                 return;
             }
-        }
-        // Pass 2 (FCFS): advance the first request that can make progress;
-        // while scanning, remember the earliest future cycle anything could
-        // happen so idle stretches are skipped.
-        let mut soonest = self.next_refresh;
-        for i in 0..scan {
-            let (bank_state, row) = {
-                let req = &self.queue[i];
-                let bank = &self.banks[self.bank_index(&req.addr)];
-                (bank.state, req.addr.row)
-            };
-            match bank_state {
-                BankState::Closed => {
-                    if self.act_ready(&self.queue[i], now) {
-                        self.classify(i);
-                        self.issue_act(i, now);
-                        self.next_try = now + 1;
-                        return;
-                    }
-                    soonest = soonest.min(self.act_earliest(&self.queue[i]));
+        };
+        self.classify(issue);
+        match issue.command {
+            CommandKind::Act => self.issue_act(issue.run, now),
+            CommandKind::Pre => self.issue_pre(issue.run, now),
+            _ => {
+                if self.runs[0].len >= self.window() {
+                    self.run_cas += 1;
                 }
-                BankState::Open(r) if r != row => {
-                    let bank = &self.banks[self.bank_index(&self.queue[i].addr)];
-                    if bank.next_precharge <= now {
-                        self.classify(i);
-                        self.issue_pre(i, now);
-                        self.next_try = now + 1;
-                        return;
-                    }
-                    soonest = soonest.min(bank.next_precharge);
-                }
-                BankState::Open(_) => {
-                    // Row open, CAS merely blocked by timing; wait for it.
-                    soonest = soonest.min(self.cas_earliest(&self.queue[i]));
-                }
+                self.issue_cas(issue, now);
             }
         }
-        self.next_try = soonest.max(now + 1);
+        // The next move follows from the state this one just wrote: no
+        // idle look at `now + 1`, and no second look when its cycle comes.
+        self.planned = self.plan(now + 1);
     }
 }
 
@@ -506,7 +613,7 @@ mod tests {
         let mut out = Vec::new();
         for now in 0..limit {
             ctrl.tick(now);
-            ctrl.take_completions(&mut out);
+            out.extend(ctrl.drain_completions());
             for (id, cycle, kind) in out.drain(..) {
                 if kind == AccessKind::Read {
                     done.push((id, cycle));
@@ -568,7 +675,7 @@ mod tests {
         let mut second = None;
         for now in done1[0].1..done1[0].1 + 1000 {
             c.tick(now);
-            c.take_completions(&mut out);
+            out.extend(c.drain_completions());
             if let Some((_, cy, _)) = out.drain(..).find(|(_, _, k)| *k == AccessKind::Read) {
                 second = Some(cy);
                 break;
@@ -597,7 +704,7 @@ mod tests {
         let mut out = Vec::new();
         for now in t0..t0 + 2000 {
             c.tick(now);
-            c.take_completions(&mut out);
+            out.extend(c.drain_completions());
             for (id, _, k) in out.drain(..) {
                 if k == AccessKind::Read {
                     order.push(id);
@@ -630,7 +737,7 @@ mod tests {
         let mut out = Vec::new();
         for now in t0..t0 + 3000 {
             c.tick(now);
-            c.take_completions(&mut out);
+            out.extend(c.drain_completions());
             for (id, _, k) in out.drain(..) {
                 if k == AccessKind::Read {
                     order.push(id);
@@ -651,7 +758,7 @@ mod tests {
         let mut out = Vec::new();
         for now in 0..1000 {
             c.tick(now);
-            c.take_completions(&mut out);
+            out.extend(c.drain_completions());
             if !out.is_empty() {
                 break;
             }

@@ -70,7 +70,7 @@ pub use addrmap::{AddressMapping, DramAddr};
 pub use cmdtrace::{verify_timing, CommandKind, CommandLog, TimingViolation};
 pub use controller::{RowPolicy, SchedulingPolicy};
 pub use power::{DramEnergyBreakdown, DramPowerParams};
-pub use replay::{replay_trace, ReplayResult, TraceRequest};
+pub use replay::{Replay, ReplaySummary, Retired};
 pub use spec::{DramOrg, DramSpec, DramTiming};
 pub use stats::MemStats;
 pub use system::{AccessKind, DramConfig, DramSystem, RequestId};

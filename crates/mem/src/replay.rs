@@ -3,126 +3,166 @@
 //! SCALE-Sim v3 first generates a memory demand trace (step 1), feeds it to
 //! the memory simulator to obtain per-request round-trip latencies (step 2),
 //! and re-runs the systolic simulation with those latencies and finite
-//! request queues (step 3). [`replay_trace`] implements step 2: it pushes
-//! trace entries into a [`DramSystem`] at their request cycles (stalling
-//! injection when a queue is full, as a real load/store queue would) and
-//! reports each request's round-trip latency plus aggregate statistics.
+//! request queues (step 3). [`Replay`] implements step 2 as a stream: the
+//! caller pushes line requests in request-cycle order, each is injected
+//! into a [`DramSystem`] at its cycle (stalling injection when a queue is
+//! full, as a real load/store queue would), and each completion is handed
+//! to the caller's fold the moment it pops. Nothing is kept per request
+//! beyond the ones in flight, so a replay costs memory for the queues, not
+//! for the trace.
 
-use crate::system::{AccessKind, DramConfig, DramSystem};
-use std::collections::HashMap;
+use crate::stats::MemStats;
+use crate::system::{AccessKind, Completion, DramConfig, DramSystem, RequestId};
+use std::collections::VecDeque;
 
-/// One trace entry: a request the accelerator wants to issue at `cycle`.
+/// One answered request, as [`Replay`] reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceRequest {
-    /// Desired issue cycle (memory-clock domain).
+pub struct Retired {
+    /// The tag the request was pushed with.
+    pub tag: usize,
+    /// Memory cycle at which the request completed.
     pub cycle: u64,
-    /// Byte address.
-    pub byte_addr: u64,
-    /// Read or write.
-    pub kind: AccessKind,
+    /// In-memory service latency (completion − queue acceptance),
+    /// excluding the wait for a queue slot — the per-request figure the
+    /// §V-B step-3 outstanding-limit model needs.
+    pub service: u64,
 }
 
-/// Result of replaying a trace.
-#[derive(Debug, Clone)]
-pub struct ReplayResult {
-    /// Round-trip latency of each trace entry, in trace order
-    /// (completion − desired issue cycle; includes queue-full delay).
-    pub latencies: Vec<u64>,
-    /// In-memory service latency of each entry (completion − queue
-    /// acceptance), excluding the wait for a queue slot — the per-request
-    /// figure the §V-B step-3 outstanding-limit model needs.
-    pub service_latencies: Vec<u64>,
+/// Aggregate outcome of a replay.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReplaySummary {
+    /// Requests replayed.
+    pub requests: u64,
+    /// Sum of round-trip latencies (completion − desired issue cycle;
+    /// includes queue-full delay).
+    pub total_latency: u64,
     /// Aggregate statistics.
-    pub stats: crate::stats::MemStats,
+    pub stats: MemStats,
     /// Cycle at which the last request completed.
     pub end_cycle: u64,
+    /// CAS commands that issued without a scheduler window scan (the
+    /// simulator's own cost counter; see [`DramSystem::run_cas`]).
+    pub run_cas: u64,
 }
 
-impl ReplayResult {
+impl ReplaySummary {
     /// Mean round-trip latency.
     pub fn avg_latency(&self) -> f64 {
-        if self.latencies.is_empty() {
+        if self.requests == 0 {
             0.0
         } else {
-            self.latencies.iter().sum::<u64>() as f64 / self.latencies.len() as f64
+            self.total_latency as f64 / self.requests as f64
         }
     }
 }
 
-/// Replays `trace` (must be sorted by cycle) through a fresh [`DramSystem`]
-/// built from `config`.
-///
-/// # Panics
-///
-/// Panics if the trace is not sorted by request cycle.
-pub fn replay_trace(config: DramConfig, trace: &[TraceRequest]) -> ReplayResult {
-    let mut sys = DramSystem::new(config);
-    let mut latencies = vec![0u64; trace.len()];
-    let mut service_latencies = vec![0u64; trace.len()];
-    let mut id_to_slot: HashMap<u64, (usize, u64, u64)> = HashMap::new();
-    let mut last_cycle = 0u64;
-    for (slot, req) in trace.iter().enumerate() {
-        assert!(req.cycle >= last_cycle, "trace must be sorted by cycle");
-        last_cycle = req.cycle;
-        // Advance time to the desired issue cycle (fast path when idle).
-        if sys.is_idle() {
-            sys.fast_forward_to(req.cycle);
-        } else {
-            sys.tick_until(req.cycle);
+/// What is remembered of a request between injection and completion.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    tag: usize,
+    asked: u64,
+    accepted: u64,
+}
+
+/// A streaming trace replay through a fresh [`DramSystem`].
+#[derive(Debug)]
+pub struct Replay {
+    sys: DramSystem,
+    /// In-flight requests by id: ids are handed out in injection order, so
+    /// slot `id − first_id` of this ring is request `id`; answered slots
+    /// are emptied and leave from the front.
+    in_flight: VecDeque<Option<InFlight>>,
+    first_id: RequestId,
+    last_cycle: u64,
+    requests: u64,
+    total_latency: u64,
+}
+
+impl Replay {
+    /// Starts a replay through a fresh system built from `config`.
+    pub fn new(config: DramConfig) -> Self {
+        Self {
+            in_flight: VecDeque::with_capacity(config.read_queue + config.write_queue),
+            sys: DramSystem::new(config),
+            first_id: 0,
+            last_cycle: 0,
+            requests: 0,
+            total_latency: 0,
         }
-        collect(
-            &mut sys,
-            &mut id_to_slot,
-            &mut latencies,
-            &mut service_latencies,
-        );
+    }
+
+    /// Injects one request the accelerator wants to issue at `cycle`
+    /// (memory-clock domain), reporting to `retire` every request that
+    /// completes on the way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle` is below an earlier request's.
+    pub fn push(
+        &mut self,
+        cycle: u64,
+        byte_addr: u64,
+        kind: AccessKind,
+        tag: usize,
+        retire: &mut impl FnMut(Retired),
+    ) {
+        assert!(cycle >= self.last_cycle, "trace must be sorted by cycle");
+        self.last_cycle = cycle;
+        // Advance time to the desired issue cycle (fast path when idle).
+        if self.sys.is_idle() {
+            self.sys.fast_forward_to(cycle);
+        } else {
+            self.sys.tick_until(cycle);
+            self.collect(retire);
+        }
         // If the queue is full, tick until space opens (the injected stall).
-        loop {
-            match sys.try_enqueue(req.kind, req.byte_addr) {
-                Some(id) => {
-                    id_to_slot.insert(id, (slot, req.cycle, sys.now()));
-                    break;
-                }
+        let id = loop {
+            match self.sys.try_enqueue(kind, byte_addr) {
+                Some(id) => break id,
                 None => {
-                    sys.skip_to_next_event();
-                    sys.tick();
-                    collect(
-                        &mut sys,
-                        &mut id_to_slot,
-                        &mut latencies,
-                        &mut service_latencies,
-                    );
+                    self.sys.skip_to_next_event();
+                    self.sys.tick();
+                    self.collect(retire);
                 }
             }
+        };
+        debug_assert_eq!(id, self.first_id + self.in_flight.len() as u64);
+        self.in_flight.push_back(Some(InFlight {
+            tag,
+            asked: cycle,
+            accepted: self.sys.now(),
+        }));
+        self.requests += 1;
+    }
+
+    /// Runs until every request has completed and returns the totals.
+    pub fn finish(mut self, retire: &mut impl FnMut(Retired)) -> ReplaySummary {
+        self.sys.drain();
+        self.collect(retire);
+        debug_assert!(self.in_flight.is_empty(), "all requests must complete");
+        ReplaySummary {
+            requests: self.requests,
+            total_latency: self.total_latency,
+            stats: self.sys.stats(),
+            end_cycle: self.sys.now(),
+            run_cas: self.sys.run_cas(),
         }
     }
-    sys.drain();
-    collect(
-        &mut sys,
-        &mut id_to_slot,
-        &mut latencies,
-        &mut service_latencies,
-    );
-    debug_assert!(id_to_slot.is_empty(), "all requests must complete");
-    let stats = sys.stats();
-    ReplayResult {
-        latencies,
-        service_latencies,
-        end_cycle: sys.now(),
-        stats,
-    }
-}
 
-fn collect(
-    sys: &mut DramSystem,
-    id_to_slot: &mut HashMap<u64, (usize, u64, u64)>,
-    latencies: &mut [u64],
-    service_latencies: &mut [u64],
-) {
-    for c in sys.pop_completions() {
-        if let Some((slot, asked, accepted)) = id_to_slot.remove(&c.id) {
-            latencies[slot] = c.cycle.saturating_sub(asked);
-            service_latencies[slot] = c.cycle.saturating_sub(accepted);
+    fn collect(&mut self, retire: &mut impl FnMut(Retired)) {
+        for Completion { id, cycle, .. } in self.sys.drain_completions() {
+            let slot = &mut self.in_flight[(id - self.first_id) as usize];
+            let request = slot.take().expect("a request completes once");
+            self.total_latency += cycle - request.asked;
+            retire(Retired {
+                tag: request.tag,
+                cycle,
+                service: cycle - request.accepted,
+            });
+        }
+        while let Some(None) = self.in_flight.front() {
+            self.in_flight.pop_front();
+            self.first_id += 1;
         }
     }
 }
@@ -132,14 +172,17 @@ mod tests {
     use super::*;
     use crate::spec::DramSpec;
 
-    fn seq_trace(n: u64, stride: u64, gap: u64) -> Vec<TraceRequest> {
-        (0..n)
-            .map(|i| TraceRequest {
-                cycle: i * gap,
-                byte_addr: i * stride,
-                kind: AccessKind::Read,
-            })
-            .collect()
+    /// Replays reads at `(cycle, byte address)`.
+    fn replay(config: DramConfig, trace: impl IntoIterator<Item = (u64, u64)>) -> ReplaySummary {
+        let mut replay = Replay::new(config);
+        for (tag, (cycle, byte_addr)) in trace.into_iter().enumerate() {
+            replay.push(cycle, byte_addr, AccessKind::Read, tag, &mut |_| ());
+        }
+        replay.finish(&mut |_| ())
+    }
+
+    fn seq_trace(n: u64, stride: u64, gap: u64) -> impl Iterator<Item = (u64, u64)> + Clone {
+        (0..n).map(move |i| (i * gap, i * stride))
     }
 
     #[test]
@@ -148,13 +191,45 @@ mod tests {
             channels: 1,
             ..Default::default()
         };
-        let res = replay_trace(cfg, &seq_trace(256, 64, 2));
-        assert_eq!(res.latencies.len(), 256);
+        let res = replay(cfg, seq_trace(256, 64, 2));
+        assert_eq!(res.requests, 256);
         assert!(
             res.stats.row_hit_rate() > 0.8,
             "sequential stream expected row hits, got {}",
             res.stats.row_hit_rate()
         );
+    }
+
+    #[test]
+    fn every_request_retires_once_with_its_tag() {
+        let mut replay = Replay::new(DramConfig {
+            read_queue: 4,
+            write_queue: 4,
+            ..Default::default()
+        });
+        let mut seen = vec![0u32; 300];
+        let mut total_service = 0;
+        let mut retire = |r: Retired| {
+            seen[r.tag] += 1;
+            total_service += r.service;
+            assert!(r.cycle >= r.service);
+        };
+        for tag in 0..300usize {
+            let kind = if tag % 3 == 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            // Two rows of one bank, so completions leave out of order.
+            let addr = (tag as u64 % 2) * (1 << 20) + tag as u64 * 64;
+            replay.push(tag as u64 / 8, addr, kind, tag, &mut retire);
+        }
+        let summary = replay.finish(&mut retire);
+        assert!(seen.iter().all(|&n| n == 1), "{seen:?}");
+        assert_eq!(summary.requests, 300);
+        // Round trips include the wait for a queue slot, service does not.
+        assert!(summary.total_latency >= total_service);
+        assert_eq!(summary.stats.reads + summary.stats.writes, 300);
     }
 
     #[test]
@@ -169,16 +244,8 @@ mod tests {
         let row_stride = (spec.org.columns / spec.org.burst_length) as u64
             * spec.org.burst_bytes() as u64
             * spec.org.banks() as u64;
-        let trace: Vec<TraceRequest> = (0..128u64)
-            .map(|i| TraceRequest {
-                cycle: i,
-                byte_addr: (i * 7919) % 4096 * row_stride,
-                kind: AccessKind::Read,
-            })
-            .collect();
-        let mut sorted = trace;
-        sorted.sort_by_key(|r| r.cycle);
-        let res = replay_trace(cfg, &sorted);
+        let trace = (0..128u64).map(|i| (i, (i * 7919) % 4096 * row_stride));
+        let res = replay(cfg, trace);
         assert!(
             res.stats.row_hit_rate() < 0.5,
             "row-thrashing stream unexpectedly hit-heavy: {}",
@@ -189,28 +256,22 @@ mod tests {
 
     #[test]
     fn small_queue_injects_backpressure_latency() {
-        let burst: Vec<TraceRequest> = (0..200u64)
-            .map(|i| TraceRequest {
-                cycle: 0,
-                byte_addr: i * 8192 * 3,
-                kind: AccessKind::Read,
-            })
-            .collect();
-        let small = replay_trace(
+        let burst = (0..200u64).map(|i| (0, i * 8192 * 3));
+        let small = replay(
             DramConfig {
                 read_queue: 4,
                 write_queue: 4,
                 ..Default::default()
             },
-            &burst,
+            burst.clone(),
         );
-        let large = replay_trace(
+        let large = replay(
             DramConfig {
                 read_queue: 512,
                 write_queue: 512,
                 ..Default::default()
             },
-            &burst,
+            burst,
         );
         // With a tiny queue, later requests wait at the queue head; their
         // measured round-trip latency includes that wait either way, but
@@ -223,19 +284,19 @@ mod tests {
     #[test]
     fn more_channels_cut_end_cycle() {
         let trace = seq_trace(512, 64, 1);
-        let one = replay_trace(
+        let one = replay(
             DramConfig {
                 channels: 1,
                 ..Default::default()
             },
-            &trace,
+            trace.clone(),
         );
-        let four = replay_trace(
+        let four = replay(
             DramConfig {
                 channels: 4,
                 ..Default::default()
             },
-            &trace,
+            trace,
         );
         assert!(
             four.end_cycle < one.end_cycle,
@@ -248,18 +309,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "sorted")]
     fn unsorted_trace_panics() {
-        let trace = vec![
-            TraceRequest {
-                cycle: 10,
-                byte_addr: 0,
-                kind: AccessKind::Read,
-            },
-            TraceRequest {
-                cycle: 5,
-                byte_addr: 64,
-                kind: AccessKind::Read,
-            },
-        ];
-        let _ = replay_trace(DramConfig::default(), &trace);
+        let _ = replay(DramConfig::default(), [(10, 0), (5, 64)]);
     }
 }

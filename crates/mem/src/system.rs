@@ -76,7 +76,6 @@ pub struct DramSystem {
     next_id: RequestId,
     reads_in_flight: usize,
     writes_in_flight: usize,
-    scratch: Vec<(RequestId, u64, crate::system::AccessKind)>,
     completions: Vec<Completion>,
 }
 
@@ -112,7 +111,6 @@ impl DramSystem {
             next_id: 0,
             reads_in_flight: 0,
             writes_in_flight: 0,
-            scratch: Vec::new(),
             completions: Vec::new(),
         }
     }
@@ -168,14 +166,13 @@ impl DramSystem {
     pub fn tick(&mut self) {
         for ch in &mut self.channels {
             ch.tick(self.now);
-            ch.take_completions(&mut self.scratch);
-        }
-        for (id, cycle, kind) in self.scratch.drain(..) {
-            match kind {
-                AccessKind::Read => self.reads_in_flight -= 1,
-                AccessKind::Write => self.writes_in_flight -= 1,
+            for (id, cycle, kind) in ch.drain_completions() {
+                match kind {
+                    AccessKind::Read => self.reads_in_flight -= 1,
+                    AccessKind::Write => self.writes_in_flight -= 1,
+                }
+                self.completions.push(Completion { id, cycle, kind });
             }
-            self.completions.push(Completion { id, cycle, kind });
         }
         self.now += 1;
     }
@@ -225,7 +222,19 @@ impl DramSystem {
 
     /// Takes all completions recorded so far.
     pub fn pop_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
+        self.drain_completions().collect()
+    }
+
+    /// Hands out the completions recorded so far, keeping their buffer
+    /// (the allocation-free form trace replay calls after every tick).
+    pub fn drain_completions(&mut self) -> impl Iterator<Item = Completion> + '_ {
+        self.completions.drain(..)
+    }
+
+    /// CAS commands, over all channels, that issued without a window scan
+    /// (see [`ChannelController::run_cas`]).
+    pub fn run_cas(&self) -> u64 {
+        self.channels.iter().map(|c| c.run_cas()).sum()
     }
 
     /// Aggregated statistics over all channels (including in-flight

@@ -5,7 +5,7 @@ use crate::Run;
 use scalesim::energy::{
     system_state_table, ActionCounts, ArchSpec, AreaConfig, AreaTable, EnergyModel, LayerActivity,
 };
-use scalesim::mem::{replay_trace, DramConfig, RowPolicy, SchedulingPolicy};
+use scalesim::mem::{RowPolicy, SchedulingPolicy};
 use scalesim::multicore::{
     best_partition, non_uniform_split, uniform_split_makespan, MappingDims, MemoryPortPlacement,
     NopMesh, PartitionChoice, PartitionObjective, PartitionScheme,
@@ -17,7 +17,7 @@ use scalesim::systolic::{
 };
 use scalesim::workloads::{fig3_gemm_workloads, resnet18, vit_feed_forward_layers, ViTConfig};
 use scalesim::{
-    layout_slowdown_for_gemm, linearize, DramAnalysis, DramIntegration, LayoutIntegration,
+    dram::replay, layout_slowdown_for_gemm, DramAnalysis, DramIntegration, LayoutIntegration,
     ScaleSim, ScaleSimConfig,
 };
 
@@ -317,7 +317,7 @@ pub fn ablation_mem_scheduling(run: &mut Run) {
         .plan_gemm(GemmShape::new(784, 128, 1152));
     let mut recorder = RecordingStore::new(IdealBandwidthStore::new(10.0));
     let _ = timing(&planned.inputs, &mut recorder);
-    let (requests, _) = linearize(&recorder.into_trace(), &DramIntegration::default(), 2);
+    let trace = recorder.into_trace();
     run.row("controller,row_hit_pct,avg_latency,end_cycle");
     use {RowPolicy::*, SchedulingPolicy::*};
     let variants = [
@@ -328,9 +328,13 @@ pub fn ablation_mem_scheduling(run: &mut Run) {
     ];
     // (row-hit rate, mean latency, end cycle), the default first.
     let [default, ablated @ ..] = variants.map(|(name, scheduling, row_policy)| {
-        let mut config = DramConfig::default();
-        (config.scheduling, config.row_policy) = (scheduling, row_policy);
-        let r = replay_trace(config, &requests);
+        let (_, r) = replay(
+            &trace,
+            &DramIntegration::default(),
+            2,
+            scheduling,
+            row_policy,
+        );
         let (hits, latency, end) = (r.stats.row_hit_rate(), r.avg_latency(), r.end_cycle);
         run.row(format!("{name},{:.2},{latency:.2},{end}", hits * 100.0));
         (hits, latency, end)

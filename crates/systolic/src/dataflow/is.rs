@@ -34,10 +34,6 @@ pub(super) fn fold_demand(
     FoldDemand {
         start,
         cycles: fold.cycles,
-        rows: rp,
-        cols: cp,
-        t: n,
-        mac_start: rp as u64,
         // Input prefetch: one k-row of the R'×C' tile of Aᵀ per cycle,
         // bottom row first; each input is loaded by exactly one fold.
         ifmap: EdgeStream {
@@ -85,8 +81,8 @@ pub(super) fn fold_demand(
 #[cfg(test)]
 mod tests {
     use crate::config::{ArrayShape, Dataflow};
+    use crate::dataflow::testing::{addrs, tally};
     use crate::dataflow::DemandGenerator;
-    use crate::demand::{CycleDemand, DemandSummary};
     use crate::topology::GemmShape;
     use std::collections::HashMap;
 
@@ -98,9 +94,7 @@ mod tests {
     #[test]
     fn counts_match_closed_form_single_fold() {
         // 4×4 array, K=4, M=4 (one fold each), N=6 streamed.
-        let gen = make(4, 4, 4, 6, 4);
-        let mut s = DemandSummary::default();
-        gen.run(&mut s);
+        let s = tally(&make(4, 4, 4, 6, 4));
         assert_eq!(s.ifmap_reads, 16, "prefetch loads each pinned input once");
         assert_eq!(s.filter_reads, (4 * 6) as u64, "R'·N weight reads");
         assert_eq!(s.ofmap_writes, (6 * 4) as u64);
@@ -116,12 +110,16 @@ mod tests {
         let gemm_is = GemmShape::new(5, 9, 7);
         let gemm_ws = GemmShape::new(9, 5, 7);
         let arr = ArrayShape::new(3, 4);
-        let gis = DemandGenerator::new(arr, Dataflow::InputStationary, gemm_is);
-        let gws = DemandGenerator::new(arr, Dataflow::WeightStationary, gemm_ws);
-        let mut si = DemandSummary::default();
-        let mut sw = DemandSummary::default();
-        gis.run(&mut si);
-        gws.run(&mut sw);
+        let si = tally(&DemandGenerator::new(
+            arr,
+            Dataflow::InputStationary,
+            gemm_is,
+        ));
+        let sw = tally(&DemandGenerator::new(
+            arr,
+            Dataflow::WeightStationary,
+            gemm_ws,
+        ));
         assert_eq!(si.cycles, sw.cycles);
         assert_eq!(si.macs, sw.macs);
         assert_eq!(si.ifmap_reads, sw.filter_reads);
@@ -131,17 +129,11 @@ mod tests {
     #[test]
     fn outputs_accumulate_k_folds_times() {
         let gen = make(2, 2, 3, 4, 5); // K=5 over R=2 → 3 folds
-        struct W(HashMap<u64, u32>);
-        impl crate::demand::DemandSink for W {
-            fn on_cycle(&mut self, d: &CycleDemand) {
-                for &a in &d.ofmap_writes {
-                    *self.0.entry(a).or_insert(0) += 1;
-                }
-            }
+        let mut writes = HashMap::new();
+        for a in addrs(&gen, |f| &f.ofmap) {
+            *writes.entry(a).or_insert(0) += 1;
         }
-        let mut w = W(HashMap::new());
-        gen.run(&mut w);
-        assert_eq!(w.0.len(), 3 * 4);
-        assert!(w.0.values().all(|&v| v == 3));
+        assert_eq!(writes.len(), 3 * 4);
+        assert!(writes.values().all(|&v| v == 3));
     }
 }

@@ -10,16 +10,15 @@
 //!
 //! The per-dataflow modules only *describe* a fold — which tile each edge
 //! stream walks, with what strides and skew, from which cycle
-//! ([`FoldDemand`]). Planning consumes those descriptors as they are;
-//! [`DemandGenerator::run`] expands them cycle by cycle for the consumers
-//! that need addresses.
+//! ([`FoldDemand`]); every consumer (planning, the DRAM and layout
+//! stages) reads those descriptors as they are.
 
 mod is;
 mod os;
 mod ws;
 
 use crate::config::{ArrayShape, Dataflow};
-use crate::demand::{CycleDemand, DemandSink, DemandSummary, FoldDemand};
+use crate::demand::{DemandSummary, FoldDemand};
 use crate::operand::OperandMap;
 use crate::topology::GemmShape;
 use crate::util::ceil_div;
@@ -173,14 +172,6 @@ impl DemandGenerator {
         })
     }
 
-    /// Streams the full cycle-accurate demand into `sink`.
-    pub fn run(&self, sink: &mut dyn DemandSink) {
-        let mut demand = CycleDemand::default();
-        for fold in self.folds() {
-            fold.run(&mut demand, sink);
-        }
-    }
-
     /// Exact total compute cycles (no memory stalls), without streaming.
     pub fn total_cycles(&self) -> u64 {
         self.geometry().total_cycles()
@@ -192,8 +183,8 @@ impl DemandGenerator {
     /// contributes `R'·T` reads on the streamed-operand edge, `R'·C'` loads
     /// of the stationary operand, `T·C'` output events, and `R'·C'·T`
     /// MACs), so the whole-stream summary costs O(1) instead of a full
-    /// cycle-accurate traversal. `tests/invariants.rs` checks it against a
-    /// [`DemandSummary`] streamed through [`run`](Self::run).
+    /// cycle-accurate traversal. `tests/invariants.rs` checks it against
+    /// the per-cycle expansion of [`folds`](Self::folds).
     pub fn summary(&self) -> DemandSummary {
         let g = self.geometry();
         let (sr, sc, t) = (g.sr as u64, g.sc as u64, g.t as u64);
@@ -234,44 +225,62 @@ impl DemandGenerator {
     }
 }
 
+/// What the dataflow tests read off the fold descriptors.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::DemandGenerator;
+    use crate::demand::{DemandSummary, EdgeStream, FoldDemand};
+    use crate::operand::Addr;
+
+    /// The layer's totals, added up fold by fold and stream by stream.
+    pub fn tally(gen: &DemandGenerator) -> DemandSummary {
+        let mut s = DemandSummary::default();
+        let geometry = gen.geometry();
+        for (fold, extent) in gen.folds().zip(geometry.folds()) {
+            assert_eq!(fold.start, s.cycles, "folds must be contiguous");
+            s.cycles += fold.cycles;
+            for edge in [&fold.ifmap, &fold.filter, &fold.ofmap] {
+                let end = edge.start + edge.stream.steps();
+                assert!(end <= fold.cycles, "a stream outlives its fold");
+            }
+            s.ifmap_reads += fold.ifmap.stream.words();
+            s.filter_reads += fold.filter.stream.words();
+            s.ofmap_writes += fold.ofmap.stream.words();
+            s.ofmap_reads += fold.ofmap.stream.words() * u64::from(fold.accumulate);
+            s.macs += (extent.rows * extent.cols * geometry.t) as u64;
+        }
+        s
+    }
+
+    /// Every address one edge of the layer touches, in order.
+    pub fn addrs(gen: &DemandGenerator, edge: fn(&FoldDemand) -> &EdgeStream) -> Vec<Addr> {
+        let mut out = Vec::new();
+        for fold in gen.folds() {
+            let stream = edge(&fold).stream;
+            (0..stream.steps()).for_each(|step| out.extend(stream.step_addrs(step)));
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::demand::{CycleDemand, DemandSink};
-    use std::collections::HashMap;
-
-    /// Sink that checks per-cycle invariants and collects totals.
-    #[derive(Default)]
-    struct CheckingSink {
-        last_cycle: Option<u64>,
-        summary: DemandSummary,
-        read_counts: HashMap<u64, u64>,
-    }
-
-    impl DemandSink for CheckingSink {
-        fn on_cycle(&mut self, d: &CycleDemand) {
-            if let Some(last) = self.last_cycle {
-                assert_eq!(d.cycle, last + 1, "cycles must be contiguous");
-            }
-            self.last_cycle = Some(d.cycle);
-            self.summary.absorb(d);
-            for &a in d.ifmap_reads.iter().chain(&d.filter_reads) {
-                *self.read_counts.entry(a).or_insert(0) += 1;
-            }
-        }
-    }
 
     fn check(df: Dataflow, r: usize, c: usize, m: usize, n: usize, k: usize) {
         let gemm = GemmShape::new(m, n, k);
         let gen = DemandGenerator::new(ArrayShape::new(r, c), df, gemm);
-        let mut sink = CheckingSink::default();
-        gen.run(&mut sink);
-        let s = sink.summary;
+        let s = testing::tally(&gen);
         assert_eq!(s.macs, gemm.macs(), "{df}: MAC conservation");
         assert_eq!(s.cycles, gen.total_cycles(), "{df}: cycle count");
+        assert_eq!(s, gen.summary(), "{df}: closed-form totals");
         // Every output element is written at least once, and the final
         // writes cover exactly M×N addresses.
         assert!(s.ofmap_writes >= (m * n) as u64, "{df}: output coverage");
+        let mut written = testing::addrs(&gen, |f| &f.ofmap);
+        written.sort_unstable();
+        written.dedup();
+        assert_eq!(written.len(), m * n, "{df}: output coverage");
     }
 
     #[test]

@@ -34,10 +34,6 @@ pub(super) fn fold_demand(
     FoldDemand {
         start,
         cycles: fold.cycles,
-        rows: rp,
-        cols: cp,
-        t: k,
-        mac_start: 0,
         // Row r streams A[m0+r][·], one element per cycle, r cycles late.
         ifmap: EdgeStream {
             tile: fold.fr,
@@ -85,8 +81,8 @@ pub(super) fn fold_demand(
 #[cfg(test)]
 mod tests {
     use crate::config::{ArrayShape, Dataflow};
+    use crate::dataflow::testing::{addrs, tally};
     use crate::dataflow::DemandGenerator;
-    use crate::demand::{CycleDemand, DemandSummary};
     use crate::operand::OperandKind;
     use crate::topology::GemmShape;
     use std::collections::HashSet;
@@ -98,9 +94,7 @@ mod tests {
 
     #[test]
     fn read_counts_match_closed_form() {
-        let gen = make(4, 4, 8, 8, 6);
-        let mut s = DemandSummary::default();
-        gen.run(&mut s);
+        let s = tally(&make(4, 4, 8, 8, 6));
         // Per fold: ifmap R'·K, filter C'·K; 4 full folds of 4×4.
         assert_eq!(s.ifmap_reads, 4 * (4 * 6) as u64);
         assert_eq!(s.filter_reads, 4 * (4 * 6) as u64);
@@ -111,48 +105,29 @@ mod tests {
 
     #[test]
     fn every_output_written_exactly_once() {
-        let gen = make(3, 3, 7, 5, 4);
-        struct Writes(HashSet<u64>, u64);
-        impl crate::demand::DemandSink for Writes {
-            fn on_cycle(&mut self, d: &CycleDemand) {
-                for &a in &d.ofmap_writes {
-                    assert_eq!(OperandKind::of_addr(a), OperandKind::Ofmap);
-                    assert!(self.0.insert(a), "output {a} written twice");
-                    self.1 += 1;
-                }
-            }
+        let writes = addrs(&make(3, 3, 7, 5, 4), |f| &f.ofmap);
+        let mut seen = HashSet::new();
+        for &a in &writes {
+            assert_eq!(OperandKind::of_addr(a), OperandKind::Ofmap);
+            assert!(seen.insert(a), "output {a} written twice");
         }
-        let mut w = Writes(HashSet::new(), 0);
-        gen.run(&mut w);
-        assert_eq!(w.0.len(), 7 * 5);
-        assert_eq!(w.1, 7 * 5);
+        assert_eq!(seen.len(), 7 * 5);
+        assert_eq!(writes.len(), 7 * 5);
     }
 
     #[test]
     fn ifmap_reads_cover_full_operand_per_column_fold() {
         // With one column fold, each A element is read exactly once.
-        let gen = make(4, 8, 4, 8, 5);
-        struct Reads(HashSet<u64>, u64);
-        impl crate::demand::DemandSink for Reads {
-            fn on_cycle(&mut self, d: &CycleDemand) {
-                for &a in &d.ifmap_reads {
-                    self.0.insert(a);
-                    self.1 += 1;
-                }
-            }
-        }
-        let mut rd = Reads(HashSet::new(), 0);
-        gen.run(&mut rd);
-        assert_eq!(rd.0.len(), 4 * 5);
-        assert_eq!(rd.1, 4 * 5, "single column fold implies no re-reads");
+        let reads = addrs(&make(4, 8, 4, 8, 5), |f| &f.ifmap);
+        let distinct: HashSet<u64> = reads.iter().copied().collect();
+        assert_eq!(distinct.len(), 4 * 5);
+        assert_eq!(reads.len(), 4 * 5, "single column fold implies no re-reads");
     }
 
     #[test]
     fn fold_length_minimal_case() {
         // R'=C'=K=1 → fold of 2 cycles: mac, then drain.
-        let gen = make(1, 1, 1, 1, 1);
-        let mut s = DemandSummary::default();
-        gen.run(&mut s);
+        let s = tally(&make(1, 1, 1, 1, 1));
         assert_eq!(s.cycles, 2);
         assert_eq!(s.macs, 1);
         assert_eq!(s.ofmap_writes, 1);

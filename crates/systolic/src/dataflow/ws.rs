@@ -35,10 +35,6 @@ pub(super) fn fold_demand(
     FoldDemand {
         start,
         cycles: fold.cycles,
-        rows: rp,
-        cols: cp,
-        t: m,
-        mac_start: rp as u64,
         // Row r streams A[·][k0+r] once the weights are pinned.
         ifmap: EdgeStream {
             tile: fold.fr,
@@ -86,8 +82,8 @@ pub(super) fn fold_demand(
 #[cfg(test)]
 mod tests {
     use crate::config::{ArrayShape, Dataflow};
+    use crate::dataflow::testing::{addrs, tally};
     use crate::dataflow::DemandGenerator;
-    use crate::demand::{CycleDemand, DemandSummary};
     use crate::topology::GemmShape;
     use std::collections::HashMap;
 
@@ -96,12 +92,19 @@ mod tests {
         DemandGenerator::new(ArrayShape::new(r, c), Dataflow::WeightStationary, gemm)
     }
 
+    /// How often each address occurs.
+    fn counts(addrs: Vec<u64>) -> HashMap<u64, u32> {
+        let mut counts = HashMap::new();
+        for a in addrs {
+            *counts.entry(a).or_insert(0) += 1;
+        }
+        counts
+    }
+
     #[test]
     fn counts_match_closed_form_single_fold() {
         // 4×4 array, K=4, N=4 (one fold), M=6 streamed.
-        let gen = make(4, 4, 6, 4, 4);
-        let mut s = DemandSummary::default();
-        gen.run(&mut s);
+        let s = tally(&make(4, 4, 6, 4, 4));
         assert_eq!(s.filter_reads, 16, "prefetch loads each pinned weight once");
         assert_eq!(s.ifmap_reads, (4 * 6) as u64, "R'·M input reads");
         assert_eq!(s.ofmap_writes, (6 * 4) as u64, "M·C' outputs");
@@ -114,9 +117,7 @@ mod tests {
     #[test]
     fn accumulation_reads_on_later_k_folds() {
         // K=8 over R=4 → two row folds; second fold re-reads outputs.
-        let gen = make(4, 4, 5, 4, 8);
-        let mut s = DemandSummary::default();
-        gen.run(&mut s);
+        let s = tally(&make(4, 4, 5, 4, 8));
         assert_eq!(s.ofmap_writes, 2 * (5 * 4) as u64);
         assert_eq!(s.ofmap_reads, (5 * 4) as u64);
         assert_eq!(s.macs, 5 * 4 * 8);
@@ -125,37 +126,21 @@ mod tests {
     #[test]
     fn outputs_accumulate_k_folds_times() {
         let gen = make(2, 3, 4, 3, 6); // 3 K-folds
-        struct W(HashMap<u64, u32>);
-        impl crate::demand::DemandSink for W {
-            fn on_cycle(&mut self, d: &CycleDemand) {
-                for &a in &d.ofmap_writes {
-                    *self.0.entry(a).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut w = W(HashMap::new());
-        gen.run(&mut w);
-        assert_eq!(w.0.len(), 4 * 3);
+        let writes = counts(addrs(&gen, |f| &f.ofmap));
+        assert_eq!(writes.len(), 4 * 3);
         assert!(
-            w.0.values().all(|&v| v == 3),
+            writes.values().all(|&v| v == 3),
             "each output written once per K fold"
         );
     }
 
     #[test]
     fn every_weight_prefetched_once() {
-        let gen = make(3, 2, 2, 5, 7);
-        struct F(HashMap<u64, u32>);
-        impl crate::demand::DemandSink for F {
-            fn on_cycle(&mut self, d: &CycleDemand) {
-                for &a in &d.filter_reads {
-                    *self.0.entry(a).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut f = F(HashMap::new());
-        gen.run(&mut f);
-        assert_eq!(f.0.len(), 7 * 5, "all weights touched");
-        assert!(f.0.values().all(|&v| v == 1), "weights loaded exactly once");
+        let loads = counts(addrs(&make(3, 2, 2, 5, 7), |f| &f.filter));
+        assert_eq!(loads.len(), 7 * 5, "all weights touched");
+        assert!(
+            loads.values().all(|&v| v == 1),
+            "weights loaded exactly once"
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! Fold-granular demand descriptors and their per-cycle expansion.
+//! Fold-granular demand descriptors.
 //!
 //! A *demand* is the set of scratchpad accesses at the array edges: ifmap
 //! reads on the left edge, filter reads on the top edge, and ofmap writes
@@ -9,11 +9,12 @@
 //! so a fold's whole demand is four closed-form [`Stream`]s
 //! ([`FoldDemand`]), not `O(cycles × lanes)` addresses.
 //!
-//! The planners and the SRAM repeat lookups consume the descriptors
-//! directly. Consumers that are defined cycle by cycle (the layout
-//! bank-conflict stage, the tests) get the classic [`CycleDemand`] view
-//! through [`FoldDemand::run`], the one expansion of descriptors into
-//! per-cycle address vectors.
+//! Every consumer reads the descriptors as they are: the planners and the
+//! SRAM repeat lookups decide a stream in index runs, the DRAM stage turns
+//! a transaction's [`Segment`]s into line ranges, the layout stage walks a
+//! stream's lanes cell by cell. The classic per-cycle address vectors
+//! exist only in `tests/invariants.rs`, as the reference the descriptors
+//! are checked against.
 
 use crate::operand::Addr;
 use crate::util::antidiagonal_prefix;
@@ -98,6 +99,12 @@ impl Stream {
         lo
     }
 
+    /// Address of lane `lane`'s element `element`.
+    pub fn addr(&self, lane: u64, element: u64) -> Addr {
+        let lane = lane.wrapping_mul(self.lane_stride);
+        (self.base.wrapping_add(lane)).wrapping_add(element.wrapping_mul(self.step_stride))
+    }
+
     /// The addresses touched at `step`, in lane order.
     pub fn step_addrs(&self, step: u64) -> impl Iterator<Item = Addr> {
         let (lo, hi, delta) = if self.skewed {
@@ -110,10 +117,7 @@ impl Stream {
             (0, self.lanes as u64, self.lane_stride)
         };
         let element = if self.skewed { step - lo } else { step };
-        let first = self
-            .base
-            .wrapping_add(lo.wrapping_mul(self.lane_stride))
-            .wrapping_add(element.wrapping_mul(self.step_stride));
+        let first = self.addr(lo, element);
         (0..hi.saturating_sub(lo)).map(move |k| first.wrapping_add(k.wrapping_mul(delta)))
     }
 }
@@ -216,17 +220,6 @@ pub struct EdgeStream {
     pub stream: Stream,
 }
 
-impl EdgeStream {
-    /// Appends the addresses touched at fold-relative cycle `t`.
-    fn fill(&self, t: u64, out: &mut Vec<Addr>) {
-        if let Some(step) = t.checked_sub(self.start) {
-            if step < self.stream.steps() {
-                out.extend(self.stream.step_addrs(step));
-            }
-        }
-    }
-}
-
 /// The complete demand of one fold, in closed form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FoldDemand {
@@ -234,14 +227,6 @@ pub struct FoldDemand {
     pub start: u64,
     /// Cycles the fold occupies.
     pub cycles: u64,
-    /// Active array rows (`R'`).
-    pub rows: usize,
-    /// Active array columns (`C'`).
-    pub cols: usize,
-    /// Temporal extent `T` streamed through the array.
-    pub t: usize,
-    /// Fold-relative cycle at which the first MAC fires.
-    pub mac_start: u64,
     /// Ifmap SRAM reads.
     pub ifmap: EdgeStream,
     /// Filter SRAM reads.
@@ -254,74 +239,7 @@ pub struct FoldDemand {
     pub accumulate: bool,
 }
 
-impl FoldDemand {
-    /// Expands the fold cycle by cycle into `sink`, reusing `demand`'s
-    /// buffers.
-    pub fn run(&self, demand: &mut CycleDemand, sink: &mut dyn DemandSink) {
-        for t in 0..self.cycles {
-            demand.reset(self.start + t);
-            self.ifmap.fill(t, &mut demand.ifmap_reads);
-            self.filter.fill(t, &mut demand.filter_reads);
-            self.ofmap.fill(t, &mut demand.ofmap_writes);
-            if self.accumulate {
-                demand.ofmap_reads.extend_from_slice(&demand.ofmap_writes);
-            }
-            // PE (r, c) fires while 0 ≤ t' − r − c < T.
-            let tp = t as i64 - self.mac_start as i64;
-            demand.active_macs = antidiagonal_prefix(self.rows, self.cols, tp)
-                - antidiagonal_prefix(self.rows, self.cols, tp - self.t as i64);
-            sink.on_cycle(demand);
-        }
-    }
-}
-
-/// The scratchpad accesses of a single cycle.
-///
-/// The vectors are reused across cycles by the expansion; sinks must not
-/// retain references between calls.
-#[derive(Debug, Clone, Default)]
-pub struct CycleDemand {
-    /// Simulation cycle (compute time, i.e. without memory stalls).
-    pub cycle: u64,
-    /// Ifmap SRAM addresses read at the left edge this cycle.
-    pub ifmap_reads: Vec<Addr>,
-    /// Filter SRAM addresses read at the top edge this cycle.
-    pub filter_reads: Vec<Addr>,
-    /// Ofmap SRAM addresses read for partial-sum accumulation this cycle.
-    pub ofmap_reads: Vec<Addr>,
-    /// Ofmap SRAM addresses written this cycle.
-    pub ofmap_writes: Vec<Addr>,
-    /// Number of MAC operations performed in the array this cycle.
-    pub active_macs: u64,
-}
-
-impl CycleDemand {
-    /// Clears all per-cycle state (buffers keep their capacity).
-    pub fn reset(&mut self, cycle: u64) {
-        self.cycle = cycle;
-        self.ifmap_reads.clear();
-        self.filter_reads.clear();
-        self.ofmap_reads.clear();
-        self.ofmap_writes.clear();
-        self.active_macs = 0;
-    }
-}
-
-/// Visitor over the cycle-accurate demand stream.
-pub trait DemandSink {
-    /// Observes one cycle of demand. Called exactly once per simulated cycle
-    /// in increasing cycle order.
-    fn on_cycle(&mut self, demand: &CycleDemand);
-}
-
-/// Allows composing several sinks over a single generator pass.
-impl<S: DemandSink + ?Sized> DemandSink for &mut S {
-    fn on_cycle(&mut self, demand: &CycleDemand) {
-        (**self).on_cycle(demand);
-    }
-}
-
-/// Aggregate totals accumulated while streaming demands.
+/// Aggregate demand totals of a layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DemandSummary {
     /// Total simulated compute cycles.
@@ -336,24 +254,6 @@ pub struct DemandSummary {
     pub ofmap_writes: u64,
     /// Total MAC operations.
     pub macs: u64,
-}
-
-impl DemandSummary {
-    /// Accumulates one cycle.
-    pub fn absorb(&mut self, d: &CycleDemand) {
-        self.cycles = self.cycles.max(d.cycle + 1);
-        self.ifmap_reads += d.ifmap_reads.len() as u64;
-        self.filter_reads += d.filter_reads.len() as u64;
-        self.ofmap_reads += d.ofmap_reads.len() as u64;
-        self.ofmap_writes += d.ofmap_writes.len() as u64;
-        self.macs += d.active_macs;
-    }
-}
-
-impl DemandSink for DemandSummary {
-    fn on_cycle(&mut self, demand: &CycleDemand) {
-        self.absorb(demand);
-    }
 }
 
 #[cfg(test)]
@@ -435,34 +335,5 @@ mod tests {
     fn empty_streams_have_no_steps() {
         assert_eq!(skewed(0, 4).steps(), 0);
         assert_eq!(skewed(4, 0).steps(), 0);
-    }
-
-    #[test]
-    fn reset_clears_buffers() {
-        let mut d = CycleDemand::default();
-        d.ifmap_reads.push(1);
-        d.ofmap_writes.push(2);
-        d.active_macs = 7;
-        d.reset(42);
-        assert_eq!(d.cycle, 42);
-        assert_eq!(d.active_macs, 0);
-        assert!(d.ifmap_reads.is_empty() && d.ofmap_writes.is_empty());
-    }
-
-    #[test]
-    fn summary_accumulates() {
-        let mut s = DemandSummary::default();
-        let mut d = CycleDemand::default();
-        d.reset(0);
-        d.ifmap_reads.extend([1, 2, 3]);
-        d.active_macs = 5;
-        s.absorb(&d);
-        d.reset(1);
-        d.filter_reads.push(9);
-        s.absorb(&d);
-        assert_eq!(s.cycles, 2);
-        assert_eq!(s.ifmap_reads, 3);
-        assert_eq!(s.filter_reads, 1);
-        assert_eq!(s.macs, 5);
     }
 }

@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod analytical;
-pub mod bandwidth;
 pub mod buffer;
 pub mod config;
 pub mod dataflow;
@@ -60,16 +59,13 @@ pub mod trace;
 pub(crate) mod util;
 
 pub use analytical::{analytical_runtime, AnalyticalModel};
-pub use bandwidth::{BandwidthReport, InterfaceBandwidth};
 pub use buffer::{
     timing, BackingStore, IdealBandwidthStore, ReadPlan, ReadPlanner, RecordingStore, TimedStream,
     TimingInputs, WritePlan, WritePlanner,
 };
 pub use config::{ArrayShape, Dataflow, MemoryConfig, SimConfig, SimConfigBuilder};
 pub use dataflow::{DemandGenerator, Fold, FoldGeometry};
-pub use demand::{
-    Batch, CycleDemand, DemandSink, DemandSummary, EdgeStream, FoldDemand, Segment, Stream,
-};
+pub use demand::{Batch, DemandSummary, EdgeStream, FoldDemand, Segment, Stream};
 pub use error::SimError;
 pub use operand::{Addr, OperandKind, OperandMap, FILTER_BASE, IFMAP_BASE, OFMAP_BASE};
 pub use parallel::{num_threads, parallel_map, parallel_map_streamed, THREADS_ENV};

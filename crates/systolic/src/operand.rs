@@ -97,27 +97,6 @@ impl OperandMap {
         debug_assert!(m < self.gemm.m && n < self.gemm.n);
         OFMAP_BASE + (m as u64) * (self.gemm.n as u64) + n as u64
     }
-
-    /// Inverse of [`ifmap`](Self::ifmap): recovers `(m, k)`.
-    pub fn ifmap_coords(&self, addr: Addr) -> (usize, usize) {
-        let off = addr - IFMAP_BASE;
-        let k = self.gemm.k as u64;
-        ((off / k) as usize, (off % k) as usize)
-    }
-
-    /// Inverse of [`filter`](Self::filter): recovers `(k, n)`.
-    pub fn filter_coords(&self, addr: Addr) -> (usize, usize) {
-        let off = addr - FILTER_BASE;
-        let n = self.gemm.n as u64;
-        ((off / n) as usize, (off % n) as usize)
-    }
-
-    /// Inverse of [`ofmap`](Self::ofmap): recovers `(m, n)`.
-    pub fn ofmap_coords(&self, addr: Addr) -> (usize, usize) {
-        let off = addr - OFMAP_BASE;
-        let n = self.gemm.n as u64;
-        ((off / n) as usize, (off % n) as usize)
-    }
 }
 
 #[cfg(test)]
@@ -141,20 +120,20 @@ mod tests {
     #[test]
     fn coords_roundtrip() {
         let map = OperandMap::new(GemmShape::new(7, 5, 3));
-        for m in 0..7 {
-            for k in 0..3 {
-                assert_eq!(map.ifmap_coords(map.ifmap(m, k)), (m, k));
-            }
+        // Row-major within each region: offset / columns, offset % columns.
+        let coords =
+            |addr: Addr, base: Addr, cols: u64| ((addr - base) / cols, (addr - base) % cols);
+        for (m, k) in (0..7).flat_map(|m| (0..3).map(move |k| (m, k))) {
+            assert_eq!(coords(map.ifmap(m, k), IFMAP_BASE, 3), (m as u64, k as u64));
         }
-        for k in 0..3 {
-            for n in 0..5 {
-                assert_eq!(map.filter_coords(map.filter(k, n)), (k, n));
-            }
+        for (k, n) in (0..3).flat_map(|k| (0..5).map(move |n| (k, n))) {
+            assert_eq!(
+                coords(map.filter(k, n), FILTER_BASE, 5),
+                (k as u64, n as u64)
+            );
         }
-        for m in 0..7 {
-            for n in 0..5 {
-                assert_eq!(map.ofmap_coords(map.ofmap(m, n)), (m, n));
-            }
+        for (m, n) in (0..7).flat_map(|m| (0..5).map(move |n| (m, n))) {
+            assert_eq!(coords(map.ofmap(m, n), OFMAP_BASE, 5), (m as u64, n as u64));
         }
     }
 

@@ -4,16 +4,17 @@
 //!
 //! No external crates: a SplitMix64 drives generation from [`SEED`], and a
 //! failing case prints the seed that reproduces it. Case counts keep the
-//! whole file well under a minute in a debug build (small arrays, GEMMs
-//! ≤ 64³, DRAM traces ≤ 128 requests).
+//! whole file under a minute in a debug build (small arrays, GEMMs ≤ 64³;
+//! the differential oracle of the feature stages is the long pole at ~30 s).
 
 use scale_sim::energy::{
     ActionCounts, ArchSpec, AreaConfig, AreaTable, EnergyModel, EnergyTable, LayerActivity,
 };
 use scale_sim::layout::{BankModel, LayoutSpec, StreamEvaluator, TensorDims};
+use scale_sim::mem::bank::{Bank, BankState};
 use scale_sim::mem::{
-    replay_trace, verify_timing, AccessKind, AddressMapping, CommandKind, DramConfig,
-    DramEnergyBreakdown, DramSpec, DramSystem, RowPolicy, SchedulingPolicy, TraceRequest,
+    verify_timing, AccessKind, AddressMapping, CommandKind, CommandLog, DramAddr, DramConfig,
+    DramEnergyBreakdown, DramSpec, DramSystem, MemStats, Replay, RowPolicy, SchedulingPolicy,
 };
 use scale_sim::multicore::{
     best_partition, factor_pairs, memory_footprint_words, non_uniform_split, runtime_cycles,
@@ -21,18 +22,20 @@ use scale_sim::multicore::{
     PartitionObjective, PartitionScheme, PipelineSchedule, SimdOp, SimdUnit, TensorCore,
 };
 use scale_sim::scalesim::config::MultiCoreIntegration;
+use scale_sim::scalesim::dram::{self, LatencyReplayStore, MeasuredTransaction};
+use scale_sim::scalesim::layout_slowdown_for_gemm;
 use scale_sim::sparse::{
     AnalyticalSparseModel, BlockedEllpack, Csc, Csr, DenseMatrix, NmRatio, Saf, SparseComputeModel,
     SparseFormat, SparsityPattern,
 };
 use scale_sim::systolic::{
-    timing, AccessKind as Direction, Addr, AnalyticalModel, ArrayShape, CoreSim, CycleDemand,
-    Dataflow, DemandGenerator, DemandSink, DemandSummary, GemmShape, IdealBandwidthStore,
-    MemoryConfig, MemorySummary, OperandKind, OperandMemoryStats, PlanCache, RecordingStore,
-    SimConfig, SramSummary,
+    timing, AccessKind as Direction, Addr, AnalyticalModel, ArrayShape, CoreSim, Dataflow,
+    DemandGenerator, DemandSummary, EdgeStream, GemmShape, IdealBandwidthStore, MemoryConfig,
+    MemorySummary, OperandKind, OperandMemoryStats, PlanCache, RecordingStore, SimConfig,
+    SramSummary, TraceRecorder, FILTER_BASE, IFMAP_BASE, OFMAP_BASE,
 };
-use scale_sim::{ScaleSim, ScaleSimConfig};
-use std::collections::{HashMap, HashSet};
+use scale_sim::{DramIntegration, LayoutAnalysis, LayoutIntegration, ScaleSim, ScaleSimConfig};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -192,8 +195,9 @@ fn plan_agrees_with_the_closed_forms() {
 
         // Demand totals: closed form == streamed == what the planner saw.
         let generator = DemandGenerator::new(config.array, config.dataflow, gemm);
-        let mut streamed = DemandSummary::default();
-        generator.run(&mut streamed);
+        let mut streamed = reference::Totals::default();
+        reference::run(&generator, &mut streamed);
+        let streamed = streamed.0;
         assert_eq!(generator.summary(), streamed, "{what}");
         assert_eq!(plan.summary, streamed, "{what}");
         assert_eq!(plan.sram.ifmap_reads, streamed.ifmap_reads, "{what}");
@@ -295,11 +299,90 @@ fn more_sram_never_adds_dram_traffic() {
 // crates/systolic: the fold-granular planner against a per-address reference
 // ---------------------------------------------------------------------------
 
-/// The per-address planner and timing pass the fold-granular ones
-/// replaced, kept as the reference: one map lookup per array-edge word,
-/// one `Vec<Addr>` entry per fetched word, one event per cycle.
+/// What the descriptor-driven code replaced, kept as the reference: the
+/// per-cycle expansion of the fold descriptors; the per-address planner
+/// and timing pass (one map lookup per array-edge word, one `Vec<Addr>`
+/// entry per fetched word, one event per cycle); the per-line DRAM replay
+/// on the per-tick controller ([`dram`]); the per-cycle layout sink
+/// ([`layout`]).
 mod reference {
     use super::*;
+
+    /// The scratchpad accesses of a single cycle.
+    #[derive(Debug, Clone, Default)]
+    pub struct CycleDemand {
+        /// Simulation cycle (compute time, i.e. without memory stalls).
+        pub cycle: u64,
+        pub ifmap_reads: Vec<Addr>,
+        pub filter_reads: Vec<Addr>,
+        /// Partial sums read back for accumulation.
+        pub ofmap_reads: Vec<Addr>,
+        pub ofmap_writes: Vec<Addr>,
+        pub active_macs: u64,
+    }
+
+    /// Visitor over the cycle-by-cycle demand, called once per simulated
+    /// cycle in increasing cycle order.
+    pub trait DemandSink {
+        fn on_cycle(&mut self, demand: &CycleDemand);
+    }
+
+    /// `(r, c)` pairs of a `rows × cols` rectangle with `r + c <= s`.
+    fn antidiagonal_prefix(rows: usize, cols: usize, s: i64) -> u64 {
+        let cells = (0..rows as i64).flat_map(|r| (0..cols as i64).map(move |c| r + c));
+        cells.filter(|&sum| sum <= s).count() as u64
+    }
+
+    /// The addresses `edge` touches at fold-relative cycle `t`.
+    fn fill(edge: &EdgeStream, t: u64, out: &mut Vec<Addr>) {
+        out.clear();
+        if let Some(step) = t.checked_sub(edge.start) {
+            if step < edge.stream.steps() {
+                out.extend(edge.stream.step_addrs(step));
+            }
+        }
+    }
+
+    /// Expands the fold descriptors cycle by cycle into `sink`.
+    pub fn run(generator: &DemandGenerator, sink: &mut dyn DemandSink) {
+        let geometry = generator.geometry();
+        let mut demand = CycleDemand::default();
+        for (fold, extent) in generator.folds().zip(geometry.folds()) {
+            // The first MAC fires once both inputs stream.
+            let mac_start = fold.ifmap.start.max(fold.filter.start) as i64;
+            for t in 0..fold.cycles {
+                demand.cycle = fold.start + t;
+                fill(&fold.ifmap, t, &mut demand.ifmap_reads);
+                fill(&fold.filter, t, &mut demand.filter_reads);
+                fill(&fold.ofmap, t, &mut demand.ofmap_writes);
+                demand.ofmap_reads.clear();
+                if fold.accumulate {
+                    demand.ofmap_reads.extend_from_slice(&demand.ofmap_writes);
+                }
+                // PE (r, c) fires while 0 ≤ t' − r − c < T.
+                let tp = t as i64 - mac_start;
+                let fired = |s| antidiagonal_prefix(extent.rows, extent.cols, s);
+                demand.active_macs = fired(tp) - fired(tp - geometry.t as i64);
+                sink.on_cycle(&demand);
+            }
+        }
+    }
+
+    /// Demand totals, accumulated cycle by cycle.
+    #[derive(Default)]
+    pub struct Totals(pub DemandSummary);
+
+    impl DemandSink for Totals {
+        fn on_cycle(&mut self, d: &CycleDemand) {
+            let s = &mut self.0;
+            s.cycles = s.cycles.max(d.cycle + 1);
+            s.ifmap_reads += d.ifmap_reads.len() as u64;
+            s.filter_reads += d.filter_reads.len() as u64;
+            s.ofmap_reads += d.ofmap_reads.len() as u64;
+            s.ofmap_writes += d.ofmap_writes.len() as u64;
+            s.macs += d.active_macs;
+        }
+    }
 
     /// `(issue, completion, operand, direction, addresses)`.
     pub type Transaction = (u64, u64, OperandKind, Direction, Vec<Addr>);
@@ -547,7 +630,7 @@ mod reference {
 
     /// One pass over the per-cycle demand driving all of the above.
     pub struct Pass {
-        pub summary: DemandSummary,
+        pub summary: Totals,
         pub ifmap: ReadPlanner,
         pub filter: ReadPlanner,
         pub ofmap: WritePlanner,
@@ -558,7 +641,7 @@ mod reference {
         pub fn new(memory: &MemoryConfig) -> Self {
             let lookup = || RepeatLookup::new(memory.sram_row_words, memory.sram_row_buffers);
             Pass {
-                summary: DemandSummary::default(),
+                summary: Totals::default(),
                 ifmap: ReadPlanner::new(OperandKind::Ifmap, memory.ifmap_words),
                 filter: ReadPlanner::new(OperandKind::Filter, memory.filter_words),
                 ofmap: WritePlanner::new(memory.ofmap_words),
@@ -568,10 +651,10 @@ mod reference {
 
         pub fn sram(&self) -> SramSummary {
             SramSummary {
-                ifmap_reads: self.summary.ifmap_reads,
-                filter_reads: self.summary.filter_reads,
-                ofmap_reads: self.summary.ofmap_reads,
-                ofmap_writes: self.summary.ofmap_writes,
+                ifmap_reads: self.summary.0.ifmap_reads,
+                filter_reads: self.summary.0.filter_reads,
+                ofmap_reads: self.summary.0.ofmap_reads,
+                ofmap_writes: self.summary.0.ofmap_writes,
                 ifmap_repeat_reads: self.repeats[0].repeats,
                 filter_repeat_reads: self.repeats[1].repeats,
                 ofmap_repeat_accesses: self.repeats[2].repeats,
@@ -581,7 +664,7 @@ mod reference {
 
     impl DemandSink for Pass {
         fn on_cycle(&mut self, d: &CycleDemand) {
-            self.summary.absorb(d);
+            self.summary.on_cycle(d);
             let [ifmap, filter, ofmap] = &mut self.repeats;
             d.ifmap_reads.iter().for_each(|&a| ifmap.access(a));
             d.filter_reads.iter().for_each(|&a| filter.access(a));
@@ -681,7 +764,7 @@ mod reference {
             }
         }
 
-        let compute_cycles = pass.summary.cycles;
+        let compute_cycles = pass.summary.0.cycles;
         let compute_end = t0 + compute_cycles + stall;
         let mut tail_end = compute_end.max(pending_drain_done);
         let flush = ofmap.flush_addrs();
@@ -710,6 +793,781 @@ mod reference {
             },
         }
     }
+
+    /// The §V-B step 2 the streamed replay replaced: every line request
+    /// of the trace materialised and sorted, replayed through a system
+    /// whose controllers rescan their whole window every tick, the
+    /// per-line latencies scattered back to their transactions.
+    pub mod dram {
+        use super::*;
+
+        const SCAN_WINDOW: usize = 32;
+
+        #[derive(Debug, Clone)]
+        struct QueuedRequest {
+            id: u64,
+            addr: DramAddr,
+            kind: AccessKind,
+            arrive: u64,
+            classified: bool,
+        }
+
+        #[derive(Debug)]
+        pub struct Controller {
+            spec: DramSpec,
+            policy: SchedulingPolicy,
+            row_policy: RowPolicy,
+            banks: Vec<Bank>,
+            act_window: Vec<VecDeque<u64>>,
+            last_act: Vec<Option<(u64, usize)>>,
+            last_cas: Option<(u64, usize)>,
+            bus_data_end: u64,
+            next_refresh: u64,
+            queue: VecDeque<QueuedRequest>,
+            completions: Vec<(u64, u64, AccessKind)>,
+            stats: MemStats,
+            max_queue: usize,
+            open_banks: usize,
+            any_open_since: u64,
+            log: Option<CommandLog>,
+            next_try: u64,
+        }
+
+        impl Controller {
+            pub fn new(
+                spec: DramSpec,
+                policy: SchedulingPolicy,
+                row_policy: RowPolicy,
+                max_queue: usize,
+            ) -> Self {
+                let nbanks = spec.org.ranks * spec.org.banks();
+                Self {
+                    banks: vec![Bank::default(); nbanks],
+                    act_window: vec![VecDeque::with_capacity(4); spec.org.ranks],
+                    last_act: vec![None; spec.org.ranks],
+                    last_cas: None,
+                    bus_data_end: 0,
+                    next_refresh: spec.timing.tREFI,
+                    queue: VecDeque::new(),
+                    completions: Vec::new(),
+                    stats: MemStats::default(),
+                    max_queue,
+                    open_banks: 0,
+                    any_open_since: 0,
+                    log: None,
+                    next_try: 0,
+                    spec,
+                    policy,
+                    row_policy,
+                }
+            }
+
+            pub fn can_accept(&self) -> bool {
+                self.queue.len() < self.max_queue
+            }
+
+            pub fn enqueue(&mut self, id: u64, addr: DramAddr, kind: AccessKind, now: u64) {
+                debug_assert!(self.can_accept());
+                self.queue.push_back(QueuedRequest {
+                    id,
+                    addr,
+                    kind,
+                    arrive: now,
+                    classified: false,
+                });
+                // A new candidate may be issuable immediately.
+                self.next_try = self.next_try.min(now);
+            }
+
+            pub fn take_completions(&mut self, out: &mut Vec<(u64, u64, AccessKind)>) {
+                out.append(&mut self.completions);
+            }
+
+            pub fn stats_snapshot(&self) -> MemStats {
+                let mut s = self.stats;
+                if self.open_banks > 0 && s.end_cycle > self.any_open_since {
+                    s.row_open_cycles += s.end_cycle - self.any_open_since;
+                }
+                s
+            }
+
+            pub fn enable_command_log(&mut self) {
+                assert_eq!(
+                    self.row_policy,
+                    RowPolicy::OpenPage,
+                    "command logging requires the open-page policy"
+                );
+                self.log = Some(CommandLog::new());
+            }
+
+            pub fn command_log(&self) -> Option<&CommandLog> {
+                self.log.as_ref()
+            }
+
+            fn log_cmd(&mut self, cycle: u64, kind: CommandKind, addr: &DramAddr, row: usize) {
+                if let Some(log) = &mut self.log {
+                    log.push(cycle, kind, addr.rank, addr.bank_group, addr.bank, row);
+                }
+            }
+
+            pub fn next_event(&self) -> u64 {
+                if self.queue.is_empty() {
+                    self.next_refresh
+                } else {
+                    self.next_try.min(self.next_refresh)
+                }
+            }
+
+            fn bank_index(&self, addr: &DramAddr) -> usize {
+                addr.flat_bank(&self.spec.org)
+            }
+
+            fn cas_latency(&self, kind: AccessKind) -> u64 {
+                match kind {
+                    AccessKind::Read => self.spec.timing.CL,
+                    AccessKind::Write => self.spec.timing.CWL,
+                }
+            }
+
+            fn cas_ready(&self, req: &QueuedRequest, now: u64) -> bool {
+                let bank = &self.banks[self.bank_index(&req.addr)];
+                if !bank.is_open(req.addr.row) {
+                    return false;
+                }
+                let t = &self.spec.timing;
+                let ready_bank = match req.kind {
+                    AccessKind::Read => bank.next_read <= now,
+                    AccessKind::Write => bank.next_write <= now,
+                };
+                if !ready_bank {
+                    return false;
+                }
+                // CAS-to-CAS spacing.
+                if let Some((last, bg)) = self.last_cas {
+                    let ccd = if bg == req.addr.bank_group {
+                        t.tCCD_L
+                    } else {
+                        t.tCCD_S
+                    };
+                    if now < last + ccd {
+                        return false;
+                    }
+                }
+                // Data-bus occupancy: this burst's data must start after the
+                // previous transfer ends.
+                now + self.cas_latency(req.kind) >= self.bus_data_end
+            }
+
+            fn act_ready(&self, req: &QueuedRequest, now: u64) -> bool {
+                let bank = &self.banks[self.bank_index(&req.addr)];
+                if bank.state != BankState::Closed || bank.next_activate > now {
+                    return false;
+                }
+                let t = &self.spec.timing;
+                let rank = req.addr.rank;
+                if let Some((last, bg)) = self.last_act[rank] {
+                    let rrd = if bg == req.addr.bank_group {
+                        t.tRRD_L
+                    } else {
+                        t.tRRD_S
+                    };
+                    if now < last + rrd {
+                        return false;
+                    }
+                }
+                let window = &self.act_window[rank];
+                !(window.len() == 4 && now < window[0] + t.tFAW)
+            }
+
+            fn issue_cas(&mut self, qidx: usize, now: u64) {
+                let req = self.queue[qidx].clone();
+                let t = self.spec.timing;
+                let burst = self.spec.org.burst_cycles();
+                let bank = &mut self.banks[req.addr.flat_bank(&self.spec.org)];
+                match req.kind {
+                    AccessKind::Read => bank.read(now, &t, burst),
+                    AccessKind::Write => bank.write(now, &t, burst),
+                }
+                if self.row_policy == RowPolicy::ClosedPage {
+                    // Auto-precharge once legal; model as immediate close with the
+                    // activate window pushed past the recovery constraints.
+                    let bank = &mut self.banks[req.addr.flat_bank(&self.spec.org)];
+                    let pre_at = bank.next_precharge;
+                    bank.state = BankState::Closed;
+                    bank.next_activate = bank.next_activate.max(pre_at + t.tRP);
+                    // Open-time bookkeeping closes at `now` (the few recovery cycles
+                    // until `pre_at` are attributed to precharge standby).
+                    self.note_bank_closed(now);
+                }
+                self.last_cas = Some((now, req.addr.bank_group));
+                let lat = self.cas_latency(req.kind);
+                self.bus_data_end = now + lat + burst;
+                self.stats.data_bus_busy_cycles += burst;
+                self.stats.bytes_transferred += self.spec.org.burst_bytes() as u64;
+                let cas_kind = match req.kind {
+                    AccessKind::Read => CommandKind::Rd,
+                    AccessKind::Write => CommandKind::Wr,
+                };
+                self.log_cmd(now, cas_kind, &req.addr, req.addr.row);
+                let done = now + lat + burst;
+                match req.kind {
+                    AccessKind::Read => {
+                        self.stats.reads += 1;
+                        let latency = done - req.arrive;
+                        self.stats.total_read_latency += latency;
+                        self.stats.max_read_latency = self.stats.max_read_latency.max(latency);
+                        self.completions.push((req.id, done, AccessKind::Read));
+                    }
+                    AccessKind::Write => {
+                        self.stats.writes += 1;
+                        self.completions.push((req.id, now, AccessKind::Write));
+                    }
+                }
+                self.queue.remove(qidx);
+            }
+
+            fn classify(&mut self, qidx: usize) {
+                if self.queue[qidx].classified {
+                    return;
+                }
+                let addr = self.queue[qidx].addr;
+                let bank = &self.banks[addr.flat_bank(&self.spec.org)];
+                match bank.state {
+                    BankState::Open(r) if r == addr.row => self.stats.row_hits += 1,
+                    BankState::Open(_) => self.stats.row_conflicts += 1,
+                    BankState::Closed => self.stats.row_misses += 1,
+                }
+                self.queue[qidx].classified = true;
+            }
+
+            fn issue_act(&mut self, qidx: usize, now: u64) {
+                let addr = self.queue[qidx].addr;
+                let rank = addr.rank;
+                let t = self.spec.timing;
+                self.banks[addr.flat_bank(&self.spec.org)].activate(now, addr.row, &t);
+                self.last_act[rank] = Some((now, addr.bank_group));
+                let window = &mut self.act_window[rank];
+                if window.len() == 4 {
+                    window.pop_front();
+                }
+                window.push_back(now);
+                self.stats.activates += 1;
+                self.log_cmd(now, CommandKind::Act, &addr, addr.row);
+                if self.open_banks == 0 {
+                    self.any_open_since = now;
+                }
+                self.open_banks += 1;
+            }
+
+            fn issue_pre(&mut self, qidx: usize, now: u64) {
+                let addr = self.queue[qidx].addr;
+                let t = self.spec.timing;
+                self.banks[addr.flat_bank(&self.spec.org)].precharge(now, &t);
+                self.stats.precharges += 1;
+                self.log_cmd(now, CommandKind::Pre, &addr, addr.row);
+                self.note_bank_closed(now);
+            }
+
+            fn note_bank_closed(&mut self, now: u64) {
+                self.open_banks = self.open_banks.saturating_sub(1);
+                if self.open_banks == 0 {
+                    self.stats.row_open_cycles += now - self.any_open_since;
+                }
+            }
+
+            fn cas_earliest(&self, req: &QueuedRequest) -> u64 {
+                let t = &self.spec.timing;
+                let bank = &self.banks[self.bank_index(&req.addr)];
+                let mut earliest = match req.kind {
+                    AccessKind::Read => bank.next_read,
+                    AccessKind::Write => bank.next_write,
+                };
+                if let Some((last, bg)) = self.last_cas {
+                    let ccd = if bg == req.addr.bank_group {
+                        t.tCCD_L
+                    } else {
+                        t.tCCD_S
+                    };
+                    earliest = earliest.max(last + ccd);
+                }
+                let lat = self.cas_latency(req.kind);
+                earliest = earliest.max(self.bus_data_end.saturating_sub(lat));
+                earliest
+            }
+
+            fn act_earliest(&self, req: &QueuedRequest) -> u64 {
+                let t = &self.spec.timing;
+                let bank = &self.banks[self.bank_index(&req.addr)];
+                let mut earliest = bank.next_activate;
+                let rank = req.addr.rank;
+                if let Some((last, bg)) = self.last_act[rank] {
+                    let rrd = if bg == req.addr.bank_group {
+                        t.tRRD_L
+                    } else {
+                        t.tRRD_S
+                    };
+                    earliest = earliest.max(last + rrd);
+                }
+                let window = &self.act_window[rank];
+                if window.len() == 4 {
+                    earliest = earliest.max(window[0] + t.tFAW);
+                }
+                earliest
+            }
+
+            pub fn tick(&mut self, now: u64) {
+                self.stats.end_cycle = now + 1;
+                // Refresh: blunt all-bank refresh at tREFI boundaries.
+                if now >= self.next_refresh {
+                    let t = self.spec.timing;
+                    for b in &mut self.banks {
+                        b.refresh(now, &t);
+                    }
+                    if self.open_banks > 0 {
+                        self.stats.row_open_cycles += now - self.any_open_since;
+                        self.open_banks = 0;
+                    }
+                    if let Some(log) = &mut self.log {
+                        log.push(now, CommandKind::Ref, 0, 0, 0, 0);
+                    }
+                    self.next_refresh += t.tREFI;
+                    self.stats.refreshes += 1;
+                    self.next_try = now + 1;
+                    return;
+                }
+                if self.queue.is_empty() || now < self.next_try {
+                    return;
+                }
+                let scan = match self.policy {
+                    SchedulingPolicy::FrFcfs => self.queue.len().min(SCAN_WINDOW),
+                    SchedulingPolicy::Fcfs => 1,
+                };
+                // Pass 1 (FR): any ready row-hit CAS.
+                for i in 0..scan {
+                    let bank = &self.banks[self.bank_index(&self.queue[i].addr)];
+                    if bank.is_open(self.queue[i].addr.row) && self.cas_ready(&self.queue[i], now) {
+                        self.classify(i);
+                        self.issue_cas(i, now);
+                        self.next_try = now + 1;
+                        return;
+                    }
+                }
+                // Pass 2 (FCFS): advance the first request that can make progress;
+                // while scanning, remember the earliest future cycle anything could
+                // happen so idle stretches are skipped.
+                let mut soonest = self.next_refresh;
+                for i in 0..scan {
+                    let (bank_state, row) = {
+                        let req = &self.queue[i];
+                        let bank = &self.banks[self.bank_index(&req.addr)];
+                        (bank.state, req.addr.row)
+                    };
+                    match bank_state {
+                        BankState::Closed => {
+                            if self.act_ready(&self.queue[i], now) {
+                                self.classify(i);
+                                self.issue_act(i, now);
+                                self.next_try = now + 1;
+                                return;
+                            }
+                            soonest = soonest.min(self.act_earliest(&self.queue[i]));
+                        }
+                        BankState::Open(r) if r != row => {
+                            let bank = &self.banks[self.bank_index(&self.queue[i].addr)];
+                            if bank.next_precharge <= now {
+                                self.classify(i);
+                                self.issue_pre(i, now);
+                                self.next_try = now + 1;
+                                return;
+                            }
+                            soonest = soonest.min(bank.next_precharge);
+                        }
+                        BankState::Open(_) => {
+                            // Row open, CAS merely blocked by timing; wait for it.
+                            soonest = soonest.min(self.cas_earliest(&self.queue[i]));
+                        }
+                    }
+                }
+                self.next_try = soonest.max(now + 1);
+            }
+        }
+
+        /// The multi-channel front end over [`Controller`]s, as
+        /// `mem::DramSystem` was.
+        pub struct System {
+            config: DramConfig,
+            channels: Vec<Controller>,
+            now: u64,
+            next_id: u64,
+            reads_in_flight: usize,
+            writes_in_flight: usize,
+            scratch: Vec<(u64, u64, AccessKind)>,
+            completions: Vec<(u64, u64)>,
+        }
+
+        impl System {
+            pub fn new(config: DramConfig) -> Self {
+                let per_channel = config.read_queue + config.write_queue;
+                let controller = || {
+                    Controller::new(
+                        config.spec,
+                        config.scheduling,
+                        config.row_policy,
+                        per_channel,
+                    )
+                };
+                System {
+                    channels: (0..config.channels).map(|_| controller()).collect(),
+                    config,
+                    now: 0,
+                    next_id: 0,
+                    reads_in_flight: 0,
+                    writes_in_flight: 0,
+                    scratch: Vec::new(),
+                    completions: Vec::new(),
+                }
+            }
+
+            pub fn now(&self) -> u64 {
+                self.now
+            }
+
+            pub fn in_flight(&self) -> usize {
+                self.reads_in_flight + self.writes_in_flight
+            }
+
+            pub fn try_enqueue(&mut self, kind: AccessKind, byte_addr: u64) -> Option<u64> {
+                let full = match kind {
+                    AccessKind::Read => self.reads_in_flight >= self.config.read_queue,
+                    AccessKind::Write => self.writes_in_flight >= self.config.write_queue,
+                };
+                let (org, channels) = (&self.config.spec.org, self.config.channels);
+                let daddr = self.config.mapping.decode(byte_addr, org, channels);
+                let ch = &mut self.channels[daddr.channel];
+                if full || !ch.can_accept() {
+                    return None;
+                }
+                let id = self.next_id;
+                self.next_id += 1;
+                ch.enqueue(id, daddr, kind, self.now);
+                match kind {
+                    AccessKind::Read => self.reads_in_flight += 1,
+                    AccessKind::Write => self.writes_in_flight += 1,
+                }
+                Some(id)
+            }
+
+            pub fn tick(&mut self) {
+                for ch in &mut self.channels {
+                    ch.tick(self.now);
+                    ch.take_completions(&mut self.scratch);
+                }
+                for (id, cycle, kind) in self.scratch.drain(..) {
+                    match kind {
+                        AccessKind::Read => self.reads_in_flight -= 1,
+                        AccessKind::Write => self.writes_in_flight -= 1,
+                    }
+                    self.completions.push((id, cycle));
+                }
+                self.now += 1;
+            }
+
+            fn next_event_cycle(&self) -> u64 {
+                let events = self.channels.iter().map(|c| c.next_event());
+                events.min().unwrap_or(u64::MAX)
+            }
+
+            pub fn skip_to_next_event(&mut self) {
+                self.now = self.now.max(self.next_event_cycle());
+            }
+
+            pub fn tick_until(&mut self, cycle: u64) {
+                while self.now < cycle {
+                    self.now = self.now.max(self.next_event_cycle().min(cycle));
+                    if self.now < cycle {
+                        self.tick();
+                    }
+                }
+            }
+
+            pub fn drain(&mut self) {
+                while self.in_flight() > 0 {
+                    self.skip_to_next_event();
+                    self.tick();
+                }
+            }
+
+            /// `(id, completion cycle)` of everything completed so far.
+            pub fn pop_completions(&mut self) -> Vec<(u64, u64)> {
+                std::mem::take(&mut self.completions)
+            }
+
+            pub fn stats(&self) -> MemStats {
+                let mut total = MemStats::default();
+                for ch in &self.channels {
+                    total.merge(&ch.stats_snapshot());
+                }
+                total
+            }
+
+            pub fn enable_command_logs(&mut self) {
+                self.channels
+                    .iter_mut()
+                    .for_each(Controller::enable_command_log);
+            }
+
+            pub fn command_logs(&self) -> Vec<&CommandLog> {
+                self.channels
+                    .iter()
+                    .filter_map(|c| c.command_log())
+                    .collect()
+            }
+
+            pub fn fast_forward_to(&mut self, cycle: u64) {
+                if self.in_flight() == 0 {
+                    self.now = self.now.max(cycle);
+                }
+            }
+        }
+
+        /// One line request: `(memory cycle, byte address, direction)`.
+        pub type Request = (u64, u64, AccessKind);
+
+        /// Per-request outcome of [`replay_trace`].
+        pub struct Replayed {
+            /// Completion − desired issue cycle, in trace order.
+            pub latencies: Vec<u64>,
+            /// Completion − queue acceptance, in trace order.
+            pub service_latencies: Vec<u64>,
+            pub stats: MemStats,
+            pub end_cycle: u64,
+        }
+
+        /// Replays `trace` (sorted by cycle) through a fresh [`System`].
+        pub fn replay_trace(config: DramConfig, trace: &[Request]) -> Replayed {
+            let mut sys = System::new(config);
+            let mut latencies = vec![0u64; trace.len()];
+            let mut service_latencies = vec![0u64; trace.len()];
+            let mut id_to_slot: HashMap<u64, (usize, u64, u64)> = HashMap::new();
+            let mut collect = |sys: &mut System, id_to_slot: &mut HashMap<u64, _>| {
+                for (id, cycle) in sys.pop_completions() {
+                    let (slot, asked, accepted): (usize, u64, u64) =
+                        id_to_slot.remove(&id).expect("completes once");
+                    latencies[slot] = cycle.saturating_sub(asked);
+                    service_latencies[slot] = cycle.saturating_sub(accepted);
+                }
+            };
+            for (slot, &(cycle, byte_addr, kind)) in trace.iter().enumerate() {
+                if sys.in_flight() == 0 {
+                    sys.fast_forward_to(cycle);
+                } else {
+                    sys.tick_until(cycle);
+                }
+                collect(&mut sys, &mut id_to_slot);
+                let id = loop {
+                    match sys.try_enqueue(kind, byte_addr) {
+                        Some(id) => break id,
+                        None => {
+                            sys.skip_to_next_event();
+                            sys.tick();
+                            collect(&mut sys, &mut id_to_slot);
+                        }
+                    }
+                };
+                id_to_slot.insert(id, (slot, cycle, sys.now()));
+            }
+            sys.drain();
+            collect(&mut sys, &mut id_to_slot);
+            assert!(id_to_slot.is_empty(), "all requests must complete");
+            Replayed {
+                latencies,
+                service_latencies,
+                stats: sys.stats(),
+                end_cycle: sys.now(),
+            }
+        }
+
+        /// A word-granular trace as burst-aligned line requests sorted by
+        /// cycle, with the trace entry each came from: every transaction
+        /// expanded to addresses, coalesced to lines and tagged.
+        pub fn linearize(
+            trace: &TraceRecorder,
+            cfg: &DramIntegration,
+            bytes_per_word: usize,
+        ) -> (Vec<Request>, Vec<usize>) {
+            let line_bytes = cfg.spec.org.burst_bytes() as u64;
+            let mut tagged: Vec<(Request, usize)> = Vec::new();
+            let mut lines: Vec<u64> = Vec::new();
+            for (entry_idx, e) in trace.entries().iter().enumerate() {
+                let mem_cycle = (e.issue as f64 * cfg.mem_cycles_per_core_cycle) as u64;
+                let kind = match e.kind {
+                    Direction::Read => AccessKind::Read,
+                    Direction::Write => AccessKind::Write,
+                };
+                trace.batch_of(e).expand_into(&mut lines);
+                for word in &mut lines {
+                    *word = *word * bytes_per_word as u64 / line_bytes;
+                }
+                lines.sort_unstable();
+                lines.dedup();
+                for &line in &lines {
+                    tagged.push(((mem_cycle, line * line_bytes, kind), entry_idx));
+                }
+            }
+            tagged.sort_by_key(|&((cycle, ..), _)| cycle);
+            let entries = tagged.iter().map(|&(_, i)| i).collect();
+            let requests = tagged.into_iter().map(|(r, _)| r).collect();
+            (requests, entries)
+        }
+
+        /// Step 2 as it was: per-transaction figures (core cycles) and the
+        /// replay they were scattered from, plus the mean round trip.
+        pub fn measure(
+            trace: &TraceRecorder,
+            cfg: &DramIntegration,
+            bytes_per_word: usize,
+            config: DramConfig,
+        ) -> (Vec<MeasuredTransaction>, Replayed, f64) {
+            let (requests, entry_of) = linearize(trace, cfg, bytes_per_word);
+            let replay = replay_trace(config, &requests);
+            let ratio = cfg.mem_cycles_per_core_cycle;
+            let n_entries = trace.entries().len();
+            let mut tx = vec![MeasuredTransaction::default(); n_entries];
+            let mut service_sum = vec![0f64; n_entries];
+            for (slot, &entry) in entry_of.iter().enumerate() {
+                let done_mem = requests[slot].0 + replay.latencies[slot];
+                let done_core = (done_mem as f64 / ratio).ceil() as u64;
+                let service_core = (replay.service_latencies[slot] as f64 / ratio).ceil() as u64;
+                let t = &mut tx[entry];
+                t.arrival = t.arrival.max(done_core);
+                t.lines += 1;
+                t.max_service = t.max_service.max(service_core);
+                service_sum[entry] += service_core as f64;
+            }
+            for (t, sum) in tx.iter_mut().zip(&service_sum) {
+                if t.lines > 0 {
+                    t.avg_service = sum / t.lines as f64;
+                }
+            }
+            let avg_latency = match replay.latencies.len() {
+                0 => 0.0,
+                n => replay.latencies.iter().sum::<u64>() as f64 / n as f64,
+            };
+            (tx, replay, avg_latency)
+        }
+    }
+
+    /// The §VI layout stage as it was: every compute cycle's addresses
+    /// placed word by word, sorted, deduplicated and looked up in a hash
+    /// map of recent lines.
+    pub mod layout {
+        use super::*;
+
+        struct Sink {
+            gemm: GemmShape,
+            model: BankModel,
+            layouts: [(LayoutSpec, TensorDims); 3],
+            layout_cycles: u64,
+            bandwidth_cycles: u64,
+            cycles: u64,
+            line_buffer_cycles: u64,
+            /// Per operand: `(bank << 40 | line) → last fetch cycle`.
+            line_cache: [HashMap<u64, u64>; 3],
+        }
+
+        impl Sink {
+            /// `(row, column)` of `addr` in operand `which`.
+            fn coords(&self, which: usize, addr: Addr) -> (usize, usize) {
+                let (base, cols) = match which {
+                    0 => (IFMAP_BASE, self.gemm.k),
+                    1 => (FILTER_BASE, self.gemm.n),
+                    _ => (OFMAP_BASE, self.gemm.n),
+                };
+                let offset = (addr - base) as usize;
+                (offset / cols, offset % cols)
+            }
+
+            /// Cost of one operand's accesses this cycle: distinct lines
+            /// touched, minus those still resident in the array-edge line
+            /// buffers, grouped per bank.
+            fn operand_cost(&mut self, which: usize, addrs: &[&[Addr]]) -> (u64, u64) {
+                let (spec, dims) = self.layouts[which];
+                let (per_bank, banks) = (self.model.bandwidth_per_bank(), self.model.num_banks());
+                let mut keys = Vec::new();
+                for &a in addrs.iter().copied().flatten() {
+                    let (r, c) = self.coords(which, a);
+                    let p = spec.place_banked(dims, 0, r, c, per_bank, banks);
+                    keys.push(((p.bank as u64) << 40) | p.line as u64);
+                }
+                if keys.is_empty() {
+                    return (0, 0);
+                }
+                let elems = keys.len();
+                keys.sort_unstable();
+                keys.dedup();
+                let (cycle, window) = (self.cycles, self.line_buffer_cycles);
+                let mut bank_new = vec![0u64; banks];
+                let cache = &mut self.line_cache[which];
+                for &key in &keys {
+                    let fresh = matches!(cache.get(&key), Some(&last) if cycle - last <= window);
+                    if !fresh {
+                        bank_new[(key >> 40) as usize] += 1;
+                    }
+                    cache.insert(key, cycle);
+                }
+                if cache.len() > 1 << 16 {
+                    cache.retain(|_, &mut last| cycle - last <= window);
+                }
+                let ports = self.model.ports_per_bank() as u64;
+                let lc = bank_new.iter().map(|&n| n.div_ceil(ports)).max();
+                (
+                    lc.unwrap_or(0).max(1),
+                    self.model.bandwidth_model_cycles(elems),
+                )
+            }
+        }
+
+        impl DemandSink for Sink {
+            fn on_cycle(&mut self, d: &CycleDemand) {
+                self.cycles += 1;
+                let (li, bi) = self.operand_cost(0, &[&d.ifmap_reads]);
+                let (lf, bf) = self.operand_cost(1, &[&d.filter_reads]);
+                let (lo, bo) = self.operand_cost(2, &[&d.ofmap_reads, &d.ofmap_writes]);
+                // The three SRAMs serve in parallel; the slowest gates the cycle.
+                self.layout_cycles += li.max(lf).max(lo).max(1);
+                self.bandwidth_cycles += bi.max(bf).max(bo).max(1);
+            }
+        }
+
+        pub fn slowdown(
+            array: ArrayShape,
+            dataflow: Dataflow,
+            gemm: GemmShape,
+            cfg: &LayoutIntegration,
+        ) -> LayoutAnalysis {
+            let (banks, ports) = (cfg.num_banks, cfg.ports_per_bank);
+            let mut sink = Sink {
+                gemm,
+                model: BankModel::from_total_bandwidth(cfg.total_bandwidth, banks, ports),
+                layouts: [
+                    (cfg.ifmap_layout, TensorDims::matrix(gemm.m, gemm.k)),
+                    (cfg.filter_layout, TensorDims::matrix(gemm.k, gemm.n)),
+                    (cfg.ofmap_layout, TensorDims::matrix(gemm.m, gemm.n)),
+                ],
+                layout_cycles: 0,
+                bandwidth_cycles: 0,
+                cycles: 0,
+                line_buffer_cycles: cfg.line_buffer_cycles,
+                line_cache: Default::default(),
+            };
+            run(&DemandGenerator::new(array, dataflow, gemm), &mut sink);
+            LayoutAnalysis {
+                compute_cycles: sink.cycles,
+                layout_cycles: sink.layout_cycles,
+                bandwidth_cycles: sink.bandwidth_cycles,
+            }
+        }
+    }
 }
 
 #[test]
@@ -723,7 +1581,8 @@ fn fold_granular_plan_equals_the_per_address_reference() {
             let bandwidth = config.memory.dram_bandwidth;
 
             let mut pass = reference::Pass::new(&config.memory);
-            DemandGenerator::new(config.array, config.dataflow, gemm).run(&mut pass);
+            let generator = DemandGenerator::new(config.array, config.dataflow, gemm);
+            reference::run(&generator, &mut pass);
             let mut store = reference::Store::new(bandwidth);
             let want = reference::timing(&pass, &mut store);
 
@@ -752,6 +1611,148 @@ fn fold_granular_plan_equals_the_per_address_reference() {
             }
         },
     );
+}
+
+// ---------------------------------------------------------------------------
+// crates/core feature stages: the streamed DRAM replay and the stream-walking
+// layout costing against the per-line and per-cycle references
+// ---------------------------------------------------------------------------
+
+/// A DRAM integration and the controller policies to replay under: any
+/// device preset, 1–4 channels, queues from 1 entry to 512, every address
+/// mapping, scheduling and row policy, three clock ratios.
+fn draw_dram(rng: &mut SplitMix64) -> (DramIntegration, DramConfig) {
+    let name = rng.pick(&DramSpec::preset_names());
+    let queue = |rng: &mut SplitMix64| match rng.range(0, 4) {
+        0 => rng.range(1, 5),
+        1 => rng.range(5, 65),
+        2 => 128,
+        _ => rng.range(65, 513),
+    };
+    let integration = DramIntegration {
+        spec: DramSpec::by_name(name).expect("a listed preset"),
+        channels: rng.range(1, 5),
+        mapping: rng.pick(&[
+            AddressMapping::RoBaRaCoCh,
+            AddressMapping::RoRaBaChCo,
+            AddressMapping::ChRaBaRoCo,
+        ]),
+        read_queue: queue(rng),
+        write_queue: queue(rng),
+        mem_cycles_per_core_cycle: rng.pick(&[0.8, 1.2, 2.0]),
+    };
+    let config = DramConfig {
+        spec: integration.spec,
+        channels: integration.channels,
+        mapping: integration.mapping,
+        read_queue: integration.read_queue,
+        write_queue: integration.write_queue,
+        scheduling: rng.pick(&[SchedulingPolicy::FrFcfs, SchedulingPolicy::Fcfs]),
+        row_policy: rng.pick(&[RowPolicy::OpenPage, RowPolicy::ClosedPage]),
+    };
+    (integration, config)
+}
+
+/// Banks, ports, per-operand layouts (row-major, column-major, Fig. 11
+/// style steps; line widths that do and do not match the bandwidth) and
+/// line-buffer windows of 0, 1 and 64 cycles.
+fn draw_layout(rng: &mut SplitMix64) -> LayoutIntegration {
+    let layout = |rng: &mut SplitMix64| match rng.range(0, 4) {
+        0 => LayoutSpec::row_major(rng.pick(&[64, 16, 7, 1])),
+        1 => LayoutSpec::column_major(rng.pick(&[64, 8, 5, 1])),
+        2 => LayoutSpec::fig11(),
+        _ => LayoutSpec::new(rng.range(1, 4), rng.range(1, 6), rng.range(1, 9)),
+    };
+    LayoutIntegration {
+        total_bandwidth: rng.pick(&[64, 64, 16, 10, 1]),
+        num_banks: rng.pick(&[1, 2, 4, 4, 8, 16]),
+        ports_per_bank: rng.range(1, 3),
+        ifmap_layout: layout(rng),
+        filter_layout: layout(rng),
+        ofmap_layout: layout(rng),
+        line_buffer_cycles: rng.pick(&[0, 1, 64, 64]),
+    }
+}
+
+#[test]
+fn feature_stages_equal_the_per_line_and_per_cycle_reference() {
+    let name = "feature_stages_equal_the_per_line_and_per_cycle_reference";
+    check(name, 320, |rng| {
+        let (config, gemm) = draw_core(rng);
+        let (integration, policies) = draw_dram(rng);
+        let layout = draw_layout(rng);
+        // Words narrower than, equal to and wider than a DRAM line.
+        let bytes_per_word = rng.pick(&[2, 2, 1, 4, 3, 64, 96]);
+        let what = format!(
+            "{} | {} ch {} {:?} q {}/{} x{} {:?} {:?} {bytes_per_word} B/word | {layout:?}",
+            describe(&config, gemm),
+            integration.spec.name,
+            integration.channels,
+            integration.mapping,
+            integration.read_queue,
+            integration.write_queue,
+            integration.mem_cycles_per_core_cycle,
+            policies.scheduling,
+            policies.row_policy,
+        );
+        let bandwidth = config.memory.dram_bandwidth;
+        let plan = CoreSim::new(config.clone()).plan_gemm(gemm);
+        let mut recorder = RecordingStore::new(IdealBandwidthStore::new(bandwidth));
+        timing(&plan.inputs, &mut recorder);
+        let trace = recorder.into_trace();
+
+        // Step 2 under the drawn policies.
+        let same_replay = |policies: DramConfig| {
+            let (want_tx, want, want_avg) =
+                reference::dram::measure(&trace, &integration, bytes_per_word, policies);
+            let (scheduling, row_policy) = (policies.scheduling, policies.row_policy);
+            let (tx, got) =
+                dram::replay(&trace, &integration, bytes_per_word, scheduling, row_policy);
+            assert_eq!(tx.len(), want_tx.len(), "{what}");
+            for (i, (t, w)) in tx.iter().zip(&want_tx).enumerate() {
+                let bits = |t: &MeasuredTransaction| {
+                    (t.arrival, t.lines, t.avg_service.to_bits(), t.max_service)
+                };
+                assert_eq!(bits(t), bits(w), "{what}: transaction {i}: {t:?} vs {w:?}");
+            }
+            assert_eq!(got.stats, want.stats, "{what}");
+            assert_eq!(got.end_cycle, want.end_cycle, "{what}");
+            assert_eq!(got.requests as usize, want.latencies.len(), "{what}");
+            assert_eq!(
+                got.total_latency,
+                want.latencies.iter().sum::<u64>(),
+                "{what}"
+            );
+            assert_eq!(got.avg_latency().to_bits(), want_avg.to_bits(), "{what}");
+            assert!(got.run_cas <= got.requests, "{what}");
+            (want_tx, want, want_avg)
+        };
+        same_replay(policies);
+
+        // Steps 1–3 under the integration's own (default) policies.
+        let (want_tx, want, want_avg) = same_replay(DramConfig {
+            scheduling: SchedulingPolicy::default(),
+            row_policy: RowPolicy::default(),
+            ..policies
+        });
+        let (read_queue, write_queue) = (integration.read_queue, integration.write_queue);
+        let mut store = LatencyReplayStore::new(want_tx, read_queue, write_queue);
+        let want_summary = timing(&plan.inputs, &mut store);
+        let got = dram::dram_analysis(&plan.inputs, bandwidth, bytes_per_word, &integration);
+        assert_eq!(got.summary, want_summary, "{what}");
+        assert_eq!(got.stats, want.stats, "{what}");
+        assert_eq!(got.avg_latency.to_bits(), want_avg.to_bits(), "{what}");
+        assert_eq!(got.line_requests, want.latencies.len(), "{what}");
+        let energy =
+            DramEnergyBreakdown::from_stats(&integration.spec, &want.stats, integration.channels);
+        assert_eq!(got.energy, energy, "{what}");
+
+        // The layout stage.
+        let (array, dataflow) = (config.array, config.dataflow);
+        let got = layout_slowdown_for_gemm(array, dataflow, gemm, &layout);
+        let want = reference::layout::slowdown(array, dataflow, gemm, &layout);
+        assert_eq!(got, want, "{what}");
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -938,6 +1939,140 @@ fn dram_controller_is_complete_bounded_and_jedec_legal() {
                 }
             }
         }
+        // Full queues, no gaps: the regime in which whole rows stream and
+        // the controller decides a run of requests at a time.
+        for pattern in Saturating::ALL {
+            let what = format!("{name} saturated {pattern:?}");
+            check(&what, 1, |rng| saturate_dram(rng, &what, spec, pattern));
+        }
+    }
+}
+
+/// Address patterns that keep a 128-entry queue full.
+#[derive(Debug, Clone, Copy)]
+enum Saturating {
+    /// Consecutive lines: one open row at a time.
+    Sequential,
+    /// Two rows of one bank, alternating in bursts.
+    PingPong,
+    /// Every request a different bank, rows changing behind them.
+    BankStrided,
+    /// Sequential reads with writes to a second region mixed in.
+    ReadWrite,
+}
+
+impl Saturating {
+    const ALL: [Saturating; 4] = [
+        Saturating::Sequential,
+        Saturating::PingPong,
+        Saturating::BankStrided,
+        Saturating::ReadWrite,
+    ];
+}
+
+/// Drives the controller and the per-tick reference controller with the
+/// same saturating stream — at least 4,000 requests through full 128-entry
+/// queues, past two refresh intervals: same completions, same statistics,
+/// same command logs, and every logged command JEDEC-legal.
+fn saturate_dram(rng: &mut SplitMix64, what: &str, spec: DramSpec, pattern: Saturating) {
+    let config = DramConfig {
+        spec,
+        channels: rng.range(1, 3),
+        mapping: rng.pick(&[
+            AddressMapping::RoBaRaCoCh,
+            AddressMapping::RoRaBaChCo,
+            AddressMapping::ChRaBaRoCo,
+        ]),
+        read_queue: 128,
+        write_queue: 128,
+        scheduling: rng.pick(&[
+            SchedulingPolicy::FrFcfs,
+            SchedulingPolicy::FrFcfs,
+            SchedulingPolicy::Fcfs,
+        ]),
+        row_policy: RowPolicy::OpenPage,
+    };
+    let mut sys = DramSystem::new(config);
+    let mut want = reference::dram::System::new(config);
+    sys.enable_command_logs();
+    want.enable_command_logs();
+
+    let line = spec.org.burst_bytes() as u64;
+    let row = (spec.org.columns / spec.org.burst_length) as u64 * line;
+    let burst = rng.range(1, 40) as u64;
+    let request = |i: u64, rng: &mut SplitMix64| match pattern {
+        Saturating::Sequential => (AccessKind::Read, i * line),
+        Saturating::PingPong => {
+            let far = row * spec.org.banks() as u64 * spec.org.ranks as u64 * 2;
+            (AccessKind::Read, (i / burst % 2) * far + (i % 64) * line)
+        }
+        Saturating::BankStrided => (AccessKind::Read, i * row + (i / 64) * line),
+        Saturating::ReadWrite if rng.chance(3) => (AccessKind::Write, (1 << 26) + i * line),
+        Saturating::ReadWrite => (AccessKind::Read, i * line),
+    };
+    // The same requests into both systems, each waiting for its own queue
+    // slots — stepping event to event as the replay does, or cycle by
+    // cycle. `(acceptance cycles, (id, completion cycle)s)`.
+    let every_cycle = rng.chance(2);
+    // Queues `$request` into `$sys`, waiting for a slot as long as it takes.
+    macro_rules! push {
+        ($sys:expr, $request:expr, $accepted:expr) => {{
+            let (kind, addr) = $request;
+            while $sys.try_enqueue(kind, addr).is_none() {
+                if !every_cycle {
+                    $sys.skip_to_next_event();
+                }
+                $sys.tick();
+            }
+            $accepted.push($sys.now());
+        }};
+    }
+    // At least 4,000 requests, and on until two refreshes are behind.
+    let (mut stream, mut accepted, mut done) = (Vec::new(), Vec::new(), Vec::new());
+    while stream.len() < 4000 || sys.stats().refreshes < 2 {
+        stream.push(request(stream.len() as u64, rng));
+        push!(sys, stream[stream.len() - 1], accepted);
+        done.extend(sys.pop_completions().iter().map(|c| (c.id, c.cycle)));
+    }
+    sys.drain();
+    done.extend(sys.pop_completions().iter().map(|c| (c.id, c.cycle)));
+    let (mut accepted_want, mut done_want) = (Vec::new(), Vec::new());
+    for &request in &stream {
+        push!(want, request, accepted_want);
+        done_want.extend(want.pop_completions());
+    }
+    want.drain();
+    done_want.extend(want.pop_completions());
+    let requests = stream.len() as u64;
+    assert_eq!(accepted, accepted_want, "{what}: acceptance cycles");
+    assert_eq!(
+        done.len() as u64,
+        requests,
+        "{what}: every request completes"
+    );
+    assert_eq!(done, done_want, "{what}: completions");
+    assert_eq!(sys.now(), want.now(), "{what}: end cycle");
+    assert_eq!(sys.stats(), want.stats(), "{what}: statistics");
+    assert!(sys.stats().refreshes >= 2, "{what}: {:?}", sys.stats());
+    if matches!(pattern, Saturating::Sequential) {
+        // Most of a streamed row issues with its run covering the window.
+        assert!(
+            sys.run_cas() * 2 > requests,
+            "{what}: {} run CAS",
+            sys.run_cas()
+        );
+    }
+
+    let (logs, logs_want) = (sys.command_logs(), want.command_logs());
+    assert_eq!(logs.len(), config.channels, "{what}");
+    for (channel, (log, log_want)) in logs.iter().zip(&logs_want).enumerate() {
+        if let Err(violation) = verify_timing(log, &spec) {
+            panic!("{what}: channel {channel}: {violation}");
+        }
+        assert!(
+            log == log_want,
+            "{what}: channel {channel} command log differs"
+        );
     }
 }
 
@@ -1056,20 +2191,19 @@ fn dram_energy_and_locality_order_as_expected() {
             channels: 1,
             ..Default::default()
         };
-        let reads = |count: usize, addr: &dyn Fn(u64) -> u64| -> Vec<TraceRequest> {
-            (0..count as u64)
-                .map(|i| TraceRequest {
-                    cycle: i,
-                    byte_addr: addr(i),
-                    kind: AccessKind::Read,
-                })
-                .collect()
+        // One read per cycle at the addresses `addr` gives.
+        let reads = |count: usize, addr: &dyn Fn(u64) -> u64| {
+            let mut replay = Replay::new(config);
+            for i in 0..count as u64 {
+                replay.push(i, addr(i), AccessKind::Read, 0, &mut |_| ());
+            }
+            replay.finish(&mut |_| ())
         };
         let n = rng.range(32, 128);
 
         // Appending traffic never lowers energy.
-        let small = replay_trace(config, &reads(n, &|i| i * 64));
-        let large = replay_trace(config, &reads(n + rng.range(1, 64), &|i| i * 64));
+        let small = reads(n, &|i| i * 64);
+        let large = reads(n + rng.range(1, 64), &|i| i * 64);
         let energy = |stats| DramEnergyBreakdown::from_stats(&spec, stats, 1);
         assert!(energy(&large.stats).total_pj() > energy(&small.stats).total_pj());
         assert!(energy(&large.stats).read_pj > energy(&small.stats).read_pj);
@@ -1079,7 +2213,7 @@ fn dram_energy_and_locality_order_as_expected() {
         let row_stride = (spec.org.columns / spec.org.burst_length) as u64
             * spec.org.burst_bytes() as u64
             * spec.org.banks() as u64;
-        let thrash = replay_trace(config, &reads(n, &|i| (i % 2) * row_stride));
+        let thrash = reads(n, &|i| (i % 2) * row_stride);
         assert!(small.stats.row_hit_rate() >= thrash.stats.row_hit_rate());
         assert!(small.avg_latency() <= thrash.avg_latency());
     });
