@@ -234,7 +234,7 @@ wire! {
             pub cache_evictions: u64 = "evictions": UINT,
             /// Estimated bytes currently held by cached plans.
             pub cache_resident_bytes: u64 = "resident_bytes": UINT,
-            /// Configured byte budget (0 = count-capped only).
+            /// The resident-byte budget the plan cache evicts down to.
             pub cache_budget_bytes: u64 = "budget_bytes": UINT,
             /// hits / (hits + misses), 0.0 when no lookups happened.
             pub cache_hit_rate: f64 = "hit_rate": Fixed(4),

@@ -49,8 +49,8 @@ fn write_trace(path: &Path) {
 
 /// Renders one progress event of the service as the stderr header or
 /// `-v` line of the four simulation commands. Under `--profile-stages`
-/// the run's engine is swapped for a profiling one before it executes,
-/// and a handle to it left in `profiled` to read the profile back from.
+/// a clone of the run's engine is left in `profiled` to read the stage
+/// totals back from (clones share them).
 fn print_progress(event: Progress<'_>, output: &Output, profiled: &mut Option<ScaleSim>) {
     match event {
         Progress::Run {
@@ -59,7 +59,6 @@ fn print_progress(event: Progress<'_>, output: &Output, profiled: &mut Option<Sc
             llm: None,
         } => {
             if output.profile_stages {
-                *sim = sim.clone().with_stage_profiling();
                 *profiled = Some(sim.clone());
             }
             let config = sim.config();
@@ -154,8 +153,8 @@ fn energy_suffix(enabled: bool, energy_mj: f64) -> String {
 
 /// Prints the `--profile-stages` table and returns its machine-readable
 /// twin (`STAGE_PROFILE.json`), both from the same span measurements.
-fn stage_profile(sim: &ScaleSim) -> Option<Report> {
-    let profile = sim.stage_profile()?;
+fn stage_profile(sim: &ScaleSim) -> Report {
+    let profile = sim.stage_profile();
     let total_ms: f64 = profile.iter().map(|t| t.millis()).sum();
     eprintln!("stage profile ({total_ms:.1} ms total):");
     let mut rows = Vec::new();
@@ -176,10 +175,10 @@ fn stage_profile(sim: &ScaleSim) -> Option<Report> {
             t.stage, t.calls, t.nanos
         ));
     }
-    Some(Report {
+    Report {
         name: "STAGE_PROFILE.json".into(),
         content: format!("{{\"stages\":[{}]}}\n", rows.join(",")),
-    })
+    }
 }
 
 /// Runs one simulation command: executes `request` exactly as `serve`
@@ -227,7 +226,7 @@ fn simulate(service: &SimService, request: &SimRequest, output: &Output) -> Resu
                 s.stall_cycles,
                 energy_suffix(spec.features.energy, s.energy_mj),
             );
-            reports.extend(profiled.as_ref().and_then(stage_profile));
+            reports.extend(profiled.as_ref().map(stage_profile));
             reports
         }
         (SimRequest::Llm(spec), SimResponse::Llm(body)) => {

@@ -1,6 +1,7 @@
 //! Unified SCALE-Sim v3 configuration.
 
 use scalesim_collective::ScaleoutSpec;
+use scalesim_energy::ArchSpec;
 use scalesim_layout::LayoutSpec;
 use scalesim_llm::LlmRunSpec;
 use scalesim_mem::{AddressMapping, DramSpec};
@@ -149,6 +150,19 @@ pub struct MultiCoreIntegration {
     pub l2: Option<L2Config>,
 }
 
+impl MultiCoreIntegration {
+    /// What a bare core grid (`--cores 2x2`, the `cores` sweep axis)
+    /// means: spatial partitioning behind a default shared L2 — and a
+    /// 1×1 grid is the single core.
+    pub(crate) fn for_grid(grid: PartitionGrid) -> Option<Self> {
+        (grid.cores() > 1).then_some(Self {
+            grid,
+            scheme: PartitionScheme::Spatial,
+            l2: Some(L2Config::default()),
+        })
+    }
+}
+
 /// The full v3 configuration: the v2 core plus the five feature toggles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleSimConfig {
@@ -208,6 +222,29 @@ impl ScaleSimConfig {
             enable_energy: true,
             ..Self::default()
         }
+    }
+
+    /// The dataflow layers actually run with: the paper fixes
+    /// weight-stationary for all sparsity simulations.
+    pub(crate) fn effective_dataflow(&self) -> scalesim_systolic::Dataflow {
+        match self.sparsity {
+            Some(_) => scalesim_systolic::Dataflow::WeightStationary,
+            None => self.core.dataflow,
+        }
+    }
+
+    /// The architecture the energy and area tables are evaluated for:
+    /// the PE array plus the three scratchpads in bytes.
+    pub(crate) fn arch_spec(&self) -> ArchSpec {
+        let (array, mem) = (self.core.array, &self.core.memory);
+        let bytes = |words: usize| words * mem.bytes_per_word;
+        ArchSpec::new(
+            array.rows(),
+            array.cols(),
+            bytes(mem.ifmap_words),
+            bytes(mem.filter_words),
+            bytes(mem.ofmap_words),
+        )
     }
 
     /// A TPU-like configuration (§V-C1: "SCALE-Sim v3 is run with the

@@ -1,18 +1,22 @@
-//! The SCALE-Sim v3 engine: drives the staged per-layer pipeline.
+//! The SCALE-Sim v3 engine: one configuration, run layer by layer.
 //!
-//! [`ScaleSim`] is a thin, cloneable handle over one [`LayerPipeline`]
-//! built from its configuration (see [`crate::pipeline`] for the stage
-//! list). Single layers run through [`run_gemm`](ScaleSim::run_gemm);
-//! whole topologies stream through a [`ResultSink`] with bounded result
-//! memory ([`run_topology_with`](ScaleSim::run_topology_with)) or
-//! collect into a [`RunResult`] ([`run_topology`](ScaleSim::run_topology)).
+//! [`ScaleSim`] is one concrete, cloneable type: a configuration, the
+//! (possibly shared) [`PlanCache`], and an always-on per-stage totals
+//! table behind an [`Arc`], so clones aggregate into one profile. What
+//! happens to a layer is [`run_layer`](ScaleSim::run_layer) (see
+//! [`crate::pipeline`]); this module drives it: single layers through
+//! [`run_gemm`](ScaleSim::run_gemm), whole topologies streamed through a
+//! [`ResultSink`] with bounded result memory
+//! ([`run_topology_with`](ScaleSim::run_topology_with)) or collected
+//! into a [`RunResult`] ([`run_topology`](ScaleSim::run_topology)).
 
 use crate::cancel::CancelToken;
 use crate::config::ScaleSimConfig;
-use crate::pipeline::{LayerPipeline, PipelineBuilder, StageTiming};
+use crate::pipeline::{StageTiming, STAGES};
 use crate::result::{LayerResult, RunResult};
-use crate::sink::{CollectSink, ResultSink};
-use scalesim_energy::{ArchSpec, AreaBreakdown, AreaConfig, AreaTable};
+use crate::sink::ResultSink;
+use scalesim_energy::{AreaBreakdown, AreaConfig, AreaTable};
+use scalesim_obs::Totals;
 use scalesim_systolic::{parallel_map_streamed, GemmShape, PlanCache, Topology};
 use std::sync::Arc;
 
@@ -33,121 +37,72 @@ pub struct StreamStats {
 /// The integrated simulator.
 #[derive(Debug, Clone)]
 pub struct ScaleSim {
-    /// The staged pipeline; shared by clones (it is immutable), so the
-    /// plan cache and the stage profiler aggregate across them.
-    pipeline: Arc<LayerPipeline>,
+    config: ScaleSimConfig,
+    plan_cache: Arc<PlanCache>,
+    /// Per-stage call/time totals (one row per [`STAGES`] entry), fed by
+    /// [`run_layer`](Self::run_layer)'s spans — the same ones that emit
+    /// trace events; shared by clones.
+    pub(crate) totals: Arc<Totals>,
 }
 
 impl ScaleSim {
-    /// Creates the simulator, building the stage pipeline once from the
-    /// configuration.
+    /// Creates the simulator with a plan cache of its own.
     ///
     /// # Panics
     ///
     /// Panics if the core configuration is invalid; the non-panicking
-    /// form is [`try_new`](Self::try_new) (what the request/response
-    /// facade uses).
+    /// form is [`with_cache`](Self::with_cache) (what the
+    /// request/response facade uses).
     pub fn new(config: ScaleSimConfig) -> Self {
-        Self::try_new(config).unwrap_or_else(|e| panic!("invalid configuration: {e}"))
+        Self::with_cache(config, Arc::new(PlanCache::new()))
+            .unwrap_or_else(|e| panic!("invalid configuration: {e}"))
     }
 
-    /// Creates the simulator, reporting an invalid core configuration
-    /// as an error instead of panicking.
+    /// Creates the simulator on a shared plan cache, so *several*
+    /// simulators — every request of a server, every configuration of a
+    /// design-space sweep — plan each distinct `(array, dataflow, GEMM,
+    /// scratchpad)` shape once between them. Safe across arbitrary
+    /// configurations: the cache key carries everything a plan depends
+    /// on.
     ///
     /// # Errors
     ///
     /// Returns the validation failure of `config.core`.
-    pub fn try_new(config: ScaleSimConfig) -> Result<Self, scalesim_systolic::SimError> {
+    pub fn with_cache(
+        config: ScaleSimConfig,
+        plan_cache: Arc<PlanCache>,
+    ) -> Result<Self, scalesim_systolic::SimError> {
         config.core.validate()?;
         Ok(Self {
-            pipeline: Arc::new(PipelineBuilder::new(config).build()),
+            config,
+            plan_cache,
+            totals: Arc::new(Totals::new(&STAGES.map(|(name, _)| name))),
         })
     }
 
     /// The plan cache shared by this simulator's runs.
     pub fn plan_cache(&self) -> &Arc<PlanCache> {
-        self.pipeline.env().plan_cache()
-    }
-
-    /// Creates the simulator with a shared plan cache in one step —
-    /// what [`with_plan_cache`](Self::with_plan_cache) produces, without
-    /// building and discarding an intermediate pipeline (the sweep
-    /// executor constructs one simulator per run, so this is its hot
-    /// path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the core configuration is invalid; the non-panicking
-    /// form is [`try_new_with_cache`](Self::try_new_with_cache).
-    pub fn new_with_cache(config: ScaleSimConfig, cache: Arc<PlanCache>) -> Self {
-        Self::try_new_with_cache(config, cache)
-            .unwrap_or_else(|e| panic!("invalid configuration: {e}"))
-    }
-
-    /// [`new_with_cache`](Self::new_with_cache), reporting an invalid
-    /// core configuration as an error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns the validation failure of `config.core`.
-    pub fn try_new_with_cache(
-        config: ScaleSimConfig,
-        cache: Arc<PlanCache>,
-    ) -> Result<Self, scalesim_systolic::SimError> {
-        config.core.validate()?;
-        Ok(Self {
-            pipeline: Arc::new(PipelineBuilder::new(config).plan_cache(cache).build()),
-        })
-    }
-
-    /// Replaces the plan cache with a shared one, so *several* simulator
-    /// instances — e.g. every configuration of a design-space sweep —
-    /// plan each distinct `(array, dataflow, GEMM, scratchpad)` shape
-    /// once between them. Safe across arbitrary configurations: the
-    /// cache key carries everything a plan depends on.
-    ///
-    /// Rebuilds the pipeline: any stage-profiling *counters* accumulated
-    /// so far restart from zero (profiling stays enabled).
-    pub fn with_plan_cache(self, cache: Arc<PlanCache>) -> Self {
-        let profiled = self.pipeline.profile().is_some();
-        self.rebuilt(cache, profiled)
-    }
-
-    /// Enables per-stage call/time accounting; read it back with
-    /// [`stage_profile`](Self::stage_profile) (the `--profile-stages`
-    /// flag of the CLI). Rebuilds the pipeline, so enable profiling
-    /// before running layers.
-    pub fn with_stage_profiling(self) -> Self {
-        let cache = Arc::clone(self.plan_cache());
-        self.rebuilt(cache, true)
-    }
-
-    /// The same configuration on a fresh pipeline.
-    fn rebuilt(&self, cache: Arc<PlanCache>, profile: bool) -> Self {
-        Self {
-            pipeline: Arc::new(
-                PipelineBuilder::new(self.config().clone())
-                    .plan_cache(cache)
-                    .profile_stages(profile)
-                    .build(),
-            ),
-        }
-    }
-
-    /// The per-stage timings accumulated so far (None unless built with
-    /// [`with_stage_profiling`](Self::with_stage_profiling)).
-    pub fn stage_profile(&self) -> Option<Vec<StageTiming>> {
-        self.pipeline.profile()
-    }
-
-    /// The staged pipeline this simulator drives.
-    pub fn pipeline(&self) -> &LayerPipeline {
-        &self.pipeline
+        &self.plan_cache
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &ScaleSimConfig {
-        self.pipeline.env().config()
+        &self.config
+    }
+
+    /// The calls and wall-clock time each stage has accumulated so far
+    /// across this simulator and its clones — always on, one row per
+    /// stage the configuration enables, in execution order (the
+    /// `--profile-stages` flag of the CLI prints it).
+    pub fn stage_profile(&self) -> Vec<StageTiming> {
+        let rows = self.totals.snapshot().into_iter().zip(STAGES);
+        let enabled = rows.filter(|(_, (_, enabled))| enabled(&self.config));
+        let timing = |((stage, calls, nanos), _)| StageTiming {
+            stage,
+            calls,
+            nanos,
+        };
+        enabled.map(timing).collect()
     }
 
     /// Estimates the configured accelerator's silicon area (Accelergy's
@@ -156,16 +111,7 @@ impl ScaleSim {
     /// the DRAM feature when enabled.
     pub fn area_report(&self) -> AreaBreakdown {
         let config = self.config();
-        let arr = config.core.array;
-        let mem = &config.core.memory;
-        let arch = ArchSpec::new(
-            arr.rows(),
-            arr.cols(),
-            mem.ifmap_words * mem.bytes_per_word,
-            mem.filter_words * mem.bytes_per_word,
-            mem.ofmap_words * mem.bytes_per_word,
-        );
-        let mut cfg = AreaConfig::new(arch);
+        let mut cfg = AreaConfig::new(config.arch_spec());
         if config.enable_layout {
             cfg = cfg.with_sram_banks(config.layout.num_banks);
         }
@@ -177,10 +123,9 @@ impl ScaleSim {
         cfg.estimate(&AreaTable::eyeriss_65nm())
     }
 
-    /// Runs one GEMM layer through the enabled pipeline.
+    /// Runs one GEMM layer through the enabled stages.
     pub fn run_gemm(&self, name: &str, dense_gemm: GemmShape) -> LayerResult {
-        self.pipeline
-            .run_layer(name, dense_gemm, &CancelToken::never())
+        self.run_layer(name, dense_gemm, &CancelToken::never())
             .expect("a never-token cannot expire")
     }
 
@@ -196,11 +141,11 @@ impl ScaleSim {
     /// [`CancelToken::never`]). Cancellation is checked at two levels:
     /// the scheduler polls the token before *claiming* each layer (an
     /// expired request stops taking work off the shared pool
-    /// immediately), and the pipeline checks it before every stage of
-    /// a layer already in flight. Layers already finished when the
-    /// deadline passes may still reach the sink (the caller discards
-    /// partial output on error), and in-flight workers complete their
-    /// current stage before stopping.
+    /// immediately), and [`run_layer`](Self::run_layer) checks it before
+    /// every stage of a layer already in flight. Layers already finished
+    /// when the deadline passes may still reach the sink (the caller
+    /// discards partial output on error), and in-flight workers complete
+    /// their current stage before stopping.
     ///
     /// # Errors
     ///
@@ -215,7 +160,7 @@ impl ScaleSim {
             topology.layers(),
             STREAM_BLOCK,
             &|| cancel.expired(),
-            |_, layer| self.pipeline.run_layer(layer.name(), layer.gemm(), cancel),
+            |_, layer| self.run_layer(layer.name(), layer.gemm(), cancel),
             |_, result| {
                 if let Some(result) = result {
                     sink.layer(result);
@@ -235,10 +180,10 @@ impl ScaleSim {
     /// size with `SCALESIM_THREADS`) sharing this simulator's plan cache;
     /// results come back in layer order, identical to serial execution.
     pub fn run_topology(&self, topology: &Topology) -> RunResult {
-        let mut sink = CollectSink::new();
-        self.run_topology_with(topology, &mut sink, &CancelToken::never())
+        let mut layers = Vec::with_capacity(topology.len());
+        self.run_topology_with(topology, &mut layers, &CancelToken::never())
             .expect("a never-token cannot expire");
-        sink.into_run()
+        RunResult { layers }
     }
 }
 
@@ -337,7 +282,7 @@ mod tests {
             run.total_cycles(),
             run.layers.iter().map(|l| l.total_cycles()).sum::<u64>()
         );
-        let (name, compute) = &run.reports(sim.config())[0];
+        let (name, compute) = &run.reports()[0];
         assert_eq!(*name, "COMPUTE_REPORT.csv");
         assert!(compute.contains("a,"));
     }
@@ -386,7 +331,7 @@ mod tests {
             stats.peak_buffered
         );
         assert_eq!(summary.total_cycles, collected.total_cycles());
-        assert_eq!(summary.macs, collected.total_macs());
+        assert_eq!(summary, collected.summary());
     }
 
     #[test]
@@ -403,42 +348,30 @@ mod tests {
         let sim = ScaleSim::new(config);
 
         // An already-expired token abandons the run before any stage.
-        let mut sink = CollectSink::new();
+        let mut layers: Vec<LayerResult> = Vec::new();
         let err = sim
-            .run_topology_with(&topo, &mut sink, &CancelToken::after_ms(0))
+            .run_topology_with(&topo, &mut layers, &CancelToken::after_ms(0))
             .unwrap_err();
         assert_eq!((err.kind(), err.exit_code()), ("deadline", 124));
-        assert!(sink.into_run().layers.is_empty(), "no layer completes");
+        assert!(layers.is_empty(), "no layer completes");
+        assert_eq!(sim.stage_profile()[0].calls, 0, "nor any stage runs");
 
         // A generous token changes nothing: identical results to the
         // never-token runner (the byte-determinism invariant for deadline'd
         // requests that finish in time).
-        let mut sink = CollectSink::new();
+        let mut layers = Vec::new();
         let stats = sim
-            .run_topology_with(&topo, &mut sink, &CancelToken::after_ms(600_000))
+            .run_topology_with(&topo, &mut layers, &CancelToken::after_ms(600_000))
             .unwrap();
         assert_eq!(stats.layers, 2);
-        let with_deadline = sink.into_run();
+        let with_deadline = RunResult { layers };
         let plain = sim.run_topology(&topo);
-        let digest = |run: &crate::result::RunResult| {
+        let digest = |run: &RunResult| {
             run.layers
                 .iter()
                 .map(|l| (l.name.clone(), l.total_cycles()))
                 .collect::<Vec<_>>()
         };
         assert_eq!(digest(&with_deadline), digest(&plain));
-    }
-
-    #[test]
-    fn stage_profiling_survives_shared_caches() {
-        let mut config = ScaleSimConfig::default();
-        config.core = small_core();
-        let sim = ScaleSim::new(config).with_stage_profiling();
-        assert!(sim.stage_profile().is_some());
-        let shared = sim.with_plan_cache(Arc::new(PlanCache::new()));
-        shared.run_gemm("g", GemmShape::new(16, 16, 16));
-        let profile = shared.stage_profile().expect("still profiling");
-        assert_eq!(profile[0].stage, "compute");
-        assert_eq!(profile[0].calls, 1);
     }
 }

@@ -72,12 +72,12 @@ pub use dram::{dram_analysis, DramAnalysis, LatencyReplayStore};
 pub use engine::{ScaleSim, StreamStats, STREAM_BLOCK};
 pub use layout_analysis::{layout_slowdown_for_gemm, LayoutAnalysis};
 pub use metrics::{LatencyHistogram, ServeMetrics};
-pub use pipeline::{LayerCtx, LayerPipeline, LayerStage, PipelineBuilder, StageEnv, StageTiming};
+pub use pipeline::StageTiming;
 pub use result::{LayerResult, RunResult};
 pub use scaleout::{run_scaleout, ScaleoutLayerRecord, ScaleoutSummary};
 pub use serve::{ServeOptions, Server, MAX_REQUEST_BYTES};
-pub use service::{Progress, SimService, SERVICE_CACHE_CAPACITY};
-pub use sink::{CollectSink, MemoryReportSink, ReportSections, ResultSink, RunSummary};
+pub use service::{Progress, SimService};
+pub use sink::{MemoryReportSink, ResultSink, RunSummary};
 pub use sweep_run::{apply_point, run_sweep};
 
 /// Re-export: the stable typed request/response API and wire protocol.

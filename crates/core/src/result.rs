@@ -1,12 +1,11 @@
 //! Unified per-layer and per-run results, and the row formats of the
 //! CSV reports (SCALE-Sim's `COMPUTE_REPORT.csv` /
-//! `BANDWIDTH_REPORT.csv` / `SPARSE_REPORT.csv` plus the v3 energy and
-//! DRAM reports).
+//! `BANDWIDTH_REPORT.csv` / `SPARSE_REPORT.csv` plus the v3 energy,
+//! DRAM and layout reports).
 
-use crate::config::ScaleSimConfig;
 use crate::dram::DramAnalysis;
 use crate::layout_analysis::LayoutAnalysis;
-use crate::sink::{MemoryReportSink, ReportSections};
+use crate::sink::{MemoryReportSink, RunSummary};
 use scalesim_energy::EnergyReport;
 use scalesim_sparse::SparseReportRow;
 use scalesim_systolic::{GemmShape, LayerReport};
@@ -135,6 +134,19 @@ pub mod rows {
         ))
     }
 
+    /// `LAYOUT_REPORT.csv` header.
+    pub const LAYOUT_HEADER: &str = "LayerName, ComputeCycles, LayoutCycles, BandwidthCycles\n";
+
+    /// One `LAYOUT_REPORT.csv` row (None when the layout analysis was
+    /// off).
+    pub fn layout(l: &LayerResult) -> Option<String> {
+        let a = l.layout.as_ref()?;
+        Some(format!(
+            "{}, {}, {}, {}\n",
+            l.name, a.compute_cycles, a.layout_cycles, a.bandwidth_cycles
+        ))
+    }
+
     /// `ENERGY_REPORT.csv` header.
     pub const ENERGY_HEADER: &str = "LayerName, EnergyMj, AvgPowerW, EdpCyclesMj\n";
 
@@ -159,26 +171,25 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// The run-level aggregates (compute and stall cycles, MACs,
+    /// utilization, NoC words, …): every layer folded through the one
+    /// [`RunSummary`] reduction, in order.
+    pub fn summary(&self) -> RunSummary {
+        let mut summary = RunSummary::new();
+        self.layers.iter().for_each(|layer| summary.add(layer));
+        summary
+    }
+
     /// Sum of per-layer end-to-end cycles.
     pub fn total_cycles(&self) -> u64 {
-        self.layers.iter().map(|l| l.total_cycles()).sum()
-    }
-
-    /// Sum of compute cycles (no stalls).
-    pub fn total_compute_cycles(&self) -> u64 {
-        self.layers
-            .iter()
-            .map(|l| l.report.compute.total_compute_cycles)
-            .sum()
-    }
-
-    /// Sum of stall cycles.
-    pub fn total_stall_cycles(&self) -> u64 {
-        self.layers.iter().map(|l| l.stall_cycles()).sum()
+        self.summary().total_cycles
     }
 
     /// Total energy in mJ (0.0 when energy is disabled — folded from
-    /// `+0.0`, because `sum()` of no terms is `-0.0`).
+    /// `+0.0`, because `sum()` of no terms is `-0.0`). Sums per-layer
+    /// totals, where [`RunSummary::energy_mj`] merges component-wise
+    /// first: the two associations round differently and each is pinned
+    /// (the ledger and examples here, serve and sweep goldens there).
     pub fn total_energy_mj(&self) -> f64 {
         let layers = self.layers.iter().filter_map(|l| l.energy.as_ref());
         layers.fold(0.0, |total, e| total + e.total_mj())
@@ -190,11 +201,6 @@ impl RunResult {
         self.total_cycles() as f64 * self.total_energy_mj()
     }
 
-    /// MACs executed.
-    pub fn total_macs(&self) -> u64 {
-        self.layers.iter().map(|l| l.report.compute.macs).sum()
-    }
-
     /// Total DRAM energy over the run in mJ (`+0.0` when DRAM is disabled).
     pub fn total_dram_energy_mj(&self) -> f64 {
         let layers = self.layers.iter().filter_map(|l| l.dram.as_ref());
@@ -203,10 +209,9 @@ impl RunResult {
 
     /// The run's `*_REPORT.csv` files as `(file name, content)` pairs:
     /// the layers fed through the same [`MemoryReportSink`] that
-    /// produces the CLI's files and serve's responses, with the sections
-    /// `config` enables.
-    pub fn reports(&self, config: &ScaleSimConfig) -> Vec<(&'static str, String)> {
-        let mut sink = MemoryReportSink::new(ReportSections::for_config(config));
+    /// produces the CLI's files and serve's responses.
+    pub fn reports(&self) -> Vec<(&'static str, String)> {
+        let mut sink = MemoryReportSink::new();
         self.layers.iter().for_each(|layer| sink.add(layer));
         sink.finish()
     }
@@ -256,9 +261,11 @@ mod tests {
             layers: vec![layer("a", 100), layer("b", 200)],
         };
         assert_eq!(run.total_cycles(), 100 + 10 + 200 + 10);
-        assert_eq!(run.total_compute_cycles(), 300);
-        assert_eq!(run.total_stall_cycles(), 20);
-        assert_eq!(run.total_macs(), 128);
+        let summary = run.summary();
+        assert_eq!(summary.compute_cycles, 300);
+        assert_eq!(summary.stall_cycles, 20);
+        assert_eq!(summary.macs, 128);
+        assert_eq!(summary.utilization(), 0.5);
         // A feature-off run totals to +0.0, not the -0.0 an empty `sum()`
         // yields (`-0.0 == 0.0`, so compare the sign bit).
         for off in [run.total_energy_mj(), run.total_dram_energy_mj()] {
@@ -272,10 +279,10 @@ mod tests {
         let run = RunResult {
             layers: vec![layer("a", 100), layer("b", 200)],
         };
-        let reports = run.reports(&ScaleSimConfig::full());
+        let reports = run.reports();
         let names: Vec<_> = reports.iter().map(|(name, _)| *name).collect();
-        // The layers carry no sparse/energy/DRAM data, so even the full
-        // configuration emits only the always-on reports.
+        // The layers carry no sparse/energy/DRAM/layout data, so only
+        // the always-on reports are emitted.
         assert_eq!(names, ["COMPUTE_REPORT.csv", "BANDWIDTH_REPORT.csv"]);
         for (name, content) in &reports {
             assert_eq!(content.lines().count(), 3, "{name}");

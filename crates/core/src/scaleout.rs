@@ -26,10 +26,10 @@
 use crate::cancel::CancelToken;
 use crate::engine::ScaleSim;
 use crate::result::LayerResult;
-use crate::sink::ResultSink;
+use crate::sink::{ResultSink, RunSummary};
 use scalesim_collective::{
     collectives, partition_stages, pipeline_total_cycles, shard_layer, CollectiveCost, Fabric,
-    OverlapTimeline, ScaleoutSpec, Strategy,
+    LayerPlan, OverlapTimeline, ScaleoutSpec, Strategy,
 };
 use scalesim_systolic::{GemmShape, Layer, Topology};
 
@@ -134,20 +134,11 @@ pub struct ScaleoutSummary {
     pub simulated_energy_mj: f64,
     /// L2→L1 NoC words of the per-chip runs (multi-core chips only).
     pub noc_words: u64,
-    util_weighted: f64,
-    util_cycles: u64,
+    /// Compute-cycle-weighted mean PE utilization of the shards.
+    pub utilization: f64,
 }
 
 impl ScaleoutSummary {
-    /// Compute-cycle-weighted mean PE utilization of the shards.
-    pub fn utilization(&self) -> f64 {
-        if self.util_cycles == 0 {
-            0.0
-        } else {
-            self.util_weighted / self.util_cycles as f64
-        }
-    }
-
     /// Total energy the fleet burns for one pass, in mJ: under
     /// data/tensor parallelism every chip executes the simulated
     /// shard, so the per-chip energy scales by the chip count; under
@@ -159,33 +150,17 @@ impl ScaleoutSummary {
             _ => self.simulated_energy_mj * self.chips as f64,
         }
     }
-
-    /// Fraction of the critical path spent in exposed communication
-    /// (plus the pipeline bubble), in `[0, 1]`.
-    pub fn comm_fraction(&self) -> f64 {
-        if self.total_cycles == 0 {
-            0.0
-        } else {
-            (self.exposed_cycles + self.bubble_cycles) as f64 / self.total_cycles as f64
-        }
-    }
 }
 
-/// One layer's static plan: the shard, its stage, and the collective it
-/// obligates.
-struct PlannedScaleoutLayer {
-    stage: usize,
-    shard: GemmShape,
-    comm: CollectiveCost,
-    comm_kind: &'static str,
-}
-
+/// Every layer's static plan — the shard each chip runs and the
+/// collective it obligates — with its pipeline stage (0 unless
+/// pipeline-parallel).
 fn plan_layers(
     topology: &Topology,
     spec: &ScaleoutSpec,
     fabric: &Fabric,
     bytes_per_word: usize,
-) -> Vec<PlannedScaleoutLayer> {
+) -> Vec<(usize, LayerPlan)> {
     match spec.strategy {
         Strategy::DataParallel | Strategy::TensorParallel => topology
             .layers()
@@ -193,12 +168,7 @@ fn plan_layers(
             .enumerate()
             .map(|(i, layer)| {
                 let plan = shard_layer(spec.strategy, fabric, i, layer.gemm(), bytes_per_word);
-                PlannedScaleoutLayer {
-                    stage: 0,
-                    shard: plan.shard,
-                    comm: plan.comm,
-                    comm_kind: plan.comm_kind,
-                }
+                (0, plan)
             })
             .collect(),
         Strategy::PipelineParallel => {
@@ -209,27 +179,22 @@ fn plan_layers(
                 .iter()
                 .enumerate()
                 .map(|(i, layer)| {
-                    let gemm = layer.gemm();
+                    let shard = layer.gemm();
                     // A stage's last layer ships its activations to the
                     // next chip (the final stage keeps its outputs).
                     let boundary = stages.get(i + 1).is_some_and(|&next| next != stages[i]);
                     let (comm, comm_kind) = if boundary && fabric.chips() > 1 {
-                        (
-                            collectives::point_to_point(
-                                fabric,
-                                (gemm.m * gemm.n) as u64 * bytes_per_word as u64,
-                            ),
-                            "p2p",
-                        )
+                        let bytes = (shard.m * shard.n) as u64 * bytes_per_word as u64;
+                        (collectives::point_to_point(fabric, bytes), "p2p")
                     } else {
                         (CollectiveCost::FREE, "none")
                     };
-                    PlannedScaleoutLayer {
-                        stage: stages[i],
-                        shard: gemm,
+                    let plan = LayerPlan {
+                        shard,
                         comm,
                         comm_kind,
-                    }
+                    };
+                    (stages[i], plan)
                 })
                 .collect()
         }
@@ -239,17 +204,18 @@ fn plan_layers(
 /// Joins streamed per-shard compute results with the planned collective
 /// costs on the overlap timeline, emitting resolved records downstream.
 struct JoinSink<'a> {
-    plans: &'a [PlannedScaleoutLayer],
+    plans: &'a [(usize, LayerPlan)],
     timeline: OverlapTimeline,
     pending: Option<ScaleoutLayerRecord>,
     next: usize,
     out: &'a mut dyn FnMut(ScaleoutLayerRecord),
     stage_cycles: Vec<u64>,
-    macs: u64,
+    /// MACs, NoC words and utilization of the shards.
+    summary: RunSummary,
+    /// Per-layer energy totals summed in layer order — not
+    /// `summary.energy_mj()`, which merges component-wise first and
+    /// rounds differently from the sweep goldens' fleet energy.
     energy_mj: f64,
-    noc_words: u64,
-    util_weighted: f64,
-    util_cycles: u64,
 }
 
 impl JoinSink<'_> {
@@ -274,23 +240,19 @@ impl JoinSink<'_> {
 
 impl ResultSink for JoinSink<'_> {
     fn layer(&mut self, result: LayerResult) {
-        let plan = &self.plans[self.next];
+        let (stage, plan) = self.plans[self.next];
         self.next += 1;
         let compute = result.total_cycles();
-        self.macs += result.report.compute.macs;
-        self.noc_words += result.noc_words;
+        self.summary.add(&result);
         if let Some(e) = &result.energy {
             self.energy_mj += e.total_mj();
         }
-        let weight = result.report.compute.total_compute_cycles;
-        self.util_weighted += result.report.compute.utilization * weight as f64;
-        self.util_cycles += weight;
         if let Some(split) = self.timeline.push(compute, plan.comm.cycles) {
             self.resolve(split);
         }
         self.pending = Some(ScaleoutLayerRecord {
             name: result.name,
-            stage: plan.stage,
+            stage,
             shard: plan.shard,
             comm_kind: plan.comm_kind,
             compute_cycles: compute,
@@ -323,7 +285,7 @@ pub fn run_scaleout(
     let fabric = spec.fabric()?;
     let bytes_per_word = sim.config().core.memory.bytes_per_word;
     let plans = plan_layers(topology, spec, &fabric, bytes_per_word);
-    let stages = plans.last().map_or(1, |p| p.stage + 1);
+    let stages = plans.last().map_or(1, |(stage, _)| stage + 1);
 
     let shard_topology = Topology::from_layers(
         topology.name(),
@@ -331,7 +293,7 @@ pub fn run_scaleout(
             .layers()
             .iter()
             .zip(&plans)
-            .map(|(layer, plan)| {
+            .map(|(layer, (_, plan))| {
                 Layer::gemm_layer(layer.name(), plan.shard.m, plan.shard.n, plan.shard.k)
             })
             .collect(),
@@ -344,11 +306,8 @@ pub fn run_scaleout(
         next: 0,
         out: sink,
         stage_cycles: vec![0; stages],
-        macs: 0,
+        summary: RunSummary::new(),
         energy_mj: 0.0,
-        noc_words: 0,
-        util_weighted: 0.0,
-        util_cycles: 0,
     };
     sim.run_topology_with(&shard_topology, &mut join, &CancelToken::never())
         .expect("a never-token cannot expire");
@@ -372,7 +331,7 @@ pub fn run_scaleout(
         fabric: fabric.to_string(),
         layers: topology.len(),
         stages,
-        simulated_macs: join.macs,
+        simulated_macs: join.summary.macs,
         compute_cycles: join.timeline.compute_total(),
         comm_cycles: join.timeline.comm_total(),
         overlapped_cycles: join.timeline.overlapped_total(),
@@ -380,9 +339,8 @@ pub fn run_scaleout(
         bubble_cycles,
         total_cycles,
         simulated_energy_mj: join.energy_mj,
-        noc_words: join.noc_words,
-        util_weighted: join.util_weighted,
-        util_cycles: join.util_cycles,
+        noc_words: join.summary.noc_words,
+        utilization: join.summary.utilization(),
     })
 }
 
@@ -488,7 +446,7 @@ mod tests {
         assert_eq!(summary.exposed_cycles, 0);
         let plain = s.run_topology(&topo());
         assert_eq!(summary.total_cycles, plain.total_cycles());
-        assert_eq!(summary.simulated_macs, plain.total_macs());
+        assert_eq!(summary.simulated_macs, plain.summary().macs);
     }
 
     #[test]

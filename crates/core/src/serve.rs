@@ -54,7 +54,7 @@
 //! | `SCALESIM_SERVE_WORKERS` | concurrent in-flight simulation requests | machine parallelism |
 //! | `SCALESIM_SERVE_QUEUE` | admission-queue depth | 2 × workers |
 //! | `SCALESIM_SERVE_SESSIONS` | concurrent TCP sessions | machine parallelism |
-//! | `SCALESIM_CACHE_BUDGET_MB` | plan-cache byte budget | count-capped |
+//! | `SCALESIM_CACHE_BUDGET_MB` | plan-cache byte budget, MiB | 512 |
 //!
 //! (`SCALESIM_THREADS` separately sizes the scheduler the runners and
 //! their layer tasks execute on; see `docs/CLI.md`.)

@@ -41,7 +41,7 @@ use crate::engine::ScaleSim;
 use crate::metrics::ServeMetrics;
 use crate::result::LayerResult;
 use crate::scaleout::{run_scaleout, scaleout_rows, ScaleoutLayerRecord, ScaleoutSummary};
-use crate::sink::{MemoryReportSink, ReportSections, ResultSink, RunSummary};
+use crate::sink::{MemoryReportSink, ResultSink, RunSummary};
 use crate::sweep_run::run_sweep;
 use scalesim_api::{
     AreaBody, ConfigSource, Features, LlmBody, LlmRequest, Report, RunBody, RunSummaryBody,
@@ -51,32 +51,24 @@ use scalesim_api::{
 use scalesim_collective::{FabricTag, ScaleoutSpec, Strategy};
 use scalesim_energy::AreaBreakdown;
 use scalesim_llm::{LlmRunSpec, LlmSpec, Phase};
-use scalesim_multicore::{L2Config, PartitionGrid, PartitionScheme};
+use scalesim_multicore::PartitionGrid;
 use scalesim_sweep::{RunRecord, SweepReport, SweepSpec};
 use scalesim_systolic::{PlanCache, PlanCacheStats, Topology};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Plan-cache capacity of a fresh service: large enough that a serve
-/// process cycling through many workloads and grids rarely evicts
-/// (plans are small; capacity bounds memory, never results).
-pub const SERVICE_CACHE_CAPACITY: usize = 4096;
-
-/// Builds the shared plan cache a fresh service uses. With
-/// `SCALESIM_CACHE_BUDGET_MB` set to a positive integer, the cache is
-/// bounded by resident plan *bytes* with cost-aware eviction
-/// ([`PlanCache::with_budget`]); otherwise it is count-capped at
-/// [`SERVICE_CACHE_CAPACITY`]. Cache shape never changes results —
-/// only planning time.
+/// Builds the shared plan cache a fresh service uses: bounded by
+/// resident plan bytes ([`PlanCache::DEFAULT_BUDGET_BYTES`]), with
+/// `SCALESIM_CACHE_BUDGET_MB` (a positive integer) as the deployment
+/// override that bounds a server's memory. The budget never changes
+/// results — only planning time.
 fn cache_from_env() -> Arc<PlanCache> {
-    match std::env::var("SCALESIM_CACHE_BUDGET_MB")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&mb| mb > 0)
-    {
-        Some(mb) => Arc::new(PlanCache::with_budget(mb.saturating_mul(1024 * 1024))),
-        None => Arc::new(PlanCache::with_capacity(SERVICE_CACHE_CAPACITY)),
-    }
+    let megabytes = std::env::var("SCALESIM_CACHE_BUDGET_MB").ok();
+    let megabytes = megabytes.and_then(|v| v.trim().parse::<usize>().ok());
+    Arc::new(match megabytes.filter(|&mb| mb > 0) {
+        Some(mb) => PlanCache::with_budget(mb.saturating_mul(1024 * 1024)),
+        None => PlanCache::new(),
+    })
 }
 
 /// Executes [`SimRequest`]s against a persistent shared [`PlanCache`],
@@ -95,9 +87,9 @@ impl Default for SimService {
 }
 
 impl SimService {
-    /// A service with a fresh plan cache: byte-budgeted when
-    /// `SCALESIM_CACHE_BUDGET_MB` is set, else count-capped at
-    /// [`SERVICE_CACHE_CAPACITY`].
+    /// A service with a fresh plan cache, budgeted by
+    /// `SCALESIM_CACHE_BUDGET_MB` when set and by
+    /// [`PlanCache::DEFAULT_BUDGET_BYTES`] otherwise.
     pub fn new() -> Self {
         Self::with_plan_cache(cache_from_env())
     }
@@ -166,14 +158,14 @@ impl SimService {
                 let config = load_config(&spec.config, &spec.features)?;
                 let topology = load_topology(&spec.topology)?;
                 let sim = self.engine(config)?;
-                let body = run_body(sim, &topology, None, cancel, progress)?;
+                let body = run_body(&sim, &topology, None, cancel, progress)?;
                 Ok(SimResponse::Run(body))
             }
             SimRequest::Llm(request) => {
                 let (config, llm) = resolve_llm(request)?;
                 let topology = llm.topology().map_err(SimError::Config)?;
                 let sim = self.engine(config)?;
-                let body = run_body(sim, &topology, Some(&llm), cancel, progress)?;
+                let body = run_body(&sim, &topology, Some(&llm), cancel, progress)?;
                 let context = llm.effective_context();
                 Ok(SimResponse::Llm(LlmBody {
                     workload: llm.spec.name.clone(),
@@ -187,7 +179,6 @@ impl SimService {
             }
             SimRequest::Sweep(request) => {
                 let (spec, base, topologies) = resolve_sweep(request)?;
-                let cache = self.sweep_cache(&spec, &topologies);
                 let shards = request.shards.max(1);
                 progress(Progress::Sweep {
                     spec: &spec,
@@ -195,10 +186,10 @@ impl SimService {
                     shards,
                 });
                 cancel.check()?;
-                let (report, stats) = run_sweep(&spec, &base, &topologies, shards, &cache, |r| {
-                    progress(Progress::SweepRun(r))
-                })
-                .map_err(SimError::Config)?;
+                let on_record = |r: &RunRecord| progress(Progress::SweepRun(r));
+                let (report, stats) =
+                    run_sweep(&spec, &base, &topologies, shards, &self.cache, on_record)
+                        .map_err(SimError::Config)?;
                 progress(Progress::SweepCache(stats));
                 cancel.check()?;
                 Ok(SimResponse::Sweep(sweep_body(spec.grid_size(), &report)))
@@ -233,30 +224,7 @@ impl SimService {
 
     /// An engine for `config` sharing this service's plan cache.
     fn engine(&self, config: ScaleSimConfig) -> Result<ScaleSim, SimError> {
-        Ok(ScaleSim::try_new_with_cache(
-            config,
-            Arc::clone(&self.cache),
-        )?)
-    }
-
-    /// The plan cache a sweep runs against. A grid whose worst-case plan
-    /// count exceeds the count-capped shared cache gets its own
-    /// right-sized cache instead: eviction is per-entry, so an oversized
-    /// sweep would churn through the shared cache, re-planning its own
-    /// shapes *and* pushing out every other request's warm plans. Small
-    /// sweeps keep sharing (and warming) the service cache — and so does
-    /// every sweep of a byte-budgeted service (`SCALESIM_CACHE_BUDGET_MB`),
-    /// because a private cache would escape the memory bound the budget
-    /// promises. Either way results are identical — only planning time
-    /// differs.
-    fn sweep_cache(&self, spec: &SweepSpec, topologies: &[Topology]) -> Arc<PlanCache> {
-        let distinct_shapes: usize = topologies.iter().map(|t| t.len()).sum::<usize>().max(1);
-        let worst_case_plans = spec.grid_size().saturating_mul(distinct_shapes);
-        if worst_case_plans > SERVICE_CACHE_CAPACITY && self.cache.budget_bytes().is_none() {
-            Arc::new(PlanCache::with_capacity(worst_case_plans))
-        } else {
-            Arc::clone(&self.cache)
-        }
+        Ok(ScaleSim::with_cache(config, Arc::clone(&self.cache))?)
     }
 
     /// Snapshots the service's cache and serving counters as a `stats`
@@ -273,7 +241,7 @@ impl SimService {
             cache_plans: cache.plans as u64,
             cache_evictions: cache.evictions,
             cache_resident_bytes: cache.resident_bytes as u64,
-            cache_budget_bytes: self.cache.budget_bytes().unwrap_or(0) as u64,
+            cache_budget_bytes: self.cache.budget_bytes() as u64,
             cache_hit_rate: if lookups > 0 {
                 cache.hits as f64 / lookups as f64
             } else {
@@ -303,100 +271,20 @@ impl SimService {
     /// exactly this body; names and semantics are documented in
     /// `docs/OBSERVABILITY.md`.
     pub fn render_prometheus(&self) -> String {
-        use scalesim_obs::{render_counter, render_gauge, render_histogram};
+        use std::fmt::Write;
+        let stats = self.stats_body();
         let mut out = String::new();
-        let m = &*self.metrics;
-        render_counter(
-            &mut out,
-            "scalesim_requests_total",
-            "Requests received (queued or answered inline, including shed).",
-            m.get(&m.requests_total),
-        );
-        render_counter(
-            &mut out,
-            "scalesim_requests_completed_total",
-            "Requests fully handled (ok or typed error written).",
-            m.get(&m.completed),
-        );
-        render_counter(
-            &mut out,
-            "scalesim_requests_shed_total",
-            "Requests shed with busy (queue full or session cap).",
-            m.get(&m.shed),
-        );
-        render_counter(
-            &mut out,
-            "scalesim_deadline_expired_total",
-            "Requests that returned a deadline error.",
-            m.get(&m.deadline_expired),
-        );
-        render_gauge(
-            &mut out,
-            "scalesim_requests_in_flight",
-            "Requests currently queued or executing.",
-            m.get(&m.in_flight) as i64,
-        );
-        render_histogram(
+        render_series(&mut out, &stats, &SERVE_SERIES);
+        scalesim_obs::render_histogram(
             &mut out,
             "scalesim_handle_latency_us",
             "Request handle latency (decode to encode), microseconds.",
-            &m.latency,
+            &self.metrics.latency,
         );
-        let cache = self.cache.stats();
-        render_counter(
-            &mut out,
-            "scalesim_plan_cache_hits_total",
-            "Plan-cache lookups answered from the cache.",
-            cache.hits,
-        );
-        render_counter(
-            &mut out,
-            "scalesim_plan_cache_misses_total",
-            "Plan-cache lookups that planned fresh.",
-            cache.misses,
-        );
-        render_counter(
-            &mut out,
-            "scalesim_plan_cache_evictions_total",
-            "Plans evicted to stay within the cache bound.",
-            cache.evictions,
-        );
-        render_gauge(
-            &mut out,
-            "scalesim_plan_cache_resident_bytes",
-            "Bytes held by resident plans.",
-            cache.resident_bytes as i64,
-        );
-        let sched = scalesim_sched::Scheduler::global().stats();
-        render_gauge(
-            &mut out,
-            "scalesim_sched_workers",
-            "Worker threads in the global scheduler pool.",
-            sched.workers as i64,
-        );
-        render_counter(
-            &mut out,
-            "scalesim_sched_steals_total",
-            "Tasks stolen from a sibling worker's queue.",
-            sched.steals,
-        );
-        render_counter(
-            &mut out,
-            "scalesim_sched_spawns_total",
-            "Detached tasks spawned onto the pool.",
-            sched.spawns,
-        );
-        render_counter(
-            &mut out,
-            "scalesim_sched_park_wakeups_total",
-            "Times an idle worker woke from park.",
-            sched.park_wakeups,
-        );
+        render_series(&mut out, &stats, &SYSTEM_SERIES);
         out.push_str("# HELP scalesim_spans_total Span/instant events recorded per category.\n");
         out.push_str("# TYPE scalesim_spans_total counter\n");
-        let totals = scalesim_obs::category_totals();
-        for (category, total) in scalesim_api::SPAN_CATEGORIES.iter().zip(totals) {
-            use std::fmt::Write;
+        for (category, total) in scalesim_api::SPAN_CATEGORIES.iter().zip(stats.span_totals) {
             let _ = writeln!(
                 out,
                 "scalesim_spans_total{{category=\"{category}\"}} {total}"
@@ -406,19 +294,109 @@ impl SimService {
     }
 }
 
+/// One scalar series of the exposition: name, help, and where in a
+/// `stats` snapshot its value lives. Names follow the Prometheus
+/// convention, which is also how the type is told: `_total` is a
+/// counter, anything else a gauge.
+type Series = (&'static str, &'static str, fn(&StatsBody) -> u64);
+
+fn render_series(out: &mut String, stats: &StatsBody, series: &[Series]) {
+    for &(name, help, value) in series {
+        if name.ends_with("_total") {
+            scalesim_obs::render_counter(out, name, help, value(stats));
+        } else {
+            scalesim_obs::render_gauge(out, name, help, value(stats) as i64);
+        }
+    }
+}
+
+/// The serve-loop counters of a `stats` response under their Prometheus
+/// names, in exposition order (the latency histogram follows them).
+const SERVE_SERIES: [Series; 5] = [
+    (
+        "scalesim_requests_total",
+        "Requests received (queued or answered inline, including shed).",
+        |s| s.requests_total,
+    ),
+    (
+        "scalesim_requests_completed_total",
+        "Requests fully handled (ok or typed error written).",
+        |s| s.completed,
+    ),
+    (
+        "scalesim_requests_shed_total",
+        "Requests shed with busy (queue full or session cap).",
+        |s| s.shed,
+    ),
+    (
+        "scalesim_deadline_expired_total",
+        "Requests that returned a deadline error.",
+        |s| s.deadline_expired,
+    ),
+    (
+        "scalesim_requests_in_flight",
+        "Requests currently queued or executing.",
+        |s| s.in_flight,
+    ),
+];
+
+/// The plan-cache and scheduler counters, likewise (they follow the
+/// histogram).
+const SYSTEM_SERIES: [Series; 8] = [
+    (
+        "scalesim_plan_cache_hits_total",
+        "Plan-cache lookups answered from the cache.",
+        |s| s.cache_hits,
+    ),
+    (
+        "scalesim_plan_cache_misses_total",
+        "Plan-cache lookups that planned fresh.",
+        |s| s.cache_misses,
+    ),
+    (
+        "scalesim_plan_cache_evictions_total",
+        "Plans evicted to stay within the cache bound.",
+        |s| s.cache_evictions,
+    ),
+    (
+        "scalesim_plan_cache_resident_bytes",
+        "Bytes held by resident plans.",
+        |s| s.cache_resident_bytes,
+    ),
+    (
+        "scalesim_sched_workers",
+        "Worker threads in the global scheduler pool.",
+        |s| s.sched_workers,
+    ),
+    (
+        "scalesim_sched_steals_total",
+        "Tasks stolen from a sibling worker's queue.",
+        |s| s.sched_steals,
+    ),
+    (
+        "scalesim_sched_spawns_total",
+        "Detached tasks spawned onto the pool.",
+        |s| s.sched_spawns,
+    ),
+    (
+        "scalesim_sched_park_wakeups_total",
+        "Times an idle worker woke from park.",
+        |s| s.sched_park_wakeups,
+    ),
+];
+
 /// What [`SimService::execute`] is doing, as it does it. The one-shot
 /// CLI renders these as its stderr header and `-v` lines; `serve`
 /// ignores them. Observing never changes a response byte.
 #[derive(Debug)]
 pub enum Progress<'a> {
     /// A `run` request (or, with `llm` set, an `llm` request) validated
-    /// and is about to execute `topology` on `sim`. The observer may
-    /// swap in a reconfigured engine first — the CLI's
-    /// `--profile-stages` enables stage profiling here and keeps a
-    /// clone to read the profile back from.
+    /// and is about to execute `topology` on `sim`. The CLI's
+    /// `--profile-stages` keeps a clone of the engine to read its stage
+    /// totals back from after the run.
     Run {
         /// The engine about to run.
-        sim: &'a mut ScaleSim,
+        sim: &'a ScaleSim,
         /// The parsed (or generated) workload.
         topology: &'a Topology,
         /// The resolved model of an `llm` request.
@@ -455,18 +433,14 @@ pub enum Progress<'a> {
 /// Streams `topology` through `sim`, collecting the response body: the
 /// O(1) summary plus every report the configuration produces.
 fn run_body(
-    mut sim: ScaleSim,
+    sim: &ScaleSim,
     topology: &Topology,
     llm: Option<&LlmRunSpec>,
     cancel: &CancelToken,
     progress: &mut dyn FnMut(Progress<'_>),
 ) -> Result<RunBody, SimError> {
-    progress(Progress::Run {
-        sim: &mut sim,
-        topology,
-        llm,
-    });
-    let mut csv = MemoryReportSink::new(ReportSections::for_config(sim.config()));
+    progress(Progress::Run { sim, topology, llm });
+    let mut csv = MemoryReportSink::new();
     let mut summary = RunSummary::new();
     let mut sink = |result: LayerResult| {
         progress(Progress::Layer(&result));
@@ -650,7 +624,7 @@ fn scaleout_body(summary: &ScaleoutSummary, report_csv: String) -> ScaleoutBody 
         overlapped_cycles: summary.overlapped_cycles,
         exposed_cycles: summary.exposed_cycles,
         bubble_cycles: summary.bubble_cycles,
-        utilization: summary.utilization(),
+        utilization: summary.utilization,
         reports: vec![Report {
             name: "SCALEOUT_REPORT.csv".into(),
             content: report_csv,
@@ -736,15 +710,7 @@ fn load_config(source: &ConfigSource, features: &Features) -> Result<ScaleSimCon
         let grid = PartitionGrid::parse(cores).ok_or_else(|| {
             SimError::Config(format!("bad cores '{cores}' (expected RxC, e.g. 2x2)"))
         })?;
-        config.multicore = if grid.cores() == 1 {
-            None
-        } else {
-            Some(MultiCoreIntegration {
-                grid,
-                scheme: PartitionScheme::Spatial,
-                l2: Some(L2Config::default()),
-            })
-        };
+        config.multicore = MultiCoreIntegration::for_grid(grid);
     }
     Ok(config)
 }
@@ -891,48 +857,6 @@ mod tests {
             },
         });
         assert_eq!(service.handle(&req).unwrap_err().kind(), "config");
-    }
-
-    #[test]
-    fn oversized_sweeps_get_their_own_cache_small_ones_share() {
-        let topologies = [load_topology(&gemm_topology()).unwrap()];
-        let small = SweepSpec::parse("array = 8x8, 16x16\n").unwrap();
-        // 72 bandwidths x 64 arrays x 2 layers = 9216 worst-case plans
-        // > SERVICE_CACHE_CAPACITY.
-        let bandwidths: Vec<String> = (1..=72).map(|b| b.to_string()).collect();
-        let arrays: Vec<String> = (1..=64).map(|n| format!("{n}x{n}")).collect();
-        let big = SweepSpec::parse(&format!(
-            "bandwidth = {}\narray = {}\n",
-            bandwidths.join(", "),
-            arrays.join(", ")
-        ))
-        .unwrap();
-
-        let service = SimService::new();
-        assert!(
-            Arc::ptr_eq(
-                &service.sweep_cache(&small, &topologies),
-                service.plan_cache()
-            ),
-            "small grids warm the shared cache"
-        );
-        assert!(
-            !Arc::ptr_eq(
-                &service.sweep_cache(&big, &topologies),
-                service.plan_cache()
-            ),
-            "oversized grids get a right-sized private cache instead of \
-             churning the count-capped shared one"
-        );
-
-        // A byte-budgeted service keeps even an oversized sweep inside
-        // its budget: a private cache would escape the memory bound.
-        let budgeted = SimService::with_plan_cache(Arc::new(PlanCache::with_budget(1 << 20)));
-        for spec in [&small, &big] {
-            let cache = budgeted.sweep_cache(spec, &topologies);
-            assert!(Arc::ptr_eq(&cache, budgeted.plan_cache()));
-            assert_eq!(cache.budget_bytes(), Some(1 << 20));
-        }
     }
 
     #[test]
@@ -1131,7 +1055,13 @@ mod tests {
         assert_eq!(stats.cache_plans, 2);
         assert!((stats.cache_hit_rate - 0.5).abs() < 1e-12);
         assert!(stats.cache_resident_bytes > 0);
-        assert_eq!(stats.cache_budget_bytes, 0, "count-capped by default");
+        // The real bound, never 0: the default budget unless the
+        // deployment override is set in this test's environment.
+        assert_eq!(
+            stats.cache_budget_bytes,
+            service.plan_cache().budget_bytes() as u64
+        );
+        assert!(stats.cache_budget_bytes > 0);
         // A one-shot service records no serve-loop counters: those are
         // bumped by the serve transport, not by handle().
         assert_eq!(stats.requests_total, 0);
@@ -1197,6 +1127,9 @@ mod tests {
             })
             .unwrap();
         assert_eq!(events, ["run t llm=false", "layer a", "layer b"]);
+        // By construction too: every event lends the observer shared
+        // references (`Progress::Run` holds `&ScaleSim`), so there is
+        // nothing it could swap or reconfigure.
         assert_eq!(
             observed,
             service.handle(&req).unwrap(),

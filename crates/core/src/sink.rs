@@ -6,14 +6,15 @@
 //! grids) run with **bounded result memory**: only the in-flight block
 //! of the worker pool is ever resident. The standard sinks:
 //!
-//! * [`CollectSink`] — in-memory collector producing a [`RunResult`]
-//!   (the classic API; memory grows with layer count).
+//! * `Vec<LayerResult>` — the in-memory collector behind
+//!   [`ScaleSim::run_topology`](crate::ScaleSim::run_topology) (the
+//!   classic API; memory grows with layer count).
 //! * [`RunSummary`] — O(1) accumulator of the run-level aggregates
 //!   (cycles, utilization, energy, …); what the sweep executor uses.
 //! * [`MemoryReportSink`] — incremental report writer building the
 //!   standard `*_REPORT.csv` contents row by row; the one report writer
 //!   behind serve responses, the files the CLI writes and
-//!   [`RunResult::reports`].
+//!   [`RunResult::reports`](crate::RunResult::reports).
 //!
 //! ## Writing a new sink
 //!
@@ -23,8 +24,7 @@
 //! run path, which tees into a [`RunSummary`] and a
 //! [`MemoryReportSink`]).
 
-use crate::config::ScaleSimConfig;
-use crate::result::{rows, LayerResult, RunResult};
+use crate::result::{rows, LayerResult};
 use scalesim_energy::EnergyReport;
 
 /// Consumes finished layers as they stream out of the engine.
@@ -39,38 +39,20 @@ impl<F: FnMut(LayerResult)> ResultSink for F {
     }
 }
 
-/// Collects every layer into a [`RunResult`] (the non-streaming API).
-#[derive(Debug, Clone, Default)]
-pub struct CollectSink {
-    layers: Vec<LayerResult>,
-}
-
-impl CollectSink {
-    /// An empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The collected run.
-    pub fn into_run(self) -> RunResult {
-        RunResult {
-            layers: self.layers,
-        }
-    }
-}
-
-impl ResultSink for CollectSink {
+impl ResultSink for Vec<LayerResult> {
     fn layer(&mut self, result: LayerResult) {
-        self.layers.push(result);
+        self.push(result);
     }
 }
 
 /// O(1)-memory accumulator of a run's aggregate metrics.
 ///
-/// Mirrors the reductions [`RunResult`] computes over its layer vector,
-/// but without retaining the layers — the sweep executor summarizes
+/// The one statement of the run-level reductions
+/// ([`RunResult`](crate::RunResult)'s totals and the scale-out join fold
+/// through it), computed without retaining the layers — the sweep
+/// executor summarizes
 /// thousands-of-layer runs through this sink with constant memory.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunSummary {
     /// Layers accumulated.
     pub layers: usize,
@@ -89,21 +71,6 @@ pub struct RunSummary {
     pub energy: EnergyReport,
     /// L2→L1 NoC words.
     pub noc_words: u64,
-}
-
-impl Default for RunSummary {
-    fn default() -> Self {
-        Self {
-            layers: 0,
-            total_cycles: 0,
-            compute_cycles: 0,
-            stall_cycles: 0,
-            macs: 0,
-            util_weighted: 0.0,
-            energy: EnergyReport::empty(),
-            noc_words: 0,
-        }
-    }
 }
 
 impl RunSummary {
@@ -153,34 +120,31 @@ impl ResultSink for RunSummary {
     }
 }
 
-/// Which reports a [`MemoryReportSink`] emits; derived from the
-/// configuration (a feature that is off contributes no report).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReportSections {
-    /// `COMPUTE_REPORT.csv` (always on).
-    pub compute: bool,
-    /// `BANDWIDTH_REPORT.csv` (always on).
-    pub bandwidth: bool,
-    /// `SPARSE_REPORT.csv` (sparsity runs only).
-    pub sparse: bool,
-    /// `ENERGY_REPORT.csv` (energy estimation on).
-    pub energy: bool,
-    /// `DRAM_REPORT.csv` (cycle-accurate DRAM flow on).
-    pub dram: bool,
-}
+/// One report of a [`MemoryReportSink`]: file name, header, and the row
+/// formatter (a formatter returning `None` says the layer has no such
+/// section — the feature was off).
+type Section = (
+    &'static str,
+    &'static str,
+    fn(&LayerResult) -> Option<String>,
+);
 
-impl ReportSections {
-    /// The sections `config` produces rows for.
-    pub fn for_config(config: &ScaleSimConfig) -> Self {
-        Self {
-            compute: true,
-            bandwidth: true,
-            sparse: config.sparsity.is_some(),
-            energy: config.enable_energy,
-            dram: config.enable_dram,
-        }
-    }
-}
+/// Every report of a run, in the CLI's historical emission order.
+const SECTIONS: [Section; 6] = [
+    ("COMPUTE_REPORT.csv", rows::COMPUTE_HEADER, |l| {
+        Some(rows::compute(l))
+    }),
+    ("BANDWIDTH_REPORT.csv", rows::BANDWIDTH_HEADER, |l| {
+        Some(rows::bandwidth(l))
+    }),
+    ("SPARSE_REPORT.csv", rows::SPARSE_HEADER, rows::sparse),
+    ("ENERGY_REPORT.csv", rows::ENERGY_HEADER, rows::energy),
+    ("DRAM_REPORT.csv", rows::DRAM_HEADER, rows::dram),
+    ("LAYOUT_REPORT.csv", rows::LAYOUT_HEADER, rows::layout),
+];
+
+/// The sections emitted even for a zero-layer run (header only).
+const ALWAYS_ON: usize = 2;
 
 /// Streams the standard report CSVs into in-memory strings as layers
 /// arrive. Reports travel inside a
@@ -191,62 +155,26 @@ impl ReportSections {
 /// appear lazily on their first row (a report with no rows is not
 /// emitted), while the always-on compute/bandwidth reports are emitted
 /// even for a zero-layer run (header only).
+#[derive(Debug, Default)]
 pub struct MemoryReportSink {
-    /// `(file name, header, content)` per section, in the CLI's
-    /// historical emission order; content stays empty until the first
-    /// row.
-    sections: [(&'static str, &'static str, String); 5],
-    emit: ReportSections,
+    /// Content per [`SECTIONS`] entry; empty until the first row.
+    contents: [String; SECTIONS.len()],
 }
 
 impl MemoryReportSink {
-    /// A sink collecting the sections enabled by `sections`.
-    pub fn new(sections: ReportSections) -> Self {
-        Self {
-            sections: [
-                ("COMPUTE_REPORT.csv", rows::COMPUTE_HEADER, String::new()),
-                (
-                    "BANDWIDTH_REPORT.csv",
-                    rows::BANDWIDTH_HEADER,
-                    String::new(),
-                ),
-                ("SPARSE_REPORT.csv", rows::SPARSE_HEADER, String::new()),
-                ("ENERGY_REPORT.csv", rows::ENERGY_HEADER, String::new()),
-                ("DRAM_REPORT.csv", rows::DRAM_HEADER, String::new()),
-            ],
-            emit: sections,
-        }
+    /// An empty sink.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    fn push_row(&mut self, index: usize, row: &str) {
-        let (_, header, content) = &mut self.sections[index];
-        if content.is_empty() {
-            content.push_str(header);
-        }
-        content.push_str(row);
-    }
-
-    /// Appends one layer's row to every enabled section.
+    /// Appends one layer's row to every section it carries data for.
     pub(crate) fn add(&mut self, result: &LayerResult) {
-        if self.emit.compute {
-            self.push_row(0, &rows::compute(result));
-        }
-        if self.emit.bandwidth {
-            self.push_row(1, &rows::bandwidth(result));
-        }
-        if self.emit.sparse {
-            if let Some(row) = rows::sparse(result) {
-                self.push_row(2, &row);
-            }
-        }
-        if self.emit.energy {
-            if let Some(row) = rows::energy(result) {
-                self.push_row(3, &row);
-            }
-        }
-        if self.emit.dram {
-            if let Some(row) = rows::dram(result) {
-                self.push_row(4, &row);
+        for ((_, header, row), content) in SECTIONS.iter().zip(&mut self.contents) {
+            if let Some(row) = row(result) {
+                if content.is_empty() {
+                    content.push_str(header);
+                }
+                content.push_str(&row);
             }
         }
     }
@@ -254,16 +182,15 @@ impl MemoryReportSink {
     /// The collected reports as `(file name, content)` pairs, in
     /// emission order.
     pub fn finish(mut self) -> Vec<(&'static str, String)> {
-        // The always-on sections exist even with zero rows.
-        for (index, enabled) in [(0, self.emit.compute), (1, self.emit.bandwidth)] {
-            if enabled {
-                self.push_row(index, "");
+        for ((_, header, _), content) in SECTIONS.iter().zip(&mut self.contents).take(ALWAYS_ON) {
+            if content.is_empty() {
+                content.push_str(header);
             }
         }
-        self.sections
-            .into_iter()
-            .filter(|(_, _, content)| !content.is_empty())
-            .map(|(name, _, content)| (name, content))
+        let named = SECTIONS.iter().zip(self.contents);
+        named
+            .filter(|(_, content)| !content.is_empty())
+            .map(|((name, ..), content)| (*name, content))
             .collect()
     }
 }
@@ -277,6 +204,7 @@ impl ResultSink for MemoryReportSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ScaleSimConfig;
     use crate::engine::ScaleSim;
     use scalesim_systolic::{ArrayShape, Layer, MemoryConfig, Topology};
 
@@ -307,17 +235,22 @@ mod tests {
         for l in &run.layers {
             summary.add(l);
         }
+        assert_eq!(summary, run.summary());
+        let sum = |of: fn(&LayerResult) -> u64| run.layers.iter().map(of).sum::<u64>();
         assert_eq!(summary.layers, 3);
-        assert_eq!(summary.total_cycles, run.total_cycles());
-        assert_eq!(summary.compute_cycles, run.total_compute_cycles());
-        assert_eq!(summary.stall_cycles, run.total_stall_cycles());
-        assert_eq!(summary.macs, run.total_macs());
+        assert_eq!(summary.total_cycles, sum(LayerResult::total_cycles));
+        assert_eq!(
+            summary.compute_cycles,
+            sum(|l| l.report.compute.total_compute_cycles)
+        );
+        assert_eq!(summary.stall_cycles, sum(LayerResult::stall_cycles));
+        assert_eq!(summary.macs, sum(|l| l.report.compute.macs));
         assert!(summary.energy_mj() > 0.0);
     }
 
     #[test]
     fn memory_sink_emits_header_only_reports_for_zero_layers() {
-        let reports = MemoryReportSink::new(ReportSections::for_config(&config())).finish();
+        let reports = MemoryReportSink::new().finish();
         let want = [
             ("COMPUTE_REPORT.csv", rows::COMPUTE_HEADER.to_string()),
             ("BANDWIDTH_REPORT.csv", rows::BANDWIDTH_HEADER.to_string()),
@@ -328,7 +261,7 @@ mod tests {
     #[test]
     fn memory_sink_emits_the_sections_the_config_enables() {
         let sim = ScaleSim::new(config());
-        let reports = sim.run_topology(&topo()).reports(sim.config());
+        let reports = sim.run_topology(&topo()).reports();
         let names: Vec<_> = reports.iter().map(|(name, _)| *name).collect();
         // A dense run without the DRAM flow: no sparse or DRAM report.
         let want = [

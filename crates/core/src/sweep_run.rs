@@ -19,7 +19,6 @@ use crate::engine::ScaleSim;
 use crate::scaleout::{run_scaleout, ScaleoutSummary};
 use crate::sink::RunSummary;
 use scalesim_collective::ScaleoutSpec;
-use scalesim_multicore::{L2Config, PartitionScheme};
 use scalesim_sweep::spec::AxisValue;
 use scalesim_sweep::{run_sharded_with, RunRecord, SweepPoint, SweepReport, SweepSpec};
 use scalesim_systolic::{MemoryConfig, PlanCache, PlanCacheStats, Topology};
@@ -53,16 +52,14 @@ pub fn apply_point(base: &ScaleSimConfig, point: &SweepPoint) -> ScaleSimConfig 
                 };
             }
             AxisValue::Bandwidth(bandwidth) => cfg.core.memory.dram_bandwidth = bandwidth,
-            AxisValue::Cores(grid) if grid.cores() == 1 => cfg.multicore = None,
             AxisValue::Cores(grid) => {
                 // Preserve the base scheme/L2 choice when the base is
-                // already multi-core; default to spatial partitioning
-                // with a shared L2.
-                let (scheme, l2) = match &base.multicore {
-                    Some(mc) => (mc.scheme, mc.l2),
-                    None => (PartitionScheme::Spatial, Some(L2Config::default())),
-                };
-                cfg.multicore = Some(MultiCoreIntegration { grid, scheme, l2 });
+                // already multi-core.
+                let bare = MultiCoreIntegration::for_grid(grid);
+                cfg.multicore = bare.map(|bare| match &base.multicore {
+                    Some(mc) => MultiCoreIntegration { grid, ..mc.clone() },
+                    None => bare,
+                });
             }
             AxisValue::Dram(dram) => cfg.enable_dram = dram,
             AxisValue::DramModel(model) => {
@@ -187,7 +184,7 @@ fn record_for_scaleout(
         total_cycles: summary.total_cycles,
         compute_cycles: summary.compute_cycles,
         stall_cycles: summary.exposed_cycles + summary.bubble_cycles,
-        utilization: summary.utilization(),
+        utilization: summary.utilization,
         macs: summary.simulated_macs,
         energy_mj: fleet_energy,
         edp_cycles_mj: summary.total_cycles as f64 * fleet_energy,
@@ -275,7 +272,8 @@ pub fn run_sweep(
                     .expect("llm points are validated before the grid runs")
             });
             let topology = llm_topology.as_ref().unwrap_or(topology);
-            let sim = ScaleSim::new_with_cache(cfg.clone(), Arc::clone(cache));
+            let sim = ScaleSim::with_cache(cfg.clone(), Arc::clone(cache))
+                .expect("grid points are validated before the grid runs");
             if let Some(so) = &cfg.scaleout {
                 let summary = run_scaleout(&sim, topology, so, &mut |_| {})
                     .expect("scale-out points are validated before the grid runs");

@@ -5,12 +5,11 @@
 //!   emission order, and creates feature-gated sections lazily on their
 //!   first row (zero-layer header-only compute/bandwidth is pinned in
 //!   the unit tests).
-//! * `CollectSink`, `RunSummary` and closure sinks keep their
+//! * `Vec<LayerResult>`, `RunSummary` and closure sinks keep their
 //!   O(1)/ordering invariants when teed together.
 
 use scalesim::{
-    CollectSink, LayerResult, MemoryReportSink, ReportSections, ResultSink, RunSummary, ScaleSim,
-    ScaleSimConfig,
+    LayerResult, MemoryReportSink, ResultSink, RunResult, RunSummary, ScaleSim, ScaleSimConfig,
 };
 use scalesim_systolic::{ArrayShape, Layer, MemoryConfig, Topology};
 
@@ -42,7 +41,7 @@ fn report<'a>(reports: &'a [(&'static str, String)], name: &str) -> Option<&'a s
 
 #[test]
 fn memory_sink_writes_each_header_exactly_once() {
-    let mut sink = MemoryReportSink::new(ReportSections::for_config(&config()));
+    let mut sink = MemoryReportSink::new();
     for l in layers(7) {
         sink.layer(l);
     }
@@ -69,34 +68,21 @@ fn memory_sink_writes_each_header_exactly_once() {
 }
 
 /// Feature-gated sections appear on their first row, not up front: a
-/// section that is enabled but never produces a row contributes no
-/// report, and a disabled one stays absent even when rows exist.
+/// section whose feature was off for every layer contributes no report
+/// (what a row formatter returning `None` says).
 #[test]
 fn optional_sections_are_created_lazily() {
-    let cfg = config();
-    // DRAM enabled in the section list, but these layers ran without
-    // the DRAM flow, so no DRAM row ever arrives.
-    let mut sections = ReportSections::for_config(&cfg);
-    sections.dram = true;
-    let mut sink = MemoryReportSink::new(sections);
+    // These layers ran with energy on and without the DRAM flow, the
+    // layout analysis or sparsity: no row of those ever arrives.
+    let mut sink = MemoryReportSink::new();
     for l in layers(2) {
         sink.layer(l);
     }
     let reports = sink.finish();
     assert!(report(&reports, "ENERGY_REPORT.csv").is_some());
-    assert_eq!(
-        report(&reports, "DRAM_REPORT.csv"),
-        None,
-        "no rows, no report"
-    );
-
-    // Energy rows exist but the section is off: still no report.
-    sections.energy = false;
-    let mut sink = MemoryReportSink::new(sections);
-    for l in layers(2) {
-        sink.layer(l);
+    for off in ["DRAM_REPORT.csv", "LAYOUT_REPORT.csv", "SPARSE_REPORT.csv"] {
+        assert_eq!(report(&reports, off), None, "{off}: no rows, no report");
     }
-    assert_eq!(report(&sink.finish(), "ENERGY_REPORT.csv"), None);
 }
 
 /// Sinks compose by forwarding from a closure sink: the collector sees
@@ -104,8 +90,8 @@ fn optional_sections_are_created_lazily() {
 /// reductions exactly, whatever else the tee feeds.
 #[test]
 fn teed_collect_and_summary_agree() {
-    let mut csv = MemoryReportSink::new(ReportSections::for_config(&config()));
-    let mut collect = CollectSink::new();
+    let mut csv = MemoryReportSink::new();
+    let mut collect: Vec<LayerResult> = Vec::new();
     let mut summary = RunSummary::new();
     {
         let mut tee = |l: LayerResult| {
@@ -118,16 +104,14 @@ fn teed_collect_and_summary_agree() {
             tee.layer(l);
         }
     }
-    let run = collect.into_run();
+    let run = RunResult { layers: collect };
     assert_eq!(run.layers.len(), 6, "collector kept every layer");
     let names: Vec<_> = run.layers.iter().map(|l| l.name.as_str()).collect();
     assert_eq!(names, ["l0", "l1", "l2", "l3", "l4", "l5"], "in order");
     assert_eq!(summary.layers, 6);
+    assert_eq!(summary, run.summary());
     assert_eq!(summary.total_cycles, run.total_cycles());
-    assert_eq!(summary.compute_cycles, run.total_compute_cycles());
-    assert_eq!(summary.stall_cycles, run.total_stall_cycles());
-    assert_eq!(summary.macs, run.total_macs());
     assert!((summary.energy_mj() - run.total_energy_mj()).abs() < 1e-12);
     // The teed report writer saw the same layers the collector kept.
-    assert_eq!(csv.finish(), run.reports(&config()));
+    assert_eq!(csv.finish(), run.reports());
 }

@@ -15,7 +15,7 @@ pub struct ComponentEnergy {
 }
 
 /// Full energy/power report for a run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyReport {
     components: Vec<ComponentEnergy>,
     cycles: u64,
@@ -104,11 +104,7 @@ impl EnergyReport {
     /// An empty report (no components, zero cycles) — the identity for
     /// [`EnergyReport::merge`], useful as a fold seed.
     pub fn empty() -> EnergyReport {
-        EnergyReport {
-            components: Vec::new(),
-            cycles: 0,
-            clock_hz: 0.0,
-        }
+        EnergyReport::default()
     }
 
     /// Fraction of total energy attributable to data movement (spads,

@@ -179,11 +179,6 @@ impl ChannelController {
         }
     }
 
-    /// Number of queued (not yet issued) requests.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Whether the channel can accept another request.
     pub fn can_accept(&self) -> bool {
         self.queue.len() < self.max_queue

@@ -71,15 +71,6 @@ impl MemStats {
         self.bytes_per_cycle() * cycles_per_sec / 1.0e6
     }
 
-    /// Data-bus utilization in `[0, 1]`.
-    pub fn bus_utilization(&self) -> f64 {
-        if self.end_cycle == 0 {
-            0.0
-        } else {
-            self.data_bus_busy_cycles as f64 / self.end_cycle as f64
-        }
-    }
-
     /// Merges another stats block (e.g. from another channel).
     pub fn merge(&mut self, other: &MemStats) {
         self.reads += other.reads;
@@ -119,7 +110,6 @@ mod tests {
         assert!((s.avg_read_latency() - 25.0).abs() < 1e-12);
         assert!((s.row_hit_rate() - 0.75).abs() < 1e-12);
         assert!((s.bytes_per_cycle() - 2.0).abs() < 1e-12);
-        assert!((s.bus_utilization() - 0.5).abs() < 1e-12);
         // 2 B/cycle at 1 ns/cycle = 2 GB/s = 2000 MB/s.
         assert!((s.throughput_mbps(1000) - 2000.0).abs() < 1e-9);
     }

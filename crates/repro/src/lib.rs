@@ -35,10 +35,6 @@ use scalesim::systolic::{PlanCache, Topology};
 use scalesim::{run_sweep, ScaleSimConfig, SparsityMode};
 use std::sync::Arc;
 
-/// Resident-byte budget of the process-wide plan cache: room for the
-/// ViT-base and ResNet-50 plans Fig. 15, Table V and Table VI share.
-pub const PLAN_CACHE_BYTES: usize = 512 << 20;
-
 /// What a row costs to run — a fact about the row, not a setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cost {

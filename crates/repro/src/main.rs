@@ -1,7 +1,7 @@
 //! `scalesim-repro [-o DIR] [ID...]` — runs the experiment table.
 
 use scalesim::systolic::PlanCache;
-use scalesim_repro::{ledger, Run, EXPERIMENTS, PLAN_CACHE_BYTES};
+use scalesim_repro::{ledger, Run, EXPERIMENTS};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -33,7 +33,7 @@ fn main() -> std::io::Result<ExitCode> {
         selected = EXPERIMENTS.iter().collect();
     }
     // The process's one plan cache: every engine grid of every row shares it.
-    let cache = Arc::new(PlanCache::with_budget(PLAN_CACHE_BYTES));
+    let cache = Arc::new(PlanCache::new());
     let started = Instant::now();
     let mut runs = Vec::new();
     for e in selected {

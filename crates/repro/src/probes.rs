@@ -10,10 +10,10 @@ use scalesim::multicore::{
     best_partition, non_uniform_split, uniform_split_makespan, MappingDims, MemoryPortPlacement,
     NopMesh, PartitionChoice, PartitionObjective, PartitionScheme,
 };
-use scalesim::sparse::{NmRatio, SparseComputeModel, SparseFormat, SparsityPattern};
+use scalesim::sparse::{NmRatio, SparseFormat, SparsityPattern};
 use scalesim::systolic::{
-    parallel_map, timing, ArrayShape, CoreSim, Dataflow, GemmShape, IdealBandwidthStore, Layer,
-    MemoryConfig, RecordingStore, SimConfig,
+    parallel_map, timing, AnalyticalModel, ArrayShape, CoreSim, Dataflow, GemmShape,
+    IdealBandwidthStore, Layer, MemoryConfig, RecordingStore, SimConfig,
 };
 use scalesim::workloads::{fig3_gemm_workloads, resnet18, vit_feed_forward_layers, ViTConfig};
 use scalesim::{
@@ -92,13 +92,15 @@ pub fn fig07_sparse_storage(run: &mut Run) {
 }
 
 pub fn fig08_block_size(run: &mut Run) {
-    // ViT feed-forward compute cycles at N:M on an `array`-square core.
+    // ViT feed-forward compute cycles at N:M on an `array`-square core:
+    // the compressed GEMM the engine would plan, costed by the closed
+    // form its plans are proven equal to.
     let cycles = |array: usize, n: usize, m: usize| -> u64 {
-        let model = SparseComputeModel::new(ArrayShape::square(array));
+        let (array, ws) = (ArrayShape::square(array), Dataflow::WeightStationary);
         let ratio = NmRatio::new(n, m).expect("n <= m");
         let layer = |g: &GemmShape| {
-            let pattern = SparsityPattern::layer_wise(g.k, ratio);
-            model.evaluate(*g, &pattern).sparse_cycles
+            let sparse = SparsityPattern::layer_wise(g.k, ratio).compress(*g);
+            AnalyticalModel::new(array, ws, sparse).exact_runtime_cycles()
         };
         vit_feed_forward_layers().iter().map(layer).sum()
     };

@@ -7,7 +7,7 @@
 
 use scalesim::api::json::Json;
 use scalesim::systolic::PlanCache;
-use scalesim_repro::{ledger, Accept, Claim, Cost, Experiment, EXPERIMENTS, PLAN_CACHE_BYTES};
+use scalesim_repro::{ledger, Accept, Claim, Cost, Experiment, EXPERIMENTS};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -153,7 +153,7 @@ fn the_table_and_the_checked_in_ledger_name_the_same_things() {
 #[test]
 fn cheap_rows_reproduce_their_ledger_sections() {
     let md = checked_in("REPRODUCTION.md");
-    let cache = Arc::new(PlanCache::with_budget(PLAN_CACHE_BYTES));
+    let cache = Arc::new(PlanCache::new());
     let mut held = BTreeSet::new();
     for e in EXPERIMENTS.iter().filter(|e| e.cost == Cost::Cheap) {
         let run = scalesim_repro::run(e, &cache);

@@ -5,6 +5,7 @@
 //! (paper §IV). Layer-wise sparsity fixes one ratio per layer; row-wise
 //! sparsity randomizes `N` per block with the paper's constraint `N ≤ M/2`.
 
+use scalesim_systolic::GemmShape;
 use std::fmt;
 
 /// A validated `N:M` sparsity ratio.
@@ -38,12 +39,6 @@ impl NmRatio {
     /// Density as a fraction.
     pub fn density(&self) -> f64 {
         self.n as f64 / self.m as f64
-    }
-
-    /// True when sparsity is computationally advantageous per the paper's
-    /// constraint (`N ≤ M/2`).
-    pub fn is_advantageous(&self) -> bool {
-        2 * self.n <= self.m
     }
 
     /// Parses `"2:4"`-style strings (the topology `SparsitySupport` column).
@@ -142,6 +137,20 @@ impl SparsityPattern {
         self.group_nnz.iter().sum()
     }
 
+    /// The GEMM a weight-stationary array executes for `gemm` once this
+    /// pattern's zero filter rows are skipped: `K` compressed to `K'`
+    /// (at least 1 — a layer never vanishes). The one statement of the
+    /// §IV compression rule; the engine plans the result like any dense
+    /// GEMM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pattern does not cover `gemm.k`.
+    pub fn compress(&self, gemm: GemmShape) -> GemmShape {
+        assert_eq!(self.k, gemm.k, "pattern must cover the GEMM K dim");
+        GemmShape::new(gemm.m, gemm.n, self.effective_k().max(1))
+    }
+
     /// Overall density of the pattern.
     pub fn density(&self) -> f64 {
         if self.k == 0 {
@@ -195,8 +204,6 @@ mod tests {
     fn ratio_parse_and_display() {
         let r = NmRatio::parse("2:4").unwrap();
         assert_eq!(r.to_string(), "2:4");
-        assert!(r.is_advantageous());
-        assert!(!NmRatio::new(3, 4).unwrap().is_advantageous());
         assert!(NmRatio::parse("junk").is_none());
     }
 

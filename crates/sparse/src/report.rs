@@ -23,6 +23,29 @@ pub struct SparseReportRow {
 }
 
 impl SparseReportRow {
+    /// The row of one layer, computed from its pattern and filter width.
+    pub fn new(
+        layer: impl Into<String>,
+        pattern: &SparsityPattern,
+        n_cols: usize,
+        format: SparseFormat,
+        bits_per_value: usize,
+    ) -> Self {
+        let dense_bits = SparseFormat::dense_storage_bits(pattern.k(), n_cols, bits_per_value);
+        let nnz = pattern.effective_k() as u64 * n_cols as u64;
+        let value_bits = nnz * bits_per_value as u64;
+        let total_bits = format.filter_storage_bits(pattern, n_cols, bits_per_value);
+        let metadata_bits = total_bits.saturating_sub(value_bits);
+        Self {
+            layer: layer.into(),
+            sparsity: format!("K'={}/{}", pattern.effective_k(), pattern.k()),
+            representation: format.name(),
+            original_bytes: dense_bits / 8,
+            value_bytes: value_bits / 8,
+            metadata_bytes: metadata_bits / 8,
+        }
+    }
+
     /// Total compressed storage (values + metadata) in bytes.
     pub fn new_filter_bytes(&self) -> u64 {
         self.value_bytes + self.metadata_bytes
@@ -60,34 +83,13 @@ impl SparseReport {
         format: SparseFormat,
         bits_per_value: usize,
     ) {
-        let dense_bits = SparseFormat::dense_storage_bits(pattern.k(), n_cols, bits_per_value);
-        let nnz = pattern.effective_k() as u64 * n_cols as u64;
-        let value_bits = nnz * bits_per_value as u64;
-        let total_bits = format.filter_storage_bits(pattern, n_cols, bits_per_value);
-        let metadata_bits = total_bits.saturating_sub(value_bits);
-        self.rows.push(SparseReportRow {
-            layer: layer.into(),
-            sparsity: format!("K'={}/{}", pattern.effective_k(), pattern.k()),
-            representation: format.name(),
-            original_bytes: dense_bits / 8,
-            value_bytes: value_bits / 8,
-            metadata_bytes: metadata_bits / 8,
-        });
+        let row = SparseReportRow::new(layer, pattern, n_cols, format, bits_per_value);
+        self.rows.push(row);
     }
 
     /// Report rows.
     pub fn rows(&self) -> &[SparseReportRow] {
         &self.rows
-    }
-
-    /// Total compressed bytes across layers.
-    pub fn total_new_bytes(&self) -> u64 {
-        self.rows.iter().map(|r| r.new_filter_bytes()).sum()
-    }
-
-    /// Total dense bytes across layers.
-    pub fn total_original_bytes(&self) -> u64 {
-        self.rows.iter().map(|r| r.original_bytes).sum()
     }
 
     /// Renders the CSV (header + rows).
@@ -129,8 +131,7 @@ mod tests {
         // Metadata: 32·64 entries × 2 bits = 512 B.
         assert_eq!(row.metadata_bytes, 512);
         assert!(row.compression() > 3.0);
-        assert_eq!(rep.total_original_bytes(), 16384);
-        assert_eq!(rep.total_new_bytes(), 4608);
+        assert_eq!(row.new_filter_bytes(), 4608);
     }
 
     #[test]

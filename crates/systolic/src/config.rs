@@ -167,11 +167,6 @@ impl MemoryConfig {
             sram_row_buffers: 64,
         }
     }
-
-    /// Total on-chip SRAM capacity in bytes.
-    pub fn total_bytes(&self) -> usize {
-        (self.ifmap_words + self.filter_words + self.ofmap_words) * self.bytes_per_word
-    }
 }
 
 impl Default for MemoryConfig {
@@ -300,7 +295,6 @@ mod tests {
         assert_eq!(m.ifmap_words, 512);
         assert_eq!(m.filter_words, 1024);
         assert_eq!(m.ofmap_words, 2048);
-        assert_eq!(m.total_bytes(), (512 + 1024 + 2048) * 2);
     }
 
     #[test]

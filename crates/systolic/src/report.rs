@@ -76,24 +76,6 @@ impl MemorySummary {
     pub fn total_dram_writes(&self) -> u64 {
         self.ifmap.dram_writes + self.filter.dram_writes + self.ofmap.dram_writes
     }
-
-    /// Average DRAM read bandwidth in words/cycle over the whole run.
-    pub fn avg_read_bandwidth(&self) -> f64 {
-        if self.total_cycles == 0 {
-            0.0
-        } else {
-            self.total_dram_reads() as f64 / self.total_cycles as f64
-        }
-    }
-
-    /// Average DRAM write bandwidth in words/cycle over the whole run.
-    pub fn avg_write_bandwidth(&self) -> f64 {
-        if self.total_cycles == 0 {
-            0.0
-        } else {
-            self.total_dram_writes() as f64 / self.total_cycles as f64
-        }
-    }
 }
 
 /// SRAM access profile used by the energy model (paper §VII-D).
@@ -187,15 +169,13 @@ mod tests {
         m.ifmap.dram_reads = 50;
         m.ofmap.dram_writes = 10;
         assert!((m.stall_fraction() - 0.25).abs() < 1e-12);
-        assert!((m.avg_read_bandwidth() - 0.5).abs() < 1e-12);
-        assert!((m.avg_write_bandwidth() - 0.1).abs() < 1e-12);
+        assert_eq!((m.total_dram_reads(), m.total_dram_writes()), (50, 10));
     }
 
     #[test]
     fn zero_cycles_degenerate() {
         let m = MemorySummary::default();
         assert_eq!(m.stall_fraction(), 0.0);
-        assert_eq!(m.avg_read_bandwidth(), 0.0);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! feeding the double-buffer planners and the SRAM repeat-access lookups,
 //! and returns a [`PlannedLayer`] that can be timed against any
 //! [`BackingStore`] ([`PlannedLayer::report`]). Topologies are run by the
-//! integration crate's `LayerPipeline`, which plans through here.
+//! integration crate's engine (`ScaleSim`), whose compute stage plans
+//! through here.
 //!
 //! Planning costs `O(folds)` for the fetch and drain plans (see
 //! [`crate::buffer`]) plus one table probe per array-edge word for the
@@ -199,23 +200,21 @@ struct CacheInner {
 /// shared plan is a large end-to-end win. Plans are returned as
 /// [`Arc`]s — replaying one against a [`BackingStore`] never mutates it.
 ///
-/// Plans can be large (fetch sequences scale with unique words), so the
-/// cache is bounded two ways: a count capacity (distinct plans) and an
-/// optional byte budget ([`PlanCache::with_budget`]). When either bound
-/// is exceeded the cache evicts cost-aware — GreedyDual-Size: each
-/// entry carries a priority of `clock + rebuild_nanos / bytes`,
-/// refreshed on every hit; eviction removes the minimum-priority entry
-/// (coldest, cheapest to re-plan, largest) and raises the clock to its
-/// priority, aging the survivors. Any topology with fewer distinct
-/// shapes than the bounds — all realistic networks — never evicts;
-/// long-lived servers sweeping many shapes keep the hottest, most
-/// expensive plans within a predictable footprint. Eviction only ever
-/// costs re-planning, never correctness.
+/// The cache has one bound: a budget on resident plan bytes
+/// ([`PlannedLayer::resident_bytes`] — kilobytes per plan, `O(folds)`).
+/// Past it the cache evicts cost-aware — GreedyDual-Size: each entry
+/// carries a priority of `clock + rebuild_nanos / bytes`, refreshed on
+/// every hit; eviction removes the minimum-priority entry (coldest,
+/// cheapest to re-plan, largest) and raises the clock to its priority,
+/// aging the survivors. Every shipped workload fits the default budget
+/// thousands of times over and never evicts; long-lived servers
+/// sweeping many shapes keep the hottest, most expensive plans within a
+/// predictable footprint. Eviction only ever costs re-planning, never
+/// correctness.
 #[derive(Debug)]
 pub struct PlanCache {
     inner: Mutex<CacheInner>,
-    capacity: usize,
-    budget_bytes: Option<usize>,
+    budget_bytes: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -223,50 +222,38 @@ pub struct PlanCache {
 
 impl Default for PlanCache {
     fn default() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAPACITY)
+        Self::with_budget(Self::DEFAULT_BUDGET_BYTES)
     }
 }
 
 impl PlanCache {
-    /// Default bound on distinct plans held at once.
-    pub const DEFAULT_CAPACITY: usize = 512;
+    /// Resident-byte budget of [`PlanCache::new`]: 512 MiB, some forty
+    /// times the largest plan set any shipped workload keeps (12.3 MB,
+    /// llama-7b decode), so only a long-lived server ever evicts.
+    pub const DEFAULT_BUDGET_BYTES: usize = 512 << 20;
 
-    /// Creates an empty cache with the default capacity.
+    /// Creates an empty cache with the default budget.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty cache holding at most `capacity` distinct plans
-    /// (minimum 1), with no byte budget.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(CacheInner::default()),
-            capacity: capacity.max(1),
-            budget_bytes: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Creates an empty cache bounded by resident bytes instead of a
-    /// plan count: after every insert, minimum-priority entries are
-    /// evicted until the estimated footprint is back within
-    /// `budget_bytes`. A single plan larger than the whole budget is
-    /// still returned to the caller but not retained.
+    /// Creates an empty cache bounded by `budget_bytes` of resident
+    /// plans: after every insert, minimum-priority entries are evicted
+    /// until the estimated footprint is back within the budget. A single
+    /// plan larger than the whole budget is still returned to the caller
+    /// but not retained.
     pub fn with_budget(budget_bytes: usize) -> Self {
         Self {
             inner: Mutex::new(CacheInner::default()),
-            capacity: usize::MAX,
-            budget_bytes: Some(budget_bytes.max(1)),
+            budget_bytes: budget_bytes.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
-    /// The configured byte budget, if this cache is byte-bounded.
-    pub fn budget_bytes(&self) -> Option<usize> {
+    /// The resident-byte budget this cache evicts down to.
+    pub fn budget_bytes(&self) -> usize {
         self.budget_bytes
     }
 
@@ -322,20 +309,16 @@ impl PlanCache {
                 plan
             }
         };
-        self.evict_to_bounds(&mut inner);
+        self.evict_to_budget(&mut inner);
         result
     }
 
-    /// Evicts minimum-priority entries until both bounds hold. May
+    /// Evicts minimum-priority entries until the budget holds. May
     /// evict an entry inserted in the same call (callers already hold
     /// their `Arc`), which is what keeps the byte budget a hard
     /// invariant even for plans bigger than the whole budget.
-    fn evict_to_bounds(&self, inner: &mut CacheInner) {
-        let over = |inner: &CacheInner| {
-            inner.map.len() > self.capacity
-                || self.budget_bytes.is_some_and(|b| inner.resident_bytes > b)
-        };
-        while over(inner) {
+    fn evict_to_budget(&self, inner: &mut CacheInner) {
+        while inner.resident_bytes > self.budget_bytes {
             let Some(victim_key) = inner
                 .map
                 .iter()
@@ -748,13 +731,20 @@ mod tests {
 
     #[test]
     fn plan_cache_bounds_its_footprint() {
-        let cache = Arc::new(PlanCache::with_capacity(2));
-        let sim = sim(Dataflow::OutputStationary).with_plan_cache(Arc::clone(&cache));
-        for n in 1..=5 {
-            let _ = sim.plan_gemm_shared(GemmShape::new(8, 8 * n, 8));
+        let shapes: Vec<_> = (1..=5).map(|n| GemmShape::new(8, 8 * n, 8)).collect();
+        let plain = sim(Dataflow::OutputStationary);
+        let bytes = |g: &GemmShape| plain.plan_gemm(*g).resident_bytes();
+        // Room for the two largest plans, not for all five.
+        let budget = 2 * shapes.iter().map(bytes).max().unwrap();
+        assert!(budget < shapes.iter().map(bytes).sum());
+        let cache = Arc::new(PlanCache::with_budget(budget));
+        assert_eq!(cache.budget_bytes(), budget);
+        let sim = plain.with_plan_cache(Arc::clone(&cache));
+        for gemm in &shapes {
+            let _ = sim.plan_gemm_shared(*gemm);
+            assert!(cache.resident_bytes() <= budget, "the budget is hard");
         }
-        assert!(cache.len() <= 2, "capacity must bound distinct plans");
-        assert_eq!(cache.evictions(), 3, "5 inserts into capacity 2 evict 3");
+        assert!(cache.evictions() > 0 && cache.len() < shapes.len());
         // Evicted shapes still re-plan correctly.
         let r = sim.simulate_gemm(GemmShape::new(8, 8, 8));
         assert_eq!(r, sim.simulate_gemm(GemmShape::new(8, 8, 8)));
@@ -828,7 +818,11 @@ mod tests {
         let s = sim(Dataflow::OutputStationary);
         let hot_gemm = GemmShape::new(16, 16, 16);
         let hot_key = PlanKey::new(&s.config, hot_gemm);
-        let cache = PlanCache::with_capacity(3);
+        // Room for the hot plan and two of the largest cold ones.
+        let cold = |n: usize| GemmShape::new(8, 8 * n, 8);
+        let bytes = |g| s.plan_gemm(g).resident_bytes();
+        let budget = bytes(hot_gemm) + 2 * bytes(cold(20));
+        let cache = PlanCache::with_budget(budget);
         // Make the hot entry's measured rebuild cost dominate every cold
         // entry's by orders of magnitude, so the cost-density comparison
         // is deterministic regardless of planner timing noise.
@@ -837,7 +831,7 @@ mod tests {
             s.plan_gemm(hot_gemm)
         });
         for n in 1..=20 {
-            let cold = GemmShape::new(8, 8 * n, 8);
+            let cold = cold(n);
             let _ = cache.get_or_insert_with(PlanKey::new(&s.config, cold), || s.plan_gemm(cold));
             // Touch the hot entry every round: its priority is refreshed
             // to clock + value, so eviction always prefers a cold entry.
@@ -850,16 +844,18 @@ mod tests {
             );
         }
         assert!(cache.evictions() > 0, "the cold stream must evict");
-        assert!(cache.len() <= 3);
+        assert!(cache.resident_bytes() <= budget);
     }
 
     /// Eviction-stats consistency under a randomized mixed workload on a
-    /// count-capped cache: plans held + evictions == misses, and the
-    /// resident gauge returns to zero on clear.
+    /// tight budget: plans held + evictions == misses, and the resident
+    /// gauge returns to zero on clear.
     #[test]
     fn plan_cache_eviction_stats_stay_consistent() {
         let s = sim(Dataflow::WeightStationary);
-        let cache = PlanCache::with_capacity(4);
+        // Room for the smallest four of the ten shapes drawn below.
+        let budget = 4 * s.plan_gemm(GemmShape::new(8, 8, 16)).resident_bytes();
+        let cache = PlanCache::with_budget(budget);
         let mut rng = SplitMix64(0x5EED);
         for _ in 0..300 {
             let n = 8 * (1 + rng.below(10)) as usize;
@@ -874,7 +870,7 @@ mod tests {
             stats.misses,
             "every miss either stays resident or was evicted: {stats}"
         );
-        assert!(stats.plans <= 4);
+        assert!(stats.evictions > 0 && stats.resident_bytes <= budget);
         cache.clear();
         assert_eq!(cache.resident_bytes(), 0);
         assert_eq!(cache.evictions(), stats.evictions, "clear is not eviction");

@@ -72,7 +72,7 @@ fn main() {
     let mut cfg = base_config();
     cfg.sparsity = Some(SparsityMode::LayerWise(NmRatio::new(2, 4).unwrap()));
     let sim = ScaleSim::new(cfg);
-    let reports = sim.run_topology(&net).reports(sim.config());
+    let reports = sim.run_topology(&net).reports();
     let sparse = reports
         .iter()
         .find(|(name, _)| *name == "SPARSE_REPORT.csv");

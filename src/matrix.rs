@@ -1,10 +1,11 @@
-//! Concrete sparse matrix representations with storage accounting.
-//!
-//! These are real data structures (construct, convert, multiply) rather
-//! than just size formulas, so the compression claims in the reports are
-//! backed by round-trip-tested code. The blocked ELLPACK layout follows
-//! Fig. 6 of the paper: non-zero values packed per block plus one
-//! `log2(block)`-bit position metadata entry per value.
+//! Concrete sparse matrix representations with storage accounting — a
+//! **reference for the oracle**, not product code: `crates/sparse` ships
+//! only the storage *formulas* `SPARSE_REPORT.csv` prints, and
+//! `tests/invariants.rs` holds each formula to what these real data
+//! structures (construct, convert, multiply; round-trip-tested below)
+//! measure on a filter built from the same pattern. The blocked ELLPACK
+//! layout follows Fig. 6 of the paper: non-zero values packed per block
+//! plus one `log2(block)`-bit position metadata entry per value.
 
 use std::fmt;
 
@@ -309,11 +310,6 @@ impl BlockedEllpack {
             .flat_map(|cols| cols.iter())
             .map(|e| e.len())
             .sum()
-    }
-
-    /// Block size `M`.
-    pub fn block_size(&self) -> usize {
-        self.block
     }
 
     /// Metadata bits per entry: `log2(block)` (Fig. 6).

@@ -211,7 +211,7 @@ fn run_reports_are_well_formed_csv() {
     let sim = ScaleSim::new(small_config());
     let net = workloads::alexnet();
     let topo = scale_sim::systolic::Topology::from_layers("head", net.layers()[..2].to_vec());
-    let reports = sim.run_topology(&topo).reports(sim.config());
+    let reports = sim.run_topology(&topo).reports();
     let (name, csv) = &reports[0];
     assert_eq!(*name, "COMPUTE_REPORT.csv");
     let lines: Vec<&str> = csv.lines().collect();
@@ -243,7 +243,7 @@ fn dram_power_flows_through_the_engine() {
         run.layers.push(r);
     }
     assert!(run.total_dram_energy_mj() > 0.0);
-    let reports = run.reports(sim.config());
+    let reports = run.reports();
     let (_, csv) = reports
         .iter()
         .find(|(name, _)| *name == "DRAM_REPORT.csv")

@@ -24,17 +24,16 @@ use scale_sim::multicore::{
 use scale_sim::scalesim::config::MultiCoreIntegration;
 use scale_sim::scalesim::dram::{self, LatencyReplayStore, MeasuredTransaction};
 use scale_sim::scalesim::layout_slowdown_for_gemm;
-use scale_sim::sparse::{
-    AnalyticalSparseModel, BlockedEllpack, Csc, Csr, DenseMatrix, NmRatio, Saf, SparseComputeModel,
-    SparseFormat, SparsityPattern,
-};
+use scale_sim::sparse::{NmRatio, SparseFormat, SparsityPattern};
 use scale_sim::systolic::{
     timing, AccessKind as Direction, Addr, AnalyticalModel, ArrayShape, CoreSim, Dataflow,
     DemandGenerator, DemandSummary, EdgeStream, GemmShape, IdealBandwidthStore, MemoryConfig,
     MemorySummary, OperandKind, OperandMemoryStats, PlanCache, RecordingStore, SimConfig,
     SramSummary, TraceRecorder, FILTER_BASE, IFMAP_BASE, OFMAP_BASE,
 };
-use scale_sim::{DramIntegration, LayoutAnalysis, LayoutIntegration, ScaleSim, ScaleSimConfig};
+use scale_sim::{
+    DramIntegration, LayoutAnalysis, LayoutIntegration, ScaleSim, ScaleSimConfig, SparsityMode,
+};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -304,7 +303,9 @@ fn more_sram_never_adds_dram_traffic() {
 /// and timing pass (one map lookup per array-edge word, one `Vec<Addr>`
 /// entry per fetched word, one event per cycle); the per-line DRAM replay
 /// on the per-tick controller ([`dram`]); the per-cycle layout sink
-/// ([`layout`]).
+/// ([`layout`]). (The real sparse matrix formats the storage formulas of
+/// `SPARSE_REPORT.csv` stand for have unit tests of their own, so they
+/// sit in this package's `src/matrix.rs`.)
 mod reference {
     use super::*;
 
@@ -2292,6 +2293,7 @@ fn layout_costs_are_bounded() {
 
 #[test]
 fn sparse_formats_are_lossless() {
+    use scale_sim::matrix::{BlockedEllpack, Csc, Csr, DenseMatrix};
     check("sparse_formats_are_lossless", 60, |rng| {
         let (rows, cols) = (rng.range(1, 24), rng.range(1, 24));
         let data = (0..rows * cols)
@@ -2329,19 +2331,107 @@ fn sparse_formats_are_lossless() {
     });
 }
 
+/// One N:M pattern along `k`: layer-wise at a drawn ratio or row-wise
+/// (N ≤ M/2) at a drawn seed.
+fn draw_pattern(rng: &mut SplitMix64, k: usize, block: usize) -> SparsityPattern {
+    if rng.chance(2) {
+        SparsityPattern::row_wise(k, block, rng.next() % 1000)
+    } else {
+        let ratio = NmRatio::new(rng.range(1, block + 1), block).unwrap();
+        SparsityPattern::layer_wise(k, ratio)
+    }
+}
+
+/// The number `SPARSE_REPORT.csv` prints is a formula over the pattern;
+/// it equals what each real format measures on a filter whose non-zero
+/// rows are the pattern's.
+#[test]
+fn sparse_storage_formulas_equal_real_matrices() {
+    use scale_sim::matrix::{BlockedEllpack, Csc, Csr, DenseMatrix};
+    check("sparse_storage_formulas_equal_real_matrices", 80, |rng| {
+        let block = 1 << rng.range(1, 5);
+        let (k, n) = (rng.range(1, 80), rng.range(1, 40));
+        let pattern = draw_pattern(rng, k, block);
+        let mut filter = DenseMatrix::zeros(k, n);
+        for row in pattern.nonzero_rows() {
+            for col in 0..n {
+                filter.set(row, col, 1.0 + rng.range(0, 9) as f32);
+            }
+        }
+        let bits = rng.pick(&[8, 16, 32]);
+        let formula = |format: SparseFormat| format.filter_storage_bits(&pattern, n, bits);
+        let what = format!("{pattern:?} x {n} at {bits} bits");
+        assert_eq!(
+            formula(SparseFormat::Csr),
+            Csr::from_dense(&filter).storage_bits(bits),
+            "{what}"
+        );
+        assert_eq!(
+            formula(SparseFormat::Csc),
+            Csc::from_dense(&filter).storage_bits(bits),
+            "{what}"
+        );
+        assert_eq!(
+            formula(SparseFormat::BlockedEllpack),
+            BlockedEllpack::from_dense(&filter, block).storage_bits(bits),
+            "{what}"
+        );
+        assert_eq!(
+            SparseFormat::dense_storage_bits(k, n, bits),
+            filter.storage_bits(bits)
+        );
+    });
+}
+
+/// A sparse engine (layer-wise or row-wise at N ≤ M/2, any storage
+/// format), its dense twin, a GEMM whose K is a whole number of blocks,
+/// and the block size.
+fn draw_sparse(rng: &mut SplitMix64, dataflow: Dataflow) -> (ScaleSim, ScaleSim, GemmShape, usize) {
+    let block = 1 << rng.range(1, 5);
+    let mut dense = ScaleSimConfig::default();
+    dense.core.array = ArrayShape::new(rng.pick(&[4, 8, 16]), rng.pick(&[4, 8, 16]));
+    dense.core.dataflow = dataflow;
+    let mut sparse = dense.clone();
+    sparse.sparse_format = rng.pick(&[
+        SparseFormat::Csr,
+        SparseFormat::Csc,
+        SparseFormat::BlockedEllpack,
+    ]);
+    sparse.sparsity = Some(if rng.chance(2) {
+        let seed = rng.next() % 1000;
+        SparsityMode::RowWise { block, seed }
+    } else {
+        SparsityMode::LayerWise(NmRatio::new(rng.range(1, block / 2 + 1), block).unwrap())
+    });
+    let gemm = GemmShape::new(rng.range(1, 64), rng.range(1, 64), rng.range(1, 16) * block);
+    (ScaleSim::new(sparse), ScaleSim::new(dense), gemm, block)
+}
+
+/// The product's sparse path (`[sparsity]` → `ScaleSim`) at N ≤ M/2,
+/// layer-wise and row-wise: never slower than dense, exactly the MACs of
+/// the compressed GEMM, and never a larger filter.
 #[test]
 fn advantageous_sparsity_always_wins() {
-    check("advantageous_sparsity_always_wins", 80, |rng| {
-        // Row-wise N ≤ M/2 patterns: never slower, never larger.
-        let block = 1 << rng.range(1, 5);
-        let k = rng.range(1, 32) * block;
-        let pattern = SparsityPattern::row_wise(k, block, rng.next() % 1000);
-        let gemm = GemmShape::new(rng.range(1, 64), rng.range(1, 64), k);
-        let r = SparseComputeModel::new(ArrayShape::new(8, 8)).evaluate(gemm, &pattern);
-        assert!(r.sparse_cycles <= r.dense_cycles, "{gemm:?} block {block}");
-        assert!(r.sparse_filter_bits <= r.dense_filter_bits);
-        assert!(r.sparse_macs <= r.dense_macs);
-        assert_eq!(r.effective_k, pattern.effective_k());
+    check("advantageous_sparsity_always_wins", 60, |rng| {
+        let (sparse, dense, gemm, _) = draw_sparse(rng, Dataflow::WeightStationary);
+        let (s, d) = (sparse.run_gemm("l", gemm), dense.run_gemm("l", gemm));
+        let what = format!("{gemm:?} under {:?}", sparse.config().sparsity);
+        assert_eq!(s.dense_gemm, gemm, "{what}");
+        assert_eq!((s.gemm.m, s.gemm.n), (gemm.m, gemm.n), "{what}");
+        assert!(2 * s.gemm.k <= gemm.k, "{what}: K' = {}", s.gemm.k);
+        let (sc, dc) = (&s.report.compute, &d.report.compute);
+        assert!(sc.total_compute_cycles <= dc.total_compute_cycles, "{what}");
+        assert_eq!(sc.macs, (gemm.m * gemm.n * s.gemm.k) as u64, "{what}");
+        let row = s.sparse.as_ref().expect("a sparse layer has a storage row");
+        assert_eq!(row.original_bytes, (gemm.k * gemm.n * 2) as u64, "{what}");
+        // Blocked ELLPACK (the paper's format) never grows the filter;
+        // CSR/CSC's 32-bit pointers can outweigh a few narrow rows.
+        let ellpack = sparse.config().sparse_format == SparseFormat::BlockedEllpack;
+        assert!(
+            !ellpack || row.new_filter_bytes() <= row.original_bytes,
+            "{what}: {row:?}"
+        );
+        assert!(d.sparse.is_none() && d.gemm == gemm);
 
         // Layer-wise N:4 on block-aligned K keeps exactly N of every 4.
         let (blocks, n) = (rng.range(1, 64), rng.range(1, 4));
@@ -2357,35 +2447,27 @@ fn advantageous_sparsity_always_wins() {
     });
 }
 
-/// The Sparseloop-style analytical model brackets the cycle-accurate one:
-/// skipping sits between the one-per-block floor and dense timing, and
-/// tracks the exact model within a quarter.
+/// What the sparse path plans is the closed form on the compressed GEMM:
+/// its compute cycles equal the fold-exact count of `(M, N, K')` under
+/// weight-stationary — whatever dataflow the cfg names — which sits
+/// between the one-row-per-block floor and the dense count.
 #[test]
 fn analytical_sparse_brackets_exact() {
     check("analytical_sparse_brackets_exact", 60, |rng| {
-        let array = ArrayShape::new(8, 8);
-        let block = 8;
-        let k = rng.range(4, 48) * block;
-        let gemm = GemmShape::new(rng.range(8, 128), rng.range(8, 128), k);
-        let pattern = SparsityPattern::row_wise(k, block, rng.next() % 1000);
-        let analytical = AnalyticalSparseModel::matching_pattern(array, &pattern);
-        let skip = analytical.expected_cycles(gemm, Saf::Skipping);
-        let floor = AnalyticalSparseModel::new(array, 1.0 / block as f64, block)
-            .expected_cycles(gemm, Saf::Skipping);
-        assert!(
-            skip >= floor,
-            "{gemm:?}: skip {skip} below the floor {floor}"
-        );
-        assert!(
-            skip <= analytical.expected_cycles(gemm, Saf::Gating),
-            "{gemm:?}"
-        );
-        let exact = SparseComputeModel::new(array)
-            .evaluate(gemm, &pattern)
-            .sparse_cycles;
-        let error = (skip as f64 - exact as f64).abs() / exact as f64;
-        assert!(error < 0.25, "{gemm:?}: analytical {skip} vs exact {exact}");
-        assert!(analytical.expected_macs(gemm) <= gemm.macs());
+        let named = rng.pick(&Dataflow::ALL);
+        let (sparse, _, gemm, block) = draw_sparse(rng, named);
+        let s = sparse.run_gemm("l", gemm);
+        let array = sparse.config().core.array;
+        let closed_form = |m, n, k| {
+            AnalyticalModel::new(array, Dataflow::WeightStationary, GemmShape::new(m, n, k))
+                .exact_runtime_cycles()
+        };
+        let planned = s.report.compute.total_compute_cycles;
+        let what = format!("{gemm:?} -> {:?} on {array}", s.gemm);
+        assert_eq!(planned, closed_form(gemm.m, gemm.n, s.gemm.k), "{what}");
+        let floor = closed_form(gemm.m, gemm.n, gemm.k / block);
+        let dense = closed_form(gemm.m, gemm.n, gemm.k);
+        assert!(floor <= planned && planned <= dense, "{what}");
     });
 }
 
