@@ -18,8 +18,8 @@
 
 use crate::config::DramIntegration;
 use scalesim_mem::{
-    AccessKind as MemAccess, DramConfig, DramEnergyBreakdown, MemStats, Replay, ReplaySummary,
-    Retired, RowPolicy, SchedulingPolicy,
+    AccessKind as MemAccess, Completion, DramConfig, DramEnergyBreakdown, MemStats, Replay,
+    ReplaySummary, RowPolicy, SchedulingPolicy,
 };
 use scalesim_systolic::{
     timing, AccessKind, Addr, BackingStore, Batch, IdealBandwidthStore, MemorySummary, OperandKind,
@@ -265,9 +265,10 @@ pub fn replay(
     // Under load consecutive lines are served equally fast: remember the
     // last conversion.
     let mut converted = (0, 0);
-    let mut retire = |done: Retired| {
-        if done.service != converted.0 {
-            converted = (done.service, core_cycles(done.service, ratio));
+    let mut retire = |done: Completion| {
+        let service = done.service();
+        if service != converted.0 {
+            converted = (service, core_cycles(service, ratio));
         }
         let service = converted.1;
         let t = &mut tx[done.tag];

@@ -21,6 +21,19 @@
 //! queued back to back for one (bank, row, direction) form a run that is
 //! looked at once, so a streamed row that fills the window is decided by
 //! its first request alone and retires at its `max(tCCD, burst)` cadence.
+//!
+//! No CAS can issue before a floor that the last CAS and the data bus
+//! fix for every request alike. While every run in the window is known to
+//! be a row hit (a prefix of the runs, kept across plans and cut back by
+//! whatever closes a row), nothing else can come sooner either, so the
+//! first run whose CAS is legal at that floor wins and the window scan
+//! stops there.
+//!
+//! A request is kept once, from acceptance to its CAS, in an arrival-order
+//! ring indexed by sequence number. A run holds consecutive sequence
+//! numbers, so its next member is the next number, and the ring's front
+//! is the first run's; a completion is returned from the
+//! [`tick`](ChannelController::tick) whose CAS answered it.
 //! The per-tick scan this replaces is kept in `tests/invariants.rs` as the
 //! reference: same completions, same statistics, same command log.
 
@@ -29,7 +42,7 @@ use crate::bank::{Bank, BankState};
 use crate::cmdtrace::{CommandKind, CommandLog};
 use crate::spec::DramSpec;
 use crate::stats::MemStats;
-use crate::system::{AccessKind, RequestId};
+use crate::system::{AccessKind, Completion};
 use std::collections::VecDeque;
 
 /// Request scheduling policy.
@@ -58,17 +71,19 @@ pub enum RowPolicy {
 /// 512-entry request queues are saturated).
 const SCAN_WINDOW: usize = 32;
 
-/// One queued request.
-#[derive(Debug, Clone)]
-struct QueuedRequest {
-    id: RequestId,
+/// What the completion of an accepted request reports besides its cycle.
+#[derive(Debug, Clone, Copy)]
+struct Request {
+    tag: usize,
     arrive: u64,
-    classified: bool,
 }
 
 /// Requests queued back to back for one (bank, row, direction). At any
 /// instant they all need the same command, legal from the same cycle, so
-/// the scheduler looks at a run, never at its members.
+/// the scheduler looks at a run, never at its members. Two runs of one
+/// target can end up side by side when the run between them empties; the
+/// older wins every command the two compete for, so they issue exactly
+/// as one run would and are left apart.
 #[derive(Debug, Clone, Copy)]
 struct Run {
     /// Rank, bank group, bank and row the run's requests share (the
@@ -79,11 +94,85 @@ struct Run {
     kind: AccessKind,
     /// Requests in the run, at least one.
     len: usize,
+    /// Sequence number of its first request; the others follow it.
+    head: u64,
+    /// Whether a command has issued for the first request. Commands only
+    /// ever go to a run's first request, so one that moves up has had none.
+    classified: bool,
 }
 
 impl Run {
-    fn same_target(&self, other: &Run) -> bool {
-        self.bank == other.bank && self.addr.row == other.addr.row && self.kind == other.kind
+    /// Whether `next`, just queued, joins this run: the same target, right
+    /// after this run's last request.
+    fn continued_by(&self, next: &Run) -> bool {
+        let target = |r: &Run| (r.bank, r.addr.row, r.kind);
+        self.head + self.len as u64 == next.head && target(self) == target(next)
+    }
+}
+
+/// A FIFO kept as one slice, `items[start..]`, so that scanning it is a
+/// plain slice walk. Taking item `i` out moves the `i` items before it up
+/// one place, which is cheap for the front of a queue (where the scheduler
+/// takes from); the dead prefix is dropped once it outgrows the live part.
+#[derive(Debug)]
+struct Fifo<T> {
+    items: Vec<T>,
+    start: usize,
+}
+
+impl<T: Copy> Fifo<T> {
+    fn new() -> Self {
+        Fifo {
+            items: Vec::new(),
+            start: 0,
+        }
+    }
+
+    fn push(&mut self, item: T) {
+        if self.start > self.items.len() / 2 {
+            self.items.drain(..self.start);
+            self.start = 0;
+        }
+        self.items.push(item);
+    }
+
+    /// Takes item `i` out.
+    fn remove(&mut self, i: usize) {
+        for j in (self.start..self.start + i).rev() {
+            self.items[j + 1] = self.items[j];
+        }
+        self.start += 1;
+    }
+
+    /// Drops the first `n` items.
+    fn advance(&mut self, n: usize) {
+        self.start += n;
+    }
+}
+
+impl<T> std::ops::Index<usize> for Fifo<T> {
+    type Output = T;
+    fn index(&self, i: usize) -> &T {
+        &self.items[self.start + i]
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for Fifo<T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        &mut self.items[self.start + i]
+    }
+}
+
+impl<T> std::ops::Deref for Fifo<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.items[self.start..]
+    }
+}
+
+impl<T> std::ops::DerefMut for Fifo<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.items[self.start..]
     }
 }
 
@@ -92,8 +181,6 @@ impl Run {
 struct Issue {
     /// Index of the run in `runs`.
     run: usize,
-    /// Index of its first request in `queue`.
-    request: usize,
     command: CommandKind,
 }
 
@@ -112,7 +199,9 @@ struct Plan {
 #[derive(Debug)]
 pub struct ChannelController {
     spec: DramSpec,
-    policy: SchedulingPolicy,
+    /// Requests the scheduler looks at: [`SCAN_WINDOW`] under FR-FCFS,
+    /// the oldest alone under FCFS.
+    scan: usize,
     row_policy: RowPolicy,
     banks: Vec<Bank>,
     /// Recent ACT timestamps per rank (bounded to 4 for tFAW).
@@ -123,15 +212,28 @@ pub struct ChannelController {
     last_cas: Option<(u64, usize)>,
     /// Cycle at which the current data-bus transfer ends.
     bus_data_end: u64,
+    /// No CAS can issue before this cycle: `cas_earliest`'s rank and bus
+    /// terms at their most lenient (another bank group, either direction).
+    cas_floor: u64,
     next_refresh: u64,
-    queue: VecDeque<QueuedRequest>,
-    /// `queue` cut into runs of equal (bank, row, direction), in order.
+    /// Every request from the oldest queued one on, in arrival order
+    /// (issued ones included); slot `i` holds sequence number `front + i`.
+    ring: Fifo<Request>,
+    front: u64,
+    /// Requests accepted and not yet issued.
+    queued: usize,
+    /// The queue cut into runs of equal (bank, row, direction), in order.
     /// While the first run covers the scan window it alone decides what
     /// issues, so a streamed row retires at its CAS cadence.
-    runs: VecDeque<Run>,
-    completions: Vec<(RequestId, u64, AccessKind)>,
+    runs: Fifo<Run>,
+    /// `runs[..hits]` are row hits, holding `hit_requests` requests: the
+    /// prefix grows as `plan` finds hits behind it and is cut back to
+    /// nothing by anything that closes a row.
+    hits: usize,
+    hit_requests: usize,
+    /// Runs of the hit prefix per bank group.
+    hit_groups: Vec<usize>,
     stats: MemStats,
-    max_queue: usize,
     /// Banks currently holding an open row (union over the channel), used
     /// to accumulate `MemStats::row_open_cycles` exactly.
     open_banks: usize,
@@ -149,12 +251,7 @@ pub struct ChannelController {
 
 impl ChannelController {
     /// Creates a controller for one channel.
-    pub fn new(
-        spec: DramSpec,
-        policy: SchedulingPolicy,
-        row_policy: RowPolicy,
-        max_queue: usize,
-    ) -> Self {
+    pub fn new(spec: DramSpec, policy: SchedulingPolicy, row_policy: RowPolicy) -> Self {
         let nbanks = spec.org.ranks * spec.org.banks();
         Self {
             banks: vec![Bank::default(); nbanks],
@@ -162,52 +259,37 @@ impl ChannelController {
             last_act: vec![None; spec.org.ranks],
             last_cas: None,
             bus_data_end: 0,
+            cas_floor: 0,
             next_refresh: spec.timing.tREFI,
-            queue: VecDeque::new(),
-            runs: VecDeque::new(),
-            completions: Vec::new(),
+            ring: Fifo::new(),
+            front: 0,
+            queued: 0,
+            runs: Fifo::new(),
+            hits: 0,
+            hit_requests: 0,
+            hit_groups: vec![0; spec.org.bank_groups],
             stats: MemStats::default(),
-            max_queue,
             open_banks: 0,
             any_open_since: 0,
             log: None,
             planned: Plan { at: 0, issue: None },
             run_cas: 0,
             spec,
-            policy,
+            scan: match policy {
+                SchedulingPolicy::FrFcfs => SCAN_WINDOW,
+                SchedulingPolicy::Fcfs => 1,
+            },
             row_policy,
         }
     }
 
-    /// Whether the channel can accept another request.
-    pub fn can_accept(&self) -> bool {
-        self.queue.len() < self.max_queue
-    }
-
-    /// Whether nothing is queued.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Queue entries the scheduler looks at.
-    fn window(&self) -> usize {
-        match self.policy {
-            SchedulingPolicy::FrFcfs => self.queue.len().min(SCAN_WINDOW),
-            SchedulingPolicy::Fcfs => self.queue.len().min(1),
-        }
-    }
-
-    /// Accepts a request (caller must check [`can_accept`](Self::can_accept)).
-    pub fn enqueue(&mut self, id: RequestId, addr: DramAddr, kind: AccessKind, now: u64) {
-        debug_assert!(self.can_accept());
+    /// Accepts a request at cycle `now`; its completion will carry `tag`.
+    /// Queue capacity is the caller's to enforce.
+    pub fn enqueue(&mut self, tag: usize, addr: DramAddr, kind: AccessKind, now: u64) {
         // The scheduler only sees a request that lands inside its window;
         // behind it, nothing changes until an issue moves it up (and every
         // issue plans anew).
-        let visible = match self.policy {
-            SchedulingPolicy::FrFcfs => self.queue.len() < SCAN_WINDOW,
-            SchedulingPolicy::Fcfs => self.queue.is_empty(),
-        };
-        if visible {
+        if self.queued < self.scan {
             self.planned = Plan {
                 at: self.planned.at.min(now),
                 issue: None,
@@ -218,25 +300,21 @@ impl ChannelController {
             bank: addr.flat_bank(&self.spec.org),
             kind,
             len: 1,
-        };
-        match self.runs.back_mut() {
-            Some(last) if last.same_target(&run) => last.len += 1,
-            _ => self.runs.push_back(run),
-        }
-        self.queue.push_back(QueuedRequest {
-            id,
-            arrive: now,
+            head: self.front + self.ring.len() as u64,
             classified: false,
-        });
+        };
+        let last_is_hit = self.hits == self.runs.len();
+        match self.runs.last_mut() {
+            Some(last) if last.continued_by(&run) => {
+                last.len += 1;
+                self.hit_requests += usize::from(last_is_hit);
+            }
+            _ => self.runs.push(run),
+        }
+        self.ring.push(Request { tag, arrive: now });
+        self.queued += 1;
     }
 
-    /// Hands out the completions recorded so far: `(request, completion
-    /// cycle, direction)`.
-    pub fn drain_completions(&mut self) -> impl Iterator<Item = (RequestId, u64, AccessKind)> + '_ {
-        self.completions.drain(..)
-    }
-
-    /// Channel statistics so far.
     /// Statistics including the still-open row interval (banks that were
     /// never precharged after the last request stay open; their
     /// active-standby time up to `end_cycle` is added here).
@@ -281,16 +359,10 @@ impl ChannelController {
         }
     }
 
-    /// Raw statistics (excluding in-flight row-open time; use
-    /// [`stats_snapshot`](Self::stats_snapshot) for power analysis).
-    pub fn stats(&self) -> &MemStats {
-        &self.stats
-    }
-
     /// The next cycle at which this channel can possibly do work (command
     /// issue or refresh); used by the system to skip dead time.
     pub fn next_event(&self) -> u64 {
-        if self.queue.is_empty() {
+        if self.queued == 0 {
             self.next_refresh
         } else {
             self.planned.at.min(self.next_refresh)
@@ -304,12 +376,36 @@ impl ChannelController {
         }
     }
 
-    /// Issues the CAS of `at.run`'s first request, which leaves the queue.
-    fn issue_cas(&mut self, at: Issue, now: u64) {
-        let req = self.queue.remove(at.request).expect("a queued request");
-        let Run {
-            addr, bank, kind, ..
-        } = self.runs[at.run];
+    /// Forgets the row-hit prefix: a row closed.
+    fn forget_hits(&mut self) {
+        self.hits = 0;
+        self.hit_requests = 0;
+        self.hit_groups.fill(0);
+    }
+
+    /// Issues the CAS of `run`'s first request, which leaves the queue.
+    fn issue_cas(&mut self, run: usize, now: u64) -> Completion {
+        let (window, in_prefix) = (self.queued.min(self.scan), run < self.hits);
+        let r = &mut self.runs[run];
+        let (addr, bank, kind) = (r.addr, r.bank, r.kind);
+        self.stats.row_hits += u64::from(!r.classified);
+        self.run_cas += u64::from(run == 0 && r.len >= window);
+        let Request { tag, arrive } = self.ring[(r.head - self.front) as usize];
+        (r.len, r.head, r.classified) = (r.len - 1, r.head + 1, false);
+        self.queued -= 1;
+        self.hit_requests -= usize::from(in_prefix);
+        if r.len == 0 {
+            self.runs.remove(run);
+            self.hits -= usize::from(in_prefix);
+            self.hit_groups[addr.bank_group] -= usize::from(in_prefix);
+        }
+        // Every request before the first run's first has issued.
+        let oldest = self
+            .runs
+            .first()
+            .map_or(self.front + self.ring.len() as u64, |r| r.head);
+        self.ring.advance((oldest - self.front) as usize);
+        self.front = oldest;
         let t = self.spec.timing;
         let burst = self.spec.org.burst_cycles();
         let bank = &mut self.banks[bank];
@@ -330,54 +426,44 @@ impl ChannelController {
         self.last_cas = Some((now, addr.bank_group));
         let lat = self.cas_latency(kind);
         self.bus_data_end = now + lat + burst;
+        self.cas_floor =
+            (now + t.tCCD_S.min(t.tCCD_L)).max(self.bus_data_end.saturating_sub(t.CL.max(t.CWL)));
         self.stats.data_bus_busy_cycles += burst;
         self.stats.bytes_transferred += self.spec.org.burst_bytes() as u64;
-        let done = now + lat + burst;
-        match kind {
+        let cycle = match kind {
             AccessKind::Read => {
                 self.log_cmd(now, CommandKind::Rd, &addr);
                 self.stats.reads += 1;
-                let latency = done - req.arrive;
+                let done = now + lat + burst;
+                let latency = done - arrive;
                 self.stats.total_read_latency += latency;
                 self.stats.max_read_latency = self.stats.max_read_latency.max(latency);
-                self.completions.push((req.id, done, AccessKind::Read));
+                done
             }
             AccessKind::Write => {
                 self.log_cmd(now, CommandKind::Wr, &addr);
                 self.stats.writes += 1;
-                self.completions.push((req.id, now, AccessKind::Write));
+                now
             }
-        }
-        self.runs[at.run].len -= 1;
-        if self.runs[at.run].len == 0 {
-            self.runs.remove(at.run);
-            // The runs on either side may now continue one another.
-            if let (Some(before), Some(&after)) = (at.run.checked_sub(1), self.runs.get(at.run)) {
-                if self.runs[before].same_target(&after) {
-                    self.runs[before].len += after.len;
-                    self.runs.remove(at.run);
-                }
-            }
+        };
+        Completion {
+            tag,
+            cycle,
+            kind,
+            accepted: arrive,
         }
     }
 
-    /// Counts the request as a row hit, miss or conflict, once, by the
-    /// bank state the first command issued for it finds.
-    fn classify(&mut self, at: Issue) {
-        let req = &mut self.queue[at.request];
-        if req.classified {
-            return;
-        }
-        req.classified = true;
-        let run = &self.runs[at.run];
-        match self.banks[run.bank].state {
-            BankState::Open(r) if r == run.addr.row => self.stats.row_hits += 1,
-            BankState::Open(_) => self.stats.row_conflicts += 1,
-            BankState::Closed => self.stats.row_misses += 1,
-        }
+    /// Whether this is the first command for `run`'s first request, which
+    /// is then counted as a row hit (a CAS), miss (an ACT) or conflict (a
+    /// PRE), once.
+    fn first_command(&mut self, run: usize) -> bool {
+        !std::mem::replace(&mut self.runs[run].classified, true)
     }
 
-    fn issue_act(&mut self, run: usize, now: u64) {
+    /// Issues the ACT for `run`, which completes no request.
+    fn issue_act(&mut self, run: usize, now: u64) -> Option<Completion> {
+        self.stats.row_misses += u64::from(self.first_command(run));
         let Run { addr, bank, .. } = self.runs[run];
         let rank = addr.rank;
         let t = self.spec.timing;
@@ -394,20 +480,27 @@ impl ChannelController {
             self.any_open_since = now;
         }
         self.open_banks += 1;
+        None
     }
 
-    fn issue_pre(&mut self, run: usize, now: u64) {
+    /// Issues the PRE for `run`, which completes no request.
+    fn issue_pre(&mut self, run: usize, now: u64) -> Option<Completion> {
+        self.stats.row_conflicts += u64::from(self.first_command(run));
         let Run { addr, bank, .. } = self.runs[run];
         let t = self.spec.timing;
         self.banks[bank].precharge(now, &t);
         self.stats.precharges += 1;
         self.log_cmd(now, CommandKind::Pre, &addr);
         self.note_bank_closed(now);
+        None
     }
 
     /// Records that one open bank just closed at `now`; when it was the
     /// last open bank, the active-standby interval is committed to stats.
+    /// Runs of the hit prefix may have lost their row, so it starts over
+    /// (an ACT only opens a closed bank, which no prefix run targets).
     fn note_bank_closed(&mut self, now: u64) {
+        self.forget_hits();
         self.open_banks = self.open_banks.saturating_sub(1);
         if self.open_banks == 0 {
             self.stats.row_open_cycles += now - self.any_open_since;
@@ -466,20 +559,47 @@ impl ChannelController {
     /// the refresh comes first. First-ready: of the runs in the window
     /// whose command is legal at that cycle, the oldest CAS (open row)
     /// wins, failing that the oldest ACT (closed bank) or PRE (other row
-    /// open).
+    /// open) — the least `(cycle, not a CAS, age)`.
     ///
     /// A command is legal from a cycle that depends on its request only
     /// through (bank, row, direction), so the requests of a run get one
-    /// answer and its first request stands for them all.
-    fn plan(&self, from: u64) -> Plan {
-        let window = self.window();
-        // Per command class, the oldest run among those legal soonest.
-        let (mut cas, mut other) = (None::<(u64, Issue)>, None::<(u64, Issue)>);
+    /// answer and its first request stands for them all. A CAS legal at
+    /// `from` wins outright; so does one legal at `cas_floor` (`tCCD_L`
+    /// after the last CAS when every run is in its bank group) while every
+    /// run in the window is a row hit, since then no ACT or PRE competes
+    /// and no CAS can come sooner.
+    fn plan(&mut self, from: u64) {
+        // The queue entries the scheduler looks at.
+        let window = self.queued.min(self.scan);
+        while self.hit_requests < window {
+            match self.runs.get(self.hits) {
+                Some(run) if self.banks[run.bank].is_open(run.addr.row) => {
+                    self.hit_requests += run.len;
+                    self.hit_groups[run.addr.bank_group] += 1;
+                    self.hits += 1;
+                }
+                _ => break,
+            }
+        }
+        let floor = if self.hit_requests >= window {
+            // All of them in the last CAS's bank group: `tCCD_L` after it.
+            let ccd_l = match self.last_cas {
+                Some((last, bg)) if self.hit_groups[bg] == self.hits => {
+                    last + self.spec.timing.tCCD_L
+                }
+                _ => 0,
+            };
+            self.cas_floor.max(from).max(ccd_l)
+        } else {
+            from
+        };
+        let mut best = None::<((u64, bool), usize, CommandKind)>;
         let mut request = 0;
         for (index, run) in self.runs.iter().enumerate() {
             if request >= window {
                 break;
             }
+            request += run.len;
             let bank = &self.banks[run.bank];
             let (command, earliest) = match bank.state {
                 BankState::Open(row) if row == run.addr.row => {
@@ -493,44 +613,29 @@ impl ChannelController {
                 BankState::Open(_) => (CommandKind::Pre, bank.next_precharge),
             };
             let at = earliest.max(from);
-            let issue = Issue {
-                run: index,
-                request,
-                command,
-            };
-            let class = match command {
-                CommandKind::Rd | CommandKind::Wr if at == from => {
-                    cas = Some((at, issue));
+            let key = (at, !matches!(command, CommandKind::Rd | CommandKind::Wr));
+            if best.is_none_or(|(best, ..)| key < best) {
+                best = Some((key, index, command));
+                if !key.1 && at <= floor {
                     break;
                 }
-                CommandKind::Rd | CommandKind::Wr => &mut cas,
-                _ => &mut other,
-            };
-            if class.is_none_or(|(best, _)| at < best) {
-                *class = Some((at, issue));
             }
-            request += run.len;
         }
-        let first = match (cas, other) {
-            (Some(cas), Some(other)) if other.0 < cas.0 => Some(other),
-            (None, other) => other,
-            (cas, _) => cas,
-        };
-        match first {
-            Some((at, issue)) if at < self.next_refresh => Plan {
+        self.planned = match best {
+            Some(((at, _), run, command)) if at < self.next_refresh => Plan {
                 at,
-                issue: Some(issue),
+                issue: Some(Issue { run, command }),
             },
             _ => Plan {
                 at: self.next_refresh.max(from),
                 issue: None,
             },
-        }
+        };
     }
 
     /// Advances the channel by one memory cycle, possibly issuing one
-    /// command.
-    pub fn tick(&mut self, now: u64) {
+    /// command; a CAS returns its request's completion.
+    pub fn tick(&mut self, now: u64) -> Option<Completion> {
         self.stats.end_cycle = now + 1;
         // Refresh: blunt all-bank refresh at tREFI boundaries.
         if now >= self.next_refresh {
@@ -547,45 +652,37 @@ impl ChannelController {
             }
             self.next_refresh += t.tREFI;
             self.stats.refreshes += 1;
+            self.forget_hits();
             self.planned = Plan {
                 at: now + 1,
                 issue: None,
             };
-            return;
+            return None;
         }
-        if self.queue.is_empty() || now < self.planned.at {
-            return;
+        if self.queued == 0 || now < self.planned.at {
+            return None;
         }
         // A plan made for this very cycle stands; a tick that comes late
         // may find more commands legal than the plan knew.
-        let plan = match self.planned {
-            plan if plan.at == now && plan.issue.is_some() => plan,
-            _ => self.plan(now),
-        };
-        let issue = match plan.issue {
-            Some(issue) if plan.at == now => issue,
+        if self.planned.at != now || self.planned.issue.is_none() {
+            self.plan(now);
+        }
+        let issue = match self.planned.issue {
+            Some(issue) if self.planned.at == now => issue,
             _ => {
-                self.planned = Plan {
-                    at: plan.at.max(now + 1),
-                    ..plan
-                };
-                return;
+                self.planned.at = self.planned.at.max(now + 1);
+                return None;
             }
         };
-        self.classify(issue);
-        match issue.command {
+        let done = match issue.command {
             CommandKind::Act => self.issue_act(issue.run, now),
             CommandKind::Pre => self.issue_pre(issue.run, now),
-            _ => {
-                if self.runs[0].len >= self.window() {
-                    self.run_cas += 1;
-                }
-                self.issue_cas(issue, now);
-            }
-        }
+            _ => Some(self.issue_cas(issue.run, now)),
+        };
         // The next move follows from the state this one just wrote: no
         // idle look at `now + 1`, and no second look when its cycle comes.
-        self.planned = self.plan(now + 1);
+        self.plan(now + 1);
+        done
     }
 }
 
@@ -599,20 +696,19 @@ mod tests {
         AddressMapping::RoBaRaCoCh.decode(byte, &spec.org, 1)
     }
 
-    fn run_until_reads(
+    /// Ticks from cycle `from` until `n` reads completed (or `limit`
+    /// cycles passed): their `(tag, completion cycle)`s.
+    fn reads_from(
         ctrl: &mut ChannelController,
+        from: u64,
         n: usize,
         limit: u64,
-    ) -> Vec<(RequestId, u64)> {
+    ) -> Vec<(usize, u64)> {
         let mut done = Vec::new();
-        let mut out = Vec::new();
-        for now in 0..limit {
-            ctrl.tick(now);
-            out.extend(ctrl.drain_completions());
-            for (id, cycle, kind) in out.drain(..) {
-                if kind == AccessKind::Read {
-                    done.push((id, cycle));
-                }
+        for now in from..from + limit {
+            match ctrl.tick(now) {
+                Some(c) if c.kind == AccessKind::Read => done.push((c.tag, c.cycle)),
+                _ => {}
             }
             if done.len() >= n {
                 break;
@@ -624,27 +720,27 @@ mod tests {
     #[test]
     fn single_read_latency_is_miss_path() {
         let spec = DramSpec::ddr4_2400();
-        let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage, 32);
+        let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage);
         c.enqueue(1, addr_of(0, &spec), AccessKind::Read, 0);
-        let done = run_until_reads(&mut c, 1, 1000);
+        let done = reads_from(&mut c, 0, 1, 1000);
         assert_eq!(done.len(), 1);
         let t = spec.timing;
         // ACT at 0... wait for tRCD, CAS, then CL + burst.
         let expected = t.tRCD + t.CL + spec.org.burst_cycles();
         assert_eq!(done[0].1, expected, "cold read latency");
-        assert_eq!(c.stats().row_misses, 1);
+        assert_eq!(c.stats_snapshot().row_misses, 1);
     }
 
     #[test]
     fn second_read_same_row_is_hit() {
         let spec = DramSpec::ddr4_2400();
-        let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage, 32);
+        let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage);
         c.enqueue(1, addr_of(0, &spec), AccessKind::Read, 0);
         c.enqueue(2, addr_of(64, &spec), AccessKind::Read, 0);
-        let done = run_until_reads(&mut c, 2, 1000);
+        let done = reads_from(&mut c, 0, 2, 1000);
         assert_eq!(done.len(), 2);
-        assert_eq!(c.stats().row_hits, 1);
-        assert_eq!(c.stats().row_misses, 1);
+        assert_eq!(c.stats_snapshot().row_hits, 1);
+        assert_eq!(c.stats_snapshot().row_misses, 1);
         // The hit should complete well before a second miss path would.
         let gap = done[1].1 - done[0].1;
         assert!(
@@ -656,7 +752,7 @@ mod tests {
     #[test]
     fn row_conflict_requires_precharge() {
         let spec = DramSpec::ddr4_2400();
-        let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage, 32);
+        let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage);
         // Same bank, different row: row stride in RoBaRaCoCh is
         // banks × colslots × burst bytes.
         let row_stride = (spec.org.columns / spec.org.burst_length) as u64
@@ -664,51 +760,31 @@ mod tests {
             * spec.org.banks() as u64
             * spec.org.ranks as u64;
         c.enqueue(1, addr_of(0, &spec), AccessKind::Read, 0);
-        let done1 = run_until_reads(&mut c, 1, 1000);
+        let done1 = reads_from(&mut c, 0, 1, 1000);
         c.enqueue(2, addr_of(row_stride, &spec), AccessKind::Read, done1[0].1);
-        let mut out = Vec::new();
-        let mut second = None;
-        for now in done1[0].1..done1[0].1 + 1000 {
-            c.tick(now);
-            out.extend(c.drain_completions());
-            if let Some((_, cy, _)) = out.drain(..).find(|(_, _, k)| *k == AccessKind::Read) {
-                second = Some(cy);
-                break;
-            }
-        }
-        assert!(second.is_some());
-        assert_eq!(c.stats().row_conflicts, 1);
-        assert!(c.stats().precharges >= 1);
+        assert_eq!(reads_from(&mut c, done1[0].1, 1, 1000).len(), 1);
+        assert_eq!(c.stats_snapshot().row_conflicts, 1);
+        assert!(c.stats_snapshot().precharges >= 1);
     }
 
     #[test]
     fn frfcfs_reorders_hit_over_older_conflict() {
         let spec = DramSpec::ddr4_2400();
-        let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage, 32);
+        let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage);
         let row_stride = (spec.org.columns / spec.org.burst_length) as u64
             * spec.org.burst_bytes() as u64
             * spec.org.banks() as u64;
         // Open row 0 with request 1.
         c.enqueue(1, addr_of(0, &spec), AccessKind::Read, 0);
-        let d1 = run_until_reads(&mut c, 1, 1000);
+        let d1 = reads_from(&mut c, 0, 1, 1000);
         let t0 = d1[0].1;
         // Now: older request to row 1 (conflict), younger to row 0 (hit).
         c.enqueue(2, addr_of(row_stride, &spec), AccessKind::Read, t0);
         c.enqueue(3, addr_of(128, &spec), AccessKind::Read, t0);
-        let mut order = Vec::new();
-        let mut out = Vec::new();
-        for now in t0..t0 + 2000 {
-            c.tick(now);
-            out.extend(c.drain_completions());
-            for (id, _, k) in out.drain(..) {
-                if k == AccessKind::Read {
-                    order.push(id);
-                }
-            }
-            if order.len() == 2 {
-                break;
-            }
-        }
+        let order: Vec<_> = reads_from(&mut c, t0, 2, 2000)
+            .iter()
+            .map(|d| d.0)
+            .collect();
         assert_eq!(
             order,
             vec![3, 2],
@@ -719,62 +795,44 @@ mod tests {
     #[test]
     fn fcfs_does_not_reorder() {
         let spec = DramSpec::ddr4_2400();
-        let mut c = ChannelController::new(spec, SchedulingPolicy::Fcfs, RowPolicy::OpenPage, 32);
+        let mut c = ChannelController::new(spec, SchedulingPolicy::Fcfs, RowPolicy::OpenPage);
         let row_stride = (spec.org.columns / spec.org.burst_length) as u64
             * spec.org.burst_bytes() as u64
             * spec.org.banks() as u64;
         c.enqueue(1, addr_of(0, &spec), AccessKind::Read, 0);
-        let d1 = run_until_reads(&mut c, 1, 1000);
+        let d1 = reads_from(&mut c, 0, 1, 1000);
         let t0 = d1[0].1;
         c.enqueue(2, addr_of(row_stride, &spec), AccessKind::Read, t0);
         c.enqueue(3, addr_of(128, &spec), AccessKind::Read, t0);
-        let mut order = Vec::new();
-        let mut out = Vec::new();
-        for now in t0..t0 + 3000 {
-            c.tick(now);
-            out.extend(c.drain_completions());
-            for (id, _, k) in out.drain(..) {
-                if k == AccessKind::Read {
-                    order.push(id);
-                }
-            }
-            if order.len() == 2 {
-                break;
-            }
-        }
+        let order: Vec<_> = reads_from(&mut c, t0, 2, 3000)
+            .iter()
+            .map(|d| d.0)
+            .collect();
         assert_eq!(order, vec![2, 3], "FCFS must preserve arrival order");
     }
 
     #[test]
     fn writes_complete_on_issue_not_data() {
         let spec = DramSpec::ddr4_2400();
-        let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage, 32);
+        let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage);
         c.enqueue(1, addr_of(0, &spec), AccessKind::Write, 0);
-        let mut out = Vec::new();
-        for now in 0..1000 {
-            c.tick(now);
-            out.extend(c.drain_completions());
-            if !out.is_empty() {
-                break;
-            }
-        }
-        let (_, cycle, kind) = out[0];
-        assert_eq!(kind, AccessKind::Write);
+        let done = (0..1000).find_map(|now| c.tick(now)).expect("a completion");
+        assert_eq!(done.kind, AccessKind::Write);
         // Issued right after ACT+tRCD, no CL+burst wait in the completion.
-        assert_eq!(cycle, spec.timing.tRCD);
+        assert_eq!(done.cycle, spec.timing.tRCD);
     }
 
     #[test]
     fn bank_parallelism_beats_serial_misses() {
         // Two misses to different banks should overlap their ACT latency.
         let spec = DramSpec::ddr4_2400();
-        let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage, 32);
+        let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage);
         c.enqueue(1, addr_of(0, &spec), AccessKind::Read, 0);
         // Different bank: next burst in bank-interleaved space (column bits
         // exhausted first in RoBaRaCoCh → use bank stride = colslots × 64).
         let bank_stride = (spec.org.columns / spec.org.burst_length) as u64 * 64;
         c.enqueue(2, addr_of(bank_stride, &spec), AccessKind::Read, 0);
-        let done = run_until_reads(&mut c, 2, 2000);
+        let done = reads_from(&mut c, 0, 2, 2000);
         let t = spec.timing;
         let serial = 2 * (t.tRCD + t.CL + spec.org.burst_cycles());
         assert!(
@@ -788,10 +846,10 @@ mod tests {
     #[test]
     fn refresh_happens_periodically() {
         let spec = DramSpec::ddr4_2400();
-        let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage, 32);
+        let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage);
         for now in 0..(spec.timing.tREFI * 3 + 10) {
             c.tick(now);
         }
-        assert_eq!(c.stats().refreshes, 3);
+        assert_eq!(c.stats_snapshot().refreshes, 3);
     }
 }

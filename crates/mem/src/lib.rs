@@ -45,12 +45,10 @@
 //!     channels: 2,
 //!     ..DramConfig::default()
 //! });
-//! let id = dram.try_enqueue(AccessKind::Read, 0x1000).expect("queue empty");
-//! while dram.pop_completions().is_empty() {
-//!     dram.tick();
-//! }
-//! assert!(dram.stats().reads == 1);
-//! # let _ = id;
+//! dram.enqueue(AccessKind::Read, 0x1000, 7, &mut |_| ());
+//! let mut done = Vec::new();
+//! dram.drain(&mut |completion| done.push(completion));
+//! assert_eq!((done[0].tag, dram.stats().reads), (7, 1));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -70,7 +68,7 @@ pub use addrmap::{AddressMapping, DramAddr};
 pub use cmdtrace::{verify_timing, CommandKind, CommandLog, TimingViolation};
 pub use controller::{RowPolicy, SchedulingPolicy};
 pub use power::{DramEnergyBreakdown, DramPowerParams};
-pub use replay::{Replay, ReplaySummary, Retired};
+pub use replay::{Replay, ReplaySummary};
 pub use spec::{DramOrg, DramSpec, DramTiming};
 pub use stats::MemStats;
-pub use system::{AccessKind, DramConfig, DramSystem, RequestId};
+pub use system::{AccessKind, Completion, DramConfig, DramSystem};

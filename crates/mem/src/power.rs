@@ -33,9 +33,9 @@
 //!
 //! let mut dram = DramSystem::new(DramConfig::default());
 //! for i in 0..64 {
-//!     dram.try_enqueue(AccessKind::Read, i * 64).expect("queue");
+//!     dram.enqueue(AccessKind::Read, i * 64, 0, &mut |_| ());
 //! }
-//! dram.drain();
+//! dram.drain(&mut |_| ());
 //! let energy = DramEnergyBreakdown::from_stats(
 //!     &dram.config().spec,
 //!     &dram.stats(),
@@ -225,22 +225,11 @@ mod tests {
             write_queue: 64,
             ..Default::default()
         });
-        let mut issued = 0u64;
-        let mut addr = 0u64;
-        while issued < n {
-            while issued < n {
-                match sys.try_enqueue(AccessKind::Read, addr) {
-                    Some(_) => {
-                        addr += spec.org.burst_bytes() as u64;
-                        issued += 1;
-                    }
-                    None => break,
-                }
-            }
-            sys.tick();
-            sys.pop_completions();
+        let line = spec.org.burst_bytes() as u64;
+        for i in 0..n {
+            sys.enqueue(AccessKind::Read, i * line, 0, &mut |_| ());
         }
-        sys.drain();
+        sys.drain(&mut |_| ());
         let stats = sys.stats();
         (DramEnergyBreakdown::from_stats(&spec, &stats, 1), stats)
     }

@@ -7,26 +7,14 @@
 //! caller pushes line requests in request-cycle order, each is injected
 //! into a [`DramSystem`] at its cycle (stalling injection when a queue is
 //! full, as a real load/store queue would), and each completion is handed
-//! to the caller's fold the moment it pops. Nothing is kept per request
-//! beyond the ones in flight, so a replay costs memory for the queues, not
-//! for the trace.
+//! to the caller's fold the moment its CAS issues. The replay itself keeps
+//! nothing per request: the controller holds each in-flight request once,
+//! with the caller's tag and its acceptance cycle, and the wait for a
+//! queue slot is added to the latency total when the request is accepted.
+//! A replay costs memory for the queues, not for the trace.
 
 use crate::stats::MemStats;
-use crate::system::{AccessKind, Completion, DramConfig, DramSystem, RequestId};
-use std::collections::VecDeque;
-
-/// One answered request, as [`Replay`] reports it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Retired {
-    /// The tag the request was pushed with.
-    pub tag: usize,
-    /// Memory cycle at which the request completed.
-    pub cycle: u64,
-    /// In-memory service latency (completion − queue acceptance),
-    /// excluding the wait for a queue slot — the per-request figure the
-    /// §V-B step-3 outstanding-limit model needs.
-    pub service: u64,
-}
+use crate::system::{AccessKind, Completion, DramConfig, DramSystem};
 
 /// Aggregate outcome of a replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,7 +26,10 @@ pub struct ReplaySummary {
     pub total_latency: u64,
     /// Aggregate statistics.
     pub stats: MemStats,
-    /// Cycle at which the last request completed.
+    /// The memory clock when the replay ended: one past the cycle of the
+    /// last command (or refresh) it issued. The last read's data arrives
+    /// `CL` + burst after its CAS, so this can be earlier than the last
+    /// [`Completion::cycle`].
     pub end_cycle: u64,
     /// CAS commands that issued without a scheduler window scan (the
     /// simulator's own cost counter; see [`DramSystem::run_cas`]).
@@ -56,23 +47,10 @@ impl ReplaySummary {
     }
 }
 
-/// What is remembered of a request between injection and completion.
-#[derive(Debug, Clone, Copy)]
-struct InFlight {
-    tag: usize,
-    asked: u64,
-    accepted: u64,
-}
-
 /// A streaming trace replay through a fresh [`DramSystem`].
 #[derive(Debug)]
 pub struct Replay {
     sys: DramSystem,
-    /// In-flight requests by id: ids are handed out in injection order, so
-    /// slot `id − first_id` of this ring is request `id`; answered slots
-    /// are emptied and leave from the front.
-    in_flight: VecDeque<Option<InFlight>>,
-    first_id: RequestId,
     last_cycle: u64,
     requests: u64,
     total_latency: u64,
@@ -82,9 +60,7 @@ impl Replay {
     /// Starts a replay through a fresh system built from `config`.
     pub fn new(config: DramConfig) -> Self {
         Self {
-            in_flight: VecDeque::with_capacity(config.read_queue + config.write_queue),
             sys: DramSystem::new(config),
-            first_id: 0,
             last_cycle: 0,
             requests: 0,
             total_latency: 0,
@@ -92,8 +68,8 @@ impl Replay {
     }
 
     /// Injects one request the accelerator wants to issue at `cycle`
-    /// (memory-clock domain), reporting to `retire` every request that
-    /// completes on the way.
+    /// (memory-clock domain), its completion to carry `tag`, reporting to
+    /// `retire` every request that completes on the way.
     ///
     /// # Panics
     ///
@@ -104,65 +80,40 @@ impl Replay {
         byte_addr: u64,
         kind: AccessKind,
         tag: usize,
-        retire: &mut impl FnMut(Retired),
+        retire: &mut impl FnMut(Completion),
     ) {
         assert!(cycle >= self.last_cycle, "trace must be sorted by cycle");
         self.last_cycle = cycle;
+        let total_latency = &mut self.total_latency;
+        let mut done = |c: Completion| {
+            *total_latency += c.service();
+            retire(c)
+        };
         // Advance time to the desired issue cycle (fast path when idle).
-        if self.sys.is_idle() {
+        if self.sys.in_flight() == 0 {
             self.sys.fast_forward_to(cycle);
         } else {
-            self.sys.tick_until(cycle);
-            self.collect(retire);
+            self.sys.tick_until(cycle, &mut done);
         }
-        // If the queue is full, tick until space opens (the injected stall).
-        let id = loop {
-            match self.sys.try_enqueue(kind, byte_addr) {
-                Some(id) => break id,
-                None => {
-                    self.sys.skip_to_next_event();
-                    self.sys.tick();
-                    self.collect(retire);
-                }
-            }
-        };
-        debug_assert_eq!(id, self.first_id + self.in_flight.len() as u64);
-        self.in_flight.push_back(Some(InFlight {
-            tag,
-            asked: cycle,
-            accepted: self.sys.now(),
-        }));
+        self.sys.enqueue(kind, byte_addr, tag, &mut done);
+        // The round trip starts at `cycle`: add the wait for a slot.
+        self.total_latency += self.sys.now() - cycle;
         self.requests += 1;
     }
 
     /// Runs until every request has completed and returns the totals.
-    pub fn finish(mut self, retire: &mut impl FnMut(Retired)) -> ReplaySummary {
-        self.sys.drain();
-        self.collect(retire);
-        debug_assert!(self.in_flight.is_empty(), "all requests must complete");
+    pub fn finish(mut self, retire: &mut impl FnMut(Completion)) -> ReplaySummary {
+        let total_latency = &mut self.total_latency;
+        self.sys.drain(&mut |c| {
+            *total_latency += c.service();
+            retire(c)
+        });
         ReplaySummary {
             requests: self.requests,
             total_latency: self.total_latency,
             stats: self.sys.stats(),
             end_cycle: self.sys.now(),
             run_cas: self.sys.run_cas(),
-        }
-    }
-
-    fn collect(&mut self, retire: &mut impl FnMut(Retired)) {
-        for Completion { id, cycle, .. } in self.sys.drain_completions() {
-            let slot = &mut self.in_flight[(id - self.first_id) as usize];
-            let request = slot.take().expect("a request completes once");
-            self.total_latency += cycle - request.asked;
-            retire(Retired {
-                tag: request.tag,
-                cycle,
-                service: cycle - request.accepted,
-            });
-        }
-        while let Some(None) = self.in_flight.front() {
-            self.in_flight.pop_front();
-            self.first_id += 1;
         }
     }
 }
@@ -209,10 +160,10 @@ mod tests {
         });
         let mut seen = vec![0u32; 300];
         let mut total_service = 0;
-        let mut retire = |r: Retired| {
+        let mut retire = |r: Completion| {
             seen[r.tag] += 1;
-            total_service += r.service;
-            assert!(r.cycle >= r.service);
+            total_service += r.service();
+            assert!(r.cycle >= r.service());
         };
         for tag in 0..300usize {
             let kind = if tag % 3 == 0 {
@@ -304,6 +255,27 @@ mod tests {
             four.end_cycle,
             one.end_cycle
         );
+    }
+
+    /// An idle jump skips refreshes without forgiving them: the ticks
+    /// after a gap of ten `tREFI` issue ten all-bank refreshes back to
+    /// back, and the read that ended the gap waits out `tRFC` behind them.
+    /// Pinned as the model stands, so that changing it is deliberate. The
+    /// summary's end cycle is the clock after the last CAS, before that
+    /// read's data arrives.
+    #[test]
+    fn refreshes_skipped_by_an_idle_jump_are_paid_after_it() {
+        let config = DramConfig::default();
+        let gap = 10 * config.spec.timing.tREFI + 5;
+        let mut replay = Replay::new(config);
+        let mut done = Vec::new();
+        let mut retire = |c: Completion| done.push((c.service(), c.cycle));
+        replay.push(0, 0, AccessKind::Read, 0, &mut retire);
+        replay.push(gap, 0, AccessKind::Read, 1, &mut retire);
+        let summary = replay.finish(&mut retire);
+        assert_eq!(summary.stats.refreshes, 10);
+        assert_eq!(done, [(38, 38), (453, gap + 453)]);
+        assert_eq!(summary.end_cycle, gap + 433);
     }
 
     #[test]

@@ -5,14 +5,18 @@
 //! these request queues stalls the accelerator when the pending queue is
 //! full"), are decoded to a channel, scheduled by that channel's
 //! controller, and complete with a round-trip timestamp.
+//!
+//! There is one way out for a completion: every call that moves the clock
+//! takes a `done` callback and hands it each request's [`Completion`] in
+//! the tick that issued its CAS (channel order within a tick). Each
+//! channel issues at most one command per cycle, so nothing is buffered
+//! between the controller and the caller. A request is remembered once,
+//! by its channel's controller, together with the caller's tag.
 
 use crate::addrmap::AddressMapping;
 use crate::controller::{ChannelController, RowPolicy, SchedulingPolicy};
 use crate::spec::DramSpec;
 use crate::stats::MemStats;
-
-/// Identifier of an in-flight request.
-pub type RequestId = u64;
 
 /// Direction of a memory request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,12 +63,23 @@ impl Default for DramConfig {
 /// A completed request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
-    /// The request's identifier.
-    pub id: RequestId,
-    /// Memory cycle at which the request completed.
+    /// The tag the request was queued with.
+    pub tag: usize,
+    /// Memory cycle at which the request completed: its read data's last
+    /// beat, or a write's CAS.
     pub cycle: u64,
     /// Request direction.
     pub kind: AccessKind,
+    /// Memory cycle at which the queue accepted the request.
+    pub accepted: u64,
+}
+
+impl Completion {
+    /// In-memory service latency: completion − queue acceptance, without
+    /// the wait for a queue slot.
+    pub fn service(&self) -> u64 {
+        self.cycle - self.accepted
+    }
 }
 
 /// Cycle-accurate multi-channel DRAM system.
@@ -73,10 +88,8 @@ pub struct DramSystem {
     config: DramConfig,
     channels: Vec<ChannelController>,
     now: u64,
-    next_id: RequestId,
     reads_in_flight: usize,
     writes_in_flight: usize,
-    completions: Vec<Completion>,
 }
 
 impl DramSystem {
@@ -91,27 +104,16 @@ impl DramSystem {
             config.read_queue > 0 && config.write_queue > 0,
             "queues must be non-empty"
         );
-        // Each channel's local queue is bounded by the global queue sizes;
-        // the global read/write caps are enforced in try_enqueue.
-        let per_channel = config.read_queue + config.write_queue;
+        // The read/write caps bound what any one channel can hold.
         let channels = (0..config.channels)
-            .map(|_| {
-                ChannelController::new(
-                    config.spec,
-                    config.scheduling,
-                    config.row_policy,
-                    per_channel,
-                )
-            })
+            .map(|_| ChannelController::new(config.spec, config.scheduling, config.row_policy))
             .collect();
         Self {
             config,
             channels,
             now: 0,
-            next_id: 0,
             reads_in_flight: 0,
             writes_in_flight: 0,
-            completions: Vec::new(),
         }
     }
 
@@ -138,52 +140,44 @@ impl DramSystem {
         }
     }
 
-    /// Tries to enqueue a request; returns its id, or `None` when the
-    /// corresponding queue is full (the accelerator must stall and retry).
-    pub fn try_enqueue(&mut self, kind: AccessKind, byte_addr: u64) -> Option<RequestId> {
-        if !self.can_accept(kind) {
-            return None;
+    /// Queues a request of `kind` for `byte_addr`, its completion to carry
+    /// `tag`. While the queue of that kind is full the clock advances from
+    /// event to event (the accelerator stalls), handing every completion
+    /// on the way to `done`; the request is accepted at [`now`](Self::now)
+    /// as this returns.
+    pub fn enqueue(
+        &mut self,
+        kind: AccessKind,
+        byte_addr: u64,
+        tag: usize,
+        done: &mut impl FnMut(Completion),
+    ) {
+        while !self.can_accept(kind) {
+            self.now = self.now.max(self.next_event_cycle());
+            self.tick(done);
         }
-        let daddr =
-            self.config
-                .mapping
-                .decode(byte_addr, &self.config.spec.org, self.config.channels);
-        let ch = &mut self.channels[daddr.channel];
-        if !ch.can_accept() {
-            return None;
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        ch.enqueue(id, daddr, kind, self.now);
+        let (org, channels) = (&self.config.spec.org, self.config.channels);
+        let daddr = self.config.mapping.decode(byte_addr, org, channels);
+        self.channels[daddr.channel].enqueue(tag, daddr, kind, self.now);
         match kind {
             AccessKind::Read => self.reads_in_flight += 1,
             AccessKind::Write => self.writes_in_flight += 1,
         }
-        Some(id)
     }
 
-    /// Advances the system by one memory cycle.
-    pub fn tick(&mut self) {
+    /// Advances the system by one memory cycle, handing `done` the
+    /// completion of every CAS the channels issue in it.
+    pub fn tick(&mut self, done: &mut impl FnMut(Completion)) {
         for ch in &mut self.channels {
-            ch.tick(self.now);
-            for (id, cycle, kind) in ch.drain_completions() {
-                match kind {
+            if let Some(completion) = ch.tick(self.now) {
+                match completion.kind {
                     AccessKind::Read => self.reads_in_flight -= 1,
                     AccessKind::Write => self.writes_in_flight -= 1,
                 }
-                self.completions.push(Completion { id, cycle, kind });
+                done(completion);
             }
         }
         self.now += 1;
-    }
-
-    /// Jumps the clock to the next cycle at which any channel can do work
-    /// (no-op when something is already pending this cycle).
-    pub fn skip_to_next_event(&mut self) {
-        let jump = self.next_event_cycle();
-        if jump > self.now {
-            self.now = jump;
-        }
     }
 
     /// The next cycle at which any channel can do work.
@@ -197,38 +191,21 @@ impl DramSystem {
 
     /// Advances until `cycle` (no-op if already past), skipping stretches
     /// where no channel can issue anything.
-    pub fn tick_until(&mut self, cycle: u64) {
+    pub fn tick_until(&mut self, cycle: u64, done: &mut impl FnMut(Completion)) {
         while self.now < cycle {
-            let jump = self.next_event_cycle().min(cycle);
-            if jump > self.now {
-                self.now = jump;
-            }
+            self.now = self.now.max(self.next_event_cycle().min(cycle));
             if self.now < cycle {
-                self.tick();
+                self.tick(done);
             }
         }
     }
 
     /// Runs until every in-flight request has completed.
-    pub fn drain(&mut self) {
+    pub fn drain(&mut self, done: &mut impl FnMut(Completion)) {
         while self.in_flight() > 0 {
-            let jump = self.next_event_cycle();
-            if jump > self.now {
-                self.now = jump;
-            }
-            self.tick();
+            self.now = self.now.max(self.next_event_cycle());
+            self.tick(done);
         }
-    }
-
-    /// Takes all completions recorded so far.
-    pub fn pop_completions(&mut self) -> Vec<Completion> {
-        self.drain_completions().collect()
-    }
-
-    /// Hands out the completions recorded so far, keeping their buffer
-    /// (the allocation-free form trace replay calls after every tick).
-    pub fn drain_completions(&mut self) -> impl Iterator<Item = Completion> + '_ {
-        self.completions.drain(..)
     }
 
     /// CAS commands, over all channels, that issued without a window scan
@@ -269,17 +246,16 @@ impl DramSystem {
             .collect()
     }
 
-    /// Whether all queues are empty (safe to fast-forward time).
-    pub fn is_idle(&self) -> bool {
-        self.in_flight() == 0
-    }
-
     /// Jumps the clock forward when idle (used by trace replay between
     /// bursts of requests). Does nothing if requests are in flight.
+    ///
+    /// The jump moves the clock only: the refreshes due in the skipped
+    /// stretch are neither issued nor forgiven. Each controller still owes
+    /// every `tREFI` boundary it passed, so after a gap of `k·tREFI` the
+    /// next `k` ticks each issue an all-bank refresh, back to back, and
+    /// the first request after the gap waits `tRFC` behind the last one.
     pub fn fast_forward_to(&mut self, cycle: u64) {
-        if self.is_idle() && cycle > self.now {
-            // Account refreshes skipped during the jump so the next tick's
-            // refresh bookkeeping stays roughly aligned.
+        if self.in_flight() == 0 && cycle > self.now {
             self.now = cycle;
         }
     }
@@ -299,14 +275,20 @@ mod tests {
         }
     }
 
+    /// Every completion `drain` hands out.
+    fn drained(sys: &mut DramSystem) -> Vec<Completion> {
+        let mut done = Vec::new();
+        sys.drain(&mut |c| done.push(c));
+        done
+    }
+
     #[test]
     fn read_completes_with_expected_cold_latency() {
         let mut sys = DramSystem::new(small_config());
-        let id = sys.try_enqueue(AccessKind::Read, 0).unwrap();
-        sys.drain();
-        let done = sys.pop_completions();
+        sys.enqueue(AccessKind::Read, 0, 7, &mut |_| ());
+        let done = drained(&mut sys);
         assert_eq!(done.len(), 1);
-        assert_eq!(done[0].id, id);
+        assert_eq!(done[0].tag, 7);
         let t = sys.config().spec.timing;
         assert_eq!(
             done[0].cycle,
@@ -319,28 +301,31 @@ mod tests {
         let mut sys = DramSystem::new(small_config());
         for i in 0..4 {
             assert!(
-                sys.try_enqueue(AccessKind::Read, i * 4096).is_some(),
+                sys.can_accept(AccessKind::Read),
                 "request {i} rejected early"
             );
+            sys.enqueue(AccessKind::Read, i * 4096, 0, &mut |_| panic!("no wait"));
         }
         assert!(
-            sys.try_enqueue(AccessKind::Read, 1 << 20).is_none(),
-            "5th read must be rejected (queue=4)"
+            !sys.can_accept(AccessKind::Read),
+            "5th read must wait (queue=4)"
         );
         // Writes use a separate queue.
-        assert!(sys.try_enqueue(AccessKind::Write, 0).is_some());
-        sys.drain();
-        assert!(sys.try_enqueue(AccessKind::Read, 0).is_some());
+        assert!(sys.can_accept(AccessKind::Write));
+        // The 5th read is accepted once the first CAS frees a slot.
+        let mut freed = 0;
+        sys.enqueue(AccessKind::Read, 1 << 20, 0, &mut |_| freed += 1);
+        assert_eq!(freed, 1);
+        assert_eq!(sys.in_flight(), 4);
     }
 
     #[test]
     fn channels_split_requests() {
         let mut sys = DramSystem::new(small_config());
         // RoBaRaCoCh: bursts 0 and 64 land in channels 0 and 1.
-        sys.try_enqueue(AccessKind::Read, 0).unwrap();
-        sys.try_enqueue(AccessKind::Read, 64).unwrap();
-        sys.drain();
-        let done = sys.pop_completions();
+        sys.enqueue(AccessKind::Read, 0, 0, &mut |_| ());
+        sys.enqueue(AccessKind::Read, 64, 1, &mut |_| ());
+        let done = drained(&mut sys);
         assert_eq!(done.len(), 2);
         // Both complete at the same cycle — perfect channel parallelism.
         assert_eq!(done[0].cycle, done[1].cycle);
@@ -355,24 +340,10 @@ mod tests {
                 write_queue: 64,
                 ..Default::default()
             });
-            let mut pending = 0;
-            let mut addr = 0u64;
-            let total = 512;
-            let mut issued = 0;
-            while issued < total || pending > 0 {
-                while issued < total {
-                    match sys.try_enqueue(AccessKind::Read, addr) {
-                        Some(_) => {
-                            addr += 64;
-                            issued += 1;
-                            pending += 1;
-                        }
-                        None => break,
-                    }
-                }
-                sys.tick();
-                pending -= sys.pop_completions().len();
+            for i in 0..512 {
+                sys.enqueue(AccessKind::Read, i * 64, 0, &mut |_| ());
             }
+            sys.drain(&mut |_| ());
             sys.now()
         };
         let one = run(1);
@@ -392,9 +363,9 @@ mod tests {
             ..Default::default()
         });
         for i in 0..8 {
-            sys.try_enqueue(AccessKind::Read, i * 64).unwrap();
+            sys.enqueue(AccessKind::Read, i * 64, 0, &mut |_| ());
         }
-        sys.drain();
+        sys.drain(&mut |_| ());
         let stats = sys.stats();
         assert_eq!(stats.reads, 8);
         assert_eq!(stats.bytes_transferred, 8 * 64);
@@ -417,18 +388,13 @@ mod tests {
             // Large-stride scatter: consecutive requests land in far-apart
             // rows, defeating the row buffer on a single rank.
             let stride = 1_048_583u64; // prime, > one row
-            let mut pending = 0usize;
+            let mut completed = 0;
             for i in 0..256u64 {
                 let addr = ((i * stride * 64) % capacity) & !63;
-                while sys.try_enqueue(AccessKind::Read, addr).is_none() {
-                    sys.tick();
-                    pending -= sys.pop_completions().len();
-                }
-                pending += 1;
+                sys.enqueue(AccessKind::Read, addr, 0, &mut |_| completed += 1);
             }
-            sys.drain();
-            pending -= sys.pop_completions().len();
-            assert_eq!(pending, 0);
+            sys.drain(&mut |_| completed += 1);
+            assert_eq!(completed, 256);
             sys.now()
         };
         let single = run(DramSpec::ddr4_2400());
@@ -444,7 +410,7 @@ mod tests {
         let mut sys = DramSystem::new(small_config());
         sys.fast_forward_to(1000);
         assert_eq!(sys.now(), 1000);
-        sys.try_enqueue(AccessKind::Read, 0).unwrap();
+        sys.enqueue(AccessKind::Read, 0, 0, &mut |_| ());
         sys.fast_forward_to(2000);
         assert_eq!(sys.now(), 1000, "must not jump with work in flight");
     }

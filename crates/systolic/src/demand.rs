@@ -86,17 +86,20 @@ impl Stream {
         if !self.skewed {
             return pos / self.lanes as u64;
         }
-        // Smallest step whose words end beyond `pos`.
-        let (mut lo, mut hi) = (0, self.steps() - 1);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.words_before(mid + 1) > pos {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
+        // Skewed steps touch 1, 2, … `m` words, `m` words each while the
+        // longer side lasts, then `m`, … 1 again: a triangle, a band, and
+        // the first triangle mirrored, each inverted in closed form.
+        let m = self.lanes.min(self.len) as u64;
+        let triangle = m * (m + 1) / 2;
+        let band = (self.lanes.max(self.len) as u64 - m) * m;
+        let rise = |pos: u64| ((8 * pos + 1).isqrt() - 1) / 2;
+        if pos < triangle {
+            rise(pos)
+        } else if pos < triangle + band {
+            m + (pos - triangle) / m
+        } else {
+            self.steps() - 1 - rise(self.words() - 1 - pos)
         }
-        lo
     }
 
     /// Address of lane `lane`'s element `element`.
@@ -296,7 +299,16 @@ mod tests {
             skewed: false,
             ..skewed(3, 4)
         };
-        let shapes = [(1, 1), (1, 5), (5, 1), (3, 4), (4, 3), (6, 6)];
+        let shapes = [
+            (1, 1),
+            (1, 5),
+            (5, 1),
+            (3, 4),
+            (4, 3),
+            (6, 6),
+            (32, 9),
+            (7, 40),
+        ];
         let streams = shapes
             .map(|(lanes, len)| skewed(lanes, len))
             .into_iter()

@@ -21,22 +21,11 @@ fn stream_reads(spec: DramSpec, channels: usize, n: u64) -> (u64, DramEnergyBrea
         write_queue: 128,
         ..Default::default()
     });
-    let mut issued = 0u64;
-    let mut addr = 0u64;
-    while issued < n {
-        while issued < n {
-            match sys.try_enqueue(AccessKind::Read, addr) {
-                Some(_) => {
-                    addr += spec.org.burst_bytes() as u64;
-                    issued += 1;
-                }
-                None => break,
-            }
-        }
-        sys.tick();
-        sys.pop_completions();
+    let line = spec.org.burst_bytes() as u64;
+    for i in 0..n {
+        sys.enqueue(AccessKind::Read, i * line, 0, &mut |_| ());
     }
-    sys.drain();
+    sys.drain(&mut |_| ());
     let stats = sys.stats();
     let energy = DramEnergyBreakdown::from_stats(&spec, &stats, channels);
     (stats.end_cycle, energy)

@@ -13,8 +13,9 @@ use scale_sim::energy::{
 use scale_sim::layout::{BankModel, LayoutSpec, StreamEvaluator, TensorDims};
 use scale_sim::mem::bank::{Bank, BankState};
 use scale_sim::mem::{
-    verify_timing, AccessKind, AddressMapping, CommandKind, CommandLog, DramAddr, DramConfig,
-    DramEnergyBreakdown, DramSpec, DramSystem, MemStats, Replay, RowPolicy, SchedulingPolicy,
+    verify_timing, AccessKind, AddressMapping, CommandKind, CommandLog, Completion, DramAddr,
+    DramConfig, DramEnergyBreakdown, DramSpec, DramSystem, MemStats, Replay, RowPolicy,
+    SchedulingPolicy,
 };
 use scale_sim::multicore::{
     best_partition, factor_pairs, memory_footprint_words, non_uniform_split, runtime_cycles,
@@ -1960,14 +1961,25 @@ enum Saturating {
     BankStrided,
     /// Sequential reads with writes to a second region mixed in.
     ReadWrite,
+    /// Eight lanes `stride` lines apart, each fetch one line past the
+    /// last, as a weight-stationary operand stream steps by K words: when
+    /// the lanes span more than a row, runs are a few requests long, the
+    /// window holds many of them, and nearly all are row hits spread over
+    /// the bank groups.
+    Strided,
+    /// `Strided` reads with every third request a write to a second
+    /// strided region.
+    StridedReadWrite,
 }
 
 impl Saturating {
-    const ALL: [Saturating; 4] = [
+    const ALL: [Saturating; 6] = [
         Saturating::Sequential,
         Saturating::PingPong,
         Saturating::BankStrided,
         Saturating::ReadWrite,
+        Saturating::Strided,
+        Saturating::StridedReadWrite,
     ];
 }
 
@@ -2001,6 +2013,8 @@ fn saturate_dram(rng: &mut SplitMix64, what: &str, spec: DramSpec, pattern: Satu
     let line = spec.org.burst_bytes() as u64;
     let row = (spec.org.columns / spec.org.burst_length) as u64 * line;
     let burst = rng.range(1, 40) as u64;
+    let stride = rng.pick(&[3, 5, 48, 129]);
+    let strided = |i: u64| (i / 8 + i % 8 * stride) * line;
     let request = |i: u64, rng: &mut SplitMix64| match pattern {
         Saturating::Sequential => (AccessKind::Read, i * line),
         Saturating::PingPong => {
@@ -2010,36 +2024,35 @@ fn saturate_dram(rng: &mut SplitMix64, what: &str, spec: DramSpec, pattern: Satu
         Saturating::BankStrided => (AccessKind::Read, i * row + (i / 64) * line),
         Saturating::ReadWrite if rng.chance(3) => (AccessKind::Write, (1 << 26) + i * line),
         Saturating::ReadWrite => (AccessKind::Read, i * line),
+        Saturating::StridedReadWrite if i % 3 == 2 => (AccessKind::Write, (1 << 27) + strided(i)),
+        Saturating::Strided | Saturating::StridedReadWrite => (AccessKind::Read, strided(i)),
     };
     // The same requests into both systems, each waiting for its own queue
     // slots — stepping event to event as the replay does, or cycle by
-    // cycle. `(acceptance cycles, (id, completion cycle)s)`.
+    // cycle. `(acceptance cycles, (tag, completion cycle)s)`.
     let every_cycle = rng.chance(2);
-    // Queues `$request` into `$sys`, waiting for a slot as long as it takes.
-    macro_rules! push {
-        ($sys:expr, $request:expr, $accepted:expr) => {{
-            let (kind, addr) = $request;
-            while $sys.try_enqueue(kind, addr).is_none() {
-                if !every_cycle {
-                    $sys.skip_to_next_event();
-                }
-                $sys.tick();
-            }
-            $accepted.push($sys.now());
-        }};
-    }
     // At least 4,000 requests, and on until two refreshes are behind.
     let (mut stream, mut accepted, mut done) = (Vec::new(), Vec::new(), Vec::new());
+    let mut record = |c: Completion| done.push((c.tag as u64, c.cycle));
     while stream.len() < 4000 || sys.stats().refreshes < 2 {
-        stream.push(request(stream.len() as u64, rng));
-        push!(sys, stream[stream.len() - 1], accepted);
-        done.extend(sys.pop_completions().iter().map(|c| (c.id, c.cycle)));
+        let (kind, addr) = request(stream.len() as u64, rng);
+        while every_cycle && !sys.can_accept(kind) {
+            sys.tick(&mut record);
+        }
+        sys.enqueue(kind, addr, stream.len(), &mut record);
+        accepted.push(sys.now());
+        stream.push((kind, addr));
     }
-    sys.drain();
-    done.extend(sys.pop_completions().iter().map(|c| (c.id, c.cycle)));
+    sys.drain(&mut record);
     let (mut accepted_want, mut done_want) = (Vec::new(), Vec::new());
-    for &request in &stream {
-        push!(want, request, accepted_want);
+    for &(kind, addr) in &stream {
+        while want.try_enqueue(kind, addr).is_none() {
+            if !every_cycle {
+                want.skip_to_next_event();
+            }
+            want.tick();
+        }
+        accepted_want.push(want.now());
         done_want.extend(want.pop_completions());
     }
     want.drain();
@@ -2055,13 +2068,23 @@ fn saturate_dram(rng: &mut SplitMix64, what: &str, spec: DramSpec, pattern: Satu
     assert_eq!(sys.now(), want.now(), "{what}: end cycle");
     assert_eq!(sys.stats(), want.stats(), "{what}: statistics");
     assert!(sys.stats().refreshes >= 2, "{what}: {:?}", sys.stats());
-    if matches!(pattern, Saturating::Sequential) {
-        // Most of a streamed row issues with its run covering the window.
-        assert!(
+    // Under FR-FCFS, most of a streamed row issues with its run covering
+    // the window; lanes that span more than a row (per channel) make short
+    // runs, and nearly every CAS is decided by a window scan.
+    let lanes_span_rows = stride * 8 > row / line * config.channels as u64;
+    match pattern {
+        _ if config.scheduling == SchedulingPolicy::Fcfs => {}
+        Saturating::Sequential => assert!(
             sys.run_cas() * 2 > requests,
             "{what}: {} run CAS",
             sys.run_cas()
-        );
+        ),
+        Saturating::Strided | Saturating::StridedReadWrite if lanes_span_rows => assert!(
+            sys.run_cas() * 10 < requests,
+            "{what}: stride {stride} lines, {} run CAS of {requests}",
+            sys.run_cas()
+        ),
+        _ => {}
     }
 
     let (logs, logs_want) = (sys.command_logs(), want.command_logs());
@@ -2102,28 +2125,28 @@ fn drive_dram(
     let requests = rng.range(1, 129);
     let mut issued = HashMap::new();
     let (mut reads, mut writes) = (0, 0);
-    for _ in 0..requests {
+    let mut completions = Vec::new();
+    let mut record = |c: Completion| completions.push(c);
+    for tag in 0..requests {
         for _ in 0..rng.range(0, 6) {
-            sys.tick();
+            sys.tick(&mut record);
         }
         let (kind, addr) = draw_request(rng);
-        let id = loop {
-            match sys.try_enqueue(kind, addr) {
-                Some(id) => break id,
-                None => sys.tick(), // queue full: stall and retry
-            }
-        };
-        issued.insert(id, (kind, sys.now()));
+        // Queue full: stall and retry, a cycle at a time.
+        while !sys.can_accept(kind) {
+            sys.tick(&mut record);
+        }
+        sys.enqueue(kind, addr, tag, &mut record);
+        issued.insert(tag, (kind, sys.now()));
         match kind {
             AccessKind::Read => reads += 1,
             AccessKind::Write => writes += 1,
         }
         assert!(sys.in_flight() <= read_queue + write_queue, "{what}");
     }
-    sys.drain();
+    sys.drain(&mut record);
     assert_eq!(sys.in_flight(), 0, "{what}");
 
-    let completions = sys.pop_completions();
     assert_eq!(
         completions.len(),
         requests,
@@ -2131,7 +2154,7 @@ fn drive_dram(
     );
     let floor = spec.timing.CL + spec.org.burst_cycles();
     for done in &completions {
-        let (kind, enqueued) = issued.remove(&done.id).expect("completes once");
+        let (kind, enqueued) = issued.remove(&done.tag).expect("completes once");
         assert_eq!(done.kind, kind, "{what}");
         if kind == AccessKind::Read {
             let latency = done.cycle - enqueued;
