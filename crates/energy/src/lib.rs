@@ -15,8 +15,6 @@
 //!   reads and MAC counts, `idle = cycles · ports − accesses`);
 //! * an **energy report** ([`report`]) composes the two into per-component
 //!   energy, average power and energy-delay product;
-//! * a **YAML generator** ([`yamlgen`]) emits the Accelergy-style
-//!   architecture and action-count descriptions (Fig. 14);
 //! * **system-state validation** ([`validate`]) reproduces Table III's
 //!   idle / active / power-gated comparison against PnR reference values;
 //! * an **area reference table** ([`area`]) — the Accelergy area-reporting
@@ -44,11 +42,9 @@ pub mod area;
 pub mod ert;
 pub mod report;
 pub mod validate;
-pub mod yamlgen;
 
 pub use actions::{ActionCounts, LayerActivity};
 pub use area::{AreaBreakdown, AreaConfig, AreaTable};
 pub use ert::{ArchSpec, EnergyModel, EnergyTable};
 pub use report::{ComponentEnergy, EnergyReport};
 pub use validate::{system_state_table, SystemState, SystemStateRow};
-pub use yamlgen::{action_counts_yaml, architecture_yaml};

@@ -1,10 +1,9 @@
-//! Heterogeneous tensor cores (paper §III-C).
+//! Tensor cores (paper §III-C).
 //!
 //! A tensor core follows the TPU naming convention: one matrix-multiply
-//! unit (the systolic array) plus a vector/SIMD unit. Cores in one
-//! accelerator may differ in array dimensions and SIMD length.
+//! unit (the systolic array) plus a vector/SIMD unit; cores may differ in
+//! array dimensions and SIMD length.
 
-use crate::nonuniform::{non_uniform_split, NopProfile};
 use crate::simd::{SimdOp, SimdUnit};
 use scalesim_systolic::{analytical_runtime, ArrayShape, Dataflow, FoldGeometry, GemmShape};
 
@@ -45,93 +44,6 @@ impl TensorCore {
     }
 }
 
-/// An accelerator built from possibly-different tensor cores.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HeteroAccelerator {
-    cores: Vec<TensorCore>,
-    /// Per-core NoP latency (0 = uniform package).
-    nop_latency: Vec<u64>,
-}
-
-impl HeteroAccelerator {
-    /// Homogeneous accelerator of `n` identical cores.
-    pub fn homogeneous(n: usize, core: TensorCore) -> Self {
-        Self {
-            cores: vec![core; n],
-            nop_latency: vec![0; n],
-        }
-    }
-
-    /// Builds from explicit cores.
-    pub fn from_cores(cores: Vec<TensorCore>) -> Self {
-        let n = cores.len();
-        Self {
-            cores,
-            nop_latency: vec![0; n],
-        }
-    }
-
-    /// Sets a NoP latency profile (length must match core count).
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn with_nop_latency(mut self, nop: Vec<u64>) -> Self {
-        assert_eq!(nop.len(), self.cores.len(), "profile length mismatch");
-        self.nop_latency = nop;
-        self
-    }
-
-    /// The cores.
-    pub fn cores(&self) -> &[TensorCore] {
-        &self.cores
-    }
-
-    /// Splits a GEMM's `M` dimension across cores proportionally to their
-    /// throughput and NoP distance, returning per-core `(rows, cycles)`
-    /// and the makespan.
-    ///
-    /// The per-core cost is affine in the row count
-    /// (`cycles ≈ a + b·rows`: fold structure contributes a fixed term),
-    /// fitted from two probes and folded into the water-filling split as
-    /// an extra fixed latency.
-    pub fn split_gemm(&self, dataflow: Dataflow, gemm: GemmShape) -> (Vec<(u64, u64)>, u64) {
-        let m = gemm.m.max(2);
-        let half = (m / 2).max(1);
-        let mut nop_eff = Vec::with_capacity(self.cores.len());
-        let mut rates = Vec::with_capacity(self.cores.len());
-        for (i, c) in self.cores.iter().enumerate() {
-            let c1 = c.gemm_cycles(dataflow, GemmShape::new(m, gemm.n, gemm.k)) as f64;
-            let c2 = c.gemm_cycles(dataflow, GemmShape::new(half, gemm.n, gemm.k)) as f64;
-            let b = ((c1 - c2) / (m - half) as f64).max(1e-6);
-            let a = (c1 - b * m as f64).max(0.0);
-            nop_eff.push(self.nop_latency[i] + a.round() as u64);
-            rates.push(b);
-        }
-        let profile = NopProfile {
-            nop_latency: nop_eff,
-            cycles_per_unit: rates,
-        };
-        let (shares, makespan) = non_uniform_split(&profile, gemm.m as u64);
-        let detail: Vec<(u64, u64)> = shares
-            .iter()
-            .enumerate()
-            .map(|(i, &rows)| {
-                let cycles = if rows == 0 {
-                    0
-                } else {
-                    self.cores[i]
-                        .gemm_cycles(dataflow, GemmShape::new(rows as usize, gemm.n, gemm.k))
-                        + self.nop_latency[i]
-                };
-                (rows, cycles)
-            })
-            .collect();
-        let true_makespan = detail.iter().map(|&(_, c)| c).max().unwrap_or(makespan);
-        (detail, true_makespan)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,40 +66,9 @@ mod tests {
     }
 
     #[test]
-    fn hetero_split_favors_big_core() {
-        let acc = HeteroAccelerator::from_cores(vec![big(), small()]);
-        let (detail, makespan) =
-            acc.split_gemm(Dataflow::WeightStationary, GemmShape::new(1024, 256, 256));
-        assert_eq!(detail.iter().map(|&(r, _)| r).sum::<u64>(), 1024);
-        assert!(detail[0].0 > detail[1].0, "32×32 core must take more rows");
-        // Makespan must not exceed running everything on the big core.
-        let solo = big().gemm_cycles(Dataflow::WeightStationary, GemmShape::new(1024, 256, 256));
-        assert!(makespan <= solo, "split {makespan} vs solo {solo}");
-    }
-
-    #[test]
-    fn nop_profile_pushes_work_to_near_cores() {
-        let acc = HeteroAccelerator::homogeneous(4, small())
-            .with_nop_latency(vec![0, 10_000, 20_000, 40_000]);
-        let (detail, _) =
-            acc.split_gemm(Dataflow::WeightStationary, GemmShape::new(2048, 128, 128));
-        assert!(detail[0].0 >= detail[3].0, "{detail:?}");
-    }
-
-    #[test]
     fn simd_epilogue_scales_with_lanes() {
         let b = big();
         let s = small();
         assert!(b.simd_cycles(SimdOp::Softmax, 100_000) < s.simd_cycles(SimdOp::Softmax, 100_000));
-    }
-
-    #[test]
-    fn homogeneous_split_is_even() {
-        let acc = HeteroAccelerator::homogeneous(4, small());
-        let (detail, _) = acc.split_gemm(Dataflow::OutputStationary, GemmShape::new(400, 64, 64));
-        let rows: Vec<u64> = detail.iter().map(|&(r, _)| r).collect();
-        let max = *rows.iter().max().unwrap();
-        let min = *rows.iter().min().unwrap();
-        assert!(max - min <= 1, "{rows:?}");
     }
 }

@@ -11,7 +11,7 @@
 //!    accounting across cores in the same row/column and the L2 capacity
 //!    needed for stall-free operation (Fig. 4).
 //! 3. **Heterogeneous tensor cores** ([`hetero`], [`simd`], [`pipeline`])
-//!    — per-core systolic array dimensions plus a configurable-latency
+//!    — a systolic array of any dimensions plus a configurable-latency
 //!    SIMD/vector unit for activations, softmax and normalization, and an
 //!    MXU/SIMD op-chain scheduler (serial vs batch-pipelined) with a
 //!    transformer-block builder.
@@ -38,7 +38,7 @@ pub mod pipeline;
 pub mod sim;
 pub mod simd;
 
-pub use hetero::{HeteroAccelerator, TensorCore};
+pub use hetero::TensorCore;
 pub use l2::{L2Config, L2Report};
 pub use nonuniform::{non_uniform_split, uniform_split_makespan, NopProfile};
 pub use nop::{MemoryPortPlacement, NopMesh};

@@ -110,6 +110,14 @@ impl Stream {
 
     /// The addresses touched at `step`, in lane order.
     pub fn step_addrs(&self, step: u64) -> impl Iterator<Item = Addr> {
+        let (first, words, delta) = self.step_span(step);
+        (0..words).map(move |k| first.wrapping_add(k.wrapping_mul(delta)))
+    }
+
+    /// `step` as an arithmetic progression: its first address, its word
+    /// count and the (wrapping) distance from one active lane's word to
+    /// the next one's.
+    pub fn step_span(&self, step: u64) -> (Addr, u64, u64) {
         let (lo, hi, delta) = if self.skewed {
             (
                 step.saturating_sub(self.len as u64 - 1),
@@ -120,8 +128,19 @@ impl Stream {
             (0, self.lanes as u64, self.lane_stride)
         };
         let element = if self.skewed { step - lo } else { step };
-        let first = self.addr(lo, element);
-        (0..hi.saturating_sub(lo)).map(move |k| first.wrapping_add(k.wrapping_mul(delta)))
+        (self.addr(lo, element), hi.saturating_sub(lo), delta)
+    }
+
+    /// The steps at which every lane is active — all of them for an
+    /// unskewed stream, `lanes − 1 .. len` for a skewed one (empty when
+    /// the wavefront never fills). Each step of the band touches the
+    /// previous one's words moved by `step_stride`.
+    pub fn band(&self) -> std::ops::Range<u64> {
+        let first = match self.skewed {
+            true => (self.lanes as u64).saturating_sub(1),
+            false => 0,
+        };
+        first..(self.len as u64).max(first)
     }
 }
 
@@ -323,6 +342,16 @@ mod tests {
                 got.extend(s.step_addrs(step).map(|a| (step, a)));
             }
             assert_eq!(got, want, "{s:?}");
+            // The band: every lane active, each step the last one moved.
+            for step in 0..s.steps() {
+                let (first, words, _) = s.step_span(step);
+                let full = words == s.lanes as u64;
+                assert_eq!(s.band().contains(&step), full, "{s:?} step {step}");
+                if full && s.band().contains(&(step + 1)) {
+                    let next = s.step_span(step + 1).0;
+                    assert_eq!(next, first.wrapping_add(s.step_stride), "{s:?}");
+                }
+            }
             for (pos, &(step, _)) in want.iter().enumerate() {
                 assert_eq!(s.step_of(pos as u64), step, "{s:?} pos {pos}");
             }

@@ -7,14 +7,14 @@
 //! integration crate's engine (`ScaleSim`), whose compute stage plans
 //! through here.
 //!
-//! Planning costs `O(folds)` for the fetch and drain plans (see
-//! [`crate::buffer`]) plus one table probe per array-edge word for the
-//! three [`RepeatLookup`]s, the only per-word work left: which open row
-//! an access displaces has no cheap closed form, so they walk the fold's
-//! streams — without materialising an address. On top of that a
-//! [`PlanCache`] memoizes [`PlannedLayer`]s by `(array, dataflow, GEMM,
-//! scratchpad geometry)`, so topologies that repeat a layer shape (every
-//! CNN/ViT) plan it once and re-time it cheaply against any backing store.
+//! Planning costs `O(folds)`: the fetch and drain plans per fold (see
+//! [`crate::buffer`]), and for the three [`RepeatLookup`]s a few band
+//! periods of each long fold stream — the rest of its open-row profile
+//! repeats, moved by whole rows — and per word only short streams. On
+//! top of that a [`PlanCache`] memoizes [`PlannedLayer`]s by `(array,
+//! dataflow, GEMM, scratchpad geometry)`, so topologies that repeat a
+//! layer shape (every CNN/ViT) plan it once and re-time it cheaply
+//! against any backing store.
 
 use crate::buffer::{
     timing, BackingStore, IdealBandwidthStore, ReadPlanner, TimingInputs, WritePlanner,
@@ -27,10 +27,11 @@ use crate::operand::{Addr, OperandKind};
 use crate::report::{ComputeSummary, LayerReport, SramSummary};
 use crate::topology::GemmShape;
 use scalesim_obs as obs;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Tracks "repeated" SRAM accesses: an access that falls in a currently
 /// open SRAM row costs much less energy than a random one (paper §VII-C).
@@ -38,6 +39,37 @@ use std::sync::{Arc, Mutex};
 /// The lookup models `sram_row_buffers` open rows per SRAM (rounded up to
 /// a power of two); an access maps to buffer `(addr / row_words) % buffers`
 /// and is *repeated* when that buffer already holds its row.
+///
+/// # Walking a stream in `O(lanes × a few periods + buffers)`
+///
+/// [`walk`](Self::walk) counts exactly what probing every word would:
+///
+/// - **Band and period.** In a stream's [band](Stream::band) each step
+///   touches the step before it moved by `step_stride`; after the fewest
+///   steps `P` with `P·step_stride = D·row_words`, they have moved by `D`
+///   whole rows.
+/// - **Why periods repeat.** The table is direct-mapped, so moving every
+///   row by `D` only renames slots (`+D mod buffers`), and an access
+///   repeats exactly when the previous access to its slot had its row. If
+///   every access of one period finds that predecessor inside the band
+///   walked so far (however many periods back), every later period finds
+///   the moved copies there and decides the same way.
+/// - **Checking it.** Slots carry the step that last touched them; a
+///   period qualifies when none of its accesses finds a stamp older than
+///   the band. The band's `j` remaining periods then add `j ×` its
+///   repeats, and the table is rebuilt in `O(buffers)`: slots move in
+///   cycles under `+D`, each taking the moved row of the last skipped
+///   period that touched it.
+/// - **Row runs.** Lanes one word apart (or on one word) share a row for
+///   up to `row_words` lanes: one lookup.
+/// - **No wrap-around.** Rows move by `D` only if no address wraps
+///   through 0, as in every product stream (operand bases plus in-range
+///   offsets). Short, band-less and wrapping streams take the per-word
+///   loop, as does whatever follows a skip.
+/// - **Repeated streams.** A walk leaves each slot it touches holding its
+///   last row there, so walking the same stream again leaves the table
+///   as it was: from the third walk in a row on (a tile re-streamed by
+///   consecutive folds), each counts what the second did.
 #[derive(Debug, Clone)]
 pub struct RepeatLookup {
     row_words: u64,
@@ -47,11 +79,20 @@ pub struct RepeatLookup {
     row_shift: Option<u32>,
     slot_mask: u64,
     open_rows: Vec<u64>,
-    /// Total accesses observed.
-    pub accesses: u64,
+    /// Per slot, the [`clock`](Self::clock) of the last step of a banded
+    /// walk that touched it.
+    stamps: Vec<u64>,
+    /// Steps walked by the banded path so far.
+    clock: u64,
+    /// The last walk's stream and passes, and its repeats if it repeated
+    /// the walk before it (the table was then the stream's fixed point).
+    last: Option<(Stream, usize, Option<u64>)>,
     /// Accesses that hit an open row.
     pub repeats: u64,
 }
+
+/// Band words below which the per-word loop is cheaper than stamping.
+const MIN_BAND_WORDS: u64 = 512;
 
 impl RepeatLookup {
     /// Creates a lookup with the given row size (words) and row-buffer count.
@@ -65,19 +106,25 @@ impl RepeatLookup {
                 .then(|| row_words.trailing_zeros()),
             slot_mask: buffers as u64 - 1,
             open_rows: vec![u64::MAX; buffers],
-            accesses: 0,
+            stamps: vec![0; buffers],
+            clock: 0,
+            last: None,
             repeats: 0,
+        }
+    }
+
+    #[inline]
+    fn row(&self, addr: Addr) -> u64 {
+        match self.row_shift {
+            Some(shift) => addr >> shift,
+            None => addr / self.row_words,
         }
     }
 
     /// Observes one access.
     #[inline]
-    pub fn access(&mut self, addr: Addr) {
-        self.accesses += 1;
-        let row = match self.row_shift {
-            Some(shift) => addr >> shift,
-            None => addr / self.row_words,
-        };
+    fn access(&mut self, addr: Addr) {
+        let row = self.row(addr);
         let slot = (row & self.slot_mask) as usize;
         if self.open_rows[slot] == row {
             self.repeats += 1;
@@ -90,12 +137,168 @@ impl RepeatLookup {
     /// `passes` times over (2 for a read-modify-write stream: the step's
     /// reads, then its writes).
     pub fn walk(&mut self, stream: &Stream, passes: usize) {
-        for step in 0..stream.steps() {
+        let key = (*stream, passes);
+        let again = self.last.filter(|last| (last.0, last.1) == key);
+        if let Some((.., Some(repeats))) = again {
+            self.repeats += repeats;
+            return;
+        }
+        let before = self.repeats;
+        match self.band(stream) {
+            Some(band) => self.walk_banded(stream, passes, band),
+            None => self.walk_words(stream, passes, 0),
+        }
+        self.last = Some((*stream, passes, again.map(|_| self.repeats - before)));
+    }
+
+    /// `stream`'s band steps, period and rows moved per period, when the
+    /// band holds enough whole periods to be worth stamping and no
+    /// address of the stream wraps through 0.
+    fn band(&self, s: &Stream) -> Option<(Range<u64>, u64, i64)> {
+        let steps = s.band();
+        let band_steps = steps.end - steps.start;
+        if band_steps * s.lanes as u64 <= MIN_BAND_WORDS {
+            return None;
+        }
+        let (row_words, stride) = (self.row_words as i128, s.step_stride as i64 as i128);
+        let residue = stride.rem_euclid(row_words) as u64;
+        let period = self.row_words / gcd(residue, self.row_words);
+        if band_steps < 3 * period {
+            return None;
+        }
+        let at = |lane: u64, element: u64| {
+            let lane = lane as i128 * s.lane_stride as i64 as i128;
+            s.base as i128 + lane + element as i128 * stride
+        };
+        let (lane, element) = (s.lanes as u64 - 1, s.len as u64 - 1);
+        let corners = [at(0, 0), at(lane, 0), at(0, element), at(lane, element)];
+        if corners.iter().any(|&a| u64::try_from(a).is_err()) {
+            return None;
+        }
+        let rows = i64::try_from(period as i128 * stride / row_words).ok()?;
+        Some((steps, period, rows))
+    }
+
+    /// The per-word loop over `stream`'s steps from `from` on.
+    fn walk_words(&mut self, stream: &Stream, passes: usize, from: u64) {
+        for step in from..stream.steps() {
             for _ in 0..passes {
                 stream.step_addrs(step).for_each(|addr| self.access(addr));
             }
         }
     }
+
+    /// The walk of a stream with a band: every step probed with stamps
+    /// until a band period qualifies, then the band's remaining whole
+    /// periods in one go (see [`RepeatLookup`]), then the rest per word.
+    fn walk_banded(&mut self, s: &Stream, passes: usize, band: (Range<u64>, u64, i64)) {
+        let (band, period, rows) = band;
+        let in_band = self.clock + band.start + 1;
+        let (mut since, mut repeats, mut clean) = (0, 0, false);
+        for step in 0..s.steps() {
+            if band.contains(&step) && (step - band.start) % period == 0 {
+                let (walked, periods) = ((step - band.start) / period, (band.end - step) / period);
+                if clean && periods > 0 {
+                    self.repeats += periods * (self.repeats - repeats);
+                    self.translate(since, periods, rows);
+                    return self.walk_words(s, passes, step + periods * period);
+                }
+                if periods < walked {
+                    // A skip would now save less than stamping has cost.
+                    return self.walk_words(s, passes, step);
+                }
+                (since, repeats, clean) = (self.clock + 1, self.repeats, true);
+            }
+            self.clock += 1;
+            let (first, words, delta) = s.step_span(step);
+            for _ in 0..passes {
+                clean &= self.probe_step(first, words, delta, in_band);
+            }
+        }
+    }
+
+    /// Observes one step's words, a row run per lookup, stamping each
+    /// slot probed; whether every slot probed was last touched at or
+    /// after stamp `in_band`.
+    fn probe_step(&mut self, first: Addr, words: u64, delta: u64, in_band: u64) -> bool {
+        let mut oldest = u64::MAX;
+        if delta > 1 {
+            for k in 0..words {
+                oldest = oldest.min(self.probe(first.wrapping_add(k.wrapping_mul(delta)), 1));
+            }
+        } else {
+            let (mut addr, mut left) = (first, words);
+            while left > 0 {
+                let here = match delta {
+                    0 => left,
+                    _ => left.min(self.row_words - addr % self.row_words),
+                };
+                oldest = oldest.min(self.probe(addr, here));
+                (addr, left) = (addr.wrapping_add(here * delta), left - here);
+            }
+        }
+        oldest >= in_band
+    }
+
+    /// Observes `words` accesses to the row of `addr` and stamps its slot
+    /// with the clock; the slot's previous stamp.
+    #[inline]
+    fn probe(&mut self, addr: Addr, words: u64) -> u64 {
+        let row = self.row(addr);
+        let slot = (row & self.slot_mask) as usize;
+        if self.open_rows[slot] == row {
+            self.repeats += words;
+        } else {
+            self.open_rows[slot] = row;
+            self.repeats += words - 1;
+        }
+        std::mem::replace(&mut self.stamps[slot], self.clock)
+    }
+
+    /// The table after `periods` more band periods, each the copy of the
+    /// one whose slots carry stamps `>= since`, moved by `rows` rows.
+    fn translate(&mut self, since: u64, periods: u64, rows: i64) {
+        let mask = self.slot_mask as usize;
+        let shift = rows as usize & mask;
+        // Cycles and their lengths are powers of two, like the slot count.
+        let cycles = gcd(shift as u64, mask as u64 + 1) as usize;
+        let len = (mask + 1) / cycles;
+        let (reach, back) = (periods.min(len as u64), periods as usize & (len - 1));
+        // The rows before the rebuild, then each cycle's gaps.
+        let mut spare = self.open_rows.clone();
+        spare.resize(mask + 1 + len, 0);
+        let (old, next) = spare.split_at_mut(mask + 1);
+        for cycle in 0..cycles {
+            let slot = |i: usize| (cycle + (i & (len - 1)) * shift) & mask;
+            // Steps forward along the cycle to the nearest touched slot.
+            let mut gap = u64::MAX;
+            for i in (0..2 * len).rev() {
+                let touched = self.stamps[slot(i)] >= since;
+                gap = if touched { 0 } else { gap.saturating_add(1) };
+                if i < len {
+                    next[i] = gap;
+                }
+            }
+            // Slot `i` last held the row the period left `periods - d`
+            // cycle steps behind it, for the smallest `d` that touched.
+            for i in 0..len {
+                let from = i.wrapping_sub(back) & (len - 1);
+                let d = next[from];
+                if d < reach {
+                    let moved = (periods - d).wrapping_mul(rows as u64);
+                    self.open_rows[slot(i)] = old[slot(from + d as usize)].wrapping_add(moved);
+                }
+            }
+        }
+    }
+}
+
+/// Greatest common divisor (`gcd(0, b) = b`).
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 /// A planned layer: everything needed to time it against any backing store.
@@ -185,6 +388,8 @@ struct CacheEntry {
 #[derive(Debug, Default)]
 struct CacheInner {
     map: HashMap<PlanKey, CacheEntry, BuildHasherDefault<FastHasher>>,
+    /// Keys being planned right now; other callers wait for them.
+    planning: HashSet<PlanKey, BuildHasherDefault<FastHasher>>,
     /// Sum of `bytes` over all entries.
     resident_bytes: usize,
     /// GreedyDual clock: rises to each victim's priority on eviction, so
@@ -214,6 +419,8 @@ struct CacheInner {
 #[derive(Debug)]
 pub struct PlanCache {
     inner: Mutex<CacheInner>,
+    /// Signalled whenever a key leaves `planning`.
+    planned: Condvar,
     budget_bytes: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -245,6 +452,7 @@ impl PlanCache {
     pub fn with_budget(budget_bytes: usize) -> Self {
         Self {
             inner: Mutex::new(CacheInner::default()),
+            planned: Condvar::new(),
             budget_bytes: budget_bytes.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -260,16 +468,16 @@ impl PlanCache {
     /// Returns the cached plan for `key`, or plans it with `plan` and
     /// caches the result.
     ///
-    /// Concurrent callers missing on the same key may plan redundantly
-    /// (planning happens outside the lock); the first insert wins, so all
-    /// callers still observe one canonical plan.
+    /// A key is planned once at a time (planning happens outside the
+    /// lock): callers missing on a key another caller is planning wait
+    /// for that plan instead of building a copy of their own.
     pub fn get_or_insert_with(
         &self,
         key: PlanKey,
         plan: impl FnOnce() -> PlannedLayer,
     ) -> Arc<PlannedLayer> {
-        {
-            let mut inner = self.lock_inner();
+        let mut inner = self.lock_inner();
+        loop {
             let clock = inner.clock;
             if let Some(entry) = inner.map.get_mut(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -277,7 +485,14 @@ impl PlanCache {
                 entry.priority = clock + entry.value;
                 return Arc::clone(&entry.plan);
             }
+            if inner.planning.insert(key) {
+                break;
+            }
+            inner = self.planned.wait(inner).unwrap_or_else(|e| e.into_inner());
         }
+        drop(inner);
+        // Unmarks the key however planning ends, a panic included.
+        let _planning = Planning { cache: self, key };
         self.misses.fetch_add(1, Ordering::Relaxed);
         let started = std::time::Instant::now();
         let planned = Arc::new(plan());
@@ -294,23 +509,17 @@ impl PlanCache {
         let value = (cost_nanos / bytes.max(1) as f64).max(f64::MIN_POSITIVE);
 
         let mut inner = self.lock_inner();
-        let clock = inner.clock;
-        let result = match inner.map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => Arc::clone(&e.get().plan),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let plan = Arc::clone(&planned);
-                e.insert(CacheEntry {
-                    plan: planned,
-                    bytes,
-                    value,
-                    priority: clock + value,
-                });
-                inner.resident_bytes += bytes;
-                plan
-            }
+        let priority = inner.clock + value;
+        let entry = CacheEntry {
+            plan: Arc::clone(&planned),
+            bytes,
+            value,
+            priority,
         };
+        inner.map.insert(key, entry);
+        inner.resident_bytes += bytes;
         self.evict_to_budget(&mut inner);
-        result
+        planned
     }
 
     /// Evicts minimum-priority entries until the budget holds. May
@@ -405,6 +614,20 @@ impl PlanCache {
             evictions: self.evictions(),
             resident_bytes,
         }
+    }
+}
+
+/// A key marked as being planned in a [`PlanCache`]; dropping it unmarks
+/// the key and wakes the callers waiting for it.
+struct Planning<'a> {
+    cache: &'a PlanCache,
+    key: PlanKey,
+}
+
+impl Drop for Planning<'_> {
+    fn drop(&mut self) {
+        self.cache.lock_inner().planning.remove(&self.key);
+        self.cache.planned.notify_all();
     }
 }
 
@@ -580,6 +803,48 @@ mod tests {
     }
 
     #[test]
+    fn plan_cache_plans_a_key_once_at_a_time() {
+        // A second caller arriving while the first still plans the key
+        // waits for that plan instead of building its own copy.
+        let (cache, s) = (PlanCache::new(), sim(Dataflow::OutputStationary));
+        let gemm = GemmShape::new(8, 8, 8);
+        let key = PlanKey::new(&s.config, gemm);
+        let (started, planning) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| {
+                cache.get_or_insert_with(key, move || {
+                    started.send(()).expect("the test waits for this");
+                    released.recv().expect("the test releases the plan");
+                    s.plan_gemm(gemm)
+                })
+            });
+            planning.recv().expect("the first caller is planning");
+            let second = scope.spawn(|| cache.get_or_insert_with(key, || panic!("planned twice")));
+            release.send(()).expect("the first caller waits for this");
+            let (a, b) = (first.join().unwrap(), second.join().unwrap());
+            assert!(Arc::ptr_eq(&a, &b), "both callers get the one plan");
+        });
+        assert_eq!((cache.misses(), cache.hits()), (1, 1));
+    }
+
+    #[test]
+    fn plan_cache_survives_a_panicking_plan() {
+        // A plan that panics unmarks its key: the next caller plans it
+        // instead of waiting forever.
+        let (cache, s) = (PlanCache::new(), sim(Dataflow::OutputStationary));
+        let gemm = GemmShape::new(8, 8, 8);
+        let key = PlanKey::new(&s.config, gemm);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_insert_with(key, || panic!("injected while planning"))
+        }));
+        assert!(panicked.is_err());
+        let plan = cache.get_or_insert_with(key, || s.plan_gemm(gemm));
+        assert_eq!(*plan, s.plan_gemm(gemm));
+        assert_eq!((cache.misses(), cache.len()), (2, 1));
+    }
+
+    #[test]
     fn plan_cache_recovers_from_a_poisoned_lock() {
         // A panic while the map lock is held (e.g. a caught per-request
         // panic in serve mode) must not wedge the shared cache: every
@@ -677,7 +942,6 @@ mod tests {
         for a in 0..4 {
             rl.access(a); // row 0: first access opens, 3 repeat
         }
-        assert_eq!(rl.accesses, 4);
         assert_eq!(rl.repeats, 3);
         rl.access(4); // row 1, different slot
         rl.access(0); // row 0 still open in slot 0

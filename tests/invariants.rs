@@ -30,7 +30,7 @@ use scale_sim::systolic::{
     timing, AccessKind as Direction, Addr, AnalyticalModel, ArrayShape, CoreSim, Dataflow,
     DemandGenerator, DemandSummary, EdgeStream, GemmShape, IdealBandwidthStore, MemoryConfig,
     MemorySummary, OperandKind, OperandMemoryStats, PlanCache, RecordingStore, SimConfig,
-    SramSummary, TraceRecorder, FILTER_BASE, IFMAP_BASE, OFMAP_BASE,
+    SramSummary, Stream, Topology, TraceRecorder, FILTER_BASE, IFMAP_BASE, OFMAP_BASE,
 };
 use scale_sim::{
     DramIntegration, LayoutAnalysis, LayoutIntegration, ScaleSim, ScaleSimConfig, SparsityMode,
@@ -627,6 +627,39 @@ mod reference {
             } else {
                 self.open_rows[slot] = row;
             }
+        }
+
+        /// Every word of `stream` in access order, each step's words
+        /// `passes` times over.
+        pub fn walk(&mut self, stream: &Stream, passes: usize) {
+            for step in 0..stream.steps() {
+                for _ in 0..passes {
+                    stream.step_addrs(step).for_each(|a| self.access(a));
+                }
+            }
+        }
+    }
+
+    /// The SRAM summary of `gemm`, every edge word probed in access order.
+    pub fn sram(config: &SimConfig, gemm: GemmShape) -> SramSummary {
+        let generator = DemandGenerator::new(config.array, config.dataflow, gemm);
+        let memory = &config.memory;
+        let [mut ifmap, mut filter, mut ofmap] =
+            [(); 3].map(|()| RepeatLookup::new(memory.sram_row_words, memory.sram_row_buffers));
+        for fold in generator.folds() {
+            ifmap.walk(&fold.ifmap.stream, 1);
+            filter.walk(&fold.filter.stream, 1);
+            ofmap.walk(&fold.ofmap.stream, if fold.accumulate { 2 } else { 1 });
+        }
+        let summary = generator.summary();
+        SramSummary {
+            ifmap_reads: summary.ifmap_reads,
+            filter_reads: summary.filter_reads,
+            ofmap_reads: summary.ofmap_reads,
+            ofmap_writes: summary.ofmap_writes,
+            ifmap_repeat_reads: ifmap.repeats,
+            filter_repeat_reads: filter.repeats,
+            ofmap_repeat_accesses: ofmap.repeats,
         }
     }
 
@@ -1613,6 +1646,123 @@ fn fold_granular_plan_equals_the_per_address_reference() {
             }
         },
     );
+}
+
+/// One edge stream of any shape a product stream can take, and some it
+/// cannot: 1–64 lanes of 1–5,000 elements (long bands must occur),
+/// skewed or not, strides of ±1, small, random, or whole multiples of
+/// `row_words · buffers` (every lane on one slot: the thrash case). The
+/// base sits far from 0, so no address wraps — as in a product stream.
+fn draw_stream(rng: &mut SplitMix64, row_words: usize, buffers: usize) -> Stream {
+    let block = (row_words * buffers) as i64;
+    let stride = |rng: &mut SplitMix64| -> u64 {
+        let sign = if rng.chance(2) { -1 } else { 1 };
+        let magnitude = match rng.range(0, 5) {
+            0 => 1,
+            1 => rng.range(0, 20) as i64,
+            2 => rng.range(0, 100_000) as i64,
+            3 => block * rng.range(1, 4) as i64,
+            _ => block * rng.range(1, 4) as i64 + rng.range(0, 3) as i64 - 1,
+        };
+        (sign * magnitude) as u64
+    };
+    let lanes = match rng.range(0, 3) {
+        0 => rng.range(1, 5),
+        _ => rng.range(1, 65),
+    };
+    let len = match rng.range(0, 4) {
+        0 => rng.range(1, 40),
+        1 => rng.range(40, 400),
+        2 => rng.range(400, 2_000),
+        _ => rng.range(2_000, 5_001),
+    };
+    Stream {
+        base: (1 << 40) + rng.range(0, 1 << 20) as u64,
+        lanes,
+        len,
+        lane_stride: stride(rng),
+        step_stride: stride(rng),
+        skewed: rng.chance(2),
+    }
+}
+
+/// The walk against one probe per word, one lookup carried across 1–4
+/// walks; half the walks repeat the one before (a tile re-streamed by
+/// the next fold), so runs of three and more occur.
+#[test]
+fn repeat_lookup_equals_the_per_word_reference() {
+    check(
+        "repeat_lookup_equals_the_per_word_reference",
+        2_000,
+        |rng| {
+            let row_words = rng.pick(&[1, 2, 3, 4, 5, 12, 16, 64]);
+            let buffers = rng.pick(&[1, 2, 8, 64]);
+            let mut got = scale_sim::systolic::RepeatLookup::new(row_words, buffers);
+            let mut want = reference::RepeatLookup::new(row_words, buffers);
+            let (mut stream, mut passes) = (draw_stream(rng, row_words, buffers), 1);
+            for i in 0..rng.range(1, 5) {
+                if i > 0 && rng.chance(2) {
+                    stream = draw_stream(rng, row_words, buffers);
+                }
+                if rng.chance(4) {
+                    passes = 3 - passes;
+                }
+                got.walk(&stream, passes);
+                want.walk(&stream, passes);
+                let what = format!("rows {row_words}x{buffers}, stream {i} {stream:?} x{passes}");
+                assert_eq!(got.repeats, want.repeats, "{what}");
+            }
+        },
+    );
+}
+
+/// Every distinct GEMM of the LLM presets and the benchmark's planning
+/// workloads, planned on its own configuration: the SRAM summary equals
+/// the per-word reference walked over `folds()`. Release only — llama-7b
+/// prefill alone is tens of billions of edge words.
+#[test]
+#[ignore = "minutes-long: CI runs it via `cargo test --release -- --ignored`"]
+fn sram_summary_equals_the_per_word_reference_at_llm_scale() {
+    let bench = |name: &str| {
+        let path = format!(
+            "{}/scalesim-bench/workloads/{name}",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+    let cfg = |name: &str| scale_sim::scalesim::parse_cfg(&bench(name)).expect("bench cfg");
+    let llm = |name: &str, context: usize, batch: usize| {
+        let config = cfg(name);
+        let mut model = config.llm.clone().expect("an [llm] section");
+        (model.context, model.spec.batch) = (Some(context), batch);
+        (config.core, model.topology().expect("a valid model"))
+    };
+    let preset = |name: &str| {
+        let topology = scale_sim::workloads::by_name(name).expect("a preset");
+        (SimConfig::default(), topology)
+    };
+    let run = |name: &str, topology: &str| {
+        let parse = Topology::parse_csv_auto(topology, &bench(topology)).expect("bench topology");
+        (cfg(name).core, parse)
+    };
+    let cases = [
+        preset("llama-7b"),
+        preset("llama-7b:decode"),
+        run("os32.cfg", "resnet18.csv"),
+        run("os32.cfg", "vit_base_block.csv"),
+        llm("llm_prefill.cfg", 128, 1),
+        llm("llm_decode.cfg", 512, 1),
+        llm("llm_decode.cfg", 2048, 4),
+        llm("llm_decode.cfg", 4096, 8),
+    ];
+    for (config, topology) in cases {
+        let gemms: HashSet<GemmShape> = topology.iter().map(|layer| layer.gemm()).collect();
+        for gemm in gemms {
+            let plan = CoreSim::new(config.clone()).plan_gemm(gemm);
+            let what = format!("{}: {}", topology.name(), describe(&config, gemm));
+            assert_eq!(plan.sram, reference::sram(&config, gemm), "{what}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
