@@ -87,8 +87,14 @@ fn print_progress(event: Progress<'_>, output: &Output, profiled: &mut Option<Sc
                 llm.spec.name,
                 llm.phase,
                 topology.len(),
-                llm.spec.param_count() as f64 / 1e9,
-                llm.spec.kv_cache_bytes(context) as f64 / (1024.0 * 1024.0),
+                llm.spec
+                    .param_count()
+                    .expect("sizes checked by LlmRunSpec::topology") as f64
+                    / 1e9,
+                llm.spec
+                    .kv_cache_bytes(context)
+                    .expect("sizes checked by LlmRunSpec::topology") as f64
+                    / (1024.0 * 1024.0),
                 context,
                 sim.config().core.array,
                 sim.config().core.dataflow,

@@ -8,13 +8,13 @@
 //! read the clock — so there is one code path, not a cancellable twin
 //! beside a plain one.
 //! Cancellation is **cooperative**: the pipeline and the service check
-//! [`CancelToken::expired`] between stages (and between layers), never
+//! `CancelToken::expired` between stages (and between layers), never
 //! preempting a stage mid-flight — so a cancelled request costs at most
 //! one stage of overshoot and all shared state (plan cache, metrics)
 //! stays coherent.
 //!
 //! Expiry latches: once a token observes its deadline passed, every
-//! later check reports expired, and [`CancelToken::check`] renders
+//! later check reports expired, and `CancelToken::check` renders
 //! the deterministic [`SimError::Deadline`] message — the budget, not
 //! the (nondeterministic) elapsed time, so serve responses stay
 //! byte-reproducible.
@@ -46,7 +46,7 @@ impl CancelToken {
     }
 
     /// A token that expires `budget_ms` milliseconds from now.
-    pub fn after_ms(budget_ms: u64) -> Self {
+    pub(crate) fn after_ms(budget_ms: u64) -> Self {
         let deadline = Instant::now()
             .checked_add(Duration::from_millis(budget_ms))
             // Absurd budgets saturate to effectively-never rather than
@@ -64,7 +64,7 @@ impl CancelToken {
     /// Whether the deadline has passed. Latches: once true, always true
     /// (even if the clock were to misbehave), so every stage after the
     /// first expired check agrees the request is dead.
-    pub fn expired(&self) -> bool {
+    pub(crate) fn expired(&self) -> bool {
         let Some(inner) = &self.inner else {
             return false;
         };
@@ -85,7 +85,7 @@ impl CancelToken {
     /// # Errors
     ///
     /// `Deadline` when [`expired`](Self::expired).
-    pub fn check(&self) -> Result<(), SimError> {
+    pub(crate) fn check(&self) -> Result<(), SimError> {
         match &self.inner {
             Some(inner) if self.expired() => Err(SimError::Deadline(format!(
                 "deadline of {} ms exceeded",

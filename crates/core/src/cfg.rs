@@ -41,10 +41,10 @@
 //! ```
 
 use crate::config::{DramIntegration, ScaleSimConfig, SparsityMode};
+use crate::llm::{LlmRunSpec, LlmSpec, MoeSpec, Phase};
+use crate::sparse::{NmRatio, SparseFormat};
 use scalesim_collective::{FabricTag, ScaleoutSpec, Strategy};
-use scalesim_llm::{LlmRunSpec, LlmSpec, MoeSpec, Phase};
 use scalesim_mem::DramSpec;
-use scalesim_sparse::{NmRatio, SparseFormat};
 use scalesim_systolic::dialect;
 use scalesim_systolic::{ArrayShape, Dataflow, MemoryConfig, SimError};
 
@@ -358,9 +358,10 @@ fn parse(text: &str) -> Result<ScaleSimConfig, String> {
         spec.fabric()?;
     }
     if let Some(run) = &config.llm {
-        // Dimensional consistency (divisibility, MoE bounds) fails at
-        // parse time too, mirroring the [scaleout] policy.
-        run.spec.validate()?;
+        // Dimensional consistency (divisibility, MoE bounds, sizes that
+        // fit in u64) fails at parse time too, mirroring the [scaleout]
+        // policy.
+        run.topology()?;
     }
     Ok(config)
 }
@@ -688,8 +689,8 @@ SparseRatio : 2:4
         let so = c.scaleout.unwrap();
         assert_eq!((so.chips, so.strategy), (8, Strategy::TensorParallel));
 
-        use scalesim_sweep::spec::AxisValue;
-        let spec = scalesim_sweep::SweepSpec::parse(text).unwrap();
+        use crate::sweep::spec::AxisValue;
+        let spec = crate::sweep::SweepSpec::parse(text).unwrap();
         let swept: Vec<AxisValue> = spec.expand()[0].values().collect();
         let want = [
             AxisValue::Dataflow(Dataflow::WeightStationary),

@@ -30,7 +30,8 @@ use scalesim_api::{
 use std::path::PathBuf;
 
 /// Usage string for the single-run command (also the `-h` output).
-pub const USAGE: &str = "usage: scalesim {-t <topology.csv> | -w <workload>} [-c <config.cfg>]
+pub(crate) const USAGE: &str =
+    "usage: scalesim {-t <topology.csv> | -w <workload>} [-c <config.cfg>]
                 [-p <outdir>] [--gemm] [--dram] [--energy] [--layout]
                 [--area] [--profile-stages] [--trace <file>] [-v]
        scalesim llm [-w <preset>] [-c <config.cfg>] [options]
@@ -73,7 +74,8 @@ pub const USAGE: &str = "usage: scalesim {-t <topology.csv> | -w <workload>} [-c
               'scalesim serve -h' and docs/API.md for the protocol";
 
 /// Usage string for the `llm` subcommand.
-pub const LLM_USAGE: &str = "usage: scalesim llm [-w <preset>] [-c <config.cfg>] [-p <outdir>]
+pub(crate) const LLM_USAGE: &str =
+    "usage: scalesim llm [-w <preset>] [-c <config.cfg>] [-p <outdir>]
                 [--phase prefill|decode] [--seq <n>] [--batch <n>]
                 [--context <n>] [--dram] [--energy] [--layout] [-v]
 
@@ -97,7 +99,8 @@ for any SCALESIM_THREADS and identical to an 'llm' request over
 'scalesim serve'.";
 
 /// Usage string for the `scaleout` subcommand.
-pub const SCALEOUT_USAGE: &str = "usage: scalesim scaleout {-t <topology.csv> | -w <workload>}
+pub(crate) const SCALEOUT_USAGE: &str =
+    "usage: scalesim scaleout {-t <topology.csv> | -w <workload>}
                 [-c <config.cfg>] [-p <outdir>] [--gemm] [--chips <n>]
                 [--strategy data|tensor|pipeline]
                 [--fabric ring|mesh|switch] [--link-gbps <GB/s>] [-v]
@@ -122,7 +125,7 @@ and identical to the report a 'scaleout' request over 'scalesim serve'
 returns for the same inputs.";
 
 /// Usage string for the `sweep` subcommand.
-pub const SWEEP_USAGE: &str = "usage: scalesim sweep -s <spec> [-c <config.cfg>]
+pub(crate) const SWEEP_USAGE: &str = "usage: scalesim sweep -s <spec> [-c <config.cfg>]
                 [-t <topology.csv>]... [-p <outdir>] [--shards <n>] [-v]
 
   -s <file>      sweep spec: a cfg-style grid of array/dataflow/sram_kb/
@@ -143,7 +146,7 @@ Reports are deterministic: byte-identical for any SCALESIM_THREADS and
 any --shards value.";
 
 /// Usage string for the `serve` subcommand.
-pub const SERVE_USAGE: &str = "usage: scalesim serve [--stdio | --listen <addr>]
+pub(crate) const SERVE_USAGE: &str = "usage: scalesim serve [--stdio | --listen <addr>]
                 [--metrics-addr <addr>] [--trace <file>]
 
   --stdio          answer one JSON request per stdin line with one JSON
@@ -223,7 +226,7 @@ pub fn version_string() -> String {
 pub struct CliError {
     /// Error message; empty when the user asked for help.
     pub message: String,
-    /// The relevant usage string ([`USAGE`] or [`SWEEP_USAGE`]).
+    /// The relevant usage string (`USAGE` or `SWEEP_USAGE`).
     pub usage: &'static str,
 }
 

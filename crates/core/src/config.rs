@@ -1,12 +1,12 @@
 //! Unified SCALE-Sim v3 configuration.
 
+use crate::energy::ArchSpec;
+use crate::layout::LayoutSpec;
+use crate::llm::LlmRunSpec;
+use crate::multicore::{L2Config, PartitionGrid, PartitionScheme};
+use crate::sparse::{NmRatio, SparseFormat};
 use scalesim_collective::ScaleoutSpec;
-use scalesim_energy::ArchSpec;
-use scalesim_layout::LayoutSpec;
-use scalesim_llm::LlmRunSpec;
 use scalesim_mem::{AddressMapping, DramSpec};
-use scalesim_multicore::{L2Config, PartitionGrid, PartitionScheme};
-use scalesim_sparse::{NmRatio, SparseFormat};
 use scalesim_systolic::SimConfig;
 
 /// DRAM integration parameters (§V).
@@ -76,7 +76,7 @@ pub struct LayoutIntegration {
 
 impl LayoutIntegration {
     /// Row-major layouts with the line width equal to the total bandwidth.
-    pub fn row_major(total_bandwidth: usize, num_banks: usize) -> Self {
+    pub(crate) fn row_major(total_bandwidth: usize, num_banks: usize) -> Self {
         Self {
             total_bandwidth,
             num_banks,
@@ -187,7 +187,7 @@ pub struct ScaleSimConfig {
     /// Multi-chip scale-out configuration (`[scaleout]` cfg section);
     /// None = single chip. Only the `scalesim scaleout` flow and
     /// scale-out sweep points consult it.
-    pub scaleout: Option<ScaleoutSpec>,
+    pub(crate) scaleout: Option<ScaleoutSpec>,
     /// LLM workload generation (`[llm]` cfg section); None = the
     /// topology comes from a CSV/registry. Consulted by the
     /// `scalesim llm` flow and the llm sweep axes.
@@ -214,16 +214,6 @@ impl Default for ScaleSimConfig {
 }
 
 impl ScaleSimConfig {
-    /// Everything on: the full v3 pipeline.
-    pub fn full() -> Self {
-        Self {
-            enable_dram: true,
-            enable_layout: true,
-            enable_energy: true,
-            ..Self::default()
-        }
-    }
-
     /// The dataflow layers actually run with: the paper fixes
     /// weight-stationary for all sparsity simulations.
     pub(crate) fn effective_dataflow(&self) -> scalesim_systolic::Dataflow {
@@ -270,12 +260,6 @@ mod tests {
         let c = ScaleSimConfig::default();
         assert!(!c.enable_dram && !c.enable_layout && !c.enable_energy);
         assert!(c.multicore.is_none() && c.sparsity.is_none());
-    }
-
-    #[test]
-    fn full_enables_everything() {
-        let c = ScaleSimConfig::full();
-        assert!(c.enable_dram && c.enable_layout && c.enable_energy);
     }
 
     #[test]

@@ -3,35 +3,35 @@
 //! [`ScaleSim`] is one concrete, cloneable type: a configuration, the
 //! (possibly shared) [`PlanCache`], and an always-on per-stage totals
 //! table behind an [`Arc`], so clones aggregate into one profile. What
-//! happens to a layer is [`run_layer`](ScaleSim::run_layer) (see
+//! happens to a layer is `run_layer` (see
 //! [`crate::pipeline`]); this module drives it: single layers through
 //! [`run_gemm`](ScaleSim::run_gemm), whole topologies streamed through a
 //! [`ResultSink`] with bounded result memory
-//! ([`run_topology_with`](ScaleSim::run_topology_with)) or collected
+//! (`run_topology_with`) or collected
 //! into a [`RunResult`] ([`run_topology`](ScaleSim::run_topology)).
 
 use crate::cancel::CancelToken;
 use crate::config::ScaleSimConfig;
+use crate::energy::{AreaBreakdown, AreaConfig, AreaTable};
 use crate::pipeline::{StageTiming, STAGES};
 use crate::result::{LayerResult, RunResult};
 use crate::sink::ResultSink;
-use scalesim_energy::{AreaBreakdown, AreaConfig, AreaTable};
 use scalesim_obs::Totals;
 use scalesim_systolic::{parallel_map_streamed, GemmShape, PlanCache, Topology};
 use std::sync::Arc;
 
 /// Block size of the streaming topology runner: at most this many layer
 /// results are buffered at once, regardless of topology length.
-pub const STREAM_BLOCK: usize = 64;
+pub(crate) const STREAM_BLOCK: usize = 64;
 
 /// Statistics of a streaming topology run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamStats {
+pub(crate) struct StreamStats {
     /// Layers executed.
-    pub layers: usize,
+    pub(crate) layers: usize,
     /// Peak number of simultaneously buffered layer results — bounded by
     /// [`STREAM_BLOCK`], independent of the layer count.
-    pub peak_buffered: usize,
+    pub(crate) peak_buffered: usize,
 }
 
 /// The integrated simulator.
@@ -51,7 +51,7 @@ impl ScaleSim {
     /// # Panics
     ///
     /// Panics if the core configuration is invalid; the non-panicking
-    /// form is [`with_cache`](Self::with_cache) (what the
+    /// form is `with_cache` (what the
     /// request/response facade uses).
     pub fn new(config: ScaleSimConfig) -> Self {
         Self::with_cache(config, Arc::new(PlanCache::new()))
@@ -68,7 +68,7 @@ impl ScaleSim {
     /// # Errors
     ///
     /// Returns the validation failure of `config.core`.
-    pub fn with_cache(
+    pub(crate) fn with_cache(
         config: ScaleSimConfig,
         plan_cache: Arc<PlanCache>,
     ) -> Result<Self, scalesim_systolic::SimError> {
@@ -81,7 +81,7 @@ impl ScaleSim {
     }
 
     /// The plan cache shared by this simulator's runs.
-    pub fn plan_cache(&self) -> &Arc<PlanCache> {
+    pub(crate) fn plan_cache(&self) -> &Arc<PlanCache> {
         &self.plan_cache
     }
 
@@ -109,7 +109,7 @@ impl ScaleSim {
     /// area reporting): PE array + SRAMs from the core configuration, bank
     /// count from the layout feature when enabled, DRAM controllers from
     /// the DRAM feature when enabled.
-    pub fn area_report(&self) -> AreaBreakdown {
+    pub(crate) fn area_report(&self) -> AreaBreakdown {
         let config = self.config();
         let mut cfg = AreaConfig::new(config.arch_spec());
         if config.enable_layout {
@@ -150,7 +150,7 @@ impl ScaleSim {
     /// # Errors
     ///
     /// `Deadline` when the token expired mid-run.
-    pub fn run_topology_with(
+    pub(crate) fn run_topology_with(
         &self,
         topology: &Topology,
         sink: &mut dyn ResultSink,
@@ -191,9 +191,9 @@ impl ScaleSim {
 mod tests {
     use super::*;
     use crate::config::{DramIntegration, MultiCoreIntegration, SparsityMode};
+    use crate::multicore::{L2Config, PartitionGrid, PartitionScheme};
     use crate::sink::RunSummary;
-    use scalesim_multicore::{L2Config, PartitionGrid, PartitionScheme};
-    use scalesim_sparse::NmRatio;
+    use crate::sparse::NmRatio;
     use scalesim_systolic::{ArrayShape, Dataflow, MemoryConfig, SimConfig};
 
     fn small_core() -> SimConfig {
@@ -217,7 +217,12 @@ mod tests {
 
     #[test]
     fn full_pipeline_produces_all_reports() {
-        let mut config = ScaleSimConfig::full();
+        let mut config = ScaleSimConfig {
+            enable_dram: true,
+            enable_layout: true,
+            enable_energy: true,
+            ..ScaleSimConfig::default()
+        };
         config.core = small_core();
         config.dram = DramIntegration {
             channels: 2,
@@ -297,8 +302,8 @@ mod tests {
         let with_dram = ScaleSim::new(config).run_gemm("g", GemmShape::new(64, 64, 64));
         // DRAM stalls extend runtime → more leakage → at least as much energy.
         assert!(
-            with_dram.energy.as_ref().unwrap().cycles()
-                >= no_dram.energy.as_ref().unwrap().cycles()
+            with_dram.energy.as_ref().unwrap().total_pj()
+                >= no_dram.energy.as_ref().unwrap().total_pj()
         );
     }
 

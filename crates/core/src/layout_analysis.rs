@@ -9,7 +9,7 @@
 //! The demand is never expanded into addresses: a fold's edge streams are
 //! walked as they are described ([`DemandGenerator::folds`]). Each lane of
 //! a [`Stream`] walks a row or a column of its operand, so it is a
-//! [`Cursor`] that moves from one `(line, bank)` cell to the next by
+//! `Cursor` that moves from one `(line, bank)` cell to the next by
 //! additions and knows how long it stays; a cell's line-buffer recency is
 //! one entry of a dense table, and two lanes in one cell the same cycle
 //! are told apart by that entry already carrying the cycle. A step at
@@ -18,7 +18,7 @@
 //! looking at a lane, and a stretch of such steps is costed at once.
 
 use crate::config::LayoutIntegration;
-use scalesim_layout::{BankModel, BankedMatrix, Cursor, Heading, LayoutSpec, Touch};
+use crate::layout::{BankModel, BankedMatrix, Cursor, Heading, LayoutSpec, Touch};
 use scalesim_systolic::{
     Addr, ArrayShape, Dataflow, DemandGenerator, EdgeStream, GemmShape, Stream, FILTER_BASE,
     IFMAP_BASE, OFMAP_BASE,

@@ -4,19 +4,22 @@
 //! simulator for end-to-end system analysis (Raj et al., ISPASS 2025),
 //! reproduced in Rust.
 //!
-//! This crate is the integration layer. The substrates live in sibling
-//! crates and are re-exported here:
+//! This crate is the integration layer and holds the paper's features
+//! as modules; the substrates it builds on are sibling crates,
+//! re-exported here:
 //!
-//! | feature (paper section) | crate |
+//! | feature (paper section) | module |
 //! |---|---|
-//! | cycle-accurate systolic core (v2 substrate) | [`systolic`] |
+//! | cycle-accurate systolic core (v2 substrate) | [`systolic`] (crate) |
 //! | multi-core & spatio-temporal partitioning (§III) | [`multicore`] |
 //! | N:M sparsity (§IV) | [`sparse`] |
-//! | cycle-accurate DRAM (§V) | [`mem`] |
+//! | cycle-accurate DRAM (§V) | [`mem`] (crate) |
 //! | on-chip data layout (§VI) | [`layout`] |
 //! | energy & power (§VII) | [`energy`] |
-//! | multi-chip scale-out collectives & parallelism | [`collective`] |
+//! | multi-chip scale-out collectives & parallelism | [`collective`] (crate) |
+//! | LLM workload generation | [`llm`] |
 //! | evaluation workloads | [`workloads`] |
+//! | design-space-exploration sweeps | [`sweep`] |
 //!
 //! ## End-to-end example
 //!
@@ -51,53 +54,43 @@ pub mod cfg;
 pub mod cli;
 pub mod config;
 pub mod dram;
+pub mod energy;
 pub mod engine;
+pub mod layout;
 pub mod layout_analysis;
-pub mod metrics;
+pub mod llm;
+pub mod multicore;
 pub mod pipeline;
 pub mod result;
 pub mod scaleout;
 pub mod serve;
 pub mod service;
 pub mod sink;
+pub mod sparse;
+pub mod sweep;
 pub mod sweep_run;
+pub mod workloads;
 
 pub use cancel::CancelToken;
 pub use cfg::parse_cfg;
-pub use cli::{parse_cli, version_string, Command};
 pub use config::{
     DramIntegration, LayoutIntegration, MultiCoreIntegration, ScaleSimConfig, SparsityMode,
 };
 pub use dram::{dram_analysis, DramAnalysis, LatencyReplayStore};
-pub use engine::{ScaleSim, StreamStats, STREAM_BLOCK};
+pub use engine::ScaleSim;
 pub use layout_analysis::{layout_slowdown_for_gemm, LayoutAnalysis};
-pub use metrics::{LatencyHistogram, ServeMetrics};
-pub use pipeline::StageTiming;
 pub use result::{LayerResult, RunResult};
-pub use scaleout::{run_scaleout, ScaleoutLayerRecord, ScaleoutSummary};
-pub use serve::{ServeOptions, Server, MAX_REQUEST_BYTES};
-pub use service::{Progress, SimService};
+pub use serve::MAX_REQUEST_BYTES;
+pub use service::SimService;
 pub use sink::{MemoryReportSink, ResultSink, RunSummary};
-pub use sweep_run::{apply_point, run_sweep};
+pub use sweep_run::run_sweep;
 
 /// Re-export: the stable typed request/response API and wire protocol.
 pub use scalesim_api as api;
 /// Re-export: multi-chip collective-communication and parallelism
 /// modeling.
 pub use scalesim_collective as collective;
-/// Re-export: energy & power modeling substrate.
-pub use scalesim_energy as energy;
-/// Re-export: on-chip layout modeling substrate.
-pub use scalesim_layout as layout;
 /// Re-export: DRAM simulation substrate.
 pub use scalesim_mem as mem;
-/// Re-export: multi-core modeling.
-pub use scalesim_multicore as multicore;
-/// Re-export: sparsity support.
-pub use scalesim_sparse as sparse;
-/// Re-export: the design-space-exploration sweep engine.
-pub use scalesim_sweep as sweep;
 /// Re-export: the cycle-accurate systolic core.
 pub use scalesim_systolic as systolic;
-/// Re-export: evaluation workloads.
-pub use scalesim_workloads as workloads;

@@ -1,4 +1,4 @@
-//! What happens to one layer: [`ScaleSim::run_layer`].
+//! What happens to one layer: `ScaleSim::run_layer`.
 //!
 //! SCALE-Sim v3's headline claim is *modularity*: sparsity, multi-core
 //! partitioning, DRAM, layout and energy are independent features
@@ -27,19 +27,19 @@
 //!
 //! Write a function that takes what it needs and returns its product,
 //! give it a `Stage` variant and a `STAGES` row (name, enabling flag),
-//! call it through the helper in [`ScaleSim::run_layer`] and store the
+//! call it through the helper in `ScaleSim::run_layer` and store the
 //! product in [`LayerResult`].
 
 use crate::cancel::CancelToken;
 use crate::config::{ScaleSimConfig, SparsityMode};
 use crate::dram::{dram_analysis, DramAnalysis};
+use crate::energy::{ActionCounts, EnergyModel, EnergyReport, LayerActivity};
 use crate::engine::ScaleSim;
 use crate::layout_analysis::layout_slowdown_for_gemm;
+use crate::multicore::{partition_layer, PartitionedLayer};
 use crate::result::LayerResult;
-use scalesim_energy::{ActionCounts, EnergyModel, EnergyReport, LayerActivity};
-use scalesim_multicore::{partition_layer, PartitionedLayer};
+use crate::sparse::{SparseReportRow, SparsityPattern};
 use scalesim_obs as obs;
-use scalesim_sparse::{SparseReportRow, SparsityPattern};
 use scalesim_systolic::{
     CoreSim, GemmShape, IdealBandwidthStore, LayerReport, PlanCache, PlannedLayer,
 };
@@ -96,7 +96,7 @@ impl ScaleSim {
     /// and the layer is abandoned whole, so a partially-staged result
     /// never surfaces. Under [`CancelToken::never`] the layer always
     /// completes.
-    pub fn run_layer(
+    pub(crate) fn run_layer(
         &self,
         name: &str,
         dense_gemm: GemmShape,
@@ -310,7 +310,7 @@ fn energy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalesim_sparse::NmRatio;
+    use crate::sparse::NmRatio;
     use scalesim_systolic::{ArrayShape, Dataflow, MemoryConfig, SimConfig};
 
     fn small_config() -> ScaleSimConfig {

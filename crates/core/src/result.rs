@@ -4,10 +4,10 @@
 //! DRAM and layout reports).
 
 use crate::dram::DramAnalysis;
+use crate::energy::EnergyReport;
 use crate::layout_analysis::LayoutAnalysis;
 use crate::sink::{MemoryReportSink, RunSummary};
-use scalesim_energy::EnergyReport;
-use scalesim_sparse::SparseReportRow;
+use crate::sparse::SparseReportRow;
 use scalesim_systolic::{GemmShape, LayerReport};
 
 /// Everything SCALE-Sim v3 produces for one layer.
@@ -61,11 +61,11 @@ pub mod rows {
     use super::LayerResult;
 
     /// `COMPUTE_REPORT.csv` header.
-    pub const COMPUTE_HEADER: &str =
+    pub(crate) const COMPUTE_HEADER: &str =
         "LayerName, ComputeCycles, StallCycles, TotalCycles, Utilization, MappingEfficiency\n";
 
     /// One `COMPUTE_REPORT.csv` row.
-    pub fn compute(l: &LayerResult) -> String {
+    pub(crate) fn compute(l: &LayerResult) -> String {
         format!(
             "{}, {}, {}, {}, {:.4}, {:.4}\n",
             l.name,
@@ -78,12 +78,12 @@ pub mod rows {
     }
 
     /// `BANDWIDTH_REPORT.csv` header.
-    pub const BANDWIDTH_HEADER: &str =
+    pub(crate) const BANDWIDTH_HEADER: &str =
         "LayerName, IfmapReadBW, FilterReadBW, OfmapWriteBW, DramThroughputMBps\n";
 
     /// One `BANDWIDTH_REPORT.csv` row (average words/cycle per interface
     /// over the layer).
-    pub fn bandwidth(l: &LayerResult) -> String {
+    pub(crate) fn bandwidth(l: &LayerResult) -> String {
         let m = &l.report.memory;
         let cycles = l.total_cycles().max(1) as f64;
         format!(
@@ -97,11 +97,11 @@ pub mod rows {
     }
 
     /// `SPARSE_REPORT.csv` header.
-    pub const SPARSE_HEADER: &str =
+    pub(crate) const SPARSE_HEADER: &str =
         "Layer, Sparsity, Representation, OriginalFilterBytes, NewFilterBytes\n";
 
     /// One `SPARSE_REPORT.csv` row (None for dense layers).
-    pub fn sparse(l: &LayerResult) -> Option<String> {
+    pub(crate) fn sparse(l: &LayerResult) -> Option<String> {
         let s = l.sparse.as_ref()?;
         Some(format!(
             "{}, {}, {}, {}, {}\n",
@@ -114,12 +114,12 @@ pub mod rows {
     }
 
     /// `DRAM_REPORT.csv` header.
-    pub const DRAM_HEADER: &str =
+    pub(crate) const DRAM_HEADER: &str =
         "LayerName, LineRequests, AvgLatency, ThroughputMBps, RowHitRate, \
          DramEnergyPj, DramPjPerBit, DramAvgPowerMw\n";
 
     /// One `DRAM_REPORT.csv` row (None when the DRAM flow was off).
-    pub fn dram(l: &LayerResult) -> Option<String> {
+    pub(crate) fn dram(l: &LayerResult) -> Option<String> {
         let d = l.dram.as_ref()?;
         Some(format!(
             "{}, {}, {:.2}, {:.1}, {:.4}, {:.1}, {:.3}, {:.2}\n",
@@ -135,11 +135,12 @@ pub mod rows {
     }
 
     /// `LAYOUT_REPORT.csv` header.
-    pub const LAYOUT_HEADER: &str = "LayerName, ComputeCycles, LayoutCycles, BandwidthCycles\n";
+    pub(crate) const LAYOUT_HEADER: &str =
+        "LayerName, ComputeCycles, LayoutCycles, BandwidthCycles\n";
 
     /// One `LAYOUT_REPORT.csv` row (None when the layout analysis was
     /// off).
-    pub fn layout(l: &LayerResult) -> Option<String> {
+    pub(crate) fn layout(l: &LayerResult) -> Option<String> {
         let a = l.layout.as_ref()?;
         Some(format!(
             "{}, {}, {}, {}\n",
@@ -148,10 +149,10 @@ pub mod rows {
     }
 
     /// `ENERGY_REPORT.csv` header.
-    pub const ENERGY_HEADER: &str = "LayerName, EnergyMj, AvgPowerW, EdpCyclesMj\n";
+    pub(crate) const ENERGY_HEADER: &str = "LayerName, EnergyMj, AvgPowerW, EdpCyclesMj\n";
 
     /// One `ENERGY_REPORT.csv` row (None when energy was off).
-    pub fn energy(l: &LayerResult) -> Option<String> {
+    pub(crate) fn energy(l: &LayerResult) -> Option<String> {
         let e = l.energy.as_ref()?;
         Some(format!(
             "{}, {:.6}, {:.4}, {:.4}\n",
@@ -193,12 +194,6 @@ impl RunResult {
     pub fn total_energy_mj(&self) -> f64 {
         let layers = self.layers.iter().filter_map(|l| l.energy.as_ref());
         layers.fold(0.0, |total, e| total + e.total_mj())
-    }
-
-    /// Energy-delay product in `cycles × mJ` (Table V's unit), computed
-    /// over the whole run.
-    pub fn edp_cycles_mj(&self) -> f64 {
-        self.total_cycles() as f64 * self.total_energy_mj()
     }
 
     /// Total DRAM energy over the run in mJ (`+0.0` when DRAM is disabled).
@@ -271,7 +266,6 @@ mod tests {
         for off in [run.total_energy_mj(), run.total_dram_energy_mj()] {
             assert!(off == 0.0 && off.is_sign_positive(), "{off:?}");
         }
-        assert!(run.edp_cycles_mj().is_sign_positive());
     }
 
     #[test]

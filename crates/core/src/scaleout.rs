@@ -13,7 +13,7 @@
 //! once and schedules the stages analytically.
 //!
 //! Execution streams: shard compute runs through
-//! [`ScaleSim::run_topology_with`] — nested layer tasks of the shared
+//! `ScaleSim::run_topology_with` — nested layer tasks of the shared
 //! work-stealing scheduler, not a second pool (deterministic for any
 //! `SCALESIM_THREADS`) — each finished layer is joined with its
 //! collective cost in the [`OverlapTimeline`] (one-layer lookahead, so
@@ -40,28 +40,28 @@ pub struct ScaleoutLayerRecord {
     /// Layer name.
     pub name: String,
     /// Pipeline stage (0 for data/tensor parallelism).
-    pub stage: usize,
+    pub(crate) stage: usize,
     /// The GEMM each chip ran.
-    pub shard: GemmShape,
+    pub(crate) shard: GemmShape,
     /// Collective kind tag (`allreduce` / `allgather` / `reducescatter`
     /// / `p2p` / `none`).
-    pub comm_kind: &'static str,
+    pub(crate) comm_kind: &'static str,
     /// Per-chip compute cycles of the shard (memory-aware total).
-    pub compute_cycles: u64,
+    pub(crate) compute_cycles: u64,
     /// Collective cost of the layer, cycles.
-    pub comm_cycles: u64,
+    pub(crate) comm_cycles: u64,
     /// Communication hidden under the next layer's compute.
-    pub overlapped_cycles: u64,
+    pub(crate) overlapped_cycles: u64,
     /// Communication left on the critical path.
-    pub exposed_cycles: u64,
+    pub(crate) exposed_cycles: u64,
     /// PE utilization of the shard's compute in `[0, 1]`.
-    pub utilization: f64,
+    pub(crate) utilization: f64,
 }
 
 impl ScaleoutLayerRecord {
     /// The layer's critical-path contribution: compute plus exposed
     /// communication.
-    pub fn total_cycles(&self) -> u64 {
+    pub(crate) fn total_cycles(&self) -> u64 {
         self.compute_cycles + self.exposed_cycles
     }
 }
@@ -72,7 +72,7 @@ pub mod scaleout_rows {
     use super::ScaleoutLayerRecord;
 
     /// `SCALEOUT_REPORT.csv` header.
-    pub const SCALEOUT_HEADER: &str = "LayerName, Stage, ShardM, ShardN, ShardK, \
+    pub(crate) const SCALEOUT_HEADER: &str = "LayerName, Stage, ShardM, ShardN, ShardK, \
          ComputeCycles, CommKind, CommCycles, OverlappedCycles, ExposedCycles, \
          TotalCycles, Utilization\n";
 
@@ -98,44 +98,44 @@ pub mod scaleout_rows {
 
 /// Run-level aggregates of a scale-out execution.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScaleoutSummary {
+pub(crate) struct ScaleoutSummary {
     /// Chips in the system.
-    pub chips: usize,
+    pub(crate) chips: usize,
     /// The strategy that ran.
-    pub strategy: Strategy,
+    pub(crate) strategy: Strategy,
     /// Human-readable fabric description.
-    pub fabric: String,
+    pub(crate) fabric: String,
     /// Layers executed.
-    pub layers: usize,
+    pub(crate) layers: usize,
     /// Pipeline stages used (1 for data/tensor parallelism).
-    pub stages: usize,
+    pub(crate) stages: usize,
     /// MACs of the simulated shards (one shard per layer): per-chip
     /// work under data/tensor parallelism (every chip runs the same
     /// shard), the **whole pass** under pipeline parallelism (each
     /// chip runs only its stage's layers).
-    pub simulated_macs: u64,
+    pub(crate) simulated_macs: u64,
     /// Per-chip compute cycles (sum of shard totals).
-    pub compute_cycles: u64,
+    pub(crate) compute_cycles: u64,
     /// Collective cycles obligated across all layers.
-    pub comm_cycles: u64,
+    pub(crate) comm_cycles: u64,
     /// Communication hidden under compute.
-    pub overlapped_cycles: u64,
+    pub(crate) overlapped_cycles: u64,
     /// Communication on the critical path.
-    pub exposed_cycles: u64,
+    pub(crate) exposed_cycles: u64,
     /// Pipeline fill/drain overhead versus perfect parallelism
     /// (0 for data/tensor parallelism).
-    pub bubble_cycles: u64,
+    pub(crate) bubble_cycles: u64,
     /// End-to-end critical-path cycles.
-    pub total_cycles: u64,
+    pub(crate) total_cycles: u64,
     /// Energy of the simulated shards in mJ (0.0 when energy
     /// estimation is off): per-chip under data/tensor parallelism,
     /// whole-pass under pipeline parallelism (see
     /// [`fleet_energy_mj`](Self::fleet_energy_mj)).
-    pub simulated_energy_mj: f64,
+    pub(crate) simulated_energy_mj: f64,
     /// L2→L1 NoC words of the per-chip runs (multi-core chips only).
-    pub noc_words: u64,
+    pub(crate) noc_words: u64,
     /// Compute-cycle-weighted mean PE utilization of the shards.
-    pub utilization: f64,
+    pub(crate) utilization: f64,
 }
 
 impl ScaleoutSummary {
@@ -144,7 +144,7 @@ impl ScaleoutSummary {
     /// shard, so the per-chip energy scales by the chip count; under
     /// pipeline parallelism the simulated layers *are* the whole
     /// fleet's work (each chip runs only its stage).
-    pub fn fleet_energy_mj(&self) -> f64 {
+    pub(crate) fn fleet_energy_mj(&self) -> f64 {
         match self.strategy {
             Strategy::PipelineParallel => self.simulated_energy_mj,
             _ => self.simulated_energy_mj * self.chips as f64,
@@ -276,7 +276,7 @@ impl ResultSink for JoinSink<'_> {
 ///
 /// Returns a message naming the problem when the spec's fabric is
 /// inconsistent (see [`ScaleoutSpec::fabric`]).
-pub fn run_scaleout(
+pub(crate) fn run_scaleout(
     sim: &ScaleSim,
     topology: &Topology,
     spec: &ScaleoutSpec,

@@ -61,7 +61,7 @@
 //!
 //! All sessions share one [`SimService`] — and therefore one
 //! [`PlanCache`](scalesim_systolic::PlanCache) and one set of
-//! [`ServeMetrics`](crate::metrics::ServeMetrics) — so repeated
+//! `ServeMetrics` — so repeated
 //! workloads hit warm plans across connections and a `stats` request
 //! sees the whole process.
 //!
@@ -463,16 +463,6 @@ impl Server {
                 }
             }),
         );
-    }
-
-    /// The server's resolved sizing.
-    pub fn options(&self) -> ServeOptions {
-        self.options
-    }
-
-    /// The shared service (cache + metrics) behind this server.
-    pub fn service(&self) -> &SimService {
-        &self.service
     }
 
     /// Serves one JSON-lines session: reads request lines from `input`
@@ -1170,7 +1160,7 @@ mod tests {
             }
             assert_eq!(bodies[0], bodies[1], "identical requests, identical bytes");
         });
-        let stats = server.service().plan_cache().stats();
+        let stats = server.service.plan_cache().stats();
         assert!(stats.hits > 0, "second connection reused warm plans");
     }
 }

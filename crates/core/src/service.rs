@@ -37,11 +37,14 @@
 use crate::cancel::CancelToken;
 use crate::cfg::parse_cfg;
 use crate::config::{MultiCoreIntegration, ScaleSimConfig};
+use crate::energy::AreaBreakdown;
 use crate::engine::ScaleSim;
-use crate::metrics::ServeMetrics;
+use crate::llm::{LlmRunSpec, LlmSpec, Phase};
+use crate::multicore::PartitionGrid;
 use crate::result::LayerResult;
 use crate::scaleout::{run_scaleout, scaleout_rows, ScaleoutLayerRecord, ScaleoutSummary};
 use crate::sink::{MemoryReportSink, ResultSink, RunSummary};
+use crate::sweep::{RunRecord, SweepReport, SweepSpec};
 use crate::sweep_run::run_sweep;
 use scalesim_api::{
     AreaBody, ConfigSource, Features, LlmBody, LlmRequest, Report, RunBody, RunSummaryBody,
@@ -49,13 +52,56 @@ use scalesim_api::{
     SweepRequest, TopologyFormat, TopologySource, TraceBody, VersionBody, API_VERSION,
 };
 use scalesim_collective::{FabricTag, ScaleoutSpec, Strategy};
-use scalesim_energy::AreaBreakdown;
-use scalesim_llm::{LlmRunSpec, LlmSpec, Phase};
-use scalesim_multicore::PartitionGrid;
-use scalesim_sweep::{RunRecord, SweepReport, SweepSpec};
+use scalesim_obs::Histogram;
 use scalesim_systolic::{PlanCache, PlanCacheStats, Topology};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Cumulative request counters for one serving process.
+#[derive(Debug, Default)]
+pub(crate) struct ServeMetrics {
+    /// Requests received (decoded lines, queued or answered inline —
+    /// including shed ones).
+    pub(crate) requests_total: AtomicU64,
+    /// Requests fully handled (ok or typed error written).
+    pub(crate) completed: AtomicU64,
+    /// Requests shed with `busy` (queue full or session cap).
+    pub(crate) shed: AtomicU64,
+    /// Requests that returned a `deadline` error.
+    pub(crate) deadline_expired: AtomicU64,
+    /// Requests currently queued or executing.
+    pub(crate) in_flight: AtomicU64,
+    /// Handle-latency histogram (decode→encode wall time).
+    pub(crate) latency: Histogram,
+}
+
+impl ServeMetrics {
+    /// Fresh all-zero metrics.
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Bumps a counter by one.
+    pub(crate) fn inc(&self, counter: &AtomicU64) {
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Decrements `in_flight` (saturating — a stray double-decrement
+    /// must not wrap the gauge to u64::MAX).
+    pub(crate) fn dec_in_flight(&self) {
+        let _ = self
+            .in_flight
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(1))
+            });
+    }
+
+    /// Reads a counter.
+    pub(crate) fn get(&self, counter: &AtomicU64) -> u64 {
+        counter.load(Ordering::Relaxed)
+    }
+}
 
 /// Builds the shared plan cache a fresh service uses: bounded by
 /// resident plan bytes ([`PlanCache::DEFAULT_BUDGET_BYTES`]), with
@@ -72,7 +118,7 @@ fn cache_from_env() -> Arc<PlanCache> {
 }
 
 /// Executes [`SimRequest`]s against a persistent shared [`PlanCache`],
-/// answering `stats` requests from shared [`ServeMetrics`] (recorded by
+/// answering `stats` requests from shared `ServeMetrics` (recorded by
 /// the serve loop; a one-shot CLI service reports all-zero counters).
 #[derive(Debug, Clone)]
 pub struct SimService {
@@ -95,7 +141,7 @@ impl SimService {
     }
 
     /// A service sharing an existing plan cache (metrics start fresh).
-    pub fn with_plan_cache(cache: Arc<PlanCache>) -> Self {
+    pub(crate) fn with_plan_cache(cache: Arc<PlanCache>) -> Self {
         Self {
             cache,
             metrics: Arc::new(ServeMetrics::new()),
@@ -109,7 +155,7 @@ impl SimService {
 
     /// The serving metrics `stats` requests report. Clones of this
     /// service (e.g. one per worker thread) share the same counters.
-    pub fn metrics(&self) -> &Arc<ServeMetrics> {
+    pub(crate) fn metrics(&self) -> &Arc<ServeMetrics> {
         &self.metrics
     }
 
@@ -171,8 +217,14 @@ impl SimService {
                     workload: llm.spec.name.clone(),
                     phase: llm.phase.tag().to_string(),
                     context: context as u64,
-                    params: llm.spec.param_count(),
-                    kv_cache_bytes: llm.spec.kv_cache_bytes(context),
+                    params: llm
+                        .spec
+                        .param_count()
+                        .expect("sizes checked by LlmRunSpec::topology"),
+                    kv_cache_bytes: llm
+                        .spec
+                        .kv_cache_bytes(context)
+                        .expect("sizes checked by LlmRunSpec::topology"),
                     summary: body.summary,
                     reports: body.reports,
                 }))
@@ -230,7 +282,7 @@ impl SimService {
     /// Snapshots the service's cache and serving counters as a `stats`
     /// response body. Counter reads are relaxed atomics — a snapshot
     /// taken mid-burst is approximate, never torn.
-    pub fn stats_body(&self) -> StatsBody {
+    pub(crate) fn stats_body(&self) -> StatsBody {
         let cache = self.cache.stats();
         let lookups = cache.hits + cache.misses;
         let m = &*self.metrics;
@@ -717,11 +769,11 @@ fn load_config(source: &ConfigSource, features: &Features) -> Result<ScaleSimCon
 
 /// Loads and parses a topology source. Registry workloads (CNN/ViT
 /// names and llm presets, optionally `:prefill`/`:decode`-suffixed)
-/// resolve through [`scalesim_workloads::by_name_or_err`], whose error
+/// resolve through [`crate::workloads::by_name_or_err`], whose error
 /// spells out the full supported vocabulary.
 fn load_topology(source: &TopologySource) -> Result<Topology, SimError> {
     if let Some(workload) = &source.workload {
-        return scalesim_workloads::by_name_or_err(workload).map_err(SimError::Topology);
+        return crate::workloads::by_name_or_err(workload).map_err(SimError::Topology);
     }
     let (csv, default_name) = match (&source.inline, &source.path) {
         (Some(text), _) => (text.clone(), "workload".to_string()),
@@ -757,6 +809,17 @@ fn load_topology(source: &TopologySource) -> Result<Topology, SimError> {
 mod tests {
     use super::*;
     use scalesim_api::{AreaSpec, RunSpec};
+
+    #[test]
+    fn in_flight_never_wraps() {
+        let m = ServeMetrics::new();
+        m.dec_in_flight();
+        assert_eq!(m.get(&m.in_flight), 0);
+        m.inc(&m.in_flight);
+        m.dec_in_flight();
+        m.dec_in_flight();
+        assert_eq!(m.get(&m.in_flight), 0);
+    }
 
     fn gemm_topology() -> TopologySource {
         TopologySource::inline("t", "a, 16, 16, 16,\nb, 24, 24, 24,\n")

@@ -24,8 +24,8 @@
 //! run path, which tees into a [`RunSummary`] and a
 //! [`MemoryReportSink`]).
 
+use crate::energy::EnergyReport;
 use crate::result::{rows, LayerResult};
-use scalesim_energy::EnergyReport;
 
 /// Consumes finished layers as they stream out of the engine.
 pub trait ResultSink {
@@ -59,18 +59,18 @@ pub struct RunSummary {
     /// Sum of per-layer end-to-end cycles (DRAM-aware when available).
     pub total_cycles: u64,
     /// Sum of stall-free compute cycles.
-    pub compute_cycles: u64,
+    pub(crate) compute_cycles: u64,
     /// Sum of stall cycles.
-    pub stall_cycles: u64,
+    pub(crate) stall_cycles: u64,
     /// MACs executed.
-    pub macs: u64,
+    pub(crate) macs: u64,
     /// Compute-cycle-weighted utilization numerator (see
     /// [`utilization`](Self::utilization)).
-    pub util_weighted: f64,
+    pub(crate) util_weighted: f64,
     /// Component-wise merged energy report (empty when energy is off).
-    pub energy: EnergyReport,
+    pub(crate) energy: EnergyReport,
     /// L2→L1 NoC words.
-    pub noc_words: u64,
+    pub(crate) noc_words: u64,
 }
 
 impl RunSummary {
@@ -95,7 +95,7 @@ impl RunSummary {
     }
 
     /// Compute-cycle-weighted mean PE utilization in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         if self.compute_cycles == 0 {
             0.0
         } else {
@@ -109,7 +109,7 @@ impl RunSummary {
     }
 
     /// Energy-delay product in `cycles × mJ`.
-    pub fn edp_cycles_mj(&self) -> f64 {
+    pub(crate) fn edp_cycles_mj(&self) -> f64 {
         self.total_cycles as f64 * self.energy_mj()
     }
 }

@@ -3,11 +3,11 @@
 //!
 //! The generic sweep machinery (spec parsing, grid expansion, sharded
 //! execution, Pareto analysis, report emission) lives in the
-//! `scalesim-sweep` crate; this module binds it to the engine — applying
-//! each [`SweepPoint`]'s overrides to a base [`ScaleSimConfig`], running
-//! every `(point, topology)` pair on the shared worker pool with **one
-//! plan cache for the whole grid**, and reducing per-layer results into
-//! [`RunRecord`]s.
+//! [`sweep`](crate::sweep) module; this module binds it to the engine
+//! — applying each [`SweepPoint`]'s overrides to a base
+//! [`ScaleSimConfig`], running every `(point, topology)` pair on the
+//! shared worker pool with **one plan cache for the whole grid**, and
+//! reducing per-layer results into [`RunRecord`]s.
 //!
 //! Everything here is deterministic: records are keyed by run index and
 //! the report emitters sort by it, so `SWEEP_REPORT.{csv,json}` are
@@ -18,15 +18,15 @@ use crate::config::{DramIntegration, MultiCoreIntegration, ScaleSimConfig};
 use crate::engine::ScaleSim;
 use crate::scaleout::{run_scaleout, ScaleoutSummary};
 use crate::sink::RunSummary;
+use crate::sweep::spec::AxisValue;
+use crate::sweep::{run_sharded_with, RunRecord, SweepPoint, SweepReport, SweepSpec};
 use scalesim_collective::ScaleoutSpec;
-use scalesim_sweep::spec::AxisValue;
-use scalesim_sweep::{run_sharded_with, RunRecord, SweepPoint, SweepReport, SweepSpec};
 use scalesim_systolic::{MemoryConfig, PlanCache, PlanCacheStats, Topology};
 use std::sync::Arc;
 
 /// Applies a grid point's overrides to a base configuration; axes the
 /// point does not sweep inherit the base value.
-pub fn apply_point(base: &ScaleSimConfig, point: &SweepPoint) -> ScaleSimConfig {
+pub(crate) fn apply_point(base: &ScaleSimConfig, point: &SweepPoint) -> ScaleSimConfig {
     let mut cfg = base.clone();
     // Scale-out axes: any of them materializes the [scaleout] section
     // (seeded from the base config or the defaults) and overrides the
@@ -203,9 +203,8 @@ fn record_for_scaleout(
 ///
 /// `on_record` sees every [`RunRecord`] as its shard completes (shard
 /// emission order — not globally sorted by run index; the final report
-/// sorts). Use it for progress reporting or incremental accumulators
-/// (e.g. [`scalesim_sweep::ParetoAccumulator`]) without waiting for the
-/// grid; pass `|_| {}` to ignore it.
+/// sorts). Use it for progress reporting without waiting for the grid;
+/// pass `|_| {}` to ignore it.
 ///
 /// Each run streams its layers through an O(1) [`RunSummary`] sink, so
 /// peak memory is bounded by the worker block — not the topology length
@@ -252,8 +251,7 @@ pub fn run_sweep(
                 .map_err(|e| format!("grid point '{}': {e}", point.label()))?;
         }
         if let Some(llm) = &cfg.llm {
-            llm.spec
-                .validate()
+            llm.topology()
                 .map_err(|e| format!("grid point '{}': {e}", point.label()))?;
         }
     }
@@ -345,7 +343,7 @@ mod tests {
 
     #[test]
     fn apply_point_changes_only_the_knobs_the_point_sweeps() {
-        use scalesim_llm::LlmRunSpec;
+        use crate::llm::LlmRunSpec;
         // A base where every section exists, so every axis has a knob to
         // turn and a neighbour it could wrongly disturb.
         let base = ScaleSimConfig {
@@ -471,7 +469,7 @@ mod tests {
         // otherwise both plan and both count).
         let (report, stats) = sweep(&s, &base, &small_topos(), 8).unwrap();
         assert_eq!(report.records().len(), 4 * 2);
-        assert_eq!(report.points().len(), 4);
+        assert_eq!(report.points.len(), 4);
         assert!(!report.pareto_labels().is_empty());
         // 4 configs x 3 distinct shapes planned once each.
         assert_eq!(stats.misses, 12);
@@ -548,7 +546,7 @@ mod tests {
 
     #[test]
     fn llm_axes_regenerate_the_topology_per_point() {
-        use scalesim_llm::{LlmRunSpec, LlmSpec, Phase};
+        use crate::llm::{LlmRunSpec, LlmSpec, Phase};
         let mut model = LlmSpec::preset("gpt2-xl").unwrap();
         model.layers = 2;
         model.d_model = 64;

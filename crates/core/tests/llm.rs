@@ -224,6 +224,31 @@ fn serve_mode_reports_match_the_one_shot_cli_files() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `[llm]` context, sequence length or batch whose sizes overflow
+/// `u64` is a config error (exit 2) before anything is planned.
+#[test]
+fn an_llm_spec_that_overflows_u64_is_a_config_error() {
+    let dir = std::env::temp_dir().join(format!("scalesim-llm-ovf-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    for key in ["Context", "Seq", "Batch"] {
+        let cfg = dir.join(format!("{key}.cfg"));
+        let text = format!("[llm]\nPreset : llama-7b\n{key} : 18446744073709551615\n");
+        std::fs::write(&cfg, text).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_scalesim"))
+            .args(["llm", "-c"])
+            .arg(&cfg)
+            .arg("-p")
+            .arg(&dir)
+            .output()
+            .expect("spawn scalesim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{key}: {stderr}");
+        assert!(stderr.contains("overflows u64"), "{key}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A registry workload (`-w gpt2-xl:decode` here, any llm preset works
 /// the same way) runs through `scalesim scaleout` under tensor
 /// parallelism, and the serve-mode report is byte-identical to the CLI

@@ -187,6 +187,26 @@ fn serve_stdio_isolates_bad_requests_and_keeps_answering() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An llm request whose score GEMM has 32·2^52·128 = 2^64 MACs is a
+/// typed config error, answered at once, and the session answers the
+/// next request.
+#[test]
+fn serve_rejects_an_llm_context_whose_macs_overflow_and_keeps_answering() {
+    let lines = vec![
+        r#"{"api":1,"id":"huge","deadline_ms":3000,"llm":{"workload":"llama-7b","phase":"decode","context":4503599627370496}}"#.to_string(),
+        r#"{"api": 1, "version": {}}"#.to_string(),
+    ];
+    let responses = stdio_round_trip(&lines);
+    assert_eq!(responses.len(), 2, "one response per request, in order");
+    let (id, r0) = wire::decode_response(&responses[0]);
+    assert_eq!(id.as_deref(), Some("huge"));
+    let e = r0.unwrap_err();
+    assert_eq!((e.kind(), e.exit_code()), ("config", 2));
+    assert!(e.message().contains("overflows u64"), "{e}");
+    let (_, r1) = wire::decode_response(&responses[1]);
+    assert!(matches!(r1.unwrap(), SimResponse::Version(_)));
+}
+
 struct KillOnDrop(Child);
 
 impl Drop for KillOnDrop {

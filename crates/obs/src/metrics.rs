@@ -184,6 +184,15 @@ mod tests {
     }
 
     #[test]
+    fn empty_histogram_reads_zero() {
+        let h = Histogram::new();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.max_us(), 0);
+        assert_eq!(h.percentile_us(50.0), 0);
+        assert_eq!(h.percentile_us(99.0), 0);
+    }
+
+    #[test]
     fn percentiles_interpolate_within_the_bucket() {
         let h = Histogram::new();
         for _ in 0..99 {

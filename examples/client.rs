@@ -22,10 +22,10 @@
 
 use scalesim::serve::{ServeOptions, Server};
 use scalesim::service::SimService;
+use scalesim::workloads::vit;
 use scalesim_api::{
     wire, ConfigSource, Features, RunSpec, SimRequest, SimResponse, SweepRequest, TopologySource,
 };
-use scalesim_workloads::vit;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 

@@ -2,7 +2,7 @@
 //!
 //! The paper's Fig. 9 shows throughput scaling with channels and notes the
 //! silicon costs. With the IDD power model (scalesim-mem) and the area
-//! reference table (scalesim-energy), the full trade-off is visible: this
+//! reference table (`scalesim::energy`), the full trade-off is visible: this
 //! example streams the same workload through every DRAM technology preset
 //! and then sweeps DDR4 channel counts.
 //!

@@ -260,15 +260,17 @@ fn dram_power_flows_through_the_engine() {
 fn mesh_partition_pipeline_composes_with_tensor_cores() {
     // §III end to end: a NoP mesh derives the latency profile, the
     // non-uniform split distributes a ViT feed-forward GEMM, each chiplet
-    // is a TensorCore whose cycles come from the analytical model, and the
-    // final makespan improves on the uniform split.
+    // is a 32x32 weight-stationary array whose cycles per MAC come from
+    // the analytical model, and the final makespan improves on the
+    // uniform split.
     use scale_sim::multicore::{
-        non_uniform_split, uniform_split_makespan, MemoryPortPlacement, NopMesh, SimdUnit,
-        TensorCore,
+        non_uniform_split, uniform_split_makespan, MemoryPortPlacement, NopMesh,
     };
-    let core = TensorCore::new(ArrayShape::new(32, 32), SimdUnit::new(128));
+    use scale_sim::systolic::{analytical_runtime, FoldGeometry};
+    let array = ArrayShape::new(32, 32);
     let gemm = GemmShape::new(197, 3072, 768); // ViT-Base FF1
-    let probe = core.cycles_per_mac(Dataflow::WeightStationary, gemm);
+    let g = FoldGeometry::new(array, Dataflow::WeightStationary, gemm);
+    let probe = analytical_runtime(array, g.sr, g.sc, g.t) as f64 / gemm.macs() as f64;
     let mesh = NopMesh::new(4, 4, 2000, MemoryPortPlacement::WestEdge);
     let work = gemm.macs();
     let profile = mesh.profile(probe, (gemm.m * gemm.k * 2) as u64 / 16);

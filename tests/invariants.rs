@@ -19,8 +19,8 @@ use scale_sim::mem::{
 };
 use scale_sim::multicore::{
     best_partition, factor_pairs, memory_footprint_words, non_uniform_split, runtime_cycles,
-    L2Config, MappingDims, MemoryPortPlacement, NopMesh, NopProfile, Op, PartitionGrid,
-    PartitionObjective, PartitionScheme, PipelineSchedule, SimdOp, SimdUnit, TensorCore,
+    L2Config, MappingDims, MemoryPortPlacement, NopMesh, NopProfile, PartitionGrid,
+    PartitionObjective, PartitionScheme,
 };
 use scale_sim::scalesim::config::MultiCoreIntegration;
 use scale_sim::scalesim::dram::{self, LatencyReplayStore, MeasuredTransaction};
@@ -2027,27 +2027,6 @@ fn non_uniform_split_conserves_work() {
     });
 }
 
-#[test]
-fn pipelined_makespan_is_bracketed() {
-    check("pipelined_makespan_is_bracketed", 40, |rng| {
-        let (m, n, k) = (rng.range(16, 256), rng.range(16, 256), rng.range(16, 256));
-        let batches = rng.range(1, 12);
-        let core = TensorCore::new(ArrayShape::new(32, 32), SimdUnit::new(128));
-        let ops = [
-            Op::gemm("g", GemmShape::new(m, n, k)),
-            Op::vector("v", SimdOp::Softmax, rng.range(1, 1_000_000) as u64),
-            Op::gemm("g2", GemmShape::new(n, m, k)),
-        ];
-        let r = PipelineSchedule::new(Dataflow::OutputStationary).run(&core, &ops, batches);
-        assert!(r.pipelined_cycles >= r.serial_cycles);
-        assert!(r.pipelined_cycles <= r.serial_cycles * batches as u64);
-        assert!(r.mxu_busy_cycles <= r.pipelined_cycles);
-        assert!(r.simd_busy_cycles <= r.pipelined_cycles);
-        assert!((1.0 - 1e-12..=batches as f64 + 1e-12).contains(&r.speedup()));
-        assert!((0.0..=1.0).contains(&r.simd_fraction()));
-    });
-}
-
 // ---------------------------------------------------------------------------
 // crates/mem
 // ---------------------------------------------------------------------------
@@ -2745,17 +2724,16 @@ fn layer_activity_partitions_the_pe_cycles() {
 fn area_composes_and_grows_with_every_knob() {
     check("area_composes_and_grows_with_every_knob", 80, |rng| {
         let arch = draw_arch(rng);
-        let (banks, channels, lanes) = (rng.range(1, 32), rng.range(1, 16), rng.range(0, 4096));
+        let (banks, channels) = (rng.range(1, 32), rng.range(1, 16));
         let table = AreaTable::eyeriss_65nm();
         let estimate = |banks, channels| {
             AreaConfig::new(arch)
                 .with_sram_banks(banks)
                 .with_dram_channels(channels)
-                .with_simd_lanes(lanes)
                 .estimate(&table)
         };
         let a = estimate(banks, channels);
-        let parts = a.pe_array_mm2 + a.sram_mm2() + a.noc_mm2 + a.simd_mm2 + a.dram_ctrl_mm2;
+        let parts = a.pe_array_mm2 + a.sram_mm2() + a.noc_mm2 + a.dram_ctrl_mm2;
         assert!((a.total_mm2() - parts).abs() < 1e-9);
         assert!(a.total_mm2() > 0.0 && a.total_mm2().is_finite());
         assert!(estimate(banks + 1, channels).total_mm2() > a.total_mm2());
