@@ -162,60 +162,3 @@ impl EnergyModel {
         Self { arch, table }
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn energy_ordering_matches_literature() {
-        let t = EnergyTable::eyeriss_65nm();
-        // RF < MAC < SRAM(100kB) < DRAM, each separated by meaningful gaps.
-        assert!(t.spad_read_pj < t.mac_random_pj);
-        assert!(t.mac_random_pj < t.sram_access_pj(100 * 1024));
-        assert!(t.sram_access_pj(1024 * 1024) < t.dram_access_pj);
-        assert!(t.dram_access_pj / t.sram_access_pj(100 * 1024) > 10.0);
-    }
-
-    #[test]
-    fn sram_energy_grows_with_capacity() {
-        let t = EnergyTable::eyeriss_65nm();
-        let small = t.sram_access_pj(8 * 1024);
-        let large = t.sram_access_pj(512 * 1024);
-        assert!(large > small * 2.0);
-        // √ scaling: 64× capacity → 8× energy.
-        let x = t.sram_access_pj(16 * 1024);
-        let y = t.sram_access_pj(64 * 16 * 1024);
-        assert!((y / x - 8.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn repeat_access_is_cheaper_by_more_than_half() {
-        let t = EnergyTable::eyeriss_65nm();
-        // §VII-C: repeated vs random "differ by more than double".
-        assert!(t.sram_access_pj(65536) / t.sram_repeat_pj(65536) > 2.0);
-    }
-
-    #[test]
-    fn gating_hierarchy() {
-        let t = EnergyTable::eyeriss_65nm();
-        assert!(t.mac_power_gated_pj < t.mac_gated_pj);
-        assert!(t.mac_gated_pj < t.mac_constant_pj);
-        assert!(t.mac_constant_pj < t.mac_random_pj);
-    }
-
-    #[test]
-    fn scaling_factor_applies_to_dynamic_only() {
-        let t = EnergyTable::eyeriss_65nm().scaled(0.5);
-        let base = EnergyTable::eyeriss_65nm();
-        assert!((t.mac_random_pj - base.mac_random_pj / 2.0).abs() < 1e-9);
-        assert_eq!(t.mac_gated_pj, base.mac_gated_pj);
-    }
-
-    #[test]
-    fn arch_spec_basics() {
-        let a = ArchSpec::new(16, 8, 1024, 2048, 512);
-        assert_eq!(a.num_pes(), 128);
-        assert_eq!(a.word_bits, 16);
-    }
-}

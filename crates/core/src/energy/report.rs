@@ -18,7 +18,7 @@ pub struct ComponentEnergy {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyReport {
     components: Vec<ComponentEnergy>,
-    cycles: u64,
+    pub(crate) cycles: u64,
     clock_hz: f64,
 }
 
@@ -203,117 +203,5 @@ impl EnergyModel {
             cycles: total_cycles,
             clock_hz: self.arch.clock_hz,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::energy::actions::LayerActivity;
-    use crate::energy::ert::ArchSpec;
-
-    fn model() -> EnergyModel {
-        EnergyModel::eyeriss_65nm(ArchSpec::new(8, 8, 128 * 1024, 128 * 1024, 32 * 1024))
-    }
-
-    fn counts() -> ActionCounts {
-        let a = LayerActivity {
-            total_cycles: 10_000,
-            macs: 500_000,
-            utilization: 0.78,
-            ifmap_sram_reads: 60_000,
-            ifmap_sram_repeats: 30_000,
-            filter_sram_reads: 40_000,
-            filter_sram_repeats: 10_000,
-            ofmap_sram_accesses: 30_000,
-            ofmap_sram_repeats: 5_000,
-            dram_reads: 50_000,
-            dram_writes: 8_000,
-            noc_words: 0,
-        };
-        ActionCounts::from_layer(&a, 64, (8, 8, 8), true)
-    }
-
-    #[test]
-    fn totals_are_positive_and_components_sum() {
-        let r = model().evaluate(&counts(), 10_000);
-        let sum: f64 = r.components().iter().map(|c| c.energy_pj).sum();
-        assert!((sum - r.total_pj()).abs() < 1e-6);
-        assert!(r.total_pj() > 0.0);
-        assert!(r.avg_power_w() > 0.0);
-        assert!(r.edp_cycles_mj() > 0.0);
-    }
-
-    #[test]
-    fn merge_sums_components_and_cycles() {
-        let a = model().evaluate(&counts(), 10_000);
-        let b = model().evaluate(&counts(), 4_000);
-        let mut merged = EnergyReport::default();
-        merged.merge(&a);
-        merged.merge(&b);
-        assert_eq!(merged.cycles, 14_000);
-        assert!((merged.total_pj() - (a.total_pj() + b.total_pj())).abs() < 1e-6);
-        assert_eq!(merged.components().len(), a.components().len());
-        for c in a.components() {
-            let got = merged.component_pj(c.name);
-            let want = c.energy_pj + b.component_pj(c.name);
-            assert!((got - want).abs() < 1e-6, "{}: {got} vs {want}", c.name);
-        }
-        // Clock carried over -> power/EDP stay well-defined.
-        assert!(merged.avg_power_w() > 0.0);
-    }
-
-    #[test]
-    fn empty_is_merge_identity() {
-        let a = model().evaluate(&counts(), 10_000);
-        let mut merged = a.clone();
-        merged.merge(&EnergyReport::default());
-        assert_eq!(merged, a);
-        let empty = EnergyReport::default().total_pj();
-        assert!(empty == 0.0 && empty.is_sign_positive(), "{empty:?}");
-    }
-
-    #[test]
-    fn dram_dominates_sram_per_access() {
-        let r = model().evaluate(&counts(), 10_000);
-        // 58k DRAM words at 200 pJ ≈ 11.6 µJ must dwarf SRAM energy here.
-        assert!(r.component_pj("dram") > r.component_pj("ifmap_sram"));
-    }
-
-    #[test]
-    fn data_movement_dominates_compute() {
-        // The paper's motivation for energy modeling: data movement is a
-        // significant fraction of total energy.
-        let r = model().evaluate(&counts(), 10_000);
-        assert!(
-            r.data_movement_fraction() > 0.5,
-            "data movement fraction {}",
-            r.data_movement_fraction()
-        );
-    }
-
-    #[test]
-    fn more_stall_cycles_cost_leakage() {
-        let m = model();
-        let c = counts();
-        let short = m.evaluate(&c, 10_000);
-        let long = m.evaluate(&c, 100_000);
-        assert!(long.total_pj() > short.total_pj());
-        assert_eq!(long.component_pj("dram"), short.component_pj("dram"));
-    }
-
-    #[test]
-    fn power_and_runtime_consistency() {
-        let r = model().evaluate(&counts(), 10_000);
-        // P = E / t.
-        let p = r.total_pj() * 1e-12 / r.runtime_s();
-        assert!((p - r.avg_power_w()).abs() / p < 1e-9);
-    }
-
-    #[test]
-    fn display_contains_breakdown() {
-        let s = model().evaluate(&counts(), 10_000).to_string();
-        assert!(s.contains("mac_array"));
-        assert!(s.contains("dram"));
     }
 }

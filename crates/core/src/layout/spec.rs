@@ -148,88 +148,3 @@ impl LayoutSpec {
             * dims.w.div_ceil(self.w1_step)
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    #[allow(clippy::identity_op)] // spelled-out factors mirror the worked example
-    fn fig11_worked_example() {
-        // C=64, H=8, W=8 with C64 H8 W8 _ W2 H4 C16.
-        let dims = TensorDims::new(64, 8, 8);
-        let l = LayoutSpec::fig11();
-        assert_eq!(l.line_elems(), 128);
-        // First line holds W0:1 × H0:3 × C0:15 (see Fig. 11 detail view).
-        let (line0, col0) = l.place(dims, 0, 0, 0);
-        assert_eq!((line0, col0), (0, 0));
-        let (line, col) = l.place(dims, 15, 3, 1);
-        assert_eq!(line, 0);
-        assert_eq!(col, 1 * 4 * 16 + 3 * 16 + 15); // = 127, last column
-                                                   // W0 H0 C16 starts a new line tile in the c1 direction: line jumps
-                                                   // by H-tiles × W-tiles = 2 × 4 = 8.
-        let (line_c16, _) = l.place(dims, 16, 0, 0);
-        assert_eq!(line_c16, 8);
-        // Next h tile: line + W-tiles.
-        let (line_h4, _) = l.place(dims, 0, 4, 0);
-        assert_eq!(line_h4, 4);
-        // Next w tile: line + 1.
-        let (line_w2, _) = l.place(dims, 0, 0, 2);
-        assert_eq!(line_w2, 1);
-    }
-
-    #[test]
-    fn fig11_bank_assignment() {
-        // 16 banks × 8 elements per bank-line = 128-element lines.
-        let dims = TensorDims::new(64, 8, 8);
-        let l = LayoutSpec::fig11();
-        let p = l.place_banked(dims, 0, 0, 0, 8, 16);
-        assert_eq!(p.bank, 0);
-        let p = l.place_banked(dims, 15, 3, 1, 8, 16);
-        assert_eq!(p.bank, 15, "column 127 → bank 15 (Fig. 11)");
-        let p = l.place_banked(dims, 8, 0, 0, 8, 16);
-        assert_eq!(p.bank, 1, "column 8 starts bank 1");
-    }
-
-    #[test]
-    fn placement_is_a_bijection() {
-        let dims = TensorDims::new(8, 6, 10);
-        let l = LayoutSpec::new(4, 3, 5);
-        let mut seen = std::collections::HashSet::new();
-        for c in 0..dims.c {
-            for h in 0..dims.h {
-                for w in 0..dims.w {
-                    let (line, col) = l.place(dims, c, h, w);
-                    assert!(col < l.line_elems());
-                    assert!(line < l.lines_needed(dims));
-                    assert!(seen.insert((line, col)), "collision at ({line},{col})");
-                }
-            }
-        }
-        assert_eq!(seen.len(), dims.c * dims.h * dims.w);
-    }
-
-    #[test]
-    fn matrix_helpers() {
-        let dims = TensorDims::matrix(4, 8);
-        let rm = LayoutSpec::row_major(8);
-        // One matrix row per line.
-        let (l0, _) = rm.place(dims, 0, 0, 7);
-        let (l1, _) = rm.place(dims, 0, 1, 0);
-        assert_eq!(l0, 0);
-        assert_eq!(l1, 1);
-        let cm = LayoutSpec::column_major(4);
-        // One matrix column per line.
-        let (lc, _) = cm.place(dims, 0, 3, 0);
-        let (lc2, _) = cm.place(dims, 0, 0, 1);
-        assert_eq!(lc, 0);
-        assert_eq!(lc2, 1);
-    }
-
-    #[test]
-    fn lines_needed_counts_partial_tiles() {
-        let dims = TensorDims::new(5, 5, 5);
-        let l = LayoutSpec::new(2, 2, 2);
-        assert_eq!(l.lines_needed(dims), 3 * 3 * 3);
-    }
-}

@@ -94,3 +94,74 @@ pub use scalesim_collective as collective;
 pub use scalesim_mem as mem;
 /// Re-export: the cycle-accurate systolic core.
 pub use scalesim_systolic as systolic;
+
+// The unit tests of the modules folded in from the former feature crates
+// (energy, layout, llm, multicore, sparse, sweep, workloads) live in
+// `unit_tests/`, at the paths those crates gave them: `nop::tests::…`,
+// not `multicore::nop::tests::…`. A test keeps its name across the fold.
+#[cfg(test)]
+#[path = "../unit_tests/actions.rs"]
+mod actions;
+#[cfg(test)]
+#[path = "../unit_tests/analytical.rs"]
+mod analytical;
+#[cfg(test)]
+#[path = "../unit_tests/area.rs"]
+mod area;
+#[cfg(test)]
+#[path = "../unit_tests/cnn.rs"]
+mod cnn;
+#[cfg(test)]
+#[path = "../unit_tests/conflict.rs"]
+mod conflict;
+#[cfg(test)]
+#[path = "../unit_tests/ert.rs"]
+mod ert;
+#[cfg(test)]
+#[path = "../unit_tests/exec.rs"]
+mod exec;
+#[cfg(test)]
+#[path = "../unit_tests/gemm.rs"]
+mod gemm;
+#[cfg(test)]
+#[path = "../unit_tests/l2.rs"]
+mod l2;
+#[cfg(test)]
+#[path = "../unit_tests/nonuniform.rs"]
+mod nonuniform;
+#[cfg(test)]
+#[path = "../unit_tests/nop.rs"]
+mod nop;
+#[cfg(test)]
+#[path = "../unit_tests/pareto.rs"]
+mod pareto;
+#[cfg(test)]
+#[path = "../unit_tests/partition.rs"]
+mod partition;
+#[cfg(test)]
+#[path = "../unit_tests/pattern.rs"]
+mod pattern;
+#[cfg(test)]
+#[path = "../unit_tests/report.rs"]
+mod report;
+#[cfg(test)]
+#[path = "../unit_tests/sim.rs"]
+mod sim;
+#[cfg(test)]
+#[path = "../unit_tests/spec.rs"]
+mod spec;
+#[cfg(test)]
+#[path = "../unit_tests/spmm.rs"]
+mod spmm;
+#[cfg(test)]
+#[path = "../unit_tests/tests.rs"]
+mod tests;
+#[cfg(test)]
+#[path = "../unit_tests/validate.rs"]
+mod validate;
+#[cfg(test)]
+#[path = "../unit_tests/vit.rs"]
+mod vit;
+#[cfg(test)]
+#[path = "../unit_tests/walk.rs"]
+mod walk;

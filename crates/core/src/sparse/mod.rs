@@ -101,223 +101,3 @@ impl SparseFormat {
         }
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ellpack_storage_matches_fig6_arithmetic() {
-        // 2:4 over K=128, N=64, 16-bit values: nnz rows = 64,
-        // values = 64·64·16 bits, metadata = 64·64·2 bits.
-        let p = SparsityPattern::layer_wise(128, NmRatio::new(2, 4).unwrap());
-        let bits = SparseFormat::BlockedEllpack.filter_storage_bits(&p, 64, 16);
-        assert_eq!(bits, 64 * 64 * 16 + 64 * 64 * 2);
-    }
-
-    #[test]
-    fn formats_all_beat_dense_at_high_sparsity() {
-        let p = SparsityPattern::layer_wise(256, NmRatio::new(1, 4).unwrap());
-        let dense = SparseFormat::dense_storage_bits(256, 128, 16);
-        for f in [
-            SparseFormat::Csr,
-            SparseFormat::Csc,
-            SparseFormat::BlockedEllpack,
-        ] {
-            let s = f.filter_storage_bits(&p, 128, 16);
-            assert!(s < dense, "{} not smaller than dense", f.name());
-        }
-    }
-
-    #[test]
-    fn dense_ratio_ellpack_overhead_is_metadata_only() {
-        // 4:4 (“dense”) blocked ELLPACK still pays the metadata bits.
-        let p = SparsityPattern::layer_wise(64, NmRatio::new(4, 4).unwrap());
-        let dense = SparseFormat::dense_storage_bits(64, 32, 16);
-        let ell = SparseFormat::BlockedEllpack.filter_storage_bits(&p, 32, 16);
-        assert_eq!(ell, dense + 64 * 32 * 2);
-    }
-}
-
-/// The paper's sparse-compute facts (Figs. 5/8, §VIII) on the product's
-/// rule: [`SparsityPattern::compress`], costed by the closed form the
-/// planner is proven equal to (`tests/invariants.rs`). The module path
-/// is the one the test floor knows these tests by.
-#[cfg(test)]
-mod spmm {
-    mod tests {
-        use crate::sparse::{NmRatio, SparseFormat, SparsityPattern};
-        use scalesim_systolic::{AnalyticalModel, ArrayShape, Dataflow, GemmShape};
-
-        fn model(gemm: GemmShape) -> AnalyticalModel {
-            AnalyticalModel::new(ArrayShape::new(8, 8), Dataflow::WeightStationary, gemm)
-        }
-
-        fn cycles(gemm: GemmShape) -> u64 {
-            model(gemm).exact_runtime_cycles()
-        }
-
-        fn layer_wise(k: usize, n: usize, m: usize) -> SparsityPattern {
-            SparsityPattern::layer_wise(k, NmRatio::new(n, m).unwrap())
-        }
-
-        #[test]
-        fn two_four_halves_k() {
-            let gemm = GemmShape::new(64, 64, 128);
-            let sparse = layer_wise(128, 2, 4).compress(gemm);
-            assert_eq!(sparse, GemmShape::new(64, 64, 64));
-            assert_eq!(sparse.macs(), 64 * 64 * 64);
-            let speedup = cycles(gemm) as f64 / cycles(sparse) as f64;
-            assert!(speedup > 1.5 && speedup < 2.5, "2:4 speedup {speedup}");
-        }
-
-        #[test]
-        fn dense_ratio_is_never_faster() {
-            // 4:4 "sparsity" runs the dense GEMM and pays metadata on top.
-            let gemm = GemmShape::new(32, 32, 64);
-            let p = layer_wise(64, 4, 4);
-            assert_eq!(p.compress(gemm), gemm);
-            assert!(
-                SparseFormat::BlockedEllpack.filter_storage_bits(&p, 32, 16)
-                    > SparseFormat::dense_storage_bits(64, 32, 16)
-            );
-        }
-
-        #[test]
-        fn sparser_is_faster_and_smaller() {
-            let gemm = GemmShape::new(96, 64, 256);
-            let (p14, p24) = (layer_wise(256, 1, 4), layer_wise(256, 2, 4));
-            assert!(cycles(p14.compress(gemm)) < cycles(p24.compress(gemm)));
-            let bits = |p| SparseFormat::BlockedEllpack.filter_storage_bits(p, 64, 16);
-            assert!(bits(&p14) < bits(&p24));
-        }
-
-        #[test]
-        fn structured_2_4_compute_matches_ideal_half() {
-            // §VIII validation: fixed 2:4 compute is deterministic — K'
-            // is exactly K/2, the Ampere sparse-tensor-core accounting.
-            let gemm = GemmShape::new(128, 128, 512);
-            let sparse = layer_wise(512, 2, 4).compress(gemm);
-            assert_eq!(sparse.k, 256);
-            assert_eq!(sparse.macs() * 2, gemm.macs());
-        }
-
-        #[test]
-        fn row_wise_effective_k_bounded_by_half() {
-            let gemm = GemmShape::new(64, 64, 256);
-            let sparse = SparsityPattern::row_wise(256, 8, 1).compress(gemm);
-            assert!(sparse.k <= 128, "row-wise N ≤ M/2 must bound K' ≤ K/2");
-            let speedup = cycles(gemm) as f64 / cycles(sparse) as f64;
-            assert!(speedup >= 1.9, "speedup {speedup}");
-        }
-
-        #[test]
-        fn analytical_close_to_fold_exact() {
-            // Eq. 1 on the compressed GEMM tracks the fold-exact count.
-            let sparse = model(layer_wise(128, 2, 4).compress(GemmShape::new(64, 64, 128)));
-            let (eq1, exact) = (sparse.runtime_cycles(), sparse.exact_runtime_cycles());
-            let rel = (eq1 as f64 - exact as f64).abs() / exact as f64;
-            assert!(rel < 0.1, "Eq. 1 {eq1} vs exact {exact}");
-        }
-
-        #[test]
-        #[should_panic(expected = "pattern must cover")]
-        fn mismatched_pattern_panics() {
-            let _ = layer_wise(64, 2, 4).compress(GemmShape::new(8, 8, 32));
-        }
-    }
-}
-
-/// The distribution view of sparsity (Sparseloop's, §X: expected
-/// `K' = ⌈density · K⌉`) checked against the patterns the product
-/// draws.
-#[cfg(test)]
-mod analytical {
-    mod tests {
-        use crate::sparse::{NmRatio, SparseFormat, SparsityPattern};
-        use scalesim_systolic::{AnalyticalModel, ArrayShape, Dataflow, GemmShape};
-
-        fn cycles(gemm: GemmShape) -> u64 {
-            AnalyticalModel::new(ArrayShape::new(16, 16), Dataflow::WeightStationary, gemm)
-                .exact_runtime_cycles()
-        }
-
-        fn density(p: &SparsityPattern) -> f64 {
-            p.effective_k() as f64 / p.k() as f64
-        }
-
-        fn expected_k(k: usize, density: f64) -> usize {
-            ((k as f64 * density).ceil() as usize).max(1)
-        }
-
-        #[test]
-        fn density_one_is_dense() {
-            let gemm = GemmShape::new(64, 64, 256);
-            let dense = SparsityPattern::layer_wise(256, NmRatio::new(4, 4).unwrap());
-            assert_eq!(density(&dense), 1.0);
-            assert_eq!(dense.compress(gemm), gemm);
-        }
-
-        #[test]
-        fn matches_layer_wise_pattern_exactly() {
-            // Layer-wise N:M is deterministic: the expected K' at the
-            // pattern's density is the K' the pattern compresses to.
-            let gemm = GemmShape::new(128, 96, 512);
-            for (n, m) in [(1, 4), (2, 4), (2, 8), (4, 8)] {
-                let pattern = SparsityPattern::layer_wise(512, NmRatio::new(n, m).unwrap());
-                let expected = expected_k(512, density(&pattern));
-                assert_eq!(pattern.compress(gemm).k, expected, "{n}:{m}");
-            }
-        }
-
-        #[test]
-        fn converges_to_row_wise_ensemble_mean() {
-            // For *compute* cycles the distribution view is accurate in
-            // expectation over random row-wise patterns.
-            let gemm = GemmShape::new(96, 96, 512);
-            let patterns: Vec<_> = (0..24)
-                .map(|seed| SparsityPattern::row_wise(512, 8, seed))
-                .collect();
-            let mean = |of: &dyn Fn(&SparsityPattern) -> f64| {
-                patterns.iter().map(of).sum::<f64>() / patterns.len() as f64
-            };
-            let mean_exact = mean(&|p| cycles(p.compress(gemm)) as f64);
-            let mean_density = mean(&density);
-            let est = cycles(GemmShape::new(96, 96, expected_k(512, mean_density))) as f64;
-            let rel = (est - mean_exact).abs() / mean_exact;
-            assert!(
-                rel < 0.08,
-                "ensemble mean {mean_exact} vs expected-K' {est}"
-            );
-        }
-
-        #[test]
-        fn storage_expectation_matches_exact_accounting() {
-            // nnz = density·K·N entries, each a value plus its index;
-            // CSR/CSC add one 32-bit pointer per row/column (+1).
-            let (k, n) = (256u64, 64u64);
-            let p = SparsityPattern::layer_wise(256, NmRatio::new(2, 4).unwrap());
-            let nnz = (density(&p) * (k * n) as f64) as u64;
-            for (format, index_bits, pointers) in [
-                (SparseFormat::BlockedEllpack, 2, 0),
-                (SparseFormat::Csr, 6, k + 1),
-                (SparseFormat::Csc, 8, n + 1),
-            ] {
-                let want = nnz * (16 + index_bits) + pointers * 32;
-                assert_eq!(format.filter_storage_bits(&p, 64, 16), want, "{format:?}");
-            }
-        }
-
-        #[test]
-        fn speedup_monotone_in_sparsity() {
-            let gemm = GemmShape::new(64, 64, 512);
-            let speedup = |n| {
-                let p = SparsityPattern::layer_wise(512, NmRatio::new(n, 4).unwrap());
-                cycles(gemm) as f64 / cycles(p.compress(gemm)) as f64
-            };
-            assert!(speedup(1) > speedup(2));
-            assert!(speedup(2) > speedup(3));
-            assert!(speedup(3) >= 1.0);
-        }
-    }
-}

@@ -51,33 +51,3 @@ impl SparseReportRow {
         self.value_bytes + self.metadata_bytes
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::sparse::pattern::NmRatio;
-
-    #[test]
-    fn report_rows_and_totals() {
-        let p = SparsityPattern::layer_wise(128, NmRatio::new(1, 4).unwrap());
-        let row = SparseReportRow::new("conv1", &p, 64, SparseFormat::BlockedEllpack, 16);
-        // Dense: 128·64·2 B = 16384 B. Values: 32·64·2 B = 4096 B.
-        assert_eq!(row.original_bytes, 16384);
-        assert_eq!(row.value_bytes, 4096);
-        // Metadata: 32·64 entries × 2 bits = 512 B.
-        assert_eq!(row.metadata_bytes, 512);
-        assert_eq!(row.new_filter_bytes(), 4608);
-    }
-
-    #[test]
-    fn denser_ratios_store_more() {
-        let sizes: Vec<u64> = (1..=3)
-            .map(|n| {
-                let p = SparsityPattern::layer_wise(64, NmRatio::new(n, 4).unwrap());
-                SparseReportRow::new("s", &p, 32, SparseFormat::BlockedEllpack, 16)
-                    .new_filter_bytes()
-            })
-            .collect();
-        assert!(sizes[0] < sizes[1] && sizes[1] < sizes[2]);
-    }
-}

@@ -268,98 +268,3 @@ impl SweepReport {
 fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn record(run: usize, point: usize, cycles: u64, energy: f64) -> RunRecord {
-        RunRecord {
-            run,
-            point,
-            point_label: format!("p{point}"),
-            topology: "t".into(),
-            array_rows: 8,
-            array_cols: 8,
-            dataflow: "ws".into(),
-            sram_kb: (256, 256, 128),
-            bandwidth: 10.0,
-            cores: 1,
-            dram_enabled: false,
-            energy_enabled: energy > 0.0,
-            layout_enabled: false,
-            layers: 2,
-            total_cycles: cycles,
-            compute_cycles: cycles / 2,
-            stall_cycles: cycles / 2,
-            utilization: 0.5,
-            macs: 1000,
-            energy_mj: energy,
-            edp_cycles_mj: cycles as f64 * energy,
-            noc_words: 0,
-        }
-    }
-
-    #[test]
-    fn rolls_runs_up_to_points_and_marks_pareto() {
-        // Point 0: 100 cycles / 2 mJ; point 1: 80 / 3; point 2: 120 / 4
-        // (dominated by point 0).
-        let records = vec![
-            record(0, 0, 60, 1.0),
-            record(1, 0, 40, 1.0),
-            record(2, 1, 50, 1.5),
-            record(3, 1, 30, 1.5),
-            record(4, 2, 70, 2.0),
-            record(5, 2, 50, 2.0),
-        ];
-        let rep = SweepReport::new("s", records);
-        assert_eq!(rep.points.len(), 3);
-        assert_eq!(rep.points[0].total_cycles, 100);
-        assert_eq!(rep.points[0].energy_mj, 2.0);
-        assert_eq!(rep.pareto_labels(), ["p0", "p1"]);
-        assert!(!rep.points[2].pareto);
-    }
-
-    #[test]
-    fn report_bytes_independent_of_record_order() {
-        let fwd = vec![record(0, 0, 10, 1.0), record(1, 1, 20, 2.0)];
-        let rev = vec![record(1, 1, 20, 2.0), record(0, 0, 10, 1.0)];
-        let (a, b) = (SweepReport::new("s", fwd), SweepReport::new("s", rev));
-        assert_eq!(a.to_csv(), b.to_csv());
-        assert_eq!(a.to_json(), b.to_json());
-    }
-
-    #[test]
-    fn csv_has_header_plus_row_per_run() {
-        let rep = SweepReport::new("s", vec![record(0, 0, 10, 0.0)]);
-        let csv = rep.to_csv();
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv.starts_with("Run, Point, PointLabel"));
-        assert!(csv.lines().nth(1).unwrap().ends_with(", 1")); // sole point is the frontier
-    }
-
-    #[test]
-    fn json_header_stamps_the_generator_version() {
-        let rep = SweepReport::new("s", vec![record(0, 0, 10, 1.0)]);
-        let json = rep.to_json();
-        assert!(
-            json.contains(&format!(
-                "\"generator\": \"scalesim {}\"",
-                env!("CARGO_PKG_VERSION")
-            )),
-            "{json}"
-        );
-    }
-
-    #[test]
-    fn json_is_balanced_and_names_the_frontier() {
-        let rep = SweepReport::new("s", vec![record(0, 0, 10, 1.0)]);
-        let json = rep.to_json();
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces:\n{json}"
-        );
-        assert!(json.contains("\"pareto_frontier\": [\"p0\"]"));
-    }
-}

@@ -87,61 +87,3 @@ pub fn all_workloads() -> Vec<Topology> {
         vit_large(),
     ]
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn registry_resolves_all_names() {
-        for t in all_workloads() {
-            assert!(by_name(t.name()).is_some(), "{} not resolvable", t.name());
-        }
-        assert!(by_name("nonexistent").is_none());
-    }
-
-    #[test]
-    fn registry_resolves_llm_presets_with_optional_phase() {
-        for preset in LlmSpec::preset_names() {
-            assert!(by_name(preset).is_some(), "{preset} not resolvable");
-            let name = format!("{preset}:decode");
-            let topo = by_name(&name).expect("decode suffix resolves");
-            assert_eq!(topo.name(), format!("{preset}-decode"));
-        }
-    }
-
-    #[test]
-    fn unknown_workload_error_names_the_full_vocabulary() {
-        let err = by_name_or_err("resnet1800").unwrap_err();
-        assert!(err.contains("resnet1800"), "{err}");
-        for known in WORKLOAD_NAMES {
-            assert!(err.contains(known), "{err} missing {known}");
-        }
-        for preset in LlmSpec::preset_names() {
-            assert!(err.contains(preset), "{err} missing {preset}");
-        }
-        assert!(by_name_or_err("vit-base").is_ok());
-        assert!(by_name_or_err("mixtral-8x7b:decode").is_ok());
-    }
-
-    #[test]
-    fn every_workload_is_nonempty_and_valid() {
-        for t in all_workloads() {
-            assert!(!t.is_empty(), "{} empty", t.name());
-            assert!(
-                t.total_macs() > 1_000_000,
-                "{} suspiciously small",
-                t.name()
-            );
-            for layer in t.iter() {
-                let g = layer.gemm();
-                assert!(
-                    g.m > 0 && g.n > 0 && g.k > 0,
-                    "{}::{}",
-                    t.name(),
-                    layer.name()
-                );
-            }
-        }
-    }
-}
