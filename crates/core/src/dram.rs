@@ -128,20 +128,8 @@ impl BackingStore for LatencyReplayStore {
 }
 
 /// `⌈mem_cycles / ratio⌉`: memory-clock cycles in core-clock cycles.
-/// Runs once per line request, so it avoids `f64::ceil` (a library call
-/// on baseline x86-64) and converts through `i64`, which is one
-/// instruction where `u64` is a branchy sequence; the values agree for
-/// everything below 2^63.
 fn core_cycles(mem_cycles: u64, ratio: f64) -> u64 {
-    let Ok(signed) = i64::try_from(mem_cycles) else {
-        return (mem_cycles as f64 / ratio).ceil() as u64;
-    };
-    let exact = signed as f64 / ratio;
-    if !(0.0..9.0e18).contains(&exact) {
-        return exact.ceil() as u64;
-    }
-    let floor = exact as i64;
-    (floor + i64::from((floor as f64) < exact)) as u64
+    (mem_cycles as f64 / ratio).ceil() as u64
 }
 
 /// Calls `f(lowest address, words)` with runs of consecutive addresses
@@ -262,15 +250,16 @@ pub fn replay(
     // `avg_service` the sum of the lines' service times (whole numbers
     // below 2^53, so exact in any order).
     let mut tx = vec![MeasuredTransaction::default(); entries.len()];
-    // Under load consecutive lines are served equally fast: remember the
-    // last conversion.
-    let mut converted = (0, 0);
+    // Service times take few distinct values: remember their conversions
+    // (slot `s % 256` holds `(s, core_cycles(s))`; 0 converts to 0).
+    let mut converted = [(0, 0); 256];
     let mut retire = |done: Completion| {
         let service = done.service();
-        if service != converted.0 {
-            converted = (service, core_cycles(service, ratio));
+        let memo = &mut converted[service as usize % 256];
+        if memo.0 != service {
+            *memo = (service, core_cycles(service, ratio));
         }
-        let service = converted.1;
+        let service = memo.1;
         let t = &mut tx[done.tag];
         t.arrival = t.arrival.max(done.cycle);
         t.lines += 1;

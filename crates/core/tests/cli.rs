@@ -147,6 +147,57 @@ fn unknown_cfg_key_fails_with_named_error_and_config_exit_code() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A positive bandwidth below the 2^-20 words/cycle floor would saturate
+/// a transfer's length and wrap the cycle sums: a run rejects it as a
+/// config error, and a sweep rejects a grid point holding it before any
+/// point runs. Neither writes a report.
+#[test]
+fn a_bandwidth_below_the_floor_is_a_config_error() {
+    let dir = tmp_dir("tinybw");
+    let cfg = dir.join("tiny.cfg");
+    std::fs::write(&cfg, "Dataflow : ws\nBandwidth : 1e-300\n").unwrap();
+    let topo = dir.join("t_gemm.csv");
+    std::fs::write(&topo, "Layer, M, K, N,\nl0, 16, 64, 16,\n").unwrap();
+    let floor = "dram bandwidth 1e-300 is below the least supported 2^-20 words/cycle";
+
+    let out = bin()
+        .arg("-c")
+        .arg(&cfg)
+        .arg("-t")
+        .arg(&topo)
+        .args(["--gemm", "-p"])
+        .arg(dir.join("run"))
+        .output()
+        .expect("spawn scalesim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(floor), "{stderr}");
+    assert!(!dir.join("run").exists(), "a rejected run writes nothing");
+
+    let spec = dir.join("grid.toml");
+    let grid = "[grid]\narray = 8x8\nbandwidth = 10, 1e-300\n[workloads]\ntopology = ";
+    std::fs::write(&spec, format!("{grid}{}\n", topo.display())).unwrap();
+    let out = bin()
+        .args(["sweep", "-v", "-s"])
+        .arg(&spec)
+        .arg("-p")
+        .arg(dir.join("sweep"))
+        .output()
+        .expect("spawn scalesim sweep");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("grid point '8x8-bw") && stderr.contains(floor),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("  run "), "no point may run: {stderr}");
+    assert!(
+        !dir.join("sweep").exists(),
+        "a rejected sweep writes nothing"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The `SimError` taxonomy pins process exit codes: config=2,
 /// topology=3, io=4 (internal=70 is unit-tested in `scalesim-api` —
 /// it only fires on caught panics). CLI usage errors stay 1.

@@ -207,6 +207,29 @@ fn serve_rejects_an_llm_context_whose_macs_overflow_and_keeps_answering() {
     assert!(matches!(r1.unwrap(), SimResponse::Version(_)));
 }
 
+/// A run whose inline config sets a bandwidth below the 2^-20
+/// words/cycle floor is an in-band config error, and the session answers
+/// the next request.
+#[test]
+fn serve_rejects_a_bandwidth_below_the_floor_and_keeps_answering() {
+    let lines = vec![
+        r#"{"api": 1, "id": "tiny-bw", "run": {"config": {"inline": "Dataflow : ws\nBandwidth : 1e-300\n"}, "topology": {"inline": "a, 16, 64, 16,\n"}}}"#.to_string(),
+        r#"{"api": 1, "version": {}}"#.to_string(),
+    ];
+    let responses = stdio_round_trip(&lines);
+    assert_eq!(responses.len(), 2, "one response per request, in order");
+    let (id, r0) = wire::decode_response(&responses[0]);
+    assert_eq!(id.as_deref(), Some("tiny-bw"));
+    let e = r0.unwrap_err();
+    assert_eq!((e.kind(), e.exit_code()), ("config", 2));
+    assert!(
+        e.message().contains("below the least supported 2^-20"),
+        "{e}"
+    );
+    let (_, r1) = wire::decode_response(&responses[1]);
+    assert!(matches!(r1.unwrap(), SimResponse::Version(_)));
+}
+
 struct KillOnDrop(Child);
 
 impl Drop for KillOnDrop {

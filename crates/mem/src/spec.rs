@@ -506,16 +506,11 @@ impl DramSpec {
         ]
     }
 
-    /// Peak data bandwidth of one channel in bytes per memory cycle.
-    pub fn peak_bytes_per_cycle(&self) -> f64 {
-        // DDR transfers two beats per clock.
-        (self.org.bus_bits as f64 / 8.0) * 2.0
-    }
-
     /// Peak channel bandwidth in MB/s.
     pub fn peak_mbps(&self) -> f64 {
-        let cycles_per_sec = 1.0e12 / self.timing.tCK_ps as f64;
-        self.peak_bytes_per_cycle() * cycles_per_sec / 1.0e6
+        // DDR transfers two beats of the bus per clock.
+        let bytes_per_cycle = (self.org.bus_bits as f64 / 8.0) * 2.0;
+        bytes_per_cycle * (1.0e12 / self.timing.tCK_ps as f64) / 1.0e6
     }
 
     /// Internal consistency checks on the timing parameters.

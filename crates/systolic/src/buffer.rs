@@ -7,7 +7,7 @@
 //! coalesce on-chip, evictions drain to the backing store in half-buffer
 //! bursts.
 //!
-//! The model runs in two passes, both fold-granular:
+//! The model runs in two passes:
 //!
 //! 1. **Planning** ([`ReadPlanner`], [`WritePlanner`]) consumes one
 //!    [`Stream`] descriptor per fold and operand. Where a tile's words last
@@ -24,7 +24,10 @@
 //!    stall cycles whenever data is needed before its fetch completes, and
 //!    computing ramp-up/drain tails. This is where SCALE-Sim v2's
 //!    ideal-bandwidth behaviour and v3's DRAM-backed behaviour (§V-B step 3)
-//!    diverge — they implement the same trait.
+//!    diverge — they implement the same trait. Against a store that prices
+//!    a fetch by its word count ([`IdealBandwidthStore`]) a miss stream's
+//!    run of equal-width cycles takes three calls, so the pass follows the
+//!    events; a store that sees each transaction gets one per miss cycle.
 //!
 //! A store sees each transaction as a [`Batch`] of segments; only a store
 //! that needs real addresses (DRAM line coalescing) expands one, into a
@@ -46,6 +49,19 @@ pub trait BackingStore {
     fn fetch(&mut self, op: OperandKind, earliest: u64, batch: Batch<'_>) -> u64;
     /// Drains `batch` from the scratchpad of `op`. Returns completion cycle.
     fn drain(&mut self, op: OperandKind, earliest: u64, batch: Batch<'_>) -> u64;
+
+    /// Prices a fetch by its word count alone, if the store can: returns
+    /// what [`fetch`](Self::fetch) of any `words`-word batch would, with
+    /// the same effect on the store, or `None` (the default, with no
+    /// effect) to see every transaction; [`timing`] then asks no more in
+    /// that pass. Of a run of equal-width read-modify-write misses, each
+    /// issued after the one before completed, [`timing`] skips the middle
+    /// calls: an answering store must price such a fetch the same at any
+    /// cycle, and the run's last call must leave it as the skipped calls
+    /// would have.
+    fn fetch_words(&mut self, _op: OperandKind, _earliest: u64, _words: u64) -> Option<u64> {
+        None
+    }
 }
 
 /// SCALE-Sim v2's idealized memory: a fixed bandwidth per operand
@@ -96,6 +112,10 @@ impl BackingStore for IdealBandwidthStore {
 
     fn drain(&mut self, op: OperandKind, earliest: u64, batch: Batch<'_>) -> u64 {
         self.transfer(op, AccessKind::Write, earliest, batch.words())
+    }
+
+    fn fetch_words(&mut self, op: OperandKind, earliest: u64, words: u64) -> Option<u64> {
+        Some(self.transfer(op, AccessKind::Read, earliest, words))
     }
 }
 
@@ -596,7 +616,7 @@ pub struct WritePlan {
     /// The compute cycle at which each half-buffer drain burst fires.
     pub bursts: Vec<u64>,
     /// RMW misses (partial sums refetched from DRAM): every word of each
-    /// stream, one blocking fetch per cycle it spans.
+    /// stream, one blocking fetch per cycle it spans, priced by the run.
     pub misses: Vec<TimedStream>,
     /// Coalesced on-chip overwrites.
     pub write_hits: u64,
@@ -700,46 +720,66 @@ impl<'a> ReadState<'a> {
 }
 
 /// Walks the RMW miss streams one cycle's worth at a time.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct MissCursor<'a> {
     runs: &'a [TimedStream],
     /// Next step of `runs[0]`.
     step: u64,
-    batch: Vec<Segment>,
 }
 
 impl<'a> MissCursor<'a> {
-    fn new(runs: &'a [TimedStream]) -> Self {
-        Self {
-            runs,
-            step: 0,
-            batch: Vec::new(),
-        }
-    }
-
     fn cycle(&self) -> Option<u64> {
         self.runs.first().map(|run| run.start_cycle + self.step)
     }
 
-    /// The words missed at `cycle` — the value [`cycle`](Self::cycle)
-    /// returned — as one transaction.
-    fn take(&mut self, cycle: u64) -> Batch<'_> {
-        self.batch.clear();
+    /// Moves `steps` steps down `runs[0]`, at most to its end.
+    fn advance(&mut self, steps: u64) {
+        self.step += steps;
+        if self.step == self.runs[0].stream.steps() {
+            self.runs = &self.runs[1..];
+            self.step = 0;
+        }
+    }
+
+    /// Takes the words missed at `cycle` — the value
+    /// [`cycle`](Self::cycle) returned — calling `f` with each stream's.
+    fn take(&mut self, cycle: u64, mut f: impl FnMut(Segment)) {
         while self.cycle() == Some(cycle) {
             let stream = self.runs[0].stream;
             let from = stream.words_before(self.step);
-            self.batch.push(Segment {
-                stream,
-                from,
-                len: stream.words_before(self.step + 1) - from,
-            });
-            self.step += 1;
-            if self.step == stream.steps() {
-                self.runs = &self.runs[1..];
-                self.step = 0;
-            }
+            let len = stream.words_before(self.step + 1) - from;
+            f(Segment { stream, from, len });
+            self.advance(1);
         }
-        Batch::new(&self.batch)
+    }
+
+    /// Takes the `k` cycles from `cycle` on, before `limit`, of one
+    /// stream's stretch whose widths (words missed) step by `delta` from
+    /// `w`, and returns `(w, delta, k)`. A skewed stream's widths rise by
+    /// one to the band, stay, and fall by one; an unskewed one's stay. A
+    /// stream's last step is its own unless the next stream starts in that
+    /// cycle: then it is taken alone, with the next stream's first.
+    fn take_run(&mut self, cycle: u64, limit: u64) -> (u64, i64, u64) {
+        let (start_cycle, stream) = (self.runs[0].start_cycle, self.runs[0].stream);
+        let (steps, step) = (stream.steps(), self.step);
+        let (lanes, len) = (stream.lanes as u64, stream.len as u64);
+        let (narrow, wide) = (lanes.min(len), lanes.max(len));
+        let (width, delta, end) = match stream.skewed {
+            false => (lanes, 0, steps),
+            true if step + 1 < narrow => (step + 1, 1, narrow - 1),
+            true if step < wide => (narrow, 0, wide),
+            true => (steps - step, -1, steps),
+        };
+        let shared = self.runs.get(1).map(|next| next.start_cycle) == Some(start_cycle + steps - 1);
+        let end = end.min(steps - u64::from(shared));
+        if step < end {
+            let k = (end - step).min(limit - cycle);
+            self.advance(k);
+            return (width, delta, k);
+        }
+        let mut words = 0;
+        self.take(cycle, |segment| words += segment.len);
+        (words, 0, 1)
     }
 }
 
@@ -761,11 +801,15 @@ pub fn timing(inputs: &TimingInputs, store: &mut dyn BackingStore) -> MemorySumm
         .unwrap_or(0)
         .max(filter.completion.first().copied().unwrap_or(0));
 
-    let mut misses = MissCursor::new(&ofmap.misses);
+    let mut misses = MissCursor {
+        runs: &ofmap.misses,
+        step: 0,
+    };
+    let (mut batch, mut by_words) = (Vec::new(), true);
     let mut burst = 0;
     let mut stall: u64 = 0;
     let mut pending_drain_done: u64 = 0;
-    loop {
+    'events: loop {
         // Merge the four event sources by compute cycle. At equal cycles
         // the source order holds: misses must come before drains (a miss
         // can trigger the eviction).
@@ -785,10 +829,43 @@ pub fn timing(inputs: &TimingInputs, store: &mut dyn BackingStore) -> MemorySumm
         match source {
             0 => stall += ifmap.serve_need(store, now),
             1 => stall += filter.serve_need(store, now),
-            2 => {
+            2 if !by_words => {
                 // Demand miss on partial sums: blocking fetch.
-                let done = store.fetch(OperandKind::Ofmap, now, misses.take(cycle));
+                batch.clear();
+                misses.take(cycle, |segment| batch.push(segment));
+                let done = store.fetch(OperandKind::Ofmap, now, Batch::new(&batch));
                 stall += done.saturating_sub(now);
+            }
+            2 => {
+                // The same, taken as a run while the store prices fetches
+                // by word count; once it declines, it sees each cycle's
+                // transaction. A cycle's needs come before its misses,
+                // its burst after.
+                let next = [heads[0], heads[1], heads[3].map(|b| b.saturating_add(1))];
+                let limit = next.into_iter().flatten().min().unwrap_or(u64::MAX);
+                let mut run = misses;
+                let (first, delta, steps) = run.take_run(cycle, limit);
+                let mut step = 0;
+                while step < steps {
+                    let now = t0 + cycle + step + stall;
+                    let words = first.wrapping_add_signed(delta * step as i64);
+                    let Some(done) = store.fetch_words(OperandKind::Ofmap, now, words) else {
+                        by_words = false;
+                        continue 'events;
+                    };
+                    let cost = done.saturating_sub(now);
+                    stall += cost;
+                    step += 1;
+                    // From the second step on each starts after the one
+                    // before completed (`stall` absorbed the wait), so
+                    // equal widths cost the same: add the steps between
+                    // the second and the last.
+                    if delta == 0 && step == 2 && steps > 3 {
+                        stall += (steps - 3) * cost;
+                        step = steps - 1;
+                    }
+                }
+                misses = run;
             }
             _ => {
                 // Start a half-buffer drain burst; stall only if the

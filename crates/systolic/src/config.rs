@@ -177,6 +177,13 @@ impl Default for MemoryConfig {
     }
 }
 
+/// The least DRAM bandwidth a configuration accepts, in words per cycle:
+/// 2^-20. A transfer then lasts at most ~2^20 cycles a word, so a layer
+/// can move 2^44 words before a cycle count would pass 2^64; below it a
+/// transfer's length saturates and cycle sums wrap. A multi-core grid's
+/// per-core share is floored at 1/8 word per cycle, above this one.
+pub const MIN_DRAM_BANDWIDTH: f64 = 1.0 / (1u64 << 20) as f64;
+
 /// Full single-core simulator configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
@@ -200,12 +207,14 @@ impl SimConfig {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] if a scratchpad is too small to
-    /// double-buffer a single array edge or the bandwidth is non-positive.
+    /// double-buffer a single array edge or the bandwidth is below
+    /// [`MIN_DRAM_BANDWIDTH`].
     pub fn validate(&self) -> Result<(), SimError> {
-        if self.memory.dram_bandwidth <= 0.0 {
-            return Err(SimError::InvalidConfig(
-                "dram bandwidth must be positive".into(),
-            ));
+        let bandwidth = self.memory.dram_bandwidth;
+        if !(MIN_DRAM_BANDWIDTH..).contains(&bandwidth) {
+            return Err(SimError::InvalidConfig(format!(
+                "dram bandwidth {bandwidth:e} is below the least supported 2^-20 words/cycle"
+            )));
         }
         let min_words = 2 * self.array.rows().max(self.array.cols());
         for (name, words) in [
@@ -317,6 +326,12 @@ mod tests {
         let mut c = SimConfig::default();
         c.memory.dram_bandwidth = 0.0;
         assert!(c.validate().is_err());
+        for bandwidth in [1e-300, MIN_DRAM_BANDWIDTH / 2.0, f64::NAN] {
+            c.memory.dram_bandwidth = bandwidth;
+            assert!(c.validate().is_err(), "{bandwidth}");
+        }
+        c.memory.dram_bandwidth = MIN_DRAM_BANDWIDTH;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Simulation reports: compute, memory and SRAM summaries per layer.
 
 use crate::topology::GemmShape;
-use std::fmt;
 
 /// Compute-side results of one layer (stall-free array behaviour).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -118,41 +117,6 @@ impl LayerReport {
     pub fn total_cycles(&self) -> u64 {
         self.memory.total_cycles
     }
-
-    /// One CSV row matching SCALE-Sim's `COMPUTE_REPORT` columns.
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{}, {}, {}, {}, {}, {:.4}, {:.4}, {}, {}\n",
-            self.name,
-            self.compute.total_compute_cycles,
-            self.memory.stall_cycles,
-            self.memory.total_cycles,
-            self.compute.macs,
-            self.compute.utilization,
-            self.compute.mapping_efficiency,
-            self.memory.total_dram_reads(),
-            self.memory.total_dram_writes(),
-        )
-    }
-
-    /// Header for [`to_csv_row`](Self::to_csv_row).
-    pub fn csv_header() -> &'static str {
-        "LayerName, ComputeCycles, StallCycles, TotalCycles, MACs, Utilization, MappingEfficiency, DramReads, DramWrites\n"
-    }
-}
-
-impl fmt::Display for LayerReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} [{}]: {} compute + {} stall cycles (util {:.1}%)",
-            self.name,
-            self.gemm,
-            self.compute.total_compute_cycles,
-            self.memory.stall_cycles,
-            self.compute.utilization * 100.0
-        )
-    }
 }
 
 #[cfg(test)]
@@ -176,25 +140,5 @@ mod tests {
     fn zero_cycles_degenerate() {
         let m = MemorySummary::default();
         assert_eq!(m.stall_fraction(), 0.0);
-    }
-
-    #[test]
-    fn csv_row_contains_fields() {
-        let r = LayerReport {
-            name: "conv1".into(),
-            gemm: GemmShape::new(2, 3, 4),
-            compute: ComputeSummary {
-                total_compute_cycles: 10,
-                folds: 1,
-                macs: 24,
-                utilization: 0.5,
-                mapping_efficiency: 0.75,
-            },
-            memory: MemorySummary::default(),
-            sram: SramSummary::default(),
-        };
-        let row = r.to_csv_row();
-        assert!(row.starts_with("conv1, 10, "));
-        assert!(LayerReport::csv_header().split(',').count() == row.split(',').count());
     }
 }

@@ -697,16 +697,11 @@ impl CoreSim {
         &self.config
     }
 
-    /// Builds the demand generator for a GEMM under this configuration.
-    pub fn demand_generator(&self, gemm: GemmShape) -> DemandGenerator {
-        DemandGenerator::new(self.config.array, self.config.dataflow, gemm)
-    }
-
     /// Runs the planning pass: one walk over the fold descriptors
     /// producing the fetch plans, demand totals and SRAM profiles for all
     /// three operands at once.
     pub fn plan_gemm(&self, gemm: GemmShape) -> PlannedLayer {
-        let gen = self.demand_generator(gemm);
+        let gen = DemandGenerator::new(self.config.array, self.config.dataflow, gemm);
         let mem = &self.config.memory;
         let mut ifmap = ReadPlanner::new(OperandKind::Ifmap, mem.ifmap_words);
         let mut filter = ReadPlanner::new(OperandKind::Filter, mem.filter_words);
@@ -771,20 +766,10 @@ impl CoreSim {
         }
     }
 
-    /// Simulates a GEMM against an explicit backing store.
-    pub fn simulate_gemm_with_store(
-        &self,
-        name: &str,
-        gemm: GemmShape,
-        store: &mut dyn BackingStore,
-    ) -> LayerReport {
-        self.plan_gemm_shared(gemm).report(name, gemm, store)
-    }
-
     /// Simulates a GEMM with SCALE-Sim v2's ideal fixed-bandwidth memory.
     pub fn simulate_gemm(&self, gemm: GemmShape) -> LayerReport {
         let mut store = IdealBandwidthStore::new(self.config.memory.dram_bandwidth);
-        self.simulate_gemm_with_store("gemm", gemm, &mut store)
+        self.plan_gemm_shared(gemm).report("gemm", gemm, &mut store)
     }
 }
 

@@ -27,10 +27,11 @@ use scale_sim::scalesim::dram::{self, LatencyReplayStore, MeasuredTransaction};
 use scale_sim::scalesim::layout_slowdown_for_gemm;
 use scale_sim::sparse::{NmRatio, SparseFormat, SparsityPattern};
 use scale_sim::systolic::{
-    timing, AccessKind as Direction, Addr, AnalyticalModel, ArrayShape, CoreSim, Dataflow,
-    DemandGenerator, DemandSummary, EdgeStream, GemmShape, IdealBandwidthStore, MemoryConfig,
-    MemorySummary, OperandKind, OperandMemoryStats, PlanCache, RecordingStore, SimConfig,
-    SramSummary, Stream, Topology, TraceRecorder, FILTER_BASE, IFMAP_BASE, OFMAP_BASE,
+    timing, AccessKind as Direction, Addr, AnalyticalModel, ArrayShape, BackingStore, Batch,
+    CoreSim, Dataflow, DemandGenerator, DemandSummary, EdgeStream, GemmShape, IdealBandwidthStore,
+    MemoryConfig, MemorySummary, OperandKind, OperandMemoryStats, PlanCache, ReadPlanner,
+    RecordingStore, SimConfig, SramSummary, Stream, TimingInputs, Topology, TraceRecorder,
+    WritePlanner, FILTER_BASE, IFMAP_BASE, OFMAP_BASE,
 };
 use scale_sim::{
     DramIntegration, LayoutAnalysis, LayoutIntegration, ScaleSim, ScaleSimConfig, SparsityMode,
@@ -1716,13 +1717,9 @@ fn repeat_lookup_equals_the_per_word_reference() {
     );
 }
 
-/// Every distinct GEMM of the LLM presets and the benchmark's planning
-/// workloads, planned on its own configuration: the SRAM summary equals
-/// the per-word reference walked over `folds()`. Release only — llama-7b
-/// prefill alone is tens of billions of edge words.
-#[test]
-#[ignore = "minutes-long: CI runs it via `cargo test --release -- --ignored`"]
-fn sram_summary_equals_the_per_word_reference_at_llm_scale() {
+/// The LLM presets and the benchmark's planning workloads, each with the
+/// configuration it runs on.
+fn llm_scale_cases() -> Vec<(SimConfig, Topology)> {
     let bench = |name: &str| {
         let path = format!(
             "{}/scalesim-bench/workloads/{name}",
@@ -1745,7 +1742,7 @@ fn sram_summary_equals_the_per_word_reference_at_llm_scale() {
         let parse = Topology::parse_csv_auto(topology, &bench(topology)).expect("bench topology");
         (cfg(name).core, parse)
     };
-    let cases = [
+    vec![
         preset("llama-7b"),
         preset("llama-7b:decode"),
         run("os32.cfg", "resnet18.csv"),
@@ -1754,13 +1751,223 @@ fn sram_summary_equals_the_per_word_reference_at_llm_scale() {
         llm("llm_decode.cfg", 512, 1),
         llm("llm_decode.cfg", 2048, 4),
         llm("llm_decode.cfg", 4096, 8),
-    ];
-    for (config, topology) in cases {
+    ]
+}
+
+/// Every distinct GEMM of [`llm_scale_cases`], planned on its own
+/// configuration: the SRAM summary equals the per-word reference walked
+/// over `folds()`. Release only — llama-7b prefill alone is tens of
+/// billions of edge words.
+#[test]
+#[ignore = "minutes-long: CI runs it via `cargo test --release -- --ignored`"]
+fn sram_summary_equals_the_per_word_reference_at_llm_scale() {
+    for (config, topology) in llm_scale_cases() {
         let gemms: HashSet<GemmShape> = topology.iter().map(|layer| layer.gemm()).collect();
         for gemm in gemms {
             let plan = CoreSim::new(config.clone()).plan_gemm(gemm);
             let what = format!("{}: {}", topology.name(), describe(&config, gemm));
             assert_eq!(plan.sram, reference::sram(&config, gemm), "{what}");
+        }
+    }
+}
+
+/// Forwards every transaction to an [`IdealBandwidthStore`] but keeps the
+/// default `fetch_words`, so `timing` hands it each miss cycle's
+/// transaction: the pricing the word-count runs must reproduce.
+struct PerTransaction(IdealBandwidthStore);
+
+impl BackingStore for PerTransaction {
+    fn fetch(&mut self, op: OperandKind, earliest: u64, batch: Batch<'_>) -> u64 {
+        self.0.fetch(op, earliest, batch)
+    }
+
+    fn drain(&mut self, op: OperandKind, earliest: u64, batch: Batch<'_>) -> u64 {
+        self.0.drain(op, earliest, batch)
+    }
+}
+
+/// Times `inputs` against the ideal store by word count and a
+/// transaction at a time: the summaries and the stores' final states
+/// must be equal.
+fn assert_timed_by_word_count_exactly(inputs: &TimingInputs, bandwidth: f64, what: &str) {
+    let mut by_words = IdealBandwidthStore::new(bandwidth);
+    let mut each = PerTransaction(IdealBandwidthStore::new(bandwidth));
+    let got = timing(inputs, &mut by_words);
+    assert_eq!(got, timing(inputs, &mut each), "{what}: memory summary");
+    assert_eq!(
+        format!("{by_words:?}"),
+        format!("{:?}", each.0),
+        "{what}: store"
+    );
+}
+
+/// Which of the cases a word-count run must get right a plan holds: a
+/// chunk need and a drain burst strictly inside a miss stream's span, a
+/// burst on a miss cycle, and a stream starting in the last cycle of the
+/// one before (the two share that cycle's transaction).
+fn miss_cases(inputs: &TimingInputs) -> [bool; 4] {
+    let misses = &inputs.ofmap.misses;
+    let spans = misses
+        .iter()
+        .map(|m| (m.start_cycle, m.start_cycle + m.stream.steps()));
+    let needs = || (inputs.ifmap.needs.iter().chain(&inputs.filter.needs)).map(|n| n.0);
+    let bursts = || inputs.ofmap.bursts.iter().copied();
+    let mut cases = [false; 4];
+    for (start, end) in spans {
+        let inside = |c: u64| start < c && c + 1 < end;
+        cases[0] |= needs().any(inside);
+        cases[1] |= bursts().any(inside);
+        cases[2] |= bursts().any(|c| (start..end).contains(&c));
+    }
+    let shared = |w: &[scale_sim::systolic::TimedStream]| {
+        w[1].start_cycle + 1 == w[0].start_cycle + w[0].stream.steps()
+    };
+    cases[3] = misses.windows(2).any(shared);
+    cases
+}
+
+/// A plan no dataflow emits but `timing` must price the same way: 1–10
+/// ofmap streams revisiting 1–3 tiles through an SRAM that evicts their
+/// partial sums — skewed or not, with more lanes than elements or fewer —
+/// each starting after the one before, in its last cycle, or inside it;
+/// and read streams through small SRAMs whose chunk needs land among the
+/// misses.
+fn draw_miss_plan(rng: &mut SplitMix64) -> TimingInputs {
+    let tiles: Vec<Stream> = (0..rng.range(1, 4))
+        .map(|t| Stream {
+            base: OFMAP_BASE + 4096 * t as u64,
+            lanes: rng.range(1, 10),
+            len: rng.range(1, 30),
+            lane_stride: 1,
+            step_stride: rng.range(1, 10) as u64,
+            skewed: rng.chance(2),
+        })
+        .collect();
+    let widest = tiles.iter().map(|t| t.lanes).max().unwrap_or(1);
+    let tile_words: usize = tiles.iter().map(|t| t.lanes * t.len).sum();
+    let mut ofmap = WritePlanner::new(rng.range(widest.max(2), tile_words.max(3) + 1));
+    let read_words = |rng: &mut SplitMix64| rng.range(2, 24);
+    let mut ifmap = ReadPlanner::new(OperandKind::Ifmap, read_words(rng));
+    let mut filter = ReadPlanner::new(OperandKind::Filter, read_words(rng));
+    let (mut visited, mut start, mut steps, mut read_at, mut end) = (vec![false; 3], 0, 1, 0, 0);
+    for fold in 0..rng.range(1, 11) {
+        start = match rng.range(0, 6) {
+            0 | 1 => start + steps - 1,
+            2 => start + rng.range(0, steps as usize) as u64,
+            _ => start + steps + rng.range(0, 4) as u64,
+        };
+        let tile = rng.range(0, tiles.len());
+        ofmap.observe(tile, start, &tiles[tile], visited[tile]);
+        visited[tile] = true;
+        steps = tiles[tile].steps();
+        end = end.max(start + steps);
+        for reads in [&mut ifmap, &mut filter] {
+            read_at = read_at.max(start + rng.range(0, steps as usize + 2) as u64);
+            let stream = Stream {
+                base: IFMAP_BASE + 4096 * fold as u64,
+                lanes: rng.range(1, 6),
+                len: rng.range(1, 12),
+                lane_stride: 1,
+                step_stride: 8,
+                skewed: rng.chance(2),
+            };
+            reads.observe(fold, read_at, &stream);
+            end = end.max(read_at + stream.steps());
+        }
+    }
+    TimingInputs {
+        ifmap: ifmap.finish(),
+        filter: filter.finish(),
+        ofmap: ofmap.finish(),
+        compute_cycles: end + rng.range(0, 3) as u64,
+    }
+}
+
+/// `timing` against the ideal store prices runs of a miss stream's
+/// equal-width steps by word count; a store that sees every transaction
+/// must get the same summary and end in the same state. Product plans
+/// (WS and IS, K over two to five row folds, an ofmap SRAM that evicts
+/// partial sums) and synthetic ones (unskewed streams, shared and
+/// overlapping cycles), at fractional and whole bandwidths.
+#[test]
+fn ideal_timing_by_word_count_equals_per_transaction_timing() {
+    let reached = std::cell::Cell::new([0u32; 4]);
+    check(
+        "ideal_timing_by_word_count_equals_per_transaction_timing",
+        600,
+        |rng| {
+            let bandwidth = rng.pick(&[0.3, 1.0, 1.5, 7.0, 64.0, 1e9]);
+            let (inputs, what) = if rng.chance(2) {
+                let (mut config, gemm) = draw_core(rng);
+                let (rows, cols) = (config.array.rows(), config.array.cols());
+                let k = rows * rng.range(2, 6) + rng.range(0, rows);
+                let gemm = GemmShape::new(gemm.m, gemm.n, k);
+                config.dataflow =
+                    rng.pick(&[Dataflow::WeightStationary, Dataflow::InputStationary]);
+                config.memory.ofmap_words = 2 * rows.max(cols) * rng.range(1, 4);
+                config.memory.dram_bandwidth = bandwidth;
+                let what = describe(&config, gemm);
+                (CoreSim::new(config).plan_gemm(gemm).inputs, what)
+            } else {
+                let inputs = draw_miss_plan(rng);
+                let what = format!("synthetic {:?} bw {bandwidth}", inputs.ofmap.misses);
+                (inputs, what)
+            };
+            assert_timed_by_word_count_exactly(&inputs, bandwidth, &what);
+            let mut counts = reached.get();
+            for (count, hit) in counts.iter_mut().zip(miss_cases(&inputs)) {
+                *count += u32::from(hit);
+            }
+            reached.set(counts);
+        },
+    );
+    let [needs, bursts, on_miss, shared] = reached.get();
+    assert!(
+        needs > 20 && bursts > 20 && on_miss > 20 && shared > 20,
+        "{:?}",
+        reached.get()
+    );
+}
+
+/// [`ideal_timing_by_word_count_equals_per_transaction_timing`] over every
+/// distinct GEMM of [`llm_scale_cases`] (llama-7b under WS, whose K folds
+/// refetch partial sums) and of the benchmark's sweep grid.
+#[test]
+#[ignore = "minutes-long: CI runs it via `cargo test --release -- --ignored`"]
+fn ideal_timing_by_word_count_equals_per_transaction_timing_at_llm_scale() {
+    let mut cases = llm_scale_cases();
+    for (mut config, topology) in cases.clone() {
+        config.dataflow = Dataflow::WeightStationary;
+        cases.push((config, topology));
+    }
+    let sweep = |name: &str| {
+        let path = format!(
+            "{}/scalesim-bench/workloads/{name}",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        Topology::parse_csv_auto(name, &text).expect("bench topology")
+    };
+    for topology in ["vit_tiny_gemm.csv", "cifar_cnn.csv"].map(sweep) {
+        for (rows, cols) in [(16, 16), (32, 32), (16, 64)] {
+            for dataflow in [Dataflow::OutputStationary, Dataflow::WeightStationary] {
+                for bandwidth in [10.0, 20.0] {
+                    let mut config = SimConfig::builder()
+                        .array(ArrayShape::new(rows, cols))
+                        .dataflow(dataflow)
+                        .build();
+                    config.memory.dram_bandwidth = bandwidth;
+                    cases.push((config, topology.clone()));
+                }
+            }
+        }
+    }
+    for (config, topology) in cases {
+        let gemms: HashSet<GemmShape> = topology.iter().map(|layer| layer.gemm()).collect();
+        for gemm in gemms {
+            let plan = CoreSim::new(config.clone()).plan_gemm(gemm);
+            let what = format!("{}: {}", topology.name(), describe(&config, gemm));
+            assert_timed_by_word_count_exactly(&plan.inputs, config.memory.dram_bandwidth, &what);
         }
     }
 }
