@@ -240,6 +240,65 @@ fn error_categories_map_to_distinct_exit_codes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Topology rows whose lowered GEMM overflows `u64`: `Oh·Ow` wrapping to
+/// 0, `M·K·N` wrapping, and `K·N` overflowing; each after a valid row of
+/// its format. A run used to panic on the first, allocate without bound
+/// on the second and run on for the third.
+const OVERFLOWING_TOPOLOGIES: [(&str, &str); 3] = [
+    (
+        "conv",
+        "ok, 8, 8, 3, 3, 4, 4, 1,\nc, 4294967296, 4294967296, 1, 1, 1, 1, 1,\n",
+    ),
+    ("gemm", "ok, 16, 16, 16,\na, 18446744073709551615, 2, 2,\n"),
+    (
+        "conv",
+        "ok, 8, 8, 3, 3, 4, 4, 1,\nc, 3, 3, 3, 3, 4294967296, 4294967296, 1,\n",
+    ),
+];
+
+/// Each of [`OVERFLOWING_TOPOLOGIES`] is a topology error naming its line
+/// (exit 3), as a run's topology and as a sweep's, and nothing is written.
+#[test]
+fn a_topology_row_whose_gemm_overflows_u64_is_a_topology_error() {
+    let dir = tmp_dir("gemmovf");
+    for (i, (format, rows)) in OVERFLOWING_TOPOLOGIES.iter().enumerate() {
+        let topo = dir.join(format!("t{i}_{format}.csv"));
+        std::fs::write(&topo, rows).unwrap();
+        let mut run = bin();
+        run.arg("-t")
+            .arg(&topo)
+            .arg("-p")
+            .arg(dir.join(format!("run{i}")));
+        if *format == "gemm" {
+            run.arg("--gemm");
+        }
+        let spec = dir.join(format!("grid{i}.toml"));
+        let grid = format!(
+            "[grid]\narray = 8x8\n[workloads]\ntopology = {}\n",
+            topo.display()
+        );
+        std::fs::write(&spec, grid).unwrap();
+        let mut sweep = bin();
+        sweep
+            .args(["sweep", "-s"])
+            .arg(&spec)
+            .arg("-p")
+            .arg(dir.join(format!("sweep{i}")));
+        for (what, mut cmd) in [("run", run), ("sweep", sweep)] {
+            let out = cmd.output().expect("spawn scalesim");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(3), "{what} {i}: {stderr}");
+            assert!(
+                stderr.contains("line 2") && stderr.contains("overflows u64"),
+                "{what} {i}: {stderr}"
+            );
+            let written = dir.join(format!("{what}{i}"));
+            assert!(!written.exists(), "{what} {i} wrote {}", written.display());
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn sweep_without_topologies_fails_with_message() {
     let dir = tmp_dir("notopo");

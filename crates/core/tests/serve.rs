@@ -207,6 +207,42 @@ fn serve_rejects_an_llm_context_whose_macs_overflow_and_keeps_answering() {
     assert!(matches!(r1.unwrap(), SimResponse::Version(_)));
 }
 
+/// Inline topology rows whose lowered GEMM overflows `u64` (`Oh·Ow`
+/// wrapping to 0, `M·K·N` wrapping, `K·N` overflowing) are in-band
+/// topology errors, and the session answers the next request.
+#[test]
+fn serve_rejects_topology_rows_whose_gemm_overflows_and_keeps_answering() {
+    let rows = [
+        "c, 4294967296, 4294967296, 1, 1, 1, 1, 1,",
+        "a, 18446744073709551615, 2, 2,",
+        "c, 3, 3, 3, 3, 4294967296, 4294967296, 1,",
+    ];
+    let mut lines: Vec<String> = rows
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            format!(
+                r#"{{"api": 1, "id": "ovf-{i}", "run": {{"topology": {{"inline": "{row}\n"}}}}}}"#
+            )
+        })
+        .collect();
+    lines.push(r#"{"api": 1, "version": {}}"#.to_string());
+    let responses = stdio_round_trip(&lines);
+    assert_eq!(responses.len(), 4, "one response per request, in order");
+    for (i, response) in responses[..3].iter().enumerate() {
+        let (id, r) = wire::decode_response(response);
+        assert_eq!(id, Some(format!("ovf-{i}")));
+        let e = r.unwrap_err();
+        assert_eq!((e.kind(), e.exit_code()), ("topology", 3), "{e}");
+        assert!(
+            e.message().contains("line 1") && e.message().contains("overflows u64"),
+            "{e}"
+        );
+    }
+    let (_, last) = wire::decode_response(&responses[3]);
+    assert!(matches!(last.unwrap(), SimResponse::Version(_)));
+}
+
 /// A run whose inline config sets a bandwidth below the 2^-20
 /// words/cycle floor is an in-band config error, and the session answers
 /// the next request.

@@ -9,12 +9,13 @@
 //!
 //! Planning costs `O(folds)`: the fetch and drain plans per fold (see
 //! [`crate::buffer`]), and for the three [`RepeatLookup`]s a few band
-//! periods of each long fold stream — the rest of its open-row profile
-//! repeats, moved by whole rows — and per word only short streams. On
-//! top of that a [`PlanCache`] memoizes [`PlannedLayer`]s by `(array,
-//! dataflow, GEMM, scratchpad geometry)`, so topologies that repeat a
-//! layer shape (every CNN/ViT) plan it once and re-time it cheaply
-//! against any backing store.
+//! periods of each long fold stream and a few walks of each run of fold
+//! streams moved by whole rows — the rest of the open-row profile
+//! repeats, renamed — and per word only short streams, of those only a
+//! run's first walks. On top of that a [`PlanCache`] memoizes
+//! [`PlannedLayer`]s by `(array, dataflow, GEMM, scratchpad geometry)`,
+//! so topologies that repeat a layer shape (every CNN/ViT) plan it once
+//! and re-time it cheaply against any backing store.
 
 use crate::buffer::{
     timing, BackingStore, IdealBandwidthStore, ReadPlanner, TimingInputs, WritePlanner,
@@ -40,7 +41,7 @@ use std::sync::{Arc, Condvar, Mutex};
 /// a power of two); an access maps to buffer `(addr / row_words) % buffers`
 /// and is *repeated* when that buffer already holds its row.
 ///
-/// # Walking a stream in `O(lanes × a few periods + buffers)`
+/// # Walking a stream in `O(lanes × a few periods + buffers)`, a run in `O(1)`
 ///
 /// [`walk`](Self::walk) counts exactly what probing every word would:
 ///
@@ -54,22 +55,40 @@ use std::sync::{Arc, Condvar, Mutex};
 ///   every access of one period finds that predecessor inside the band
 ///   walked so far (however many periods back), every later period finds
 ///   the moved copies there and decides the same way.
-/// - **Checking it.** Slots carry the step that last touched them; a
-///   period qualifies when none of its accesses finds a stamp older than
-///   the band. The band's `j` remaining periods then add `j ×` its
-///   repeats, and the table is rebuilt in `O(buffers)`: slots move in
-///   cycles under `+D`, each taking the moved row of the last skipped
-///   period that touched it.
+/// - **Checking it.** Every probe stamps its slot with the clock (one
+///   tick per step probed); a period qualifies when none of its probes
+///   finds a stamp older than the band. The band's `j` remaining periods
+///   then add `j ×` its repeats, and the table is rebuilt in
+///   `O(buffers)`: slots move in cycles under `+D`, each taking the moved
+///   row of the last skipped period that touched it. The skipped periods
+///   touch only slots the band has stamped (each period's slots lie in
+///   the union of the earlier ones', moved copies included), so the
+///   rebuild need not stamp the slots it writes: a stamp may be older
+///   than its slot's last touch, never newer, which only makes a check
+///   conservative.
 /// - **Row runs.** Lanes one word apart (or on one word) share a row for
-///   up to `row_words` lanes: one lookup.
+///   up to `row_words` lanes: one probe.
 /// - **No wrap-around.** Rows move by `D` only if no address wraps
 ///   through 0, as in every product stream (operand bases plus in-range
 ///   offsets). Short, band-less and wrapping streams take the per-word
 ///   loop, as does whatever follows a skip.
-/// - **Repeated streams.** A walk leaves each slot it touches holding its
-///   last row there, so walking the same stream again leaves the table
-///   as it was: from the third walk in a row on (a tile re-streamed by
-///   consecutive folds), each counts what the second did.
+/// - **Runs of walks.** The same argument one level up: walks of equal
+///   shape and passes, each the one before moved by the same `D` whole
+///   rows with no address of either wrapping through 0 (the filter tiles
+///   and ofmap streams of consecutive folds), form a *run*. Once one walk
+///   of a run finds every slot it probes last stamped inside the run
+///   (the oldest stamp the walk replaced is at least the run's first
+///   clock), each later walk of the run adds that walk's repeats in
+///   `O(1)`. When the run ends, the table is rebuilt once, as after a
+///   band skip, from the slots the last walked walk stamped. That rebuild
+///   does not stamp either: the added walks touch only slots the run has
+///   stamped, and every stamp of an ended run is older than the next
+///   run's first clock, rebuilt or not.
+/// - **Repeated streams.** `D = 0` is a stream walked again: a walk
+///   leaves each slot it touches holding its last row there, so walking
+///   the same stream again leaves the table as it was, and from the
+///   third walk of such a run on each counts what the second did, stamps
+///   or not.
 #[derive(Debug, Clone)]
 pub struct RepeatLookup {
     row_words: u64,
@@ -77,21 +96,28 @@ pub struct RepeatLookup {
     /// configuration): the per-access division in the planning hot loop
     /// then strength-reduces to a shift.
     row_shift: Option<u32>,
-    slot_mask: u64,
-    open_rows: Vec<u64>,
-    /// Per slot, the [`clock`](Self::clock) of the last step of a banded
-    /// walk that touched it.
-    stamps: Vec<u64>,
-    /// Steps walked by the banded path so far.
+    /// Per slot, its open row and the [`clock`](Self::clock) of its last
+    /// probe (side by side: a probe reads and writes both).
+    slots: Vec<(u64, u64)>,
+    /// Steps probed so far.
     clock: u64,
-    /// The last walk's stream and passes, and its repeats if it repeated
-    /// the walk before it (the table was then the stream's fixed point).
-    last: Option<(Stream, usize, Option<u64>)>,
+    /// The last walk's stream and passes, and the rows each walk of its
+    /// run moved the one before (from the run's second walk on).
+    last: Option<(Stream, usize, Option<i64>)>,
+    /// The clock of the run's first step, or once a walk of the run
+    /// qualified, of that walk's first step.
+    since: u64,
+    /// Once a walk of the run qualified: the repeats each later walk
+    /// adds, and the walks added so.
+    skip: Option<(u64, u64)>,
+    /// [`translate`](Self::translate)'s scratch, kept between calls.
+    spare: Vec<(u64, u64)>,
     /// Accesses that hit an open row.
     pub repeats: u64,
 }
 
-/// Band words below which the per-word loop is cheaper than stamping.
+/// Band words below which walking the band costs less than a skip's
+/// `O(buffers)` rebuild.
 const MIN_BAND_WORDS: u64 = 512;
 
 impl RepeatLookup {
@@ -104,11 +130,12 @@ impl RepeatLookup {
             row_shift: row_words
                 .is_power_of_two()
                 .then(|| row_words.trailing_zeros()),
-            slot_mask: buffers as u64 - 1,
-            open_rows: vec![u64::MAX; buffers],
-            stamps: vec![0; buffers],
+            slots: vec![(u64::MAX, 0); buffers],
             clock: 0,
             last: None,
+            since: 0,
+            skip: None,
+            spare: Vec::new(),
             repeats: 0,
         }
     }
@@ -121,43 +148,52 @@ impl RepeatLookup {
         }
     }
 
-    /// Observes one access.
-    #[inline]
-    fn access(&mut self, addr: Addr) {
-        let row = self.row(addr);
-        let slot = (row & self.slot_mask) as usize;
-        if self.open_rows[slot] == row {
-            self.repeats += 1;
-        } else {
-            self.open_rows[slot] = row;
-        }
-    }
-
     /// Observes every word of `stream` in access order, each step's words
     /// `passes` times over (2 for a read-modify-write stream: the step's
     /// reads, then its writes).
     pub fn walk(&mut self, stream: &Stream, passes: usize) {
-        let key = (*stream, passes);
-        let again = self.last.filter(|last| (last.0, last.1) == key);
-        if let Some((.., Some(repeats))) = again {
-            self.repeats += repeats;
+        let rows = self.moved(stream, passes);
+        if rows.is_none() {
+            if let (Some((_, skipped @ 1..)), Some((.., Some(rows)))) = (self.skip, self.last) {
+                self.translate(self.since, skipped, rows);
+            }
+            (self.since, self.skip) = (self.clock + 1, None);
+        }
+        self.last = Some((*stream, passes, rows));
+        if let Some((repeats, skipped)) = &mut self.skip {
+            *skipped += 1;
+            self.repeats += *repeats;
             return;
         }
-        let before = self.repeats;
-        match self.band(stream) {
-            Some(band) => self.walk_banded(stream, passes, band),
-            None => self.walk_words(stream, passes, 0),
+        let (before, first) = (self.repeats, self.clock + 1);
+        let oldest = self.walk_fresh(stream, passes);
+        if rows.is_some_and(|rows| rows == 0 || oldest >= self.since) {
+            (self.since, self.skip) = (first, Some((self.repeats - before, 0)));
         }
-        self.last = Some((*stream, passes, again.map(|_| self.repeats - before)));
+    }
+
+    /// The whole rows `s` moves the last walk by, when it continues the
+    /// run: the same shape and passes, the base moved by whole rows (by
+    /// the run's rows from its third walk on) and, unless it moves by
+    /// none, no address of either walk wrapping through 0.
+    fn moved(&self, s: &Stream, passes: usize) -> Option<i64> {
+        let (last, last_passes, last_rows) = self.last?;
+        let same = (Stream { base: 0, ..*s }, passes) == (Stream { base: 0, ..last }, last_passes);
+        let (row, last_row) = (self.row(s.base), self.row(last.base));
+        let whole = s.base - row * self.row_words == last.base - last_row * self.row_words;
+        let rows = i64::try_from(row as i128 - last_row as i128).ok()?;
+        let run = last_rows.unwrap_or(rows) == rows;
+        let fit = rows == 0 || fits(s) && fits(&last);
+        (same && whole && run && fit).then_some(rows)
     }
 
     /// `stream`'s band steps, period and rows moved per period, when the
-    /// band holds enough whole periods to be worth stamping and no
+    /// band holds enough whole periods to be worth checking and no
     /// address of the stream wraps through 0.
     fn band(&self, s: &Stream) -> Option<(Range<u64>, u64, i64)> {
         let steps = s.band();
         let band_steps = steps.end - steps.start;
-        if band_steps * s.lanes as u64 <= MIN_BAND_WORDS {
+        if band_steps * s.lanes as u64 <= MIN_BAND_WORDS || !fits(s) {
             return None;
         }
         let (row_words, stride) = (self.row_words as i128, s.step_stride as i64 as i128);
@@ -166,78 +202,59 @@ impl RepeatLookup {
         if band_steps < 3 * period {
             return None;
         }
-        let at = |lane: u64, element: u64| {
-            let lane = lane as i128 * s.lane_stride as i64 as i128;
-            s.base as i128 + lane + element as i128 * stride
-        };
-        let (lane, element) = (s.lanes as u64 - 1, s.len as u64 - 1);
-        let corners = [at(0, 0), at(lane, 0), at(0, element), at(lane, element)];
-        if corners.iter().any(|&a| u64::try_from(a).is_err()) {
-            return None;
-        }
         let rows = i64::try_from(period as i128 * stride / row_words).ok()?;
         Some((steps, period, rows))
     }
 
-    /// The per-word loop over `stream`'s steps from `from` on.
-    fn walk_words(&mut self, stream: &Stream, passes: usize, from: u64) {
-        for step in from..stream.steps() {
-            for _ in 0..passes {
-                stream.step_addrs(step).for_each(|addr| self.access(addr));
-            }
-        }
-    }
-
-    /// The walk of a stream with a band: every step probed with stamps
-    /// until a band period qualifies, then the band's remaining whole
-    /// periods in one go (see [`RepeatLookup`]), then the rest per word.
-    fn walk_banded(&mut self, s: &Stream, passes: usize, band: (Range<u64>, u64, i64)) {
-        let (band, period, rows) = band;
-        let in_band = self.clock + band.start + 1;
-        let (mut since, mut repeats, mut clean) = (0, 0, false);
-        for step in 0..s.steps() {
-            if band.contains(&step) && (step - band.start) % period == 0 {
-                let (walked, periods) = ((step - band.start) / period, (band.end - step) / period);
-                if clean && periods > 0 {
-                    self.repeats += periods * (self.repeats - repeats);
-                    self.translate(since, periods, rows);
-                    return self.walk_words(s, passes, step + periods * period);
-                }
-                if periods < walked {
-                    // A skip would now save less than stamping has cost.
-                    return self.walk_words(s, passes, step);
-                }
-                (since, repeats, clean) = (self.clock + 1, self.repeats, true);
-            }
-            self.clock += 1;
-            let (first, words, delta) = s.step_span(step);
-            for _ in 0..passes {
-                clean &= self.probe_step(first, words, delta, in_band);
-            }
-        }
-    }
-
-    /// Observes one step's words, a row run per lookup, stamping each
-    /// slot probed; whether every slot probed was last touched at or
-    /// after stamp `in_band`.
-    fn probe_step(&mut self, first: Addr, words: u64, delta: u64, in_band: u64) -> bool {
+    /// The per-word loop over `steps` of `stream`; the oldest stamp it
+    /// probed.
+    fn walk_words(&mut self, stream: &Stream, passes: usize, steps: Range<u64>) -> u64 {
         let mut oldest = u64::MAX;
-        if delta > 1 {
-            for k in 0..words {
-                oldest = oldest.min(self.probe(first.wrapping_add(k.wrapping_mul(delta)), 1));
-            }
-        } else {
-            let (mut addr, mut left) = (first, words);
-            while left > 0 {
-                let here = match delta {
-                    0 => left,
-                    _ => left.min(self.row_words - addr % self.row_words),
-                };
-                oldest = oldest.min(self.probe(addr, here));
-                (addr, left) = (addr.wrapping_add(here * delta), left - here);
+        for step in steps {
+            self.clock += 1;
+            let (first, words, delta) = stream.step_span(step);
+            for _ in 0..passes {
+                let (mut addr, mut left) = (first, words);
+                while left > 0 {
+                    // Lanes one word apart (or on one word): a row run.
+                    let here = match delta {
+                        0 => left,
+                        1 => left.min(self.row_words - addr % self.row_words),
+                        _ => 1,
+                    };
+                    oldest = oldest.min(self.probe(addr, here));
+                    (addr, left) = (addr.wrapping_add(here * delta), left - here);
+                }
             }
         }
-        oldest >= in_band
+        oldest
+    }
+
+    /// One walk of `s`, every step probed except, in a band, the whole
+    /// periods after one that qualified (see [`RepeatLookup`]); the
+    /// oldest stamp it probed.
+    fn walk_fresh(&mut self, s: &Stream, passes: usize) -> u64 {
+        let Some((band, period, rows)) = self.band(s) else {
+            return self.walk_words(s, passes, 0..s.steps());
+        };
+        let in_band = self.clock + band.start + 1;
+        let mut oldest = self.walk_words(s, passes, 0..band.start);
+        let mut step = band.start;
+        // Once fewer whole periods remain than have been checked, a skip
+        // would save less than checking costs: the rest is one loop.
+        while (band.end - step) / period >= (step - band.start) / period {
+            let (since, repeats) = (self.clock + 1, self.repeats);
+            let found = self.walk_words(s, passes, step..step + period);
+            (oldest, step) = (oldest.min(found), step + period);
+            if found >= in_band {
+                let periods = (band.end - step) / period;
+                self.repeats += periods * (self.repeats - repeats);
+                self.translate(since, periods, rows);
+                step += periods * period;
+                break;
+            }
+        }
+        oldest.min(self.walk_words(s, passes, step..s.steps()))
     }
 
     /// Observes `words` accesses to the row of `addr` and stamps its slot
@@ -245,52 +262,60 @@ impl RepeatLookup {
     #[inline]
     fn probe(&mut self, addr: Addr, words: u64) -> u64 {
         let row = self.row(addr);
-        let slot = (row & self.slot_mask) as usize;
-        if self.open_rows[slot] == row {
-            self.repeats += words;
-        } else {
-            self.open_rows[slot] = row;
-            self.repeats += words - 1;
-        }
-        std::mem::replace(&mut self.stamps[slot], self.clock)
+        let slot = row as usize & (self.slots.len() - 1);
+        let (open, stamp) = &mut self.slots[slot];
+        self.repeats += words - u64::from(*open != row);
+        *open = row;
+        std::mem::replace(stamp, self.clock)
     }
 
-    /// The table after `periods` more band periods, each the copy of the
-    /// one whose slots carry stamps `>= since`, moved by `rows` rows.
+    /// The table after `periods` more band periods (or walks), each the
+    /// copy of the one whose slots carry stamps `>= since`, moved by
+    /// `rows` rows.
     fn translate(&mut self, since: u64, periods: u64, rows: i64) {
-        let mask = self.slot_mask as usize;
+        let mask = self.slots.len() - 1;
         let shift = rows as usize & mask;
         // Cycles and their lengths are powers of two, like the slot count.
         let cycles = gcd(shift as u64, mask as u64 + 1) as usize;
         let len = (mask + 1) / cycles;
         let (reach, back) = (periods.min(len as u64), periods as usize & (len - 1));
-        // The rows before the rebuild, then each cycle's gaps.
-        let mut spare = self.open_rows.clone();
-        spare.resize(mask + 1 + len, 0);
-        let (old, next) = spare.split_at_mut(mask + 1);
+        // The slots before the rebuild, their stamps then overwritten by
+        // each cycle's gaps.
+        let mut old = std::mem::take(&mut self.spare);
+        old.clone_from(&self.slots);
         for cycle in 0..cycles {
             let slot = |i: usize| (cycle + (i & (len - 1)) * shift) & mask;
             // Steps forward along the cycle to the nearest touched slot.
             let mut gap = u64::MAX;
             for i in (0..2 * len).rev() {
-                let touched = self.stamps[slot(i)] >= since;
+                let touched = self.slots[slot(i)].1 >= since;
                 gap = if touched { 0 } else { gap.saturating_add(1) };
                 if i < len {
-                    next[i] = gap;
+                    old[slot(i)].1 = gap;
                 }
             }
             // Slot `i` last held the row the period left `periods - d`
             // cycle steps behind it, for the smallest `d` that touched.
             for i in 0..len {
                 let from = i.wrapping_sub(back) & (len - 1);
-                let d = next[from];
+                let d = old[slot(from)].1;
                 if d < reach {
                     let moved = (periods - d).wrapping_mul(rows as u64);
-                    self.open_rows[slot(i)] = old[slot(from + d as usize)].wrapping_add(moved);
+                    self.slots[slot(i)].0 = old[slot(from + d as usize)].0.wrapping_add(moved);
                 }
             }
         }
+        self.spare = old;
     }
+}
+
+/// Whether no address of `s` wraps through 0 (its corners fit a `u64`),
+/// so moving it by whole rows moves each of its rows.
+fn fits(s: &Stream) -> bool {
+    let span = |n: usize, stride: u64| n.saturating_sub(1) as i128 * stride as i64 as i128;
+    let (lanes, steps) = (span(s.lanes, s.lane_stride), span(s.len, s.step_stride));
+    let low = s.base as i128 + lanes.min(0) + steps.min(0);
+    u64::try_from(low).is_ok() && u64::try_from(low + lanes.abs() + steps.abs()).is_ok()
 }
 
 /// Greatest common divisor (`gcd(0, b) = b`).
@@ -924,12 +949,10 @@ mod tests {
     #[test]
     fn repeat_lookup_counts_row_hits() {
         let mut rl = RepeatLookup::new(4, 2);
-        for a in 0..4 {
-            rl.access(a); // row 0: first access opens, 3 repeat
-        }
+        rl.walk(&Stream::contiguous(0, 4), 1); // row 0: the first opens it, 3 repeat
         assert_eq!(rl.repeats, 3);
-        rl.access(4); // row 1, different slot
-        rl.access(0); // row 0 still open in slot 0
+        rl.walk(&Stream::contiguous(4, 1), 1); // row 1, the other slot
+        rl.walk(&Stream::contiguous(0, 1), 1); // row 0 still open in slot 0
         assert_eq!(rl.repeats, 4);
     }
 

@@ -36,6 +36,14 @@ impl GemmShape {
         Self { m, n, k }
     }
 
+    /// The shape, when no dimension is zero and neither its MAC count
+    /// `M·K·N` nor its footprint `M·K + K·N + M·N` overflows.
+    pub(crate) fn checked(m: usize, n: usize, k: usize) -> Option<Self> {
+        let (mk, kn, mn) = (m.checked_mul(k)?, k.checked_mul(n)?, m.checked_mul(n)?);
+        let (_macs, _footprint) = (mk.checked_mul(n)?, mk.checked_add(kn)?.checked_add(mn)?);
+        (m > 0 && n > 0 && k > 0).then_some(Self { m, n, k })
+    }
+
     /// Total multiply-accumulate operations for a dense GEMM.
     pub fn macs(&self) -> u64 {
         self.m as u64 * self.n as u64 * self.k as u64
@@ -95,32 +103,30 @@ impl ConvLayer {
         )
     }
 
-    /// Checks dimensional sanity (filter fits in ifmap, nothing zero).
+    /// Checks dimensional sanity: the filter fits in the ifmap, nothing
+    /// is zero, and neither `M·K·N` nor `M·K + K·N + M·N` of the lowered
+    /// GEMM overflows.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidLayer`] with the offending field named.
+    /// Returns [`SimError::InvalidLayer`] saying which check failed.
     pub fn validate(&self) -> Result<(), SimError> {
-        if self.ifmap_h == 0
-            || self.ifmap_w == 0
-            || self.filter_h == 0
-            || self.filter_w == 0
-            || self.channels == 0
-            || self.num_filters == 0
-            || self.stride == 0
-        {
-            return Err(SimError::InvalidLayer(format!(
-                "layer '{}' has a zero dimension",
-                self.name
-            )));
-        }
-        if self.filter_h > self.ifmap_h || self.filter_w > self.ifmap_w {
-            return Err(SimError::InvalidLayer(format!(
-                "layer '{}': filter larger than ifmap",
-                self.name
-            )));
-        }
-        Ok(())
+        let gemm = || {
+            let m = self.ofmap_h().checked_mul(self.ofmap_w())?;
+            let area = self.filter_h.checked_mul(self.filter_w)?;
+            GemmShape::checked(m, self.num_filters, area.checked_mul(self.channels)?)
+        };
+        // With the filter inside the ifmap, a zero dimension is a zero
+        // dimension of the GEMM.
+        let reason = if self.filter_h > self.ifmap_h || self.filter_w > self.ifmap_w {
+            "filter larger than ifmap"
+        } else if self.stride == 0 || gemm().is_none() {
+            "a zero dimension, or M·K·N or M·K + K·N + M·N of its GEMM overflows u64"
+        } else {
+            return Ok(());
+        };
+        let layer = &self.name;
+        Err(SimError::InvalidLayer(format!("layer '{layer}': {reason}")))
     }
 }
 
@@ -305,14 +311,12 @@ impl Topology {
                 })
             };
             let (m, k, n) = (num(1)?, num(2)?, num(3)?);
-            if m == 0 || k == 0 || n == 0 {
-                return Err(SimError::ParseTopology {
-                    line: idx + 1,
-                    reason: "GEMM dimensions must be non-zero".into(),
-                });
-            }
+            let shape = GemmShape::checked(m, n, k).ok_or_else(|| SimError::ParseTopology {
+                line: idx + 1,
+                reason: "a zero dimension, or M·K·N or M·K + K·N + M·N overflows u64".into(),
+            })?;
             seen.check(fields[0], idx + 1)?;
-            topo.push(Layer::gemm_layer(fields[0], m, n, k));
+            topo.push(Layer::gemm_layer(fields[0], shape.m, shape.n, shape.k));
         }
         Ok(topo)
     }

@@ -25,6 +25,7 @@ use scale_sim::multicore::{
 use scale_sim::scalesim::config::MultiCoreIntegration;
 use scale_sim::scalesim::dram::{self, LatencyReplayStore, MeasuredTransaction};
 use scale_sim::scalesim::layout_slowdown_for_gemm;
+use scale_sim::scalesim::sweep::{spec::AxisValue, SweepSpec};
 use scale_sim::sparse::{NmRatio, SparseFormat, SparsityPattern};
 use scale_sim::systolic::{
     timing, AccessKind as Direction, Addr, AnalyticalModel, ArrayShape, BackingStore, Batch,
@@ -1717,8 +1718,69 @@ fn repeat_lookup_equals_the_per_word_reference() {
     );
 }
 
+/// Runs of walks against one probe per word: 1–60 walks through one
+/// lookup, each the one before moved by `D` whole rows (`D` in −100..100,
+/// 0 included) unless the draw changes `D`, flips the passes, moves the
+/// base by part of a row or draws a fresh stream. Half the draws walk
+/// short streams (under 40 elements, most band-less, like a decode
+/// fold's ofmap), half long banded ones; one stream in eight starts
+/// near 0, so moving it down wraps through 0.
+#[test]
+fn repeat_lookup_runs_of_moved_streams_equal_the_per_word_reference() {
+    check(
+        "repeat_lookup_runs_of_moved_streams_equal_the_per_word_reference",
+        400,
+        |rng| {
+            let row_words = rng.pick(&[1, 2, 3, 4, 5, 12, 16, 64]);
+            let buffers = rng.pick(&[1, 2, 8, 64]);
+            let short = rng.chance(2);
+            let fresh = |rng: &mut SplitMix64| {
+                let s = draw_stream(rng, row_words, buffers);
+                let len = if short { rng.range(1, 40) } else { s.len };
+                let base = match rng.chance(8) {
+                    true => rng.range(0, 4 * row_words * buffers) as u64,
+                    false => s.base,
+                };
+                Stream { base, len, ..s }
+            };
+            let shift = |rng: &mut SplitMix64| rng.range(0, 200) as i64 - 100;
+            let mut got = scale_sim::systolic::RepeatLookup::new(row_words, buffers);
+            let mut want = reference::RepeatLookup::new(row_words, buffers);
+            let (mut stream, mut passes, mut rows) = (fresh(rng), 1, shift(rng));
+            for i in 0..rng.range(1, 61) {
+                let part = match (i, rng.range(0, 10)) {
+                    (0, _) => None,
+                    (_, 0) => {
+                        rows = shift(rng);
+                        Some(0)
+                    }
+                    (_, 1) => {
+                        passes = 3 - passes;
+                        Some(0)
+                    }
+                    (_, 2) => Some(rng.range(1, row_words.max(2)) as i64),
+                    (_, 3) => {
+                        stream = fresh(rng);
+                        None
+                    }
+                    _ => Some(0),
+                };
+                if let Some(part) = part {
+                    let words = rows * row_words as i64 + part;
+                    stream.base = stream.base.wrapping_add(words as u64);
+                }
+                got.walk(&stream, passes);
+                want.walk(&stream, passes);
+                let what = format!("rows {row_words}x{buffers}, walk {i} {stream:?} x{passes}");
+                assert_eq!(got.repeats, want.repeats, "{what}");
+            }
+        },
+    );
+}
+
 /// The LLM presets and the benchmark's planning workloads, each with the
-/// configuration it runs on.
+/// configuration it runs on; the `sweep_grid` points on both of its
+/// topologies included.
 fn llm_scale_cases() -> Vec<(SimConfig, Topology)> {
     let bench = |name: &str| {
         let path = format!(
@@ -1738,11 +1800,10 @@ fn llm_scale_cases() -> Vec<(SimConfig, Topology)> {
         let topology = scale_sim::workloads::by_name(name).expect("a preset");
         (SimConfig::default(), topology)
     };
-    let run = |name: &str, topology: &str| {
-        let parse = Topology::parse_csv_auto(topology, &bench(topology)).expect("bench topology");
-        (cfg(name).core, parse)
-    };
-    vec![
+    let topology =
+        |name: &str| Topology::parse_csv_auto(name, &bench(name)).expect("bench topology");
+    let run = |name: &str, csv: &str| (cfg(name).core, topology(csv));
+    let mut cases = vec![
         preset("llama-7b"),
         preset("llama-7b:decode"),
         run("os32.cfg", "resnet18.csv"),
@@ -1751,7 +1812,25 @@ fn llm_scale_cases() -> Vec<(SimConfig, Topology)> {
         llm("llm_decode.cfg", 512, 1),
         llm("llm_decode.cfg", 2048, 4),
         llm("llm_decode.cfg", 4096, 8),
-    ]
+    ];
+    // The sweep starts every point from the default configuration.
+    let sweep = SweepSpec::parse(&bench("sweep_grid.toml")).expect("bench sweep");
+    for point in sweep.expand() {
+        let mut config = SimConfig::default();
+        for value in point.values() {
+            match value {
+                AxisValue::Array(array) => config.array = array,
+                AxisValue::Dataflow(dataflow) => config.dataflow = dataflow,
+                // Neither reaches planning.
+                AxisValue::Bandwidth(_) | AxisValue::Energy(_) => {}
+                other => panic!("sweep_grid.toml sweeps {other:?}: apply it here"),
+            }
+        }
+        for csv in &sweep.topologies {
+            cases.push((config.clone(), topology(csv)));
+        }
+    }
+    cases
 }
 
 /// Every distinct GEMM of [`llm_scale_cases`], planned on its own
