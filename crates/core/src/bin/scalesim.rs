@@ -308,14 +308,15 @@ fn serve_metrics(service: SimService, listener: std::net::TcpListener) {
         while reader.read_line(&mut line).is_ok() && line.trim_end() != "" {
             line.clear();
         }
+        // One write for the whole response: `write!` on the bare
+        // stream would send a segment per format piece.
         let body = service.render_prometheus();
-        let mut stream = reader.into_inner();
-        let _ = write!(
-            stream,
+        let response = format!(
             "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
              Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
             body.len()
         );
+        let _ = reader.into_inner().write_all(response.as_bytes());
     }
 }
 
@@ -374,14 +375,17 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let trace = match &command {
-        Command::Simulate(_, output) => output.trace.clone(),
-        Command::Serve(args) => args.trace.clone(),
-        Command::Version => None,
+    let (trace, name) = match &command {
+        Command::Simulate(_, output) => (output.trace.clone(), "simulate"),
+        Command::Serve(args) => (args.trace.clone(), "serve"),
+        Command::Version => (None, "version"),
     };
     if trace.is_some() {
         obs::set_tracing(true);
     }
+    // The command's own span gives the main thread a track of its own,
+    // even when the pool's workers claim every layer before it does.
+    let command_span = obs::span(obs::Category::Pipeline, name);
     let result = match command {
         Command::Version => {
             println!("{}", version_string());
@@ -390,6 +394,7 @@ fn main() -> ExitCode {
         Command::Simulate(request, output) => simulate(&service, &request, &output),
         Command::Serve(args) => serve(&service, args),
     };
+    drop(command_span);
     if let Some(path) = &trace {
         write_trace(path);
     }

@@ -70,6 +70,7 @@ impl ScaleoutLayerRecord {
 /// of truth shared by the report and the CLI's `-v` progress lines.
 pub mod scaleout_rows {
     use super::ScaleoutLayerRecord;
+    use crate::result::Fixed;
 
     /// `SCALEOUT_REPORT.csv` header.
     pub(crate) const SCALEOUT_HEADER: &str = "LayerName, Stage, ShardM, ShardN, ShardK, \
@@ -79,7 +80,7 @@ pub mod scaleout_rows {
     /// One `SCALEOUT_REPORT.csv` row.
     pub fn scaleout(r: &ScaleoutLayerRecord) -> String {
         format!(
-            "{}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {:.4}\n",
+            "{}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}\n",
             r.name,
             r.stage,
             r.shard.m,
@@ -91,7 +92,7 @@ pub mod scaleout_rows {
             r.overlapped_cycles,
             r.exposed_cycles,
             r.total_cycles(),
-            r.utilization,
+            Fixed(r.utilization, 4),
         )
     }
 }

@@ -7,7 +7,13 @@
 //!   line, flushed per response; EOF ends the session. Ideal for
 //!   driving the simulator as a subprocess.
 //! * **TCP** (`--listen`) — each connection is an independent
-//!   JSON-lines session on its own thread.
+//!   JSON-lines session on its own thread, with `TCP_NODELAY` set.
+//!
+//! Either way a reply leaves as **one write** of its line and newline,
+//! then a flush. A reply split across two writes would wait ~40 ms on
+//! TCP, Nagle's algorithm holding the second segment until the client's
+//! delayed ACK; with one write on a no-delay socket a warm request
+//! answers in about a tenth of a millisecond.
 //!
 //! ## Serving model
 //!
@@ -649,7 +655,10 @@ impl Server {
         })
     }
 
+    /// Serves one accepted TCP connection as a session, with Nagle's
+    /// algorithm off so each reply leaves the moment it is written.
     fn serve_connection(&self, stream: TcpStream) -> std::io::Result<()> {
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         self.serve_session(reader, stream)
     }
@@ -661,14 +670,14 @@ impl Drop for Server {
     }
 }
 
-/// Writes one reply line, its newline and a flush — the one place the
-/// reply framing lives. The newline is still a write of its own: on TCP
-/// that second small segment waits on Nagle's algorithm and the client's
-/// delayed ACK (~40 ms a reply). Coalescing the two writes here removes
-/// the wait; it is held back for a PR of its own (see `CHANGES.md`).
-fn write_reply(output: &mut impl Write, line: String) -> std::io::Result<()> {
+/// Writes one reply line with its newline as a single write, then a
+/// flush — the one place the reply framing lives. Written apart, the
+/// newline's small second TCP segment would wait on Nagle's algorithm
+/// for the client's delayed ACK (~40 ms a reply); one write per reply on
+/// a `TCP_NODELAY` socket leaves nothing to hold back.
+fn write_reply(output: &mut impl Write, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
     output.write_all(line.as_bytes())?;
-    output.write_all(b"\n")?;
     output.flush()
 }
 
@@ -1021,16 +1030,19 @@ mod tests {
         );
     }
 
-    /// A `Write` that records its bytes and where each flush fell.
+    /// A `Write` that records its bytes, how many `write` calls carried
+    /// them and where each flush fell.
     #[derive(Default)]
     struct Recording {
         bytes: Vec<u8>,
+        writes: usize,
         flushed_at: Vec<usize>,
     }
 
     impl Write for Recording {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
             self.bytes.extend_from_slice(buf);
+            self.writes += 1;
             Ok(buf.len())
         }
 
@@ -1060,6 +1072,7 @@ mod tests {
             .map(|i| i + 1)
             .collect();
         assert_eq!(line_ends.len(), 5, "one line per request");
+        assert_eq!(out.writes, 5, "one write per reply, newline included");
         assert_eq!(out.flushed_at, line_ends, "flushed once, at its newline");
         let ok = std::str::from_utf8(&out.bytes)
             .unwrap()
@@ -1144,9 +1157,9 @@ mod tests {
             let mut bodies = Vec::new();
             for _ in 0..2 {
                 let mut stream = TcpStream::connect(addr).unwrap();
-                let line = wire::encode_request(None, &request);
+                stream.set_nodelay(true).unwrap();
+                let line = wire::encode_request(None, &request) + "\n";
                 stream.write_all(line.as_bytes()).unwrap();
-                stream.write_all(b"\n").unwrap();
                 // Half-close so the server session sees EOF after our
                 // one request.
                 stream.shutdown(std::net::Shutdown::Write).unwrap();
@@ -1162,5 +1175,42 @@ mod tests {
         });
         let stats = server.service.plan_cache().stats();
         assert!(stats.hits > 0, "second connection reused warm plans");
+    }
+
+    #[test]
+    fn tcp_replies_leave_at_once_on_a_nodelay_socket() {
+        // A reply held back by Nagle's algorithm waits for the client's
+        // delayed ACK, ~40 ms a round trip: 50 of them would take ~2 s.
+        let server = small_server();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::scope(|scope| {
+            let session = scope.spawn(|| {
+                let (stream, _) = listener.accept().unwrap();
+                let socket = stream.try_clone().unwrap();
+                let _ = server.serve_connection(stream);
+                socket.nodelay().unwrap()
+            });
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_nodelay(true).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let started = Instant::now();
+            for _ in 0..50 {
+                stream
+                    .write_all(b"{\"api\": 1, \"version\": {}}\n")
+                    .unwrap();
+                let mut response = String::new();
+                reader.read_line(&mut response).unwrap();
+                assert!(wire::decode_response(response.trim_end()).1.is_ok());
+            }
+            let elapsed = started.elapsed();
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+            let nodelay = session.join().unwrap();
+            assert!(
+                elapsed < std::time::Duration::from_secs(1),
+                "50 round trips took {elapsed:?}"
+            );
+            assert!(nodelay, "the session socket has TCP_NODELAY");
+        });
     }
 }

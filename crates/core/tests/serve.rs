@@ -309,8 +309,8 @@ fn serve_listen_answers_concurrent_connections() {
 
     let exchange = |line: String| {
         let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-        stream.write_all(line.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream.write_all((line + "\n").as_bytes()).unwrap();
         stream.shutdown(std::net::Shutdown::Write).unwrap();
         let mut response = String::new();
         BufReader::new(&stream).read_line(&mut response).unwrap();

@@ -58,11 +58,11 @@ fn spawn_serve(env: &[(&str, &str)]) -> (KillOnDrop, String) {
 /// tapes cannot deadlock the test against the server.
 fn exchange_tape(addr: &str, lines: &[String]) -> Vec<String> {
     let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).unwrap();
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
     let mut responses = Vec::with_capacity(lines.len());
     for line in lines {
-        stream.write_all(line.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
         let mut response = String::new();
         reader.read_line(&mut response).unwrap();
         assert!(!response.is_empty(), "server hung up mid-session");
@@ -348,21 +348,21 @@ fn soak_ten_thousand_requests_hold_the_cache_budget_and_bounded_rss() {
             scope.spawn(move || {
                 barrier.wait();
                 let mut stream = TcpStream::connect(addr.as_str()).expect("connect");
+                stream.set_nodelay(true).unwrap();
                 let mut reader = BufReader::new(stream.try_clone().unwrap());
                 for i in 0..PER_CLIENT {
                     // Cycle distinct shapes so the cache keeps planning
                     // and evicting; repeat within the cycle for hits.
                     let d = 8 + (i % 32) * 2;
                     let line = if i % 250 == 249 {
-                        format!("{{\"api\": 1, \"id\": \"c{client}-s{i}\", \"stats\": {{}}}}")
+                        format!("{{\"api\": 1, \"id\": \"c{client}-s{i}\", \"stats\": {{}}}}\n")
                     } else {
                         format!(
                             "{{\"api\": 1, \"id\": \"c{client}-{i}\", \"run\": {{\"topology\": \
-                             {{\"name\": \"t{d}\", \"inline\": \"a, {d}, {d}, {d},\\n\"}}}}}}"
+                             {{\"name\": \"t{d}\", \"inline\": \"a, {d}, {d}, {d},\\n\"}}}}}}\n"
                         )
                     };
                     stream.write_all(line.as_bytes()).unwrap();
-                    stream.write_all(b"\n").unwrap();
                     let mut response = String::new();
                     reader.read_line(&mut response).unwrap();
                     assert!(!response.is_empty(), "server hung up at request {i}");

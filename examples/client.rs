@@ -129,14 +129,14 @@ fn main() -> std::io::Result<()> {
 
     let batch = requests();
     let mut stream = TcpStream::connect(&addr)?;
+    stream.set_nodelay(true)?;
     eprintln!("connected to {addr}; pipelining {} requests", batch.len());
 
     // Write the whole batch first (the protocol answers strictly in
     // order), then drain the responses.
     for (id, request) in &batch {
-        let line = wire::encode_request(Some(id), request);
+        let line = wire::encode_request(Some(id), request) + "\n";
         stream.write_all(line.as_bytes())?;
-        stream.write_all(b"\n")?;
     }
     stream.flush()?;
 
