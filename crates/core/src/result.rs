@@ -55,53 +55,10 @@ impl LayerResult {
     }
 }
 
-/// `value` with `digits` decimals, byte for byte what
-/// `format!("{value:.digits$}")` prints, computed exactly in integer
-/// arithmetic. With `value = ±m · 2^e` (`m < 2^53`), the printed integer
-/// is `round_half_even(m · 2^e · 10^digits)`, which for `e ≤ 20` and
-/// `digits ≤ 9` stays below 2^103 in a `u128`. NaN, ±inf, |value| ≥ 2^73
-/// (`e > 20`) and `digits > 9` fall back to std. Where std cannot take
-/// its fast path it costs ~4x this (on a 2-vCPU Xeon, ~320–550 against
-/// ~75–125 ns a value at four digits), and report rows are mostly such
-/// floats.
-pub(crate) struct Fixed(pub f64, pub usize);
-
-impl std::fmt::Display for Fixed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let Fixed(value, digits) = *self;
-        let bits = value.to_bits();
-        let biased = (bits >> 52) as i32 & 0x7ff;
-        // Subnormals (biased 0) share the smallest normal's exponent.
-        let mantissa = bits & ((1 << 52) - 1) | u64::from(biased > 0) << 52;
-        let exp = biased.max(1) - 1075;
-        if biased == 0x7ff || exp > 20 || digits > 9 {
-            return write!(f, "{value:.digits$}");
-        }
-        let unit = 10u128.pow(digits as u32);
-        let scaled = u128::from(mantissa) * unit;
-        let rounded = if exp >= 0 {
-            scaled << exp
-        } else {
-            // `scaled < 2^83`, so any shift past 127 leaves 0, rounded down.
-            let shift = exp.unsigned_abs().min(127);
-            let (quotient, rest) = (scaled >> shift, scaled & ((1 << shift) - 1));
-            let half = 1 << (shift - 1);
-            quotient + u128::from(rest > half || (rest == half && quotient & 1 == 1))
-        };
-        let sign = if value.is_sign_negative() { "-" } else { "" };
-        match digits {
-            0 => write!(f, "{sign}{rounded}"),
-            _ => write!(f, "{sign}{}.{:0digits$}", rounded / unit, rounded % unit),
-        }
-    }
-}
-
 /// Per-layer CSV row formatters: the one source of truth for every
-/// report's row format, written out by [`MemoryReportSink`]. Their
-/// floats go through `Fixed`: the same bytes as std's `{:.N}`, which
-/// on a warm run cost more than simulating the layer.
+/// report's row format, written out by [`MemoryReportSink`].
 pub mod rows {
-    use super::{Fixed, LayerResult};
+    use super::LayerResult;
 
     /// `COMPUTE_REPORT.csv` header.
     pub(crate) const COMPUTE_HEADER: &str =
@@ -110,13 +67,13 @@ pub mod rows {
     /// One `COMPUTE_REPORT.csv` row.
     pub(crate) fn compute(l: &LayerResult) -> String {
         format!(
-            "{}, {}, {}, {}, {}, {}\n",
+            "{}, {}, {}, {}, {:.4}, {:.4}\n",
             l.name,
             l.report.compute.total_compute_cycles,
             l.stall_cycles(),
             l.total_cycles(),
-            Fixed(l.report.compute.utilization, 4),
-            Fixed(l.report.compute.mapping_efficiency, 4),
+            l.report.compute.utilization,
+            l.report.compute.mapping_efficiency,
         )
     }
 
@@ -130,12 +87,12 @@ pub mod rows {
         let m = &l.report.memory;
         let cycles = l.total_cycles().max(1) as f64;
         format!(
-            "{}, {}, {}, {}, {}\n",
+            "{}, {:.4}, {:.4}, {:.4}, {:.1}\n",
             l.name,
-            Fixed(m.ifmap.dram_reads as f64 / cycles, 4),
-            Fixed(m.filter.dram_reads as f64 / cycles, 4),
-            Fixed(m.ofmap.dram_writes as f64 / cycles, 4),
-            Fixed(l.dram.as_ref().map_or(0.0, |d| d.throughput_mbps), 1),
+            m.ifmap.dram_reads as f64 / cycles,
+            m.filter.dram_reads as f64 / cycles,
+            m.ofmap.dram_writes as f64 / cycles,
+            l.dram.as_ref().map_or(0.0, |d| d.throughput_mbps),
         )
     }
 
@@ -165,15 +122,15 @@ pub mod rows {
     pub(crate) fn dram(l: &LayerResult) -> Option<String> {
         let d = l.dram.as_ref()?;
         Some(format!(
-            "{}, {}, {}, {}, {}, {}, {}, {}\n",
+            "{}, {}, {:.2}, {:.1}, {:.4}, {:.1}, {:.3}, {:.2}\n",
             l.name,
             d.line_requests,
-            Fixed(d.avg_latency, 2),
-            Fixed(d.throughput_mbps, 1),
-            Fixed(d.stats.row_hit_rate(), 4),
-            Fixed(d.energy.total_pj(), 1),
-            Fixed(d.energy.pj_per_bit(), 3),
-            Fixed(d.energy.avg_power_mw(), 2),
+            d.avg_latency,
+            d.throughput_mbps,
+            d.stats.row_hit_rate(),
+            d.energy.total_pj(),
+            d.energy.pj_per_bit(),
+            d.energy.avg_power_mw(),
         ))
     }
 
@@ -198,11 +155,11 @@ pub mod rows {
     pub(crate) fn energy(l: &LayerResult) -> Option<String> {
         let e = l.energy.as_ref()?;
         Some(format!(
-            "{}, {}, {}, {}\n",
+            "{}, {:.6}, {:.4}, {:.4}\n",
             l.name,
-            Fixed(e.total_mj(), 6),
-            Fixed(e.avg_power_w(), 4),
-            Fixed(e.edp_cycles_mj(), 4)
+            e.total_mj(),
+            e.avg_power_w(),
+            e.edp_cycles_mj()
         ))
     }
 }
@@ -227,6 +184,22 @@ impl RunResult {
     /// Sum of per-layer end-to-end cycles.
     pub fn total_cycles(&self) -> u64 {
         self.summary().total_cycles
+    }
+
+    /// Total energy in mJ (0.0 when energy is disabled — folded from
+    /// `+0.0`, because `sum()` of no terms is `-0.0`). Sums per-layer
+    /// totals, where [`RunSummary::energy_mj`] merges component-wise
+    /// first: the two associations round differently and each is pinned
+    /// (the ledger and examples here, serve and sweep goldens there).
+    pub fn total_energy_mj(&self) -> f64 {
+        let layers = self.layers.iter().filter_map(|l| l.energy.as_ref());
+        layers.fold(0.0, |total, e| total + e.total_mj())
+    }
+
+    /// Total DRAM energy over the run in mJ (`+0.0` when DRAM is disabled).
+    pub fn total_dram_energy_mj(&self) -> f64 {
+        let layers = self.layers.iter().filter_map(|l| l.dram.as_ref());
+        layers.fold(0.0, |total, d| total + d.energy.total_mj())
     }
 
     /// The run's `*_REPORT.csv` files as `(file name, content)` pairs:
@@ -288,67 +261,10 @@ mod tests {
         assert_eq!(summary.stall_cycles, 20);
         assert_eq!(summary.macs, 128);
         assert_eq!(summary.utilization(), 0.5);
-    }
-
-    /// `Fixed(v, d)` against std's `{v:.d$}` for every `d` in `0..=9`.
-    fn assert_fixed_is_std(v: f64) {
-        for d in 0..=9 {
-            assert_eq!(
-                Fixed(v, d).to_string(),
-                format!("{v:.d$}"),
-                "{v:e} ({:#x}) at {d} digits",
-                v.to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn fixed_prints_what_std_prints() {
-        // SplitMix64: a fixed seed, so a failure names a reproducible value.
-        let mut state = 0x5ca1_e51f_u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        // ±0, the smallest and largest subnormals, the smallest normal,
-        // the non-finite values, the largest finite value, and small
-        // values on either side of zero.
-        let largest_subnormal = f64::from_bits((1 << 52) - 1);
-        [
-            0.0,
-            -0.0,
-            5e-324,
-            -5e-324,
-            largest_subnormal,
-            f64::MIN_POSITIVE,
-        ]
-        .into_iter()
-        .chain([f64::NAN, f64::INFINITY, f64::NEG_INFINITY, f64::MAX])
-        .chain([1e-5, -1e-5, -4e-10, 0.5, -2.5, 1.5e-9])
-        .for_each(assert_fixed_is_std);
-        let two_73 = 2f64.powi(73);
-        for step in 0..64 {
-            // Either side of 2^73, where the exact path hands over to std.
-            assert_fixed_is_std(f64::from_bits(two_73.to_bits() + step));
-            assert_fixed_is_std(-f64::from_bits(two_73.to_bits() - 1 - step));
-        }
-        for _ in 0..20_000 {
-            let bits = next();
-            // Any bit pattern; a value of a report's magnitude; a
-            // subnormal; and exact ties at each `d`, the odd multiples
-            // of 2^-(d+1), so both neighbours' parities come up.
-            assert_fixed_is_std(f64::from_bits(bits));
-            let magnitude = (bits >> 11) as f64 / (1u64 << 53) as f64;
-            assert_fixed_is_std(magnitude * 10f64.powi((bits % 24) as i32 - 12));
-            assert_fixed_is_std(f64::from_bits(bits & ((1 << 52) - 1) | (bits & 1 << 63)));
-            let d = (bits % 10) as i32;
-            let odd = ((bits >> 20) % 1_000_000) as f64 * 2.0 + 1.0;
-            let tie = odd / 2f64.powi(d + 1);
-            assert_fixed_is_std(if bits & 1 << 19 == 0 { tie } else { -tie });
-            // Negative values that round to zero print `-0.000…`.
-            assert_fixed_is_std(-magnitude * 10f64.powi(-((bits % 12) as i32)));
+        // A feature-off run totals to +0.0, not the -0.0 an empty `sum()`
+        // yields (`-0.0 == 0.0`, so compare the sign bit).
+        for off in [run.total_energy_mj(), run.total_dram_energy_mj()] {
+            assert!(off == 0.0 && off.is_sign_positive(), "{off:?}");
         }
     }
 

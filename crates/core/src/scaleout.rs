@@ -70,7 +70,6 @@ impl ScaleoutLayerRecord {
 /// of truth shared by the report and the CLI's `-v` progress lines.
 pub mod scaleout_rows {
     use super::ScaleoutLayerRecord;
-    use crate::result::Fixed;
 
     /// `SCALEOUT_REPORT.csv` header.
     pub(crate) const SCALEOUT_HEADER: &str = "LayerName, Stage, ShardM, ShardN, ShardK, \
@@ -80,7 +79,7 @@ pub mod scaleout_rows {
     /// One `SCALEOUT_REPORT.csv` row.
     pub fn scaleout(r: &ScaleoutLayerRecord) -> String {
         format!(
-            "{}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}\n",
+            "{}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {:.4}\n",
             r.name,
             r.stage,
             r.shard.m,
@@ -92,7 +91,7 @@ pub mod scaleout_rows {
             r.overlapped_cycles,
             r.exposed_cycles,
             r.total_cycles(),
-            Fixed(r.utilization, 4),
+            r.utilization,
         )
     }
 }

@@ -9,11 +9,8 @@
 //! * **TCP** (`--listen`) — each connection is an independent
 //!   JSON-lines session on its own thread, with `TCP_NODELAY` set.
 //!
-//! Either way a reply leaves as **one write** of its line and newline,
-//! then a flush. A reply split across two writes would wait ~40 ms on
-//! TCP, Nagle's algorithm holding the second segment until the client's
-//! delayed ACK; with one write on a no-delay socket a warm request
-//! answers in about a tenth of a millisecond.
+//! Either way a reply leaves as one write of its line and newline, then
+//! a flush; `write_reply` says why.
 //!
 //! ## Serving model
 //!
@@ -655,10 +652,11 @@ impl Server {
         })
     }
 
-    /// Serves one accepted TCP connection as a session, with Nagle's
-    /// algorithm off so each reply leaves the moment it is written.
+    /// Serves one accepted TCP connection as a session on a
+    /// `TCP_NODELAY` socket (see `write_reply`). Failing to set the
+    /// option only costs latency, so the session is served either way.
     fn serve_connection(&self, stream: TcpStream) -> std::io::Result<()> {
-        stream.set_nodelay(true)?;
+        let _ = stream.set_nodelay(true);
         let reader = BufReader::new(stream.try_clone()?);
         self.serve_session(reader, stream)
     }

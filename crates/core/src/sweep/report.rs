@@ -5,7 +5,6 @@
 //! records sorted by run index, so for a given spec the report bytes are
 //! identical regardless of how the runs were scheduled.
 
-use crate::result::Fixed;
 use crate::sweep::pareto::pareto_min;
 
 /// Aggregated metrics for one `(grid point, topology)` run, with the
@@ -156,8 +155,8 @@ impl SweepReport {
                 .find(|p| p.point == r.point)
                 .is_some_and(|p| p.pareto);
             out.push_str(&format!(
-                "{}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, \
-                 {}, {}, {}, {}, {}, {}, {}, {}, {}, {}\n",
+                "{}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {:.3}, {}, {}, {}, {}, \
+                 {}, {}, {}, {}, {:.4}, {}, {:.6}, {:.4}, {}, {}\n",
                 r.run,
                 r.point,
                 r.point_label,
@@ -168,7 +167,7 @@ impl SweepReport {
                 r.sram_kb.0,
                 r.sram_kb.1,
                 r.sram_kb.2,
-                Fixed(r.bandwidth, 3),
+                r.bandwidth,
                 r.cores,
                 u8::from(r.dram_enabled),
                 u8::from(r.energy_enabled),
@@ -177,10 +176,10 @@ impl SweepReport {
                 r.total_cycles,
                 r.compute_cycles,
                 r.stall_cycles,
-                Fixed(r.utilization, 4),
+                r.utilization,
                 r.macs,
-                Fixed(r.energy_mj, 6),
-                Fixed(r.edp_cycles_mj, 4),
+                r.energy_mj,
+                r.edp_cycles_mj,
                 r.noc_words,
                 u8::from(pareto),
             ));
@@ -209,10 +208,10 @@ impl SweepReport {
             out.push_str(&format!(
                 "    {{\"run\": {}, \"point\": {}, \"label\": \"{}\", \"topology\": \"{}\", \
                  \"array\": \"{}x{}\", \"dataflow\": \"{}\", \"sram_kb\": [{}, {}, {}], \
-                 \"bandwidth\": {}, \"cores\": {}, \"dram\": {}, \"energy\": {}, \
+                 \"bandwidth\": {:.3}, \"cores\": {}, \"dram\": {}, \"energy\": {}, \
                  \"layout\": {}, \"layers\": {}, \"total_cycles\": {}, \
-                 \"compute_cycles\": {}, \"stall_cycles\": {}, \"utilization\": {}, \
-                 \"macs\": {}, \"energy_mj\": {}, \"edp_cycles_mj\": {}, \
+                 \"compute_cycles\": {}, \"stall_cycles\": {}, \"utilization\": {:.4}, \
+                 \"macs\": {}, \"energy_mj\": {:.6}, \"edp_cycles_mj\": {:.4}, \
                  \"noc_words\": {}}}{comma}\n",
                 r.run,
                 r.point,
@@ -224,7 +223,7 @@ impl SweepReport {
                 r.sram_kb.0,
                 r.sram_kb.1,
                 r.sram_kb.2,
-                Fixed(r.bandwidth, 3),
+                r.bandwidth,
                 r.cores,
                 r.dram_enabled,
                 r.energy_enabled,
@@ -233,10 +232,10 @@ impl SweepReport {
                 r.total_cycles,
                 r.compute_cycles,
                 r.stall_cycles,
-                Fixed(r.utilization, 4),
+                r.utilization,
                 r.macs,
-                Fixed(r.energy_mj, 6),
-                Fixed(r.edp_cycles_mj, 4),
+                r.energy_mj,
+                r.edp_cycles_mj,
                 r.noc_words,
             ));
         }
@@ -245,12 +244,12 @@ impl SweepReport {
             let comma = if i + 1 < self.points.len() { "," } else { "" };
             out.push_str(&format!(
                 "    {{\"point\": {}, \"label\": \"{}\", \"total_cycles\": {}, \
-                 \"energy_mj\": {}, \"edp_cycles_mj\": {}, \"pareto\": {}}}{comma}\n",
+                 \"energy_mj\": {:.6}, \"edp_cycles_mj\": {:.4}, \"pareto\": {}}}{comma}\n",
                 p.point,
                 escape(&p.label),
                 p.total_cycles,
-                Fixed(p.energy_mj, 6),
-                Fixed(p.edp_cycles_mj, 4),
+                p.energy_mj,
+                p.edp_cycles_mj,
                 p.pareto,
             ));
         }

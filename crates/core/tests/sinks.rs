@@ -111,6 +111,7 @@ fn teed_collect_and_summary_agree() {
     assert_eq!(summary.layers, 6);
     assert_eq!(summary, run.summary());
     assert_eq!(summary.total_cycles, run.total_cycles());
+    assert!((summary.energy_mj() - run.total_energy_mj()).abs() < 1e-12);
     // The teed report writer saw the same layers the collector kept.
     assert_eq!(csv.finish(), run.reports());
 }

@@ -165,6 +165,11 @@ impl DramEnergyBreakdown {
         self.total_pj() * 1e-9
     }
 
+    /// Dynamic (non-background) energy in picojoules.
+    pub fn dynamic_pj(&self) -> f64 {
+        self.total_pj() - self.background_pj
+    }
+
     /// Energy per transferred bit (pJ/bit); `0.0` when nothing moved.
     pub fn pj_per_bit(&self) -> f64 {
         if self.bits == 0.0 {
@@ -267,7 +272,7 @@ mod tests {
             ..Default::default()
         };
         let e = DramEnergyBreakdown::from_stats(&spec, &stats, 2);
-        assert_eq!(e.total_pj(), e.background_pj, "no dynamic energy");
+        assert_eq!(e.dynamic_pj(), 0.0);
         assert!(e.background_pj > 0.0);
         // Two channels idle at IDD2N.
         let exp = spec.power.vdd()

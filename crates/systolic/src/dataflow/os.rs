@@ -83,7 +83,7 @@ mod tests {
     use crate::config::{ArrayShape, Dataflow};
     use crate::dataflow::testing::{addrs, tally};
     use crate::dataflow::DemandGenerator;
-    use crate::operand::OFMAP_BASE;
+    use crate::operand::OperandKind;
     use crate::topology::GemmShape;
     use std::collections::HashSet;
 
@@ -108,7 +108,7 @@ mod tests {
         let writes = addrs(&make(3, 3, 7, 5, 4), |f| &f.ofmap);
         let mut seen = HashSet::new();
         for &a in &writes {
-            assert!(a >= OFMAP_BASE, "output {a} outside the ofmap region");
+            assert_eq!(OperandKind::of_addr(a), OperandKind::Ofmap);
             assert!(seen.insert(a), "output {a} written twice");
         }
         assert_eq!(seen.len(), 7 * 5);

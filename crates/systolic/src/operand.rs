@@ -33,6 +33,17 @@ impl OperandKind {
     /// All operand kinds in canonical order.
     pub const ALL: [OperandKind; 3] = [OperandKind::Ifmap, OperandKind::Filter, OperandKind::Ofmap];
 
+    /// Classifies an address by its region.
+    pub fn of_addr(addr: Addr) -> OperandKind {
+        if addr >= OFMAP_BASE {
+            OperandKind::Ofmap
+        } else if addr >= FILTER_BASE {
+            OperandKind::Filter
+        } else {
+            OperandKind::Ifmap
+        }
+    }
+
     /// Lowercase display name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -101,6 +112,9 @@ mod tests {
         assert!(a < FILTER_BASE);
         assert!((FILTER_BASE..OFMAP_BASE).contains(&b));
         assert!(c >= OFMAP_BASE);
+        assert_eq!(OperandKind::of_addr(a), OperandKind::Ifmap);
+        assert_eq!(OperandKind::of_addr(b), OperandKind::Filter);
+        assert_eq!(OperandKind::of_addr(c), OperandKind::Ofmap);
     }
 
     #[test]

@@ -238,10 +238,11 @@ fn dram_power_flows_through_the_engine() {
         let r = sim.run_gemm(name, gemm);
         let d = r.dram.as_ref().unwrap();
         assert!(d.energy.read_pj > 0.0, "{name}");
-        assert!(d.energy.background_pj >= 0.0);
+        assert!(d.energy.total_pj() >= d.energy.dynamic_pj());
         assert!(d.energy.pj_per_bit() > 0.5 && d.energy.pj_per_bit() < 100.0);
         run.layers.push(r);
     }
+    assert!(run.total_dram_energy_mj() > 0.0);
     let reports = run.reports();
     let (_, csv) = reports
         .iter()
