@@ -26,7 +26,8 @@
 //! their type.
 
 use crate::error::SimError;
-use crate::json::{escape_into, Json};
+use crate::json::Json;
+use scalesim_obs::json_escape_into;
 use std::fmt::{Display, Write as _};
 
 /// Which half of the protocol an object belongs to: it picks the error
@@ -53,8 +54,8 @@ impl Side {
 /// (`run response: missing`, `report missing`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Ctx {
-    pub side: Side,
-    pub label: &'static str,
+    pub(crate) side: Side,
+    pub(crate) label: &'static str,
 }
 
 impl Ctx {
@@ -95,9 +96,9 @@ impl Ctx {
 /// [`Ctx`], the key, and the value found there (`None` when absent).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Member<'a> {
-    pub cx: Ctx,
-    pub key: &'a str,
-    pub found: Option<&'a Json>,
+    pub(crate) cx: Ctx,
+    pub(crate) key: &'a str,
+    pub(crate) found: Option<&'a Json>,
 }
 
 impl<'a> Member<'a> {
@@ -182,7 +183,7 @@ impl<'a> ObjectWriter<'a> {
 /// Appends `s` as a JSON string.
 pub(crate) fn quote(s: &str, out: &mut String) {
     out.push('"');
-    escape_into(s, out);
+    json_escape_into(s, out);
     out.push('"');
 }
 

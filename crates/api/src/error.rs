@@ -81,7 +81,7 @@ impl SimError {
 
     /// Builds the error for a decoded wire `kind` tag (unknown tags
     /// collapse to [`SimError::Internal`], preserving the message).
-    pub fn from_kind(kind: &str, message: String) -> SimError {
+    pub(crate) fn from_kind(kind: &str, message: String) -> SimError {
         match kind {
             "config" => SimError::Config(message),
             "topology" => SimError::Topology(message),

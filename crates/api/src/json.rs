@@ -18,6 +18,7 @@
 //! assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
 //! ```
 
+use scalesim_obs::json_escape_into;
 use std::fmt;
 
 /// A parsed JSON value.
@@ -135,7 +136,7 @@ impl fmt::Display for Json {
             Json::Str(s) => {
                 f.write_str("\"")?;
                 let mut buf = String::new();
-                escape_into(s, &mut buf);
+                json_escape_into(s, &mut buf);
                 f.write_str(&buf)?;
                 f.write_str("\"")
             }
@@ -163,35 +164,12 @@ impl fmt::Display for Json {
     }
 }
 
-/// Appends `s` to `out` with JSON string escaping applied (quotes,
-/// backslashes, and all control characters; `\n`/`\r`/`\t` use their
-/// short forms). Used by the wire encoder, so embedded report CSVs stay
-/// single-line.
-pub fn escape_into(s: &str, out: &mut String) {
-    // Everything escaped is one ASCII byte, so the runs between them
-    // are whole UTF-8 and are copied as they are.
-    let mut rest = s;
-    while let Some(at) = rest
-        .bytes()
-        .position(|b| matches!(b, b'"' | b'\\' | 0..=0x1f))
-    {
-        out.push_str(&rest[..at]);
-        match rest.as_bytes()[at] {
-            b @ (b'"' | b'\\') => out.extend(['\\', char::from(b)]),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            b => out.push_str(&format!("\\u{b:04x}")),
-        }
-        rest = &rest[at + 1..];
-    }
-    out.push_str(rest);
-}
-
-/// [`escape_into`] returning a fresh string.
+/// `s` with JSON string escaping applied (quotes, backslashes, and all
+/// control characters; `\n`/`\r`/`\t` use their short forms), by
+/// [`json_escape_into`].
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    escape_into(s, &mut out);
+    json_escape_into(s, &mut out);
     out
 }
 
@@ -495,6 +473,20 @@ mod tests {
             "escape/unescape must round-trip"
         );
         assert!(!encoded.contains('\n'), "encoded form is single-line");
+    }
+
+    #[test]
+    fn escape_is_undone_by_the_parser_for_every_ascii_char() {
+        let non_ascii = ['\u{80}', 'é', 'λ', '\u{2028}', '\u{ffff}', '🎉'];
+        for c in (0..=0x7f).map(char::from).chain(non_ascii) {
+            let original = format!("a{c}b");
+            let quoted = format!("\"{}\"", escape(&original));
+            let parsed = Json::parse(&quoted).unwrap_or_else(|e| panic!("{quoted}: {e}"));
+            assert_eq!(parsed.as_str(), Some(original.as_str()), "{quoted}");
+        }
+        // The byte spelling every writer shares.
+        assert_eq!(escape("\n\r\t\"\\"), "\\n\\r\\t\\\"\\\\");
+        assert_eq!(escape("\u{1}\u{1f}"), "\\u0001\\u001f");
     }
 
     #[test]

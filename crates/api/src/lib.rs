@@ -49,10 +49,10 @@
 #![warn(missing_docs)]
 
 mod codec;
-pub mod error;
+pub(crate) mod error;
 pub mod json;
-pub mod request;
-pub mod response;
+pub(crate) mod request;
+pub(crate) mod response;
 pub mod wire;
 
 /// The wire-protocol major version this crate implements.

@@ -133,21 +133,11 @@ fn features() -> Elide<Nested, Features> {
     Elide(Nested, Features::default())
 }
 
-/// A [`TopologySource`] names exactly one source.
-fn one_source(topology: &TopologySource) -> Result<(), SimError> {
-    let sources = [&topology.path, &topology.inline, &topology.workload];
-    match sources.iter().filter(|source| source.is_some()).count() {
-        1 => Ok(()),
-        _ => Err(Side::Request
-            .err("topology: exactly one of \"path\", \"inline\" and \"workload\" is required")),
-    }
-}
-
 wire! {
     /// A workload topology: CSV rows plus how to parse and name them, or a
     /// named workload from the built-in registry.
     #[derive(Debug, Clone, PartialEq, Eq)]
-    Request "topology" check one_source => pub struct TopologySource {
+    Request "topology" check TopologySource::one_source => pub struct TopologySource {
         /// Name used in reports (defaults to the path's file stem, or
         /// `workload` for inline CSV with no name).
         pub name: Option<String> = "name": Opt(TEXT),
@@ -285,6 +275,22 @@ const NO_SOURCE: TopologySource = TopologySource {
 };
 
 impl TopologySource {
+    /// Checks that the source names exactly one of `path`, `inline` and
+    /// `workload`: the decoder runs it on every request, and a service
+    /// handed a request built in process runs it again.
+    ///
+    /// # Errors
+    ///
+    /// The request-side config error naming the three keys.
+    pub fn one_source(&self) -> Result<(), SimError> {
+        let sources = [&self.path, &self.inline, &self.workload];
+        match sources.iter().filter(|source| source.is_some()).count() {
+            1 => Ok(()),
+            _ => Err(Side::Request
+                .err("topology: exactly one of \"path\", \"inline\" and \"workload\" is required")),
+        }
+    }
+
     /// A topology read from a file path.
     pub fn from_path(path: impl Into<String>) -> Self {
         Self {

@@ -10,7 +10,7 @@
 //!   time has elapsed (checked at stage boundaries, not preemptively).
 //! * exactly one command key — `"run"`, `"sweep"`, `"scaleout"`,
 //!   `"llm"`, `"area"`, `"version"`, `"stats"` or `"trace"` — whose
-//!   value is the command body (see [`crate::request`]).
+//!   value is the command body (see `crate::request`).
 //!
 //! A response envelope carries `"api"`, the echoed `"id"` (when the
 //! request had one), and either `"ok"` (an object keyed by the command

@@ -40,10 +40,10 @@
 //! Microbatches : 4
 //! ```
 
+use crate::collective::{FabricTag, ScaleoutSpec, Strategy};
 use crate::config::{DramIntegration, ScaleSimConfig, SparsityMode};
 use crate::llm::{LlmRunSpec, LlmSpec, MoeSpec, Phase};
 use crate::sparse::{NmRatio, SparseFormat};
-use scalesim_collective::{FabricTag, ScaleoutSpec, Strategy};
 use scalesim_mem::DramSpec;
 use scalesim_systolic::dialect;
 use scalesim_systolic::{ArrayShape, Dataflow, MemoryConfig, SimError};

@@ -1,11 +1,11 @@
 //! Analytical cost models of the collective operations distributed
 //! training spends its communication time in: all-reduce,
-//! reduce-scatter, all-gather, broadcast, and the point-to-point
+//! reduce-scatter, all-gather, and the point-to-point
 //! transfer pipeline parallelism uses between stages.
 //!
 //! Every model is the textbook alpha-beta cost of the algorithm the
 //! fabric kind would run (Thakur et al.'s analysis), expressed in core
-//! cycles via [`Fabric::transfer_cycles`]:
+//! cycles via `Fabric::transfer_cycles`:
 //!
 //! * **Ring** — chunked ring algorithms: reduce-scatter and all-gather
 //!   each take `p - 1` neighbour steps of `ceil(B / p)` bytes;
@@ -22,7 +22,7 @@
 //! sends and receives simultaneously), which is what makes the step
 //! count — not the chip count — multiply the latency term.
 
-use crate::fabric::{Fabric, FabricKind};
+use crate::collective::fabric::{Fabric, FabricKind};
 
 /// The cycle cost of one collective: total cycles, synchronization
 /// steps, and the bytes the busiest chip pushed onto the wire.
@@ -33,18 +33,18 @@ pub struct CollectiveCost {
     /// Synchronization steps (each pays one hop latency).
     pub steps: u32,
     /// Bytes the busiest chip serialized onto its links.
-    pub wire_bytes: u64,
+    pub(crate) wire_bytes: u64,
 }
 
 impl CollectiveCost {
     /// The zero cost (single chip, or an empty payload on one chip).
-    pub const FREE: CollectiveCost = CollectiveCost {
+    pub(crate) const FREE: CollectiveCost = CollectiveCost {
         cycles: 0,
         steps: 0,
         wire_bytes: 0,
     };
 
-    fn add(self, other: CollectiveCost) -> CollectiveCost {
+    pub(crate) fn add(self, other: CollectiveCost) -> CollectiveCost {
         CollectiveCost {
             cycles: self.cycles + other.cycles,
             steps: self.steps + other.steps,
@@ -96,7 +96,7 @@ fn ring_phase(fabric: &Fabric, chips: usize, bytes: u64) -> CollectiveCost {
 
 /// Reduce-scatter: every chip starts with `bytes` and ends owning the
 /// reduced `bytes / p` shard.
-pub fn reduce_scatter(fabric: &Fabric, bytes: u64) -> CollectiveCost {
+pub(crate) fn reduce_scatter(fabric: &Fabric, bytes: u64) -> CollectiveCost {
     let p = fabric.chips();
     if p <= 1 {
         return CollectiveCost::FREE;
@@ -114,7 +114,7 @@ pub fn reduce_scatter(fabric: &Fabric, bytes: u64) -> CollectiveCost {
 
 /// All-gather: every chip starts with its `bytes / p` shard and ends
 /// with the full `bytes`.
-pub fn all_gather(fabric: &Fabric, bytes: u64) -> CollectiveCost {
+pub(crate) fn all_gather(fabric: &Fabric, bytes: u64) -> CollectiveCost {
     let p = fabric.chips();
     if p <= 1 {
         return CollectiveCost::FREE;
@@ -137,20 +137,9 @@ pub fn all_reduce(fabric: &Fabric, bytes: u64) -> CollectiveCost {
     reduce_scatter(fabric, bytes).add(all_gather(fabric, bytes))
 }
 
-/// Broadcast of `bytes` from one root to every chip: a binomial tree of
-/// `ceil(log2 p)` steps, each relaying the full payload one hop.
-pub fn broadcast(fabric: &Fabric, bytes: u64) -> CollectiveCost {
-    let p = fabric.chips();
-    if p <= 1 {
-        return CollectiveCost::FREE;
-    }
-    let steps = (usize::BITS - (p - 1).leading_zeros()) as usize; // ceil(log2 p)
-    uniform_steps(fabric, steps, bytes)
-}
-
 /// Point-to-point transfer of `bytes` between adjacent chips (pipeline
 /// stages map to neighbouring chips on every fabric kind): one hop.
-pub fn point_to_point(fabric: &Fabric, bytes: u64) -> CollectiveCost {
+pub(crate) fn point_to_point(fabric: &Fabric, bytes: u64) -> CollectiveCost {
     if fabric.chips() <= 1 {
         return CollectiveCost::FREE;
     }
@@ -158,99 +147,5 @@ pub fn point_to_point(fabric: &Fabric, bytes: u64) -> CollectiveCost {
         cycles: fabric.transfer_cycles(bytes),
         steps: 1,
         wire_bytes: bytes,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ring(p: usize) -> Fabric {
-        Fabric::new(FabricKind::Ring, p, 64.0, 100, 1.0).unwrap()
-    }
-
-    #[test]
-    fn single_chip_collectives_are_free() {
-        let f = ring(1);
-        for cost in [
-            all_reduce(&f, 1 << 20),
-            reduce_scatter(&f, 1 << 20),
-            all_gather(&f, 1 << 20),
-            broadcast(&f, 1 << 20),
-            point_to_point(&f, 1 << 20),
-        ] {
-            assert_eq!(cost, CollectiveCost::FREE);
-        }
-    }
-
-    #[test]
-    fn ring_all_reduce_matches_the_closed_form() {
-        // 2 (p-1) steps of B/p bytes: the classic 2 (p-1)/p · B wire
-        // traffic with 2 (p-1) latency hops.
-        let p = 8;
-        let bytes = 1u64 << 20;
-        let f = ring(p);
-        let cost = all_reduce(&f, bytes);
-        assert_eq!(cost.steps, 2 * (p as u32 - 1));
-        assert_eq!(cost.wire_bytes, 2 * (p as u64 - 1) * (bytes / p as u64));
-        let chunk_cycles = f.transfer_cycles(bytes / p as u64);
-        assert_eq!(cost.cycles, 2 * (p as u64 - 1) * chunk_cycles);
-    }
-
-    #[test]
-    fn all_reduce_composes_scatter_and_gather() {
-        for fabric in [
-            ring(8),
-            Fabric::new(FabricKind::Mesh2D { rows: 2, cols: 4 }, 8, 64.0, 100, 1.0).unwrap(),
-            Fabric::new(FabricKind::Switch, 8, 64.0, 100, 1.0).unwrap(),
-        ] {
-            let b = 3 << 19;
-            let whole = all_reduce(&fabric, b);
-            let parts = reduce_scatter(&fabric, b).add(all_gather(&fabric, b));
-            assert_eq!(whole, parts, "{fabric}");
-        }
-    }
-
-    #[test]
-    fn switch_beats_ring_on_latency_bound_payloads() {
-        // Tiny payload, many chips: log2 p steps beat 2 (p-1) steps.
-        let p = 64;
-        let switch = Fabric::new(FabricKind::Switch, p, 64.0, 500, 1.0).unwrap();
-        let cost_switch = all_reduce(&switch, 1024);
-        let cost_ring = all_reduce(&ring(p), 1024);
-        assert!(cost_switch.cycles < cost_ring.cycles);
-        assert_eq!(cost_switch.steps, 12); // 2 log2 64
-    }
-
-    #[test]
-    fn mesh_phases_cover_both_dimensions() {
-        let mesh = Fabric::new(FabricKind::Mesh2D { rows: 4, cols: 2 }, 8, 64.0, 100, 1.0).unwrap();
-        let cost = reduce_scatter(&mesh, 1 << 20);
-        // (cols-1) row steps + (rows-1) column steps.
-        assert_eq!(cost.steps, 1 + 3);
-        // Both decompositions are bandwidth-optimal ((p-1)/p · B wire
-        // bytes), but the mesh pays fewer latency hops than a flat ring.
-        let flat = reduce_scatter(&ring(8), 1 << 20);
-        assert_eq!(cost.wire_bytes, flat.wire_bytes);
-        assert!(cost.cycles < flat.cycles);
-    }
-
-    #[test]
-    fn more_bandwidth_never_costs_more() {
-        let slow = Fabric::new(FabricKind::Ring, 8, 25.0, 500, 1.0).unwrap();
-        let fast = Fabric::new(FabricKind::Ring, 8, 400.0, 500, 1.0).unwrap();
-        for bytes in [0u64, 1, 4096, 1 << 22] {
-            assert!(all_reduce(&fast, bytes).cycles <= all_reduce(&slow, bytes).cycles);
-        }
-    }
-
-    #[test]
-    fn broadcast_is_logarithmic() {
-        let f = ring(16);
-        let cost = broadcast(&f, 1 << 16);
-        assert_eq!(cost.steps, 4);
-        assert_eq!(cost.cycles, 4 * f.transfer_cycles(1 << 16));
-        // Non-power-of-two chip counts round the tree depth up.
-        assert_eq!(broadcast(&ring(9), 1).steps, 4);
     }
 }

@@ -2,11 +2,11 @@
 //! beyond the single-chip architecture, with defaults matching a small
 //! 8-chip ring.
 
-use crate::fabric::{Fabric, FabricKind};
-use crate::strategy::Strategy;
+use crate::collective::fabric::{Fabric, FabricKind};
+use crate::collective::strategy::Strategy;
 
 /// Parsed `[scaleout]` configuration (see `docs/SCALEOUT.md` for the
-/// cfg keys). Plain data: [`ScaleoutSpec::fabric`] resolves and
+/// cfg keys). Plain data: `ScaleoutSpec::fabric` resolves and
 /// validates the interconnect when a run starts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleoutSpec {
@@ -16,17 +16,17 @@ pub struct ScaleoutSpec {
     pub fabric: FabricTag,
     /// Explicit mesh dimensions; `None` picks the most-square
     /// factorization of the chip count.
-    pub mesh: Option<(usize, usize)>,
+    pub(crate) mesh: Option<(usize, usize)>,
     /// Per-link bandwidth, GB/s.
-    pub link_gbps: f64,
+    pub(crate) link_gbps: f64,
     /// Per-hop latency, core cycles.
-    pub link_latency: u64,
+    pub(crate) link_latency: u64,
     /// Parallelization strategy.
     pub strategy: Strategy,
     /// Pipeline-parallel microbatches per batch.
-    pub microbatches: usize,
+    pub(crate) microbatches: usize,
     /// Core clock in GHz (converts GB/s into bytes/cycle).
-    pub clock_ghz: f64,
+    pub(crate) clock_ghz: f64,
 }
 
 /// Which [`FabricKind`] to build, before mesh dimensions are resolved.
@@ -35,7 +35,7 @@ pub enum FabricTag {
     /// Unidirectional ring.
     #[default]
     Ring,
-    /// 2D mesh (dimensions from [`ScaleoutSpec::mesh`] or near-square).
+    /// 2D mesh (dimensions from `ScaleoutSpec::mesh` or near-square).
     Mesh,
     /// Fully-switched network.
     Switch,
@@ -47,7 +47,7 @@ impl FabricTag {
     /// # Errors
     ///
     /// Returns a message naming the unknown value and the accepted set.
-    pub fn parse(value: &str) -> Result<FabricTag, String> {
+    pub(crate) fn parse(value: &str) -> Result<FabricTag, String> {
         match value.to_ascii_lowercase().as_str() {
             "ring" => Ok(FabricTag::Ring),
             "mesh" => Ok(FabricTag::Mesh),
@@ -107,7 +107,7 @@ impl ScaleoutSpec {
     /// Returns a message naming the violated rule (zero chips, bad mesh
     /// dimensions, non-power-of-two switch, non-positive bandwidth or
     /// clock, zero microbatches).
-    pub fn fabric(&self) -> Result<Fabric, String> {
+    pub(crate) fn fabric(&self) -> Result<Fabric, String> {
         if self.microbatches == 0 {
             return Err("microbatches must be at least 1".into());
         }
@@ -126,63 +126,5 @@ impl ScaleoutSpec {
             self.link_latency,
             self.clock_ghz,
         )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_resolve_to_a_valid_ring() {
-        let spec = ScaleoutSpec::default();
-        let fabric = spec.fabric().unwrap();
-        assert_eq!(fabric.chips(), 8);
-        assert_eq!(fabric.kind().tag(), "ring");
-    }
-
-    #[test]
-    fn mesh_defaults_to_near_square() {
-        assert_eq!(near_square_mesh(8), (2, 4));
-        assert_eq!(near_square_mesh(16), (4, 4));
-        assert_eq!(near_square_mesh(7), (1, 7));
-        assert_eq!(near_square_mesh(1), (1, 1));
-        let spec = ScaleoutSpec {
-            chips: 12,
-            fabric: FabricTag::Mesh,
-            ..Default::default()
-        };
-        assert_eq!(
-            spec.fabric().unwrap().kind(),
-            FabricKind::Mesh2D { rows: 3, cols: 4 }
-        );
-    }
-
-    #[test]
-    fn explicit_mesh_dims_are_validated() {
-        let spec = ScaleoutSpec {
-            chips: 8,
-            fabric: FabricTag::Mesh,
-            mesh: Some((3, 3)),
-            ..Default::default()
-        };
-        assert!(spec.fabric().unwrap_err().contains("mesh 3x3"));
-    }
-
-    #[test]
-    fn zero_microbatches_is_rejected() {
-        let spec = ScaleoutSpec {
-            microbatches: 0,
-            ..Default::default()
-        };
-        assert!(spec.fabric().unwrap_err().contains("microbatches"));
-    }
-
-    #[test]
-    fn fabric_tags_parse() {
-        assert_eq!(FabricTag::parse("RING").unwrap(), FabricTag::Ring);
-        assert_eq!(FabricTag::parse("mesh").unwrap(), FabricTag::Mesh);
-        assert_eq!(FabricTag::parse("switch").unwrap(), FabricTag::Switch);
-        assert!(FabricTag::parse("torus").unwrap_err().contains("'torus'"));
     }
 }

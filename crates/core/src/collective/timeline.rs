@@ -19,12 +19,12 @@
 
 /// The per-layer outcome of the overlap timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OverlapSplit {
+pub(crate) struct OverlapSplit {
     /// Cycles of the layer's communication hidden under the next
     /// layer's compute.
-    pub overlapped: u64,
+    pub(crate) overlapped: u64,
     /// Cycles left on the critical path.
-    pub exposed: u64,
+    pub(crate) exposed: u64,
 }
 
 /// Accumulates `(compute, comm)` pairs in layer order and splits each
@@ -32,7 +32,7 @@ pub struct OverlapSplit {
 /// one-layer lookahead; the caller receives each split once the *next*
 /// layer's compute is known (streaming, O(1) state).
 #[derive(Debug, Clone, Default)]
-pub struct OverlapTimeline {
+pub(crate) struct OverlapTimeline {
     pending: Option<u64>,
     compute_total: u64,
     comm_total: u64,
@@ -42,14 +42,14 @@ pub struct OverlapTimeline {
 
 impl OverlapTimeline {
     /// An empty timeline.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Pushes the next layer; returns the **previous** layer's split
     /// (its overlap window — this layer's compute — is now known), or
     /// `None` for the first layer.
-    pub fn push(&mut self, compute: u64, comm: u64) -> Option<OverlapSplit> {
+    pub(crate) fn push(&mut self, compute: u64, comm: u64) -> Option<OverlapSplit> {
         self.compute_total += compute;
         self.comm_total += comm;
         let resolved = self.pending.take().map(|prev_comm| {
@@ -68,7 +68,7 @@ impl OverlapTimeline {
     /// Resolves the final layer (no further compute to hide under: its
     /// communication is fully exposed). Returns `None` when nothing was
     /// pushed.
-    pub fn finish(&mut self) -> Option<OverlapSplit> {
+    pub(crate) fn finish(&mut self) -> Option<OverlapSplit> {
         self.pending.take().map(|comm| {
             self.exposed_total += comm;
             OverlapSplit {
@@ -79,99 +79,28 @@ impl OverlapTimeline {
     }
 
     /// Total compute cycles pushed so far.
-    pub fn compute_total(&self) -> u64 {
+    pub(crate) fn compute_total(&self) -> u64 {
         self.compute_total
     }
 
     /// Total communication cycles pushed so far.
-    pub fn comm_total(&self) -> u64 {
+    pub(crate) fn comm_total(&self) -> u64 {
         self.comm_total
     }
 
     /// Communication cycles hidden under compute (resolved layers only).
-    pub fn overlapped_total(&self) -> u64 {
+    pub(crate) fn overlapped_total(&self) -> u64 {
         self.overlapped_total
     }
 
     /// Communication cycles on the critical path (resolved layers only).
-    pub fn exposed_total(&self) -> u64 {
+    pub(crate) fn exposed_total(&self) -> u64 {
         self.exposed_total
     }
 
     /// The end-to-end critical path: all compute plus all exposed
     /// communication. Call after [`finish`](Self::finish).
-    pub fn total_cycles(&self) -> u64 {
+    pub(crate) fn total_cycles(&self) -> u64 {
         self.compute_total + self.exposed_total
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn comm_hides_under_the_next_layers_compute() {
-        let mut t = OverlapTimeline::new();
-        assert_eq!(t.push(100, 40), None);
-        // Layer 0's 40 comm cycles fit entirely under layer 1's 100.
-        let s0 = t.push(100, 250).unwrap();
-        assert_eq!(
-            s0,
-            OverlapSplit {
-                overlapped: 40,
-                exposed: 0
-            }
-        );
-        // Layer 1's 250 only partially fit under layer 2's 60.
-        let s1 = t.push(60, 0).unwrap();
-        assert_eq!(
-            s1,
-            OverlapSplit {
-                overlapped: 60,
-                exposed: 190
-            }
-        );
-        // The last layer has no window.
-        let s2 = t.finish().unwrap();
-        assert_eq!(
-            s2,
-            OverlapSplit {
-                overlapped: 0,
-                exposed: 0
-            }
-        );
-        assert_eq!(t.compute_total(), 260);
-        assert_eq!(t.comm_total(), 290);
-        assert_eq!(t.overlapped_total(), 100);
-        assert_eq!(t.exposed_total(), 190);
-        assert_eq!(t.total_cycles(), 260 + 190);
-    }
-
-    #[test]
-    fn last_layer_comm_is_fully_exposed() {
-        let mut t = OverlapTimeline::new();
-        t.push(500, 123);
-        let last = t.finish().unwrap();
-        assert_eq!(last.exposed, 123);
-        assert_eq!(t.total_cycles(), 623);
-    }
-
-    #[test]
-    fn empty_timeline_is_zero() {
-        let mut t = OverlapTimeline::new();
-        assert_eq!(t.finish(), None);
-        assert_eq!(t.total_cycles(), 0);
-    }
-
-    #[test]
-    fn totals_are_invariant_splits() {
-        let mut t = OverlapTimeline::new();
-        let layers = [(100u64, 300u64), (50, 10), (200, 80), (30, 500)];
-        for &(c, q) in &layers {
-            t.push(c, q);
-        }
-        t.finish();
-        assert_eq!(t.overlapped_total() + t.exposed_total(), t.comm_total());
-        assert_eq!(t.comm_total(), 300 + 10 + 80 + 500);
     }
 }

@@ -1,11 +1,11 @@
 //! Unified SCALE-Sim v3 configuration.
 
+use crate::collective::ScaleoutSpec;
 use crate::energy::ArchSpec;
 use crate::layout::LayoutSpec;
 use crate::llm::LlmRunSpec;
 use crate::multicore::{L2Config, PartitionGrid, PartitionScheme};
 use crate::sparse::{NmRatio, SparseFormat};
-use scalesim_collective::ScaleoutSpec;
 use scalesim_mem::{AddressMapping, DramSpec};
 use scalesim_systolic::SimConfig;
 

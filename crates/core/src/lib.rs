@@ -16,7 +16,7 @@
 //! | cycle-accurate DRAM (§V) | [`mem`] (crate) |
 //! | on-chip data layout (§VI) | [`layout`] |
 //! | energy & power (§VII) | [`energy`] |
-//! | multi-chip scale-out collectives & parallelism | [`collective`] (crate) |
+//! | multi-chip scale-out collectives & parallelism | [`collective`] |
 //! | LLM workload generation | [`llm`] |
 //! | evaluation workloads | [`workloads`] |
 //! | design-space-exploration sweeps | [`sweep`] |
@@ -52,6 +52,7 @@
 pub mod cancel;
 pub mod cfg;
 pub mod cli;
+pub mod collective;
 pub mod config;
 pub mod dram;
 pub mod energy;
@@ -87,16 +88,13 @@ pub use sweep_run::run_sweep;
 
 /// Re-export: the stable typed request/response API and wire protocol.
 pub use scalesim_api as api;
-/// Re-export: multi-chip collective-communication and parallelism
-/// modeling.
-pub use scalesim_collective as collective;
 /// Re-export: DRAM simulation substrate.
 pub use scalesim_mem as mem;
 /// Re-export: the cycle-accurate systolic core.
 pub use scalesim_systolic as systolic;
 
 // The unit tests of the modules folded in from the former feature crates
-// (energy, layout, llm, multicore, sparse, sweep, workloads) live in
+// (collective, energy, layout, llm, multicore, sparse, sweep, workloads) live in
 // `unit_tests/`, at the paths those crates gave them: `nop::tests::…`,
 // not `multicore::nop::tests::…`. A test keeps its name across the fold.
 #[cfg(test)]
@@ -112,6 +110,9 @@ mod area;
 #[path = "../unit_tests/cnn.rs"]
 mod cnn;
 #[cfg(test)]
+#[path = "../unit_tests/collectives.rs"]
+mod collectives;
+#[cfg(test)]
 #[path = "../unit_tests/conflict.rs"]
 mod conflict;
 #[cfg(test)]
@@ -120,6 +121,9 @@ mod ert;
 #[cfg(test)]
 #[path = "../unit_tests/exec.rs"]
 mod exec;
+#[cfg(test)]
+#[path = "../unit_tests/fabric.rs"]
+mod fabric;
 #[cfg(test)]
 #[path = "../unit_tests/gemm.rs"]
 mod gemm;
@@ -154,8 +158,14 @@ mod spec;
 #[path = "../unit_tests/spmm.rs"]
 mod spmm;
 #[cfg(test)]
+#[path = "../unit_tests/strategy.rs"]
+mod strategy;
+#[cfg(test)]
 #[path = "../unit_tests/tests.rs"]
 mod tests;
+#[cfg(test)]
+#[path = "../unit_tests/timeline.rs"]
+mod timeline;
 #[cfg(test)]
 #[path = "../unit_tests/validate.rs"]
 mod validate;

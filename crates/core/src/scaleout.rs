@@ -1,7 +1,7 @@
 //! Multi-chip scale-out execution: runs a topology across a fleet of
 //! accelerators under a parallelization strategy, merging per-chip
 //! compute (the existing [`ScaleSim`] engine) with collective
-//! communication (the `scalesim-collective` models) on an overlap
+//! communication (the [`crate::collective`] models) on an overlap
 //! timeline.
 //!
 //! The key property the implementation leans on: the strategies are
@@ -16,7 +16,7 @@
 //! `ScaleSim::run_topology_with` — nested layer tasks of the shared
 //! work-stealing scheduler, not a second pool (deterministic for any
 //! `SCALESIM_THREADS`) — each finished layer is joined with its
-//! collective cost in the [`OverlapTimeline`] (one-layer lookahead, so
+//! collective cost in the `OverlapTimeline` (one-layer lookahead, so
 //! O(1) buffered state), and every resolved row is handed to the
 //! caller's closure — the service renders `SCALEOUT_REPORT.csv` from it,
 //! the sweep executor ignores it.
@@ -24,13 +24,13 @@
 //! [`PlanCache`]: scalesim_systolic::PlanCache
 
 use crate::cancel::CancelToken;
-use crate::engine::ScaleSim;
-use crate::result::LayerResult;
-use crate::sink::{ResultSink, RunSummary};
-use scalesim_collective::{
+use crate::collective::{
     collectives, partition_stages, pipeline_total_cycles, shard_layer, CollectiveCost, Fabric,
     LayerPlan, OverlapTimeline, ScaleoutSpec, Strategy,
 };
+use crate::engine::ScaleSim;
+use crate::result::LayerResult;
+use crate::sink::{ResultSink, RunSummary};
 use scalesim_systolic::{GemmShape, Layer, Topology};
 
 /// One layer of a scale-out run: the shard every chip executed, its
@@ -219,7 +219,7 @@ struct JoinSink<'a> {
 }
 
 impl JoinSink<'_> {
-    fn resolve(&mut self, split: scalesim_collective::OverlapSplit) {
+    fn resolve(&mut self, split: crate::collective::OverlapSplit) {
         let mut record = self.pending.take().expect("a pending layer to resolve");
         record.overlapped_cycles = split.overlapped;
         record.exposed_cycles = split.exposed;
@@ -347,8 +347,8 @@ pub(crate) fn run_scaleout(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collective::FabricTag;
     use crate::config::ScaleSimConfig;
-    use scalesim_collective::FabricTag;
     use scalesim_systolic::{ArrayShape, MemoryConfig};
 
     fn sim() -> ScaleSim {

@@ -36,6 +36,7 @@
 
 use crate::cancel::CancelToken;
 use crate::cfg::parse_cfg;
+use crate::collective::{FabricTag, ScaleoutSpec, Strategy};
 use crate::config::{MultiCoreIntegration, ScaleSimConfig};
 use crate::energy::AreaBreakdown;
 use crate::engine::ScaleSim;
@@ -51,7 +52,6 @@ use scalesim_api::{
     ScaleoutBody, ScaleoutRequest, SimError, SimRequest, SimResponse, StatsBody, SweepBody,
     SweepRequest, TopologyFormat, TopologySource, TraceBody, VersionBody, API_VERSION,
 };
-use scalesim_collective::{FabricTag, ScaleoutSpec, Strategy};
 use scalesim_obs::Histogram;
 use scalesim_systolic::{PlanCache, PlanCacheStats, Topology};
 use std::path::Path;
@@ -767,29 +767,25 @@ fn load_config(source: &ConfigSource, features: &Features) -> Result<ScaleSimCon
     Ok(config)
 }
 
-/// Loads and parses a topology source. Registry workloads (CNN/ViT
+/// Loads and parses a topology source, after the same one-source check
+/// the wire decoder runs. Registry workloads (CNN/ViT
 /// names and llm presets, optionally `:prefill`/`:decode`-suffixed)
 /// resolve through [`crate::workloads::by_name_or_err`], whose error
 /// spells out the full supported vocabulary.
 fn load_topology(source: &TopologySource) -> Result<Topology, SimError> {
+    source.one_source()?;
     if let Some(workload) = &source.workload {
         return crate::workloads::by_name_or_err(workload).map_err(SimError::Topology);
     }
-    let (csv, default_name) = match (&source.inline, &source.path) {
-        (Some(text), _) => (text.clone(), "workload".to_string()),
-        (None, Some(path)) => {
-            let p = Path::new(path);
-            let stem = p
-                .file_stem()
-                .map(|s| s.to_string_lossy().to_string())
-                .unwrap_or_else(|| "workload".into());
-            (read_input(p)?, stem)
-        }
-        (None, None) => {
-            return Err(SimError::Config(
-                "request: topology has neither \"path\" nor \"inline\"".into(),
-            ))
-        }
+    let (csv, default_name) = if let Some(text) = &source.inline {
+        (text.clone(), "workload".to_string())
+    } else {
+        let p = Path::new(source.path.as_deref().expect("one source: inline or path"));
+        let stem = p
+            .file_stem()
+            .map(|s| s.to_string_lossy().to_string())
+            .unwrap_or_else(|| "workload".into());
+        (read_input(p)?, stem)
     };
     let name = source.name.clone().unwrap_or(default_name);
     let topo = match source.format {
@@ -808,7 +804,7 @@ fn load_topology(source: &TopologySource) -> Result<Topology, SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalesim_api::{AreaSpec, RunSpec};
+    use scalesim_api::{json::Json, AreaSpec, RunSpec};
 
     #[test]
     fn in_flight_never_wraps() {
@@ -939,6 +935,54 @@ mod tests {
         assert!(!body.pareto_frontier.is_empty());
         assert_eq!(body.reports[0].name, "SWEEP_REPORT.csv");
         assert_eq!(body.reports[1].name, "SWEEP_REPORT.json");
+    }
+
+    #[test]
+    fn sweep_report_json_escapes_control_characters_in_names() {
+        let name = "tab\there\u{1}";
+        let req = SimRequest::Sweep(SweepRequest {
+            spec: ConfigSource::Inline("array = 8x8\n".into()),
+            base_config: ConfigSource::Default,
+            topologies: vec![
+                TopologySource::inline(name, "a, 16, 16, 16,\n").with_format(TopologyFormat::Gemm)
+            ],
+            shards: 1,
+        });
+        let SimResponse::Sweep(body) = SimService::new().handle(&req).unwrap() else {
+            panic!("expected sweep body")
+        };
+        let json = Json::parse(&body.reports[1].content).expect("SWEEP_REPORT.json parses");
+        let runs = json.get("run_results").and_then(Json::as_array).unwrap();
+        assert_eq!(runs[0].get("topology").and_then(Json::as_str), Some(name));
+    }
+
+    #[test]
+    fn embedded_requests_get_the_decoders_one_source_error() {
+        let name_only = TopologySource {
+            name: Some("x".into()),
+            workload: None,
+            ..TopologySource::from_workload("resnet18")
+        };
+        let path_and_workload = TopologySource {
+            workload: Some("resnet18".into()),
+            ..TopologySource::from_path("topologies/alexnet.csv")
+        };
+        let inline_and_path = TopologySource {
+            path: Some("topologies/alexnet.csv".into()),
+            ..gemm_topology()
+        };
+        let service = SimService::new();
+        for topology in [name_only, path_and_workload, inline_and_path] {
+            let req = SimRequest::Run(RunSpec {
+                config: ConfigSource::Default,
+                topology,
+                features: Features::default(),
+            });
+            let line = scalesim_api::wire::encode_request(None, &req);
+            let decoded = scalesim_api::wire::decode_request(&line).1.unwrap_err();
+            assert_eq!(decoded.kind(), "config");
+            assert_eq!(service.handle(&req).unwrap_err(), decoded, "{line}");
+        }
     }
 
     /// A deliberately tiny transformer so unit tests stay fast in debug

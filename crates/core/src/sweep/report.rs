@@ -6,6 +6,7 @@
 //! identical regardless of how the runs were scheduled.
 
 use crate::sweep::pareto::pareto_min;
+use scalesim_api::json::escape;
 
 /// Aggregated metrics for one `(grid point, topology)` run, with the
 /// point's *resolved* configuration (base config + overrides) inlined so
@@ -263,8 +264,4 @@ impl SweepReport {
         out.push_str("}\n");
         out
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }

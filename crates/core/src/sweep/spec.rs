@@ -29,9 +29,9 @@
 //! topology = topologies/vit_small_gemm.csv, topologies/alexnet.csv
 //! ```
 
+use crate::collective::Strategy;
 use crate::llm::Phase;
 use crate::multicore::PartitionGrid;
-use scalesim_collective::Strategy;
 use scalesim_mem::DramSpec;
 use scalesim_systolic::dialect::{self, Entry};
 use scalesim_systolic::{ArrayShape, Dataflow};

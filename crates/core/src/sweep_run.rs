@@ -14,13 +14,13 @@
 //! byte-identical regardless of `SCALESIM_THREADS` and the shard count.
 
 use crate::cancel::CancelToken;
+use crate::collective::ScaleoutSpec;
 use crate::config::{DramIntegration, MultiCoreIntegration, ScaleSimConfig};
 use crate::engine::ScaleSim;
 use crate::scaleout::{run_scaleout, ScaleoutSummary};
 use crate::sink::RunSummary;
 use crate::sweep::spec::AxisValue;
 use crate::sweep::{run_sharded_with, RunRecord, SweepPoint, SweepReport, SweepSpec};
-use scalesim_collective::ScaleoutSpec;
 use scalesim_systolic::{MemoryConfig, PlanCache, PlanCacheStats, Topology};
 use std::sync::Arc;
 
@@ -534,8 +534,8 @@ mod tests {
         let base = ScaleSimConfig::default();
         // 6 chips on a switch fabric is invalid (power of two required).
         let mut cfg = base.clone();
-        cfg.scaleout = Some(scalesim_collective::ScaleoutSpec {
-            fabric: scalesim_collective::FabricTag::Switch,
+        cfg.scaleout = Some(crate::collective::ScaleoutSpec {
+            fabric: crate::collective::FabricTag::Switch,
             ..Default::default()
         });
         let s = spec("chips = 6\n");

@@ -1,4 +1,4 @@
-//! Unit tests of `layout::spec`, `sweep::spec`.
+//! Unit tests of `layout::spec`, `sweep::spec`, `collective::spec`.
 
 mod tests {
     // layout::spec
@@ -323,5 +323,62 @@ mod tests {
             assert!(err.contains(needle), "'{text}' -> '{err}'");
             assert!(err.starts_with("sweep spec: "), "{err}");
         }
+    }
+
+    // collective::spec
+    use crate::collective::fabric::FabricKind;
+    use crate::collective::spec::*;
+
+    #[test]
+    fn defaults_resolve_to_a_valid_ring() {
+        let spec = ScaleoutSpec::default();
+        let fabric = spec.fabric().unwrap();
+        assert_eq!(fabric.chips(), 8);
+        assert_eq!(fabric.kind().tag(), "ring");
+    }
+
+    #[test]
+    fn mesh_defaults_to_near_square() {
+        assert_eq!(near_square_mesh(8), (2, 4));
+        assert_eq!(near_square_mesh(16), (4, 4));
+        assert_eq!(near_square_mesh(7), (1, 7));
+        assert_eq!(near_square_mesh(1), (1, 1));
+        let spec = ScaleoutSpec {
+            chips: 12,
+            fabric: FabricTag::Mesh,
+            ..Default::default()
+        };
+        assert_eq!(
+            spec.fabric().unwrap().kind(),
+            FabricKind::Mesh2D { rows: 3, cols: 4 }
+        );
+    }
+
+    #[test]
+    fn explicit_mesh_dims_are_validated() {
+        let spec = ScaleoutSpec {
+            chips: 8,
+            fabric: FabricTag::Mesh,
+            mesh: Some((3, 3)),
+            ..Default::default()
+        };
+        assert!(spec.fabric().unwrap_err().contains("mesh 3x3"));
+    }
+
+    #[test]
+    fn zero_microbatches_is_rejected() {
+        let spec = ScaleoutSpec {
+            microbatches: 0,
+            ..Default::default()
+        };
+        assert!(spec.fabric().unwrap_err().contains("microbatches"));
+    }
+
+    #[test]
+    fn fabric_tags_parse() {
+        assert_eq!(FabricTag::parse("RING").unwrap(), FabricTag::Ring);
+        assert_eq!(FabricTag::parse("mesh").unwrap(), FabricTag::Mesh);
+        assert_eq!(FabricTag::parse("switch").unwrap(), FabricTag::Switch);
+        assert!(FabricTag::parse("torus").unwrap_err().contains("'torus'"));
     }
 }

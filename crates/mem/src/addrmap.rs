@@ -20,7 +20,7 @@ pub struct DramAddr {
     /// Row within the bank.
     pub row: usize,
     /// Column (burst-aligned) within the row.
-    pub column: usize,
+    pub(crate) column: usize,
 }
 
 impl DramAddr {

@@ -23,8 +23,7 @@
 //! ## Example
 //!
 //! ```
-//! use scalesim_mem::cmdtrace::{verify_timing, CommandKind, CommandLog};
-//! use scalesim_mem::DramSpec;
+//! use scalesim_mem::{verify_timing, CommandKind, CommandLog, DramSpec};
 //!
 //! let spec = DramSpec::ddr4_2400();
 //! let mut log = CommandLog::new();
@@ -66,19 +65,19 @@ impl fmt::Display for CommandKind {
 
 /// One logged command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Command {
+pub(crate) struct Command {
     /// Issue cycle (channel clock).
-    pub cycle: u64,
+    pub(crate) cycle: u64,
     /// Command class.
-    pub kind: CommandKind,
+    pub(crate) kind: CommandKind,
     /// Rank index.
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// Bank-group index within the rank.
-    pub bank_group: usize,
+    pub(crate) bank_group: usize,
     /// Bank index within the group.
-    pub bank: usize,
+    pub(crate) bank: usize,
     /// Row (ACT) — ignored for other commands.
-    pub row: usize,
+    pub(crate) row: usize,
 }
 
 /// An append-only log of the commands one channel issued.
@@ -114,18 +113,8 @@ impl CommandLog {
     }
 
     /// The recorded commands in issue order.
-    pub fn commands(&self) -> &[Command] {
+    pub(crate) fn commands(&self) -> &[Command] {
         &self.commands
-    }
-
-    /// Number of commands recorded.
-    pub fn len(&self) -> usize {
-        self.commands.len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.commands.is_empty()
     }
 
     /// Counts commands of one kind.
@@ -150,11 +139,11 @@ impl CommandLog {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimingViolation {
     /// Index of the offending command in the log.
-    pub index: usize,
+    pub(crate) index: usize,
     /// The violated rule, e.g. `"tRCD"` or `"ACT on open bank"`.
-    pub rule: &'static str,
+    pub(crate) rule: &'static str,
     /// Human-readable details.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl fmt::Display for TimingViolation {
@@ -546,7 +535,7 @@ mod tests {
     fn csv_roundtrip_arity() {
         let log = legal_row_cycle(0, 0);
         let csv = log.to_csv();
-        assert_eq!(csv.lines().count(), 1 + log.len());
+        assert_eq!(csv.lines().count(), 1 + log.commands().len());
         for line in csv.lines().skip(1) {
             assert_eq!(line.split(',').count(), 6);
         }

@@ -197,7 +197,7 @@ struct Plan {
 
 /// One channel's controller and bank array.
 #[derive(Debug)]
-pub struct ChannelController {
+pub(crate) struct ChannelController {
     spec: DramSpec,
     /// Requests the scheduler looks at: [`SCAN_WINDOW`] under FR-FCFS,
     /// the oldest alone under FCFS.
@@ -251,7 +251,7 @@ pub struct ChannelController {
 
 impl ChannelController {
     /// Creates a controller for one channel.
-    pub fn new(spec: DramSpec, policy: SchedulingPolicy, row_policy: RowPolicy) -> Self {
+    pub(crate) fn new(spec: DramSpec, policy: SchedulingPolicy, row_policy: RowPolicy) -> Self {
         let nbanks = spec.org.ranks * spec.org.banks();
         Self {
             banks: vec![Bank::default(); nbanks],
@@ -285,7 +285,7 @@ impl ChannelController {
 
     /// Accepts a request at cycle `now`; its completion will carry `tag`.
     /// Queue capacity is the caller's to enforce.
-    pub fn enqueue(&mut self, tag: usize, addr: DramAddr, kind: AccessKind, now: u64) {
+    pub(crate) fn enqueue(&mut self, tag: usize, addr: DramAddr, kind: AccessKind, now: u64) {
         // The scheduler only sees a request that lands inside its window;
         // behind it, nothing changes until an issue moves it up (and every
         // issue plans anew).
@@ -318,7 +318,7 @@ impl ChannelController {
     /// Statistics including the still-open row interval (banks that were
     /// never precharged after the last request stay open; their
     /// active-standby time up to `end_cycle` is added here).
-    pub fn stats_snapshot(&self) -> MemStats {
+    pub(crate) fn stats_snapshot(&self) -> MemStats {
         let mut s = self.stats;
         if self.open_banks > 0 && s.end_cycle > self.any_open_since {
             s.row_open_cycles += s.end_cycle - self.any_open_since;
@@ -329,7 +329,7 @@ impl ChannelController {
     /// CAS commands that issued while one (bank, row, direction) run
     /// covered the whole scan window, i.e. without a window scan. A
     /// simulator-cost counter, not a DRAM statistic.
-    pub fn run_cas(&self) -> u64 {
+    pub(crate) fn run_cas(&self) -> u64 {
         self.run_cas
     }
 
@@ -339,7 +339,7 @@ impl ChannelController {
     ///
     /// Panics under the closed-page row policy: its auto-precharge is
     /// folded into the CAS and has no explicit issue cycle to log.
-    pub fn enable_command_log(&mut self) {
+    pub(crate) fn enable_command_log(&mut self) {
         assert_eq!(
             self.row_policy,
             RowPolicy::OpenPage,
@@ -349,7 +349,7 @@ impl ChannelController {
     }
 
     /// The recorded command trace, if logging was enabled.
-    pub fn command_log(&self) -> Option<&CommandLog> {
+    pub(crate) fn command_log(&self) -> Option<&CommandLog> {
         self.log.as_ref()
     }
 
@@ -361,7 +361,7 @@ impl ChannelController {
 
     /// The next cycle at which this channel can possibly do work (command
     /// issue or refresh); used by the system to skip dead time.
-    pub fn next_event(&self) -> u64 {
+    pub(crate) fn next_event(&self) -> u64 {
         if self.queued == 0 {
             self.next_refresh
         } else {
@@ -635,7 +635,7 @@ impl ChannelController {
 
     /// Advances the channel by one memory cycle, possibly issuing one
     /// command; a CAS returns its request's completion.
-    pub fn tick(&mut self, now: u64) -> Option<Completion> {
+    pub(crate) fn tick(&mut self, now: u64) -> Option<Completion> {
         self.stats.end_cycle = now + 1;
         // Refresh: blunt all-bank refresh at tREFI boundaries.
         if now >= self.next_refresh {

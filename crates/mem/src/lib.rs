@@ -22,16 +22,16 @@
 //!   command counts and row-open time (see [`power`]), matching the power
 //!   reporting Ramulator-class simulators provide (§II-C).
 //! * **Self-verification** — an optional command trace plus an independent
-//!   JEDEC-legality checker (see [`cmdtrace`]), the analogue of
+//!   JEDEC-legality checker (see `cmdtrace`), the analogue of
 //!   Ramulator's validation against the Micron Verilog model (§VIII).
 //!
 //! ## Module map
 //!
-//! [`spec`] devices and timing presets · [`bank`] per-bank state
-//! machine · [`controller`] FR-FCFS scheduling and refresh · [`system`]
-//! multi-channel front end · [`addrmap`] address interleaving ·
-//! [`replay`] demand-trace replay (the §V-B middle step) · [`stats`]
-//! counters · [`power`] IDD energy · [`cmdtrace`] JEDEC legality
+//! `spec` devices and timing presets · [`bank`] per-bank state
+//! machine · `controller` FR-FCFS scheduling and refresh · `system`
+//! multi-channel front end · `addrmap` address interleaving ·
+//! `replay` demand-trace replay (the §V-B middle step) · `stats`
+//! counters · [`power`] IDD energy · `cmdtrace` JEDEC legality
 //! checking. The integrated engine (`scalesim` crate) drives all of
 //! this through the three-step flow described in `docs/ARCHITECTURE.md`.
 //!
@@ -54,15 +54,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod addrmap;
+pub(crate) mod addrmap;
 pub mod bank;
-pub mod cmdtrace;
-pub mod controller;
+pub(crate) mod cmdtrace;
+pub(crate) mod controller;
 pub mod power;
-pub mod replay;
-pub mod spec;
-pub mod stats;
-pub mod system;
+pub(crate) mod replay;
+pub(crate) mod spec;
+pub(crate) mod stats;
+pub(crate) mod system;
 
 pub use addrmap::{AddressMapping, DramAddr};
 pub use cmdtrace::{verify_timing, CommandKind, CommandLog, TimingViolation};

@@ -31,16 +31,13 @@
 //! use scalesim_mem::{AccessKind, DramConfig, DramSystem};
 //! use scalesim_mem::power::DramEnergyBreakdown;
 //!
-//! let mut dram = DramSystem::new(DramConfig::default());
+//! let config = DramConfig::default();
+//! let mut dram = DramSystem::new(config);
 //! for i in 0..64 {
 //!     dram.enqueue(AccessKind::Read, i * 64, 0, &mut |_| ());
 //! }
 //! dram.drain(&mut |_| ());
-//! let energy = DramEnergyBreakdown::from_stats(
-//!     &dram.config().spec,
-//!     &dram.stats(),
-//!     dram.config().channels,
-//! );
+//! let energy = DramEnergyBreakdown::from_stats(&config.spec, &dram.stats(), config.channels);
 //! assert!(energy.total_pj() > 0.0);
 //! assert!(energy.pj_per_bit() > 0.0);
 //! ```
@@ -56,35 +53,24 @@ use crate::stats::MemStats;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramPowerParams {
     /// Supply voltage in millivolts.
-    pub vdd_mv: u32,
+    pub(crate) vdd_mv: u32,
     /// One-bank active-precharge current (mA): the row-cycle current.
-    pub idd0_ma: u32,
+    pub(crate) idd0_ma: u32,
     /// Precharge-standby current (mA): all banks closed, CKE high.
-    pub idd2n_ma: u32,
+    pub(crate) idd2n_ma: u32,
     /// Active-standby current (mA): at least one bank open, no CAS.
-    pub idd3n_ma: u32,
+    pub(crate) idd3n_ma: u32,
     /// Burst-read current (mA).
-    pub idd4r_ma: u32,
+    pub(crate) idd4r_ma: u32,
     /// Burst-write current (mA).
-    pub idd4w_ma: u32,
+    pub(crate) idd4w_ma: u32,
     /// Burst (all-bank) refresh current (mA).
-    pub idd5b_ma: u32,
+    pub(crate) idd5b_ma: u32,
 }
 
 impl DramPowerParams {
-    /// Consistency requirements among the currents: standby < active
-    /// standby < row-cycle < burst, refresh above standby.
-    pub fn is_consistent(&self) -> bool {
-        self.idd2n_ma <= self.idd3n_ma
-            && self.idd3n_ma <= self.idd0_ma
-            && self.idd0_ma <= self.idd4r_ma
-            && self.idd0_ma <= self.idd4w_ma
-            && self.idd5b_ma > self.idd2n_ma
-            && self.vdd_mv > 0
-    }
-
     /// Supply voltage in volts.
-    pub fn vdd(&self) -> f64 {
+    pub(crate) fn vdd(&self) -> f64 {
         self.vdd_mv as f64 * 1e-3
     }
 }
@@ -188,31 +174,22 @@ impl DramEnergyBreakdown {
             self.total_pj() / self.duration_ns
         }
     }
-
-    /// One CSV row (matching [`csv_header`](Self::csv_header)).
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{:.1},{:.1},{:.1},{:.1},{:.1},{:.1},{:.3},{:.2}",
-            self.activate_pj,
-            self.read_pj,
-            self.write_pj,
-            self.refresh_pj,
-            self.background_pj,
-            self.total_pj(),
-            self.pj_per_bit(),
-            self.avg_power_mw()
-        )
-    }
-
-    /// Header for [`to_csv_row`](Self::to_csv_row).
-    pub fn csv_header() -> &'static str {
-        "act_pj,read_pj,write_pj,refresh_pj,background_pj,total_pj,pj_per_bit,avg_power_mw"
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Consistency requirements among the currents: standby < active
+    /// standby < row-cycle < burst, refresh above standby.
+    pub(crate) fn is_consistent(p: &DramPowerParams) -> bool {
+        p.idd2n_ma <= p.idd3n_ma
+            && p.idd3n_ma <= p.idd0_ma
+            && p.idd0_ma <= p.idd4r_ma
+            && p.idd0_ma <= p.idd4w_ma
+            && p.idd5b_ma > p.idd2n_ma
+            && p.vdd_mv > 0
+    }
     use crate::spec::DramSpec;
     use crate::system::{AccessKind, DramConfig, DramSystem};
 
@@ -346,19 +323,10 @@ mod tests {
     }
 
     #[test]
-    fn csv_row_has_header_arity() {
-        let e = DramEnergyBreakdown::default();
-        assert_eq!(
-            e.to_csv_row().split(',').count(),
-            DramEnergyBreakdown::csv_header().split(',').count()
-        );
-    }
-
-    #[test]
     fn power_params_consistent_for_all_presets() {
         for spec in DramSpec::presets() {
             assert!(
-                spec.power.is_consistent(),
+                is_consistent(&spec.power),
                 "{} power parameters inconsistent",
                 spec.name
             );

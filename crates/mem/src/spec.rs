@@ -14,15 +14,15 @@ pub struct DramOrg {
     /// Ranks per channel.
     pub ranks: usize,
     /// Bank groups per rank (1 for devices without bank groups).
-    pub bank_groups: usize,
+    pub(crate) bank_groups: usize,
     /// Banks per bank group.
-    pub banks_per_group: usize,
+    pub(crate) banks_per_group: usize,
     /// Rows per bank.
-    pub rows: usize,
+    pub(crate) rows: usize,
     /// Columns per row.
     pub columns: usize,
     /// Data-bus width of the channel in bits.
-    pub bus_bits: usize,
+    pub(crate) bus_bits: usize,
     /// Burst length in beats (data transfers per column command).
     pub burst_length: usize,
 }
@@ -68,9 +68,9 @@ pub struct DramTiming {
     /// Precharge period.
     pub tRP: u64,
     /// ACT to PRE minimum.
-    pub tRAS: u64,
+    pub(crate) tRAS: u64,
     /// ACT to ACT same bank.
-    pub tRC: u64,
+    pub(crate) tRC: u64,
     /// CAS to CAS, different bank group (or flat for non-grouped devices).
     pub tCCD_S: u64,
     /// CAS to CAS, same bank group.
@@ -82,15 +82,15 @@ pub struct DramTiming {
     /// Four-activate window.
     pub tFAW: u64,
     /// Write recovery (end of write data to PRE).
-    pub tWR: u64,
+    pub(crate) tWR: u64,
     /// Read to PRE.
-    pub tRTP: u64,
+    pub(crate) tRTP: u64,
     /// Write to read turnaround (same rank).
-    pub tWTR: u64,
+    pub(crate) tWTR: u64,
     /// Average refresh interval.
     pub tREFI: u64,
     /// Refresh cycle time.
-    pub tRFC: u64,
+    pub(crate) tRFC: u64,
 }
 
 /// A complete device specification.
@@ -104,7 +104,7 @@ pub struct DramSpec {
     pub timing: DramTiming,
     /// Rank-aggregate IDD currents for the energy model
     /// (see [`crate::power`]).
-    pub power: DramPowerParams,
+    pub(crate) power: DramPowerParams,
 }
 
 impl DramSpec {
@@ -214,7 +214,7 @@ impl DramSpec {
     /// Dual-rank DDR4-2400: twice the banks behind one channel, and two
     /// independent `tFAW`/`tRRD` activation domains. Standby currents
     /// double (two device sets share the bus).
-    pub fn ddr4_2400_2rank() -> Self {
+    pub(crate) fn ddr4_2400_2rank() -> Self {
         let mut spec = Self::ddr4_2400();
         spec.name = "DDR4-2400-2R";
         spec.org.ranks = 2;
@@ -368,7 +368,7 @@ impl DramSpec {
     /// model is DDR-centric, so the preset uses a DDR-equivalent clock at
     /// half the SDR rate — peak bandwidth (≈4.3 GB/s per channel) and all
     /// latencies in nanoseconds match the SDR part.
-    pub fn wio1() -> Self {
+    pub(crate) fn wio1() -> Self {
         DramSpec {
             name: "WIO1-266",
             org: DramOrg {
@@ -415,7 +415,7 @@ impl DramSpec {
 
     /// Wide I/O 2: one x64 channel at 800 MT/s (eight such channels form
     /// the JEDEC 51.2 GB/s stack).
-    pub fn wio2() -> Self {
+    pub(crate) fn wio2() -> Self {
         DramSpec {
             name: "WIO2-800",
             org: DramOrg {
@@ -512,10 +512,15 @@ impl DramSpec {
         let bytes_per_cycle = (self.org.bus_bits as f64 / 8.0) * 2.0;
         bytes_per_cycle * (1.0e12 / self.timing.tCK_ps as f64) / 1.0e6
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
 
     /// Internal consistency checks on the timing parameters.
-    pub fn is_consistent(&self) -> bool {
-        let t = &self.timing;
+    fn is_consistent(spec: &DramSpec) -> bool {
+        let t = &spec.timing;
         t.tRC >= t.tRAS + t.tRP - 1 // some sheets round; allow one cycle slack
             && t.tRAS >= t.tRCD
             && t.tCCD_L >= t.tCCD_S
@@ -523,18 +528,13 @@ impl DramSpec {
             && t.tFAW >= t.tRRD_S
             && t.tREFI > t.tRFC
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn by_name_resolves_every_listed_preset_and_rejects_unknown() {
         for name in DramSpec::preset_names() {
             let spec = DramSpec::by_name(name)
                 .unwrap_or_else(|| panic!("preset_names lists unresolvable name {name}"));
-            assert!(spec.is_consistent(), "{name} timing inconsistent");
+            assert!(is_consistent(&spec), "{name} timing inconsistent");
         }
         assert!(DramSpec::by_name("ddr9").is_none());
         assert!(DramSpec::by_name("").is_none());
@@ -543,7 +543,7 @@ mod tests {
     #[test]
     fn presets_are_consistent() {
         for spec in DramSpec::presets() {
-            assert!(spec.is_consistent(), "{} timing inconsistent", spec.name);
+            assert!(is_consistent(&spec), "{} timing inconsistent", spec.name);
             // WIO1 has 4 banks per channel; everything else at least 8.
             assert!(spec.org.banks() >= 4, "{}", spec.name);
             assert!(spec.org.burst_bytes() >= 32, "{}", spec.name);
@@ -554,13 +554,13 @@ mod tests {
     fn dual_rank_doubles_capacity_and_domains() {
         let one = DramSpec::ddr4_2400();
         let two = DramSpec::ddr4_2400_2rank();
-        assert!(two.is_consistent());
+        assert!(is_consistent(&two));
         assert_eq!(two.org.capacity_bytes(), 2 * one.org.capacity_bytes());
         assert_eq!(two.org.ranks, 2);
         // Same bus, same peak bandwidth; more standby current.
         assert_eq!(two.peak_mbps(), one.peak_mbps());
         assert_eq!(two.power.idd2n_ma, 2 * one.power.idd2n_ma);
-        assert!(two.power.is_consistent());
+        assert!(crate::power::tests::is_consistent(&two.power));
     }
 
     #[test]

@@ -37,15 +37,6 @@ pub struct MemStats {
 }
 
 impl MemStats {
-    /// Average read round-trip latency in memory cycles.
-    pub fn avg_read_latency(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.total_read_latency as f64 / self.reads as f64
-        }
-    }
-
     /// Row-buffer hit rate over all classified CAS operations.
     pub fn row_hit_rate(&self) -> f64 {
         let total = self.row_hits + self.row_misses + self.row_conflicts;
@@ -57,7 +48,7 @@ impl MemStats {
     }
 
     /// Achieved bandwidth in bytes per memory cycle.
-    pub fn bytes_per_cycle(&self) -> f64 {
+    pub(crate) fn bytes_per_cycle(&self) -> f64 {
         if self.end_cycle == 0 {
             0.0
         } else {
@@ -107,7 +98,6 @@ mod tests {
             data_bus_busy_cycles: 250,
             ..Default::default()
         };
-        assert!((s.avg_read_latency() - 25.0).abs() < 1e-12);
         assert!((s.row_hit_rate() - 0.75).abs() < 1e-12);
         assert!((s.bytes_per_cycle() - 2.0).abs() < 1e-12);
         // 2 B/cycle at 1 ns/cycle = 2 GB/s = 2000 MB/s.
@@ -117,7 +107,6 @@ mod tests {
     #[test]
     fn zero_division_guards() {
         let s = MemStats::default();
-        assert_eq!(s.avg_read_latency(), 0.0);
         assert_eq!(s.row_hit_rate(), 0.0);
         assert_eq!(s.bytes_per_cycle(), 0.0);
     }

@@ -71,7 +71,7 @@ pub struct Completion {
     /// Request direction.
     pub kind: AccessKind,
     /// Memory cycle at which the queue accepted the request.
-    pub accepted: u64,
+    pub(crate) accepted: u64,
 }
 
 impl Completion {
@@ -115,11 +115,6 @@ impl DramSystem {
             reads_in_flight: 0,
             writes_in_flight: 0,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &DramConfig {
-        &self.config
     }
 
     /// Current memory cycle.
@@ -191,7 +186,7 @@ impl DramSystem {
 
     /// Advances until `cycle` (no-op if already past), skipping stretches
     /// where no channel can issue anything.
-    pub fn tick_until(&mut self, cycle: u64, done: &mut impl FnMut(Completion)) {
+    pub(crate) fn tick_until(&mut self, cycle: u64, done: &mut impl FnMut(Completion)) {
         while self.now < cycle {
             self.now = self.now.max(self.next_event_cycle().min(cycle));
             if self.now < cycle {
@@ -209,7 +204,7 @@ impl DramSystem {
     }
 
     /// CAS commands, over all channels, that issued without a window scan
-    /// (see [`ChannelController::run_cas`]).
+    /// (see `ChannelController::run_cas`).
     pub fn run_cas(&self) -> u64 {
         self.channels.iter().map(|c| c.run_cas()).sum()
     }
@@ -226,7 +221,7 @@ impl DramSystem {
     }
 
     /// Starts command-trace recording on every channel
-    /// (see [`crate::cmdtrace`]).
+    /// (see `crate::cmdtrace`).
     ///
     /// # Panics
     ///
@@ -254,7 +249,7 @@ impl DramSystem {
     /// every `tREFI` boundary it passed, so after a gap of `k·tREFI` the
     /// next `k` ticks each issue an all-bank refresh, back to back, and
     /// the first request after the gap waits `tRFC` behind the last one.
-    pub fn fast_forward_to(&mut self, cycle: u64) {
+    pub(crate) fn fast_forward_to(&mut self, cycle: u64) {
         if self.in_flight() == 0 && cycle > self.now {
             self.now = cycle;
         }
@@ -289,10 +284,10 @@ mod tests {
         let done = drained(&mut sys);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].tag, 7);
-        let t = sys.config().spec.timing;
+        let t = sys.config.spec.timing;
         assert_eq!(
             done[0].cycle,
-            t.tRCD + t.CL + sys.config().spec.org.burst_cycles()
+            t.tRCD + t.CL + sys.config.spec.org.burst_cycles()
         );
     }
 
@@ -369,7 +364,7 @@ mod tests {
         let stats = sys.stats();
         assert_eq!(stats.reads, 8);
         assert_eq!(stats.bytes_transferred, 8 * 64);
-        assert!(stats.avg_read_latency() > 0.0);
+        assert!(stats.total_read_latency > 0);
     }
 
     #[test]

@@ -12,17 +12,30 @@
 use crate::ring::{snapshot_all, EventKind};
 use std::io::{self, Write};
 
-fn escape_into(out: &mut String, raw: &str) {
-    for ch in raw.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Appends `s` to `out` with JSON string escaping applied: quotes,
+/// backslashes and every control character, `\n`/`\r`/`\t` in their
+/// short forms and the rest as `\u00XX`. The one escaper of every JSON
+/// writer in the workspace: trace labels here, the wire codec, the sweep
+/// and reproduction reports.
+pub fn json_escape_into(s: &str, out: &mut String) {
+    // Everything escaped is one ASCII byte, so the runs between them
+    // are whole UTF-8 and are copied as they are.
+    let mut rest = s;
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| matches!(b, b'"' | b'\\' | 0..=0x1f))
+    {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b @ (b'"' | b'\\') => out.extend(['\\', char::from(b)]),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => out.push_str(&format!("\\u{b:04x}")),
         }
+        rest = &rest[at + 1..];
     }
+    out.push_str(rest);
 }
 
 fn push_us(out: &mut String, ns: u64) {
@@ -51,13 +64,13 @@ pub fn write_chrome_trace<W: Write>(writer: &mut W) -> io::Result<()> {
         line.push_str(&format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\""
         ));
-        escape_into(&mut line, &track.label);
+        json_escape_into(&track.label, &mut line);
         line.push_str("\"}}");
         writer.write_all(line.as_bytes())?;
         for event in &track.events {
             line.clear();
             line.push_str(",{\"name\":\"");
-            escape_into(&mut line, event.name);
+            json_escape_into(event.name, &mut line);
             line.push_str("\",\"cat\":\"");
             line.push_str(event.cat.name());
             line.push_str("\",\"pid\":1,\"tid\":");
@@ -79,7 +92,7 @@ pub fn write_chrome_trace<W: Write>(writer: &mut W) -> io::Result<()> {
                     line.push(',');
                 }
                 line.push('"');
-                escape_into(&mut line, key);
+                json_escape_into(key, &mut line);
                 line.push_str("\":");
                 line.push_str(&value.to_string());
             }
@@ -129,7 +142,7 @@ mod tests {
     #[test]
     fn escaping_handles_quotes_and_control_chars() {
         let mut out = String::new();
-        escape_into(&mut out, "a\"b\\c\nd");
-        assert_eq!(out, "a\\\"b\\\\c\\u000ad");
+        json_escape_into("a\"b\\c\nd", &mut out);
+        assert_eq!(out, "a\\\"b\\\\c\\nd");
     }
 }

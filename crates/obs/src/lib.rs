@@ -5,7 +5,7 @@
 //!
 //! * **Spans** ([`span`], [`instant`], [`complete_since`]): begin/end
 //!   events recorded into lock-free per-thread ring buffers (bounded,
-//!   overwrite-oldest, sized by [`TRACE_BUF_ENV`]). Each event carries a
+//!   overwrite-oldest, sized by `SCALESIM_TRACE_BUF`). Each event carries a
 //!   static [`Category`], a static name and up to two small typed args.
 //!   When tracing is disabled the whole record path is a single relaxed
 //!   atomic load and a branch, so instrumentation can stay on hot paths
@@ -41,7 +41,7 @@ mod metrics;
 mod ring;
 mod span;
 
-pub use chrome::{chrome_trace_string, write_chrome_trace};
+pub use chrome::{chrome_trace_string, json_escape_into, write_chrome_trace};
 pub use metrics::{render_counter, render_gauge, render_histogram, Histogram};
 pub use ring::{label_thread, snapshot_all, Event, EventKind, TrackSnapshot};
 pub use span::{complete_since, instant, span, span_for, SpanGuard, Totals};
@@ -53,7 +53,7 @@ use std::time::Instant;
 
 /// Environment variable sizing each per-thread span ring, in events.
 /// Read once, at the first recorded event (default 16384, minimum 16).
-pub const TRACE_BUF_ENV: &str = "SCALESIM_TRACE_BUF";
+pub(crate) const TRACE_BUF_ENV: &str = "SCALESIM_TRACE_BUF";
 
 /// Static category of a span: which subsystem emitted it. Categories
 /// are closed (a `u8` on the wire) so per-category totals are a fixed
@@ -79,7 +79,7 @@ pub enum Category {
 
 impl Category {
     /// Every category, in wire order.
-    pub const ALL: [Category; 7] = [
+    pub(crate) const ALL: [Category; 7] = [
         Category::Sched,
         Category::Pipeline,
         Category::Cache,
@@ -90,7 +90,7 @@ impl Category {
     ];
 
     /// The stable lowercase name used in traces, stats and docs.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Category::Sched => "sched",
             Category::Pipeline => "pipeline",

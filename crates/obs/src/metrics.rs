@@ -29,7 +29,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
@@ -53,7 +53,7 @@ impl Histogram {
     }
 
     /// Sum of all observations, µs.
-    pub fn sum_us(&self) -> u64 {
+    pub(crate) fn sum_us(&self) -> u64 {
         self.sum_us.load(Ordering::Relaxed)
     }
 
@@ -63,7 +63,7 @@ impl Histogram {
     }
 
     /// A relaxed snapshot of the per-bucket counts.
-    pub fn bucket_counts(&self) -> [u64; 64] {
+    pub(crate) fn bucket_counts(&self) -> [u64; 64] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 

@@ -41,17 +41,17 @@ pub enum EventKind {
 #[derive(Debug, Clone)]
 pub struct Event {
     /// Start time, nanoseconds since the trace epoch.
-    pub ts_ns: u64,
+    pub(crate) ts_ns: u64,
     /// Duration in nanoseconds (0 for instants).
-    pub dur_ns: u64,
+    pub(crate) dur_ns: u64,
     /// Complete span or instant marker.
-    pub kind: EventKind,
+    pub(crate) kind: EventKind,
     /// Emitting subsystem.
-    pub cat: Category,
+    pub(crate) cat: Category,
     /// Static event name (e.g. a pipeline stage name).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Up to two `key = value` args attached at the call site.
-    pub args: Vec<(&'static str, u64)>,
+    pub(crate) args: Vec<(&'static str, u64)>,
 }
 
 /// One thread's decoded ring: its track label and its stable events in
@@ -59,22 +59,22 @@ pub struct Event {
 #[derive(Debug, Clone)]
 pub struct TrackSnapshot {
     /// Track label ("worker-3", "session-1", "main", "thread-N", …).
-    pub label: String,
+    pub(crate) label: String,
     /// Events still resident in the ring, oldest first.
-    pub events: Vec<Event>,
+    pub(crate) events: Vec<Event>,
 }
 
 /// The encoded form a call site hands to [`record`].
 pub(crate) struct RawEvent {
-    pub ts_ns: u64,
-    pub dur_ns: u64,
-    pub kind: EventKind,
-    pub cat: Category,
-    pub name_id: u32,
-    pub key0: u32,
-    pub key1: u32,
-    pub arg0: u64,
-    pub arg1: u64,
+    pub(crate) ts_ns: u64,
+    pub(crate) dur_ns: u64,
+    pub(crate) kind: EventKind,
+    pub(crate) cat: Category,
+    pub(crate) name_id: u32,
+    pub(crate) key0: u32,
+    pub(crate) key1: u32,
+    pub(crate) arg0: u64,
+    pub(crate) arg1: u64,
 }
 
 struct Slot {

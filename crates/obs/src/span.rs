@@ -37,16 +37,6 @@ impl Totals {
         }
     }
 
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     fn add(&self, index: usize, nanos: u64) {
         if let Some(row) = self.rows.get(index) {
             row.calls.fetch_add(1, Ordering::Relaxed);

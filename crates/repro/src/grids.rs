@@ -51,7 +51,7 @@ fn edp(r: &RunRecord) -> f64 {
 /// Tables V, VI and Fig. 15: 2 MB per scratchpad, energy model on.
 const ENERGY_CORE: &str = "sram_kb = 2048/2048/2048\nenergy = true\n";
 
-pub fn tab05_edp(run: &mut Run) {
+pub(crate) fn tab05_edp(run: &mut Run) {
     let workloads = [part(resnet50(), 0..12), part(rcnn(), 0..10), vit_base()];
     let grid = format!("array = 32x32, 64x64, 128x128\ndataflow = ws\n{ENERGY_CORE}");
     let records = run.sweep(&base(4, 128), &grid, &workloads);
@@ -79,7 +79,7 @@ pub fn tab05_edp(run: &mut Run) {
     run.ordering("edp_diverges", diverges, winners.join(", "));
 }
 
-pub fn tab06_multicore_isocompute(run: &mut Run) {
+pub(crate) fn tab06_multicore_isocompute(run: &mut Run) {
     let vit = [vit_base()];
     let grid = format!("array = 128x128\ndataflow = ws, is\n{ENERGY_CORE}");
     let single = run.sweep(&base(4, 128), &grid, &vit);
@@ -102,7 +102,7 @@ pub fn tab06_multicore_isocompute(run: &mut Run) {
     run.value("loser_wins_multicore_edp", advantage);
 }
 
-pub fn fig15_energy_dataflow(run: &mut Run) {
+pub(crate) fn fig15_energy_dataflow(run: &mut Run) {
     let (rcnn, resnet, vit) = (
         part(rcnn(), 10..16),
         part(resnet50(), 0..12),
@@ -128,7 +128,7 @@ pub fn fig15_energy_dataflow(run: &mut Run) {
     run.ordering("os_is_cheapest", dearer.is_empty(), dearer.join("; "));
 }
 
-pub fn fig05_sparse_memory(run: &mut Run) {
+pub(crate) fn fig05_sparse_memory(run: &mut Run) {
     // 96 kB to 3 MB on chip, split 2:1:1 between ifmap, filter and ofmap.
     let grid = "array = 32x32\ndataflow = ws\nsram_kb = 48/24/24, 96/48/48, 192/96/96, \
                 384/192/192, 768/384/384, 1536/768/768\n";
@@ -170,7 +170,7 @@ pub fn fig05_sparse_memory(run: &mut Run) {
     run.value("iso_latency_saving", need(&series[2]) / need(&series[1]));
 }
 
-pub fn fig10_queue_stalls(run: &mut Run) {
+pub(crate) fn fig10_queue_stalls(run: &mut Run) {
     let workloads = [
         part(alexnet(), 0..5),
         part(resnet18(), 0..6),
@@ -212,7 +212,7 @@ fn os_vs_ws(run: &mut Run, core: &str, topology: &[Topology]) {
     run.ordering("ordering_flips", flips, "");
 }
 
-pub fn claim_dram_os_vs_ws(run: &mut Run) {
+pub(crate) fn claim_dram_os_vs_ws(run: &mut Run) {
     // Six memory-intensive layers under memory pressure: small operand
     // SRAMs and a modest queue; the ofmap SRAM holds the partial tiles,
     // so the WS/OS difference comes from operand streaming.
@@ -220,20 +220,20 @@ pub fn claim_dram_os_vs_ws(run: &mut Run) {
     os_vs_ws(run, "array = 32x32\nsram_kb = 128/128/512\n", &six);
 }
 
-pub fn dir_dram_flip(run: &mut Run) {
+pub(crate) fn dir_dram_flip(run: &mut Run) {
     // A first-layer-like convolution: 32x32 outputs, 3x3x3 windows, 16 filters.
     let conv = one_gemm(1024, 16, 27);
     os_vs_ws(run, "array = 8x8\nsram_kb = 8/8/32\n", &conv);
 }
 
-pub fn dir_array_scaling(run: &mut Run) {
+pub(crate) fn dir_array_scaling(run: &mut Run) {
     let grid = "array = 32x32, 128x128\ndataflow = ws\nenergy = true\n";
     let r = run.sweep(&base(4, 128), grid, &one_gemm(256, 256, 256));
     let holds = r[1].total_cycles < r[0].total_cycles && r[1].energy_mj > r[0].energy_mj;
     run.ordering("latency_falls_energy_rises", holds, "");
 }
 
-pub fn dir_sparse_demand(run: &mut Run) {
+pub(crate) fn dir_sparse_demand(run: &mut Run) {
     let (grid, work) = ("array = 16x16\ndataflow = ws\n", one_gemm(96, 96, 96));
     let demand = [4, 2, 1].map(|n| {
         let r = &run.sweep(&base(n, 128), grid, &work)[0];
@@ -256,7 +256,7 @@ const FEATURES: [(&str, &str, usize); 6] = [
     ("layout", "layout = true\n", 4),
 ];
 
-pub fn tab04_overhead(run: &mut Run) {
+pub(crate) fn tab04_overhead(run: &mut Run) {
     let workloads = [
         part(alexnet(), 0..6),
         part(resnet18(), 0..8),

@@ -16,7 +16,7 @@ pub fn accepted(accept: Accept) -> String {
 }
 
 /// Which side of its band a claim is on, against what the table says.
-pub fn status(claim: &Claim, seen: &Observed) -> &'static str {
+pub(crate) fn status(claim: &Claim, seen: &Observed) -> &'static str {
     match seen.in_band {
         _ if seen.changed_side(claim) => "CHANGED SIDE",
         true => "in band",

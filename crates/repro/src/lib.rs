@@ -16,7 +16,7 @@
 //! Experiments that are a configuration × workload grid over engine
 //! results go through the product's own [`scalesim::run_sweep`] on one
 //! byte-budgeted [`PlanCache`] shared by the whole process
-//! ([`Run::sweep`]): Table V, Table VI and Fig. 15 all plan ViT-base on
+//! (`Run::sweep`): Table V, Table VI and Fig. 15 all plan ViT-base on
 //! a 128×128 weight-stationary core, once. Direct library probes call
 //! their crate and share only the table, the claim type and the writers.
 
@@ -101,7 +101,7 @@ impl Observed {
     /// Whether the claim is on the other side of its band from where the
     /// table puts it: out of band without a deviation line, or in band
     /// with one.
-    pub fn changed_side(&self, claim: &Claim) -> bool {
+    pub(crate) fn changed_side(&self, claim: &Claim) -> bool {
         self.in_band == claim.deviation.is_some()
     }
 }
@@ -111,7 +111,7 @@ impl Observed {
 #[derive(Debug)]
 pub struct Run {
     /// The row being run.
-    pub experiment: &'static Experiment,
+    pub(crate) experiment: &'static Experiment,
     cache: Arc<PlanCache>,
     /// The results table as comma-separated lines, header first (also
     /// the row's CSV).
@@ -135,7 +135,7 @@ impl Run {
     /// can tell them apart. Records come back in run order: `run = point
     /// * topologies + topology`, points in the spec's odometer order (the
     /// last row of the `AXES` table varies fastest).
-    pub fn sweep(
+    pub(crate) fn sweep(
         &mut self,
         base: &ScaleSimConfig,
         grid: &str,
@@ -201,7 +201,7 @@ impl Run {
         self.experiment.claims.iter().zip(&self.observed)
     }
 
-    /// The ids of the claims that [changed side](Observed::changed_side).
+    /// The ids of the claims that changed side.
     pub fn changed_side(&self) -> Vec<&'static str> {
         let changed = self
             .claims()

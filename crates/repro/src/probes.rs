@@ -30,7 +30,7 @@ fn cross<const N: usize>(a: [usize; N], b: [usize; N]) -> impl Iterator<Item = (
     a.into_iter().flat_map(move |a| b.map(|b| (a, b)))
 }
 
-pub fn fig03_partitioning(run: &mut Run) {
+pub(crate) fn fig03_partitioning(run: &mut Run) {
     use PartitionObjective::{ComputeCycles, MemoryFootprint};
     run.row("objective,gemm,array,cores,scheme,pr,pc,cycles,footprint");
     let tags = ["compute-optimized (Fig. 3a)", "memory-optimized (Fig. 3b)"];
@@ -68,7 +68,7 @@ pub fn fig03_partitioning(run: &mut Run) {
     run.ordering("spatial_wins_memory_cases", spatial[1] * 2 > total, seen);
 }
 
-pub fn fig07_sparse_storage(run: &mut Run) {
+pub(crate) fn fig07_sparse_storage(run: &mut Run) {
     let ratios = [1, 2, 3].map(|n| NmRatio::new(n, 4).expect("n <= 4"));
     run.row("layer,ratio,value_bytes,metadata_bytes");
     // Network totals in bytes: dense, then 1:4 / 2:4 / 3:4.
@@ -91,7 +91,7 @@ pub fn fig07_sparse_storage(run: &mut Run) {
     run.ordering("storage_grows_with_density", grows, "");
 }
 
-pub fn fig08_block_size(run: &mut Run) {
+pub(crate) fn fig08_block_size(run: &mut Run) {
     // ViT feed-forward compute cycles at N:M on an `array`-square core:
     // the compressed GEMM the engine would plan, costed by the closed
     // form its plans are proven equal to.
@@ -135,7 +135,7 @@ fn on_channels(layer: &Layer, channels: usize) -> DramAnalysis {
     result.dram.expect("the DRAM flow is on")
 }
 
-pub fn fig09_dram_channels(run: &mut Run) {
+pub(crate) fn fig09_dram_channels(run: &mut Run) {
     run.row("layer,channels,throughput_mbps,stall_cycles");
     // Throughput gain from 2 to 8 channels: does anything past 2 help?
     let (mut early, mut late) = (Vec::new(), Vec::new());
@@ -162,7 +162,7 @@ pub fn fig09_dram_channels(run: &mut Run) {
     run.value("late_gain_past_2_channels", mean(&late));
 }
 
-pub fn ext_dram_power(run: &mut Run) {
+pub(crate) fn ext_dram_power(run: &mut Run) {
     let net = resnet18();
     let arch = ArchSpec::new(128, 128, 8192 << 10, 8192 << 10, 2048 << 10);
     let controllers = |channels| {
@@ -240,7 +240,7 @@ fn layout_figure(run: &mut Run, layers: &[(&str, GemmShape)]) {
     run.ordering("ws_most_sensitive", ws >= os.max(is), seen);
 }
 
-pub fn fig12_layout_resnet(run: &mut Run) {
+pub(crate) fn fig12_layout_resnet(run: &mut Run) {
     let net = resnet18();
     let layers = ["conv2_1", "conv3_1", "conv4_1"].map(|name| {
         let layer = net.iter().find(|l| l.name() == name);
@@ -249,14 +249,14 @@ pub fn fig12_layout_resnet(run: &mut Run) {
     layout_figure(run, &layers);
 }
 
-pub fn fig13_layout_vit(run: &mut Run) {
+pub(crate) fn fig13_layout_vit(run: &mut Run) {
     let c = ViTConfig::base();
     let qkv = GemmShape::new(c.seq, 3 * c.hidden, c.hidden);
     let ff1 = GemmShape::new(c.seq, c.mlp, c.hidden);
     layout_figure(run, &[("qkv", qkv), ("ff1", ff1)]);
 }
 
-pub fn tab03_energy_states(run: &mut Run) {
+pub(crate) fn tab03_energy_states(run: &mut Run) {
     let rows = system_state_table();
     run.row("state,pnr,model,error_pct");
     for r in &rows {
@@ -281,7 +281,7 @@ fn core(array: usize, dataflow: Dataflow, kb: usize) -> SimConfig {
         .build()
 }
 
-pub fn ablation_energy_repeat(run: &mut Run) {
+pub(crate) fn ablation_energy_repeat(run: &mut Run) {
     // SRAM (reads, repeated reads) of one conv layer's operand streams.
     let profile = |row_words: usize, dataflow: Dataflow| {
         let mut cfg = core(16, dataflow, 512);
@@ -313,7 +313,7 @@ pub fn ablation_energy_repeat(run: &mut Run) {
     run.value("inflation_without_lookup", energy(0) / energy(repeats));
 }
 
-pub fn ablation_mem_scheduling(run: &mut Run) {
+pub(crate) fn ablation_mem_scheduling(run: &mut Run) {
     // The line requests of one streamed layer, ResNet-18 conv3_1.
     let planned = CoreSim::new(core(32, Dataflow::OutputStationary, 256))
         .plan_gemm(GemmShape::new(784, 128, 1152));
@@ -348,7 +348,7 @@ pub fn ablation_mem_scheduling(run: &mut Run) {
     run.ordering("default_dominates", keeps_hits && fastest, "");
 }
 
-pub fn ablation_nop(run: &mut Run) {
+pub(crate) fn ablation_nop(run: &mut Run) {
     use MemoryPortPlacement::{Corner, FourEdges, WestEdge};
     let names = ["four-edges", "west-edge", "corner"];
     let placements = [FourEdges, WestEdge, Corner];

@@ -107,13 +107,6 @@ pub fn with_priority<R>(priority: Priority, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The calling thread's worker index within its pool, or `None` when
-/// called from a thread that is not a scheduler worker. Useful for
-/// asserting how many distinct workers participated in a batch.
-pub fn worker_index() -> Option<usize> {
-    WORKER_SLOT.get().map(|(_, index)| index)
-}
-
 pub(crate) fn worker_slot() -> Option<(u64, usize)> {
     WORKER_SLOT.get()
 }

@@ -106,7 +106,7 @@ pub struct SchedStats {
 
 /// A persistent work-stealing worker pool. Use [`Scheduler::global`]
 /// for the process-wide pool every simulation layer shares; private
-/// pools ([`Scheduler::new`]) exist for tests and benchmarks.
+/// pools (`Scheduler::new`) exist for tests and benchmarks.
 pub struct Scheduler {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
@@ -123,7 +123,7 @@ impl std::fmt::Debug for Scheduler {
 impl Scheduler {
     /// Builds a private pool with `workers` threads (clamped to at
     /// least 1). Most callers want [`global`](Self::global) instead.
-    pub fn new(workers: usize) -> Self {
+    pub(crate) fn new(workers: usize) -> Self {
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
@@ -160,7 +160,7 @@ impl Scheduler {
     }
 
     /// The pool's worker-thread count.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.shared.locals.len()
     }
 
@@ -489,14 +489,14 @@ mod tests {
 
     #[test]
     fn worker_index_is_set_on_workers_and_absent_elsewhere() {
-        assert_eq!(crate::worker_index(), None);
+        assert_eq!(crate::worker_slot(), None);
         let pool = Scheduler::new(3);
         let (tx, rx) = mpsc::channel();
         pool.spawn_detached(
             Priority::Interactive,
-            Box::new(move || tx.send(crate::worker_index()).unwrap()),
+            Box::new(move || tx.send(crate::worker_slot()).unwrap()),
         );
-        let index = rx.recv().unwrap().expect("workers know their index");
+        let (_, index) = rx.recv().unwrap().expect("workers know their index");
         assert!(index < 3);
     }
 

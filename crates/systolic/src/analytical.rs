@@ -60,27 +60,6 @@ impl AnalyticalModel {
     pub fn exact_runtime_cycles(&self) -> u64 {
         FoldGeometry::new(self.array, self.dataflow, self.gemm).total_cycles()
     }
-
-    /// Words of on-chip storage touched: both operands plus outputs.
-    pub fn footprint_words(&self) -> u64 {
-        self.gemm.footprint_words()
-    }
-
-    /// Total MACs.
-    pub fn macs(&self) -> u64 {
-        self.gemm.macs()
-    }
-
-    /// Average utilization implied by the analytical runtime.
-    pub fn utilization(&self) -> f64 {
-        let pes = self.array.num_pes() as f64;
-        let cycles = self.runtime_cycles() as f64;
-        if cycles == 0.0 {
-            0.0
-        } else {
-            self.macs() as f64 / (pes * cycles)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +81,11 @@ mod tests {
             let gen = DemandGenerator::new(ArrayShape::new(8, 8), df, gemm);
             // OS maps (M=16, N=24) on (8, 8): even. WS maps (K=10, N=24):
             // K=10 is ragged on R=8, so only compare the exact form.
-            assert_eq!(model.exact_runtime_cycles(), gen.total_cycles(), "{df}");
+            assert_eq!(
+                model.exact_runtime_cycles(),
+                gen.geometry().total_cycles(),
+                "{df}"
+            );
             assert!(model.runtime_cycles() >= model.exact_runtime_cycles());
         }
     }
@@ -114,21 +97,10 @@ mod tests {
             let model = AnalyticalModel::new(ArrayShape::new(4, 4), df, gemm);
             let gen = DemandGenerator::new(ArrayShape::new(4, 4), df, gemm);
             assert!(
-                model.runtime_cycles() >= gen.total_cycles(),
+                model.runtime_cycles() >= gen.geometry().total_cycles(),
                 "{df}: analytical must upper-bound cycle-accurate"
             );
-            assert_eq!(model.exact_runtime_cycles(), gen.total_cycles());
+            assert_eq!(model.exact_runtime_cycles(), gen.geometry().total_cycles());
         }
-    }
-
-    #[test]
-    fn utilization_bounded() {
-        let model = AnalyticalModel::new(
-            ArrayShape::new(8, 8),
-            Dataflow::OutputStationary,
-            GemmShape::new(64, 64, 64),
-        );
-        let u = model.utilization();
-        assert!(u > 0.0 && u <= 1.0, "utilization {u} out of range");
     }
 }

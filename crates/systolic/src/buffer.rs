@@ -429,9 +429,9 @@ impl ReadPlanner {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadPlan {
     /// Operand this plan belongs to.
-    pub op: OperandKind,
+    pub(crate) op: OperandKind,
     /// Prefetch chunk granularity (half the scratchpad).
-    pub half_words: usize,
+    pub(crate) half_words: usize,
     /// Backing-store fetch order (unique first-uses plus capacity
     /// refetches), cut into chunks.
     fetches: Sequence,
@@ -442,29 +442,29 @@ pub struct ReadPlan {
     /// Distinct words fetched at least once.
     pub unique_words: u64,
     /// Words fetched again after capacity eviction.
-    pub refetch_words: u64,
+    pub(crate) refetch_words: u64,
     /// Total SRAM reads observed (array-edge traffic).
     pub total_reads: u64,
 }
 
 impl ReadPlan {
     /// Words fetched from the backing store over the whole layer.
-    pub fn fetched_words(&self) -> u64 {
+    pub(crate) fn fetched_words(&self) -> u64 {
         self.fetches.words
     }
 
     /// Number of prefetch chunks in the plan.
-    pub fn num_chunks(&self) -> usize {
+    pub(crate) fn num_chunks(&self) -> usize {
         self.fetches.starts.len()
     }
 
     /// The words of chunk `j`.
-    pub fn chunk(&self, j: usize) -> Batch<'_> {
+    pub(crate) fn chunk(&self, j: usize) -> Batch<'_> {
         Batch::new(self.fetches.block(j))
     }
 
     /// Heap bytes the plan keeps resident.
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.fetches.heap_bytes() + vec_bytes(&self.needs)
     }
 }
@@ -605,42 +605,42 @@ impl WritePlanner {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WritePlan {
     /// Drain burst granularity (half the ofmap SRAM).
-    pub half_words: usize,
+    pub(crate) half_words: usize,
     /// Every word that entered the ofmap SRAM, in entry — and therefore
     /// eviction — order, cut into bursts.
     entries: Sequence,
     /// Index of the first segment still resident at the end.
     flush_from: usize,
     /// Residual words flushed after compute.
-    pub flush_words: u64,
+    pub(crate) flush_words: u64,
     /// The compute cycle at which each half-buffer drain burst fires.
     pub bursts: Vec<u64>,
     /// RMW misses (partial sums refetched from DRAM): every word of each
     /// stream, one blocking fetch per cycle it spans, priced by the run.
     pub misses: Vec<TimedStream>,
     /// Coalesced on-chip overwrites.
-    pub write_hits: u64,
+    pub(crate) write_hits: u64,
     /// First-time writes.
-    pub write_misses: u64,
+    pub(crate) write_misses: u64,
     /// Partial-sum reads served on-chip.
-    pub read_hits: u64,
+    pub(crate) read_hits: u64,
     /// Partial-sum reads that had to refetch from the backing store.
-    pub read_misses: u64,
+    pub(crate) read_misses: u64,
 }
 
 impl WritePlan {
     /// Words evicted before the end of compute.
-    pub fn drained_words(&self) -> u64 {
+    pub(crate) fn drained_words(&self) -> u64 {
         self.entries.words - self.flush_words
     }
 
     /// The words of drain burst `b`.
-    pub fn burst(&self, b: usize) -> Batch<'_> {
+    pub(crate) fn burst(&self, b: usize) -> Batch<'_> {
         Batch::new(self.entries.block(b))
     }
 
     /// Evicted words no full burst carried; they drain after compute.
-    pub fn tail(&self) -> Batch<'_> {
+    pub(crate) fn tail(&self) -> Batch<'_> {
         let drained = self.entries.starts.get(self.bursts.len());
         let from = drained.map_or(self.flush_from, |&start| start);
         Batch::new(&self.entries.segments[from..self.flush_from])
@@ -648,7 +648,7 @@ impl WritePlan {
 
     /// The words still resident at the end (final write-back), which
     /// leave in address order.
-    pub fn flush(&self) -> Batch<'_> {
+    pub(crate) fn flush(&self) -> Batch<'_> {
         Batch {
             segments: &self.entries.segments[self.flush_from..],
             ascending: true,
@@ -656,7 +656,7 @@ impl WritePlan {
     }
 
     /// Heap bytes the plan keeps resident.
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.entries.heap_bytes() + vec_bytes(&self.bursts) + vec_bytes(&self.misses)
     }
 }

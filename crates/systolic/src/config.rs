@@ -38,7 +38,7 @@ impl ArrayShape {
     }
 
     /// Total number of processing elements (`R · C`).
-    pub fn num_pes(&self) -> usize {
+    pub(crate) fn num_pes(&self) -> usize {
         self.rows * self.cols
     }
 }
@@ -182,7 +182,7 @@ impl Default for MemoryConfig {
 /// can move 2^44 words before a cycle count would pass 2^64; below it a
 /// transfer's length saturates and cycle sums wrap. A multi-core grid's
 /// per-core share is floored at 1/8 word per cycle, above this one.
-pub const MIN_DRAM_BANDWIDTH: f64 = 1.0 / (1u64 << 20) as f64;
+pub(crate) const MIN_DRAM_BANDWIDTH: f64 = 1.0 / (1u64 << 20) as f64;
 
 /// Full single-core simulator configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,7 +208,7 @@ impl SimConfig {
     ///
     /// Returns [`SimError::InvalidConfig`] if a scratchpad is too small to
     /// double-buffer a single array edge or the bandwidth is below
-    /// [`MIN_DRAM_BANDWIDTH`].
+    /// `MIN_DRAM_BANDWIDTH`.
     pub fn validate(&self) -> Result<(), SimError> {
         let bandwidth = self.memory.dram_bandwidth;
         if !(MIN_DRAM_BANDWIDTH..).contains(&bandwidth) {

@@ -27,24 +27,24 @@ use crate::util::ceil_div;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fold {
     /// Fold index along the row-mapped dimension.
-    pub fr: usize,
+    pub(crate) fr: usize,
     /// Fold index along the column-mapped dimension.
-    pub fc: usize,
+    pub(crate) fc: usize,
     /// Active rows in this fold (`R' ≤ R`).
     pub rows: usize,
     /// Active columns in this fold (`C' ≤ C`).
     pub cols: usize,
     /// Cycles this fold occupies.
-    pub cycles: u64,
+    pub(crate) cycles: u64,
 }
 
 /// Shared fold-tiling arithmetic for a dataflow mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FoldGeometry {
     /// Physical array rows.
-    pub array_rows: usize,
+    pub(crate) array_rows: usize,
     /// Physical array columns.
-    pub array_cols: usize,
+    pub(crate) array_cols: usize,
     /// Row-mapped spatial dimension `Sr`.
     pub sr: usize,
     /// Column-mapped spatial dimension `Sc`.
@@ -71,37 +71,37 @@ impl FoldGeometry {
     }
 
     /// Number of folds along the row-mapped dimension.
-    pub fn row_folds(&self) -> usize {
+    pub(crate) fn row_folds(&self) -> usize {
         ceil_div(self.sr, self.array_rows)
     }
 
     /// Number of folds along the column-mapped dimension.
-    pub fn col_folds(&self) -> usize {
+    pub(crate) fn col_folds(&self) -> usize {
         ceil_div(self.sc, self.array_cols)
     }
 
     /// Total number of folds.
-    pub fn num_folds(&self) -> usize {
+    pub(crate) fn num_folds(&self) -> usize {
         self.row_folds() * self.col_folds()
     }
 
     /// Active rows of fold `fr`.
-    pub fn fold_rows(&self, fr: usize) -> usize {
+    pub(crate) fn fold_rows(&self, fr: usize) -> usize {
         (self.sr - fr * self.array_rows).min(self.array_rows)
     }
 
     /// Active columns of fold `fc`.
-    pub fn fold_cols(&self, fc: usize) -> usize {
+    pub(crate) fn fold_cols(&self, fc: usize) -> usize {
         (self.sc - fc * self.array_cols).min(self.array_cols)
     }
 
     /// Cycle-accurate length of one fold: `2R' + C' + T − 2`.
-    pub fn fold_cycles(&self, fr: usize, fc: usize) -> u64 {
+    pub(crate) fn fold_cycles(&self, fr: usize, fc: usize) -> u64 {
         (2 * self.fold_rows(fr) + self.fold_cols(fc) + self.t - 2) as u64
     }
 
     /// Exact total cycles over all folds (sum of clipped fold lengths).
-    pub fn total_cycles(&self) -> u64 {
+    pub(crate) fn total_cycles(&self) -> u64 {
         let mut total = 0;
         for fr in 0..self.row_folds() {
             for fc in 0..self.col_folds() {
@@ -128,7 +128,7 @@ impl FoldGeometry {
     }
 
     /// Sum over folds of active PE area, used for mapping efficiency.
-    pub fn total_active_pe_cycles(&self) -> u64 {
+    pub(crate) fn total_active_pe_cycles(&self) -> u64 {
         self.folds()
             .map(|f| (f.rows * f.cols) as u64 * f.cycles)
             .sum()
@@ -170,11 +170,6 @@ impl DemandGenerator {
             *start += fold.cycles;
             Some(demand)
         })
-    }
-
-    /// Exact total compute cycles (no memory stalls), without streaming.
-    pub fn total_cycles(&self) -> u64 {
-        self.geometry().total_cycles()
     }
 
     /// Aggregate demand totals in closed form, without streaming.
@@ -233,7 +228,7 @@ pub(crate) mod testing {
     use crate::operand::Addr;
 
     /// The layer's totals, added up fold by fold and stream by stream.
-    pub fn tally(gen: &DemandGenerator) -> DemandSummary {
+    pub(crate) fn tally(gen: &DemandGenerator) -> DemandSummary {
         let mut s = DemandSummary::default();
         let geometry = gen.geometry();
         for (fold, extent) in gen.folds().zip(geometry.folds()) {
@@ -253,7 +248,7 @@ pub(crate) mod testing {
     }
 
     /// Every address one edge of the layer touches, in order.
-    pub fn addrs(gen: &DemandGenerator, edge: fn(&FoldDemand) -> &EdgeStream) -> Vec<Addr> {
+    pub(crate) fn addrs(gen: &DemandGenerator, edge: fn(&FoldDemand) -> &EdgeStream) -> Vec<Addr> {
         let mut out = Vec::new();
         for fold in gen.folds() {
             let stream = edge(&fold).stream;
@@ -272,7 +267,7 @@ mod tests {
         let gen = DemandGenerator::new(ArrayShape::new(r, c), df, gemm);
         let s = testing::tally(&gen);
         assert_eq!(s.macs, gemm.macs(), "{df}: MAC conservation");
-        assert_eq!(s.cycles, gen.total_cycles(), "{df}: cycle count");
+        assert_eq!(s.cycles, gen.geometry().total_cycles(), "{df}: cycle count");
         assert_eq!(s, gen.summary(), "{df}: closed-form totals");
         // Every output element is written at least once, and the final
         // writes cover exactly M×N addresses.

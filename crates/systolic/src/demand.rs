@@ -117,7 +117,7 @@ impl Stream {
     /// `step` as an arithmetic progression: its first address, its word
     /// count and the (wrapping) distance from one active lane's word to
     /// the next one's.
-    pub fn step_span(&self, step: u64) -> (Addr, u64, u64) {
+    pub(crate) fn step_span(&self, step: u64) -> (Addr, u64, u64) {
         let (lo, hi, delta) = if self.skewed {
             (
                 step.saturating_sub(self.len as u64 - 1),
@@ -135,7 +135,7 @@ impl Stream {
     /// unskewed stream, `lanes − 1 .. len` for a skewed one (empty when
     /// the wavefront never fills). Each step of the band touches the
     /// previous one's words moved by `step_stride`.
-    pub fn band(&self) -> std::ops::Range<u64> {
+    pub(crate) fn band(&self) -> std::ops::Range<u64> {
         let first = match self.skewed {
             true => (self.lanes as u64).saturating_sub(1),
             false => 0,
@@ -194,7 +194,7 @@ pub struct Batch<'a> {
     pub segments: &'a [Segment],
     /// Whether the words move in ascending address order instead of
     /// segment order (the final flush of whatever the ofmap SRAM holds).
-    pub ascending: bool,
+    pub(crate) ascending: bool,
 }
 
 impl<'a> Batch<'a> {
@@ -207,7 +207,7 @@ impl<'a> Batch<'a> {
     }
 
     /// Words transferred.
-    pub fn words(&self) -> u64 {
+    pub(crate) fn words(&self) -> u64 {
         self.segments.iter().map(|s| s.len).sum()
     }
 
@@ -235,7 +235,7 @@ impl<'a> Batch<'a> {
 pub struct EdgeStream {
     /// Operand tile walked. Streams of one operand with equal tiles touch
     /// the same words in the same order; different tiles are disjoint.
-    pub tile: usize,
+    pub(crate) tile: usize,
     /// Cycle of the stream's step 0, relative to the fold's first cycle.
     pub start: u64,
     /// The walk itself.

@@ -9,7 +9,7 @@ use std::hash::Hasher;
 
 /// Multiply-mix hasher specialized for integer keys.
 #[derive(Debug, Default, Clone)]
-pub struct FastHasher(u64);
+pub(crate) struct FastHasher(u64);
 
 const SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 

@@ -42,20 +42,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analytical;
-pub mod buffer;
-pub mod config;
-pub mod dataflow;
-pub mod demand;
+pub(crate) mod analytical;
+pub(crate) mod buffer;
+pub(crate) mod config;
+pub(crate) mod dataflow;
+pub(crate) mod demand;
 pub mod dialect;
-pub mod error;
+pub(crate) mod error;
 pub(crate) mod fasthash;
-pub mod operand;
-pub mod parallel;
-pub mod report;
-pub mod sim;
-pub mod topology;
-pub mod trace;
+pub(crate) mod operand;
+pub(crate) mod parallel;
+pub(crate) mod report;
+pub(crate) mod sim;
+pub(crate) mod topology;
+pub(crate) mod trace;
 pub(crate) mod util;
 
 pub use analytical::{analytical_runtime, AnalyticalModel};

@@ -30,22 +30,8 @@ pub enum OperandKind {
 }
 
 impl OperandKind {
-    /// All operand kinds in canonical order.
-    pub const ALL: [OperandKind; 3] = [OperandKind::Ifmap, OperandKind::Filter, OperandKind::Ofmap];
-
-    /// Classifies an address by its region.
-    pub fn of_addr(addr: Addr) -> OperandKind {
-        if addr >= OFMAP_BASE {
-            OperandKind::Ofmap
-        } else if addr >= FILTER_BASE {
-            OperandKind::Filter
-        } else {
-            OperandKind::Ifmap
-        }
-    }
-
     /// Lowercase display name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             OperandKind::Ifmap => "ifmap",
             OperandKind::Filter => "filter",
@@ -68,32 +54,32 @@ pub struct OperandMap {
 
 impl OperandMap {
     /// Creates the address map for a GEMM.
-    pub fn new(gemm: GemmShape) -> Self {
+    pub(crate) fn new(gemm: GemmShape) -> Self {
         Self { gemm }
     }
 
     /// The GEMM shape this map covers.
-    pub fn gemm(&self) -> GemmShape {
+    pub(crate) fn gemm(&self) -> GemmShape {
         self.gemm
     }
 
     /// Address of `A[m][k]`.
     #[inline]
-    pub fn ifmap(&self, m: usize, k: usize) -> Addr {
+    pub(crate) fn ifmap(&self, m: usize, k: usize) -> Addr {
         debug_assert!(m < self.gemm.m && k < self.gemm.k);
         IFMAP_BASE + (m as u64) * (self.gemm.k as u64) + k as u64
     }
 
     /// Address of `B[k][n]`.
     #[inline]
-    pub fn filter(&self, k: usize, n: usize) -> Addr {
+    pub(crate) fn filter(&self, k: usize, n: usize) -> Addr {
         debug_assert!(k < self.gemm.k && n < self.gemm.n);
         FILTER_BASE + (k as u64) * (self.gemm.n as u64) + n as u64
     }
 
     /// Address of `C[m][n]`.
     #[inline]
-    pub fn ofmap(&self, m: usize, n: usize) -> Addr {
+    pub(crate) fn ofmap(&self, m: usize, n: usize) -> Addr {
         debug_assert!(m < self.gemm.m && n < self.gemm.n);
         OFMAP_BASE + (m as u64) * (self.gemm.n as u64) + n as u64
     }
@@ -112,9 +98,6 @@ mod tests {
         assert!(a < FILTER_BASE);
         assert!((FILTER_BASE..OFMAP_BASE).contains(&b));
         assert!(c >= OFMAP_BASE);
-        assert_eq!(OperandKind::of_addr(a), OperandKind::Ifmap);
-        assert_eq!(OperandKind::of_addr(b), OperandKind::Filter);
-        assert_eq!(OperandKind::of_addr(c), OperandKind::Ofmap);
     }
 
     #[test]
@@ -140,6 +123,5 @@ mod tests {
     #[test]
     fn operand_kind_names() {
         assert_eq!(OperandKind::Ifmap.to_string(), "ifmap");
-        assert_eq!(OperandKind::ALL.len(), 3);
     }
 }

@@ -112,12 +112,7 @@ pub struct LayerReport {
     pub sram: SramSummary,
 }
 
-impl LayerReport {
-    /// End-to-end cycles including stalls, ramp-up and drain.
-    pub fn total_cycles(&self) -> u64 {
-        self.memory.total_cycles
-    }
-}
+impl LayerReport {}
 
 #[cfg(test)]
 mod tests {

@@ -45,7 +45,7 @@ use std::sync::{Arc, Condvar, Mutex};
 ///
 /// [`walk`](Self::walk) counts exactly what probing every word would:
 ///
-/// - **Band and period.** In a stream's [band](Stream::band) each step
+/// - **Band and period.** In a stream's band each step
 ///   touches the step before it moved by `step_stride`; after the fewest
 ///   steps `P` with `P·step_stride = D·row_words`, they have moved by `D`
 ///   whole rows.
@@ -380,7 +380,7 @@ pub struct PlanKey {
 
 impl PlanKey {
     /// Builds the key for planning `gemm` under `config`.
-    pub fn new(config: &SimConfig, gemm: GemmShape) -> Self {
+    pub(crate) fn new(config: &SimConfig, gemm: GemmShape) -> Self {
         let mem = &config.memory;
         Self {
             array: config.array,
@@ -462,7 +462,7 @@ impl PlanCache {
     /// Resident-byte budget of [`PlanCache::new`]: 512 MiB, some forty
     /// times the largest plan set any shipped workload keeps (12.3 MB,
     /// llama-7b decode), so only a long-lived server ever evicts.
-    pub const DEFAULT_BUDGET_BYTES: usize = 512 << 20;
+    pub(crate) const DEFAULT_BUDGET_BYTES: usize = 512 << 20;
 
     /// Creates an empty cache with the default budget.
     pub fn new() -> Self {
@@ -496,7 +496,7 @@ impl PlanCache {
     /// A key is planned once at a time (planning happens outside the
     /// lock): callers missing on a key another caller is planning wait
     /// for that plan instead of building a copy of their own.
-    pub fn get_or_insert_with(
+    pub(crate) fn get_or_insert_with(
         &self,
         key: PlanKey,
         plan: impl FnOnce() -> PlannedLayer,
@@ -595,30 +595,8 @@ impl PlanCache {
     }
 
     /// Entries evicted by the cost-aware policy so far.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Estimated bytes currently held by cached plans.
-    pub fn resident_bytes(&self) -> usize {
-        self.lock_inner().resident_bytes
-    }
-
-    /// Number of distinct plans held.
-    pub fn len(&self) -> usize {
-        self.lock_inner().map.len()
-    }
-
-    /// Whether the cache holds no plans.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all cached plans (counters are kept).
-    pub fn clear(&self) {
-        let mut inner = self.lock_inner();
-        inner.map.clear();
-        inner.resident_bytes = 0;
     }
 
     /// The cache counters bundled up for end-of-run summaries (e.g. how
@@ -710,16 +688,6 @@ impl CoreSim {
     pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.cache = Some(cache);
         self
-    }
-
-    /// The attached plan cache, if any.
-    pub fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
-        self.cache.as_ref()
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
     }
 
     /// Runs the planning pass: one walk over the fold descriptors
@@ -851,7 +819,7 @@ mod tests {
         assert!(panicked.is_err());
         let plan = cache.get_or_insert_with(key, || s.plan_gemm(gemm));
         assert_eq!(*plan, s.plan_gemm(gemm));
-        assert_eq!((cache.misses(), cache.len()), (2, 1));
+        assert_eq!((cache.misses(), cache.stats().plans), (2, 1));
     }
 
     #[test]
@@ -868,22 +836,23 @@ mod tests {
             cache.inner.is_poisoned(),
             "panic above must poison the lock"
         );
-        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.stats().plans, 0);
         let s = sim(Dataflow::OutputStationary);
         let key = PlanKey::new(&s.config, GemmShape::new(8, 8, 8));
         let planned = s.plan_gemm(GemmShape::new(8, 8, 8));
         let bytes = planned.resident_bytes();
         cache.get_or_insert_with(key, || planned);
-        assert_eq!(cache.len(), 1, "cache keeps working after poisoning");
+        assert_eq!(
+            cache.stats().plans,
+            1,
+            "cache keeps working after poisoning"
+        );
         // The stats stay coherent through recovery: the resident-bytes
         // gauge tracks the surviving entry exactly and the counters
         // reflect the one miss.
         let stats = cache.stats();
         assert_eq!(stats.resident_bytes, bytes);
         assert_eq!((stats.hits, stats.misses, stats.plans), (0, 1, 1));
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.resident_bytes(), 0);
     }
 
     #[test]
@@ -985,7 +954,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().plans, 1);
         // A different shape misses.
         let _ = sim.simulate_gemm(GemmShape::new(16, 16, 16));
         assert_eq!(cache.misses(), 2);
@@ -993,7 +962,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(
             (stats.hits, stats.misses, stats.plans),
-            (cache.hits(), cache.misses(), cache.len())
+            (cache.hits(), cache.misses(), cache.stats().plans)
         );
         assert_eq!(
             stats.to_string(),
@@ -1014,9 +983,9 @@ mod tests {
         let sim = plain.with_plan_cache(Arc::clone(&cache));
         for gemm in &shapes {
             let _ = sim.plan_gemm_shared(*gemm);
-            assert!(cache.resident_bytes() <= budget, "the budget is hard");
+            assert!(cache.stats().resident_bytes <= budget, "the budget is hard");
         }
-        assert!(cache.evictions() > 0 && cache.len() < shapes.len());
+        assert!(cache.evictions() > 0 && cache.stats().plans < shapes.len());
         // Evicted shapes still re-plan correctly.
         let r = sim.simulate_gemm(GemmShape::new(8, 8, 8));
         assert_eq!(r, sim.simulate_gemm(GemmShape::new(8, 8, 8)));
@@ -1116,12 +1085,11 @@ mod tests {
             );
         }
         assert!(cache.evictions() > 0, "the cold stream must evict");
-        assert!(cache.resident_bytes() <= budget);
+        assert!(cache.stats().resident_bytes <= budget);
     }
 
     /// Eviction-stats consistency under a randomized mixed workload on a
-    /// tight budget: plans held + evictions == misses, and the resident
-    /// gauge returns to zero on clear.
+    /// tight budget: plans held + evictions == misses.
     #[test]
     fn plan_cache_eviction_stats_stay_consistent() {
         let s = sim(Dataflow::WeightStationary);
@@ -1143,9 +1111,6 @@ mod tests {
             "every miss either stays resident or was evicted: {stats}"
         );
         assert!(stats.evictions > 0 && stats.resident_bytes <= budget);
-        cache.clear();
-        assert_eq!(cache.resident_bytes(), 0);
-        assert_eq!(cache.evictions(), stats.evictions, "clear is not eviction");
     }
 
     #[test]

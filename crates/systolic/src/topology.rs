@@ -48,11 +48,6 @@ impl GemmShape {
     pub fn macs(&self) -> u64 {
         self.m as u64 * self.n as u64 * self.k as u64
     }
-
-    /// Number of words touched: `A` + `B` + `C`.
-    pub fn footprint_words(&self) -> u64 {
-        (self.m * self.k + self.k * self.n + self.m * self.n) as u64
-    }
 }
 
 impl fmt::Display for GemmShape {
@@ -89,13 +84,13 @@ impl ConvLayer {
     }
 
     /// Output feature-map width.
-    pub fn ofmap_w(&self) -> usize {
+    pub(crate) fn ofmap_w(&self) -> usize {
         (self.ifmap_w - self.filter_w) / self.stride + 1
     }
 
     /// Lowers the convolution to a GEMM via im2col:
     /// `M = Oh·Ow`, `N = num_filters`, `K = Fh·Fw·Cin`.
-    pub fn to_gemm(&self) -> GemmShape {
+    pub(crate) fn to_gemm(&self) -> GemmShape {
         GemmShape::new(
             self.ofmap_h() * self.ofmap_w(),
             self.num_filters,
@@ -110,7 +105,7 @@ impl ConvLayer {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidLayer`] saying which check failed.
-    pub fn validate(&self) -> Result<(), SimError> {
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
         let gemm = || {
             let m = self.ofmap_h().checked_mul(self.ofmap_w())?;
             let area = self.filter_h.checked_mul(self.filter_w)?;
@@ -459,7 +454,6 @@ mod tests {
     fn gemm_macs_and_footprint() {
         let g = GemmShape::new(4, 5, 6);
         assert_eq!(g.macs(), 120);
-        assert_eq!(g.footprint_words(), (4 * 6 + 6 * 5 + 4 * 5) as u64);
         assert_eq!(g.to_string(), "M4xN5xK6");
     }
 

@@ -50,12 +50,12 @@ pub struct TraceRecorder {
 
 impl TraceRecorder {
     /// Creates an empty recorder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records a transaction.
-    pub fn record(
+    pub(crate) fn record(
         &mut self,
         issue: u64,
         completion: u64,

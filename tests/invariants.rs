@@ -314,7 +314,7 @@ mod reference {
 
     /// The scratchpad accesses of a single cycle.
     #[derive(Debug, Clone, Default)]
-    pub struct CycleDemand {
+    pub(crate) struct CycleDemand {
         /// Simulation cycle (compute time, i.e. without memory stalls).
         pub cycle: u64,
         pub ifmap_reads: Vec<Addr>,
@@ -327,7 +327,7 @@ mod reference {
 
     /// Visitor over the cycle-by-cycle demand, called once per simulated
     /// cycle in increasing cycle order.
-    pub trait DemandSink {
+    pub(crate) trait DemandSink {
         fn on_cycle(&mut self, demand: &CycleDemand);
     }
 
@@ -348,7 +348,7 @@ mod reference {
     }
 
     /// Expands the fold descriptors cycle by cycle into `sink`.
-    pub fn run(generator: &DemandGenerator, sink: &mut dyn DemandSink) {
+    pub(crate) fn run(generator: &DemandGenerator, sink: &mut dyn DemandSink) {
         let geometry = generator.geometry();
         let mut demand = CycleDemand::default();
         for (fold, extent) in generator.folds().zip(geometry.folds()) {
@@ -374,7 +374,7 @@ mod reference {
 
     /// Demand totals, accumulated cycle by cycle.
     #[derive(Default)]
-    pub struct Totals(pub DemandSummary);
+    pub(crate) struct Totals(pub DemandSummary);
 
     impl DemandSink for Totals {
         fn on_cycle(&mut self, d: &CycleDemand) {
@@ -389,17 +389,17 @@ mod reference {
     }
 
     /// `(issue, completion, operand, direction, addresses)`.
-    pub type Transaction = (u64, u64, OperandKind, Direction, Vec<Addr>);
+    pub(crate) type Transaction = (u64, u64, OperandKind, Direction, Vec<Addr>);
 
     /// Fixed words/cycle per interface, recording every transaction.
-    pub struct Store {
+    pub(crate) struct Store {
         bandwidth: f64,
         busy_until: [u64; 4],
         pub transactions: Vec<Transaction>,
     }
 
     impl Store {
-        pub fn new(bandwidth: f64) -> Self {
+        pub(crate) fn new(bandwidth: f64) -> Self {
             Store {
                 bandwidth,
                 busy_until: [0; 4],
@@ -438,7 +438,7 @@ mod reference {
         }
     }
 
-    pub struct ReadPlanner {
+    pub(crate) struct ReadPlanner {
         op: OperandKind,
         half_words: usize,
         last_fetch_idx: HashMap<Addr, usize>,
@@ -452,7 +452,7 @@ mod reference {
     }
 
     impl ReadPlanner {
-        pub fn new(op: OperandKind, capacity_words: usize) -> Self {
+        pub(crate) fn new(op: OperandKind, capacity_words: usize) -> Self {
             ReadPlanner {
                 op,
                 half_words: (capacity_words / 2).max(1),
@@ -467,7 +467,7 @@ mod reference {
             }
         }
 
-        pub fn observe(&mut self, cycle: u64, addrs: &[Addr]) {
+        pub(crate) fn observe(&mut self, cycle: u64, addrs: &[Addr]) {
             self.total_reads += addrs.len() as u64;
             let mut new_max = None::<usize>;
             for &a in addrs {
@@ -521,7 +521,7 @@ mod reference {
 
     /// Write-back FIFO ring: the n-th insertion lands in slot
     /// `n % capacity`, evicting whatever the slot held.
-    pub struct WritePlanner {
+    pub(crate) struct WritePlanner {
         capacity_words: usize,
         half_words: usize,
         resident: HashMap<Addr, usize>,
@@ -538,7 +538,7 @@ mod reference {
     }
 
     impl WritePlanner {
-        pub fn new(capacity_words: usize) -> Self {
+        pub(crate) fn new(capacity_words: usize) -> Self {
             WritePlanner {
                 capacity_words,
                 half_words: (capacity_words / 2).max(1),
@@ -572,7 +572,7 @@ mod reference {
             self.resident.insert(addr, slot);
         }
 
-        pub fn observe(&mut self, cycle: u64, reads: &[Addr], writes: &[Addr]) {
+        pub(crate) fn observe(&mut self, cycle: u64, reads: &[Addr], writes: &[Addr]) {
             for &a in reads {
                 if self.resident.contains_key(&a) {
                     self.read_hits += 1;
@@ -606,14 +606,14 @@ mod reference {
     }
 
     /// Open-row lookup: one probe per access, in access order.
-    pub struct RepeatLookup {
+    pub(crate) struct RepeatLookup {
         row_words: u64,
         open_rows: Vec<u64>,
         pub repeats: u64,
     }
 
     impl RepeatLookup {
-        pub fn new(row_words: usize, row_buffers: usize) -> Self {
+        pub(crate) fn new(row_words: usize, row_buffers: usize) -> Self {
             RepeatLookup {
                 row_words: row_words.max(1) as u64,
                 open_rows: vec![u64::MAX; row_buffers.max(1).next_power_of_two()],
@@ -621,7 +621,7 @@ mod reference {
             }
         }
 
-        pub fn access(&mut self, addr: Addr) {
+        pub(crate) fn access(&mut self, addr: Addr) {
             let row = addr / self.row_words;
             let slot = (row % self.open_rows.len() as u64) as usize;
             if self.open_rows[slot] == row {
@@ -633,7 +633,7 @@ mod reference {
 
         /// Every word of `stream` in access order, each step's words
         /// `passes` times over.
-        pub fn walk(&mut self, stream: &Stream, passes: usize) {
+        pub(crate) fn walk(&mut self, stream: &Stream, passes: usize) {
             for step in 0..stream.steps() {
                 for _ in 0..passes {
                     stream.step_addrs(step).for_each(|a| self.access(a));
@@ -643,7 +643,7 @@ mod reference {
     }
 
     /// The SRAM summary of `gemm`, every edge word probed in access order.
-    pub fn sram(config: &SimConfig, gemm: GemmShape) -> SramSummary {
+    pub(crate) fn sram(config: &SimConfig, gemm: GemmShape) -> SramSummary {
         let generator = DemandGenerator::new(config.array, config.dataflow, gemm);
         let memory = &config.memory;
         let [mut ifmap, mut filter, mut ofmap] =
@@ -666,7 +666,7 @@ mod reference {
     }
 
     /// One pass over the per-cycle demand driving all of the above.
-    pub struct Pass {
+    pub(crate) struct Pass {
         pub summary: Totals,
         pub ifmap: ReadPlanner,
         pub filter: ReadPlanner,
@@ -675,7 +675,7 @@ mod reference {
     }
 
     impl Pass {
-        pub fn new(memory: &MemoryConfig) -> Self {
+        pub(crate) fn new(memory: &MemoryConfig) -> Self {
             let lookup = || RepeatLookup::new(memory.sram_row_words, memory.sram_row_buffers);
             Pass {
                 summary: Totals::default(),
@@ -686,7 +686,7 @@ mod reference {
             }
         }
 
-        pub fn sram(&self) -> SramSummary {
+        pub(crate) fn sram(&self) -> SramSummary {
             SramSummary {
                 ifmap_reads: self.summary.0.ifmap_reads,
                 filter_reads: self.summary.0.filter_reads,
@@ -728,7 +728,7 @@ mod reference {
     }
 
     /// Replays one event per (cycle, source) against `store`.
-    pub fn timing(pass: &Pass, store: &mut Store) -> MemorySummary {
+    pub(crate) fn timing(pass: &Pass, store: &mut Store) -> MemorySummary {
         #[derive(Clone, Copy)]
         enum Ev {
             NeedIf(usize),
@@ -835,7 +835,7 @@ mod reference {
     /// of the trace materialised and sorted, replayed through a system
     /// whose controllers rescan their whole window every tick, the
     /// per-line latencies scattered back to their transactions.
-    pub mod dram {
+    pub(crate) mod dram {
         use super::*;
 
         const SCAN_WINDOW: usize = 32;
@@ -850,7 +850,7 @@ mod reference {
         }
 
         #[derive(Debug)]
-        pub struct Controller {
+        pub(crate) struct Controller {
             spec: DramSpec,
             policy: SchedulingPolicy,
             row_policy: RowPolicy,
@@ -871,7 +871,7 @@ mod reference {
         }
 
         impl Controller {
-            pub fn new(
+            pub(crate) fn new(
                 spec: DramSpec,
                 policy: SchedulingPolicy,
                 row_policy: RowPolicy,
@@ -899,11 +899,11 @@ mod reference {
                 }
             }
 
-            pub fn can_accept(&self) -> bool {
+            pub(crate) fn can_accept(&self) -> bool {
                 self.queue.len() < self.max_queue
             }
 
-            pub fn enqueue(&mut self, id: u64, addr: DramAddr, kind: AccessKind, now: u64) {
+            pub(crate) fn enqueue(&mut self, id: u64, addr: DramAddr, kind: AccessKind, now: u64) {
                 debug_assert!(self.can_accept());
                 self.queue.push_back(QueuedRequest {
                     id,
@@ -916,11 +916,11 @@ mod reference {
                 self.next_try = self.next_try.min(now);
             }
 
-            pub fn take_completions(&mut self, out: &mut Vec<(u64, u64, AccessKind)>) {
+            pub(crate) fn take_completions(&mut self, out: &mut Vec<(u64, u64, AccessKind)>) {
                 out.append(&mut self.completions);
             }
 
-            pub fn stats_snapshot(&self) -> MemStats {
+            pub(crate) fn stats_snapshot(&self) -> MemStats {
                 let mut s = self.stats;
                 if self.open_banks > 0 && s.end_cycle > self.any_open_since {
                     s.row_open_cycles += s.end_cycle - self.any_open_since;
@@ -928,7 +928,7 @@ mod reference {
                 s
             }
 
-            pub fn enable_command_log(&mut self) {
+            pub(crate) fn enable_command_log(&mut self) {
                 assert_eq!(
                     self.row_policy,
                     RowPolicy::OpenPage,
@@ -937,7 +937,7 @@ mod reference {
                 self.log = Some(CommandLog::new());
             }
 
-            pub fn command_log(&self) -> Option<&CommandLog> {
+            pub(crate) fn command_log(&self) -> Option<&CommandLog> {
                 self.log.as_ref()
             }
 
@@ -947,7 +947,7 @@ mod reference {
                 }
             }
 
-            pub fn next_event(&self) -> u64 {
+            pub(crate) fn next_event(&self) -> u64 {
                 if self.queue.is_empty() {
                     self.next_refresh
                 } else {
@@ -1152,7 +1152,7 @@ mod reference {
                 earliest
             }
 
-            pub fn tick(&mut self, now: u64) {
+            pub(crate) fn tick(&mut self, now: u64) {
                 self.stats.end_cycle = now + 1;
                 // Refresh: blunt all-bank refresh at tREFI boundaries.
                 if now >= self.next_refresh {
@@ -1231,7 +1231,7 @@ mod reference {
 
         /// The multi-channel front end over [`Controller`]s, as
         /// `mem::DramSystem` was.
-        pub struct System {
+        pub(crate) struct System {
             config: DramConfig,
             channels: Vec<Controller>,
             now: u64,
@@ -1243,7 +1243,7 @@ mod reference {
         }
 
         impl System {
-            pub fn new(config: DramConfig) -> Self {
+            pub(crate) fn new(config: DramConfig) -> Self {
                 let per_channel = config.read_queue + config.write_queue;
                 let controller = || {
                     Controller::new(
@@ -1265,15 +1265,15 @@ mod reference {
                 }
             }
 
-            pub fn now(&self) -> u64 {
+            pub(crate) fn now(&self) -> u64 {
                 self.now
             }
 
-            pub fn in_flight(&self) -> usize {
+            pub(crate) fn in_flight(&self) -> usize {
                 self.reads_in_flight + self.writes_in_flight
             }
 
-            pub fn try_enqueue(&mut self, kind: AccessKind, byte_addr: u64) -> Option<u64> {
+            pub(crate) fn try_enqueue(&mut self, kind: AccessKind, byte_addr: u64) -> Option<u64> {
                 let full = match kind {
                     AccessKind::Read => self.reads_in_flight >= self.config.read_queue,
                     AccessKind::Write => self.writes_in_flight >= self.config.write_queue,
@@ -1294,7 +1294,7 @@ mod reference {
                 Some(id)
             }
 
-            pub fn tick(&mut self) {
+            pub(crate) fn tick(&mut self) {
                 for ch in &mut self.channels {
                     ch.tick(self.now);
                     ch.take_completions(&mut self.scratch);
@@ -1314,11 +1314,11 @@ mod reference {
                 events.min().unwrap_or(u64::MAX)
             }
 
-            pub fn skip_to_next_event(&mut self) {
+            pub(crate) fn skip_to_next_event(&mut self) {
                 self.now = self.now.max(self.next_event_cycle());
             }
 
-            pub fn tick_until(&mut self, cycle: u64) {
+            pub(crate) fn tick_until(&mut self, cycle: u64) {
                 while self.now < cycle {
                     self.now = self.now.max(self.next_event_cycle().min(cycle));
                     if self.now < cycle {
@@ -1327,7 +1327,7 @@ mod reference {
                 }
             }
 
-            pub fn drain(&mut self) {
+            pub(crate) fn drain(&mut self) {
                 while self.in_flight() > 0 {
                     self.skip_to_next_event();
                     self.tick();
@@ -1335,11 +1335,11 @@ mod reference {
             }
 
             /// `(id, completion cycle)` of everything completed so far.
-            pub fn pop_completions(&mut self) -> Vec<(u64, u64)> {
+            pub(crate) fn pop_completions(&mut self) -> Vec<(u64, u64)> {
                 std::mem::take(&mut self.completions)
             }
 
-            pub fn stats(&self) -> MemStats {
+            pub(crate) fn stats(&self) -> MemStats {
                 let mut total = MemStats::default();
                 for ch in &self.channels {
                     total.merge(&ch.stats_snapshot());
@@ -1347,20 +1347,20 @@ mod reference {
                 total
             }
 
-            pub fn enable_command_logs(&mut self) {
+            pub(crate) fn enable_command_logs(&mut self) {
                 self.channels
                     .iter_mut()
                     .for_each(Controller::enable_command_log);
             }
 
-            pub fn command_logs(&self) -> Vec<&CommandLog> {
+            pub(crate) fn command_logs(&self) -> Vec<&CommandLog> {
                 self.channels
                     .iter()
                     .filter_map(|c| c.command_log())
                     .collect()
             }
 
-            pub fn fast_forward_to(&mut self, cycle: u64) {
+            pub(crate) fn fast_forward_to(&mut self, cycle: u64) {
                 if self.in_flight() == 0 {
                     self.now = self.now.max(cycle);
                 }
@@ -1368,10 +1368,10 @@ mod reference {
         }
 
         /// One line request: `(memory cycle, byte address, direction)`.
-        pub type Request = (u64, u64, AccessKind);
+        pub(crate) type Request = (u64, u64, AccessKind);
 
         /// Per-request outcome of [`replay_trace`].
-        pub struct Replayed {
+        pub(crate) struct Replayed {
             /// Completion − desired issue cycle, in trace order.
             pub latencies: Vec<u64>,
             /// Completion − queue acceptance, in trace order.
@@ -1381,7 +1381,7 @@ mod reference {
         }
 
         /// Replays `trace` (sorted by cycle) through a fresh [`System`].
-        pub fn replay_trace(config: DramConfig, trace: &[Request]) -> Replayed {
+        pub(crate) fn replay_trace(config: DramConfig, trace: &[Request]) -> Replayed {
             let mut sys = System::new(config);
             let mut latencies = vec![0u64; trace.len()];
             let mut service_latencies = vec![0u64; trace.len()];
@@ -1427,7 +1427,7 @@ mod reference {
         /// A word-granular trace as burst-aligned line requests sorted by
         /// cycle, with the trace entry each came from: every transaction
         /// expanded to addresses, coalesced to lines and tagged.
-        pub fn linearize(
+        pub(crate) fn linearize(
             trace: &TraceRecorder,
             cfg: &DramIntegration,
             bytes_per_word: usize,
@@ -1459,7 +1459,7 @@ mod reference {
 
         /// Step 2 as it was: per-transaction figures (core cycles) and the
         /// replay they were scattered from, plus the mean round trip.
-        pub fn measure(
+        pub(crate) fn measure(
             trace: &TraceRecorder,
             cfg: &DramIntegration,
             bytes_per_word: usize,
@@ -1497,7 +1497,7 @@ mod reference {
     /// The §VI layout stage as it was: every compute cycle's addresses
     /// placed word by word, sorted, deduplicated and looked up in a hash
     /// map of recent lines.
-    pub mod layout {
+    pub(crate) mod layout {
         use super::*;
 
         struct Sink {
@@ -1576,7 +1576,7 @@ mod reference {
             }
         }
 
-        pub fn slowdown(
+        pub(crate) fn slowdown(
             array: ArrayShape,
             dataflow: Dataflow,
             gemm: GemmShape,
