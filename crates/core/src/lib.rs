@@ -94,9 +94,10 @@ pub use scalesim_mem as mem;
 pub use scalesim_systolic as systolic;
 
 // The unit tests of the modules folded in from the former feature crates
-// (collective, energy, layout, llm, multicore, sparse, sweep, workloads) live in
-// `unit_tests/`, at the paths those crates gave them: `nop::tests::…`,
-// not `multicore::nop::tests::…`. A test keeps its name across the fold.
+// (collective, energy, layout, llm, multicore, sparse, sweep,
+// workloads) live in `unit_tests/`, at the paths those crates gave them:
+// `nop::tests::…`, not `multicore::nop::tests::…`. A test keeps its name
+// across the fold.
 #[cfg(test)]
 #[path = "../unit_tests/actions.rs"]
 mod actions;
