@@ -11,7 +11,7 @@
 //! | [`SimError::Topology`] | `topology` | 3 | CSV parse error, duplicate layer name, empty topology |
 //! | [`SimError::Io`] | `io` | 4 | unreadable input file, unwritable output directory |
 //! | [`SimError::Internal`] | `internal` | 70 | a caught panic — always a bug, please report |
-//! | [`SimError::Busy`] | `busy` | 75 | server at capacity (admission queue or session cap); retry later |
+//! | [`SimError::Busy`] | `busy` | 75 | server at capacity (session cap); retry later |
 //! | [`SimError::Deadline`] | `deadline` | 124 | the request's `deadline_ms` expired before it finished |
 //!
 //! Exit code 70 is BSD's `EX_SOFTWARE` and 75 its `EX_TEMPFAIL` (the
@@ -34,8 +34,8 @@ pub enum SimError {
     Io(String),
     /// An internal invariant failed (caught panic); always a bug.
     Internal(String),
-    /// The server is at capacity (admission queue full or session cap
-    /// reached); the request was shed, not queued. Retry later.
+    /// The server is at capacity (session cap reached); the connection
+    /// was shed, not queued. Retry later.
     Busy(String),
     /// The request's `deadline_ms` budget expired before it finished.
     Deadline(String),

@@ -240,15 +240,15 @@ wire! {
             pub cache_hit_rate: f64 = "hit_rate": Fixed(4),
         }
         in "serve" {
-            /// Requests received (queued + inline; includes shed ones).
+            /// Requests received (executed or shed).
             pub requests_total: u64 = "requests_total": UINT,
             /// Requests fully handled (ok or typed error).
             pub completed: u64 = "completed": UINT,
-            /// Requests shed with `busy` (queue full or session cap).
+            /// Requests shed with `busy` at the session cap.
             pub shed: u64 = "shed": UINT,
             /// Requests that died with `deadline`.
             pub deadline_expired: u64 = "deadline_expired": UINT,
-            /// Requests currently executing or queued.
+            /// Requests currently executing.
             pub in_flight: u64 = "in_flight": UINT,
         }
         in "latency_us" {
@@ -264,10 +264,6 @@ wire! {
         in "sched" {
             /// Scheduler worker threads in the shared pool.
             pub sched_workers: u64 = "workers": UINT,
-            /// Successful work steals between scheduler workers.
-            pub sched_steals: u64 = "steals": UINT,
-            /// Detached tasks submitted to the scheduler.
-            pub sched_spawns: u64 = "spawns": UINT,
             /// Times a parked scheduler worker was woken.
             pub sched_park_wakeups: u64 = "park_wakeups": UINT,
         }
@@ -413,8 +409,6 @@ mod tests {
             latency_p99_us: 16384,
             latency_max_us: 15000,
             sched_workers: 8,
-            sched_steals: 42,
-            sched_spawns: 19,
             sched_park_wakeups: 131,
             span_totals: [1, 2, 3, 4, 5, 6, 7],
         }));

@@ -250,12 +250,10 @@ fn response_lines_are_pinned_per_variant() {
                 latency_p99_us: 16384,
                 latency_max_us: 15000,
                 sched_workers: 8,
-                sched_steals: 42,
-                sched_spawns: 19,
                 sched_park_wakeups: 131,
                 span_totals: [11, 12, 13, 14, 15, 16, 17],
             }),
-            r#"{"api":1,"id":"p","ok":{"stats":{"cache":{"hits":10,"misses":4,"plans":5,"evictions":1,"resident_bytes":123456,"budget_bytes":1048576,"hit_rate":0.7143},"serve":{"requests_total":20,"completed":17,"shed":2,"deadline_expired":3,"in_flight":6},"latency_us":{"count":18,"p50":1024,"p99":16384,"max":15000},"sched":{"workers":8,"steals":42,"spawns":19,"park_wakeups":131},"spans":{"sched":11,"pipeline":12,"cache":13,"dram":14,"collective":15,"serve":16,"sweep":17}}}}"#,
+            r#"{"api":1,"id":"p","ok":{"stats":{"cache":{"hits":10,"misses":4,"plans":5,"evictions":1,"resident_bytes":123456,"budget_bytes":1048576,"hit_rate":0.7143},"serve":{"requests_total":20,"completed":17,"shed":2,"deadline_expired":3,"in_flight":6},"latency_us":{"count":18,"p50":1024,"p99":16384,"max":15000},"sched":{"workers":8,"park_wakeups":131},"spans":{"sched":11,"pipeline":12,"cache":13,"dram":14,"collective":15,"serve":16,"sweep":17}}}}"#,
         ),
         (
             SimResponse::Trace(TraceBody {

@@ -334,8 +334,6 @@ fn arb_response(rng: &mut SplitMix64) -> SimResponse {
             latency_p99_us: rng.next() >> 12,
             latency_max_us: rng.next() >> 12,
             sched_workers: rng.below(128),
-            sched_steals: rng.next() >> 12,
-            sched_spawns: rng.next() >> 12,
             sched_park_wakeups: rng.next() >> 12,
             span_totals: std::array::from_fn(|_| rng.next() >> 12),
         }),

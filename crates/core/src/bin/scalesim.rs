@@ -352,8 +352,8 @@ fn serve(service: &SimService, args: ServeArgs) -> Result<(), SimError> {
                 .local_addr()
                 .map_err(|e| SimError::Io(format!("local_addr: {e}")))?;
             eprintln!(
-                "scalesim serve: listening on {bound} ({} sessions, {} workers, queue depth {})",
-                options.max_sessions, options.workers, options.queue_depth
+                "scalesim serve: listening on {bound} ({} sessions)",
+                options.max_sessions
             );
             server
                 .serve_listener(listener)

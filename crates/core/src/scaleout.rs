@@ -14,7 +14,7 @@
 //!
 //! Execution streams: shard compute runs through
 //! `ScaleSim::run_topology_with` — nested layer tasks of the shared
-//! work-stealing scheduler, not a second pool (deterministic for any
+//! scheduler, not a second pool (deterministic for any
 //! `SCALESIM_THREADS`) — each finished layer is joined with its
 //! collective cost in the `OverlapTimeline` (one-layer lookahead, so
 //! O(1) buffered state), and every resolved row is handed to the

@@ -14,53 +14,41 @@
 //!
 //! ## Serving model
 //!
-//! A [`Server`] owns a **bounded admission queue** drained by **runner
-//! tasks on the process-wide scheduler**
-//! ([`scalesim_sched::Scheduler::global`]) — there are no dedicated
-//! worker threads. Session threads do only O(1) work: they frame
-//! lines, decode requests, and answer decode errors, `version` and
-//! `stats` inline; simulation requests (`run`, `sweep`, `scaleout`,
-//! `area`) are queued, and at most [`ServeOptions::workers`] runner
-//! tasks execute them concurrently. Because a runner executes its
-//! request *on* the scheduler, the request's per-layer tasks fan out
-//! to every idle worker — one in-flight request with a long topology
-//! uses the whole machine instead of a single pool thread. The queue
-//! is two-class: `run`/`scaleout`/`area` requests are interactive and
-//! pop before queued `sweep`s, and a sweep's own layer tasks carry
-//! [`scalesim_sched::Priority::Batch`] so interactive layers outrank
-//! them inside the scheduler too.
+//! Each TCP connection is a session on its own thread, and a session
+//! runs its requests itself: it frames a line, decodes it and executes
+//! it, then writes the reply. A request's per-layer tasks fan out as
+//! scoped batches on the process-wide scheduler
+//! ([`scalesim_sched::Scheduler::global`]), so one in-flight request
+//! with a long topology uses every idle worker. A `sweep` executes at
+//! [`scalesim_sched::Priority::Batch`] and everything else at
+//! `Interactive`, so interactive layers outrank a sweep's inside the
+//! scheduler.
 //!
-//! When the queue is full the request is **shed immediately** with a
-//! typed `busy` error (exit code 75) instead of stalling the session —
-//! and when the session cap is reached, a new connection is answered
-//! with one `busy` line and closed rather than left hanging in the
-//! accept backlog. A loaded server therefore always answers
-//! *something*, quickly.
+//! The session cap is the one concurrency bound: a connection beyond it
+//! is answered with one typed `busy` line (exit code 75) and closed
+//! rather than left hanging in the accept backlog. A loaded server
+//! therefore always answers *something*, quickly.
 //!
 //! Each session keeps at most one request in flight, so responses are
-//! written in request order regardless of pool size — and because each
-//! request builds its own engine and results are written back by
-//! index, responses are byte-identical to one-shot CLI runs for
-//! **any** worker count and any `SCALESIM_THREADS` value (pinned by
-//! `tests/serve_stress.rs` and `tests/sched_determinism.rs`).
+//! written in request order — and because each request builds its own
+//! engine and results are written back by index, responses are
+//! byte-identical to one-shot CLI runs for any `SCALESIM_THREADS` value
+//! (pinned by `tests/serve_stress.rs` and `tests/sched_determinism.rs`).
 //!
 //! Requests may carry a `deadline_ms` envelope field: a
-//! [`CancelToken`] starts at decode time (so queue wait counts against
-//! the budget) and is checked at stage boundaries; an expired request
-//! answers a typed `deadline` error (exit code 124), never a partial
-//! body.
+//! [`CancelToken`] starts at decode time and is checked at stage
+//! boundaries; an expired request answers a typed `deadline` error
+//! (exit code 124), never a partial body.
 //!
 //! Knobs (all environment variables, all positive integers):
 //!
 //! | variable | meaning | default |
 //! |---|---|---|
-//! | `SCALESIM_SERVE_WORKERS` | concurrent in-flight simulation requests | machine parallelism |
-//! | `SCALESIM_SERVE_QUEUE` | admission-queue depth | 2 × workers |
 //! | `SCALESIM_SERVE_SESSIONS` | concurrent TCP sessions | machine parallelism |
 //! | `SCALESIM_CACHE_BUDGET_MB` | plan-cache byte budget, MiB | 512 |
 //!
-//! (`SCALESIM_THREADS` separately sizes the scheduler the runners and
-//! their layer tasks execute on; see `docs/CLI.md`.)
+//! (`SCALESIM_THREADS` separately sizes the scheduler the requests'
+//! layer tasks execute on; see `docs/CLI.md`.)
 //!
 //! All sessions share one [`SimService`] — and therefore one
 //! [`PlanCache`](scalesim_systolic::PlanCache) and one set of
@@ -78,17 +66,16 @@ use crate::cancel::CancelToken;
 use crate::service::SimService;
 use scalesim_api::{wire, SimError, SimRequest};
 use scalesim_obs as obs;
-use scalesim_sched::{Priority, Scheduler};
+use scalesim_sched::Priority;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Process-wide request correlation number: every request that enters
-/// the serve layer (any route) gets the next value, and all its trace
+/// the serve layer gets the next value, and all its trace
 /// events carry it as the `req` arg — Perfetto's args search then pulls
 /// up a request's full decode → queue → execute → respond lifecycle.
 fn next_request_seq() -> u64 {
@@ -96,22 +83,12 @@ fn next_request_seq() -> u64 {
     SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Handles one request line inline (no admission queue), producing
-/// exactly one response line (without the trailing newline). Honors the
-/// envelope's `deadline_ms` and records metrics. Never panics.
+/// Handles one request line on the calling thread, producing exactly
+/// one response line (without the trailing newline) — the one way a
+/// line becomes a response, for sessions and in-process callers alike.
+/// Honors the envelope's `deadline_ms`, whose clock starts here, and
+/// records metrics. Never panics.
 pub fn handle_line(service: &SimService, line: &str) -> String {
-    dispatch(service, None, line)
-}
-
-/// Routes one request line — the one way a line becomes a response, so
-/// every route numbers, counts and times its requests alike. Decode
-/// errors, `version`, `stats` and `trace` answer inline on the calling
-/// thread (they never need a worker slot), as does everything when
-/// there is no `server`; otherwise simulation requests go through the
-/// server's admission queue and are shed with `busy` when it is full.
-/// The deadline clock starts here, so queue wait counts against
-/// `deadline_ms`.
-fn dispatch(service: &SimService, server: Option<&Server>, line: &str) -> String {
     let started = Instant::now();
     let seq = next_request_seq();
     let decoded = wire::decode_request_full(line);
@@ -120,30 +97,33 @@ fn dispatch(service: &SimService, server: Option<&Server>, line: &str) -> String
     m.inc(&m.requests_total);
     m.inc(&m.in_flight);
     let cancel = deadline_token(decoded.deadline_ms);
-    let response = match (decoded.request, server) {
-        (Ok(request), Some(server)) if !is_probe(&request) => {
-            server.enqueue(decoded.id, request, cancel, started, seq)
-        }
-        (request, _) => execute(
+    let priority = decoded
+        .request
+        .as_ref()
+        .map_or(Priority::Interactive, priority_of);
+    // The request's nested layer/sweep tasks inherit its class via the
+    // ambient priority.
+    let response = scalesim_sched::with_priority(priority, || {
+        execute(
             service,
             decoded.id.as_deref(),
-            request,
+            decoded.request,
             &cancel,
             started,
             seq,
-        ),
-    };
+        )
+    });
     obs::instant(obs::Category::Serve, "respond", &[("req", seq)]);
     response
 }
 
-/// The probes (`version`, `stats`, `trace`) are answered inline: they
-/// cost microseconds and must stay observable on a saturated server.
-fn is_probe(request: &SimRequest) -> bool {
-    matches!(
-        request,
-        SimRequest::Version | SimRequest::Stats | SimRequest::Trace
-    )
+/// The task class a request executes under: `sweep`s are batch work,
+/// everything else is interactive.
+fn priority_of(request: &SimRequest) -> Priority {
+    match request {
+        SimRequest::Sweep(_) => Priority::Batch,
+        _ => Priority::Interactive,
+    }
 }
 
 /// The token a request runs under: its envelope's `deadline_ms` budget
@@ -154,8 +134,7 @@ fn deadline_token(deadline_ms: Option<u64>) -> CancelToken {
 
 /// Runs one decoded request to a response line, with panic isolation
 /// and metrics accounting (deadline count, completion, latency,
-/// in-flight decrement). The single execution path for runners and the
-/// inline routes of [`dispatch`], so every route counts alike.
+/// in-flight decrement). The single execution path of [`handle_line`].
 fn execute(
     service: &SimService,
     id: Option<&str>,
@@ -164,8 +143,7 @@ fn execute(
     started: Instant,
     seq: u64,
 ) -> String {
-    // Everything between the dispatch timestamp and this point is
-    // admission-queue wait (zero for inline routes).
+    // Decode to execute, on one thread.
     obs::complete_since(obs::Category::Serve, "queue", started, &[("req", seq)]);
     let _span = obs::span(obs::Category::Serve, "execute").arg("req", seq);
     let result = match request {
@@ -196,173 +174,26 @@ fn execute(
 /// inline config + topology the simulator itself could handle.
 pub const MAX_REQUEST_BYTES: usize = 16 * 1024 * 1024;
 
-/// Sizing for a [`Server`]: in-flight request cap, admission queue and
-/// session cap. Every field is clamped to at least 1.
+/// Sizing for a [`Server`]: the session cap (clamped to at least 1).
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// Maximum simulation requests executing concurrently (the number
-    /// of runner tasks draining the admission queue on the shared
-    /// scheduler). Actual thread parallelism comes from the scheduler
-    /// itself (`SCALESIM_THREADS`): fewer in-flight requests than
-    /// scheduler workers means each request fans its layers wider.
-    pub workers: usize,
-    /// Admission-queue depth; a simulation request arriving with the
-    /// queue full is shed with a typed `busy` error.
-    pub queue_depth: usize,
     /// Concurrent TCP sessions; a connection beyond the cap is
     /// answered with one `busy` line and closed.
     pub max_sessions: usize,
 }
 
 impl ServeOptions {
-    /// Sizing from the environment: `SCALESIM_SERVE_WORKERS`,
-    /// `SCALESIM_SERVE_QUEUE` (default 2 × workers) and
-    /// `SCALESIM_SERVE_SESSIONS`, falling back to the machine
-    /// parallelism [`scalesim_systolic::num_threads`] honors.
+    /// Sizing from the environment: `SCALESIM_SERVE_SESSIONS`, falling
+    /// back to the machine parallelism [`scalesim_systolic::num_threads`]
+    /// honors. Unset, empty, unparsable or zero all read as "not
+    /// configured".
     pub fn from_env() -> Self {
-        let workers = env_usize("SCALESIM_SERVE_WORKERS")
-            .unwrap_or_else(scalesim_systolic::num_threads)
-            .max(1);
-        let queue_depth = env_usize("SCALESIM_SERVE_QUEUE")
-            .unwrap_or(2 * workers)
-            .max(1);
-        let max_sessions = env_usize("SCALESIM_SERVE_SESSIONS")
-            .unwrap_or_else(scalesim_systolic::num_threads)
-            .max(1);
-        Self {
-            workers,
-            queue_depth,
-            max_sessions,
-        }
-    }
-}
-
-/// Parses a positive integer environment variable (unset, empty,
-/// unparsable or zero all read as "not configured").
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
-
-/// One admitted simulation request, parked in the queue until a runner
-/// picks it up. The session thread blocks on `reply` — one job in
-/// flight per session keeps responses in request order.
-struct Job {
-    id: Option<String>,
-    request: SimRequest,
-    priority: Priority,
-    cancel: CancelToken,
-    started: Instant,
-    seq: u64,
-    reply: mpsc::SyncSender<String>,
-}
-
-/// The task class a request executes under: queued `sweep`s are batch
-/// work, everything else is interactive.
-fn priority_of(request: &SimRequest) -> Priority {
-    match request {
-        SimRequest::Sweep(_) => Priority::Batch,
-        _ => Priority::Interactive,
-    }
-}
-
-/// The bounded two-class admission queue, drained by **runner tasks**
-/// on the shared scheduler instead of dedicated threads. `try_push`
-/// sheds instead of blocking and reports (under the same lock that
-/// admitted the job) whether the caller must launch a new runner, so
-/// at most `max_runners` jobs execute concurrently and a runner always
-/// exists while jobs are queued. Interactive jobs pop before batch
-/// jobs. After shutdown the queue drains fully — every admitted job
-/// still gets a reply.
-struct JobQueue {
-    state: Mutex<QueueState>,
-    /// Signalled when the last runner retires (`runners == 0`).
-    drained: Condvar,
-    capacity: usize,
-    max_runners: usize,
-}
-
-struct QueueState {
-    interactive: std::collections::VecDeque<Box<Job>>,
-    batch: std::collections::VecDeque<Box<Job>>,
-    runners: usize,
-    shutdown: bool,
-}
-
-impl QueueState {
-    fn len(&self) -> usize {
-        self.interactive.len() + self.batch.len()
-    }
-}
-
-impl JobQueue {
-    fn new(capacity: usize, max_runners: usize) -> Self {
-        Self {
-            state: Mutex::new(QueueState {
-                interactive: std::collections::VecDeque::new(),
-                batch: std::collections::VecDeque::new(),
-                runners: 0,
-                shutdown: false,
-            }),
-            drained: Condvar::new(),
-            capacity: capacity.max(1),
-            max_runners: max_runners.max(1),
-        }
-    }
-
-    /// Admits a job, or hands it back when the queue is full (or the
-    /// server is shutting down) — the caller sheds it with `busy`. On
-    /// admission, `Ok(true)` tells the caller to launch a new runner
-    /// task (the runner count was reserved under this lock).
-    fn try_push(&self, job: Box<Job>) -> Result<bool, Box<Job>> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if state.shutdown || state.len() >= self.capacity {
-            return Err(job);
-        }
-        match job.priority {
-            Priority::Interactive => state.interactive.push_back(job),
-            Priority::Batch => state.batch.push_back(job),
-        }
-        if state.runners < self.max_runners {
-            state.runners += 1;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
-    }
-
-    /// The runner loop step: the next job (interactive first), or
-    /// `None` when the queue is empty — which *retires the calling
-    /// runner* (its slot is released under the lock, so a later
-    /// `try_push` will launch a replacement).
-    fn next_job_or_retire(&self) -> Option<Box<Job>> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(job) = state
-            .interactive
-            .pop_front()
-            .or_else(|| state.batch.pop_front())
-        {
-            return Some(job);
-        }
-        state.runners -= 1;
-        if state.runners == 0 {
-            drop(state);
-            self.drained.notify_all();
-        }
-        None
-    }
-
-    /// Stops admission and blocks until every runner has retired —
-    /// runners only retire on an empty queue, so all admitted jobs
-    /// have been answered when this returns.
-    fn shutdown_and_drain(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.shutdown = true;
-        while state.runners > 0 {
-            state = self.drained.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
+        let max_sessions = std::env::var("SCALESIM_SERVE_SESSIONS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(scalesim_systolic::num_threads);
+        Self { max_sessions }
     }
 }
 
@@ -395,77 +226,20 @@ impl Gate {
     }
 }
 
-/// The production serve loop: a bounded admission queue drained by
-/// runner tasks on the process-wide scheduler (see the module docs for
-/// the full model). Dropping the server stops admission and waits for
-/// every runner to retire; admitted jobs finish first.
+/// The production serve loop: sessions that each execute their own
+/// requests (see the module docs for the full model).
 #[derive(Debug)]
 pub struct Server {
     service: SimService,
-    queue: Arc<JobQueue>,
     options: ServeOptions,
 }
 
-impl std::fmt::Debug for JobQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobQueue")
-            .field("capacity", &self.capacity)
-            .finish_non_exhaustive()
-    }
-}
-
 impl Server {
-    /// Builds the server. No threads are spawned here: simulation
-    /// requests execute as runner tasks of the process-wide scheduler,
-    /// launched on demand as jobs are admitted (and retired when the
-    /// queue runs dry). All runners share the service's plan cache and
-    /// metrics (the service clone is two `Arc` bumps).
+    /// Builds the server. No threads are spawned here: each session
+    /// runs on its own thread and all of them share the service's plan
+    /// cache and metrics.
     pub fn new(service: SimService, options: ServeOptions) -> Self {
-        let options = ServeOptions {
-            workers: options.workers.max(1),
-            queue_depth: options.queue_depth.max(1),
-            max_sessions: options.max_sessions.max(1),
-        };
-        let queue = Arc::new(JobQueue::new(options.queue_depth, options.workers));
-        Self {
-            service,
-            queue,
-            options,
-        }
-    }
-
-    /// Launches one runner task on the shared scheduler. The runner
-    /// drains jobs until the queue is empty, then retires; `try_push`
-    /// launches a replacement the moment new work is admitted, keeping
-    /// the invariant "jobs queued ⇒ a runner exists" without any
-    /// always-on thread.
-    fn launch_runner(&self, priority: Priority) {
-        let service = self.service.clone();
-        let queue = Arc::clone(&self.queue);
-        Scheduler::global().spawn_detached(
-            priority,
-            Box::new(move || {
-                while let Some(job) = queue.next_job_or_retire() {
-                    let Job {
-                        id,
-                        request,
-                        priority,
-                        cancel,
-                        started,
-                        seq,
-                        reply,
-                    } = *job;
-                    // The request's nested layer/sweep tasks inherit
-                    // its class via the ambient priority.
-                    let line = scalesim_sched::with_priority(priority, || {
-                        execute(&service, id.as_deref(), Ok(request), &cancel, started, seq)
-                    });
-                    // A send only fails if the session vanished; the
-                    // work is already accounted.
-                    let _ = reply.send(line);
-                }
-            }),
-        );
+        Self { service, options }
     }
 
     /// Serves one JSON-lines session: reads request lines from `input`
@@ -527,7 +301,7 @@ impl Server {
             }
             let response = match std::str::from_utf8(&buf) {
                 Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => dispatch(&self.service, Some(self), line),
+                Ok(line) => handle_line(&self.service, line),
                 Err(e) => {
                     m.inc(&m.requests_total);
                     m.inc(&m.completed);
@@ -541,47 +315,6 @@ impl Server {
             };
             write_reply(&mut output, response)?;
         }
-    }
-
-    /// Parks one simulation request in the admission queue and blocks
-    /// for its reply, or sheds it with `busy` when the queue is full.
-    fn enqueue(
-        &self,
-        id: Option<String>,
-        request: SimRequest,
-        cancel: CancelToken,
-        started: Instant,
-        seq: u64,
-    ) -> String {
-        let (reply, reply_rx) = mpsc::sync_channel(1);
-        let priority = priority_of(&request);
-        let job = Box::new(Job {
-            id: id.clone(),
-            request,
-            priority,
-            cancel,
-            started,
-            seq,
-            reply,
-        });
-        let failure = match self.queue.try_push(job) {
-            Ok(launch) => {
-                if launch {
-                    self.launch_runner(priority);
-                }
-                match reply_rx.recv() {
-                    Ok(response) => return response,
-                    Err(_) => SimError::Internal("worker pool shut down mid-request".into()),
-                }
-            }
-            Err(_) => {
-                let m = self.service.metrics();
-                m.dec_in_flight();
-                m.inc(&m.shed);
-                SimError::Busy("admission queue full; retry later".into())
-            }
-        };
-        wire::encode_response(id.as_deref(), &Err(failure))
     }
 
     /// Accepts connections forever, serving each as a JSON-lines
@@ -662,12 +395,6 @@ impl Server {
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.queue.shutdown_and_drain();
-    }
-}
-
 /// Writes one reply line with its newline as a single write, then a
 /// flush — the one place the reply framing lives. Written apart, the
 /// newline's small second TCP segment would wait on Nagle's algorithm
@@ -704,8 +431,9 @@ fn skip_to_newline(input: &mut impl BufRead) -> std::io::Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalesim_api::{wire, SimRequest, SimResponse};
+    use scalesim_api::{wire, SimResponse};
     use std::io::Cursor;
+    use std::sync::Arc;
 
     fn run_line(id: &str) -> String {
         format!(
@@ -715,14 +443,7 @@ mod tests {
     }
 
     fn small_server() -> Server {
-        Server::new(
-            SimService::new(),
-            ServeOptions {
-                workers: 2,
-                queue_depth: 4,
-                max_sessions: 2,
-            },
-        )
+        Server::new(SimService::new(), ServeOptions { max_sessions: 2 })
     }
 
     #[test]
@@ -894,76 +615,29 @@ mod tests {
         gate.release();
     }
 
-    fn make_job(priority: Priority) -> (Box<Job>, mpsc::Receiver<String>) {
-        let (tx, rx) = mpsc::sync_channel(1);
-        (
-            Box::new(Job {
-                id: None,
-                request: SimRequest::Version,
-                priority,
-                cancel: CancelToken::never(),
-                started: Instant::now(),
-                seq: 0,
-                reply: tx,
-            }),
-            rx,
-        )
-    }
-
     #[test]
-    fn job_queue_sheds_when_full_and_drains_after_shutdown() {
-        let queue = JobQueue::new(2, 1);
-        let (a, _ra) = make_job(Priority::Interactive);
-        let (b, _rb) = make_job(Priority::Interactive);
-        let (c, _rc) = make_job(Priority::Interactive);
-        assert_eq!(
-            queue.try_push(a).ok(),
-            Some(true),
-            "the first admission reserves the one runner slot"
+    fn sweeps_run_as_batch_and_everything_else_as_interactive() {
+        let (_, sweep) = wire::decode_request(
+            "{\"api\": 1, \"sweep\": {\"spec\": {\"inline\": \"array = 8x8\\n\"}, \
+             \"topologies\": [{\"name\": \"t\", \"inline\": \"a, 8, 8, 8,\\n\"}]}}",
         );
-        assert_eq!(
-            queue.try_push(b).ok(),
-            Some(false),
-            "the runner cap is reached, no second runner"
-        );
-        assert!(queue.try_push(c).is_err(), "queue at capacity sheds");
-        let mut state = queue.state.lock().unwrap();
-        state.shutdown = true;
-        drop(state);
-        let (d, _rd) = make_job(Priority::Interactive);
-        assert!(queue.try_push(d).is_err(), "a closed queue admits nothing");
-        // Admitted jobs still drain after shutdown...
-        assert!(queue.next_job_or_retire().is_some());
-        assert!(queue.next_job_or_retire().is_some());
-        // ...and only an empty queue retires the runner.
-        assert!(queue.next_job_or_retire().is_none());
-        // With the runner retired, a drain-wait returns immediately.
-        queue.shutdown_and_drain();
-    }
-
-    #[test]
-    fn job_queue_pops_interactive_before_batch_and_relaunches_runners() {
-        let queue = JobQueue::new(8, 1);
-        let (sweep, _rs) = make_job(Priority::Batch);
-        let (run, _rr) = make_job(Priority::Interactive);
-        assert_eq!(queue.try_push(sweep).ok(), Some(true));
-        assert_eq!(queue.try_push(run).ok(), Some(false));
-        let first = queue.next_job_or_retire().expect("two jobs queued");
-        assert_eq!(
-            first.priority,
-            Priority::Interactive,
-            "the later interactive job overtakes the queued sweep"
-        );
-        let second = queue.next_job_or_retire().expect("the sweep is next");
-        assert_eq!(second.priority, Priority::Batch);
-        assert!(queue.next_job_or_retire().is_none(), "runner retires");
-        // After retirement the next admission reserves a fresh runner.
-        let (late, _rl) = make_job(Priority::Interactive);
-        assert_eq!(
-            queue.try_push(late).ok(),
-            Some(true),
-            "a retired runner's slot is reusable"
-        );
+        assert_eq!(priority_of(&sweep.unwrap()), Priority::Batch);
+        for line in [
+            run_line("r"),
+            "{\"api\": 1, \"llm\": {\"workload\": \"gpt2-xl\"}}".to_string(),
+            "{\"api\": 1, \"scaleout\": {\"topology\": {\"inline\": \"a, 8, 8, 8,\\n\"}}}"
+                .to_string(),
+            "{\"api\": 1, \"version\": {}}".to_string(),
+            "{\"api\": 1, \"stats\": {}}".to_string(),
+            "{\"api\": 1, \"trace\": {}}".to_string(),
+        ] {
+            let (_, request) = wire::decode_request(&line);
+            assert_eq!(
+                priority_of(&request.unwrap()),
+                Priority::Interactive,
+                "{line}"
+            );
+        }
     }
 
     #[test]
@@ -1052,7 +726,7 @@ mod tests {
 
     #[test]
     fn every_reply_is_one_line_flushed_at_its_newline() {
-        // One reply of each origin: a queued run, an inline probe, a
+        // One reply of each origin: a run, a probe, a
         // decode error, a line that is not UTF-8 and an oversized line.
         let server = small_server();
         let mut input = format!(
@@ -1084,11 +758,7 @@ mod tests {
     fn sessions_past_the_cap_get_one_busy_line_and_a_close() {
         let server = Arc::new(Server::new(
             SimService::new(),
-            ServeOptions {
-                workers: 1,
-                queue_depth: 1,
-                max_sessions: 1,
-            },
+            ServeOptions { max_sessions: 1 },
         ));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();

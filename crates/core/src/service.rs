@@ -61,16 +61,15 @@ use std::sync::Arc;
 /// Cumulative request counters for one serving process.
 #[derive(Debug, Default)]
 pub(crate) struct ServeMetrics {
-    /// Requests received (decoded lines, queued or answered inline —
-    /// including shed ones).
+    /// Requests received (decoded lines, executed or shed).
     pub(crate) requests_total: AtomicU64,
     /// Requests fully handled (ok or typed error written).
     pub(crate) completed: AtomicU64,
-    /// Requests shed with `busy` (queue full or session cap).
+    /// Requests shed with `busy` at the session cap.
     pub(crate) shed: AtomicU64,
     /// Requests that returned a `deadline` error.
     pub(crate) deadline_expired: AtomicU64,
-    /// Requests currently queued or executing.
+    /// Requests currently executing.
     pub(crate) in_flight: AtomicU64,
     /// Handle-latency histogram (decode→encode wall time).
     pub(crate) latency: Histogram,
@@ -309,8 +308,6 @@ impl SimService {
             latency_p99_us: m.latency.percentile_us(99.0),
             latency_max_us: m.latency.max_us(),
             sched_workers: sched.workers as u64,
-            sched_steals: sched.steals,
-            sched_spawns: sched.spawns,
             sched_park_wakeups: sched.park_wakeups,
             span_totals: scalesim_obs::category_totals(),
         }
@@ -367,7 +364,7 @@ fn render_series(out: &mut String, stats: &StatsBody, series: &[Series]) {
 const SERVE_SERIES: [Series; 5] = [
     (
         "scalesim_requests_total",
-        "Requests received (queued or answered inline, including shed).",
+        "Requests received (executed or shed).",
         |s| s.requests_total,
     ),
     (
@@ -377,7 +374,7 @@ const SERVE_SERIES: [Series; 5] = [
     ),
     (
         "scalesim_requests_shed_total",
-        "Requests shed with busy (queue full or session cap).",
+        "Requests shed with busy at the session cap.",
         |s| s.shed,
     ),
     (
@@ -387,14 +384,14 @@ const SERVE_SERIES: [Series; 5] = [
     ),
     (
         "scalesim_requests_in_flight",
-        "Requests currently queued or executing.",
+        "Requests currently executing.",
         |s| s.in_flight,
     ),
 ];
 
 /// The plan-cache and scheduler counters, likewise (they follow the
 /// histogram).
-const SYSTEM_SERIES: [Series; 8] = [
+const SYSTEM_SERIES: [Series; 6] = [
     (
         "scalesim_plan_cache_hits_total",
         "Plan-cache lookups answered from the cache.",
@@ -419,16 +416,6 @@ const SYSTEM_SERIES: [Series; 8] = [
         "scalesim_sched_workers",
         "Worker threads in the global scheduler pool.",
         |s| s.sched_workers,
-    ),
-    (
-        "scalesim_sched_steals_total",
-        "Tasks stolen from a sibling worker's queue.",
-        |s| s.sched_steals,
-    ),
-    (
-        "scalesim_sched_spawns_total",
-        "Detached tasks spawned onto the pool.",
-        |s| s.sched_spawns,
     ),
     (
         "scalesim_sched_park_wakeups_total",
@@ -1266,19 +1253,19 @@ mod tests {
             })
             .collect();
         let golden = "\
-# HELP scalesim_requests_total Requests received (queued or answered inline, including shed).
+# HELP scalesim_requests_total Requests received (executed or shed).
 # TYPE scalesim_requests_total counter
 scalesim_requests_total V
 # HELP scalesim_requests_completed_total Requests fully handled (ok or typed error written).
 # TYPE scalesim_requests_completed_total counter
 scalesim_requests_completed_total V
-# HELP scalesim_requests_shed_total Requests shed with busy (queue full or session cap).
+# HELP scalesim_requests_shed_total Requests shed with busy at the session cap.
 # TYPE scalesim_requests_shed_total counter
 scalesim_requests_shed_total V
 # HELP scalesim_deadline_expired_total Requests that returned a deadline error.
 # TYPE scalesim_deadline_expired_total counter
 scalesim_deadline_expired_total V
-# HELP scalesim_requests_in_flight Requests currently queued or executing.
+# HELP scalesim_requests_in_flight Requests currently executing.
 # TYPE scalesim_requests_in_flight gauge
 scalesim_requests_in_flight V
 # HELP scalesim_handle_latency_us Request handle latency (decode to encode), microseconds.
@@ -1301,12 +1288,6 @@ scalesim_plan_cache_resident_bytes V
 # HELP scalesim_sched_workers Worker threads in the global scheduler pool.
 # TYPE scalesim_sched_workers gauge
 scalesim_sched_workers V
-# HELP scalesim_sched_steals_total Tasks stolen from a sibling worker's queue.
-# TYPE scalesim_sched_steals_total counter
-scalesim_sched_steals_total V
-# HELP scalesim_sched_spawns_total Detached tasks spawned onto the pool.
-# TYPE scalesim_sched_spawns_total counter
-scalesim_sched_spawns_total V
 # HELP scalesim_sched_park_wakeups_total Times an idle worker woke from park.
 # TYPE scalesim_sched_park_wakeups_total counter
 scalesim_sched_park_wakeups_total V

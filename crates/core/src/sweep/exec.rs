@@ -4,7 +4,7 @@
 //! pair simulates independently. The executor flattens the grid
 //! point-major (`run_index = point * topologies + topology`), partitions
 //! the run list round-robin into shards, and drives each shard through
-//! [`parallel_map`] — tasks of the same persistent work-stealing
+//! [`parallel_map`] — scoped batches of the same persistent
 //! scheduler (and `SCALESIM_THREADS` override) single runs use for
 //! per-layer parallelism, submitted at [`Priority::Batch`] so an
 //! interactive serve request's layers always outrank sweep points on a
@@ -45,7 +45,7 @@ pub(crate) fn run_sharded_with<P, T, R, F, E>(
 ) where
     P: Sync,
     T: Sync,
-    R: Send,
+    R: Send + Sync,
     F: Fn(usize, &P, &T) -> R + Sync,
     E: FnMut(usize, R),
 {

@@ -13,7 +13,7 @@
 //! 2. **Grid expansion** ([`SweepSpec::expand`]) — the Cartesian product
 //!    of all axes as [`SweepPoint`]s, in a stable odometer order.
 //! 3. **Sharded execution** ([`exec`]) — every `(point, topology)` pair
-//!    runs as a batch-class task of the shared work-stealing scheduler
+//!    runs as a batch-class task of the shared scheduler
 //!    ([`scalesim_systolic::parallel_map`]), partitioned into shards;
 //!    results are reassembled in run order, so output is **byte-identical
 //!    regardless of thread count and shard order**. The caller

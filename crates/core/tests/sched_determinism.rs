@@ -1,7 +1,7 @@
 //! Scheduler determinism through the real binary.
 //!
-//! The work-stealing scheduler (`scalesim-sched`) executes layer tasks,
-//! sweep shards, scale-out shard compute and serve requests; its one
+//! The scheduler (`scalesim-sched`) executes layer tasks, sweep shards,
+//! scale-out shard compute and the layers of serve requests; its one
 //! hard invariant is that **no report byte may depend on the worker
 //! count**. This suite pins that end to end for every subcommand,
 //! crossing `SCALESIM_THREADS` over 1 / 4 / 16:

@@ -191,7 +191,6 @@ fn ten_thousand_hostile_lines_one_response_each_then_clean_exit() {
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_scalesim"))
         .args(["serve", "--stdio"])
-        .env("SCALESIM_SERVE_WORKERS", "2")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())

@@ -1,11 +1,11 @@
 //! Stress, determinism and soak tests for the production serve mode:
 //!
-//! * byte-identical responses for in-flight request caps of 1, 4 and 16
-//!   crossed with scheduler sizes (`SCALESIM_THREADS`) of 16, 4 and 1
-//!   under concurrent mixed load (run / sweep / scaleout / version /
-//!   deadline), and byte-identical to the one-shot CLI's report files;
-//! * a saturating burst answered with typed `busy` errors whose count
-//!   matches the `stats` shed counter;
+//! * byte-identical responses for scheduler sizes (`SCALESIM_THREADS`)
+//!   of 16, 4 and 1 under concurrent mixed load (run / sweep / scaleout
+//!   / version / deadline) from 8 sessions, and byte-identical to the
+//!   one-shot CLI's report files;
+//! * a burst past the session cap answered with typed `busy` errors
+//!   whose count matches the `stats` shed counter;
 //! * a 10k-request soak (`--ignored`; the CI serve-stress job runs it)
 //!   holding the plan-cache byte budget and a bounded RSS.
 
@@ -153,7 +153,7 @@ const STATS_INDEX: usize = 7;
 
 #[test]
 fn responses_are_byte_identical_across_pool_sizes_and_to_the_cli() {
-    const CLIENTS: usize = 4;
+    const CLIENTS: usize = 8;
     let dir = tmp_dir("pools");
     let (cfg, topo) = write_inputs(&dir);
 
@@ -175,17 +175,14 @@ fn responses_are_byte_identical_across_pool_sizes_and_to_the_cli() {
     );
 
     let mut per_pool: Vec<Vec<Vec<String>>> = Vec::new();
-    // Cross in-flight request caps with scheduler sizes (the scheduler
-    // reads SCALESIM_THREADS once at startup): bytes must not depend on
-    // either knob.
-    for (pool, threads) in [("1", "16"), ("4", "4"), ("16", "1")] {
-        // Queue deeper than the client count: determinism is a promise
-        // about admitted requests, so nothing may shed here.
+    // Scheduler sizes (the scheduler reads SCALESIM_THREADS once at
+    // startup): bytes must not depend on them.
+    for threads in ["16", "4", "1"] {
+        // A session per client: determinism is a promise about served
+        // requests, so nothing may shed here.
         let (_guard, addr) = spawn_serve(&[
-            ("SCALESIM_SERVE_WORKERS", pool),
             ("SCALESIM_THREADS", threads),
-            ("SCALESIM_SERVE_QUEUE", "32"),
-            ("SCALESIM_SERVE_SESSIONS", "8"),
+            ("SCALESIM_SERVE_SESSIONS", &CLIENTS.to_string()),
         ]);
         // All clients in flight at once, each on its own connection.
         let barrier = Barrier::new(CLIENTS);
@@ -206,22 +203,22 @@ fn responses_are_byte_identical_across_pool_sizes_and_to_the_cli() {
         per_pool.push(responses);
     }
 
-    // Byte-identical across pool sizes, client by client.
-    let [pool1, pool4, pool16] = <[Vec<Vec<String>>; 3]>::try_from(per_pool).unwrap();
-    for (client, reference) in pool1.iter().enumerate() {
+    // Byte-identical across scheduler sizes, client by client.
+    let [pool16, pool4, pool1] = <[Vec<Vec<String>>; 3]>::try_from(per_pool).unwrap();
+    for (client, reference) in pool16.iter().enumerate() {
         assert_eq!(
             reference[..STATS_INDEX],
             pool4[client][..STATS_INDEX],
-            "client {client}: pool 1 vs pool 4"
+            "client {client}: 16 threads vs 4"
         );
         assert_eq!(
             reference[..STATS_INDEX],
-            pool16[client][..STATS_INDEX],
-            "client {client}: pool 1 vs pool 16"
+            pool1[client][..STATS_INDEX],
+            "client {client}: 16 threads vs 1"
         );
         // The stats line is load-dependent; require only that every
         // pool answers it with a well-formed stats body.
-        for responses in [reference, &pool4[client], &pool16[client]] {
+        for responses in [reference, &pool4[client], &pool1[client]] {
             let (id, result) = wire::decode_response(&responses[STATS_INDEX]);
             assert_eq!(id.as_deref(), Some(format!("c{client}-st").as_str()));
             assert!(
@@ -260,13 +257,9 @@ fn responses_are_byte_identical_across_pool_sizes_and_to_the_cli() {
 #[test]
 fn a_saturating_burst_gets_typed_busy_and_stats_reports_the_shed_count() {
     const CLIENTS: usize = 8;
-    let (_guard, addr) = spawn_serve(&[
-        ("SCALESIM_SERVE_WORKERS", "1"),
-        ("SCALESIM_SERVE_QUEUE", "1"),
-        ("SCALESIM_SERVE_SESSIONS", "32"),
-    ]);
-    // A sweep heavy enough that one worker is pinned for seconds while
-    // the burst lands.
+    let (_guard, addr) = spawn_serve(&[("SCALESIM_SERVE_SESSIONS", "1")]);
+    // A sweep heavy enough to keep the one session busy while the burst
+    // lands.
     let bandwidths: Vec<String> = (1..=40).map(|b| b.to_string()).collect();
     let heavy = format!(
         "{{\"api\": 1, \"id\": \"hv\", \"sweep\": {{\"spec\": {{\"inline\": \
@@ -274,6 +267,24 @@ fn a_saturating_burst_gets_typed_busy_and_stats_reports_the_shed_count() {
          \"l0, 128, 128, 128,\\nl1, 128, 128, 128,\\n\"}}]}}}}",
         bandwidths.join(", ")
     );
+
+    // The first client holds the only session (a version answer proves
+    // it is established) and has the heavy sweep in flight.
+    let mut holder = TcpStream::connect(addr.as_str()).expect("connect");
+    holder.set_nodelay(true).unwrap();
+    let mut holder_reader = BufReader::new(holder.try_clone().unwrap());
+    let read_reply = |reader: &mut BufReader<TcpStream>| {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line.trim_end().to_string()
+    };
+    holder
+        .write_all(b"{\"api\": 1, \"id\": \"v\", \"version\": {}}\n")
+        .unwrap();
+    assert!(wire::decode_response(&read_reply(&mut holder_reader))
+        .1
+        .is_ok());
+    holder.write_all(format!("{heavy}\n").as_bytes()).unwrap();
 
     let barrier = Barrier::new(CLIENTS);
     let responses: Vec<String> = std::thread::scope(|scope| {
@@ -284,9 +295,14 @@ fn a_saturating_burst_gets_typed_busy_and_stats_reports_the_shed_count() {
                 let heavy = &heavy;
                 scope.spawn(move || {
                     barrier.wait();
-                    exchange_tape(addr, std::slice::from_ref(heavy))
-                        .pop()
-                        .unwrap()
+                    let mut stream = TcpStream::connect(addr.as_str()).expect("connect");
+                    // A shed connection is answered and closed without
+                    // being read, so the write may race the close.
+                    let _ = stream.write_all(format!("{heavy}\n").as_bytes());
+                    let mut reader = BufReader::new(stream);
+                    let mut line = String::new();
+                    reader.read_line(&mut line).unwrap();
+                    line.trim_end().to_string()
                 })
             })
             .collect();
@@ -294,29 +310,32 @@ fn a_saturating_burst_gets_typed_busy_and_stats_reports_the_shed_count() {
     });
 
     let mut busy = 0usize;
-    let mut completed = 0usize;
     for response in &responses {
         let (id, result) = wire::decode_response(response);
-        assert_eq!(id.as_deref(), Some("hv"));
-        match result {
-            Ok(SimResponse::Sweep(body)) => {
-                assert_eq!(body.runs, 40, "40 grid points x 1 topology");
-                completed += 1;
-            }
-            Ok(other) => panic!("unexpected body: {other:?}"),
-            Err(e) => {
-                assert_eq!((e.kind(), e.exit_code()), ("busy", 75), "{e}");
-                assert_eq!(e.message(), "admission queue full; retry later");
-                busy += 1;
-            }
-        }
+        assert_eq!(id, None, "a shed connection's request is never read");
+        let e = result.unwrap_err();
+        assert_eq!((e.kind(), e.exit_code()), ("busy", 75), "{e}");
+        assert_eq!(e.message(), "session limit reached; retry later");
+        busy += 1;
     }
-    assert!(completed >= 1, "at least the first request must complete");
-    assert!(
-        busy >= 1,
-        "with 1 worker and a 1-deep queue, an 8-client burst must shed"
+    assert_eq!(
+        busy, CLIENTS,
+        "the one session is held, so every burst client sheds"
     );
-    let stats = stats_snapshot(&addr);
+
+    let (id, result) = wire::decode_response(&read_reply(&mut holder_reader));
+    assert_eq!(id.as_deref(), Some("hv"));
+    let Ok(SimResponse::Sweep(body)) = result else {
+        panic!("expected sweep body, got {result:?}")
+    };
+    assert_eq!(body.runs, 40, "40 grid points x 1 topology");
+    holder
+        .write_all(b"{\"api\": 1, \"id\": \"st\", \"stats\": {}}\n")
+        .unwrap();
+    let (_, result) = wire::decode_response(&read_reply(&mut holder_reader));
+    let Ok(SimResponse::Stats(stats)) = result else {
+        panic!("expected stats body, got {result:?}")
+    };
     assert_eq!(
         stats.shed as usize, busy,
         "stats shed counter must match the busy responses clients saw"
@@ -334,7 +353,6 @@ fn soak_ten_thousand_requests_hold_the_cache_budget_and_bounded_rss() {
     const CLIENTS: usize = 4;
     const PER_CLIENT: usize = 2500;
     let (guard, addr) = spawn_serve(&[
-        ("SCALESIM_SERVE_WORKERS", "4"),
         ("SCALESIM_SERVE_SESSIONS", "8"),
         ("SCALESIM_CACHE_BUDGET_MB", "8"),
     ]);

@@ -61,7 +61,7 @@ pub(crate) const TRACE_BUF_ENV: &str = "SCALESIM_TRACE_BUF";
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Category {
-    /// Scheduler internals: task runs, steals, parks.
+    /// Scheduler internals: scope runs and parks.
     Sched = 0,
     /// Per-layer pipeline stages (sparsify/compute/dram/…).
     Pipeline = 1,

@@ -1,9 +1,9 @@
 //! # scalesim-sched
 //!
-//! One persistent work-stealing scheduler for every parallel layer of
-//! the simulator: per-layer sims, sweep points, scale-out shards and
-//! serve requests all execute as tasks of a single process-wide worker
-//! pool instead of three disjoint ad-hoc pools.
+//! One persistent scheduler for every parallel layer of the simulator:
+//! per-layer sims, sweep points and scale-out shards all execute as
+//! scoped batches on a single process-wide worker pool instead of
+//! three disjoint ad-hoc pools.
 //!
 //! ## Design
 //!
@@ -11,19 +11,14 @@
 //!   sized by `SCALESIM_THREADS` or the machine parallelism) and live
 //!   for its whole lifetime, so a `parallel_map` call costs a queue
 //!   push instead of OS thread spawn/join.
-//! * **Per-worker LIFO deques + a global injector.** Work submitted
-//!   from outside the pool lands in the injector; work submitted by a
-//!   worker (nested parallelism) goes to the front of its own deque.
-//!   Idle workers drain their own deque front-first, then the
-//!   injector, then steal from the *back* of sibling deques — newest
-//!   work stays hot on its submitter, oldest work migrates.
-//! * **Task classes with priorities.** Every submission carries a
-//!   [`Priority`]; the injector serves [`Priority::Interactive`]
-//!   (serve requests) strictly before [`Priority::Batch`] (sweep
-//!   grids). The ambient priority propagates to nested submissions
-//!   ([`with_priority`], [`current_priority`]), so an interactive
-//!   request's layer tasks outrank a batch sweep's even three levels
-//!   of nesting down.
+//! * **One two-class injector.** A scope queues tickets onto itself in
+//!   one injector; idle workers pop a ticket and claim the scope's
+//!   items. The injector serves [`Priority::Interactive`] tickets
+//!   (serve requests, CLI runs) strictly before [`Priority::Batch`]
+//!   ones (sweep grids), FIFO within a class. The ambient priority
+//!   propagates to nested submissions ([`with_priority`],
+//!   [`current_priority`]), so an interactive request's layer tasks
+//!   outrank a batch sweep's even three levels of nesting down.
 //! * **Scoped batches with caller-help.** [`Scheduler::scope`] runs a
 //!   borrowed closure over `0..len` indices: items are claimed from a
 //!   shared atomic cursor (so heterogeneous layer costs balance), and
@@ -37,7 +32,7 @@
 //!   work immediately instead of simulating layers nobody will read.
 //! * **Determinism.** The scheduler never reorders *results*: scopes
 //!   write by index, so callers observe output identical to serial
-//!   execution for any worker count, stealing pattern or priority mix.
+//!   execution for any worker count, claim pattern or priority mix.
 //!
 //! Panics inside a scope task are caught, the scope's remaining items
 //! are skipped, and the panic resumes on the submitting thread once
@@ -49,10 +44,8 @@
 
 mod pool;
 mod scope;
-mod slot;
 
 pub use pool::{Priority, SchedStats, Scheduler};
-pub use slot::OnceSlot;
 
 use std::cell::Cell;
 
@@ -82,11 +75,6 @@ thread_local! {
     /// set it to the class of whatever they are executing, so nested
     /// submissions inherit it.
     static CURRENT_PRIORITY: Cell<Priority> = const { Cell::new(Priority::Interactive) };
-    /// `(pool id, worker index)` on scheduler worker threads, `None`
-    /// elsewhere. The pool id keeps two coexisting pools (e.g. the
-    /// global one and a private bench pool) from mistaking each
-    /// other's workers for their own.
-    static WORKER_SLOT: Cell<Option<(u64, usize)>> = const { Cell::new(None) };
 }
 
 /// The ambient [`Priority`] new submissions from this thread carry.
@@ -105,12 +93,4 @@ pub fn with_priority<R>(priority: Priority, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(CURRENT_PRIORITY.replace(priority));
     f()
-}
-
-pub(crate) fn worker_slot() -> Option<(u64, usize)> {
-    WORKER_SLOT.get()
-}
-
-pub(crate) fn set_worker_slot(slot: Option<(u64, usize)>) {
-    WORKER_SLOT.set(slot);
 }

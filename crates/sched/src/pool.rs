@@ -1,5 +1,5 @@
-//! The worker pool: per-worker deques, the priority injector, parking
-//! and the public [`Scheduler`] API.
+//! The worker pool: the two-class injector, parking and the public
+//! [`Scheduler`] API.
 
 use crate::scope::ScopeCore;
 use scalesim_obs as obs;
@@ -8,9 +8,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-/// Task class of a submission. The global injector serves
-/// `Interactive` work strictly before `Batch` work, so a serve
-/// request's layer tasks never queue behind a design-space sweep.
+/// Task class of a submission. The injector serves `Interactive` work
+/// strictly before `Batch` work, so a serve request's layer tasks never
+/// queue behind a design-space sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Priority {
     /// Latency-sensitive work: serve requests and one-shot CLI runs.
@@ -18,21 +18,6 @@ pub enum Priority {
     Interactive,
     /// Throughput work that tolerates queueing: sweep grids.
     Batch,
-}
-
-/// One unit of queued work.
-enum Runnable {
-    /// A fire-and-forget `'static` task (e.g. a serve-queue runner).
-    Detached {
-        priority: Priority,
-        run: Box<dyn FnOnce() + Send>,
-    },
-    /// A handle onto a scoped batch; the popping worker claims items
-    /// from the scope's shared cursor until none remain.
-    Scope {
-        priority: Priority,
-        core: Arc<ScopeCore>,
-    },
 }
 
 /// Wakes parked workers without lost-wakeup races: a worker reads the
@@ -64,27 +49,36 @@ impl Bell {
     }
 }
 
-/// The two-class global injector: work submitted from outside the
-/// pool, FIFO within a class, interactive before batch.
+/// The one queue: tickets onto scoped batches, FIFO within a class,
+/// interactive before batch. A worker that pops a ticket claims items
+/// from the scope's shared cursor until none remain.
 #[derive(Default)]
 struct Injector {
-    interactive: VecDeque<Runnable>,
-    batch: VecDeque<Runnable>,
+    interactive: VecDeque<Arc<ScopeCore>>,
+    batch: VecDeque<Arc<ScopeCore>>,
+}
+
+impl Injector {
+    fn push(&mut self, priority: Priority, core: &Arc<ScopeCore>, tickets: usize) {
+        let queue = match priority {
+            Priority::Interactive => &mut self.interactive,
+            Priority::Batch => &mut self.batch,
+        };
+        queue.extend(std::iter::repeat_with(|| Arc::clone(core)).take(tickets));
+    }
+
+    fn pop(&mut self) -> Option<(Priority, Arc<ScopeCore>)> {
+        if let Some(core) = self.interactive.pop_front() {
+            return Some((Priority::Interactive, core));
+        }
+        self.batch.pop_front().map(|core| (Priority::Batch, core))
+    }
 }
 
 struct Shared {
-    /// Distinguishes this pool's workers from another pool's.
-    id: u64,
     injector: Mutex<Injector>,
-    /// One deque per worker: the owner pushes/pops at the front
-    /// (newest first), thieves steal from the back (oldest first).
-    locals: Vec<Mutex<VecDeque<Runnable>>>,
     bell: Bell,
     shutdown: AtomicBool,
-    /// Successful steals from a sibling deque (find_work step 3).
-    steals: AtomicU64,
-    /// Detached tasks ever submitted.
-    spawns: AtomicU64,
     /// Times a parked worker woke to look for work again.
     park_wakeups: AtomicU64,
 }
@@ -96,17 +90,13 @@ struct Shared {
 pub struct SchedStats {
     /// Worker threads in the pool.
     pub workers: usize,
-    /// Successful steals of queued work from a sibling worker.
-    pub steals: u64,
-    /// Detached (fire-and-forget) tasks submitted.
-    pub spawns: u64,
     /// Times a parked worker was woken by the bell.
     pub park_wakeups: u64,
 }
 
-/// A persistent work-stealing worker pool. Use [`Scheduler::global`]
-/// for the process-wide pool every simulation layer shares; private
-/// pools (`Scheduler::new`) exist for tests and benchmarks.
+/// A persistent worker pool. Use [`Scheduler::global`] for the
+/// process-wide pool every simulation layer shares; private pools
+/// (`Scheduler::new`) exist for tests.
 pub struct Scheduler {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
@@ -124,22 +114,16 @@ impl Scheduler {
     /// Builds a private pool with `workers` threads (clamped to at
     /// least 1). Most callers want [`global`](Self::global) instead.
     pub(crate) fn new(workers: usize) -> Self {
-        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
-        let workers = workers.max(1);
         let shared = Arc::new(Shared {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             injector: Mutex::new(Injector::default()),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             bell: Bell {
                 seq: Mutex::new(0),
                 wake: Condvar::new(),
             },
             shutdown: AtomicBool::new(false),
-            steals: AtomicU64::new(0),
-            spawns: AtomicU64::new(0),
             park_wakeups: AtomicU64::new(0),
         });
-        let threads = (0..workers)
+        let threads = (0..workers.max(1))
             .map(|index| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -161,15 +145,13 @@ impl Scheduler {
 
     /// The pool's worker-thread count.
     pub(crate) fn workers(&self) -> usize {
-        self.shared.locals.len()
+        self.threads.len()
     }
 
     /// A relaxed snapshot of the pool's scheduling counters.
     pub fn stats(&self) -> SchedStats {
         SchedStats {
             workers: self.workers(),
-            steals: self.shared.steals.load(Ordering::Relaxed),
-            spawns: self.shared.spawns.load(Ordering::Relaxed),
             park_wakeups: self.shared.park_wakeups.load(Ordering::Relaxed),
         }
     }
@@ -219,73 +201,18 @@ impl Scheduler {
         // The caller claims items too, so at most `len - 1` helpers
         // can ever find work.
         let helpers = self.workers().min(len - 1);
-        self.share(priority, &core, helpers);
+        self.shared
+            .injector
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(priority, &core, helpers);
+        self.shared.bell.ring();
         core.work();
         let panic = core.wait_done();
         drop(core);
         if let Some(payload) = panic {
             std::panic::resume_unwind(payload);
         }
-    }
-
-    /// Queues copies of a scope for `helpers` workers: onto the local
-    /// deque when submitted by one of this pool's own workers (nested
-    /// parallelism stays hot and LIFO), onto the injector otherwise.
-    fn share(&self, priority: Priority, core: &Arc<ScopeCore>, helpers: usize) {
-        if helpers == 0 {
-            return;
-        }
-        match crate::worker_slot() {
-            Some((pool, index)) if pool == self.shared.id => {
-                let mut deque = self.shared.locals[index]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                for _ in 0..helpers {
-                    deque.push_front(Runnable::Scope {
-                        priority,
-                        core: Arc::clone(core),
-                    });
-                }
-            }
-            _ => {
-                let mut injector = self
-                    .shared
-                    .injector
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                let queue = match priority {
-                    Priority::Interactive => &mut injector.interactive,
-                    Priority::Batch => &mut injector.batch,
-                };
-                for _ in 0..helpers {
-                    queue.push_back(Runnable::Scope {
-                        priority,
-                        core: Arc::clone(core),
-                    });
-                }
-            }
-        }
-        self.shared.bell.ring();
-    }
-
-    /// Submits a fire-and-forget task. The task runs on some worker
-    /// with `priority` as its ambient class; a panic inside it is
-    /// caught (and logged) so it cannot kill the worker. Tasks still
-    /// queued when the pool is dropped are discarded.
-    pub fn spawn_detached(&self, priority: Priority, run: Box<dyn FnOnce() + Send>) {
-        self.shared.spawns.fetch_add(1, Ordering::Relaxed);
-        let mut injector = self
-            .shared
-            .injector
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let queue = match priority {
-            Priority::Interactive => &mut injector.interactive,
-            Priority::Batch => &mut injector.batch,
-        };
-        queue.push_back(Runnable::Detached { priority, run });
-        drop(injector);
-        self.shared.bell.ring();
     }
 }
 
@@ -300,9 +227,7 @@ impl Drop for Scheduler {
 }
 
 fn worker_loop(shared: &Shared, me: usize) {
-    crate::set_worker_slot(Some((shared.id, me)));
-    let label = format!("worker-{me}");
-    obs::label_thread(&label);
+    obs::label_thread(&format!("worker-{me}"));
     loop {
         // Read the bell *before* scanning: a ring after this read but
         // before the park bumps the sequence, so the park is a no-op.
@@ -310,8 +235,16 @@ fn worker_loop(shared: &Shared, me: usize) {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        if let Some(runnable) = find_work(shared, me) {
-            run_one(runnable);
+        let ticket = shared
+            .injector
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .pop();
+        if let Some((priority, core)) = ticket {
+            crate::with_priority(priority, || {
+                let _span = obs::span(obs::Category::Sched, "run-scope");
+                core.work();
+            });
             continue;
         }
         {
@@ -322,68 +255,10 @@ fn worker_loop(shared: &Shared, me: usize) {
     }
 }
 
-fn find_work(shared: &Shared, me: usize) -> Option<Runnable> {
-    // 1. Own deque, newest first: nested work stays on its submitter.
-    if let Some(r) = shared.locals[me]
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .pop_front()
-    {
-        return Some(r);
-    }
-    // 2. The injector, interactive before batch.
-    {
-        let mut injector = shared.injector.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(r) = injector
-            .interactive
-            .pop_front()
-            .or_else(|| injector.batch.pop_front())
-        {
-            return Some(r);
-        }
-    }
-    // 3. Steal the *oldest* work from a sibling.
-    for other in (me + 1..shared.locals.len()).chain(0..me) {
-        if let Some(r) = shared.locals[other]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop_back()
-        {
-            shared.steals.fetch_add(1, Ordering::Relaxed);
-            obs::instant(
-                obs::Category::Sched,
-                "steal",
-                &[("from", other as u64), ("to", me as u64)],
-            );
-            return Some(r);
-        }
-    }
-    None
-}
-
-fn run_one(runnable: Runnable) {
-    match runnable {
-        Runnable::Detached { priority, run } => crate::with_priority(priority, || {
-            let _span = obs::span(obs::Category::Sched, "run-detached");
-            // A detached task has no submitter to resume a panic on;
-            // contain it so the worker survives (the serve layer has
-            // its own per-request catch, so this is a backstop).
-            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).is_err() {
-                eprintln!("scalesim-sched: detached task panicked (contained)");
-            }
-        }),
-        Runnable::Scope { priority, core } => crate::with_priority(priority, || {
-            let _span = obs::span(obs::Category::Sched, "run-scope");
-            core.work();
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::mpsc;
 
     #[test]
     fn scope_runs_every_index_exactly_once() {
@@ -454,50 +329,57 @@ mod tests {
     }
 
     #[test]
-    fn interactive_detached_tasks_run_before_batch_ones() {
-        // One worker, parked on a blocker while both classes queue:
-        // the drain order is then deterministic.
+    fn interactive_scopes_run_before_batch_ones() {
+        // One worker, pinned inside a scope while a batch ticket and
+        // then an interactive ticket queue behind it. Each queued scope
+        // holds its submitter on item 0, so item 1 is left for the
+        // worker: the order the worker records them is its pop order.
         let pool = Scheduler::new(1);
-        let (block_tx, block_rx) = mpsc::channel::<()>();
-        let (order_tx, order_rx) = mpsc::channel::<&'static str>();
-        pool.spawn_detached(
-            Priority::Interactive,
-            Box::new(move || {
-                block_rx.recv().unwrap();
-            }),
-        );
-        let tx = order_tx.clone();
-        pool.spawn_detached(Priority::Batch, Box::new(move || tx.send("batch").unwrap()));
-        let tx = order_tx;
-        pool.spawn_detached(
-            Priority::Interactive,
-            Box::new(move || tx.send("interactive").unwrap()),
-        );
-        block_tx.send(()).unwrap();
-        assert_eq!(order_rx.recv().unwrap(), "interactive");
-        assert_eq!(order_rx.recv().unwrap(), "batch");
-    }
-
-    #[test]
-    fn a_panicking_detached_task_does_not_kill_the_worker() {
-        let pool = Scheduler::new(1);
-        let (tx, rx) = mpsc::channel::<u32>();
-        pool.spawn_detached(Priority::Interactive, Box::new(|| panic!("contained")));
-        pool.spawn_detached(Priority::Interactive, Box::new(move || tx.send(7).unwrap()));
-        assert_eq!(rx.recv().unwrap(), 7, "worker survived the panic");
-    }
-
-    #[test]
-    fn worker_index_is_set_on_workers_and_absent_elsewhere() {
-        assert_eq!(crate::worker_slot(), None);
-        let pool = Scheduler::new(3);
-        let (tx, rx) = mpsc::channel();
-        pool.spawn_detached(
-            Priority::Interactive,
-            Box::new(move || tx.send(crate::worker_slot()).unwrap()),
-        );
-        let (_, index) = rx.recv().unwrap().expect("workers know their index");
-        assert!(index < 3);
+        let pinned = AtomicUsize::new(0);
+        let unpin = AtomicBool::new(false);
+        let holding = AtomicUsize::new(0);
+        let release = AtomicBool::new(false);
+        let order = Mutex::new(Vec::new());
+        let wait_for = |flag: &AtomicBool| {
+            while !flag.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        };
+        let wait_until = |count: &AtomicUsize, n: usize| {
+            while count.load(Ordering::Acquire) < n {
+                std::thread::yield_now();
+            }
+        };
+        let (holding_ref, release_ref, order_ref) = (&holding, &release, &order);
+        let queued = |name: &'static str| {
+            move |i: usize| {
+                if i == 0 {
+                    holding_ref.fetch_add(1, Ordering::Release);
+                    wait_for(release_ref);
+                } else {
+                    order_ref.lock().unwrap().push(name);
+                }
+            }
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                pool.scope(2, Priority::Interactive, None, &|_| {
+                    pinned.fetch_add(1, Ordering::Release);
+                    wait_for(&unpin);
+                });
+            });
+            wait_until(&pinned, 2);
+            s.spawn(|| pool.scope(2, Priority::Batch, None, &queued("batch")));
+            wait_until(&holding, 1);
+            s.spawn(|| pool.scope(2, Priority::Interactive, None, &queued("interactive")));
+            wait_until(&holding, 2);
+            unpin.store(true, Ordering::Release);
+            while order.lock().unwrap().len() < 2 {
+                std::thread::yield_now();
+            }
+            release.store(true, Ordering::Release);
+        });
+        assert_eq!(*order.lock().unwrap(), ["interactive", "batch"]);
     }
 
     #[test]
@@ -516,42 +398,26 @@ mod tests {
     #[test]
     fn stats_count_spawns_and_wakeups() {
         let pool = Scheduler::new(2);
-        let before = pool.stats();
-        assert_eq!(before.workers, 2);
-        assert_eq!(before.spawns, 0);
-        let (tx, rx) = mpsc::channel::<()>();
-        for _ in 0..3 {
-            let tx = tx.clone();
-            pool.spawn_detached(
-                Priority::Interactive,
-                Box::new(move || tx.send(()).unwrap()),
-            );
-        }
-        for _ in 0..3 {
-            rx.recv().unwrap();
-        }
-        let after = pool.stats();
-        assert_eq!(after.spawns, 3);
-        // Wakeups only count once a worker actually parked — which the
-        // initial spawns may beat (workers are still in their first
-        // scan). Let the pool go idle so the workers park, then spawn
+        assert_eq!(pool.stats().workers, 2);
+        // Wakeups only count once a worker actually parked — which a
+        // first scope may beat (workers are still in their first scan).
+        // Let the pool go idle so the workers park, then share a scope
         // again: that bell must register a wakeup. Retry to absorb
         // scheduling jitter.
-        let mut woke = after.park_wakeups >= 1;
+        let ran = AtomicUsize::new(0);
+        let mut woke = false;
         for _ in 0..100 {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            pool.scope(2, Priority::Interactive, None, &|_| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
+            woke = pool.stats().park_wakeups >= 1;
             if woke {
                 break;
             }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            let (tx, rx) = mpsc::channel::<()>();
-            pool.spawn_detached(
-                Priority::Interactive,
-                Box::new(move || tx.send(()).unwrap()),
-            );
-            rx.recv().unwrap();
-            woke = pool.stats().park_wakeups >= 1;
         }
         assert!(woke, "workers parked and woke at least once");
+        assert!(ran.load(Ordering::Relaxed) >= 2);
     }
 
     #[test]

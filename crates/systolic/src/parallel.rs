@@ -1,12 +1,11 @@
 //! Deterministic parallel execution over independent work items.
 //!
 //! Topology simulation is embarrassingly parallel: every layer plans and
-//! times against its own state, so layers run as tasks of the
-//! process-wide work-stealing scheduler ([`scalesim_sched::Scheduler`])
-//! with results written back by index. Ordering and values are
-//! therefore identical to serial execution regardless of the worker
-//! count, the stealing pattern or what else (sweep shards, serve
-//! requests) shares the pool.
+//! times against its own state, so layers run as scoped batches of the
+//! process-wide scheduler ([`scalesim_sched::Scheduler`]) with results
+//! written back by index. Ordering and values are therefore identical
+//! to serial execution regardless of the worker count, the claim
+//! pattern or what else (sweep shards, serve requests) shares the pool.
 //!
 //! The pool is created once per process, sized by the `SCALESIM_THREADS`
 //! environment variable (read at first use) or the machine's available
@@ -14,7 +13,8 @@
 //! [`scalesim_sched::Priority`], so serve-request layers outrank batch
 //! sweep points without any plumbing here.
 
-use scalesim_sched::{OnceSlot, Scheduler};
+use scalesim_sched::Scheduler;
+use std::sync::OnceLock;
 
 pub use scalesim_sched::THREADS_ENV;
 
@@ -28,15 +28,6 @@ pub fn num_threads() -> usize {
     scalesim_sched::default_workers()
 }
 
-/// Write-once result slots, filled by index from scheduler workers and
-/// drained in order afterwards. [`OnceSlot`] makes the hand-off
-/// lock-free (a slot is written exactly once, by whichever worker
-/// claimed its index) and panic-safe: a slot left empty by a poisoned
-/// batch is detected, never blocked on.
-fn make_slots<R>(len: usize) -> Vec<OnceSlot<R>> {
-    (0..len).map(|_| OnceSlot::empty()).collect()
-}
-
 /// Applies `f` to every item on the shared scheduler, returning results
 /// in item order. `f` receives `(index, &item)`.
 ///
@@ -44,7 +35,8 @@ fn make_slots<R>(len: usize) -> Vec<OnceSlot<R>> {
 /// layer costs balance across workers; each result lands in its item's
 /// slot, so the output is bit-identical to `items.iter().map(...)`.
 /// Falls back to a plain serial loop for a single worker or a single
-/// item.
+/// item. One block of [`parallel_map_streamed`] under a hook that never
+/// fires.
 ///
 /// # Panics
 ///
@@ -53,24 +45,12 @@ fn make_slots<R>(len: usize) -> Vec<OnceSlot<R>> {
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
-    R: Send,
+    R: Send + Sync,
     F: Fn(usize, &T) -> R + Sync,
 {
-    if num_threads().min(items.len()) <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let slots = make_slots(items.len());
-    let task = |i: usize| {
-        slots[i].set(f(i, &items[i]));
-    };
-    Scheduler::global().scope(items.len(), scalesim_sched::current_priority(), None, &task);
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("worker pool left an item unprocessed")
-        })
-        .collect()
+    let mut results = Vec::with_capacity(items.len());
+    parallel_map_streamed(items, items.len(), &|| false, f, |_, r| results.push(r));
+    results
 }
 
 /// Streams `f` over `items` in fixed-size blocks with **bounded result
@@ -100,7 +80,7 @@ pub fn parallel_map_streamed<T, R, F, C>(
 ) -> usize
 where
     T: Sync,
-    R: Send,
+    R: Send + Sync,
     F: Fn(usize, &T) -> R + Sync,
     C: FnMut(usize, R),
 {
@@ -124,10 +104,15 @@ where
             }
             peak = peak.max(buffered);
         } else {
-            let slots = make_slots(end - start);
+            // Write-once result slots, filled by index from scheduler
+            // workers: every index is claimed exactly once, and a slot
+            // left empty by a cancelled batch reads back as `None`.
+            let slots: Vec<OnceLock<R>> = (start..end).map(|_| OnceLock::new()).collect();
             let task = |offset: usize| {
                 let i = start + offset;
-                slots[offset].set(f(i, &items[i]));
+                if slots[offset].set(f(i, &items[i])).is_err() {
+                    panic!("scheduler claimed item {i} twice");
+                }
             };
             Scheduler::global().scope(
                 end - start,

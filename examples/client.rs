@@ -117,10 +117,7 @@ fn main() -> std::io::Result<()> {
             let addr = listener.local_addr()?.to_string();
             eprintln!("no address given; serving in-process on {addr}");
             std::thread::spawn(move || {
-                let options = ServeOptions {
-                    max_sessions: 2,
-                    ..ServeOptions::from_env()
-                };
+                let options = ServeOptions { max_sessions: 2 };
                 let _ = Server::new(SimService::new(), options).serve_listener(listener);
             });
             addr
