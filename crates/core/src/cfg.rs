@@ -82,6 +82,8 @@ enum Slot {
     Int(fn(&mut Draft) -> &mut usize),
     /// An integer of at least 1.
     Count(fn(&mut Draft) -> &mut usize),
+    /// An SRAM size in kB whose byte count fits in `usize`.
+    Kilobytes(fn(&mut Draft) -> &mut usize),
     /// `true/false`, `1/0`, `on/off`, `yes/no`.
     Bool(fn(&mut Draft) -> &mut bool),
     /// A positive finite number of the named unit.
@@ -94,7 +96,7 @@ enum Slot {
     /// *misspellings* of supported keys.
     Ignored,
 }
-use Slot::{Bool, Count, Custom, Ignored, Int, Positive};
+use Slot::{Bool, Count, Custom, Ignored, Int, Kilobytes, Positive};
 
 fn set<T>(slot: &mut T, value: Result<T, String>) -> Result<(), String> {
     *slot = value?;
@@ -118,9 +120,9 @@ fn positive(key: &str, v: &str, unit: &str) -> Result<f64, String> {
 const KEYS: &[(&str, &str, Slot)] = &[
     ("", "ArrayHeight", Count(|d| &mut d.array.0)),
     ("", "ArrayWidth", Count(|d| &mut d.array.1)),
-    ("", "IfmapSramSzkB", Int(|d| &mut d.sram_kb.0)),
-    ("", "FilterSramSzkB", Int(|d| &mut d.sram_kb.1)),
-    ("", "OfmapSramSzkB", Int(|d| &mut d.sram_kb.2)),
+    ("", "IfmapSramSzkB", Kilobytes(|d| &mut d.sram_kb.0)),
+    ("", "FilterSramSzkB", Kilobytes(|d| &mut d.sram_kb.1)),
+    ("", "OfmapSramSzkB", Kilobytes(|d| &mut d.sram_kb.2)),
     (
         "",
         "Dataflow",
@@ -325,6 +327,7 @@ fn parse(text: &str) -> Result<ScaleSimConfig, String> {
         match slot {
             Int(at) => *at(&mut d) = num(&e.key, e.value)?,
             Count(at) => *at(&mut d) = dialect::count(name, e.value)?,
+            Kilobytes(at) => *at(&mut d) = dialect::kilobytes(name, e.value)?,
             Bool(at) => *at(&mut d) = dialect::boolean(name, e.value)?,
             Positive(at, unit) => *at(&mut d) = positive(&e.key, e.value, unit)?,
             Custom(store) => store(&mut d, &e.key, e.value)?,
@@ -343,8 +346,13 @@ fn parse(text: &str) -> Result<ScaleSimConfig, String> {
         // §IV-B: layer-wise uses SparsitySupport=true + OptimizedMapping=
         // false; row-wise sets OptimizedMapping=true with BlockSize = M.
         config.sparsity = Some(if d.optimized_mapping {
+            let block = d.block_size;
+            if !block.is_power_of_two() || block < 2 {
+                let why = "row-wise sparsity needs a power of two >= 2";
+                return Err(format!("bad BlockSize '{block}' ({why})"));
+            }
             SparsityMode::RowWise {
-                block: d.block_size,
+                block,
                 seed: 0xC0FFEE,
             }
         } else {
@@ -417,6 +425,41 @@ SparseRatio : 2:4
             Some(SparsityMode::RowWise { block, .. }) => assert_eq!(block, 8),
             other => panic!("expected row-wise, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn row_wise_block_must_be_a_power_of_two_of_at_least_two() {
+        let row_wise = |block: &str| {
+            parse_cfg(&format!(
+                "[sparsity]\nSparsitySupport : true\nOptimizedMapping : true\nBlockSize : {block}\n"
+            ))
+        };
+        for bad in ["0", "1", "3", "5", "12"] {
+            let err = row_wise(bad).unwrap_err();
+            assert!(matches!(err, SimError::InvalidConfig(_)), "{err:?}");
+            let err = err.to_string();
+            assert!(err.contains(&format!("BlockSize '{bad}'")), "{err}");
+        }
+        for good in ["2", "4", "64"] {
+            assert!(row_wise(good).is_ok(), "{good}");
+        }
+        // Layer-wise sparsity takes its block from SparseRatio instead.
+        let text = "[sparsity]\nSparsitySupport : true\nBlockSize : 3\n";
+        assert!(parse_cfg(text).is_ok());
+    }
+
+    #[test]
+    fn sram_sizes_whose_byte_count_overflows_are_errors() {
+        for key in ["IfmapSramSzkB", "FilterSramSzkB", "OfmapSramSzkB"] {
+            for bad in ["18446744073709551615", "18014398509481984", "0"] {
+                let err = parse_cfg(&format!("{key} : {bad}\n")).unwrap_err();
+                assert!(matches!(err, SimError::InvalidConfig(_)), "{err:?}");
+                let err = err.to_string();
+                assert!(err.contains(&format!("bad {key} '{bad}'")), "{err}");
+            }
+        }
+        let c = parse_cfg("IfmapSramSzkB : 18014398509481983\n").unwrap();
+        assert_eq!(c.core.memory.ifmap_words, 18014398509481983 * 1024 / 2);
     }
 
     #[test]

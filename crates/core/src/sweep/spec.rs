@@ -156,7 +156,7 @@ fn sram_kb(what: &str, v: &str) -> Result<AxisValue, String> {
             "bad {what} '{v}' (expected ifmap/filter/ofmap, e.g. 512/512/256)"
         ));
     };
-    let kb = |s| dialect::count("SRAM size", s);
+    let kb = |s| dialect::kilobytes("SRAM size", s);
     Ok(AxisValue::SramKb(kb(ifmap)?, kb(filter)?, kb(ofmap)?))
 }
 

@@ -2,44 +2,83 @@
 //!
 //! The workload topologies used by the SCALE-Sim v3 paper's evaluation:
 //! ResNet-18, ResNet-50, AlexNet, ViT (small/base/large), an R-CNN-style
-//! detector backbone, and synthetic GEMM sweeps.
+//! detector backbone, a CIFAR-scale CNN, and the GEMM sets of the
+//! paper's figures.
 //!
-//! Convolutional topologies follow SCALE-Sim's CSV conventions (ifmap
-//! sizes include padding so output sizes match the canonical networks);
-//! transformer workloads are expressed as GEMM sequences with attention
-//! heads batched along `M`.
+//! Each network is declared once, as the SCALE-Sim topology CSV shipped
+//! in `topologies/` (the same files `-t` reads); this module embeds
+//! those files and names them. Convolutional networks are conv rows
+//! whose ifmap sizes include padding, so output sizes match the
+//! canonical networks, and their FC layers are `M×1` ifmaps under 1×1
+//! filters (SCALE-Sim's own convention; the im2col lowering recovers
+//! `M, N, K` exactly). Transformers are GEMM rows with attention heads
+//! batched along `M`.
 //!
 //! ```
-//! use scalesim::workloads::{resnet18, by_name};
+//! use scalesim::workloads::by_name;
 //!
-//! let net = resnet18();
+//! let net = by_name("resnet18").unwrap();
 //! assert_eq!(net.name(), "resnet18");
 //! assert!(net.len() > 15);
 //! assert!(by_name("vit-base").is_some());
 //! ```
 
-pub mod cnn;
 pub mod gemm;
-pub mod vit;
 
-pub use cnn::{alexnet, cifar_cnn, rcnn, resnet18, resnet50};
-pub use gemm::{fig3_gemm_workloads, gemm_sweep};
-pub use vit::{vit_base, vit_feed_forward_layers, vit_large, vit_small, ViTConfig};
+pub use gemm::fig3_gemm_workloads;
 
 use crate::llm::LlmSpec;
 use scalesim_systolic::Topology;
 
-/// The canonical CNN/ViT workload names, in documentation order.
-pub(crate) const WORKLOAD_NAMES: [&str; 8] = [
-    "resnet18",
-    "resnet50",
-    "alexnet",
-    "cifar-cnn",
-    "rcnn",
-    "vit-small",
-    "vit-base",
-    "vit-large",
+/// The shipped networks, in documentation order: canonical name, the
+/// other accepted spellings, and the `topologies/` file declaring it.
+pub(crate) const REGISTRY: [(&str, &[&str], &str); 8] = [
+    (
+        "resnet18",
+        &["resnet-18"],
+        include_str!("../../../../topologies/resnet18.csv"),
+    ),
+    (
+        "resnet50",
+        &["resnet-50"],
+        include_str!("../../../../topologies/resnet50.csv"),
+    ),
+    (
+        "alexnet",
+        &[],
+        include_str!("../../../../topologies/alexnet.csv"),
+    ),
+    (
+        "cifar-cnn",
+        &["cifar_cnn", "cifarcnn"],
+        include_str!("../../../../topologies/cifar_cnn.csv"),
+    ),
+    (
+        "rcnn",
+        &["r-cnn"],
+        include_str!("../../../../topologies/rcnn.csv"),
+    ),
+    (
+        "vit-small",
+        &["vit_s", "vit-s"],
+        include_str!("../../../../topologies/vit_small_gemm.csv"),
+    ),
+    (
+        "vit-base",
+        &["vit_b", "vit-b"],
+        include_str!("../../../../topologies/vit_base_gemm.csv"),
+    ),
+    (
+        "vit-large",
+        &["vit_l", "vit-l"],
+        include_str!("../../../../topologies/vit_large_gemm.csv"),
+    ),
 ];
+
+/// A registry row's network under its canonical name.
+fn shipped(name: &str, csv: &str) -> Topology {
+    Topology::parse_csv_auto(name, csv).unwrap_or_else(|e| panic!("shipped {name}: {e}"))
+}
 
 /// Looks a workload up by its canonical name
 /// (`resnet18`, `resnet50`, `alexnet`, `cifar-cnn`, `rcnn`, `vit-small`,
@@ -47,16 +86,13 @@ pub(crate) const WORKLOAD_NAMES: [&str; 8] = [
 /// `llama-7b`, `llama-70b`, `mixtral-8x7b`), optionally suffixed with
 /// `:prefill` or `:decode` (bare preset names mean prefill).
 pub fn by_name(name: &str) -> Option<Topology> {
-    match name.to_ascii_lowercase().as_str() {
-        "resnet18" | "resnet-18" => Some(resnet18()),
-        "resnet50" | "resnet-50" => Some(resnet50()),
-        "alexnet" => Some(alexnet()),
-        "cifar-cnn" | "cifar_cnn" | "cifarcnn" => Some(cifar_cnn()),
-        "rcnn" | "r-cnn" => Some(rcnn()),
-        "vit-small" | "vit_s" | "vit-s" => Some(vit_small()),
-        "vit-base" | "vit_b" | "vit-b" => Some(vit_base()),
-        "vit-large" | "vit_l" | "vit-l" => Some(vit_large()),
-        other => crate::llm::preset_topology(other),
+    let name = name.to_ascii_lowercase();
+    let row = REGISTRY
+        .iter()
+        .find(|(canonical, aliases, _)| *canonical == name || aliases.contains(&name.as_str()));
+    match row {
+        Some((canonical, _, csv)) => Some(shipped(canonical, csv)),
+        None => crate::llm::preset_topology(&name),
     }
 }
 
@@ -68,7 +104,7 @@ pub(crate) fn by_name_or_err(name: &str) -> Result<Topology, String> {
         format!(
             "unknown workload '{name}' (known workloads: {}; llm presets: {}, \
              each accepting a ':prefill' or ':decode' suffix)",
-            WORKLOAD_NAMES.join(", "),
+            REGISTRY.map(|(canonical, ..)| canonical).join(", "),
             LlmSpec::preset_names().join(", "),
         )
     })
@@ -76,14 +112,8 @@ pub(crate) fn by_name_or_err(name: &str) -> Result<Topology, String> {
 
 /// All named workloads with their canonical names.
 pub fn all_workloads() -> Vec<Topology> {
-    vec![
-        resnet18(),
-        resnet50(),
-        alexnet(),
-        cifar_cnn(),
-        rcnn(),
-        vit_small(),
-        vit_base(),
-        vit_large(),
-    ]
+    REGISTRY
+        .iter()
+        .map(|(name, _, csv)| shipped(name, csv))
+        .collect()
 }

@@ -1,9 +1,14 @@
-//! Unit tests of `workloads::cnn`.
+//! Structure tests of the convolutional networks in the `workloads`
+//! registry (the shipped `topologies/*.csv`).
 
 mod tests {
-    use crate::workloads::cnn::*;
+    use crate::workloads::by_name;
     use scalesim_systolic::Layer;
     use scalesim_systolic::{ConvLayer, Topology};
+
+    fn net(name: &str) -> Topology {
+        by_name(name).expect("a registry workload")
+    }
 
     fn conv_layers(t: &Topology) -> Vec<&ConvLayer> {
         t.iter()
@@ -16,7 +21,7 @@ mod tests {
 
     #[test]
     fn resnet18_shapes() {
-        let t = resnet18();
+        let t = net("resnet18");
         let convs = conv_layers(&t);
         // conv1 output must be 112×112.
         assert_eq!(convs[0].ofmap_h(), 112);
@@ -36,7 +41,7 @@ mod tests {
 
     #[test]
     fn resnet50_structure() {
-        let t = resnet50();
+        let t = net("resnet50");
         // 1 + (3+4+6+3)·3 convs + 4 projections + fc = 53 + fc.
         assert_eq!(t.len(), 1 + 16 * 3 + 4 + 1);
         let gmacs = t.total_macs() as f64 / 1e9;
@@ -50,7 +55,7 @@ mod tests {
 
     #[test]
     fn alexnet_shapes() {
-        let t = alexnet();
+        let t = net("alexnet");
         let convs = conv_layers(&t);
         assert_eq!(convs[0].ofmap_h(), 55);
         assert_eq!(convs[1].ofmap_h(), 27);
@@ -61,7 +66,7 @@ mod tests {
 
     #[test]
     fn rcnn_has_backbone_and_head() {
-        let t = rcnn();
+        let t = net("rcnn");
         assert!(t.iter().any(|l| l.name() == "rpn_conv"));
         assert!(t.iter().any(|l| l.name() == "head_fc6"));
         let gmacs = t.total_macs() as f64 / 1e9;

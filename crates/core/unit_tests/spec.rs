@@ -306,6 +306,8 @@ mod tests {
             ("dataflow = zz\n", "unknown dataflow"),
             ("sram_kb = 1/2\n", "bad sram_kb"),
             ("sram_kb = 1/0/2\n", "bad SRAM size"),
+            ("sram_kb = 18446744073709551615/1/1\n", "overflows"),
+            ("sram_kb = 1/18014398509481984/1\n", "overflows"),
             ("bandwidth = fast\n", "bad bandwidth"),
             ("bandwidth = -1\n", "positive"),
             ("cores = 0x2\n", "bad cores"),

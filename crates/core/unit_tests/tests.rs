@@ -10,6 +10,13 @@ fn registry_resolves_all_names() {
         assert!(by_name(t.name()).is_some(), "{} not resolvable", t.name());
     }
     assert!(by_name("nonexistent").is_none());
+    // Every spelling of a network, in any case, is the same network.
+    for (name, aliases, _) in REGISTRY {
+        let net = by_name(name);
+        for alias in aliases.iter().copied().chain([&*name.to_ascii_uppercase()]) {
+            assert_eq!(by_name(alias), net, "{alias}");
+        }
+    }
 }
 
 #[test]
@@ -26,7 +33,7 @@ fn registry_resolves_llm_presets_with_optional_phase() {
 fn unknown_workload_error_names_the_full_vocabulary() {
     let err = by_name_or_err("resnet1800").unwrap_err();
     assert!(err.contains("resnet1800"), "{err}");
-    for known in WORKLOAD_NAMES {
+    for (known, ..) in REGISTRY {
         assert!(err.contains(known), "{err} missing {known}");
     }
     for preset in LlmSpec::preset_names() {

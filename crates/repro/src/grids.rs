@@ -5,11 +5,10 @@
 //! spelled in the grid string; the two that are not (N:M sparsity, DRAM
 //! queue depth) are set on the base.
 
-use crate::{sweep_on, Run};
+use crate::{sweep_on, workload, Run};
 use scalesim::sparse::NmRatio;
 use scalesim::sweep::RunRecord;
 use scalesim::systolic::{Layer, PlanCache, Topology};
-use scalesim::workloads::{alexnet, rcnn, resnet18, resnet50, vit_base, vit_small};
 use scalesim::{ScaleSimConfig, SparsityMode};
 use std::ops::Range;
 use std::sync::Arc;
@@ -52,7 +51,11 @@ fn edp(r: &RunRecord) -> f64 {
 const ENERGY_CORE: &str = "sram_kb = 2048/2048/2048\nenergy = true\n";
 
 pub(crate) fn tab05_edp(run: &mut Run) {
-    let workloads = [part(resnet50(), 0..12), part(rcnn(), 0..10), vit_base()];
+    let workloads = [
+        part(workload("resnet50"), 0..12),
+        part(workload("rcnn"), 0..10),
+        workload("vit-base"),
+    ];
     let grid = format!("array = 32x32, 64x64, 128x128\ndataflow = ws\n{ENERGY_CORE}");
     let records = run.sweep(&base(4, 128), &grid, &workloads);
     // Per workload, its 32x32 / 64x64 / 128x128 records.
@@ -80,7 +83,7 @@ pub(crate) fn tab05_edp(run: &mut Run) {
 }
 
 pub(crate) fn tab06_multicore_isocompute(run: &mut Run) {
-    let vit = [vit_base()];
+    let vit = [workload("vit-base")];
     let grid = format!("array = 128x128\ndataflow = ws, is\n{ENERGY_CORE}");
     let single = run.sweep(&base(4, 128), &grid, &vit);
     let grid = format!("array = 32x32\ncores = 4x4\ndataflow = ws, is\n{ENERGY_CORE}");
@@ -104,9 +107,9 @@ pub(crate) fn tab06_multicore_isocompute(run: &mut Run) {
 
 pub(crate) fn fig15_energy_dataflow(run: &mut Run) {
     let (rcnn, resnet, vit) = (
-        part(rcnn(), 10..16),
-        part(resnet50(), 0..12),
-        part(vit_base(), 0..14),
+        part(workload("rcnn"), 10..16),
+        part(workload("resnet50"), 0..12),
+        part(workload("vit-base"), 0..14),
     );
     let arrays = "array = 8x8, 16x16, 32x32, 64x64, 128x128";
     let grid = format!("{arrays}\ndataflow = os, ws, is\n{ENERGY_CORE}");
@@ -134,7 +137,7 @@ pub(crate) fn fig05_sparse_memory(run: &mut Run) {
                 384/192/192, 768/384/384, 1536/768/768\n";
     // Per ratio (1:4, 2:4, 4:4), the (on-chip kB, total cycles) points.
     let series = [1, 2, 4].map(|n| {
-        let records = run.sweep(&base(n, 128), grid, &[resnet18()]);
+        let records = run.sweep(&base(n, 128), grid, &[workload("resnet18")]);
         let point = |r: &RunRecord| (r.sram_kb.0 + r.sram_kb.1 + r.sram_kb.2, r.total_cycles);
         records.iter().map(point).collect::<Vec<_>>()
     });
@@ -172,9 +175,9 @@ pub(crate) fn fig05_sparse_memory(run: &mut Run) {
 
 pub(crate) fn fig10_queue_stalls(run: &mut Run) {
     let workloads = [
-        part(alexnet(), 0..5),
-        part(resnet18(), 0..6),
-        part(vit_small(), 0..7),
+        part(workload("alexnet"), 0..5),
+        part(workload("resnet18"), 0..6),
+        part(workload("vit-small"), 0..7),
     ];
     // Memory-hungry: modest SRAM, one DDR4 channel.
     let grid = "array = 32x32\ndataflow = os\nsram_kb = 128/128/64\ndram = true\n";
@@ -216,7 +219,7 @@ pub(crate) fn claim_dram_os_vs_ws(run: &mut Run) {
     // Six memory-intensive layers under memory pressure: small operand
     // SRAMs and a modest queue; the ofmap SRAM holds the partial tiles,
     // so the WS/OS difference comes from operand streaming.
-    let six = [part(resnet18(), 0..6)];
+    let six = [part(workload("resnet18"), 0..6)];
     os_vs_ws(run, "array = 32x32\nsram_kb = 128/128/512\n", &six);
 }
 
@@ -258,9 +261,9 @@ const FEATURES: [(&str, &str, usize); 6] = [
 
 pub(crate) fn tab04_overhead(run: &mut Run) {
     let workloads = [
-        part(alexnet(), 0..6),
-        part(resnet18(), 0..8),
-        part(vit_small(), 0..9),
+        part(workload("alexnet"), 0..6),
+        part(workload("resnet18"), 0..8),
+        part(workload("vit-small"), 0..9),
     ];
     // TPU-v2-like: one big WS core, 128x128, 12 MB of SRAM. Every point
     // is timed cold, on an empty cache of its own: Table IV compares

@@ -32,7 +32,7 @@ pub use table::EXPERIMENTS;
 
 use scalesim::sweep::{RunRecord, SweepReport, SweepSpec};
 use scalesim::systolic::{PlanCache, Topology};
-use scalesim::{run_sweep, ScaleSimConfig, SparsityMode};
+use scalesim::{run_sweep, workloads, ScaleSimConfig, SparsityMode};
 use std::sync::Arc;
 
 /// What a row costs to run — a fact about the row, not a setting.
@@ -208,6 +208,11 @@ impl Run {
             .filter(|(claim, seen)| seen.changed_side(claim));
         changed.map(|(claim, _)| claim.id).collect()
     }
+}
+
+/// The network the workload registry names `name`.
+pub(crate) fn workload(name: &str) -> Topology {
+    workloads::by_name(name).unwrap_or_else(|| panic!("{name} is not a registry workload"))
 }
 
 /// The product's sweep path against an explicit cache — [`Run::sweep`]

@@ -1,7 +1,7 @@
 //! Experiments that probe one library directly — a partition search, a
 //! storage formula, a DRAM replay — rather than a grid of engine runs.
 
-use crate::Run;
+use crate::{workload, Run};
 use scalesim::energy::{
     system_state_table, ActionCounts, ArchSpec, AreaConfig, AreaTable, EnergyModel, LayerActivity,
 };
@@ -13,13 +13,21 @@ use scalesim::multicore::{
 use scalesim::sparse::{NmRatio, SparseFormat, SparsityPattern};
 use scalesim::systolic::{
     parallel_map, timing, AnalyticalModel, ArrayShape, CoreSim, Dataflow, GemmShape,
-    IdealBandwidthStore, Layer, MemoryConfig, RecordingStore, SimConfig,
+    IdealBandwidthStore, Layer, MemoryConfig, RecordingStore, SimConfig, Topology,
 };
-use scalesim::workloads::{fig3_gemm_workloads, resnet18, vit_feed_forward_layers, ViTConfig};
+use scalesim::workloads::fig3_gemm_workloads;
 use scalesim::{
     dram::replay, layout_slowdown_for_gemm, DramAnalysis, DramIntegration, LayoutIntegration,
     ScaleSim, ScaleSimConfig,
 };
+
+/// The GEMM of the layer named `layer` in `net`.
+fn gemm_of(net: &Topology, layer: &str) -> GemmShape {
+    let found = net.iter().find(|l| l.name() == layer);
+    found
+        .unwrap_or_else(|| panic!("{} has no layer {layer}", net.name()))
+        .gemm()
+}
 
 fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len().max(1) as f64
@@ -73,7 +81,7 @@ pub(crate) fn fig07_sparse_storage(run: &mut Run) {
     run.row("layer,ratio,value_bytes,metadata_bytes");
     // Network totals in bytes: dense, then 1:4 / 2:4 / 3:4.
     let mut totals = [0u64; 4];
-    for layer in resnet18().iter() {
+    for layer in workload("resnet18").iter() {
         let (name, g) = (layer.name(), layer.gemm());
         let dense = SparseFormat::dense_storage_bits(g.k, g.n, 16) / 8;
         totals[0] += dense;
@@ -95,6 +103,8 @@ pub(crate) fn fig08_block_size(run: &mut Run) {
     // ViT feed-forward compute cycles at N:M on an `array`-square core:
     // the compressed GEMM the engine would plan, costed by the closed
     // form its plans are proven equal to.
+    let vit = workload("vit-base");
+    let feed_forward = ["blk0_ff1", "blk0_ff2"].map(|name| gemm_of(&vit, name));
     let cycles = |array: usize, n: usize, m: usize| -> u64 {
         let (array, ws) = (ArrayShape::square(array), Dataflow::WeightStationary);
         let ratio = NmRatio::new(n, m).expect("n <= m");
@@ -102,7 +112,7 @@ pub(crate) fn fig08_block_size(run: &mut Run) {
             let sparse = SparsityPattern::layer_wise(g.k, ratio).compress(*g);
             AnalyticalModel::new(array, ws, sparse).exact_runtime_cycles()
         };
-        vit_feed_forward_layers().iter().map(layer).sum()
+        feed_forward.iter().map(layer).sum()
     };
     run.row("set,array,block,ratio,cycles");
     // Set 1: block size tied to the array dimension.
@@ -141,7 +151,7 @@ pub(crate) fn fig09_dram_channels(run: &mut Run) {
     let (mut early, mut late) = (Vec::new(), Vec::new());
     // All early convolutions, then every second layer.
     let sampled = |(idx, _): &(usize, &Layer)| *idx <= 6 || idx % 2 == 0;
-    for (idx, layer) in resnet18().iter().enumerate().filter(sampled) {
+    for (idx, layer) in workload("resnet18").iter().enumerate().filter(sampled) {
         let name = layer.name();
         let mbps = [1, 2, 4, 8].map(|channels| {
             let d = on_channels(layer, channels);
@@ -151,7 +161,7 @@ pub(crate) fn fig09_dram_channels(run: &mut Run) {
         });
         // "The 1×1 filters and smaller ifmaps reduce the memory throughput
         // for later convolution and fully connected layers": conv5_x + fc.
-        if matches!(layer, Layer::Gemm { .. }) || name.starts_with("conv5") {
+        if name == "fc" || name.starts_with("conv5") {
             late.push(mbps[3] / mbps[1].max(1.0));
         } else if idx <= 10 {
             early.push(mbps[3] / mbps[1].max(1.0));
@@ -163,7 +173,7 @@ pub(crate) fn fig09_dram_channels(run: &mut Run) {
 }
 
 pub(crate) fn ext_dram_power(run: &mut Run) {
-    let net = resnet18();
+    let net = workload("resnet18");
     let arch = ArchSpec::new(128, 128, 8192 << 10, 8192 << 10, 2048 << 10);
     let controllers = |channels| {
         let area = AreaConfig::new(arch).with_dram_channels(channels);
@@ -241,18 +251,14 @@ fn layout_figure(run: &mut Run, layers: &[(&str, GemmShape)]) {
 }
 
 pub(crate) fn fig12_layout_resnet(run: &mut Run) {
-    let net = resnet18();
-    let layers = ["conv2_1", "conv3_1", "conv4_1"].map(|name| {
-        let layer = net.iter().find(|l| l.name() == name);
-        (name, layer.expect("a ResNet-18 layer").gemm())
-    });
+    let net = workload("resnet18");
+    let layers = ["conv2_1", "conv3_1", "conv4_1"].map(|name| (name, gemm_of(&net, name)));
     layout_figure(run, &layers);
 }
 
 pub(crate) fn fig13_layout_vit(run: &mut Run) {
-    let c = ViTConfig::base();
-    let qkv = GemmShape::new(c.seq, 3 * c.hidden, c.hidden);
-    let ff1 = GemmShape::new(c.seq, c.mlp, c.hidden);
+    let vit = workload("vit-base");
+    let [qkv, ff1] = ["blk0_qkv", "blk0_ff1"].map(|name| gemm_of(&vit, name));
     layout_figure(run, &[("qkv", qkv), ("ff1", ff1)]);
 }
 

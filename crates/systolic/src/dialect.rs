@@ -65,6 +65,15 @@ pub fn count(what: &str, v: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("bad {what} '{v}' (positive integer)"))
 }
 
+/// An SRAM size in kilobytes: a count whose byte count (`kB · 1024`)
+/// fits in `usize`, so every size derived from it is exact.
+pub fn kilobytes(what: &str, v: &str) -> Result<usize, String> {
+    let kb = count(what, v)?;
+    kb.checked_mul(1024)
+        .map(|_| kb)
+        .ok_or_else(|| format!("bad {what} '{v}' (its byte count overflows usize)"))
+}
+
 /// A positive finite number.
 pub fn positive(what: &str, v: &str) -> Result<f64, String> {
     let x: f64 = v.parse().map_err(|_| format!("bad {what} '{v}'"))?;
@@ -144,6 +153,18 @@ mod tests {
         for bad in ["0", "-1", "2.5", "many"] {
             assert!(count("chips", bad).unwrap_err().contains("bad chips"));
         }
+        assert_eq!(kilobytes("sram", "512"), Ok(512));
+        let most = (usize::MAX / 1024).to_string();
+        assert_eq!(kilobytes("sram", &most), Ok(usize::MAX / 1024));
+        let over = (usize::MAX / 1024 + 1).to_string();
+        for bad in [over.as_str(), "18446744073709551615"] {
+            let err = kilobytes("sram", bad).unwrap_err();
+            assert!(
+                err.contains("bad sram") && err.contains("overflows"),
+                "{err}"
+            );
+        }
+        assert!(kilobytes("sram", "0").unwrap_err().contains("positive"));
         assert_eq!(positive("bandwidth", "2.5"), Ok(2.5));
         assert!(positive("bandwidth", "fast")
             .unwrap_err()

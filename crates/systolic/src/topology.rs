@@ -107,7 +107,11 @@ impl ConvLayer {
     /// Returns [`SimError::InvalidLayer`] saying which check failed.
     pub(crate) fn validate(&self) -> Result<(), SimError> {
         let gemm = || {
-            let m = self.ofmap_h().checked_mul(self.ofmap_w())?;
+            // Checked: a zero filter over a `usize::MAX` ifmap at stride
+            // 1 has `usize::MAX + 1` output pixels.
+            let out = |ifmap: usize, filter: usize| ((ifmap - filter) / self.stride).checked_add(1);
+            let m =
+                out(self.ifmap_h, self.filter_h)?.checked_mul(out(self.ifmap_w, self.filter_w)?)?;
             let area = self.filter_h.checked_mul(self.filter_w)?;
             GemmShape::checked(m, self.num_filters, area.checked_mul(self.channels)?)
         };
@@ -236,26 +240,8 @@ impl Topology {
     /// name; a silently-accepted duplicate would make report rows
     /// ambiguous), naming the duplicate and both line numbers.
     pub fn parse_conv_csv(name: &str, csv: &str) -> Result<Self, SimError> {
-        let mut topo = Topology::new(name);
-        let mut seen = NameTracker::new();
-        for (idx, raw) in csv.lines().enumerate() {
-            let line = raw.trim().trim_end_matches(',');
-            if line.is_empty() || is_header(line) || line.starts_with('#') {
-                continue;
-            }
-            let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-            if fields.len() < 8 {
-                return Err(SimError::ParseTopology {
-                    line: idx + 1,
-                    reason: format!("expected 8 columns, found {}", fields.len()),
-                });
-            }
-            let num = |i: usize| -> Result<usize, SimError> {
-                fields[i].parse().map_err(|_| SimError::ParseTopology {
-                    line: idx + 1,
-                    reason: format!("column {} ('{}') is not an integer", i + 1, fields[i]),
-                })
-            };
+        parse_rows(name, csv, 8, |fields| {
+            let num = |i| int(fields, i);
             let layer = ConvLayer {
                 name: fields[0].to_string(),
                 ifmap_h: num(1)?,
@@ -266,14 +252,9 @@ impl Topology {
                 num_filters: num(6)?,
                 stride: num(7)?,
             };
-            layer.validate().map_err(|e| SimError::ParseTopology {
-                line: idx + 1,
-                reason: e.to_string(),
-            })?;
-            seen.check(&layer.name, idx + 1)?;
-            topo.push(Layer::Conv(layer));
-        }
-        Ok(topo)
+            layer.validate().map_err(|e| e.to_string())?;
+            Ok(Layer::Conv(layer))
+        })
     }
 
     /// Parses a GEMM topology CSV with columns `name, M, K, N[,]`
@@ -285,35 +266,15 @@ impl Topology {
     /// including duplicate layer names (see
     /// [`parse_conv_csv`](Self::parse_conv_csv)).
     pub fn parse_gemm_csv(name: &str, csv: &str) -> Result<Self, SimError> {
-        let mut topo = Topology::new(name);
-        let mut seen = NameTracker::new();
-        for (idx, raw) in csv.lines().enumerate() {
-            let line = raw.trim().trim_end_matches(',');
-            if line.is_empty() || is_header(line) || line.starts_with('#') {
-                continue;
-            }
-            let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-            if fields.len() < 4 {
-                return Err(SimError::ParseTopology {
-                    line: idx + 1,
-                    reason: format!("expected 4 columns, found {}", fields.len()),
-                });
-            }
-            let num = |i: usize| -> Result<usize, SimError> {
-                fields[i].parse().map_err(|_| SimError::ParseTopology {
-                    line: idx + 1,
-                    reason: format!("column {} ('{}') is not an integer", i + 1, fields[i]),
-                })
-            };
-            let (m, k, n) = (num(1)?, num(2)?, num(3)?);
-            let shape = GemmShape::checked(m, n, k).ok_or_else(|| SimError::ParseTopology {
-                line: idx + 1,
-                reason: "a zero dimension, or M·K·N or M·K + K·N + M·N overflows u64".into(),
-            })?;
-            seen.check(fields[0], idx + 1)?;
-            topo.push(Layer::gemm_layer(fields[0], shape.m, shape.n, shape.k));
-        }
-        Ok(topo)
+        parse_rows(name, csv, 4, |fields| {
+            let (m, k, n) = (int(fields, 1)?, int(fields, 2)?, int(fields, 3)?);
+            let shape = GemmShape::checked(m, n, k)
+                .ok_or("a zero dimension, or M·K·N or M·K + K·N + M·N overflows u64")?;
+            Ok(Layer::Gemm {
+                name: fields[0].to_string(),
+                shape,
+            })
+        })
     }
 
     /// Parses a topology CSV, auto-detecting the row format: lines with at
@@ -326,44 +287,10 @@ impl Topology {
     ///
     /// Returns [`SimError::ParseTopology`] naming the first bad line.
     pub fn parse_csv_auto(name: &str, csv: &str) -> Result<Self, SimError> {
-        let first_data = csv
-            .lines()
-            .map(|l| l.trim().trim_end_matches(','))
-            .find(|l| !l.is_empty() && !is_header(l) && !l.starts_with('#'));
-        match first_data {
-            Some(line) if line.split(',').count() >= 8 => Self::parse_conv_csv(name, csv),
+        match data_rows(csv).next() {
+            Some((_, fields)) if fields.len() >= 8 => Self::parse_conv_csv(name, csv),
             _ => Self::parse_gemm_csv(name, csv),
         }
-    }
-
-    /// Serializes the topology back to SCALE-Sim CSV (conv layers only keep
-    /// full fidelity; GEMM layers are emitted in `name, M, K, N` form).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        for layer in &self.layers {
-            match layer {
-                Layer::Conv(c) => {
-                    out.push_str(&format!(
-                        "{}, {}, {}, {}, {}, {}, {}, {},\n",
-                        c.name,
-                        c.ifmap_h,
-                        c.ifmap_w,
-                        c.filter_h,
-                        c.filter_w,
-                        c.channels,
-                        c.num_filters,
-                        c.stride
-                    ));
-                }
-                Layer::Gemm { name, shape } => {
-                    out.push_str(&format!(
-                        "{}, {}, {}, {},\n",
-                        name, shape.m, shape.k, shape.n
-                    ));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -376,9 +303,57 @@ impl<'a> IntoIterator for &'a Topology {
     }
 }
 
-fn is_header(line: &str) -> bool {
-    let lower = line.to_ascii_lowercase();
-    lower.starts_with("layer") || lower.starts_with("name")
+/// The data rows of a topology CSV: `(1-based line number, trimmed
+/// fields)`. Blank and `#` lines are skipped, and so is the first
+/// remaining row when it is a header, i.e. when none of its numeric
+/// columns parses. Only the first row may be a header: a data row whose
+/// layer is named `layer…` or `name…` is a layer like any other. A
+/// trailing comma ends a row rather than opening a column.
+fn data_rows(csv: &str) -> impl Iterator<Item = (usize, Vec<&str>)> {
+    let is_header = |fields: &[&str]| {
+        fields.len() > 1 && fields[1..].iter().all(|f| f.parse::<usize>().is_err())
+    };
+    csv.lines()
+        .enumerate()
+        .map(|(idx, raw)| (idx + 1, raw.trim().trim_end_matches(',')))
+        .filter(|(_, text)| !text.is_empty() && !text.starts_with('#'))
+        .map(|(line, text)| (line, text.split(',').map(str::trim).collect::<Vec<_>>()))
+        .enumerate()
+        .filter(move |(i, (_, fields))| *i > 0 || !is_header(fields))
+        .map(|(_, row)| row)
+}
+
+/// Column `i` of a row as an integer.
+fn int(fields: &[&str], i: usize) -> Result<usize, String> {
+    let field = fields[i];
+    field
+        .parse()
+        .map_err(|_| format!("column {} ('{field}') is not an integer", i + 1))
+}
+
+/// The one row loop of both CSV formats: checks each data row has at
+/// least `columns` fields, turns it into a layer with
+/// `decode`, and rejects duplicate layer names. Every error names the
+/// line.
+fn parse_rows(
+    name: &str,
+    csv: &str,
+    columns: usize,
+    decode: fn(&[&str]) -> Result<Layer, String>,
+) -> Result<Topology, SimError> {
+    let mut topo = Topology::new(name);
+    let mut seen = NameTracker::new();
+    for (line, fields) in data_rows(csv) {
+        let error = |reason| SimError::ParseTopology { line, reason };
+        if fields.len() < columns {
+            let found = fields.len();
+            return Err(error(format!("expected {columns} columns, found {found}")));
+        }
+        let layer = decode(&fields).map_err(error)?;
+        seen.check(layer.name(), line)?;
+        topo.push(layer);
+    }
+    Ok(topo)
 }
 
 /// Rejects duplicate layer names while a CSV parse walks its rows,
@@ -464,9 +439,43 @@ mod tests {
                    conv2, 56, 56, 3, 3, 64, 64, 1,\n";
         let t = Topology::parse_conv_csv("net", csv).unwrap();
         assert_eq!(t.len(), 2);
+        // Every column lands in its field.
+        let conv2 = ConvLayer {
+            name: "conv2".into(),
+            ifmap_h: 56,
+            ifmap_w: 56,
+            filter_h: 3,
+            filter_w: 3,
+            channels: 64,
+            num_filters: 64,
+            stride: 1,
+        };
+        assert_eq!(t.layers()[1], Layer::Conv(conv2));
         assert_eq!(t.layers()[0].name(), "conv1");
-        let re = Topology::parse_conv_csv("net", &t.to_csv()).unwrap();
-        assert_eq!(re, t);
+    }
+
+    #[test]
+    fn only_the_first_row_can_be_a_header() {
+        // Rows named `layer…` or `name…` are layers, not headers.
+        let csv = "Layer, M, K, N,\nl0, 8, 8, 8,\nlayer1, 8, 8, 8,\nname2, 8, 8, 8,\n";
+        let names: Vec<_> = Topology::parse_gemm_csv("net", csv)
+            .unwrap()
+            .iter()
+            .map(|l| l.name().to_string())
+            .collect();
+        assert_eq!(names, ["l0", "layer1", "name2"]);
+        // A first row whose numbers parse is data, whatever its name.
+        let t = Topology::parse_csv_auto("net", "layer0, 4, 4, 4,\n").unwrap();
+        assert_eq!(t.len(), 1);
+        // A header anywhere else is a bad row, named by its line.
+        let csv = "# comment\nLayer, M, K, N,\nl0, 8, 8, 8,\nLayer, M, K, N,\n";
+        match Topology::parse_csv_auto("net", csv).unwrap_err() {
+            SimError::ParseTopology { line, reason } => {
+                assert_eq!(line, 4);
+                assert_eq!(reason, "column 2 ('M') is not an integer");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
     }
 
     #[test]

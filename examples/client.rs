@@ -22,7 +22,6 @@
 
 use scalesim::serve::{ServeOptions, Server};
 use scalesim::service::SimService;
-use scalesim::workloads::vit;
 use scalesim_api::{
     wire, ConfigSource, Features, RunSpec, SimRequest, SimResponse, SweepRequest, TopologySource,
 };
@@ -30,9 +29,9 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 
 fn requests() -> Vec<(String, SimRequest)> {
-    // ViT-Base encoder blocks as inline GEMM rows — the client carries
-    // the workload; the server needs no local files.
-    let vit_csv = vit::vit_base().to_csv();
+    // ViT-Base as inline GEMM rows — the client carries the workload;
+    // the server needs no local files.
+    let vit_csv = include_str!("../topologies/vit_base_gemm.csv");
     let run = SimRequest::Run(RunSpec {
         config: ConfigSource::Default,
         topology: TopologySource::inline("vit_base", vit_csv),

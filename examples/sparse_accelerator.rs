@@ -6,7 +6,7 @@
 
 use scale_sim::sparse::NmRatio;
 use scale_sim::systolic::{ArrayShape, Dataflow, MemoryConfig};
-use scale_sim::workloads::resnet18;
+use scale_sim::workloads::by_name;
 use scale_sim::{ScaleSim, ScaleSimConfig, SparsityMode};
 
 fn base_config() -> ScaleSimConfig {
@@ -18,7 +18,7 @@ fn base_config() -> ScaleSimConfig {
 }
 
 fn main() {
-    let net = resnet18();
+    let net = by_name("resnet18").expect("a registry workload");
     let dense = ScaleSim::new(base_config()).run_topology(&net);
     println!("ResNet-18 on 32x32 WS array");
     println!("  dense total cycles  : {}", dense.total_cycles());

@@ -41,14 +41,14 @@ fn cifar_cnn_layers_full_pipeline() {
     // ~10M-MAC conv layers exercise the same DRAM/energy/layout
     // integration as ResNet-18's 100M-MAC layers at a fraction of the
     // cost; the heavy ResNet-18 variant below covers those in CI.
-    let net = workloads::cifar_cnn();
+    let net = workloads::by_name("cifar-cnn").unwrap();
     assert_full_pipeline(net.iter().skip(3).take(3));
 }
 
 #[test]
 #[ignore = "minutes-long in debug; CI runs it via `cargo test --release -- --ignored`"]
 fn resnet18_first_layers_full_pipeline() {
-    let net = workloads::resnet18();
+    let net = workloads::by_name("resnet18").unwrap();
     assert_full_pipeline(net.iter().take(3));
 }
 
@@ -73,7 +73,7 @@ fn dataflow_choice_changes_results_consistently() {
 #[test]
 fn conv_lowering_matches_direct_gemm() {
     // A conv layer and its explicit im2col GEMM must simulate identically.
-    let net = workloads::alexnet();
+    let net = workloads::by_name("alexnet").unwrap();
     let conv = &net.layers()[1];
     let gemm = conv.gemm();
     let sim = ScaleSim::new(small_config());
@@ -209,7 +209,7 @@ Bandwidth : 16
 #[test]
 fn run_reports_are_well_formed_csv() {
     let sim = ScaleSim::new(small_config());
-    let net = workloads::alexnet();
+    let net = workloads::by_name("alexnet").unwrap();
     let topo = scale_sim::systolic::Topology::from_layers("head", net.layers()[..2].to_vec());
     let reports = sim.run_topology(&topo).reports();
     let (name, csv) = &reports[0];
@@ -357,15 +357,13 @@ fn shipped_configs_and_topologies_are_usable() {
         }
         .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert!(!topo.is_empty(), "{}", path.display());
-        // Round-trip: re-emitting and re-parsing reproduces the layers.
-        let reparsed = if stem.ends_with("_gemm") {
-            scale_sim::systolic::Topology::parse_gemm_csv(&stem, &topo.to_csv())
-        } else {
-            scale_sim::systolic::Topology::parse_conv_csv(&stem, &topo.to_csv())
-        }
-        .unwrap();
-        assert_eq!(topo, reparsed, "{} round-trip", path.display());
+        // Each shipped file is the workload registry's network of its name.
+        let name = stem.trim_end_matches("_gemm").replace('_', "-");
+        let registered = workloads::by_name(&name)
+            .unwrap_or_else(|| panic!("{} is not a registry workload", path.display()));
+        assert_eq!(registered.layers(), topo.layers(), "{}", path.display());
         topologies += 1;
     }
-    assert!(topologies >= 7, "expected the seven shipped workloads");
+    let registry = workloads::all_workloads().len();
+    assert_eq!(topologies, registry, "one file per registry workload");
 }
