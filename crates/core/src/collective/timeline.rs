@@ -41,11 +41,6 @@ pub(crate) struct OverlapTimeline {
 }
 
 impl OverlapTimeline {
-    /// An empty timeline.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Pushes the next layer; returns the **previous** layer's split
     /// (its overlap window — this layer's compute — is now known), or
     /// `None` for the first layer.

@@ -263,6 +263,7 @@ fn energy(
     dram: Option<&DramAnalysis>,
 ) -> EnergyReport {
     let (report, cores) = (&computed.report, computed.part.cores);
+    let sram = computed.planned.sram();
     let total_cycles = dram.map_or(report.memory.total_cycles, |d| d.summary.total_cycles);
     // With a shared L2, duplicated operand partitions are fetched
     // from DRAM once and fanned out over the NoC; scale the
@@ -278,12 +279,12 @@ fn energy(
         total_cycles,
         macs: report.compute.macs,
         utilization: report.compute.utilization,
-        ifmap_sram_reads: report.sram.ifmap_reads,
-        ifmap_sram_repeats: report.sram.ifmap_repeat_reads,
-        filter_sram_reads: report.sram.filter_reads,
-        filter_sram_repeats: report.sram.filter_repeat_reads,
-        ofmap_sram_accesses: report.sram.ofmap_reads + report.sram.ofmap_writes,
-        ofmap_sram_repeats: report.sram.ofmap_repeat_accesses,
+        ifmap_sram_reads: sram.ifmap_reads,
+        ifmap_sram_repeats: sram.ifmap_repeat_reads,
+        filter_sram_reads: sram.filter_reads,
+        filter_sram_repeats: sram.filter_repeat_reads,
+        ofmap_sram_accesses: sram.ofmap_reads + sram.ofmap_writes,
+        ofmap_sram_repeats: sram.ofmap_repeat_accesses,
         dram_reads: (report.memory.total_dram_reads() as f64 * dram_read_scale) as u64,
         dram_writes: report.memory.total_dram_writes(),
         // Per-core share: the counts are replicated across cores

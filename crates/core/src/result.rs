@@ -215,7 +215,7 @@ impl RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalesim_systolic::{ComputeSummary, MemorySummary, SramSummary};
+    use scalesim_systolic::{ComputeSummary, MemorySummary};
 
     fn layer(name: &str, cycles: u64) -> LayerResult {
         let gemm = GemmShape::new(4, 4, 4);
@@ -239,7 +239,6 @@ mod tests {
                     compute_cycles: cycles,
                     ..Default::default()
                 },
-                sram: SramSummary::default(),
             },
             dram: None,
             layout: None,

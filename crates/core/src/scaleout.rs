@@ -301,7 +301,7 @@ pub(crate) fn run_scaleout(
 
     let mut join = JoinSink {
         plans: &plans,
-        timeline: OverlapTimeline::new(),
+        timeline: OverlapTimeline::default(),
         pending: None,
         next: 0,
         out: sink,

@@ -76,11 +76,6 @@ pub(crate) struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// Fresh all-zero metrics.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Bumps a counter by one.
     pub(crate) fn inc(&self, counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
@@ -143,7 +138,7 @@ impl SimService {
     pub(crate) fn with_plan_cache(cache: Arc<PlanCache>) -> Self {
         Self {
             cache,
-            metrics: Arc::new(ServeMetrics::new()),
+            metrics: Arc::new(ServeMetrics::default()),
         }
     }
 
@@ -795,7 +790,7 @@ mod tests {
 
     #[test]
     fn in_flight_never_wraps() {
-        let m = ServeMetrics::new();
+        let m = ServeMetrics::default();
         m.dec_in_flight();
         assert_eq!(m.get(&m.in_flight), 0);
         m.inc(&m.in_flight);

@@ -229,3 +229,51 @@ fn stage_profile_json_is_a_valid_span_view() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The SRAM open-row walk belongs to the energy stage and runs once per
+/// cached plan: a topology that repeats its shapes, traced without
+/// `--energy`, has no `repeats` span; with it, one per `plan` span
+/// (distinct shape), however many layers share the shape.
+#[test]
+fn open_rows_are_walked_only_for_energy_once_per_plan() {
+    let dir = tmp_dir("repeats");
+    let cfg = dir.join("core.cfg");
+    std::fs::write(&cfg, CFG).unwrap();
+    let topo = dir.join("net_gemm.csv");
+    std::fs::write(
+        &topo,
+        format!("{TOPOLOGY}qkv1, 64, 64, 192,\nff1_1, 64, 64, 256,\n"),
+    )
+    .unwrap();
+    let spans = |energy: bool| {
+        let trace = dir.join(format!("trace-{energy}.json"));
+        let mut cmd = bin();
+        cmd.args(["-c"]).arg(&cfg).args(["-t"]).arg(&topo);
+        cmd.args(["--gemm", "-p"])
+            .arg(&dir)
+            .args(["--trace"])
+            .arg(&trace);
+        if energy {
+            cmd.arg("--energy");
+        }
+        let status = cmd.env("SCALESIM_THREADS", "4").status();
+        assert!(
+            status.expect("spawn scalesim").success(),
+            "traced run failed"
+        );
+        let text = std::fs::read_to_string(&trace).expect("read trace file");
+        let json = Json::parse(&text).expect("trace parses");
+        let events = json
+            .get("traceEvents")
+            .and_then(Json::as_array)
+            .expect("events");
+        let named = |name: &str| {
+            let is = |e: &&Json| e.get("name").and_then(Json::as_str) == Some(name);
+            events.iter().filter(is).count()
+        };
+        (named("plan"), named("repeats"))
+    };
+    assert_eq!(spans(false), (4, 0), "(plans, walks) without --energy");
+    assert_eq!(spans(true), (4, 4), "(plans, walks) with --energy");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -5,7 +5,7 @@ mod tests {
 
     #[test]
     fn comm_hides_under_the_next_layers_compute() {
-        let mut t = OverlapTimeline::new();
+        let mut t = OverlapTimeline::default();
         assert_eq!(t.push(100, 40), None);
         // Layer 0's 40 comm cycles fit entirely under layer 1's 100.
         let s0 = t.push(100, 250).unwrap();
@@ -43,7 +43,7 @@ mod tests {
 
     #[test]
     fn last_layer_comm_is_fully_exposed() {
-        let mut t = OverlapTimeline::new();
+        let mut t = OverlapTimeline::default();
         t.push(500, 123);
         let last = t.finish().unwrap();
         assert_eq!(last.exposed, 123);
@@ -52,14 +52,14 @@ mod tests {
 
     #[test]
     fn empty_timeline_is_zero() {
-        let mut t = OverlapTimeline::new();
+        let mut t = OverlapTimeline::default();
         assert_eq!(t.finish(), None);
         assert_eq!(t.total_cycles(), 0);
     }
 
     #[test]
     fn totals_are_invariant_splits() {
-        let mut t = OverlapTimeline::new();
+        let mut t = OverlapTimeline::default();
         let layers = [(100u64, 300u64), (50, 10), (200, 80), (30, 500)];
         for &(c, q) in &layers {
             t.push(c, q);

@@ -182,15 +182,7 @@ pub(crate) fn name_by_id(id: u32) -> &'static str {
 // through the serve `stats` response and the Prometheus exposition.
 // ---------------------------------------------------------------------
 
-static CAT_COUNTS: [AtomicU64; 7] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+static CAT_COUNTS: [AtomicU64; 7] = [const { AtomicU64::new(0) }; 7];
 
 pub(crate) fn count_category(cat: Category) {
     CAT_COUNTS[cat as usize].fetch_add(1, Ordering::Relaxed);

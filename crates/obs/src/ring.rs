@@ -77,6 +77,7 @@ pub(crate) struct RawEvent {
     pub(crate) arg1: u64,
 }
 
+#[derive(Default)]
 struct Slot {
     /// Seqlock word: odd while the owner writes, else `2 * (writes+1)`.
     seq: AtomicU64,
@@ -90,20 +91,6 @@ struct Slot {
     arg1: AtomicU64,
 }
 
-impl Slot {
-    fn empty() -> Self {
-        Slot {
-            seq: AtomicU64::new(0),
-            ts_ns: AtomicU64::new(0),
-            dur_ns: AtomicU64::new(0),
-            meta: AtomicU64::new(0),
-            keys: AtomicU64::new(0),
-            arg0: AtomicU64::new(0),
-            arg1: AtomicU64::new(0),
-        }
-    }
-}
-
 pub(crate) struct Ring {
     label: Mutex<String>,
     slots: Box<[Slot]>,
@@ -115,7 +102,7 @@ impl Ring {
     pub(crate) fn with_slots(label: String, slots: usize) -> Self {
         Ring {
             label: Mutex::new(label),
-            slots: (0..slots.max(1)).map(|_| Slot::empty()).collect(),
+            slots: (0..slots.max(1)).map(|_| Slot::default()).collect(),
             head: AtomicU64::new(0),
         }
     }

@@ -268,8 +268,9 @@ pub(crate) fn tab04_overhead(run: &mut Run) {
     // TPU-v2-like: one big WS core, 128x128, 12 MB of SRAM. Every point
     // is timed cold, on an empty cache of its own: Table IV compares
     // whole simulations, and a feature point shares every compute plan
-    // with its baseline. A baseline is ~10 ms, where one timing on a
-    // shared box is off by half, so each point keeps its best of three.
+    // with its baseline. A baseline plans without walking the SRAM open
+    // rows and takes ~1 ms or less, where one timing on a shared box is
+    // off by half, so each point keeps its best of three.
     let cold = |feature: &str, n: usize, w: &Topology| {
         let grid = format!("array = 128x128\ndataflow = ws\nsram_kb = 4096/4096/4096\n{feature}");
         let once = || {

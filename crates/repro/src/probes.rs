@@ -293,7 +293,7 @@ pub(crate) fn ablation_energy_repeat(run: &mut Run) {
         let mut cfg = core(16, dataflow, 512);
         (cfg.memory.sram_row_words, cfg.memory.sram_row_buffers) = (row_words, 64);
         let planned = CoreSim::new(cfg).plan_gemm(GemmShape::new(196, 256, 1152));
-        let sram = planned.sram;
+        let sram = planned.sram();
         let repeats = sram.ifmap_repeat_reads + sram.filter_repeat_reads;
         (sram.ifmap_reads + sram.filter_reads, repeats)
     };

@@ -132,7 +132,7 @@ impl<S: BackingStore> RecordingStore<S> {
     pub fn new(inner: S) -> Self {
         Self {
             inner,
-            trace: TraceRecorder::new(),
+            trace: TraceRecorder::default(),
         }
     }
 

@@ -1,4 +1,5 @@
-//! Simulation reports: compute, memory and SRAM summaries per layer.
+//! Simulation reports: compute and memory summaries per layer, and the
+//! SRAM access profile a plan's `sram()` returns.
 
 use crate::topology::GemmShape;
 
@@ -108,11 +109,7 @@ pub struct LayerReport {
     pub compute: ComputeSummary,
     /// Memory-side summary.
     pub memory: MemorySummary,
-    /// SRAM access profile.
-    pub sram: SramSummary,
 }
-
-impl LayerReport {}
 
 #[cfg(test)]
 mod tests {

@@ -1,21 +1,19 @@
 //! Single-core planning and single-GEMM simulation.
 //!
 //! [`CoreSim`] is a planner: it walks a dataflow's fold descriptors once,
-//! feeding the double-buffer planners and the SRAM repeat-access lookups,
-//! and returns a [`PlannedLayer`] that can be timed against any
-//! [`BackingStore`] ([`PlannedLayer::report`]). Topologies are run by the
-//! integration crate's engine (`ScaleSim`), whose compute stage plans
-//! through here.
+//! feeding the double-buffer planners, and returns a [`PlannedLayer`]
+//! that can be timed against any [`BackingStore`]
+//! ([`PlannedLayer::report`]). Topologies are run by the integration
+//! crate's engine (`ScaleSim`), whose compute stage plans through here.
 //!
 //! Planning costs `O(folds)`: the fetch and drain plans per fold (see
-//! [`crate::buffer`]), and for the three [`RepeatLookup`]s a few band
-//! periods of each long fold stream and a few walks of each run of fold
-//! streams moved by whole rows — the rest of the open-row profile
-//! repeats, renamed — and per word only short streams, of those only a
-//! run's first walks. On top of that a [`PlanCache`] memoizes
-//! [`PlannedLayer`]s by `(array, dataflow, GEMM, scratchpad geometry)`,
-//! so topologies that repeat a layer shape (every CNN/ViT) plan it once
-//! and re-time it cheaply against any backing store.
+//! [`crate::buffer`]). Planning does not walk the SRAM open-row lookups:
+//! [`PlannedLayer::sram`] walks the three [`RepeatLookup`]s on its first
+//! call (only the energy stage asks) and keeps the counts with the plan.
+//! A [`PlanCache`] memoizes [`PlannedLayer`]s by `(array, dataflow, GEMM,
+//! scratchpad geometry)`, so topologies that repeat a layer shape (every
+//! CNN/ViT) plan it once, re-time it cheaply against any backing store
+//! and walk its open rows at most once.
 
 use crate::buffer::{
     timing, BackingStore, IdealBandwidthStore, ReadPlanner, TimingInputs, WritePlanner,
@@ -32,7 +30,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Tracks "repeated" SRAM accesses: an access that falls in a currently
 /// open SRAM row costs much less energy than a random one (paper §VII-C).
@@ -40,6 +38,10 @@ use std::sync::{Arc, Condvar, Mutex};
 /// The lookup models `sram_row_buffers` open rows per SRAM (rounded up to
 /// a power of two); an access maps to buffer `(addr / row_words) % buffers`
 /// and is *repeated* when that buffer already holds its row.
+///
+/// Planning does not walk these lookups: [`PlannedLayer::sram`] walks
+/// three of them (ifmap, filter, ofmap) over a plan's folds on its first
+/// call, which only the energy stage makes, once per cached plan.
 ///
 /// # Walking a stream in `O(lanes × a few periods + buffers)`, a run in `O(1)`
 ///
@@ -93,7 +95,7 @@ use std::sync::{Arc, Condvar, Mutex};
 pub struct RepeatLookup {
     row_words: u64,
     /// `log2(row_words)` when the row size is a power of two (the common
-    /// configuration): the per-access division in the planning hot loop
+    /// configuration): the per-access division in the walk's hot loop
     /// then strength-reduces to a shift.
     row_shift: Option<u32>,
     /// Per slot, its open row and the [`clock`](Self::clock) of its last
@@ -327,7 +329,7 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 }
 
 /// A planned layer: everything needed to time it against any backing store.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct PlannedLayer {
     /// Timing inputs for [`timing`].
     pub inputs: TimingInputs,
@@ -335,11 +337,48 @@ pub struct PlannedLayer {
     pub summary: DemandSummary,
     /// Compute summary (stall-free).
     pub compute: ComputeSummary,
-    /// SRAM access profile.
-    pub sram: SramSummary,
+    /// What the plan was built from, and so what [`sram`](Self::sram)
+    /// walks.
+    key: PlanKey,
+    /// The ifmap, filter and ofmap open-row repeats, walked on the first
+    /// [`sram`](Self::sram) call.
+    repeats: OnceLock<[u64; 3]>,
+}
+
+/// Plans are equal whether or not either has walked its open rows yet.
+impl PartialEq for PlannedLayer {
+    fn eq(&self, other: &Self) -> bool {
+        (self.key, self.summary, self.compute) == (other.key, other.summary, other.compute)
+            && self.inputs == other.inputs
+    }
 }
 
 impl PlannedLayer {
+    /// The SRAM access profile (paper §VII-D). The read and write counts
+    /// come with the plan; the open-row repeats are walked over the fold
+    /// streams on the first call and kept with the plan, so a cached
+    /// plan is walked at most once, whoever asks. Concurrent first
+    /// callers wait for the one walk.
+    pub fn sram(&self) -> SramSummary {
+        self.sram_by(walk_repeats)
+    }
+
+    /// [`sram`](Self::sram), walking with `walk` if the plan has not
+    /// walked yet.
+    fn sram_by(&self, walk: impl FnOnce(&PlanKey) -> [u64; 3]) -> SramSummary {
+        let [ifmap, filter, ofmap] = *self.repeats.get_or_init(|| walk(&self.key));
+        let demand = &self.summary;
+        SramSummary {
+            ifmap_reads: demand.ifmap_reads,
+            filter_reads: demand.filter_reads,
+            ofmap_reads: demand.ofmap_reads,
+            ofmap_writes: demand.ofmap_writes,
+            ifmap_repeat_reads: ifmap,
+            filter_repeat_reads: filter,
+            ofmap_repeat_accesses: ofmap,
+        }
+    }
+
     /// Bytes this plan keeps resident while cached: the struct itself
     /// plus every heap vector of its three plans (segments, chunk and
     /// burst tables, needs, miss runs) — `O(folds + chunks)`, whatever
@@ -358,9 +397,24 @@ impl PlannedLayer {
             gemm,
             compute: self.compute,
             memory: timing(&self.inputs, store),
-            sram: self.sram,
         }
     }
+}
+
+/// The open-row repeats of the ifmap, filter and ofmap streams planned
+/// under `key`: one walk of three [`RepeatLookup`]s over the folds.
+fn walk_repeats(key: &PlanKey) -> [u64; 3] {
+    let gen = DemandGenerator::new(key.array, key.dataflow, key.gemm);
+    let folds = gen.geometry().num_folds() as u64;
+    let _span = obs::span(obs::Category::Cache, "repeats").arg("folds", folds);
+    let [mut ifmap, mut filter, mut ofmap] =
+        [(); 3].map(|()| RepeatLookup::new(key.sram_row_words, key.sram_row_buffers));
+    for fold in gen.folds() {
+        ifmap.walk(&fold.ifmap.stream, 1);
+        filter.walk(&fold.filter.stream, 1);
+        ofmap.walk(&fold.ofmap.stream, if fold.accumulate { 2 } else { 1 });
+    }
+    [ifmap.repeats, filter.repeats, ofmap.repeats]
 }
 
 /// Cache key: everything the fetch plans depend on. Deliberately excludes
@@ -691,25 +745,21 @@ impl CoreSim {
     }
 
     /// Runs the planning pass: one walk over the fold descriptors
-    /// producing the fetch plans, demand totals and SRAM profiles for all
-    /// three operands at once.
+    /// producing the fetch plans and demand totals for all three
+    /// operands at once. The SRAM open-row repeats are left to
+    /// [`PlannedLayer::sram`].
     pub fn plan_gemm(&self, gemm: GemmShape) -> PlannedLayer {
         let gen = DemandGenerator::new(self.config.array, self.config.dataflow, gemm);
         let mem = &self.config.memory;
         let mut ifmap = ReadPlanner::new(OperandKind::Ifmap, mem.ifmap_words);
         let mut filter = ReadPlanner::new(OperandKind::Filter, mem.filter_words);
         let mut ofmap = WritePlanner::new(mem.ofmap_words);
-        let [mut ifmap_repeat, mut filter_repeat, mut ofmap_repeat] =
-            [(); 3].map(|()| RepeatLookup::new(mem.sram_row_words, mem.sram_row_buffers));
         for fold in gen.folds() {
             let at = |edge: &EdgeStream| fold.start + edge.start;
             ifmap.observe(fold.ifmap.tile, at(&fold.ifmap), &fold.ifmap.stream);
-            ifmap_repeat.walk(&fold.ifmap.stream, 1);
             filter.observe(fold.filter.tile, at(&fold.filter), &fold.filter.stream);
-            filter_repeat.walk(&fold.filter.stream, 1);
             let (ofmap_at, rmw) = (at(&fold.ofmap), fold.accumulate);
             ofmap.observe(fold.ofmap.tile, ofmap_at, &fold.ofmap.stream, rmw);
-            ofmap_repeat.walk(&fold.ofmap.stream, if rmw { 2 } else { 1 });
         }
 
         let geom = gen.geometry();
@@ -735,15 +785,8 @@ impl CoreSim {
                 utilization: per_pe_cycle(summary.macs),
                 mapping_efficiency: per_pe_cycle(geom.total_active_pe_cycles()),
             },
-            sram: SramSummary {
-                ifmap_reads: summary.ifmap_reads,
-                filter_reads: summary.filter_reads,
-                ofmap_reads: summary.ofmap_reads,
-                ofmap_writes: summary.ofmap_writes,
-                ifmap_repeat_reads: ifmap_repeat.repeats,
-                filter_repeat_reads: filter_repeat.repeats,
-                ofmap_repeat_accesses: ofmap_repeat.repeats,
-            },
+            key: PlanKey::new(&self.config, gemm),
+            repeats: OnceLock::new(),
         }
     }
 
@@ -928,12 +971,70 @@ mod tests {
     #[test]
     fn sram_reads_match_between_summary_and_report() {
         let gemm = GemmShape::new(24, 16, 8);
-        let r = sim(Dataflow::WeightStationary).simulate_gemm(gemm);
+        let s = sim(Dataflow::WeightStationary);
+        let (sram, r) = (s.plan_gemm(gemm).sram(), s.simulate_gemm(gemm));
         // WS: filter reads = K·N prefetches; the ifmap streams once per
         // column fold (N=16 on C=8 → 2 folds), so reads = 2·K·M.
-        assert_eq!(r.sram.filter_reads, (8 * 16) as u64);
-        assert_eq!(r.sram.ifmap_reads, (2 * 8 * 24) as u64);
-        assert!(r.sram.ifmap_repeat_reads <= r.sram.ifmap_reads);
+        assert_eq!(sram.filter_reads, (8 * 16) as u64);
+        assert_eq!(sram.ifmap_reads, (2 * 8 * 24) as u64);
+        let report = (r.memory.ifmap.sram_reads, r.memory.filter.sram_reads);
+        assert_eq!((sram.ifmap_reads, sram.filter_reads), report);
+        assert!(sram.ifmap_repeat_reads <= sram.ifmap_reads);
+    }
+
+    #[test]
+    fn planning_leaves_the_open_row_walk_to_sram() {
+        let gemm = GemmShape::new(40, 28, 12);
+        for df in Dataflow::ALL {
+            let cached = sim(df).with_plan_cache(Arc::new(PlanCache::new()));
+            let (plain, shared) = (sim(df).plan_gemm(gemm), cached.plan_gemm_shared(gemm));
+            let _ = cached.simulate_gemm(gemm); // a hit, timed: no walk either
+            assert!(plain.repeats.get().is_none(), "{df}: plan_gemm walked");
+            assert!(
+                shared.repeats.get().is_none(),
+                "{df}: plan_gemm_shared walked"
+            );
+            let sram = shared.sram();
+            let walked = [
+                sram.ifmap_repeat_reads,
+                sram.filter_repeat_reads,
+                sram.ofmap_repeat_accesses,
+            ];
+            assert_eq!(shared.repeats.get(), Some(&walked), "{df}: the memo");
+            assert_eq!(plain, *shared, "{df}: equality ignores the memo");
+            assert_eq!(plain.sram(), sram, "{df}");
+        }
+    }
+
+    #[test]
+    fn concurrent_sram_readers_share_one_walk() {
+        let plan = sim(Dataflow::OutputStationary).plan_gemm(GemmShape::new(96, 64, 80));
+        let walks = AtomicU64::new(0);
+        let counted = |key: &PlanKey| {
+            walks.fetch_add(1, Ordering::Relaxed);
+            walk_repeats(key)
+        };
+        let start = std::sync::Barrier::new(8);
+        let reads: Vec<SramSummary> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        plan.sram_by(counted)
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(
+            walks.load(Ordering::Relaxed),
+            1,
+            "one walk for eight readers"
+        );
+        assert!(reads.iter().all(|r| *r == reads[0]));
+        let fresh = sim(Dataflow::OutputStationary).plan_gemm(GemmShape::new(96, 64, 80));
+        assert_eq!(fresh.sram(), reads[0]);
+        assert!(reads[0].ifmap_repeat_reads > 0 && reads[0].ofmap_repeat_accesses > 0);
     }
 
     #[test]

@@ -49,11 +49,6 @@ pub struct TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// Creates an empty recorder.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Records a transaction.
     pub(crate) fn record(
         &mut self,
@@ -101,7 +96,7 @@ mod tests {
 
     #[test]
     fn record_and_read_back() {
-        let mut tr = TraceRecorder::new();
+        let mut tr = TraceRecorder::default();
         tr.record(
             0,
             3,

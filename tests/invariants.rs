@@ -30,16 +30,16 @@ use scale_sim::sparse::{NmRatio, SparseFormat, SparsityPattern};
 use scale_sim::systolic::{
     timing, AccessKind as Direction, Addr, AnalyticalModel, ArrayShape, BackingStore, Batch,
     CoreSim, Dataflow, DemandGenerator, DemandSummary, EdgeStream, GemmShape, IdealBandwidthStore,
-    MemoryConfig, MemorySummary, OperandKind, OperandMemoryStats, PlanCache, ReadPlanner,
-    RecordingStore, SimConfig, SramSummary, Stream, TimingInputs, Topology, TraceRecorder,
-    WritePlanner, FILTER_BASE, IFMAP_BASE, OFMAP_BASE,
+    MemoryConfig, MemorySummary, OperandKind, OperandMemoryStats, PlanCache, PlannedLayer,
+    ReadPlanner, RecordingStore, SimConfig, SramSummary, Stream, TimingInputs, Topology,
+    TraceRecorder, WritePlanner, FILTER_BASE, IFMAP_BASE, OFMAP_BASE,
 };
 use scale_sim::{
     DramIntegration, LayoutAnalysis, LayoutIntegration, ScaleSim, ScaleSimConfig, SparsityMode,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The one seed every property derives its cases from.
 const SEED: u64 = 0x5CA1_E51D_0016;
@@ -147,6 +147,17 @@ fn draw_core(rng: &mut SplitMix64) -> (SimConfig, GemmShape) {
     (config, gemm)
 }
 
+/// `gemm` planned on `config` through one plan cache shared by every
+/// property, as the engine plans: the SRAM checks read
+/// [`PlannedLayer::sram`] through the memo of a cached plan.
+fn shared_plan(config: &SimConfig, gemm: GemmShape) -> Arc<PlannedLayer> {
+    static CACHE: OnceLock<Arc<PlanCache>> = OnceLock::new();
+    let cache = Arc::clone(CACHE.get_or_init(Default::default));
+    CoreSim::new(config.clone())
+        .with_plan_cache(cache)
+        .plan_gemm_shared(gemm)
+}
+
 fn describe(config: &SimConfig, gemm: GemmShape) -> String {
     let mem = &config.memory;
     format!(
@@ -168,7 +179,7 @@ fn plan_agrees_with_the_closed_forms() {
         let (config, gemm) = draw_core(rng);
         let what = describe(&config, gemm);
         let (m, n, k) = (gemm.m as u64, gemm.n as u64, gemm.k as u64);
-        let plan = CoreSim::new(config.clone()).plan_gemm(gemm);
+        let plan = shared_plan(&config, gemm);
 
         // Cycles: exact closed form, bounded by Eq. 1, equal when the
         // mapped dimensions divide the array.
@@ -202,16 +213,11 @@ fn plan_agrees_with_the_closed_forms() {
         let streamed = streamed.0;
         assert_eq!(generator.summary(), streamed, "{what}");
         assert_eq!(plan.summary, streamed, "{what}");
-        assert_eq!(plan.sram.ifmap_reads, streamed.ifmap_reads, "{what}");
-        assert_eq!(plan.sram.filter_reads, streamed.filter_reads, "{what}");
-        assert!(
-            plan.sram.ifmap_repeat_reads <= plan.sram.ifmap_reads,
-            "{what}"
-        );
-        assert!(
-            plan.sram.filter_repeat_reads <= plan.sram.filter_reads,
-            "{what}"
-        );
+        let sram = plan.sram();
+        assert_eq!(sram.ifmap_reads, streamed.ifmap_reads, "{what}");
+        assert_eq!(sram.filter_reads, streamed.filter_reads, "{what}");
+        assert!(sram.ifmap_repeat_reads <= sram.ifmap_reads, "{what}");
+        assert!(sram.filter_repeat_reads <= sram.filter_reads, "{what}");
 
         // Operand coverage: each input word is fetched at least once, and
         // DRAM traffic can only add capacity refetches to that footprint.
@@ -1623,12 +1629,12 @@ fn fold_granular_plan_equals_the_per_address_reference() {
             let mut store = reference::Store::new(bandwidth);
             let want = reference::timing(&pass, &mut store);
 
-            let plan = CoreSim::new(config.clone()).plan_gemm(gemm);
+            let plan = shared_plan(&config, gemm);
             let mut recorder = RecordingStore::new(IdealBandwidthStore::new(bandwidth));
             let got = timing(&plan.inputs, &mut recorder);
 
             assert_eq!(got, want, "{what}: memory summary");
-            assert_eq!(plan.sram, pass.sram(), "{what}: SRAM summary");
+            assert_eq!(plan.sram(), pass.sram(), "{what}: SRAM summary");
             let trace = recorder.trace();
             let (entries, transactions) = (trace.entries(), &store.transactions);
             assert_eq!(entries.len(), transactions.len(), "{what}: transactions");
@@ -1843,9 +1849,9 @@ fn sram_summary_equals_the_per_word_reference_at_llm_scale() {
     for (config, topology) in llm_scale_cases() {
         let gemms: HashSet<GemmShape> = topology.iter().map(|layer| layer.gemm()).collect();
         for gemm in gemms {
-            let plan = CoreSim::new(config.clone()).plan_gemm(gemm);
+            let plan = shared_plan(&config, gemm);
             let what = format!("{}: {}", topology.name(), describe(&config, gemm));
-            assert_eq!(plan.sram, reference::sram(&config, gemm), "{what}");
+            assert_eq!(plan.sram(), reference::sram(&config, gemm), "{what}");
         }
     }
 }
