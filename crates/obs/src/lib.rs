@@ -65,7 +65,8 @@ pub enum Category {
     Sched = 0,
     /// Per-layer pipeline stages (sparsify/compute/dram/…).
     Pipeline = 1,
-    /// Plan-cache hits, misses and evictions.
+    /// Plan-cache hits, misses and evictions, and the SRAM open-row walk
+    /// of a cached plan.
     Cache = 2,
     /// Cycle-accurate DRAM re-timing.
     Dram = 3,
