@@ -509,13 +509,13 @@ SparseRatio : 2:4
     #[test]
     fn dram_model_selects_the_named_preset() {
         let c = parse_cfg("[dram]\nModel : hbm2\n").unwrap();
-        assert_eq!(c.dram.spec.name, DramSpec::hbm2().name);
+        assert_eq!(c.dram.spec.name, DramSpec::HBM2.name);
         // The HBM2 command clock retimes the core:memory clock ratio.
         let mem_clock_hz = 1.0e12 / c.dram.spec.timing.tCK_ps as f64;
         assert!((c.dram.mem_cycles_per_core_cycle - mem_clock_hz / 1.0e9).abs() < 1e-9);
         // Case-insensitive like every other cfg value.
         let c = parse_cfg("[dram]\nModel : HBM2\n").unwrap();
-        assert_eq!(c.dram.spec.name, DramSpec::hbm2().name);
+        assert_eq!(c.dram.spec.name, DramSpec::HBM2.name);
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl DramIntegration {
 impl Default for DramIntegration {
     fn default() -> Self {
         Self {
-            spec: DramSpec::ddr4_2400_4gb(),
+            spec: DramSpec::DDR4_2400_4GB,
             channels: 1,
             mapping: AddressMapping::default(),
             read_queue: 128,

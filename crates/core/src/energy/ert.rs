@@ -118,19 +118,6 @@ impl EnergyTable {
     pub(crate) fn sram_leak_pj_per_cycle(&self, bytes: usize) -> f64 {
         self.sram_idle_pj * (bytes as f64 / 1024.0)
     }
-
-    /// Scales all dynamic energies by a factor (e.g. technology scaling or
-    /// voltage scaling studies).
-    pub fn scaled(mut self, factor: f64) -> Self {
-        self.mac_random_pj *= factor;
-        self.mac_constant_pj *= factor;
-        self.spad_read_pj *= factor;
-        self.spad_write_pj *= factor;
-        self.sram_access_base_pj *= factor;
-        self.dram_access_pj *= factor;
-        self.noc_word_pj *= factor;
-        self
-    }
 }
 
 impl Default for EnergyTable {
@@ -155,10 +142,5 @@ impl EnergyModel {
             arch,
             table: EnergyTable::eyeriss_65nm(),
         }
-    }
-
-    /// Creates a model with a custom table.
-    pub fn with_table(arch: ArchSpec, table: EnergyTable) -> Self {
-        Self { arch, table }
     }
 }

@@ -15,8 +15,6 @@
 //!   reads and MAC counts, `idle = cycles · ports − accesses`);
 //! * an **energy report** ([`report`]) composes the two into per-component
 //!   energy, average power and energy-delay product;
-//! * **system-state validation** ([`validate`]) reproduces Table III's
-//!   idle / active / power-gated comparison against PnR reference values;
 //! * an **area reference table** ([`area`]) — the Accelergy area-reporting
 //!   counterpart — composes per-component silicon area (PE array, SRAMs,
 //!   NoC, SIMD unit, DRAM controllers) over the same [`ArchSpec`],
@@ -38,10 +36,8 @@ pub mod actions;
 pub mod area;
 pub mod ert;
 pub mod report;
-pub mod validate;
 
 pub use actions::{ActionCounts, LayerActivity};
 pub use area::{AreaBreakdown, AreaConfig, AreaTable};
 pub use ert::{ArchSpec, EnergyModel, EnergyTable};
 pub(crate) use report::EnergyReport;
-pub use validate::system_state_table;

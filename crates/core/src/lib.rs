@@ -11,15 +11,19 @@
 //! | feature (paper section) | module |
 //! |---|---|
 //! | cycle-accurate systolic core (v2 substrate) | [`systolic`] (crate) |
-//! | multi-core & spatio-temporal partitioning (§III) | [`multicore`] |
+//! | multi-core & spatio-temporal partitioning, shared L2 (§III) | [`multicore`] |
 //! | N:M sparsity (§IV) | [`sparse`] |
 //! | cycle-accurate DRAM (§V) | [`mem`] (crate) |
 //! | on-chip data layout (§VI) | [`layout`] |
 //! | energy & power (§VII) | [`energy`] |
 //! | multi-chip scale-out collectives & parallelism | [`collective`] |
 //! | LLM workload generation | [`llm`] |
-//! | evaluation workloads | [`workloads`] |
+//! | evaluation workloads (the `topologies/*.csv` registry) | [`workloads`] |
 //! | design-space-exploration sweeps | [`sweep`] |
+//!
+//! The paper's Fig. 3 partition search, §III-D non-uniform NoP split
+//! and Table III system states are reached by no request: they live in
+//! `crates/repro`, beside the ledger rows that run them.
 //!
 //! ## End-to-end example
 //!
@@ -126,17 +130,8 @@ mod exec;
 #[path = "../unit_tests/fabric.rs"]
 mod fabric;
 #[cfg(test)]
-#[path = "../unit_tests/gemm.rs"]
-mod gemm;
-#[cfg(test)]
 #[path = "../unit_tests/l2.rs"]
 mod l2;
-#[cfg(test)]
-#[path = "../unit_tests/nonuniform.rs"]
-mod nonuniform;
-#[cfg(test)]
-#[path = "../unit_tests/nop.rs"]
-mod nop;
 #[cfg(test)]
 #[path = "../unit_tests/pareto.rs"]
 mod pareto;
@@ -167,9 +162,6 @@ mod tests;
 #[cfg(test)]
 #[path = "../unit_tests/timeline.rs"]
 mod timeline;
-#[cfg(test)]
-#[path = "../unit_tests/validate.rs"]
-mod validate;
 #[cfg(test)]
 #[path = "../unit_tests/vit.rs"]
 mod vit;

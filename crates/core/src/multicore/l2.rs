@@ -10,22 +10,10 @@
 use crate::multicore::partition::{MappingDims, PartitionGrid, PartitionScheme};
 
 /// Shared-L2 configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct L2Config {
     /// L2 capacity in words (0 = size it automatically to the partitions).
     pub capacity_words: usize,
-    /// Whether duplicated partitions are stored once (the feature's point;
-    /// disable only for ablation).
-    pub(crate) dedup_duplicates: bool,
-}
-
-impl Default for L2Config {
-    fn default() -> Self {
-        Self {
-            capacity_words: 0,
-            dedup_duplicates: true,
-        }
-    }
 }
 
 /// L2 analysis results for one layer and partitioning.

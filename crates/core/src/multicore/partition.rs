@@ -3,19 +3,13 @@
 //! A GEMM maps to `(Sr, Sc, T)` per the dataflow (Table II). With
 //! `Pr × Pc` cores the three schemes divide:
 //!
-//! * **Spatial** (Eq. 1): `Sr/Pr` on rows, `Sc/Pc` on columns —
-//!   `cycles = (2R + C + T − 2) · ⌈(Sr/Pr)/R⌉ · ⌈(Sc/Pc)/C⌉`
-//! * **Spatio-temporal 1** (Eq. 2): `Sr/Pr` and `T/Pc` —
-//!   `cycles = (2R + C + ⌈T/Pc⌉ − 2) · ⌈(Sr/Pr)/R⌉ · ⌈Sc/C⌉`
-//! * **Spatio-temporal 2** (Eq. 3): `T/Pr` and `Sc/Pc` —
-//!   `cycles = (2R + C + ⌈T/Pr⌉ − 2) · ⌈Sr/R⌉ · ⌈(Sc/Pc)/C⌉`
+//! * **Spatial** (Eq. 1): `Sr/Pr` on rows, `Sc/Pc` on columns;
+//! * **Spatio-temporal 1** (Eq. 2): `Sr/Pr` and `T/Pc`;
+//! * **Spatio-temporal 2** (Eq. 3): `T/Pr` and `Sc/Pc`.
 //!
-//! Memory footprint counts the per-core operand partitions *with
-//! duplication* (Fig. 4): cores in the same grid row share the input
-//! partition, cores in the same column share the weight partition, and
-//! temporal partitioning of `T` replicates partial outputs instead.
+//! [`core_subgemm`] is the GEMM one core of the grid executes; the
+//! engine plans it for the representative core (`sim.rs`).
 
-use crate::multicore::l2::L2Config;
 use scalesim_systolic::{ArrayShape, Dataflow, FoldGeometry, GemmShape};
 use std::fmt;
 
@@ -120,31 +114,6 @@ impl PartitionGrid {
     }
 }
 
-fn ceil(a: usize, b: usize) -> usize {
-    a.div_ceil(b)
-}
-
-/// Per-core runtime in cycles under a scheme (Eqs. 1–3).
-pub fn runtime_cycles(
-    array: ArrayShape,
-    scheme: PartitionScheme,
-    dims: MappingDims,
-    grid: PartitionGrid,
-) -> u64 {
-    let r = array.rows();
-    let c = array.cols();
-    let (temporal, sr_part, sc_part) = match scheme {
-        PartitionScheme::Spatial => (dims.t, ceil(dims.sr, grid.pr), ceil(dims.sc, grid.pc)),
-        PartitionScheme::SpatioTemporal1 => {
-            (ceil(dims.t, grid.pc), ceil(dims.sr, grid.pr), dims.sc)
-        }
-        PartitionScheme::SpatioTemporal2 => {
-            (ceil(dims.t, grid.pr), dims.sr, ceil(dims.sc, grid.pc))
-        }
-    };
-    (2 * r + c + temporal - 2) as u64 * ceil(sr_part, r) as u64 * ceil(sc_part, c) as u64
-}
-
 /// The sub-GEMM one core executes under a scheme.
 pub fn core_subgemm(
     dataflow: Dataflow,
@@ -155,111 +124,20 @@ pub fn core_subgemm(
     let dims = MappingDims::new(dataflow, gemm);
     let sub = match scheme {
         PartitionScheme::Spatial => MappingDims {
-            sr: ceil(dims.sr, grid.pr),
-            sc: ceil(dims.sc, grid.pc),
+            sr: dims.sr.div_ceil(grid.pr),
+            sc: dims.sc.div_ceil(grid.pc),
             t: dims.t,
         },
         PartitionScheme::SpatioTemporal1 => MappingDims {
-            sr: ceil(dims.sr, grid.pr),
+            sr: dims.sr.div_ceil(grid.pr),
             sc: dims.sc,
-            t: ceil(dims.t, grid.pc),
+            t: dims.t.div_ceil(grid.pc),
         },
         PartitionScheme::SpatioTemporal2 => MappingDims {
             sr: dims.sr,
-            sc: ceil(dims.sc, grid.pc),
-            t: ceil(dims.t, grid.pr),
+            sc: dims.sc.div_ceil(grid.pc),
+            t: dims.t.div_ceil(grid.pr),
         },
     };
     sub.to_gemm(dataflow)
-}
-
-/// Total on-chip memory footprint in words across all cores, including
-/// inter-core duplication (Fig. 4). With a shared L2, duplicated operand
-/// partitions are stored once.
-pub fn memory_footprint_words(
-    scheme: PartitionScheme,
-    dims: MappingDims,
-    grid: PartitionGrid,
-    l2: Option<&L2Config>,
-) -> u64 {
-    let (sr, sc, t) = (dims.sr as u64, dims.sc as u64, dims.t as u64);
-    let (pr, pc) = (grid.pr as u64, grid.pc as u64);
-    let dedup = l2.map(|cfg| cfg.dedup_duplicates).unwrap_or(false);
-    match scheme {
-        PartitionScheme::Spatial => {
-            // Input partitions duplicated along grid columns, weight
-            // partitions along grid rows; outputs disjoint.
-            let a = if dedup { sr * t } else { pc * sr * t };
-            let b = if dedup { sc * t } else { pr * sc * t };
-            a + b + sr * sc
-        }
-        PartitionScheme::SpatioTemporal1 => {
-            // A split both ways (no duplication); B duplicated along rows;
-            // partial outputs replicated across the Pc temporal slices.
-            let b = if dedup { sc * t } else { pr * sc * t };
-            sr * t + b + pc * sr * sc
-        }
-        PartitionScheme::SpatioTemporal2 => {
-            let a = if dedup { sr * t } else { pc * sr * t };
-            a + sc * t + pr * sr * sc
-        }
-    }
-}
-
-/// What to optimize in a partition search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionObjective {
-    /// Minimize per-core runtime (Fig. 3a).
-    ComputeCycles,
-    /// Minimize total on-chip footprint (Fig. 3b).
-    MemoryFootprint,
-}
-
-/// A evaluated `(scheme, grid)` candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionChoice {
-    /// Scheme used.
-    pub scheme: PartitionScheme,
-    /// Grid used.
-    pub grid: PartitionGrid,
-    /// Per-core runtime (Eqs. 1–3).
-    pub cycles: u64,
-    /// Total footprint with duplication.
-    pub footprint_words: u64,
-}
-
-/// All `(pr, pc)` factorizations of `cores`.
-pub fn factor_pairs(cores: usize) -> Vec<PartitionGrid> {
-    let mut v = Vec::new();
-    for pr in 1..=cores {
-        if cores.is_multiple_of(pr) {
-            v.push(PartitionGrid::new(pr, cores / pr));
-        }
-    }
-    v
-}
-
-/// Finds the best grid for a scheme by the given objective (ties broken
-/// by the other metric).
-pub fn best_partition(
-    array: ArrayShape,
-    scheme: PartitionScheme,
-    dims: MappingDims,
-    cores: usize,
-    objective: PartitionObjective,
-    l2: Option<&L2Config>,
-) -> PartitionChoice {
-    factor_pairs(cores)
-        .into_iter()
-        .map(|grid| PartitionChoice {
-            scheme,
-            grid,
-            cycles: runtime_cycles(array, scheme, dims, grid),
-            footprint_words: memory_footprint_words(scheme, dims, grid, l2),
-        })
-        .min_by_key(|c| match objective {
-            PartitionObjective::ComputeCycles => (c.cycles, c.footprint_words),
-            PartitionObjective::MemoryFootprint => (c.footprint_words, c.cycles),
-        })
-        .expect("cores ≥ 1 always yields at least one grid")
 }

@@ -433,9 +433,9 @@ mod tests {
         let grid = spec("dram = true\ndram_model = hbm2, lpddr4_3200\n").expand();
         let a = apply_point(&base, &grid[0]);
         assert!(a.enable_dram);
-        assert_eq!(a.dram.spec.name, scalesim_mem::DramSpec::hbm2().name);
+        assert_eq!(a.dram.spec.name, scalesim_mem::DramSpec::HBM2.name);
         let b = apply_point(&base, &grid[1]);
-        assert_eq!(b.dram.spec.name, scalesim_mem::DramSpec::lpddr4_3200().name);
+        assert_eq!(b.dram.spec.name, scalesim_mem::DramSpec::LPDDR4_3200.name);
         assert_ne!(
             a.dram.mem_cycles_per_core_cycle,
             b.dram.mem_cycles_per_core_cycle

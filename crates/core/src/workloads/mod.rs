@@ -2,8 +2,7 @@
 //!
 //! The workload topologies used by the SCALE-Sim v3 paper's evaluation:
 //! ResNet-18, ResNet-50, AlexNet, ViT (small/base/large), an R-CNN-style
-//! detector backbone, a CIFAR-scale CNN, and the GEMM sets of the
-//! paper's figures.
+//! detector backbone and a CIFAR-scale CNN.
 //!
 //! Each network is declared once, as the SCALE-Sim topology CSV shipped
 //! in `topologies/` (the same files `-t` reads); this module embeds
@@ -22,10 +21,6 @@
 //! assert!(net.len() > 15);
 //! assert!(by_name("vit-base").is_some());
 //! ```
-
-pub mod gemm;
-
-pub use gemm::fig3_gemm_workloads;
 
 use crate::llm::LlmSpec;
 use scalesim_systolic::Topology;
@@ -108,12 +103,4 @@ pub(crate) fn by_name_or_err(name: &str) -> Result<Topology, String> {
             LlmSpec::preset_names().join(", "),
         )
     })
-}
-
-/// All named workloads with their canonical names.
-pub fn all_workloads() -> Vec<Topology> {
-    REGISTRY
-        .iter()
-        .map(|(name, _, csv)| shipped(name, csv))
-        .collect()
 }

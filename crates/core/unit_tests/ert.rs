@@ -42,10 +42,40 @@ mod tests {
 
     #[test]
     fn scaling_factor_applies_to_dynamic_only() {
-        let t = EnergyTable::eyeriss_65nm().scaled(0.5);
+        // A technology or voltage study scales every dynamic per-action
+        // energy by one factor; the report scales the dynamic energy by
+        // it and leaves the gated and leakage energy alone.
         let base = EnergyTable::eyeriss_65nm();
-        assert!((t.mac_random_pj - base.mac_random_pj / 2.0).abs() < 1e-9);
-        assert_eq!(t.mac_gated_pj, base.mac_gated_pj);
+        let factor = 0.5;
+        let table = EnergyTable {
+            mac_random_pj: base.mac_random_pj * factor,
+            mac_constant_pj: base.mac_constant_pj * factor,
+            spad_read_pj: base.spad_read_pj * factor,
+            spad_write_pj: base.spad_write_pj * factor,
+            sram_access_base_pj: base.sram_access_base_pj * factor,
+            dram_access_pj: base.dram_access_pj * factor,
+            noc_word_pj: base.noc_word_pj * factor,
+            ..base
+        };
+        let arch = ArchSpec::new(16, 16, 64 << 10, 64 << 10, 32 << 10);
+        let (model, scaled) = (EnergyModel::eyeriss_65nm(arch), EnergyModel { arch, table });
+        let dynamic = crate::energy::ActionCounts {
+            mac_random: 1000,
+            ifmap_spad_reads: 300,
+            psum_spad_writes: 200,
+            ifmap_sram_random: 50,
+            dram_reads: 7,
+            noc_words: 11,
+            ..Default::default()
+        };
+        let (e1, e2) = (model.evaluate(&dynamic, 0), scaled.evaluate(&dynamic, 0));
+        assert!((e2.total_pj() / e1.total_pj() - factor).abs() < 1e-9);
+        let gated = crate::energy::ActionCounts {
+            mac_gated: 1000,
+            ..Default::default()
+        };
+        let at = |m: &EnergyModel| m.evaluate(&gated, 100).total_pj();
+        assert_eq!(at(&scaled), at(&model));
     }
 
     #[test]

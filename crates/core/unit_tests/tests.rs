@@ -6,8 +6,15 @@ use scalesim_systolic::Topology;
 
 #[test]
 fn registry_resolves_all_names() {
-    for t in all_workloads() {
-        assert!(by_name(t.name()).is_some(), "{} not resolvable", t.name());
+    let topologies = concat!(env!("CARGO_MANIFEST_DIR"), "/../../topologies");
+    for (name, _, csv) in REGISTRY {
+        let net = by_name(name).unwrap_or_else(|| panic!("{name} not resolvable"));
+        assert_eq!(net.name(), name);
+        // The row embeds the `topologies/` file of its name.
+        let stem = name.replace('-', "_");
+        let file = [format!("{stem}.csv"), format!("{stem}_gemm.csv")]
+            .map(|file| std::fs::read_to_string(format!("{topologies}/{file}")));
+        assert!(file.iter().flatten().any(|text| text == csv), "{name}");
     }
     assert!(by_name("nonexistent").is_none());
     // Every spelling of a network, in any case, is the same network.
@@ -45,7 +52,8 @@ fn unknown_workload_error_names_the_full_vocabulary() {
 
 #[test]
 fn every_workload_is_nonempty_and_valid() {
-    for t in all_workloads() {
+    for (name, ..) in REGISTRY {
+        let t = by_name(name).expect("a registry row");
         assert!(!t.is_empty(), "{} empty", t.name());
         assert!(
             t.total_macs() > 1_000_000,

@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn robaracoch_interleaves_channels_finely() {
-        let spec = DramSpec::ddr4_2400();
+        let spec = DramSpec::DDR4_2400;
         let m = AddressMapping::RoBaRaCoCh;
         let a = m.decode(0, &spec.org, 4);
         let b = m.decode(64, &spec.org, 4); // next burst
@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn chrabaroco_keeps_stream_in_one_channel() {
-        let spec = DramSpec::ddr4_2400();
+        let spec = DramSpec::DDR4_2400;
         let m = AddressMapping::ChRaBaRoCo;
         for i in 0..64u64 {
             let d = m.decode(i * 64, &spec.org, 4);
@@ -154,7 +154,7 @@ mod tests {
 
     #[test]
     fn decode_fields_in_range() {
-        let spec = DramSpec::hbm2();
+        let spec = DramSpec::HBM2;
         for scheme in [
             AddressMapping::RoBaRaCoCh,
             AddressMapping::RoRaBaChCo,
@@ -176,7 +176,7 @@ mod tests {
     fn consecutive_rows_reuse_banks() {
         // In RoBaRaCoCh the row bits are the most significant: walking a
         // whole row's worth of columns then moving on reuses the same bank.
-        let spec = DramSpec::ddr3_1600();
+        let spec = DramSpec::DDR3_1600;
         let m = AddressMapping::RoBaRaCoCh;
         let a = m.decode(0, &spec.org, 1);
         let row_bytes = (spec.org.columns / spec.org.burst_length) as u64
@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn flat_bank_is_dense() {
-        let spec = DramSpec::ddr4_2400();
+        let spec = DramSpec::DDR4_2400;
         let mut seen = std::collections::HashSet::new();
         for bg in 0..4 {
             for b in 0..4 {

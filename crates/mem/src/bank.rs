@@ -93,7 +93,7 @@ mod tests {
     use crate::spec::DramSpec;
 
     fn t() -> DramTiming {
-        DramSpec::ddr4_2400().timing
+        DramSpec::DDR4_2400.timing
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! ```
 //! use scalesim_mem::{verify_timing, CommandKind, CommandLog, DramSpec};
 //!
-//! let spec = DramSpec::ddr4_2400();
+//! let spec = DramSpec::DDR4_2400;
 //! let mut log = CommandLog::new();
 //! log.push(0, CommandKind::Act, 0, 0, 0, 7);
 //! log.push(spec.timing.tRCD, CommandKind::Rd, 0, 0, 0, 7);
@@ -387,7 +387,7 @@ mod tests {
     use super::*;
 
     fn spec() -> DramSpec {
-        DramSpec::ddr4_2400()
+        DramSpec::DDR4_2400
     }
 
     /// Legal little scenario builder: ACT, RD, PRE with exact minimum gaps.

@@ -719,7 +719,7 @@ mod tests {
 
     #[test]
     fn single_read_latency_is_miss_path() {
-        let spec = DramSpec::ddr4_2400();
+        let spec = DramSpec::DDR4_2400;
         let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage);
         c.enqueue(1, addr_of(0, &spec), AccessKind::Read, 0);
         let done = reads_from(&mut c, 0, 1, 1000);
@@ -733,7 +733,7 @@ mod tests {
 
     #[test]
     fn second_read_same_row_is_hit() {
-        let spec = DramSpec::ddr4_2400();
+        let spec = DramSpec::DDR4_2400;
         let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage);
         c.enqueue(1, addr_of(0, &spec), AccessKind::Read, 0);
         c.enqueue(2, addr_of(64, &spec), AccessKind::Read, 0);
@@ -751,7 +751,7 @@ mod tests {
 
     #[test]
     fn row_conflict_requires_precharge() {
-        let spec = DramSpec::ddr4_2400();
+        let spec = DramSpec::DDR4_2400;
         let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage);
         // Same bank, different row: row stride in RoBaRaCoCh is
         // banks × colslots × burst bytes.
@@ -769,7 +769,7 @@ mod tests {
 
     #[test]
     fn frfcfs_reorders_hit_over_older_conflict() {
-        let spec = DramSpec::ddr4_2400();
+        let spec = DramSpec::DDR4_2400;
         let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage);
         let row_stride = (spec.org.columns / spec.org.burst_length) as u64
             * spec.org.burst_bytes() as u64
@@ -794,7 +794,7 @@ mod tests {
 
     #[test]
     fn fcfs_does_not_reorder() {
-        let spec = DramSpec::ddr4_2400();
+        let spec = DramSpec::DDR4_2400;
         let mut c = ChannelController::new(spec, SchedulingPolicy::Fcfs, RowPolicy::OpenPage);
         let row_stride = (spec.org.columns / spec.org.burst_length) as u64
             * spec.org.burst_bytes() as u64
@@ -813,7 +813,7 @@ mod tests {
 
     #[test]
     fn writes_complete_on_issue_not_data() {
-        let spec = DramSpec::ddr4_2400();
+        let spec = DramSpec::DDR4_2400;
         let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage);
         c.enqueue(1, addr_of(0, &spec), AccessKind::Write, 0);
         let done = (0..1000).find_map(|now| c.tick(now)).expect("a completion");
@@ -825,7 +825,7 @@ mod tests {
     #[test]
     fn bank_parallelism_beats_serial_misses() {
         // Two misses to different banks should overlap their ACT latency.
-        let spec = DramSpec::ddr4_2400();
+        let spec = DramSpec::DDR4_2400;
         let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage);
         c.enqueue(1, addr_of(0, &spec), AccessKind::Read, 0);
         // Different bank: next burst in bank-interleaved space (column bits
@@ -845,7 +845,7 @@ mod tests {
 
     #[test]
     fn refresh_happens_periodically() {
-        let spec = DramSpec::ddr4_2400();
+        let spec = DramSpec::DDR4_2400;
         let mut c = ChannelController::new(spec, SchedulingPolicy::FrFcfs, RowPolicy::OpenPage);
         for now in 0..(spec.timing.tREFI * 3 + 10) {
             c.tick(now);

@@ -41,7 +41,7 @@
 //! use scalesim_mem::{AccessKind, DramConfig, DramSpec, DramSystem};
 //!
 //! let mut dram = DramSystem::new(DramConfig {
-//!     spec: DramSpec::ddr4_2400(),
+//!     spec: DramSpec::DDR4_2400,
 //!     channels: 2,
 //!     ..DramConfig::default()
 //! });

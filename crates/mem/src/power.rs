@@ -213,7 +213,7 @@ pub(crate) mod tests {
 
     #[test]
     fn single_read_energy_by_hand() {
-        let spec = DramSpec::ddr4_2400();
+        let spec = DramSpec::DDR4_2400;
         let stats = MemStats {
             reads: 1,
             activates: 1,
@@ -243,7 +243,7 @@ pub(crate) mod tests {
 
     #[test]
     fn idle_run_is_background_only() {
-        let spec = DramSpec::ddr4_2400();
+        let spec = DramSpec::DDR4_2400;
         let stats = MemStats {
             end_cycle: 1000,
             ..Default::default()
@@ -261,7 +261,7 @@ pub(crate) mod tests {
 
     #[test]
     fn more_traffic_more_energy() {
-        let spec = DramSpec::ddr4_2400();
+        let spec = DramSpec::DDR4_2400;
         let (small, _) = streaming_energy(spec, 64);
         let (large, _) = streaming_energy(spec, 512);
         assert!(large.total_pj() > small.total_pj());
@@ -270,7 +270,7 @@ pub(crate) mod tests {
 
     #[test]
     fn row_open_cycles_recorded_by_controller() {
-        let (_, stats) = streaming_energy(DramSpec::ddr4_2400(), 256);
+        let (_, stats) = streaming_energy(DramSpec::DDR4_2400, 256);
         assert!(stats.row_open_cycles > 0, "open-page rows must accrue time");
         assert!(
             stats.row_open_cycles <= stats.end_cycle,
@@ -297,10 +297,10 @@ pub(crate) mod tests {
         // The headline reason HBM/WIO exist: fewer pJ per bit than DDR;
         // GDDR trades energy for bandwidth.
         let ppb = |spec: DramSpec| streaming_energy(spec, 512).0.pj_per_bit();
-        let hbm = ppb(DramSpec::hbm2());
-        let ddr4 = ppb(DramSpec::ddr4_2400());
-        let gddr5 = ppb(DramSpec::gddr5_6000());
-        let wio2 = ppb(DramSpec::wio2());
+        let hbm = ppb(DramSpec::HBM2);
+        let ddr4 = ppb(DramSpec::DDR4_2400);
+        let gddr5 = ppb(DramSpec::GDDR5_6000);
+        let wio2 = ppb(DramSpec::WIO2);
         assert!(wio2 < hbm, "WIO2 ({wio2}) should be below HBM2 ({hbm})");
         assert!(hbm < ddr4, "HBM2 ({hbm}) should be below DDR4 ({ddr4})");
         assert!(
@@ -312,7 +312,7 @@ pub(crate) mod tests {
     #[test]
     fn background_scales_with_channels() {
         // Fig. 9's caveat: every extra channel pays standby power.
-        let spec = DramSpec::ddr4_2400();
+        let spec = DramSpec::DDR4_2400;
         let stats = MemStats {
             end_cycle: 10_000,
             ..Default::default()

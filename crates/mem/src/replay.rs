@@ -191,7 +191,7 @@ mod tests {
         };
         // Stride of a prime number of rows scatters across rows of the
         // same banks.
-        let spec = DramSpec::ddr4_2400();
+        let spec = DramSpec::DDR4_2400;
         let row_stride = (spec.org.columns / spec.org.burst_length) as u64
             * spec.org.burst_bytes() as u64
             * spec.org.banks() as u64;

@@ -49,7 +49,7 @@ pub struct DramConfig {
 impl Default for DramConfig {
     fn default() -> Self {
         Self {
-            spec: DramSpec::ddr4_2400(),
+            spec: DramSpec::DDR4_2400,
             channels: 1,
             mapping: AddressMapping::default(),
             read_queue: 128,
@@ -262,7 +262,7 @@ mod tests {
 
     fn small_config() -> DramConfig {
         DramConfig {
-            spec: DramSpec::ddr4_2400(),
+            spec: DramSpec::DDR4_2400,
             channels: 2,
             read_queue: 4,
             write_queue: 4,
@@ -392,8 +392,8 @@ mod tests {
             assert_eq!(completed, 256);
             sys.now()
         };
-        let single = run(DramSpec::ddr4_2400());
-        let dual = run(DramSpec::ddr4_2400_2rank());
+        let single = run(DramSpec::DDR4_2400);
+        let dual = run(DramSpec::DDR4_2400_2RANK);
         assert!(
             dual <= single,
             "dual-rank ({dual}) slower than single-rank ({single})"

@@ -259,6 +259,15 @@ const FEATURES: [(&str, &str, usize); 6] = [
     ("layout", "layout = true\n", 4),
 ];
 
+/// Timing pairs per Table IV feature point.
+const PAIRS: usize = 9;
+
+/// The middle of `values` (the upper middle of an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
 pub(crate) fn tab04_overhead(run: &mut Run) {
     let workloads = [
         part(workload("alexnet"), 0..6),
@@ -268,30 +277,42 @@ pub(crate) fn tab04_overhead(run: &mut Run) {
     // TPU-v2-like: one big WS core, 128x128, 12 MB of SRAM. Every point
     // is timed cold, on an empty cache of its own: Table IV compares
     // whole simulations, and a feature point shares every compute plan
-    // with its baseline. A baseline plans without walking the SRAM open
-    // rows and takes ~1 ms or less, where one timing on a shared box is
-    // off by half, so each point keeps its best of three.
+    // with its baseline.
     let cold = |feature: &str, n: usize, w: &Topology| {
         let grid = format!("array = 128x128\ndataflow = ws\nsram_kb = 4096/4096/4096\n{feature}");
-        let once = || {
-            let (cache, started) = (Arc::new(PlanCache::new()), Instant::now());
-            let report = sweep_on(&cache, &base(n, 128), &grid, std::slice::from_ref(w));
-            std::hint::black_box(report);
-            started.elapsed().as_secs_f64()
-        };
-        (0..3).map(|_| once()).fold(f64::INFINITY, f64::min)
+        let (cache, started) = (Arc::new(PlanCache::new()), Instant::now());
+        let report = sweep_on(&cache, &base(n, 128), &grid, std::slice::from_ref(w));
+        std::hint::black_box(report);
+        started.elapsed().as_secs_f64()
     };
+    // A baseline takes ~1 ms or less, where one timing on a shared box
+    // is off by half: each point is timed in pairs with its baseline,
+    // the two in alternating order so a slow spell hits both sides, and
+    // keeps the median of the pairs' ratios.
     run.row("workload,feature,seconds,overhead_x");
     let mut means = [0.0; FEATURES.len()];
     for w in &workloads {
-        let (name, baseline) = (w.name(), cold("", 4, w).max(1e-6));
-        run.row(format!("{name},baseline,{baseline:.3},1.00"));
+        let mut baselines = Vec::new();
+        let mut rows = Vec::new();
         for ((feature, line, n), mean) in FEATURES.iter().zip(&mut means) {
-            let seconds = cold(line, *n, w);
-            let overhead = seconds / baseline;
-            run.row(format!("{name},{feature},{seconds:.3},{overhead:.2}"));
+            let pairs: Vec<(f64, f64)> = (0..PAIRS)
+                .map(|i| match i % 2 {
+                    0 => (cold("", 4, w), cold(line, *n, w)),
+                    _ => {
+                        let point = cold(line, *n, w);
+                        (cold("", 4, w), point)
+                    }
+                })
+                .collect();
+            let overhead = median(pairs.iter().map(|(b, p)| p / b.max(1e-6)).collect());
+            let seconds = median(pairs.iter().map(|&(_, p)| p).collect());
+            baselines.extend(pairs.iter().map(|&(b, _)| b));
+            rows.push(format!("{},{feature},{seconds:.3},{overhead:.2}", w.name()));
             *mean += overhead / workloads.len() as f64;
         }
+        let baseline = median(baselines);
+        run.row(format!("{},baseline,{baseline:.3},1.00", w.name()));
+        rows.into_iter().for_each(|row| run.row(row));
     }
     for ((feature, ..), mean) in FEATURES.iter().zip(means) {
         run.value(&format!("{feature}_overhead"), mean);

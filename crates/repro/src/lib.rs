@@ -19,14 +19,25 @@
 //! (`Run::sweep`): Table V, Table VI and Fig. 15 all plan ViT-base on
 //! a 128×128 weight-stationary core, once. Direct library probes call
 //! their crate and share only the table, the claim type and the writers.
+//!
+//! The models that only the ledger runs live here, beside their rows,
+//! so that `scalesim` ships what a request reaches: the Fig. 3 partition
+//! search ([`partition`] over the [`gemm`] set), the §III-D non-uniform
+//! split ([`nonuniform`]) over NoP meshes ([`nop`]) and Table III's
+//! system states ([`validate`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod gemm;
 mod grids;
 pub mod ledger;
+pub mod nonuniform;
+pub mod nop;
+pub mod partition;
 mod probes;
 mod table;
+pub mod validate;
 
 pub use table::EXPERIMENTS;
 

@@ -1,21 +1,20 @@
 //! Experiments that probe one library directly — a partition search, a
 //! storage formula, a DRAM replay — rather than a grid of engine runs.
 
+use crate::gemm::fig3_gemm_workloads;
+use crate::nonuniform::{non_uniform_split, uniform_split_makespan};
+use crate::nop::{MemoryPortPlacement, NopMesh};
+use crate::partition::{best_partition, PartitionChoice, PartitionObjective};
+use crate::validate::system_state_table;
 use crate::{workload, Run};
-use scalesim::energy::{
-    system_state_table, ActionCounts, ArchSpec, AreaConfig, AreaTable, EnergyModel, LayerActivity,
-};
+use scalesim::energy::{ActionCounts, ArchSpec, AreaConfig, AreaTable, EnergyModel, LayerActivity};
 use scalesim::mem::{RowPolicy, SchedulingPolicy};
-use scalesim::multicore::{
-    best_partition, non_uniform_split, uniform_split_makespan, MappingDims, MemoryPortPlacement,
-    NopMesh, PartitionChoice, PartitionObjective, PartitionScheme,
-};
+use scalesim::multicore::{MappingDims, PartitionScheme};
 use scalesim::sparse::{NmRatio, SparseFormat, SparsityPattern};
 use scalesim::systolic::{
     parallel_map, timing, AnalyticalModel, ArrayShape, CoreSim, Dataflow, GemmShape,
     IdealBandwidthStore, Layer, MemoryConfig, RecordingStore, SimConfig, Topology,
 };
-use scalesim::workloads::fig3_gemm_workloads;
 use scalesim::{
     dram::replay, layout_slowdown_for_gemm, DramAnalysis, DramIntegration, LayoutIntegration,
     ScaleSim, ScaleSimConfig,

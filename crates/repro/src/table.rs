@@ -116,7 +116,7 @@ experiments! {
             deviates "the active state anchors our unit scale (0.0 %); composing gating and leakage from the same reference table leaves idle at -9.5 % and power gated at -5.2 %";
     }
     tab04_overhead: "Table IV", Full, grids::tab04_overhead,
-    "simulation-time overhead per feature over the v2 baseline, 128x128 WS with 12 MB SRAM: AlexNet[..6], ResNet-18[..8], ViT-small[..9], every point timed cold three times and the fastest kept" {
+    "simulation-time overhead per feature over the v2 baseline, 128x128 WS with 12 MB SRAM: AlexNet[..6], ResNet-18[..8], ViT-small[..9], every point timed cold in nine pairs with its baseline and the median pair ratio kept" {
         multicore_overhead: "mean host-time ratio, 2x2 cores over baseline", Some("2.29x"), HostWithin(1.5, 3.5),
             deviates "a multi-core run here partitions each layer and simulates one representative core's smaller sub-GEMM, so it costs less than the baseline, not 2.3x more";
         sparsity_2_4_overhead: "mean host-time ratio, 2:4 sparsity over baseline", Some("0.42x"), HostWithin(0.1, 0.95);

@@ -28,11 +28,11 @@ fn main() {
         "device", "cycles", "stalls", "avg lat(mem)", "row hit %"
     );
     for spec in [
-        DramSpec::ddr3_1600(),
-        DramSpec::ddr4_2400(),
-        DramSpec::lpddr4_3200(),
-        DramSpec::gddr5_6000(),
-        DramSpec::hbm2(),
+        DramSpec::DDR3_1600,
+        DramSpec::DDR4_2400,
+        DramSpec::LPDDR4_3200,
+        DramSpec::GDDR5_6000,
+        DramSpec::HBM2,
     ] {
         let cfg = config_with(DramIntegration::for_spec(spec, 1, 1.0e9));
         let r = ScaleSim::new(cfg).run_gemm("conv", layer);

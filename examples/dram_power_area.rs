@@ -34,18 +34,22 @@ fn stream_reads(spec: DramSpec, channels: usize, n: u64) -> (u64, DramEnergyBrea
 fn main() {
     let n = 16_384u64;
 
-    println!("== 16k-burst read stream across the seven technology presets ==");
+    let models = DramSpec::preset_names();
     println!(
-        "{:<12} {:>9} {:>10} {:>9} {:>10} {:>9}",
-        "device", "peak MB/s", "wall ns", "pJ/bit", "power mW", "GB/s/W"
+        "== 16k-burst read stream across the {} `[dram] model` presets ==",
+        models.len()
     );
-    for spec in DramSpec::presets() {
+    println!(
+        "{:<16} {:<12} {:>9} {:>10} {:>9} {:>10} {:>9}",
+        "model", "device", "peak MB/s", "wall ns", "pJ/bit", "power mW", "GB/s/W"
+    );
+    for (model, spec) in models.into_iter().zip(DramSpec::presets()) {
         let (cycles, energy) = stream_reads(spec, 1, n);
         let wall_ns = cycles as f64 * spec.timing.tCK_ps as f64 * 1e-3;
         let mw = energy.avg_power_mw();
         let gbps = n as f64 * spec.org.burst_bytes() as f64 / wall_ns; // bytes/ns = GB/s
         println!(
-            "{:<12} {:>9.0} {:>10.0} {:>9.2} {:>10.1} {:>9.1}",
+            "{model:<16} {:<12} {:>9.0} {:>10.0} {:>9.2} {:>10.1} {:>9.1}",
             spec.name,
             spec.peak_mbps(),
             wall_ns,
@@ -63,7 +67,7 @@ fn main() {
     let arch = ArchSpec::new(128, 128, 8192 << 10, 8192 << 10, 2048 << 10);
     let table = AreaTable::eyeriss_65nm();
     for channels in [1usize, 2, 4, 8] {
-        let spec = DramSpec::ddr4_2400();
+        let spec = DramSpec::DDR4_2400;
         let (cycles, energy) = stream_reads(spec, channels, n);
         let wall_ns = cycles as f64 * spec.timing.tCK_ps as f64 * 1e-3;
         let area = AreaConfig::new(arch)

@@ -4,11 +4,10 @@
 //!
 //! Run with: `cargo run --release --example multicore_partitioning`
 
-use scale_sim::multicore::{
-    best_partition, memory_footprint_words, non_uniform_split, uniform_split_makespan, L2Config,
-    L2Report, MappingDims, NopProfile, PartitionGrid, PartitionObjective, PartitionScheme,
-};
+use scale_sim::multicore::{L2Config, L2Report, MappingDims, PartitionGrid, PartitionScheme};
 use scale_sim::systolic::{ArrayShape, Dataflow, GemmShape};
+use scalesim_repro::nonuniform::{non_uniform_split, uniform_split_makespan, NopProfile};
+use scalesim_repro::partition::{best_partition, memory_footprint_words, PartitionObjective};
 
 fn main() {
     let gemm = GemmShape::new(5000, 1000, 10000);

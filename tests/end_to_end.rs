@@ -181,8 +181,8 @@ fn dram_technology_ordering_hbm_beats_ddr3() {
         config.dram = DramIntegration::for_spec(spec, 1, 1.0e9);
         ScaleSim::new(config).run_gemm("g", gemm).total_cycles()
     };
-    let hbm = run(DramSpec::hbm2());
-    let ddr3 = run(DramSpec::ddr3_1600());
+    let hbm = run(DramSpec::HBM2);
+    let ddr3 = run(DramSpec::DDR3_1600);
     assert!(
         hbm <= ddr3,
         "HBM2 ({hbm}) must not lose to DDR3-1600 ({ddr3})"
@@ -263,10 +263,9 @@ fn mesh_partition_pipeline_composes_with_tensor_cores() {
     // is a 32x32 weight-stationary array whose cycles per MAC come from
     // the analytical model, and the final makespan improves on the
     // uniform split.
-    use scale_sim::multicore::{
-        non_uniform_split, uniform_split_makespan, MemoryPortPlacement, NopMesh,
-    };
     use scale_sim::systolic::{analytical_runtime, FoldGeometry};
+    use scalesim_repro::nonuniform::{non_uniform_split, uniform_split_makespan};
+    use scalesim_repro::nop::{MemoryPortPlacement, NopMesh};
     let array = ArrayShape::new(32, 32);
     let gemm = GemmShape::new(197, 3072, 768); // ViT-Base FF1
     let g = FoldGeometry::new(array, Dataflow::WeightStationary, gemm);
@@ -345,7 +344,7 @@ fn shipped_configs_and_topologies_are_usable() {
     assert!(configs >= 3, "expected at least three shipped configs");
     assert!(sweep_specs >= 1, "expected the example sweep spec");
 
-    let mut topologies = 0;
+    let mut registered_files = std::collections::HashSet::new();
     for entry in std::fs::read_dir(root.join("topologies")).unwrap() {
         let path = entry.unwrap().path();
         let csv = std::fs::read_to_string(&path).unwrap();
@@ -357,13 +356,14 @@ fn shipped_configs_and_topologies_are_usable() {
         }
         .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert!(!topo.is_empty(), "{}", path.display());
-        // Each shipped file is the workload registry's network of its name.
+        // Each shipped file is the workload registry's network of its name,
+        // and no two files are the same network (the registry embeds a
+        // file per row: `registry_resolves_all_names` in crates/core).
         let name = stem.trim_end_matches("_gemm").replace('_', "-");
         let registered = workloads::by_name(&name)
             .unwrap_or_else(|| panic!("{} is not a registry workload", path.display()));
         assert_eq!(registered.layers(), topo.layers(), "{}", path.display());
-        topologies += 1;
+        let network = registered.name().to_string();
+        assert!(registered_files.insert(network), "{}", path.display());
     }
-    let registry = workloads::all_workloads().len();
-    assert_eq!(topologies, registry, "one file per registry workload");
 }
